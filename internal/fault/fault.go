@@ -259,24 +259,21 @@ func List() []string {
 	return names
 }
 
-// envSpecs holds specs parsed from FUZZYKNN_FAILPOINTS; points arm
-// themselves against it at registration, so env activation works no
-// matter whether the env is parsed before or after the point exists.
-var envSpecs = map[string]Spec{}
-
 // EnvVar is the environment variable smoke scripts use to arm points.
 const EnvVar = "FUZZYKNN_FAILPOINTS"
 
-func init() {
-	if v := os.Getenv(EnvVar); v != "" {
-		specs, err := ParseEnv(v)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault: ignoring malformed %s: %v\n", EnvVar, err)
-			return
-		}
-		envSpecs = specs
+// envSpecs holds specs parsed from FUZZYKNN_FAILPOINTS; points arm
+// themselves against it at registration. It is a variable initializer, not
+// an init func, so it is ready before any package-level P call — this
+// package's own included.
+var envSpecs = func() map[string]Spec {
+	specs, err := ParseEnv(os.Getenv(EnvVar))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fault: ignoring malformed %s: %v\n", EnvVar, err)
+		return nil
 	}
-}
+	return specs
+}()
 
 // ParseEnv parses a semicolon-separated list of name=spec activations,
 // e.g. "store.log.sync=error:nth=3;replica.fetch=torn:every=5".

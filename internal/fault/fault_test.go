@@ -237,3 +237,72 @@ func TestListAndReset(t *testing.T) {
 		t.Fatal("Reset left a point armed")
 	}
 }
+
+// TestPublishRegimes walks the atomic publish through its three outcomes:
+// success, a failure before the rename (clean abort: destination untouched,
+// no temp left, committed=false) at every step that can fail there, and a
+// failed directory fsync after the rename (committed=true with the error,
+// new content in place).
+func TestPublishRegimes(t *testing.T) {
+	defer Reset()
+	path := filepath.Join(t.TempDir(), "artifact")
+	rename := P("test.publish.rename")
+	publish := func(content string) (bool, error) {
+		return Publish(path, "test.publish", rename, func(f File) error {
+			_, err := f.Write([]byte(content))
+			return err
+		})
+	}
+	expect := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("destination holds %q (%v), want %q", got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("temp file left behind: %v", err)
+		}
+	}
+
+	if committed, err := publish("v1"); !committed || err != nil {
+		t.Fatalf("clean publish: committed=%v err=%v", committed, err)
+	}
+	expect("v1")
+
+	for _, point := range []string{"test.publish.write", "test.publish.sync", "test.publish.rename"} {
+		Enable(point, Spec{Action: ActError, Nth: 1})
+		committed, err := publish("v2")
+		Reset()
+		if committed || !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: committed=%v err=%v, want a clean abort", point, committed, err)
+		}
+		expect("v1")
+	}
+
+	Enable("store.dirsync", Spec{Action: ActError, Nth: 1})
+	committed, err := publish("v3")
+	Reset()
+	if !committed || !errors.Is(err, ErrInjected) {
+		t.Fatalf("dirsync failure: committed=%v err=%v, want committed with the error", committed, err)
+	}
+	expect("v3")
+
+	// A Temp is also usable piecemeal, published under another name; Abort
+	// after a failed Commit is harmless.
+	tmp, err := CreateTemp(path, "test.publish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.Write([]byte("v4")); err != nil {
+		t.Fatal(err)
+	}
+	Enable("test.publish.rename", Spec{Action: ActError, Nth: 1})
+	if committed, err := tmp.Commit(path+".g2", rename); committed || err == nil {
+		t.Fatalf("commit behind a failed rename: committed=%v err=%v", committed, err)
+	}
+	tmp.Abort()
+	expect("v3")
+	if _, err := os.Stat(path + ".g2"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("aborted commit left its destination: %v", err)
+	}
+}

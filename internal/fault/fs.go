@@ -3,6 +3,7 @@ package fault
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -121,6 +122,90 @@ func (f *faultFile) Sync() error {
 		}
 	}
 	return f.File.Sync()
+}
+
+// fpDirSync fronts the directory fsync of every Commit. The name is the
+// store's — its tests and chaos specs arm it — and page-file commits, which
+// publish through the same Temp, sit behind the same point.
+var fpDirSync = P("store.dirsync")
+
+// Temp is a file being written at path+".tmp", to be published by rename:
+// after a crash the destination holds either its old content or the new,
+// never a prefix. It is the one implementation of the temp → fsync → rename
+// → directory-fsync sequence behind every manifest, checkpoint, compacted
+// log and page-file generation.
+type Temp struct {
+	File // the temp file, behind role's read/write/sync failpoints
+	name string
+}
+
+// CreateTemp starts (or restarts, truncating debris of a crashed attempt)
+// the temp file for path, wired to the <role>.{read,write,sync} failpoints.
+func CreateTemp(path, role string) (*Temp, error) {
+	name := path + ".tmp"
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &Temp{File: WrapFile(f, role), name: name}, nil
+}
+
+// Abort discards the temp file. It is safe after a failed Commit.
+func (t *Temp) Abort() {
+	t.Close()
+	os.Remove(t.name)
+}
+
+// Commit publishes the temp file at dst: fsync, close, rename (behind the
+// rename failpoint; nil for none), directory fsync. The two failure regimes
+// need different handling, so committed tells them apart. false: the rename
+// never happened — dst is untouched, the temp is gone, a clean abort that is
+// safe to retry. true with an error: the rename happened but the directory
+// fsync failed, so which content survives a power loss is unknowable; the
+// caller must either unlink dst (nothing refers to it yet) or stop
+// acknowledging on top of it.
+func (t *Temp) Commit(dst string, rename *Point) (committed bool, err error) {
+	err = t.Sync()
+	if cerr := t.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && rename != nil {
+		err = rename.Err()
+	}
+	if err == nil {
+		err = os.Rename(t.name, dst)
+	}
+	if err != nil {
+		os.Remove(t.name)
+		return false, err
+	}
+	if err := fpDirSync.Err(); err != nil {
+		return true, err
+	}
+	d, err := os.Open(filepath.Dir(dst))
+	if err != nil {
+		return true, err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return true, err
+}
+
+// Publish writes a whole file through a Temp: write streams the content
+// (buffering is its business; it must flush before returning) and Commit
+// publishes it at path. See Commit for committed.
+func Publish(path, role string, rename *Point, write func(File) error) (committed bool, err error) {
+	t, err := CreateTemp(path, role)
+	if err != nil {
+		return false, err
+	}
+	if err := write(t); err != nil {
+		t.Abort()
+		return false, err
+	}
+	return t.Commit(path, rename)
 }
 
 // Corrupt flips the low bit of every byte in b — the canonical torn-bytes

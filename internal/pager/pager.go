@@ -159,13 +159,12 @@ func ReadManifest(path string) (Manifest, error) {
 
 // Writer streams pages into a new page-file generation. Pages are written
 // sequentially (page ids are assigned in write order, starting at 0) into a
-// temporary file; Commit fsyncs it, renames it over the final path and then
-// atomically publishes the manifest — the manifest rename is the commit
-// point, exactly like checkpoints.
+// temporary file; Commit publishes it under its generation-numbered name and
+// then atomically publishes the manifest — the manifest rename is the commit
+// point, exactly like checkpoints, and both go through fault.Temp.
 type Writer struct {
 	path     string
-	tmp      string
-	f        fault.File
+	f        *fault.Temp
 	pageSize uint32
 	buf      []byte
 	pages    uint32
@@ -177,15 +176,13 @@ type Writer struct {
 // PageHeaderSize bytes.
 func NewWriter(path string, pageSize uint32) (*Writer, error) {
 	pageSize = RoundPageSize(pageSize)
-	tmp := path + ".tmp"
-	osf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	// Any injected failure here is a clean abort: the generation is only
+	// reachable once the manifest commits, so there is nothing to poison.
+	f, err := fault.CreateTemp(path, "pager.file")
 	if err != nil {
 		return nil, err
 	}
-	// Any injected failure here is a clean abort: the generation is only
-	// reachable once the manifest commits, so there is nothing to poison.
-	f := fault.WrapFile(osf, "pager.file")
-	return &Writer{path: path, tmp: tmp, f: f, pageSize: pageSize, buf: make([]byte, pageSize)}, nil
+	return &Writer{path: path, f: f, pageSize: pageSize, buf: make([]byte, pageSize)}, nil
 }
 
 // RoundPageSize rounds n up to the next PageAlign multiple (minimum one
@@ -248,31 +245,28 @@ func (w *Writer) Commit(m Manifest) error {
 		w.Abort()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		w.f = nil
-		w.Abort()
-		return err
-	}
-	w.f = nil
 	dataPath := PageFilePath(w.path, m.Generation)
-	if err := fault.P("pager.file.rename").Err(); err != nil {
-		w.Abort()
+	if committed, err := w.f.Commit(dataPath, fault.P("pager.file.rename")); err != nil {
+		if committed {
+			// Renamed but not durably; no manifest names it yet, so drop it.
+			os.Remove(dataPath)
+		}
 		return err
 	}
-	if err := os.Rename(w.tmp, dataPath); err != nil {
-		w.Abort()
+	committed, err := fault.Publish(ManifestPath(w.path), "pager.manifest", nil, func(f fault.File) error {
+		_, err := f.Write(encodeManifest(m))
 		return err
-	}
-	if err := syncDir(filepath.Dir(w.path)); err != nil {
-		os.Remove(dataPath)
-		return err
-	}
-	if err := atomicWriteFile(ManifestPath(w.path), encodeManifest(m)); err != nil {
-		os.Remove(dataPath)
+	})
+	if err != nil {
+		// Not committed: the previous manifest is intact and the new data
+		// file is debris. Committed: the manifest on disk names the new
+		// generation but its directory fsync failed, so which manifest a
+		// power loss leaves behind is unknowable — both generations' data
+		// files must survive, and the caller hears that the publish is not
+		// known durable.
+		if !committed {
+			os.Remove(dataPath)
+		}
 		return err
 	}
 	if prevGen > 0 {
@@ -282,13 +276,7 @@ func (w *Writer) Commit(m Manifest) error {
 }
 
 // Abort discards the in-progress generation.
-func (w *Writer) Abort() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-	os.Remove(w.tmp)
-}
+func (w *Writer) Abort() { w.f.Abort() }
 
 // File is an open page-file generation: the manifest plus random-access,
 // CRC-checked page reads. Reads are safe for concurrent use.
@@ -382,47 +370,4 @@ func sweepDebris(path string, keep uint64) {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
-}
-
-// atomicWriteFile writes data to path via temp file + fsync + rename +
-// directory sync (same discipline as checkpoint manifests).
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	osf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	f := fault.WrapFile(osf, "pager.manifest")
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a just-renamed file is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	// Some platforms cannot fsync directories; the rename itself is still
-	// atomic there, so tolerate the failure like the checkpoint writer.
-	_ = d.Sync()
-	return nil
 }

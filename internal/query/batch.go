@@ -186,7 +186,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	insErr := func(i int, err error) { errs = append(errs, BatchItemError{Op: OpInsert, Pos: insPos[i], Err: err}) }
 	delErr := func(j int, err error) { errs = append(errs, BatchItemError{Op: OpDelete, Pos: delPos[j], Err: err}) }
 
-	if _, isMutable := ix.store.(store.Mutator); !isMutable {
+	if _, isMutable := store.As[store.Mutator](ix.store); !isMutable {
 		for i := range inserts {
 			insErr(i, fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store))
 		}
@@ -196,7 +196,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 		return nil, errs
 	}
 
-	liveness, hasLiveness := ix.store.(store.LivenessChecker)
+	liveness, hasLiveness := store.As[store.LivenessChecker](ix.store)
 	live := func(id uint64) (bool, bool) {
 		if !hasLiveness {
 			return false, false
@@ -340,12 +340,12 @@ func (p *batchPrep) commit() error {
 // storeApply routes the group to the store's batch side (one write + one
 // fsync for a log store), translating store item errors to batch errors.
 func (p *batchPrep) storeApply() error {
-	bm, ok := p.ix.store.(store.BatchMutator)
+	bm, ok := store.As[store.BatchMutator](p.ix.store)
 	if !ok {
 		// Exotic stack without a batch side (every shipped mutable store
 		// has one): fall back to item-by-item application. Validation has
 		// already passed, so failures here are of the I/O class.
-		m := p.ix.store.(store.Mutator)
+		m, _ := store.As[store.Mutator](p.ix.store) // prepareBatch checked it exists
 		for _, o := range p.inserts {
 			if err := p.ix.noteStoreErr(m.Insert(o)); err != nil {
 				return fmt.Errorf("query: batch insert %d: %w", o.ID(), err)

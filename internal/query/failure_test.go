@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync/atomic"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -15,19 +16,19 @@ import (
 type flakyStore struct {
 	store.Reader
 	failID    uint64
-	failAfter int // fail every Get once the countdown reaches zero; -1 = off
-	calls     int
+	failAfter int          // fail every Get once the countdown reaches zero; -1 = off
+	calls     atomic.Int64 // Build probes from GOMAXPROCS workers
 }
 
 var errInjected = errors.New("injected storage failure")
 
 func (f *flakyStore) Get(id uint64) (*fuzzy.Object, error) {
-	f.calls++
+	calls := int(f.calls.Add(1))
 	if f.failID != 0 && id == f.failID {
 		return nil, fmt.Errorf("%w: id %d", errInjected, id)
 	}
-	if f.failAfter >= 0 && f.calls > f.failAfter {
-		return nil, fmt.Errorf("%w: call %d", errInjected, f.calls)
+	if f.failAfter >= 0 && calls > f.failAfter {
+		return nil, fmt.Errorf("%w: call %d", errInjected, calls)
 	}
 	return f.Reader.Get(id)
 }
@@ -66,7 +67,7 @@ func TestAKNNPropagatesProbeErrors(t *testing.T) {
 	q := makeQuery(rng, 10, 6, 8)
 	// Fail a specific object that a full-k query must probe.
 	fs.failID = objs[0].ID()
-	fs.calls = 0
+	fs.calls.Store(0)
 	for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
 		if _, _, err := ix.AKNN(q, 30, 0.5, algo); !errors.Is(err, errInjected) {
 			t.Fatalf("%v: err = %v, want injected failure", algo, err)
@@ -84,7 +85,7 @@ func TestRKNNPropagatesProbeErrors(t *testing.T) {
 	q := makeQuery(rng, 10, 6, 8)
 	for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
 		fs.failID = 0
-		fs.calls = 0
+		fs.calls.Store(0)
 		fs.failAfter = 3 // fail mid-acquisition
 		if _, _, err := ix.RKNN(q, 20, 0.3, 0.7, algo); !errors.Is(err, errInjected) {
 			t.Fatalf("%v: err = %v, want injected failure", algo, err)
@@ -126,12 +127,12 @@ func TestQueriesRecoverAfterTransientFailure(t *testing.T) {
 	q := makeQuery(rng, 10, 6, 8)
 
 	fs.failAfter = 2
-	fs.calls = 0
+	fs.calls.Store(0)
 	if _, _, err := ix.AKNN(q, 30, 0.5, LB); !errors.Is(err, errInjected) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	fs.failAfter = -1
-	fs.calls = 0
+	fs.calls.Store(0)
 	got, _, err := ix.AKNN(q, 5, 0.5, LB)
 	if err != nil {
 		t.Fatalf("query after recovery failed: %v", err)

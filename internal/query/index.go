@@ -346,7 +346,7 @@ func (ix *Index) Stats() IndexStats {
 		TreeHeight:     s.tree.Height(),
 		TreeMaxEntries: s.tree.MaxEntries(),
 	}
-	if cp, ok := ix.store.(store.Checkpointer); ok {
+	if cp, ok := store.As[store.Checkpointer](ix.store); ok {
 		if info, can := cp.CheckpointInfo(); can {
 			sh.Checkpoint = &info
 		}
@@ -364,7 +364,7 @@ func (ix *Index) Stats() IndexStats {
 // three-phase protocol keeps the snapshot consistent while the writer
 // stays live, which is the whole point of checkpointing online.
 func (ix *Index) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
-	cp, ok := ix.store.(store.Checkpointer)
+	cp, ok := store.As[store.Checkpointer](ix.store)
 	if !ok {
 		return nil, fmt.Errorf("query: checkpoint: %w: store %T cannot checkpoint", store.ErrUnsupported, ix.store)
 	}
@@ -404,7 +404,7 @@ func (ix *Index) Insert(obj *fuzzy.Object) error {
 	if s.dims != 0 && obj.Dims() != s.dims {
 		return badArgf("query: insert: object dims %d, index dims %d", obj.Dims(), s.dims)
 	}
-	m, ok := ix.store.(store.Mutator)
+	m, ok := store.As[store.Mutator](ix.store)
 	if !ok {
 		return fmt.Errorf("query: insert: %w: store %T has no write side", store.ErrReadOnly, ix.store)
 	}
@@ -434,7 +434,7 @@ func (ix *Index) Delete(id uint64) (Stats, error) {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	s := ix.read()
-	m, ok := ix.store.(store.Mutator)
+	m, ok := store.As[store.Mutator](ix.store)
 	if !ok {
 		return st, fmt.Errorf("query: delete: %w: store %T has no write side", store.ErrReadOnly, ix.store)
 	}

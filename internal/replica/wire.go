@@ -14,16 +14,16 @@
 // Wire formats (all integers little-endian, CRC-32 IEEE over everything
 // before the checksum):
 //
-//	object  := id u64 | n u32 | d u32 | coords n*d f64 | mus n f64
+//	object  := a codec body (internal/codec)
 //	frame   := seq u64 | nIns u32 | nDel u32 | payloadLen u32 | payload | crc u32
 //	payload := nIns × (objLen u32 | object) ++ nDel × (id u64)
 //	stream  := "FZKNRL01" | gen u64 | latest u64 | count u32 | count × frame
 //	snapshot:= "FZKNRS01" | gen u64 | seq u64 | dims u32 | count u32 |
 //	           count × (objLen u32 | object) | crc u32
 //
-// The object encoding mirrors the store's record payload minus its
-// trailing CRC (frames and snapshots carry their own), so a frame is
-// self-describing and survives process boundaries unchanged.
+// The object encoding is the store's record payload minus its trailing CRC
+// (frames and snapshots carry their own), so a frame is self-describing and
+// survives process boundaries unchanged.
 //
 // A stream and a snapshot both carry the leader's generation token — drawn
 // fresh at every leader start — and the sequence they are valid at. A
@@ -37,10 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
-	"fuzzyknn/internal/geom"
 )
 
 var (
@@ -70,86 +69,67 @@ const (
 	maxFramePayload = 1 << 30
 )
 
-// objectSize returns the encoded size of o.
-func objectSize(o *fuzzy.Object) int {
-	return 16 + o.Len()*o.Dims()*8 + o.Len()*8
-}
-
-// appendObject appends o's wire form to buf.
-func appendObject(buf []byte, o *fuzzy.Object) []byte {
-	n, d := o.Len(), o.Dims()
-	buf = binary.LittleEndian.AppendUint64(buf, o.ID())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-	for i := 0; i < n; i++ {
-		p, _ := o.At(i)
-		for j := 0; j < d; j++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p[j]))
-		}
-	}
-	for i := 0; i < n; i++ {
-		_, mu := o.At(i)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mu))
-	}
-	return buf
-}
-
-// decodeObject rebuilds an object from its wire form (the whole slice).
-func decodeObject(b []byte) (*fuzzy.Object, error) {
-	if len(b) < 16 {
-		return nil, fmt.Errorf("%w: object header truncated", ErrCorrupt)
-	}
-	id := binary.LittleEndian.Uint64(b[0:])
-	n := int(binary.LittleEndian.Uint32(b[8:]))
-	d := int(binary.LittleEndian.Uint32(b[12:]))
-	if n <= 0 || d <= 0 || len(b) != 16+n*d*8+n*8 {
-		return nil, fmt.Errorf("%w: object size mismatch (n=%d d=%d len=%d)", ErrCorrupt, n, d, len(b))
-	}
-	pts := make([]fuzzy.WeightedPoint, n)
-	coords := make(geom.Point, n*d)
-	pos := 16
-	for i := 0; i < n; i++ {
-		p := coords[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-			pos += 8
-		}
-		pts[i].P = p
-	}
-	for i := 0; i < n; i++ {
-		pts[i].Mu = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-		pos += 8
-	}
-	o, err := fuzzy.New(id, pts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return o, nil
-}
-
 // ObjectCRC returns the checksum of o's wire form — the identity a
 // follower tracks per live object so a re-bootstrap can be applied as a
 // minimal diff.
 func ObjectCRC(o *fuzzy.Object) uint32 {
-	return crc32.ChecksumIEEE(appendObject(nil, o))
+	return codec.Checksum(codec.Append(nil, o))
+}
+
+// objectsSize returns the encoded size of an object section: each object
+// behind its u32 length.
+func objectsSize(objs []*fuzzy.Object) int {
+	size := 0
+	for _, o := range objs {
+		size += 4 + codec.Size(o)
+	}
+	return size
+}
+
+// appendObjects appends an object section to buf.
+func appendObjects(buf []byte, objs []*fuzzy.Object) []byte {
+	for _, o := range objs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(codec.Size(o)))
+		buf = codec.Append(buf, o)
+	}
+	return buf
+}
+
+// decodeObjects decodes the count-object section b[pos:end] opens with,
+// returning the objects, their wire checksums and the position after the
+// section. Nothing is allocated on the strength of count or of an object's
+// header alone: every object is bounded by the bytes actually present.
+func decodeObjects(b []byte, pos, end, count int) (objs []*fuzzy.Object, crcs []uint32, next int, err error) {
+	for i := 0; i < count; i++ {
+		if end-pos < 4 {
+			return nil, nil, 0, fmt.Errorf("%w: object %d truncated", ErrCorrupt, i)
+		}
+		objLen := int(binary.LittleEndian.Uint32(b[pos:]))
+		pos += 4
+		if objLen < 0 || objLen > end-pos {
+			return nil, nil, 0, fmt.Errorf("%w: object %d overruns its section", ErrCorrupt, i)
+		}
+		body := b[pos : pos+objLen]
+		o, err := codec.Decode(body)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("%w: object %d: %v", ErrCorrupt, i, err)
+		}
+		objs = append(objs, o)
+		crcs = append(crcs, codec.Checksum(body))
+		pos += objLen
+	}
+	return objs, crcs, pos, nil
 }
 
 // EncodeFrame renders one committed mutation group as a wire frame.
 func EncodeFrame(seq uint64, inserts []*fuzzy.Object, deletes []uint64) []byte {
-	payloadLen := 0
-	for _, o := range inserts {
-		payloadLen += 4 + objectSize(o)
-	}
-	payloadLen += 8 * len(deletes)
+	payloadLen := objectsSize(inserts) + 8*len(deletes)
 	buf := make([]byte, 0, frameHeaderSize+payloadLen+crcSize)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(inserts)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deletes)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-	for _, o := range inserts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(objectSize(o)))
-		buf = appendObject(buf, o)
-	}
+	buf = appendObjects(buf, inserts)
 	for _, id := range deletes {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
@@ -186,27 +166,12 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if crc32.ChecksumIEEE(b[:total-crcSize]) != want {
 		return Frame{}, 0, fmt.Errorf("%w: frame CRC mismatch at seq %d", ErrCorrupt, seq)
 	}
-	f := Frame{Seq: seq}
-	pos := frameHeaderSize
 	end := frameHeaderSize + payloadLen
-	for i := 0; i < nIns; i++ {
-		if pos+4 > end {
-			return Frame{}, 0, fmt.Errorf("%w: frame insert %d truncated", ErrCorrupt, i)
-		}
-		objLen := int(binary.LittleEndian.Uint32(b[pos:]))
-		pos += 4
-		if objLen < 0 || pos+objLen > end {
-			return Frame{}, 0, fmt.Errorf("%w: frame insert %d overruns payload", ErrCorrupt, i)
-		}
-		objBytes := b[pos : pos+objLen]
-		o, err := decodeObject(objBytes)
-		if err != nil {
-			return Frame{}, 0, err
-		}
-		f.Inserts = append(f.Inserts, o)
-		f.InsertCRCs = append(f.InsertCRCs, crc32.ChecksumIEEE(objBytes))
-		pos += objLen
+	inserts, crcs, pos, err := decodeObjects(b, frameHeaderSize, end, nIns)
+	if err != nil {
+		return Frame{}, 0, fmt.Errorf("frame seq %d insert section: %w", seq, err)
 	}
+	f := Frame{Seq: seq, Inserts: inserts, InsertCRCs: crcs}
 	if pos+8*nDel != end {
 		return Frame{}, 0, fmt.Errorf("%w: frame delete section size mismatch", ErrCorrupt)
 	}
@@ -265,20 +230,14 @@ func DecodeStream(b []byte) (gen, latest uint64, frames []Frame, err error) {
 // EncodeSnapshot renders a full-state snapshot at (gen, seq): every live
 // object, sorted by id by the caller for determinism.
 func EncodeSnapshot(gen, seq uint64, dims int, objs []*fuzzy.Object) []byte {
-	size := len(snapshotMagic) + 8 + 8 + 4 + 4
-	for _, o := range objs {
-		size += 4 + objectSize(o)
-	}
+	size := len(snapshotMagic) + 8 + 8 + 4 + 4 + objectsSize(objs)
 	buf := make([]byte, 0, size+crcSize)
 	buf = append(buf, snapshotMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(dims))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(objs)))
-	for _, o := range objs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(objectSize(o)))
-		buf = appendObject(buf, o)
-	}
+	buf = appendObjects(buf, objs)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -312,26 +271,12 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		Dims: int(binary.LittleEndian.Uint32(b[pos+16:])),
 	}
 	count := int(binary.LittleEndian.Uint32(b[pos+20:]))
-	pos += 24
 	end := len(b) - crcSize
-	for i := 0; i < count; i++ {
-		if pos+4 > end {
-			return nil, fmt.Errorf("%w: snapshot object %d truncated", ErrCorrupt, i)
-		}
-		objLen := int(binary.LittleEndian.Uint32(b[pos:]))
-		pos += 4
-		if objLen < 0 || pos+objLen > end {
-			return nil, fmt.Errorf("%w: snapshot object %d overruns body", ErrCorrupt, i)
-		}
-		objBytes := b[pos : pos+objLen]
-		o, err := decodeObject(objBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.Objects = append(s.Objects, o)
-		s.CRCs = append(s.CRCs, crc32.ChecksumIEEE(objBytes))
-		pos += objLen
+	objs, crcs, pos, err := decodeObjects(b, pos+24, end, count)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
+	s.Objects, s.CRCs = objs, crcs
 	if pos != end {
 		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", ErrCorrupt, end-pos)
 	}

@@ -402,33 +402,43 @@ func TestWrapperBatchForwarding(t *testing.T) {
 	}
 	lru := NewLRU(ms, 8)
 	c := NewCounting(lru)
+	// The write side of the stack is the cache (it must see writes to
+	// invalidate), not the counter above it or the store below it.
+	w, ok := As[BatchMutator](c)
+	if !ok || w != BatchMutator(lru) {
+		t.Fatalf("As[BatchMutator] resolved %T, want the LRU", w)
+	}
 
 	objs := []*fuzzy.Object{
 		randObject(rng, 1, 3, 2),
 		randObject(rng, 2, 3, 2),
 	}
-	if err := c.ApplyBatch(objs, nil); err != nil {
+	if err := w.ApplyBatch(objs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Count() != 0 {
 		t.Fatalf("batch writes counted as %d accesses", c.Count())
 	}
-	if live, known := c.Live(1); !known || !live {
+	lc, ok := As[LivenessChecker](c)
+	if !ok {
+		t.Fatal("liveness side not reachable through the wrappers")
+	}
+	if live, known := lc.Live(1); !known || !live {
 		t.Fatalf("Live(1) through wrappers = %v, %v", live, known)
 	}
 	if _, err := c.Get(1); err != nil { // warm the cache
 		t.Fatal(err)
 	}
 	replacement := randObject(rng, 1, 5, 2)
-	if err := c.ApplyBatch([]*fuzzy.Object{replacement}, []uint64{1}); err == nil {
+	if err := w.ApplyBatch([]*fuzzy.Object{replacement}, []uint64{1}); err == nil {
 		t.Fatal("insert+delete of one id must be rejected")
 	}
 	// Delete then re-insert id 1 across two batches; the cache must serve
 	// the new payload, not the pre-batch one.
-	if err := c.ApplyBatch(nil, []uint64{1}); err != nil {
+	if err := w.ApplyBatch(nil, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ApplyBatch([]*fuzzy.Object{replacement}, nil); err != nil {
+	if err := w.ApplyBatch([]*fuzzy.Object{replacement}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Get(1)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fault"
 )
 
@@ -158,87 +159,10 @@ func readManifest(path string) (*logManifest, error) {
 	return m, nil
 }
 
-// atomicWriteFile publishes data at path via temp file + fsync + rename +
-// directory fsync: after a crash the path holds either the old content or
-// the new, never a prefix. The committed result distinguishes the two
-// failure regimes a caller must treat differently: false means the rename
-// never happened (the old content is intact, the temp is gone — a clean
-// abort, safe to retry); true with a non-nil error means the rename
-// succeeded but the directory fsync did not, so which content survives a
-// power loss is unknowable and the caller must fail-stop rather than
-// acknowledge on top of ambiguous disk state.
-func atomicWriteFile(path string, data []byte) (committed bool, err error) {
-	tmp := path + ".tmp"
-	osf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false, err
-	}
-	f := fault.WrapFile(osf, "store.manifest")
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := renameFP(fpManifestRename, tmp, path); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	return true, syncDirFP(filepath.Dir(path))
-}
-
-// renameFP is os.Rename behind a failpoint.
-func renameFP(p *fault.Point, oldpath, newpath string) error {
-	if err := p.Err(); err != nil {
-		return err
-	}
-	return os.Rename(oldpath, newpath)
-}
-
-// syncDirFP is syncDir behind the store.dirsync failpoint.
-func syncDirFP(dir string) error {
-	if err := fpDirSync.Err(); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// verifyPayload checks a copied record's embedded CRC before it lands in
-// a new artifact, so a read that silently returned corrupt bytes (bit
-// rot, a lying disk) cannot be laundered into a freshly checksummed
-// checkpoint or compacted log.
-func verifyPayload(p []byte, id uint64) error {
-	if len(p) < 20 || crc32.ChecksumIEEE(p[:len(p)-4]) != binary.LittleEndian.Uint32(p[len(p)-4:]) {
-		return fmt.Errorf("%w: object %d failed its embedded checksum during copy", ErrCorrupt, id)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Checkpoint file layout (little-endian):
 //
 //	header:  magic "FZKNNCK1" | version u32 | dims u32 | gen u64 | count u64
-//	record:  length u32 | encodeObject payload (count times, sorted by id)
+//	record:  length u32 | codec record (count times, sorted by id)
 //	footer:  crc32 u4 of every preceding byte
 //
 // The embedded generation must match the manifest that names the file —
@@ -259,80 +183,81 @@ type ckptSource struct {
 	f fault.File
 }
 
-// writeCheckpoint streams a snapshot of srcs to path via temp file + fsync
-// + rename, returning each record's payload offset and the final size.
-func writeCheckpoint(path string, dims int, gen uint64, srcs []ckptSource) (offsets []int64, size int64, err error) {
-	tmp := path + ".tmp"
-	osf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, 0, err
+// read fetches the source's record into buf (grown when too small) and
+// checks its embedded CRC before it lands in a new artifact, so a read that
+// silently returned corrupt bytes (bit rot, a lying disk) cannot be
+// laundered into a freshly checksummed checkpoint or compacted log.
+func (src ckptSource) read(buf []byte) ([]byte, error) {
+	if uint64(cap(buf)) < src.e.length {
+		buf = make([]byte, src.e.length)
 	}
-	f := fault.WrapFile(osf, "store.ckpt")
-	fail := func(err error) ([]int64, int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, 0, err
+	buf = buf[:src.e.length]
+	if _, err := src.f.ReadAt(buf, int64(src.e.offset)); err != nil {
+		return nil, fmt.Errorf("store: copy of object %d: %w", src.e.id, err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	crc := crc32.NewIEEE()
-	w := io.MultiWriter(bw, crc)
+	if err := codec.VerifyRecord(buf); err != nil {
+		return nil, fmt.Errorf("%w: object %d failed its embedded checksum during copy: %v", ErrCorrupt, src.e.id, err)
+	}
+	return buf, nil
+}
 
-	hdr := make([]byte, ckptHeaderSize)
-	copy(hdr, ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], ckptVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
-	binary.LittleEndian.PutUint64(hdr[16:], gen)
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(srcs)))
-	if _, err := w.Write(hdr); err != nil {
-		return fail(err)
+// publishArtifact streams a checkpoint or compacted log to path through a
+// 1 MiB buffer and publishes it atomically (see fault.Temp). Neither is
+// referenced until a manifest names it, so a rename whose directory fsync
+// failed is dropped again — the clean abort.
+func publishArtifact(path, role string, rename *fault.Point, write func(w *bufio.Writer) error) error {
+	committed, err := fault.Publish(path, role, rename, func(f fault.File) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		if err := write(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+	if committed && err != nil {
+		os.Remove(path)
 	}
+	return err
+}
+
+// writeCheckpoint publishes a snapshot of srcs at path, returning each
+// record's payload offset and the final size.
+func writeCheckpoint(path string, dims int, gen uint64, srcs []ckptSource) (offsets []int64, size int64, err error) {
 	offsets = make([]int64, len(srcs))
 	pos := int64(ckptHeaderSize)
-	var frame [4]byte
-	var payload []byte
-	for i, src := range srcs {
-		if uint64(cap(payload)) < src.e.length {
-			payload = make([]byte, src.e.length)
+	err = publishArtifact(path, "store.ckpt", fpCkptRename, func(bw *bufio.Writer) error {
+		crc := crc32.NewIEEE()
+		w := io.MultiWriter(bw, crc)
+		hdr := make([]byte, ckptHeaderSize)
+		copy(hdr, ckptMagic)
+		binary.LittleEndian.PutUint32(hdr[8:], ckptVersion)
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
+		binary.LittleEndian.PutUint64(hdr[16:], gen)
+		binary.LittleEndian.PutUint64(hdr[24:], uint64(len(srcs)))
+		if _, err := w.Write(hdr); err != nil {
+			return err
 		}
-		p := payload[:src.e.length]
-		if _, err := src.f.ReadAt(p, int64(src.e.offset)); err != nil {
-			return fail(fmt.Errorf("store: checkpoint read object %d: %w", src.e.id, err))
+		var frame [4]byte
+		var payload []byte
+		for i, src := range srcs {
+			var err error
+			if payload, err = src.read(payload); err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
+			if _, err := w.Write(frame[:]); err != nil {
+				return err
+			}
+			if _, err := w.Write(payload); err != nil {
+				return err
+			}
+			offsets[i] = pos + 4
+			pos += 4 + int64(len(payload))
 		}
-		if err := verifyPayload(p, src.e.id); err != nil {
-			return fail(err)
-		}
-		binary.LittleEndian.PutUint32(frame[:], uint32(src.e.length))
-		if _, err := w.Write(frame[:]); err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(p); err != nil {
-			return fail(err)
-		}
-		offsets[i] = pos + 4
-		pos += 4 + int64(src.e.length)
-	}
-	binary.LittleEndian.PutUint32(frame[:], crc.Sum32())
-	if _, err := bw.Write(frame[:]); err != nil { // the footer is outside its own CRC
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	if err := renameFP(fpCkptRename, tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	if err := syncDirFP(filepath.Dir(path)); err != nil {
-		// The rename happened but is not durable; the file is not yet
-		// manifest-committed, so dropping it is the clean abort.
-		os.Remove(path)
+		binary.LittleEndian.PutUint32(frame[:], crc.Sum32())
+		_, err := bw.Write(frame[:]) // the footer is outside its own CRC
+		return err
+	})
+	if err != nil {
 		return nil, 0, err
 	}
 	return offsets, pos + 4, nil
@@ -392,7 +317,7 @@ func (s *LogStore) loadCheckpoint(path string, man *logManifest) error {
 
 	entries := make(map[uint64]dirEntry, count)
 	pos := int64(ckptHeaderSize)
-	var prefix [4 + 16]byte // record length + the payload's own id/n/d header
+	var prefix [4 + codec.HeaderSize]byte // record length + the payload's own id/n/d header
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, prefix[:]); err != nil {
 			return fmt.Errorf("%w: checkpoint record %d truncated: %v", ErrCorrupt, i, err)
@@ -401,18 +326,15 @@ func (s *LogStore) loadCheckpoint(path string, man *logManifest) error {
 		if length < minPutPayloadLen || pos+4+length > size-4 {
 			return fmt.Errorf("%w: checkpoint record %d length %d overruns the file", ErrCorrupt, i, length)
 		}
-		id := binary.LittleEndian.Uint64(prefix[4:])
-		if d := int(binary.LittleEndian.Uint32(prefix[4+12:])); d != man.dims {
-			return fmt.Errorf("%w: checkpoint record %d dims %d", ErrCorrupt, i, d)
-		}
-		if !putShapeConsistent(prefix[4:], length) {
-			return fmt.Errorf("%w: checkpoint record %d length %d inconsistent with its shape", ErrCorrupt, i, length)
+		id, err := putShape(prefix[4:], length, man.dims)
+		if err != nil {
+			return fmt.Errorf("%w: checkpoint record %d length %d: %v", ErrCorrupt, i, length, err)
 		}
 		if _, dup := entries[id]; dup {
 			return fmt.Errorf("%w: duplicate id %d in checkpoint", ErrCorrupt, id)
 		}
 		entries[id] = dirEntry{id: id, offset: uint64(pos + 4), length: uint64(length), src: f}
-		if _, err := io.CopyN(io.Discard, r, length-16); err != nil {
+		if _, err := io.CopyN(io.Discard, r, length-codec.HeaderSize); err != nil {
 			return fmt.Errorf("%w: checkpoint record %d truncated: %v", ErrCorrupt, i, err)
 		}
 		pos += 4 + length
@@ -437,6 +359,27 @@ func (s *LogStore) loadCheckpoint(path string, man *logManifest) error {
 	s.ckptBytes = size
 	ok = true
 	return nil
+}
+
+// commitManifestLocked publishes man as the store's manifest — the commit
+// point of Checkpoint and CompactLog. A false committed is a clean abort:
+// the previous manifest is intact and the caller drops the artifact it just
+// built. True with an error means the manifest renamed but its durability is
+// unknowable: the manifest on disk names the new artifacts while memory
+// still matches the previous one. Reads stay correct through the handles
+// already open, but acknowledging any further write would be acknowledging
+// into state the next open may never read — so the store is poisoned and the
+// new artifacts stay in place for whichever manifest survives. Callers hold
+// s.mu.
+func (s *LogStore) commitManifestLocked(man *logManifest) (committed bool, err error) {
+	committed, err = fault.Publish(manifestPath(s.path), "store.manifest", fpManifestRename, func(f fault.File) error {
+		_, err := f.Write(encodeManifest(man))
+		return err
+	})
+	if committed && err != nil {
+		err = s.failLocked("manifest directory fsync", err)
+	}
+	return committed, err
 }
 
 // cleanupLogDebris removes files a crash mid-swap can leave next to the
@@ -555,14 +498,7 @@ func (s *LogStore) Checkpoint() (CheckpointInfo, error) {
 		size:    s.offset,
 		created: now,
 	}
-	if committed, err := atomicWriteFile(manifestPath(s.path), encodeManifest(man)); err != nil {
-		if committed {
-			// The manifest renamed but its durability is unknowable; the
-			// in-memory directory still matches the previous manifest and
-			// the old files stay open, so reads remain correct — but no
-			// further acknowledgment can be honest. Poison.
-			err = s.failLocked("manifest directory fsync", err)
-		}
+	if committed, err := s.commitManifestLocked(man); err != nil {
 		s.mu.Unlock()
 		newF.Close()
 		if !committed {
@@ -665,15 +601,7 @@ func (s *LogStore) CompactLog() (CheckpointInfo, error) {
 		size:    size,
 		created: s.ckptAt,
 	}
-	if committed, err := atomicWriteFile(manifestPath(s.path), encodeManifest(man)); err != nil {
-		if committed {
-			// Renamed but not durably: the manifest on disk now names the
-			// compacted log while memory still appends to the old one —
-			// acknowledging any further write would be acknowledging into a
-			// file the next open may never read. Poison; reads stay valid
-			// through the handles already open.
-			err = s.failLocked("manifest directory fsync", err)
-		}
+	if committed, err := s.commitManifestLocked(man); err != nil {
 		newF.Close()
 		if !committed {
 			os.Remove(npath)
@@ -700,92 +628,43 @@ func (s *LogStore) CompactLog() (CheckpointInfo, error) {
 	return s.checkpointInfoLocked(), nil
 }
 
-// writeCompactedLog streams a fresh log holding only the survivor records
-// to path via temp file + fsync + rename, returning each put's payload
-// offset and the final size.
+// writeCompactedLog publishes a fresh log holding only the survivor records
+// at path, returning each put's payload offset and the final size.
 func writeCompactedLog(path string, dims int, tombs []uint64, puts []ckptSource) (offsets []int64, size int64, err error) {
-	tmp := path + ".tmp"
-	osf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	f := fault.WrapFile(osf, "store.compact")
-	fail := func(err error) ([]int64, int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	hdr := make([]byte, logHeaderSize)
-	copy(hdr, logMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], logVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
-	if _, err := w.Write(hdr); err != nil {
-		return fail(err)
-	}
-	pos := int64(logHeaderSize)
-	var frame [logFrameSize]byte
-	var tail [4]byte
-	writeRec := func(kind byte, payload []byte) error {
-		frame[0] = kind
-		binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
-		crc := crc32.ChecksumIEEE(frame[:])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		binary.LittleEndian.PutUint32(tail[:], crc)
-		if _, err := w.Write(frame[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-		if _, err := w.Write(tail[:]); err != nil {
-			return err
-		}
-		pos += int64(logFrameSize + len(payload) + 4)
-		return nil
-	}
-	var idBuf [8]byte
-	for _, id := range tombs {
-		binary.LittleEndian.PutUint64(idBuf[:], id)
-		if err := writeRec(recTombstone, idBuf[:]); err != nil {
-			return fail(err)
-		}
-	}
 	offsets = make([]int64, len(puts))
-	var payload []byte
-	for i, src := range puts {
-		if uint64(cap(payload)) < src.e.length {
-			payload = make([]byte, src.e.length)
+	pos := int64(logHeaderSize)
+	err = publishArtifact(path, "store.compact", fpCompactRename, func(w *bufio.Writer) error {
+		if _, err := w.Write(logHeader(dims)); err != nil {
+			return err
 		}
-		p := payload[:src.e.length]
-		if _, err := src.f.ReadAt(p, int64(src.e.offset)); err != nil {
-			return fail(fmt.Errorf("store: compaction read object %d: %w", src.e.id, err))
+		var rec []byte
+		writeRec := func(kind byte, payload []byte) error {
+			rec = appendFrame(rec[:0], kind, payload)
+			_, err := w.Write(rec)
+			pos += int64(len(rec))
+			return err
 		}
-		if err := verifyPayload(p, src.e.id); err != nil {
-			return fail(err)
+		var idBuf [8]byte
+		for _, id := range tombs {
+			binary.LittleEndian.PutUint64(idBuf[:], id)
+			if err := writeRec(recTombstone, idBuf[:]); err != nil {
+				return err
+			}
 		}
-		offsets[i] = pos + logFrameSize
-		if err := writeRec(recPut, p); err != nil {
-			return fail(err)
+		var payload []byte
+		for i, src := range puts {
+			var err error
+			if payload, err = src.read(payload); err != nil {
+				return err
+			}
+			offsets[i] = pos + logFrameSize
+			if err := writeRec(recPut, payload); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	if err := renameFP(fpCompactRename, tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, 0, err
-	}
-	if err := syncDirFP(filepath.Dir(path)); err != nil {
-		// Renamed but not durably; nothing references it yet, so drop it.
-		os.Remove(path)
+		return nil
+	})
+	if err != nil {
 		return nil, 0, err
 	}
 	return offsets, pos, nil

@@ -329,37 +329,34 @@ func TestCheckpointUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounting(mem)
-	if _, err := c.Checkpoint(); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("mem-backed Checkpoint: %v", err)
-	}
-	if _, err := c.CompactLog(); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("mem-backed CompactLog: %v", err)
-	}
-	if _, can := c.CheckpointInfo(); can {
-		t.Fatal("mem-backed CheckpointInfo claims support")
+	if cp, ok := As[Checkpointer](NewCounting(NewLRU(mem, 4))); ok {
+		t.Fatalf("mem-backed stack claims a checkpoint side: %T", cp)
 	}
 }
 
-// TestWrapperCheckpointForwarding drives a checkpoint through Counting and
-// LRU wrappers stacked on a log store.
+// TestWrapperCheckpointForwarding drives a checkpoint found by As through
+// Counting and LRU wrappers stacked on a log store.
 func TestWrapperCheckpointForwarding(t *testing.T) {
 	dir := t.TempDir()
 	want := churnedBase(t, dir)
 	s := mustOpenDir(t, dir, "initial")
 	defer s.Close()
 	wrapped := NewLRU(NewCounting(s), 4)
-	info, err := wrapped.Checkpoint()
+	cp, ok := As[Checkpointer](wrapped)
+	if !ok {
+		t.Fatal("checkpoint side not reachable through the wrappers")
+	}
+	info, err := cp.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Generation != 1 || info.Objects != len(want) {
 		t.Fatalf("wrapped checkpoint info = %+v", info)
 	}
-	if _, err := wrapped.CompactLog(); err != nil {
+	if _, err := cp.CompactLog(); err != nil {
 		t.Fatal(err)
 	}
-	if got, can := wrapped.CheckpointInfo(); !can || got.Generation != 1 {
+	if got, can := cp.CheckpointInfo(); !can || got.Generation != 1 {
 		t.Fatalf("wrapped CheckpointInfo: can=%v %+v", can, got)
 	}
 	// Cached reads stay correct across the swap.

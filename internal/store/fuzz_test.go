@@ -9,66 +9,6 @@ import (
 	"fuzzyknn/internal/fuzzy"
 )
 
-// FuzzDecodeObject hammers the record decoder with arbitrary bytes: it must
-// never panic — every malformed input must come back as an error (almost
-// always ErrCorrupt via the checksum).
-func FuzzDecodeObject(f *testing.F) {
-	// Seed with a valid record and light mutations of it.
-	rng := rand.New(rand.NewPCG(1, 1))
-	obj := randObject(rng, 7, 20, 2)
-	valid := encodeObject(obj)
-	f.Add(valid)
-	for i := 0; i < 4; i++ {
-		mut := append([]byte(nil), valid...)
-		mut[rng.IntN(len(mut))] ^= byte(1 + rng.IntN(255))
-		f.Add(mut)
-	}
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	short := valid[:20]
-	f.Add(short)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := decodeObject(data, 7, 2)
-		if err != nil {
-			return // rejected input: fine
-		}
-		// Accepted input must be a coherent object.
-		if o.ID() != 7 || o.Dims() != 2 || o.Len() == 0 {
-			t.Fatalf("decoder accepted incoherent object: %v", o)
-		}
-	})
-}
-
-// FuzzRecordRoundTrip checks encode→decode is the identity for arbitrary
-// (valid) object shapes derived from the fuzz input.
-func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), 5, int64(12345))
-	f.Add(uint64(999), 100, int64(777))
-	f.Fuzz(func(t *testing.T, id uint64, n int, seed int64) {
-		if n < 1 || n > 2048 {
-			return
-		}
-		rng := rand.New(rand.NewPCG(uint64(seed), 3))
-		obj := randObject(rng, id, n, 2)
-		rec := encodeObject(obj)
-		got, err := decodeObject(rec, id, 2)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if got.Len() != obj.Len() {
-			t.Fatalf("length changed: %d vs %d", got.Len(), obj.Len())
-		}
-		for i := 0; i < obj.Len(); i++ {
-			p1, m1 := obj.At(i)
-			p2, m2 := got.At(i)
-			if !p1.Equal(p2) || m1 != m2 {
-				t.Fatalf("point %d changed", i)
-			}
-		}
-	})
-}
-
 // validLogImage builds a well-formed log file image with a few puts and
 // tombstones — single records and a group-commit batch record, so the
 // replay and truncation fuzzers exercise both framings — returning its

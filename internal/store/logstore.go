@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
 )
@@ -23,14 +24,13 @@ import (
 //	store.compact  — a compacted log being written
 //	store.manifest — the manifest temp file
 //
-// The commit-step points below cover the operations between files: the
-// renames that publish an artifact and the directory fsyncs that make a
-// rename durable.
+// The commit-step points below cover the renames that publish an artifact;
+// the directory fsync that makes a rename durable sits behind store.dirsync,
+// which fault.Temp owns.
 var (
 	fpManifestRename = fault.P("store.manifest.rename")
 	fpCkptRename     = fault.P("store.ckpt.rename")
 	fpCompactRename  = fault.P("store.compact.rename")
-	fpDirSync        = fault.P("store.dirsync")
 )
 
 // SyncPolicy selects when a LogStore fsyncs. The policies trade the
@@ -88,8 +88,8 @@ func (p SyncPolicy) String() string {
 //	header:  magic "FZKNNLG1" | version u32 | dims u32
 //	record:  kind u8 | length u32 | payload | crc32 u4 (of kind+length+payload)
 //
-// A put record's payload is an encodeObject record; a tombstone's payload is
-// the deleted id (u64). On open, a record cut short at end-of-file is a
+// A put record's payload is a codec record; a tombstone's payload is the
+// deleted id (u64). On open, a record cut short at end-of-file is a
 // crash tail: it is discarded and the file truncated to the last complete
 // record. A full-length record with a bad checksum, or a semantically
 // impossible record (duplicate live put, tombstone for a dead id), is
@@ -150,8 +150,8 @@ const (
 // batch whole — a group commit is atomic across power loss by construction.
 const (
 	batchCountSize   = 4
-	minTombstoneSub  = logFrameSize + 8 // smallest possible sub-record
-	minPutPayloadLen = 20               // id + n + d + crc of an empty-ish object
+	minTombstoneSub  = logFrameSize + 8                 // smallest possible sub-record
+	minPutPayloadLen = codec.HeaderSize + codec.CRCSize // a put payload cannot be shorter
 )
 
 // OpenLog opens (or creates) a log store at path with the SyncAlways
@@ -294,11 +294,7 @@ func openLogFile(f fault.File, dims int) (*LogStore, error) {
 				return nil, err
 			}
 		}
-		hdr := make([]byte, logHeaderSize)
-		copy(hdr, logMagic)
-		binary.LittleEndian.PutUint32(hdr[8:], logVersion)
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
-		if _, err := f.WriteAt(hdr, 0); err != nil {
+		if _, err := f.WriteAt(logHeader(dims), 0); err != nil {
 			return nil, err
 		}
 		if err := f.Sync(); err != nil {
@@ -325,6 +321,15 @@ func openLogFile(f fault.File, dims int) (*LogStore, error) {
 	}
 	slices.Sort(s.ids)
 	return s, nil
+}
+
+// logHeader renders the fixed log file header.
+func logHeader(dims int) []byte {
+	hdr := make([]byte, logHeaderSize)
+	copy(hdr, logMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], logVersion)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
+	return hdr
 }
 
 // readLogHeader validates the fixed log file header and returns its dims.
@@ -416,7 +421,7 @@ func (s *LogStore) replay(start, size int64) error {
 func (s *LogStore) applyPut(payload []byte, filePos, recPos int64) error {
 	// The frame CRC guarantees byte integrity; validate the record's shape
 	// without materializing the object (Get decodes on demand).
-	id, err := checkPutShape(payload, s.dims)
+	id, err := putShape(payload, int64(len(payload)), s.dims)
 	if err != nil {
 		return fmt.Errorf("%w: put record at offset %d: %v", ErrCorrupt, recPos, err)
 	}
@@ -486,27 +491,17 @@ func (s *LogStore) applyBatchPayload(payload []byte, filePos, recPos int64) erro
 	return nil
 }
 
-// checkPutShape validates a put payload structurally: coherent n/d for the
-// byte count (overflow-safe) and the expected dimensionality. It does not
-// allocate or verify the embedded object CRC — the frame CRC already
-// guarantees the bytes.
-func checkPutShape(payload []byte, dims int) (uint64, error) {
-	if len(payload) < 20 {
-		return 0, fmt.Errorf("payload too short (%d bytes)", len(payload))
+// putShape validates a put payload from its header alone (hdr holds at
+// least its first codec.HeaderSize bytes): the object's own n and d must
+// account for exactly the length the enclosing frame claims, at the store's
+// dimensionality. It neither allocates nor verifies the record's CRC — the
+// enclosing frame's CRC already guarantees the bytes.
+func putShape(hdr []byte, length int64, dims int) (id uint64, err error) {
+	id, _, d, err := codec.Shape(hdr, int(length)-codec.CRCSize)
+	if err == nil && d != dims {
+		err = fmt.Errorf("record dims %d, store dims %d", d, dims)
 	}
-	id := binary.LittleEndian.Uint64(payload)
-	n := binary.LittleEndian.Uint32(payload[8:])
-	d := binary.LittleEndian.Uint32(payload[12:])
-	if int(d) != dims {
-		return 0, fmt.Errorf("record dims %d, store dims %d", d, dims)
-	}
-	if n == 0 || d == 0 || uint64(n)*(uint64(d)+1) >= 1<<29 {
-		return 0, fmt.Errorf("implausible record shape n=%d d=%d", n, d)
-	}
-	if want := 16 + uint64(n)*(uint64(d)+1)*8 + 4; want != uint64(len(payload)) {
-		return 0, fmt.Errorf("payload length %d, want %d", len(payload), want)
-	}
-	return id, nil
+	return id, err
 }
 
 // checkTailPlausible decides whether a record extending past end-of-file
@@ -534,19 +529,18 @@ func (s *LogStore) checkTailPlausible(kind byte, length, pos, size int64) error 
 		if length < minPutPayloadLen {
 			return refuse("put length %d", length)
 		}
-		// With 16+ payload bytes on disk we can read the record's own n and
-		// d and recompute the length the record would have had; a mismatch
-		// means the frame's length field is corrupt, not that the write was
-		// cut off.
-		if size-pos < logFrameSize+16 {
+		// With the object header on disk we can read the record's own n and
+		// d and check them against the claimed length; a mismatch means the
+		// frame's length field is corrupt, not that the write was cut off.
+		if size-pos < logFrameSize+codec.HeaderSize {
 			return nil // too little survived to judge; bounded loss, truncate
 		}
-		hdr := make([]byte, 16)
+		hdr := make([]byte, codec.HeaderSize)
 		if _, err := s.f.ReadAt(hdr, pos+logFrameSize); err != nil {
 			return fmt.Errorf("%w: unreadable tail record: %v", ErrCorrupt, err)
 		}
-		if !putShapeConsistent(hdr, length) {
-			return refuse("tail record length %d inconsistent with its shape", length)
+		if _, err := putShape(hdr, length, s.dims); err != nil {
+			return refuse("tail record length %d: %v", length, err)
 		}
 		return nil
 	case recBatch:
@@ -594,9 +588,10 @@ func (s *LogStore) checkTailPlausible(kind byte, length, pos, size int64) error 
 				if subLen < minPutPayloadLen {
 					return refuse("batch sub-record %d put length %d", walked, subLen)
 				}
-				if avail-subPos-logFrameSize >= 16 &&
-					!putShapeConsistent(buf[subPos+logFrameSize:], subLen) {
-					return refuse("batch sub-record %d length %d inconsistent with its shape", walked, subLen)
+				if avail-subPos-logFrameSize >= codec.HeaderSize {
+					if _, err := putShape(buf[subPos+logFrameSize:], subLen, s.dims); err != nil {
+						return refuse("batch sub-record %d length %d: %v", walked, subLen, err)
+					}
 				}
 			default:
 				return refuse("batch sub-record %d kind %d", walked, subKind)
@@ -615,16 +610,6 @@ func (s *LogStore) checkTailPlausible(kind byte, length, pos, size int64) error 
 	return nil
 }
 
-// putShapeConsistent reports whether a put payload's own n and d header
-// fields (hdr must hold the first 16 payload bytes) agree with the claimed
-// payload length, overflow-safely.
-func putShapeConsistent(hdr []byte, length int64) bool {
-	n := binary.LittleEndian.Uint32(hdr[8:])
-	d := binary.LittleEndian.Uint32(hdr[12:])
-	return n != 0 && d != 0 && uint64(n)*(uint64(d)+1) < 1<<29 &&
-		16+uint64(n)*(uint64(d)+1)*8+4 == uint64(length)
-}
-
 // truncateTail discards a partial trailing record left by a crash.
 func (s *LogStore) truncateTail(pos int64) error {
 	if err := s.f.Truncate(pos); err != nil {
@@ -634,6 +619,16 @@ func (s *LogStore) truncateTail(pos int64) error {
 	return nil
 }
 
+// appendFrame appends one log record — kind | length | payload | crc — to
+// buf.
+func appendFrame(buf []byte, kind byte, payload []byte) []byte {
+	start := len(buf)
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
 // appendRecord frames, checksums and writes one record at the current end.
 // Under SyncAlways the record is fsync'd before the mutation is
 // acknowledged — without that a power loss could silently drop it (reopen
@@ -641,13 +636,8 @@ func (s *LogStore) truncateTail(pos int64) error {
 // risk for single appends and leave the flush to the OS (group commits
 // fsync through ApplyBatch instead).
 func (s *LogStore) appendRecord(kind byte, payload []byte) error {
-	buf := make([]byte, logFrameSize+len(payload)+4)
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	copy(buf[logFrameSize:], payload)
-	crc := crc32.ChecksumIEEE(buf[:len(buf)-4])
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
-	return s.writeRecord(buf, s.policy == SyncAlways)
+	buf := make([]byte, 0, logFrameSize+len(payload)+4)
+	return s.writeRecord(appendFrame(buf, kind, payload), s.policy == SyncAlways)
 }
 
 // writeRecord lands one framed record at the append position, optionally
@@ -718,11 +708,7 @@ func (s *LogStore) Get(id uint64) (*fuzzy.Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	buf := make([]byte, e.length)
-	if _, err := f.ReadAt(buf, int64(e.offset)); err != nil {
-		return nil, fmt.Errorf("%w: read object %d: %v", ErrCorrupt, id, err)
-	}
-	return decodeObject(buf, id, s.dims)
+	return readObject(f, e, s.dims)
 }
 
 // IDs implements Reader.
@@ -755,7 +741,7 @@ func (s *LogStore) Insert(o *fuzzy.Object) error {
 	if _, isLive := s.live[o.ID()]; isLive {
 		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
 	}
-	payload := encodeObject(o)
+	payload := codec.AppendRecord(nil, o)
 	offset := uint64(s.offset + logFrameSize)
 	if err := s.appendRecord(recPut, payload); err != nil {
 		return err
@@ -821,37 +807,29 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 
 	payloadSize := batchCountSize + (logFrameSize+8)*len(deletes)
 	for _, o := range inserts {
-		payloadSize += logFrameSize + encodedSize(o)
+		payloadSize += logFrameSize + codec.Size(o) + codec.CRCSize
 	}
 	if uint64(payloadSize) > uint64(^uint32(0)) {
 		return fmt.Errorf("store: batch payload %d bytes exceeds the record frame limit", payloadSize)
 	}
-	buf := make([]byte, logFrameSize+payloadSize+4)
-	buf[0] = recBatch
-	binary.LittleEndian.PutUint32(buf[1:], uint32(payloadSize))
-	binary.LittleEndian.PutUint32(buf[logFrameSize:], uint32(len(inserts)+len(deletes)))
-	pos := logFrameSize + batchCountSize
+	buf := make([]byte, 0, logFrameSize+payloadSize+4)
+	buf = append(buf, recBatch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadSize))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(inserts)+len(deletes)))
 	entries := make([]dirEntry, len(inserts))
 	for i, o := range inserts {
-		size := encodedSize(o)
-		buf[pos] = recPut
-		binary.LittleEndian.PutUint32(buf[pos+1:], uint32(size))
-		encodeObjectInto(buf[pos+logFrameSize:pos+logFrameSize+size], o)
-		entries[i] = dirEntry{
-			id:     o.ID(),
-			offset: uint64(s.offset + int64(pos+logFrameSize)),
-			length: uint64(size),
-		}
-		pos += logFrameSize + size
+		size := codec.Size(o) + codec.CRCSize
+		buf = append(buf, recPut)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+		entries[i] = dirEntry{id: o.ID(), offset: uint64(s.offset + int64(len(buf))), length: uint64(size)}
+		buf = codec.AppendRecord(buf, o)
 	}
 	for _, id := range deletes {
-		buf[pos] = recTombstone
-		binary.LittleEndian.PutUint32(buf[pos+1:], 8)
-		binary.LittleEndian.PutUint64(buf[pos+logFrameSize:], id)
-		pos += logFrameSize + 8
+		buf = append(buf, recTombstone)
+		buf = binary.LittleEndian.AppendUint32(buf, 8)
+		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
-	crc := crc32.ChecksumIEEE(buf[:len(buf)-4])
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	if err := s.writeRecord(buf, s.policy != SyncOff); err != nil {
 		return err
 	}

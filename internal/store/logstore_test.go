@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -258,7 +259,7 @@ func TestLogStoreCorruptionRejected(t *testing.T) {
 }
 
 // TestLogStoreRejectsImplausibleRecordShapes pins the overflow guard in
-// decodeObject: a tiny crafted record whose n*d size formula wraps around
+// the record decoder: a tiny crafted record whose n*d size formula wraps around
 // must come back as ErrCorrupt immediately, not allocate gigabytes.
 func TestLogStoreRejectsImplausibleRecordShapes(t *testing.T) {
 	const dims = 0xFFFFFFFF
@@ -269,7 +270,7 @@ func TestLogStoreRejectsImplausibleRecordShapes(t *testing.T) {
 	binary.LittleEndian.PutUint32(payload[8:], 1<<29)
 	binary.LittleEndian.PutUint32(payload[12:], dims)
 	binary.LittleEndian.PutUint32(payload[16:], crc32.ChecksumIEEE(payload[:16]))
-	if _, err := decodeObject(payload, 1, dims); !errors.Is(err, ErrCorrupt) {
+	if _, err := readObject(bytes.NewReader(payload), dirEntry{id: 1, length: uint64(len(payload))}, dims); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("crafted record: %v, want ErrCorrupt", err)
 	}
 
@@ -291,6 +292,67 @@ func TestLogStoreRejectsImplausibleRecordShapes(t *testing.T) {
 	}
 	if _, err := OpenLog(path, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("crafted log: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCraftedShapeSharedBound feeds the same wrapping header (see
+// TestLogStoreRejectsImplausibleRecordShapes; internal/replica pins it for
+// frames and snapshots) to the store's two other readers of object records
+// — Get through a static store's directory, and a checkpoint load — which
+// now share one bound with replay: codec.Shape.
+func TestCraftedShapeSharedBound(t *testing.T) {
+	const dims = 0xFFFFFFFF
+	rec := make([]byte, 16, 20)
+	binary.LittleEndian.PutUint64(rec[0:], 1)
+	binary.LittleEndian.PutUint32(rec[8:], 1<<29)
+	binary.LittleEndian.PutUint32(rec[12:], dims)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	dir := t.TempDir()
+
+	// Get: a static store whose directory locates the crafted record.
+	img := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(img[8:], version)
+	binary.LittleEndian.PutUint32(img[12:], dims)
+	img = append(img, rec...)
+	for _, v := range []uint64{1, headerSize, uint64(len(rec)), uint64(headerSize + len(rec)), 1} {
+		img = binary.LittleEndian.AppendUint64(img, v) // directory entry, then footer offset and count
+	}
+	img = append(img, magic...)
+	static := filepath.Join(dir, "crafted.fzs")
+	if err := os.WriteFile(static, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Open(static)
+	if err != nil {
+		t.Fatalf("crafted static store must open (only Get decodes): %v", err)
+	}
+	defer ds.Close()
+	if _, err := ds.Get(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of crafted record: %v, want ErrCorrupt", err)
+	}
+
+	// Checkpoint load: a manifest binding a checkpoint that holds it.
+	path := filepath.Join(dir, "crafted.fzl")
+	ckpt := append([]byte(ckptMagic), make([]byte, ckptHeaderSize-8)...)
+	binary.LittleEndian.PutUint32(ckpt[8:], ckptVersion)
+	binary.LittleEndian.PutUint32(ckpt[12:], dims)
+	binary.LittleEndian.PutUint64(ckpt[16:], 1) // gen
+	binary.LittleEndian.PutUint64(ckpt[24:], 1) // count
+	ckpt = binary.LittleEndian.AppendUint32(ckpt, uint32(len(rec)))
+	ckpt = append(ckpt, rec...)
+	ckpt = binary.LittleEndian.AppendUint32(ckpt, crc32.ChecksumIEEE(ckpt))
+	man := &logManifest{dims: dims, gen: 1, objects: 1, tail: logHeaderSize, size: logHeaderSize}
+	for name, data := range map[string][]byte{
+		path:               logHeader(dims),
+		ckptPath(path, 1):  ckpt,
+		manifestPath(path): encodeManifest(man),
+	} {
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenLog(path, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("crafted checkpoint: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -347,20 +409,24 @@ func TestWrapperMutationForwarding(t *testing.T) {
 	}
 	lru := NewLRU(m, 4)
 	c := NewCounting(lru)
+	w, err := asMutator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Warm the cache, then delete through the wrappers: the cached copy
 	// must be invalidated.
 	if _, err := c.Get(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(1); err != nil {
+	if err := w.Delete(1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 0 {
 		t.Fatal("delete did not reach the MemStore")
 	}
 	replacement := randObject(rng, 1, 7, 2)
-	if err := c.Insert(replacement); err != nil {
+	if err := w.Insert(replacement); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Get(1)
@@ -372,8 +438,13 @@ func TestWrapperMutationForwarding(t *testing.T) {
 		t.Fatalf("writes must not count as object accesses: count=%d", c.Count())
 	}
 
-	// A read-only inner store surfaces ErrReadOnly through the chain.
-	ro := NewCounting(roReader{m})
+	// A read-only inner store surfaces ErrReadOnly through the chain: a
+	// stack with no write side at all, and one whose only write side is the
+	// cache's pass-through.
+	if _, err := asMutator(NewCounting(roReader{m})); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("read-only stack resolved a write side: %v", err)
+	}
+	ro := NewLRU(roReader{m}, 4)
 	if err := ro.Insert(randObject(rng, 9, 5, 2)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only insert: %v", err)
 	}

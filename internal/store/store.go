@@ -15,16 +15,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
-	"fuzzyknn/internal/geom"
 )
 
 // Reader is the read side of an object store. Implementations must be safe
@@ -432,7 +430,7 @@ func (w *Writer) Append(o *fuzzy.Object) error {
 	if w.seen[o.ID()] {
 		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
 	}
-	rec := encodeObject(o)
+	rec := codec.AppendRecord(nil, o)
 	if _, err := w.f.Write(rec); err != nil {
 		w.err = err
 		return err
@@ -469,93 +467,21 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
-// encodedSize returns the byte length of an object's record.
-func encodedSize(o *fuzzy.Object) int {
-	n, d := o.Len(), o.Dims()
-	return 8 + 4 + 4 + n*d*8 + n*8 + 4
-}
-
-// encodeObject serializes an object record:
-//
-//	id u64 | npoints u32 | dims u32 | coords (n*d f64) | mus (n f64) | crc32 u32
-func encodeObject(o *fuzzy.Object) []byte {
-	buf := make([]byte, encodedSize(o))
-	encodeObjectInto(buf, o)
-	return buf
-}
-
-// encodeObjectInto writes the record into buf, which must hold exactly
-// encodedSize(o) bytes. Group commits encode every object of a batch
-// directly into the batch frame through this, instead of allocating one
-// intermediate record per object.
-func encodeObjectInto(buf []byte, o *fuzzy.Object) {
-	n, d := o.Len(), o.Dims()
-	binary.LittleEndian.PutUint64(buf[0:], o.ID())
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(d))
-	pos := 16
-	for i := 0; i < n; i++ {
-		p, _ := o.At(i)
-		for j := 0; j < d; j++ {
-			binary.LittleEndian.PutUint64(buf[pos:], math.Float64bits(p[j]))
-			pos += 8
-		}
+// readObject fetches and decodes the record a directory entry locates. The
+// record must be the object the directory promised: its own checksum
+// intact, the entry's id, the store's dimensionality.
+func readObject(f io.ReaderAt, e dirEntry, dims int) (*fuzzy.Object, error) {
+	buf := make([]byte, e.length)
+	if _, err := f.ReadAt(buf, int64(e.offset)); err != nil {
+		return nil, fmt.Errorf("%w: read object %d: %v", ErrCorrupt, e.id, err)
 	}
-	for i := 0; i < n; i++ {
-		_, mu := o.At(i)
-		binary.LittleEndian.PutUint64(buf[pos:], math.Float64bits(mu))
-		pos += 8
-	}
-	crc := crc32.ChecksumIEEE(buf[:pos])
-	binary.LittleEndian.PutUint32(buf[pos:], crc)
-}
-
-// decodeObject parses a record produced by encodeObject.
-func decodeObject(buf []byte, wantID uint64, wantDims int) (*fuzzy.Object, error) {
-	if len(buf) < 20 {
-		return nil, fmt.Errorf("%w: record too short (%d bytes)", ErrCorrupt, len(buf))
-	}
-	payload, crcBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: checksum mismatch for object %d", ErrCorrupt, wantID)
-	}
-	id := binary.LittleEndian.Uint64(buf[0:])
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	d := int(binary.LittleEndian.Uint32(buf[12:]))
-	if id != wantID {
-		return nil, fmt.Errorf("%w: record id %d at directory slot for %d", ErrCorrupt, id, wantID)
-	}
-	if d != wantDims {
-		return nil, fmt.Errorf("%w: record dims %d, store dims %d", ErrCorrupt, d, wantDims)
-	}
-	// Bound n and d by the bytes actually present before doing arithmetic
-	// with them: the naive size formula overflows int for crafted headers
-	// (e.g. n=2^29, d=2^32-1 wraps to a tiny "want"), which would send the
-	// per-point allocation loop below into gigabytes on a 20-byte record.
-	avail := len(buf) - 20 // bytes available for coords + memberships
-	if d < 1 || d > avail/8 || n < 1 || n > avail/((d+1)*8) {
-		return nil, fmt.Errorf("%w: implausible record shape n=%d d=%d for %d bytes", ErrCorrupt, n, d, len(buf))
-	}
-	if want := 16 + n*d*8 + n*8 + 4; want != len(buf) {
-		return nil, fmt.Errorf("%w: record length %d, want %d", ErrCorrupt, len(buf), want)
-	}
-	wps := make([]fuzzy.WeightedPoint, n)
-	pos := 16
-	for i := 0; i < n; i++ {
-		p := make(geom.Point, d)
-		for j := 0; j < d; j++ {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-			pos += 8
-		}
-		wps[i].P = p
-	}
-	for i := 0; i < n; i++ {
-		wps[i].Mu = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
-	}
-	o, err := fuzzy.New(id, wps)
+	o, err := codec.DecodeRecord(buf)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: object %d: %v", ErrCorrupt, e.id, err)
+	}
+	if o.ID() != e.id || o.Dims() != dims {
+		return nil, fmt.Errorf("%w: record of object %d (dims %d) at directory slot for %d (dims %d)",
+			ErrCorrupt, o.ID(), o.Dims(), e.id, dims)
 	}
 	return o, nil
 }
@@ -650,11 +576,7 @@ func (s *DiskStore) Get(id uint64) (*fuzzy.Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	buf := make([]byte, e.length)
-	if _, err := s.f.ReadAt(buf, int64(e.offset)); err != nil {
-		return nil, fmt.Errorf("%w: read object %d: %v", ErrCorrupt, id, err)
-	}
-	return decodeObject(buf, id, s.dims)
+	return readObject(s.f, e, s.dims)
 }
 
 // IDs implements Reader.

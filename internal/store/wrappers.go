@@ -9,9 +9,33 @@ import (
 	"fuzzyknn/internal/fuzzy"
 )
 
+// As finds the first layer of r's wrapper chain — r itself, then whatever
+// each layer's Unwrap returns — that implements T. It is how every optional
+// store capability (Mutator, BatchMutator, LivenessChecker, Checkpointer) is
+// looked up, the errors.As shape: a wrapper implements only what it must
+// intercept and exposes the rest of the stack through Unwrap, instead of
+// forwarding every capability a store below it might have.
+func As[T any](r Reader) (T, bool) {
+	for r != nil {
+		if t, ok := r.(T); ok {
+			return t, true
+		}
+		u, ok := r.(interface{ Unwrap() Reader })
+		if !ok {
+			break
+		}
+		r = u.Unwrap()
+	}
+	var zero T
+	return zero, false
+}
+
 // Counting wraps a Reader and counts Get calls. It reproduces the paper's
 // headline cost metric: every Get is one "object access" regardless of what
-// the underlying reader does. Safe for concurrent use.
+// the underlying reader does. Writes are not counted — the metric charges
+// object retrievals only — so Counting intercepts none of them: As reaches
+// the write, liveness and checkpoint sides through Unwrap. Safe for
+// concurrent use.
 type Counting struct {
 	Reader
 	n atomic.Int64
@@ -29,59 +53,29 @@ func (c *Counting) Get(id uint64) (*fuzzy.Object, error) {
 // Count returns the number of Get calls since construction or the last Reset.
 func (c *Counting) Count() int64 { return c.n.Load() }
 
-// Uncounted returns the wrapped reader, for internal consumers whose reads
-// must not pollute the paper's access accounting (e.g. replication
-// snapshot cuts, which scan every live object but are not queries).
-func (c *Counting) Uncounted() Reader { return c.Reader }
+// Unwrap returns the wrapped reader: the next layer for As, and the way
+// around the counter for internal consumers whose reads must not pollute the
+// paper's access accounting (e.g. replication snapshot cuts, which scan
+// every live object but are not queries).
+func (c *Counting) Unwrap() Reader { return c.Reader }
 
 // Reset zeroes the access counter.
 func (c *Counting) Reset() { c.n.Store(0) }
 
-// asMutator resolves r's write side, or fails with ErrReadOnly.
+// asMutator resolves the write side of r's stack, or fails with ErrReadOnly.
 func asMutator(r Reader) (Mutator, error) {
-	if m, ok := r.(Mutator); ok {
+	if m, ok := As[Mutator](r); ok {
 		return m, nil
 	}
 	return nil, fmt.Errorf("%w: %T has no write side", ErrReadOnly, r)
 }
-
-// Insert implements Mutator by forwarding to the wrapped store's write side
-// (ErrReadOnly when it has none). Writes are not counted: the paper's cost
-// metric charges object retrievals only.
-func (c *Counting) Insert(o *fuzzy.Object) error {
-	m, err := asMutator(c.Reader)
-	if err != nil {
-		return err
-	}
-	return m.Insert(o)
-}
-
-// Delete implements Mutator by forwarding; see Insert.
-func (c *Counting) Delete(id uint64) error {
-	m, err := asMutator(c.Reader)
-	if err != nil {
-		return err
-	}
-	return m.Delete(id)
-}
-
-// ApplyBatch implements BatchMutator by forwarding the whole group to the
-// wrapped store (falling back to item-by-item application when it has no
-// batch side). Writes are not counted, like Insert/Delete.
-func (c *Counting) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
-	return forwardBatch(c.Reader, inserts, deletes)
-}
-
-// Live implements LivenessChecker by forwarding ((false, false) when the
-// wrapped store cannot answer).
-func (c *Counting) Live(id uint64) (bool, bool) { return forwardLive(c.Reader, id) }
 
 // forwardBatch routes a batch mutation to the wrapped store's batch side
 // when it has one. A plain Mutator gets the items one by one — same
 // outcome when everything is valid, but without cross-item atomicity: the
 // first failure aborts with the items before it already applied.
 func forwardBatch(r Reader, inserts []*fuzzy.Object, deletes []uint64) error {
-	if bm, ok := r.(BatchMutator); ok {
+	if bm, ok := As[BatchMutator](r); ok {
 		return bm.ApplyBatch(inserts, deletes)
 	}
 	m, err := asMutator(r)
@@ -101,18 +95,12 @@ func forwardBatch(r Reader, inserts []*fuzzy.Object, deletes []uint64) error {
 	return nil
 }
 
-// forwardLive resolves a liveness probe through the wrapped store.
-func forwardLive(r Reader, id uint64) (bool, bool) {
-	if lc, ok := r.(LivenessChecker); ok {
-		return lc.Live(id)
-	}
-	return false, false
-}
-
 // LRU wraps a Reader with a fixed-capacity least-recently-used object cache.
 // It is an extension beyond the paper (which always charges a probe) used by
 // the cache-ablation benchmarks; place it *under* a Counting wrapper to keep
-// the paper's accounting, or *over* one to count only cache misses.
+// the paper's accounting, or *over* one to count only cache misses. Of the
+// optional capabilities it implements only the writes, which it must see to
+// invalidate; As reaches the rest through Unwrap.
 type LRU struct {
 	inner    Reader
 	capacity int
@@ -185,6 +173,9 @@ func (l *LRU) Len() int { return l.inner.Len() }
 // Dims implements Reader.
 func (l *LRU) Dims() int { return l.inner.Dims() }
 
+// Unwrap returns the wrapped reader, the next layer for As.
+func (l *LRU) Unwrap() Reader { return l.inner }
+
 // Stats returns cache hits and misses since construction.
 func (l *LRU) Stats() (hits, misses int64) { return l.hits.Load(), l.misses.Load() }
 
@@ -248,73 +239,4 @@ func (l *LRU) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 		l.invalidate(id)
 	}
 	return err
-}
-
-// Live implements LivenessChecker by forwarding ((false, false) when the
-// wrapped store cannot answer).
-func (l *LRU) Live(id uint64) (bool, bool) { return forwardLive(l.inner, id) }
-
-// asCheckpointer resolves r's checkpoint side, or fails with ErrUnsupported.
-func asCheckpointer(r Reader) (Checkpointer, error) {
-	if cp, ok := r.(Checkpointer); ok {
-		return cp, nil
-	}
-	return nil, fmt.Errorf("%w: %T cannot checkpoint", ErrUnsupported, r)
-}
-
-// Checkpoint implements Checkpointer by forwarding to the wrapped store
-// (ErrUnsupported when it has no durable log).
-func (c *Counting) Checkpoint() (CheckpointInfo, error) {
-	cp, err := asCheckpointer(c.Reader)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return cp.Checkpoint()
-}
-
-// CompactLog implements Checkpointer by forwarding.
-func (c *Counting) CompactLog() (CheckpointInfo, error) {
-	cp, err := asCheckpointer(c.Reader)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return cp.CompactLog()
-}
-
-// CheckpointInfo implements Checkpointer by forwarding (false when the
-// wrapped store cannot checkpoint).
-func (c *Counting) CheckpointInfo() (CheckpointInfo, bool) {
-	if cp, ok := c.Reader.(Checkpointer); ok {
-		return cp.CheckpointInfo()
-	}
-	return CheckpointInfo{}, false
-}
-
-// Checkpoint implements Checkpointer by forwarding to the wrapped store
-// (ErrUnsupported when it has no durable log). The cache needs no
-// invalidation: a checkpoint changes where payloads live, not their bytes.
-func (l *LRU) Checkpoint() (CheckpointInfo, error) {
-	cp, err := asCheckpointer(l.inner)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return cp.Checkpoint()
-}
-
-// CompactLog implements Checkpointer by forwarding.
-func (l *LRU) CompactLog() (CheckpointInfo, error) {
-	cp, err := asCheckpointer(l.inner)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return cp.CompactLog()
-}
-
-// CheckpointInfo implements Checkpointer by forwarding (false when the
-// wrapped store cannot checkpoint).
-func (l *LRU) CheckpointInfo() (CheckpointInfo, bool) {
-	if cp, ok := l.inner.(Checkpointer); ok {
-		return cp.CheckpointInfo()
-	}
-	return CheckpointInfo{}, false
 }

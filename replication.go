@@ -173,7 +173,7 @@ func (ix *Index) liveObjectsUncounted() ([]*fuzzy.Object, error) {
 	seen := make(map[uint64]struct{})
 	var ids []uint64
 	for _, c := range ix.countings {
-		for _, id := range c.Uncounted().IDs() {
+		for _, id := range c.Unwrap().IDs() {
 			if _, ok := seen[id]; !ok {
 				seen[id] = struct{}{}
 				ids = append(ids, id)
@@ -183,7 +183,7 @@ func (ix *Index) liveObjectsUncounted() ([]*fuzzy.Object, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	objs := make([]*fuzzy.Object, len(ids))
 	for i, id := range ids {
-		o, err := ix.countings[query.ShardOf(id, n)].Uncounted().Get(id)
+		o, err := ix.countings[query.ShardOf(id, n)].Unwrap().Get(id)
 		if err != nil {
 			return nil, fmt.Errorf("fuzzyknn: snapshot read id %d: %w", id, err)
 		}
