@@ -206,7 +206,8 @@ const (
 )
 
 // NewObject validates and builds a fuzzy object from weighted points:
-// memberships in (0, 1], at least one µ = 1 point, consistent dimensions.
+// memberships in (0, 1], at least one µ = 1 point, consistent dimensions,
+// finite coordinates.
 func NewObject(id uint64, points []WeightedPoint) (*Object, error) {
 	return fuzzy.New(id, points)
 }

@@ -23,7 +23,6 @@ import (
 	"slices"
 
 	"fuzzyknn/internal/fuzzy"
-	"fuzzyknn/internal/geom"
 )
 
 const (
@@ -38,22 +37,25 @@ func Size(o *fuzzy.Object) int {
 	return HeaderSize + o.Len()*(o.Dims()+1)*8
 }
 
-// Append appends o's body to buf, growing it at most once.
+// Append appends o's body to buf, growing it at most once. The points go
+// out in At order — non-increasing membership — straight from the object's
+// slabs, which is the order Decode keeps without sorting.
 func Append(buf []byte, o *fuzzy.Object) []byte {
-	n, d := o.Len(), o.Dims()
 	buf = slices.Grow(buf, Size(o))
 	buf = binary.LittleEndian.AppendUint64(buf, o.ID())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-	for i := 0; i < n; i++ {
-		p, _ := o.At(i)
-		for j := 0; j < d; j++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p[j]))
-		}
-	}
-	for i := 0; i < n; i++ {
-		_, mu := o.At(i)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mu))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Len()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Dims()))
+	buf = appendFloats(buf, o.Coords())
+	return appendFloats(buf, o.Memberships())
+}
+
+// appendFloats appends vs as little-endian bit patterns; buf has the room.
+func appendFloats(buf []byte, vs []float64) []byte {
+	at := len(buf)
+	buf = buf[:at+8*len(vs)]
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[at:], math.Float64bits(v))
+		at += 8
 	}
 	return buf
 }
@@ -90,24 +92,19 @@ func Shape(hdr []byte, length int) (id uint64, n, d int, err error) {
 	return id, int(un), int(ud), nil
 }
 
-// Decode rebuilds an object from its body (the whole slice). Coordinates
-// land in one slab rather than one allocation per point.
+// Decode rebuilds an object from its body (the whole slice). The cells are
+// decoded once, into the slab the object then owns; nothing in the result
+// aliases body, so callers may reuse it.
 func Decode(body []byte) (*fuzzy.Object, error) {
 	id, n, d, err := Shape(body, len(body))
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]fuzzy.WeightedPoint, n)
-	coords := make(geom.Point, n*d)
-	for i := range coords {
-		coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[HeaderSize+i*8:]))
+	cells := make([]float64, n*(d+1))
+	for i := range cells {
+		cells[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[HeaderSize+8*i:]))
 	}
-	mus := body[HeaderSize+n*d*8:]
-	for i := range pts {
-		pts[i].P = coords[i*d : (i+1)*d : (i+1)*d]
-		pts[i].Mu = math.Float64frombits(binary.LittleEndian.Uint64(mus[i*8:]))
-	}
-	return fuzzy.New(id, pts)
+	return fuzzy.FromSlabs(id, d, cells[:n*d:n*d], cells[n*d:])
 }
 
 // VerifyRecord checks a record's trailing checksum against its body.

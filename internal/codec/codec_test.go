@@ -3,8 +3,11 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -24,6 +27,8 @@ func randObject(rng *rand.Rand, id uint64, n, dims int) *fuzzy.Object {
 	return fuzzy.MustNew(id, pts)
 }
 
+// sameObject demands structural equality: points and memberships in At
+// order, the levels, the cut and MBR at every level, and Rep.
 func sameObject(t *testing.T, a, b *fuzzy.Object) {
 	t.Helper()
 	if a.ID() != b.ID() || a.Len() != b.Len() || a.Dims() != b.Dims() {
@@ -34,6 +39,107 @@ func sameObject(t *testing.T, a, b *fuzzy.Object) {
 		pb, mb := b.At(i)
 		if !pa.Equal(pb) || ma != mb {
 			t.Fatalf("point %d changed", i)
+		}
+	}
+	if !slices.Equal(a.Levels(), b.Levels()) {
+		t.Fatalf("levels changed: %v vs %v", a.Levels(), b.Levels())
+	}
+	for _, u := range a.Levels() {
+		if len(a.Cut(u)) != len(b.Cut(u)) || !a.MBR(u).Equal(b.MBR(u)) {
+			t.Fatalf("cut at level %v changed: %d points in %v vs %d in %v", u, len(a.Cut(u)), a.MBR(u), len(b.Cut(u)), b.MBR(u))
+		}
+	}
+	if !a.Rep().Equal(b.Rep()) {
+		t.Fatalf("Rep changed: %v vs %v", a.Rep(), b.Rep())
+	}
+}
+
+// pointsOf parses a body the slow way — one point at a time, in body order
+// — for fuzzy.New to validate and sort: the reference Decode's one-pass
+// slab path is held against.
+func pointsOf(t *testing.T, body []byte) (uint64, []fuzzy.WeightedPoint) {
+	t.Helper()
+	id, n, d, err := Shape(body, len(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f64 := func(cell int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(body[HeaderSize+8*cell:]))
+	}
+	pts := make([]fuzzy.WeightedPoint, n)
+	for i := range pts {
+		pts[i].P = make(geom.Point, d)
+		for j := range pts[i].P {
+			pts[i].P[j] = f64(i*d + j)
+		}
+		pts[i].Mu = f64(n*d + i)
+	}
+	return id, pts
+}
+
+// bodyOf lays out points in the given order, as a foreign writer might.
+func bodyOf(id uint64, pts []fuzzy.WeightedPoint) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, id)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pts)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pts[0].P)))
+	for _, wp := range pts {
+		for _, c := range wp.P {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
+		}
+	}
+	for _, wp := range pts {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(wp.Mu))
+	}
+	return b
+}
+
+// TestDecodeEqualsNew: a body decodes to the object fuzzy.New builds from
+// the same points in the same order — with tied memberships (ties keep body
+// order), and for a foreign body that is not sorted at all.
+func TestDecodeEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for iter := 0; iter < 60; iter++ {
+		n, d := 1+rng.IntN(50), 1+rng.IntN(4)
+		pts := make([]fuzzy.WeightedPoint, n)
+		for i := range pts {
+			pts[i].P = make(geom.Point, d)
+			for j := range pts[i].P {
+				pts[i].P[j] = rng.Float64() * 100
+			}
+			pts[i].Mu = float64(1+rng.IntN(5)) / 5 // five levels: ties everywhere
+		}
+		pts[rng.IntN(n)].Mu = 1
+		want := fuzzy.MustNew(uint64(iter), pts)
+
+		foreign := bodyOf(uint64(iter), pts) // unsorted
+		got, err := Decode(foreign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameObject(t, want, got)
+
+		own := Append(nil, want) // sorted: the slabs are kept as decoded
+		if got, err = Decode(own); err != nil {
+			t.Fatal(err)
+		}
+		sameObject(t, want, got)
+		if !bytes.Equal(Append(nil, got), own) {
+			t.Fatal("decode→encode changed the bytes")
+		}
+	}
+}
+
+// TestDecodeRefusesNonFiniteCoordinates: the decode boundary of the store,
+// log replay, checkpoint load and replication apply.
+func TestDecodeRefusesNonFiniteCoordinates(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		body := bodyOf(1, []fuzzy.WeightedPoint{{P: geom.Point{0, 0}, Mu: 1}, {P: geom.Point{1, bad}, Mu: 0.5}})
+		if _, err := Decode(body); !errors.Is(err, fuzzy.ErrBadCoord) {
+			t.Errorf("coordinate %v: Decode = %v, want ErrBadCoord", bad, err)
+		}
+		rec := binary.LittleEndian.AppendUint32(body, Checksum(body))
+		if _, err := DecodeRecord(rec); !errors.Is(err, fuzzy.ErrBadCoord) {
+			t.Errorf("coordinate %v: DecodeRecord = %v, want ErrBadCoord", bad, err)
 		}
 	}
 }
@@ -132,9 +238,11 @@ func TestCraftedHeaderAllocatesNothing(t *testing.T) {
 }
 
 // FuzzCodecDecode hammers both decoders with arbitrary bytes: never a
-// panic, and an accepted input is a coherent object whose re-encoding is a
-// fixed point (byte-equal to the input whenever the input already lists its
-// points in the descending-membership order fuzzy.New imposes).
+// panic; Decode accepts exactly the bodies fuzzy.New accepts point by point
+// and builds the same object; and an accepted input is a coherent object
+// whose re-encoding is a fixed point (byte-equal to the input whenever the
+// input already lists its points in the descending-membership order
+// fuzzy.New imposes).
 func FuzzCodecDecode(f *testing.F) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	valid := AppendRecord(nil, randObject(rng, 7, 20, 2))
@@ -149,6 +257,10 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add(valid[:20])
 	f.Add(craftedHeader())
+	unsorted := []fuzzy.WeightedPoint{{P: geom.Point{1, 2}, Mu: 0.5}, {P: geom.Point{3, 4}, Mu: 1}, {P: geom.Point{5, 6}, Mu: 0.5}}
+	f.Add(bodyOf(9, unsorted))
+	unsorted[0].P[0] = math.Inf(1)
+	f.Add(bodyOf(9, unsorted))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if o, err := DecodeRecord(data); err == nil {
@@ -157,6 +269,16 @@ func FuzzCodecDecode(f *testing.F) {
 			}
 		}
 		o, err := Decode(data)
+		if _, _, _, shapeErr := Shape(data, len(data)); shapeErr == nil {
+			id, pts := pointsOf(t, data)
+			ref, refErr := fuzzy.New(id, pts)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("Decode: %v, but fuzzy.New on the same points: %v", err, refErr)
+			}
+			if err == nil {
+				sameObject(t, ref, o)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -200,9 +322,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 var sink *fuzzy.Object
 
 // BenchmarkDecodeRecord is the decode half of every DiskStore.Get and
-// LogStore.Get — the paper's unit of cost. Its allocs/op pin the slab
-// decode: 2 (points + coordinate slab) on top of fuzzy.New's own, where the
-// per-point decoder this replaced paid n+1.
+// LogStore.Get — the paper's unit of cost. Its allocs/op pin the one-pass
+// slab decode: the cell slab here plus the object and its four per-point /
+// per-level arrays in fuzzy.FromSlabs — 6 whatever the number of points and
+// membership levels.
 func BenchmarkDecodeRecord(b *testing.B) {
 	rec := AppendRecord(nil, randObject(rand.New(rand.NewPCG(5, 5)), 1, 100, 2))
 	b.ReportAllocs()

@@ -36,7 +36,7 @@ func NewBoundaryApprox(o *Object) *BoundaryApprox {
 		// α = 0 anchors the boundary function at the support (the cut is
 		// constant below the smallest level, so δ(0) = δ(minLevel)).
 		for i, u := range levels {
-			m := o.levelMBRs[i]
+			m := o.levelMBR(i)
 			hiPts = append(hiPts, hull.Pt{X: u, Y: m.Hi[dim] - kern.Hi[dim]})
 			loPts = append(loPts, hull.Pt{X: u, Y: kern.Lo[dim] - m.Lo[dim]})
 			if i == 0 {

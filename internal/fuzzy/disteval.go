@@ -3,6 +3,7 @@ package fuzzy
 import (
 	"math"
 
+	"fuzzyknn/internal/geom"
 	"fuzzyknn/internal/kdtree"
 )
 
@@ -32,7 +33,10 @@ type DistEval struct {
 	q     *Object
 	alpha float64
 	tree  kdtree.Tree
+	qmbr  geom.Rect // M_Q(α), the box of the tree's points
 	memo  map[uint64]float64
+
+	gated int // points dist skipped by the MBR gate (read by tests)
 }
 
 // Reset points the evaluator at a new (query, α) pair, rebuilding the
@@ -41,6 +45,7 @@ func (e *DistEval) Reset(q *Object, alpha float64) {
 	e.q = q
 	e.alpha = alpha
 	e.tree.Rebuild(q.Cut(alpha))
+	e.qmbr = q.MBR(alpha)
 	if e.memo == nil {
 		e.memo = make(map[uint64]float64, 64)
 	}
@@ -75,7 +80,10 @@ func (e *DistEval) Dist(o *Object) float64 {
 }
 
 // dist is the uncached evaluation: a bichromatic closest pair between o's
-// cut and the prebuilt query-cut tree.
+// cut and the prebuilt query-cut tree. A point at least best away from the
+// query cut's MBR cannot improve best and never enters the tree (see
+// kdtree.BeyondBound for why that is exact); once the first few points fix
+// best, that is the whole far side of o.
 func (e *DistEval) dist(o *Object) float64 {
 	cut := o.Cut(e.alpha)
 	if len(cut) == 0 || e.tree.Len() == 0 {
@@ -83,6 +91,10 @@ func (e *DistEval) dist(o *Object) float64 {
 	}
 	best := math.Inf(1)
 	for _, p := range cut {
+		if kdtree.BeyondBound(p, e.qmbr, best) {
+			e.gated++
+			continue
+		}
 		if _, d := e.tree.NearestWithin(p, best); d < best {
 			best = d
 		}

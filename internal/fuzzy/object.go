@@ -10,9 +10,11 @@
 package fuzzy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fuzzyknn/internal/geom"
@@ -24,90 +26,147 @@ type WeightedPoint struct {
 	Mu float64
 }
 
-// Object is an immutable fuzzy object. Construct with New.
+// Object is an immutable fuzzy object. Construct with New or FromSlabs.
+//
+// An object owns three flat slabs and nothing else of size: the coordinates
+// (point i is coords[i*dims:(i+1)*dims]; pts holds those sub-slices so a cut
+// is a prefix of pts), the memberships, and the per-level MBR corners.
 type Object struct {
 	id   uint64
-	pts  []geom.Point // sorted by descending membership
-	mus  []float64    // parallel to pts, descending
 	dims int
 
-	levels    []float64   // distinct membership values U_A, ascending (last is 1)
-	levelEnd  []int       // levelEnd[i]: cut size at levels[i] (prefix length)
-	levelMBRs []geom.Rect // levelMBRs[i]: exact MBR of the cut at levels[i]
+	coords []float64    // n*dims, points in descending-membership order
+	pts    []geom.Point // pts[i] = coords[i*dims:(i+1)*dims]
+	mus    []float64    // parallel to pts, descending
+
+	levels   []float64 // distinct membership values U_A, ascending (last is 1)
+	levelEnd []int     // levelEnd[i]: cut size at levels[i] (prefix length)
+	mbrs     []float64 // level i: lo corner at [2*i*dims:], hi corner dims later
 }
 
-// Validation errors returned by New.
+// Validation errors returned by New and FromSlabs.
 var (
 	ErrNoPoints    = errors.New("fuzzy: object has no points")
 	ErrEmptyKernel = errors.New("fuzzy: object kernel is empty (no point with µ = 1)")
 	ErrBadMu       = errors.New("fuzzy: membership values must lie in (0, 1]")
 	ErrDims        = errors.New("fuzzy: inconsistent point dimensionality")
+	ErrBadCoord    = errors.New("fuzzy: coordinates must be finite")
 )
 
-// New constructs a fuzzy object from weighted points. The input slice is
-// copied. Membership values must lie in (0, 1], at least one point must have
-// µ = 1 (the paper's non-empty-kernel assumption, §2.1) and all points must
-// share one dimensionality.
+// New constructs a fuzzy object from weighted points. The input is copied.
+// Membership values must lie in (0, 1], at least one point must have µ = 1
+// (the paper's non-empty-kernel assumption, §2.1), all points must share one
+// dimensionality ≥ 1 and every coordinate must be finite.
 func New(id uint64, points []WeightedPoint) (*Object, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
 	}
 	dims := points[0].P.Dims()
-	hasKernel := false
-	for _, wp := range points {
-		if wp.Mu <= 0 || wp.Mu > 1 || math.IsNaN(wp.Mu) {
-			return nil, fmt.Errorf("%w: got %v", ErrBadMu, wp.Mu)
-		}
+	coords := make([]float64, 0, len(points)*dims)
+	mus := make([]float64, len(points))
+	for i, wp := range points {
 		if wp.P.Dims() != dims {
 			return nil, fmt.Errorf("%w: %d vs %d", ErrDims, wp.P.Dims(), dims)
 		}
-		if wp.Mu == 1 {
-			hasKernel = true
+		coords = append(coords, wp.P...)
+		mus[i] = wp.Mu
+	}
+	return FromSlabs(id, dims, coords, mus)
+}
+
+// FromSlabs is New over flat storage: point i is coords[i*dims:(i+1)*dims]
+// with membership mus[i]. It takes ownership of both slices — the object
+// keeps them (when the memberships are already non-increasing, which is how
+// every encoder of this repository writes them) and the caller must not
+// touch them again. Otherwise the points are stably reordered by descending
+// membership, exactly as New orders them.
+func FromSlabs(id uint64, dims int, coords, mus []float64) (*Object, error) {
+	n := len(mus)
+	if n == 0 {
+		return nil, ErrNoPoints
+	}
+	if dims < 1 || len(coords) != n*dims {
+		return nil, fmt.Errorf("%w: %d coordinates for %d points of %d dims", ErrDims, len(coords), n, dims)
+	}
+	sorted := true
+	for i, mu := range mus {
+		if !(mu > 0 && mu <= 1) { // also refuses NaN
+			return nil, fmt.Errorf("%w: got %v", ErrBadMu, mu)
+		}
+		if i > 0 && mu > mus[i-1] {
+			sorted = false
 		}
 	}
-	if !hasKernel {
+	if !sorted {
+		coords, mus = sortDescending(dims, coords, mus)
+	}
+	if mus[0] != 1 {
 		return nil, ErrEmptyKernel
 	}
-
-	sorted := make([]WeightedPoint, len(points))
-	copy(sorted, points)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Mu > sorted[j].Mu })
-
-	o := &Object{
-		id:   id,
-		pts:  make([]geom.Point, len(sorted)),
-		mus:  make([]float64, len(sorted)),
-		dims: dims,
-	}
-	for i, wp := range sorted {
-		o.pts[i] = wp.P.Clone()
-		o.mus[i] = wp.Mu
-	}
-
-	// Distinct levels in descending prefix order, then reversed to
-	// ascending. levelEnd and levelMBRs are prefix aggregates.
-	var desc []float64
-	var ends []int
-	var mbrs []geom.Rect
-	var cur geom.Rect
-	for i := 0; i < len(o.pts); i++ {
-		cur.ExpandPoint(o.pts[i])
-		if i+1 == len(o.pts) || o.mus[i+1] != o.mus[i] {
-			desc = append(desc, o.mus[i])
-			ends = append(ends, i+1)
-			mbrs = append(mbrs, cur.Clone())
+	nLevels := 1
+	for i := 1; i < n; i++ {
+		if mus[i] != mus[i-1] {
+			nLevels++
 		}
 	}
-	n := len(desc)
-	o.levels = make([]float64, n)
-	o.levelEnd = make([]int, n)
-	o.levelMBRs = make([]geom.Rect, n)
+
+	o := &Object{
+		id:       id,
+		dims:     dims,
+		coords:   coords,
+		pts:      make([]geom.Point, n),
+		mus:      mus,
+		levels:   make([]float64, nLevels),
+		levelEnd: make([]int, nLevels),
+		mbrs:     make([]float64, nLevels*2*dims),
+	}
+	// One pass in descending membership: the running MBR is kept in the slot
+	// of the level being filled (levels ascend, so slots fill from the back)
+	// and seeds the next lower level's slot when a level closes.
+	k := nLevels - 1
+	lo, hi := o.mbrs[2*k*dims:(2*k+1)*dims], o.mbrs[(2*k+1)*dims:]
 	for i := 0; i < n; i++ {
-		o.levels[i] = desc[n-1-i]
-		o.levelEnd[i] = ends[n-1-i]
-		o.levelMBRs[i] = mbrs[n-1-i]
+		p := coords[i*dims : (i+1)*dims : (i+1)*dims]
+		o.pts[i] = p
+		for j, c := range p {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("%w: point %d has %v", ErrBadCoord, i, c)
+			}
+			if i == 0 || c < lo[j] {
+				lo[j] = c
+			}
+			if i == 0 || c > hi[j] {
+				hi[j] = c
+			}
+		}
+		if i+1 == n || mus[i+1] != mus[i] {
+			o.levels[k] = mus[i]
+			o.levelEnd[k] = i + 1
+			if k--; k >= 0 {
+				next := o.mbrs[2*k*dims : 2*(k+1)*dims]
+				copy(next, o.mbrs[2*(k+1)*dims:2*(k+2)*dims])
+				lo, hi = next[:dims], next[dims:]
+			}
+		}
 	}
 	return o, nil
+}
+
+// sortDescending returns copies of the slabs with the points stably ordered
+// by descending membership.
+func sortDescending(dims int, coords, mus []float64) ([]float64, []float64) {
+	perm := make([]int, len(mus))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(mus[b], mus[a]) })
+	sc := make([]float64, 0, len(coords))
+	sm := make([]float64, len(mus))
+	for i, src := range perm {
+		sc = append(sc, coords[src*dims:(src+1)*dims]...)
+		sm[i] = mus[src]
+	}
+	return sc, sm
 }
 
 // MustNew is New but panics on error; intended for tests and generators that
@@ -168,37 +227,56 @@ func (o *Object) Support() []geom.Point { return o.pts }
 // Kernel returns the points with µ = 1. The result must not be modified.
 func (o *Object) Kernel() []geom.Point { return o.pts[:o.levelEnd[len(o.levelEnd)-1]] }
 
+// levelMBR returns the exact MBR of the cut at levels[i], viewing the slab.
+func (o *Object) levelMBR(i int) geom.Rect {
+	d := o.dims
+	s := o.mbrs[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
+	return geom.Rect{Lo: s[:d:d], Hi: s[d:]}
+}
+
 // SupportMBR returns the exact MBR of the support, M_A(0) in paper notation.
-func (o *Object) SupportMBR() geom.Rect { return o.levelMBRs[0] }
+// Like every MBR an object returns, it must not be modified.
+func (o *Object) SupportMBR() geom.Rect { return o.levelMBR(0) }
 
 // KernelMBR returns the exact MBR of the kernel, M_A(1).
-func (o *Object) KernelMBR() geom.Rect { return o.levelMBRs[len(o.levelMBRs)-1] }
+func (o *Object) KernelMBR() geom.Rect { return o.levelMBR(len(o.levels) - 1) }
 
 // MBR returns the exact MBR M_A(α) of the α-cut. For α > 1 it returns the
 // empty rectangle.
 func (o *Object) MBR(alpha float64) geom.Rect {
 	if alpha <= o.levels[0] {
-		return o.levelMBRs[0]
+		return o.levelMBR(0)
 	}
 	i := sort.SearchFloat64s(o.levels, alpha)
 	if i == len(o.levels) {
 		return geom.Rect{}
 	}
-	return o.levelMBRs[i]
+	return o.levelMBR(i)
 }
+
+// Coords returns all coordinates as one slab, point i (in At order) at
+// [i*Dims():(i+1)*Dims()]. The result must not be modified.
+func (o *Object) Coords() []float64 { return o.coords }
+
+// Memberships returns the membership values in At order (non-increasing).
+// The result must not be modified.
+func (o *Object) Memberships() []float64 { return o.mus }
 
 // WeightedPoints returns a copy of the object's points with memberships, in
 // descending-membership order.
 func (o *Object) WeightedPoints() []WeightedPoint {
+	coords := slices.Clone(o.coords)
 	out := make([]WeightedPoint, len(o.pts))
-	for i := range o.pts {
-		out[i] = WeightedPoint{P: o.pts[i].Clone(), Mu: o.mus[i]}
+	for i := range out {
+		out[i] = WeightedPoint{P: coords[i*o.dims : (i+1)*o.dims : (i+1)*o.dims], Mu: o.mus[i]}
 	}
 	return out
 }
 
 // Rep returns the object's representative kernel point (§3.4): a
 // deterministic pseudo-random pick so that index rebuilds are reproducible.
+// It is a copy: index summaries keep it for as long as the object is
+// indexed, and a view would keep the whole coordinate slab alive with it.
 func (o *Object) Rep() geom.Point {
 	k := o.Kernel()
 	// SplitMix64 of the id selects the kernel index.
@@ -208,7 +286,7 @@ func (o *Object) Rep() geom.Point {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return k[x%uint64(len(k))]
+	return k[x%uint64(len(k))].Clone()
 }
 
 // SampleCut returns up to n points pseudo-randomly sampled (without

@@ -1,9 +1,11 @@
 package fuzzy
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/geom"
@@ -50,6 +52,10 @@ func TestNewValidation(t *testing.T) {
 		{"mu NaN", []WeightedPoint{{P: p, Mu: math.NaN()}}, ErrBadMu},
 		{"no kernel", []WeightedPoint{{P: p, Mu: 0.9}}, ErrEmptyKernel},
 		{"dims mismatch", []WeightedPoint{{P: p, Mu: 1}, {P: geom.Point{1, 2, 3}, Mu: 0.5}}, ErrDims},
+		{"zero dims", []WeightedPoint{{P: geom.Point{}, Mu: 1}}, ErrDims},
+		{"NaN coordinate", []WeightedPoint{{P: p, Mu: 1}, {P: geom.Point{math.NaN(), 0}, Mu: 0.5}}, ErrBadCoord},
+		{"+Inf coordinate", []WeightedPoint{{P: geom.Point{0, math.Inf(1)}, Mu: 1}}, ErrBadCoord},
+		{"-Inf coordinate", []WeightedPoint{{P: p, Mu: 1}, {P: geom.Point{math.Inf(-1), 0}, Mu: 1}}, ErrBadCoord},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +63,105 @@ func TestNewValidation(t *testing.T) {
 				t.Errorf("New() error = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNewOrdersStably pins the order New imposes: descending membership,
+// ties in input order — whatever order the input arrives in.
+func TestNewOrdersStably(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 19))
+	for iter := 0; iter < 50; iter++ {
+		n := 1 + rng.IntN(60)
+		in := make([]WeightedPoint, n)
+		for i := range in {
+			// The first coordinate records the input position.
+			in[i] = WeightedPoint{P: geom.Point{float64(i), rng.Float64()}, Mu: float64(1+rng.IntN(4)) / 4}
+		}
+		in[rng.IntN(n)].Mu = 1
+		if iter%2 == 0 { // already in order: the slabs are kept as they are
+			slices.SortStableFunc(in, func(a, b WeightedPoint) int { return cmp.Compare(b.Mu, a.Mu) })
+			for i := range in {
+				in[i].P[0] = float64(i)
+			}
+		}
+		o := MustNew(1, in)
+		for i := 1; i < n; i++ {
+			p, mu := o.At(i)
+			prev, prevMu := o.At(i - 1)
+			if mu > prevMu || (mu == prevMu && p[0] < prev[0]) {
+				t.Fatalf("iter %d: point %d (µ=%v, input %v) after (µ=%v, input %v)", iter, i, mu, p[0], prevMu, prev[0])
+			}
+			if want := in[int(p[0])]; !p.Equal(want.P) || mu != want.Mu {
+				t.Fatalf("iter %d: point %d is not input point %v", iter, i, p[0])
+			}
+		}
+	}
+}
+
+// TestFromSlabs: the ownership-taking entry builds the object New builds,
+// and refuses what New refuses.
+func TestFromSlabs(t *testing.T) {
+	o, err := FromSlabs(7, 2, []float64{0, 0, 1, 1, 2, 2}, []float64{0.5, 1, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustNew(7, []WeightedPoint{{P: geom.Point{0, 0}, Mu: 0.5}, {P: geom.Point{1, 1}, Mu: 1}, {P: geom.Point{2, 2}, Mu: 0.5}})
+	if !sameObject(o, want) {
+		t.Fatalf("FromSlabs built %v, New built %v", o.WeightedPoints(), want.WeightedPoints())
+	}
+	for _, tc := range []struct {
+		name        string
+		dims        int
+		coords, mus []float64
+		want        error
+	}{
+		{"no points", 2, nil, nil, ErrNoPoints},
+		{"zero dims", 0, nil, []float64{1}, ErrDims},
+		{"short slab", 2, []float64{0, 0, 1}, []float64{1, 1}, ErrDims},
+		{"long slab", 1, []float64{0, 0, 1}, []float64{1, 1}, ErrDims},
+		{"bad mu", 1, []float64{0}, []float64{1.5}, ErrBadMu},
+		{"NaN mu", 1, []float64{0, 1}, []float64{1, math.NaN()}, ErrBadMu},
+		{"no kernel", 1, []float64{0, 1}, []float64{0.5, 0.9}, ErrEmptyKernel},
+		{"Inf coordinate", 1, []float64{0, math.Inf(1)}, []float64{1, 0.5}, ErrBadCoord},
+	} {
+		if _, err := FromSlabs(1, tc.dims, tc.coords, tc.mus); !errors.Is(err, tc.want) {
+			t.Errorf("%s: error = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// sameObject reports whether two objects are structurally equal: points and
+// memberships in At order, levels, the cut and MBR at every level, Rep.
+func sameObject(a, b *Object) bool {
+	if a.ID() != b.ID() || a.Dims() != b.Dims() || !slices.Equal(a.Coords(), b.Coords()) ||
+		!slices.Equal(a.Memberships(), b.Memberships()) || !slices.Equal(a.Levels(), b.Levels()) ||
+		!a.Rep().Equal(b.Rep()) {
+		return false
+	}
+	for _, u := range a.Levels() {
+		if a.CutSize(u) != b.CutSize(u) || !a.MBR(u).Equal(b.MBR(u)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewAllocs pins the constructor's allocations: the object, its slabs
+// and per-level arrays — independent of the number of points and levels —
+// plus the permutation and the reordered slabs when the input is unsorted.
+func TestNewAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 21))
+	sorted := randObject(rng, 1, 128, 2, 0).WeightedPoints()
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, tc := range []struct {
+		name string
+		in   []WeightedPoint
+		max  float64
+	}{{"sorted", sorted, 7}, {"shuffled", shuffled, 10}} {
+		if got := testing.AllocsPerRun(50, func() { MustNew(1, tc.in) }); got > tc.max {
+			t.Errorf("New on %s input allocates %.0f times, want ≤ %.0f", tc.name, got, tc.max)
+		}
 	}
 }
 
@@ -205,6 +310,12 @@ func TestRepDeterministicAndInKernel(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Rep not a kernel point")
+	}
+	// A copy, not a view: whoever keeps it (index summaries do, for as long
+	// as the object is indexed) must not keep the coordinate slab alive.
+	r1[0]++
+	if !o.Rep().Equal(r2) {
+		t.Fatal("Rep aliases the object's coordinates")
 	}
 }
 

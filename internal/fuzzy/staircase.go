@@ -71,7 +71,7 @@ func NewStaircaseApprox(o *Object, steps int) *StaircaseApprox {
 		}
 		prev = idx
 		s.levels = append(s.levels, all[idx])
-		s.rects = append(s.rects, o.levelMBRs[idx].Clone())
+		s.rects = append(s.rects, o.levelMBR(idx).Clone())
 	}
 	return s
 }

@@ -47,6 +47,11 @@ func (p Point) Equal(q Point) bool {
 func Dist(p, q Point) float64 { return math.Sqrt(DistSq(p, q)) }
 
 // DistSq returns the squared Euclidean distance between p and q.
+//
+// The float64 conversion rounds each square before it is added, so a
+// compiler with a fused multiply-add cannot round this sum differently from
+// MinDistPointSq's (see kdtree.BeyondBound, which relies on the two
+// agreeing).
 func DistSq(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
@@ -54,7 +59,7 @@ func DistSq(p, q Point) float64 {
 	var s float64
 	for i := range p {
 		d := p[i] - q[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -360,7 +365,9 @@ func MaxDistSq(r, s Rect) float64 {
 // rectangle r (0 if p is inside r, +Inf if r is empty).
 func MinDistPoint(p Point, r Rect) float64 { return math.Sqrt(MinDistPointSq(p, r)) }
 
-// MinDistPointSq is the squared form of MinDistPoint.
+// MinDistPointSq is the squared form of MinDistPoint. It never exceeds
+// DistSq(p, q) for a q inside r, in floating point too: the gaps are
+// squared, rounded and summed exactly as DistSq does the differences.
 func MinDistPointSq(p Point, r Rect) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
@@ -374,7 +381,7 @@ func MinDistPointSq(p Point, r Rect) float64 {
 		case p[i] > r.Hi[i]:
 			l = p[i] - r.Hi[i]
 		}
-		sum += l * l
+		sum += float64(l * l)
 	}
 	return sum
 }

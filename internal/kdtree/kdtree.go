@@ -179,6 +179,18 @@ func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *floa
 	}
 }
 
+// BeyondBound reports whether NearestWithin(q, bound) is certain to find
+// nothing in a tree whose points all lie inside box, letting closest-pair
+// loops skip the descent. The test is exact in floating point, not merely in
+// the reals: for every point t in box and every axis, |q[i]-t[i]| is at
+// least q's gap to the box on that axis, rounding is monotone, and
+// MinDistPointSq squares and sums the gaps in the order DistSq sums the
+// differences — so DistSq(q, t) ≥ MinDistPointSq(q, box) ≥ bound², and the
+// strict d < bound² that search demands fails for every t.
+func BeyondBound(q geom.Point, box geom.Rect, bound float64) bool {
+	return geom.MinDistPointSq(q, box) >= bound*bound
+}
+
 // ForEachWithin invokes fn(idx, dist) for every point whose distance to q
 // is at most radius, in tree order, stopping early if fn returns false.
 // idx is the point's index in the Build input slice.
@@ -255,9 +267,13 @@ func ClosestPairWithin(a, b []geom.Point, cutoff float64) (int, int, float64) {
 		swapped = true
 	}
 	tree := Build(a)
+	box := geom.BoundingRect(a)
 	bestI, bestJ := -1, -1
 	best := math.Inf(1)
 	for j, q := range b {
+		if BeyondBound(q, box, best) {
+			continue
+		}
 		i, d := tree.NearestWithin(q, best)
 		if i >= 0 && d < best {
 			best = d

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"testing"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
 )
 
@@ -67,6 +69,20 @@ func TestCraftedShapeIsCorruptNotOOM(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Errorf("%s: refusing a crafted %d-byte input allocated %d bytes", name, len(frame), grew)
+		}
+	}
+}
+
+// TestNonFiniteCoordinateIsCorrupt: replication apply refuses a frame (CRC
+// intact) that carries a NaN or infinite coordinate.
+func TestNonFiniteCoordinateIsCorrupt(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		frame := EncodeFrame(4, []*fuzzy.Object{obj(1, 0, 0)}, nil)
+		firstCoord := frameHeaderSize + 4 + codec.HeaderSize // header | object length | object header
+		binary.LittleEndian.PutUint64(frame[firstCoord:], math.Float64bits(bad))
+		frame = withCRC(frame[:len(frame)-crcSize])
+		if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("coordinate %v: DecodeFrame = %v, want ErrCorrupt", bad, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"fuzzyknn"
+	"fuzzyknn/internal/fuzzy"
 )
 
 // blob builds a fuzzy object with a kernel at (cx, cy) and fading rings.
@@ -313,6 +315,10 @@ func TestServeBadRequests(t *testing.T) {
 		{"bad membership", "/aknn", AKNNRequest{Query: &ObjectJSON{Points: []PointJSON{{P: []float64{0, 0}, Mu: 2}}}, K: 2, Alpha: 0.5}, http.StatusBadRequest},
 		{"bad rknn range", "/rknn", RKNNRequest{Query: queryJSON(t), K: 2, AlphaStart: 0.8, AlphaEnd: 0.2}, http.StatusBadRequest},
 		{"negative radius", "/range", RangeRequest{Query: queryJSON(t), Alpha: 0.5, Radius: -1}, http.StatusBadRequest},
+		// JSON has no NaN or Inf; the nearest a body can get is a number that
+		// overflows float64, which the decoder refuses.
+		{"overflowing coordinate", "/aknn", json.RawMessage(`{"query":{"points":[{"p":[1e999,0],"mu":1}]},"k":2,"alpha":0.5}`), http.StatusBadRequest},
+		{"overflowing coordinate on insert", "/objects", json.RawMessage(`{"object":{"id":77,"points":[{"p":[0,-1e999],"mu":1}]}}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -324,6 +330,18 @@ func TestServeBadRequests(t *testing.T) {
 				t.Fatal("empty error message")
 			}
 		})
+	}
+}
+
+// TestObjectFromJSONRefusesNonFiniteCoordinates covers the wire-to-object
+// step behind the decoder: whatever produced the ObjectJSON, a NaN or
+// infinite coordinate is refused by the one object constructor.
+func TestObjectFromJSONRefusesNonFiniteCoordinates(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		obj := &ObjectJSON{ID: 1, Points: []PointJSON{{P: []float64{0, 0}, Mu: 1}, {P: []float64{bad, 0}, Mu: 0.5}}}
+		if _, err := objectFromJSON(obj); !errors.Is(err, fuzzy.ErrBadCoord) {
+			t.Errorf("coordinate %v: %v, want ErrBadCoord", bad, err)
+		}
 	}
 }
 

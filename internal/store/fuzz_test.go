@@ -2,10 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"os"
 	"testing"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
 )
 
@@ -151,17 +153,28 @@ func isFrameAligned(valid []byte, cut int) bool {
 	return pos == cut
 }
 
-// FuzzDirectoryBounds mutates footer fields of a valid store file image and
-// verifies Open never panics — inconsistent directories must surface as
-// errors.
+// FuzzDirectoryBounds overwrites the footer (dirOffset, count) and, xor-ing
+// so that 0 means "leave it", the one directory entry's offset and length in
+// a valid store file image, then opens it and reads the object: never a
+// panic — an inconsistent directory is an error from Open, and an entry Open
+// accepts locates bytes inside the data section, so Get returns the object
+// or ErrCorrupt.
 func FuzzDirectoryBounds(f *testing.F) {
-	f.Add(uint64(0), uint64(0))
-	f.Add(uint64(1<<40), uint64(1<<40))
-	f.Add(uint64(17), uint64(3))
-	f.Fuzz(func(t *testing.T, dirOffset, count uint64) {
-		rng := rand.New(rand.NewPCG(9, 9))
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(1<<40), uint64(1<<40), uint64(0), uint64(0))
+	f.Add(uint64(17), uint64(3), uint64(0), uint64(0))
+	rng := rand.New(rand.NewPCG(9, 9))
+	obj := randObject(rng, 1, 10, 2)
+	size := uint64(headerSize + codec.Size(obj) + codec.CRCSize + dirEntSize + footerSize)
+	dirAt, one := size-footerSize-dirEntSize, uint64(1) // the valid footer
+	f.Add(dirAt, one, uint64(0), uint64(0))
+	f.Add(size-footerSize, uint64(1<<61), uint64(0), uint64(0)) // count*dirEntSize wraps to 0
+	f.Add(dirAt, one, uint64(0), uint64(1<<62))                 // length no buffer can hold
+	f.Add(dirAt, one, uint64(1<<63), uint64(1<<63))             // offset+length wraps
+	f.Add(dirAt, one, uint64(headerSize), uint64(0))            // record starts inside the header
+	f.Add(dirAt, one, uint64(0), uint64(8))                     // record runs into the directory
+	f.Fuzz(func(t *testing.T, dirOffset, count, offsetXor, lengthXor uint64) {
 		path := t.TempDir() + "/fuzz.fzs"
-		obj := randObject(rng, 1, 10, 2)
 		if err := WriteAll(path, 2, []*fuzzy.Object{obj}); err != nil {
 			t.Fatal(err)
 		}
@@ -169,16 +182,27 @@ func FuzzDirectoryBounds(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Overwrite the footer's dirOffset and count fields.
 		pos := len(data) - footerSize
 		binary.LittleEndian.PutUint64(data[pos:], dirOffset)
 		binary.LittleEndian.PutUint64(data[pos+8:], count)
+		ent := pos - dirEntSize
+		binary.LittleEndian.PutUint64(data[ent+8:], binary.LittleEndian.Uint64(data[ent+8:])^offsetXor)
+		binary.LittleEndian.PutUint64(data[ent+16:], binary.LittleEndian.Uint64(data[ent+16:])^lengthXor)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(path)
-		if err == nil {
-			s.Close() // consistent-by-luck values are acceptable
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		defer s.Close()
+		for _, id := range s.IDs() {
+			if _, err := s.Get(id); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get(%d): %v, want ErrCorrupt", id, err)
+			}
 		}
 	})
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
 )
 
@@ -295,6 +297,18 @@ func TestLogStoreRejectsImplausibleRecordShapes(t *testing.T) {
 	}
 }
 
+// staticImage hand-writes a static store file holding rec as object 1.
+func staticImage(dims uint32, rec []byte) []byte {
+	img := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(img[8:], version)
+	binary.LittleEndian.PutUint32(img[12:], dims)
+	img = append(img, rec...)
+	for _, v := range []uint64{1, headerSize, uint64(len(rec)), uint64(headerSize + len(rec)), 1} {
+		img = binary.LittleEndian.AppendUint64(img, v) // directory entry, then footer offset and count
+	}
+	return append(img, magic...)
+}
+
 // TestCraftedShapeSharedBound feeds the same wrapping header (see
 // TestLogStoreRejectsImplausibleRecordShapes; internal/replica pins it for
 // frames and snapshots) to the store's two other readers of object records
@@ -310,16 +324,8 @@ func TestCraftedShapeSharedBound(t *testing.T) {
 	dir := t.TempDir()
 
 	// Get: a static store whose directory locates the crafted record.
-	img := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(img[8:], version)
-	binary.LittleEndian.PutUint32(img[12:], dims)
-	img = append(img, rec...)
-	for _, v := range []uint64{1, headerSize, uint64(len(rec)), uint64(headerSize + len(rec)), 1} {
-		img = binary.LittleEndian.AppendUint64(img, v) // directory entry, then footer offset and count
-	}
-	img = append(img, magic...)
 	static := filepath.Join(dir, "crafted.fzs")
-	if err := os.WriteFile(static, img, 0o644); err != nil {
+	if err := os.WriteFile(static, staticImage(dims, rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := Open(static)
@@ -353,6 +359,43 @@ func TestCraftedShapeSharedBound(t *testing.T) {
 	}
 	if _, err := OpenLog(path, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("crafted checkpoint: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestNonFiniteCoordinateIsCorrupt: a checksummed record whose coordinates
+// are NaN or infinite (no writer of this repository can produce one) opens
+// — directories and replay check shapes, not contents — and is refused when
+// the probe decodes it, in a static store and in a replayed log alike.
+func TestNonFiniteCoordinateIsCorrupt(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := codec.AppendRecord(nil, randObject(rand.New(rand.NewPCG(6, 6)), 1, 5, 2))
+		body := rec[:len(rec)-codec.CRCSize]
+		binary.LittleEndian.PutUint64(body[codec.HeaderSize+8:], math.Float64bits(bad))
+		binary.LittleEndian.PutUint32(rec[len(body):], codec.Checksum(body))
+		dir := t.TempDir()
+
+		static := filepath.Join(dir, "bad.fzs")
+		log := filepath.Join(dir, "bad.fzl")
+		for name, data := range map[string][]byte{static: staticImage(2, rec), log: appendFrame(logHeader(2), recPut, rec)} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, err := Open(static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := OpenLog(log, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]Reader{"static": ds, "log": ls} {
+			if _, err := s.Get(1); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s store, coordinate %v: Get = %v, want ErrCorrupt", name, bad, err)
+			}
+		}
+		ds.Close()
+		ls.Close()
 	}
 }
 

@@ -467,11 +467,19 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
+// recBufs recycles readObject's record buffers: a decoded object owns its
+// own slabs and aliases nothing of the bytes it was read from.
+var recBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readObject fetches and decodes the record a directory entry locates. The
 // record must be the object the directory promised: its own checksum
-// intact, the entry's id, the store's dimensionality.
+// intact, the entry's id, the store's dimensionality. Entry lengths are
+// bounded by their file where the directory is built (openFile, log replay).
 func readObject(f io.ReaderAt, e dirEntry, dims int) (*fuzzy.Object, error) {
-	buf := make([]byte, e.length)
+	bp := recBufs.Get().(*[]byte)
+	defer recBufs.Put(bp)
+	buf := slices.Grow((*bp)[:0], int(e.length))[:e.length]
+	*bp = buf
 	if _, err := f.ReadAt(buf, int64(e.offset)); err != nil {
 		return nil, fmt.Errorf("%w: read object %d: %v", ErrCorrupt, e.id, err)
 	}
@@ -537,10 +545,15 @@ func openFile(f *os.File) (*DiskStore, error) {
 	if string(foot[16:]) != magic {
 		return nil, fmt.Errorf("%w: bad footer magic", ErrCorrupt)
 	}
+	// The footer is untrusted: count is bounded by the entries the file has
+	// room for before it is multiplied, so dirLen cannot wrap.
 	dirOffset := binary.LittleEndian.Uint64(foot[0:])
 	count := binary.LittleEndian.Uint64(foot[8:])
+	if count > uint64(st.Size()-headerSize-footerSize)/dirEntSize {
+		return nil, fmt.Errorf("%w: directory of %d entries exceeds the file", ErrCorrupt, count)
+	}
 	dirLen := int64(count) * dirEntSize
-	if int64(dirOffset)+dirLen+footerSize != st.Size() {
+	if dirOffset != uint64(st.Size()-footerSize-dirLen) {
 		return nil, fmt.Errorf("%w: directory bounds inconsistent", ErrCorrupt)
 	}
 	dirBuf := make([]byte, dirLen)
@@ -553,12 +566,17 @@ func openFile(f *os.File) (*DiskStore, error) {
 		dir:  make(map[uint64]dirEntry, count),
 		ids:  make([]uint64, 0, count),
 	}
-	for i := int64(0); i < int64(count); i++ {
-		pos := i * dirEntSize
+	for pos := int64(0); pos < dirLen; pos += dirEntSize {
 		e := dirEntry{
 			id:     binary.LittleEndian.Uint64(dirBuf[pos:]),
 			offset: binary.LittleEndian.Uint64(dirBuf[pos+8:]),
 			length: binary.LittleEndian.Uint64(dirBuf[pos+16:]),
+		}
+		// Records live between the header and the directory; compared
+		// without adding, so a huge offset or length cannot wrap past it.
+		if e.offset < headerSize || e.offset > dirOffset ||
+			e.length < codec.HeaderSize+codec.CRCSize || e.length > dirOffset-e.offset {
+			return nil, fmt.Errorf("%w: object %d record [%d,+%d) outside the data section", ErrCorrupt, e.id, e.offset, e.length)
 		}
 		if _, dup := s.dir[e.id]; dup {
 			return nil, fmt.Errorf("%w: duplicate id %d in directory", ErrCorrupt, e.id)

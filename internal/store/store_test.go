@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"fuzzyknn/internal/codec"
+	"fuzzyknn/internal/dataset"
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
 )
@@ -348,25 +351,125 @@ func TestDiskStoreConcurrentGets(t *testing.T) {
 	}
 }
 
-func BenchmarkDiskGet(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	path := filepath.Join(b.TempDir(), "bench.fzs")
-	var objs []*fuzzy.Object
-	for i := 0; i < 100; i++ {
-		objs = append(objs, randObject(rng, uint64(i+1), 1000, 2))
+// TestOpenRejectsCraftedDirectory: a directory is untrusted input. Both
+// reproducers panicked at the parent of this test — a length no buffer can
+// hold reached readObject's make, and a count whose byte size wraps to 0
+// passed the bounds equation and sized the directory map.
+func TestOpenRejectsCraftedDirectory(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	path := filepath.Join(t.TempDir(), "crafted.fzs")
+	if err := WriteAll(path, 2, []*fuzzy.Object{randObject(rng, 1, 10, 2)}); err != nil {
+		t.Fatal(err)
 	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot := len(valid) - footerSize
+	ent := foot - dirEntSize
+	recLen := binary.LittleEndian.Uint64(valid[ent+16:])
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    uint64
+		also func(img []byte)
+	}{
+		{"entry length 1<<62", ent + 16, 1 << 62, nil},
+		{"entry length one past the directory", ent + 16, recLen + 1, nil},
+		{"entry length below a record", ent + 16, codec.HeaderSize + codec.CRCSize - 1, nil},
+		{"entry offset inside the header", ent + 8, headerSize - 1, nil},
+		{"entry offset+length wraps", ent + 8, 1<<64 - 8, nil},
+		{"count whose size wraps to 0", foot + 8, 1 << 61, func(img []byte) {
+			binary.LittleEndian.PutUint64(img[foot:], uint64(foot))
+		}},
+	} {
+		img := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(img[tc.at:], tc.v)
+		if tc.also != nil {
+			tc.also(img)
+		}
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// benchObjects generates objects of the fuzzyload benchmark's shape (§6.1,
+// 128 points, d=2): one membership level per point.
+func benchObjects(tb testing.TB, n int) []*fuzzy.Object {
+	p := dataset.Default(dataset.Synthetic)
+	p.N, p.PointsPerObject = n, 128
+	objs, err := dataset.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return objs
+}
+
+func benchDiskStore(tb testing.TB, objs []*fuzzy.Object) Reader {
+	path := filepath.Join(tb.TempDir(), "bench.fzs")
 	if err := WriteAll(path, 2, objs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := Open(path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
+	tb.Cleanup(func() { s.Close() })
+	return s
+}
+
+func benchLogStore(tb testing.TB, objs []*fuzzy.Object) Reader {
+	s, err := OpenLogPolicy(filepath.Join(tb.TempDir(), "bench.fzl"), 2, SyncOff)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	if err := s.ApplyBatch(objs, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestGetAllocs pins what a probe allocates: the object and its slabs, not
+// a slice per point and two per membership level (423 at the parent of
+// this test). The record buffer is pooled, so the bound leaves room for the
+// race runtime dropping a pool put.
+func TestGetAllocs(t *testing.T) {
+	objs := benchObjects(t, 8)
+	for name, s := range map[string]Reader{"disk": benchDiskStore(t, objs), "log": benchLogStore(t, objs)} {
+		id := uint64(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			id = id%uint64(len(objs)) + 1
+			if _, err := s.Get(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("%s: Get allocates %.0f times, want ≤ 12", name, allocs)
+		}
+	}
+}
+
+func benchmarkStoreGet(b *testing.B, open func(testing.TB, []*fuzzy.Object) Reader) {
+	const n = 2000
+	s := open(b, benchObjects(b, n))
+	rng := rand.New(rand.NewPCG(1, 1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(uint64(i%100 + 1)); err != nil {
+		if _, err := s.Get(uint64(rng.IntN(n) + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkStoreGetDisk(b *testing.B) { benchmarkStoreGet(b, benchDiskStore) }
+func BenchmarkStoreGetLog(b *testing.B)  { benchmarkStoreGet(b, benchLogStore) }
