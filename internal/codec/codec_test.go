@@ -321,18 +321,29 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 var sink *fuzzy.Object
 
-// BenchmarkDecodeRecord is the decode half of every DiskStore.Get and
-// LogStore.Get — the paper's unit of cost. Its allocs/op pin the one-pass
-// slab decode: the cell slab here plus the object and its four per-point /
-// per-level arrays in fuzzy.FromSlabs — 6 whatever the number of points and
-// membership levels.
-func BenchmarkDecodeRecord(b *testing.B) {
-	rec := AppendRecord(nil, randObject(rand.New(rand.NewPCG(5, 5)), 1, 100, 2))
+// TestDecodeAllocs pins what decoding allocates: the cell slab and the
+// object header, whatever the number of points and membership levels.
+func TestDecodeAllocs(t *testing.T) {
+	body := Append(nil, randObject(rand.New(rand.NewPCG(5, 5)), 1, 128, 2))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Decode allocates %.0f times, want ≤ 2", allocs)
+	}
+}
+
+// BenchmarkCodecDecode is the decode half of every DiskStore.Get and
+// LogStore.Get — the paper's unit of cost — on the benchmark's object shape.
+func BenchmarkCodecDecode(b *testing.B) {
+	body := Append(nil, randObject(rand.New(rand.NewPCG(5, 5)), 1, 128, 2))
 	b.ReportAllocs()
-	b.SetBytes(int64(len(rec)))
+	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o, err := DecodeRecord(rec)
+		o, err := Decode(body)
 		if err != nil {
 			b.Fatal(err)
 		}

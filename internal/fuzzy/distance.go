@@ -1,6 +1,7 @@
 package fuzzy
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -13,19 +14,28 @@ import (
 // between the two α-cuts (Definition 3). It returns +Inf if either cut is
 // empty (only possible for α > 1).
 func AlphaDist(a, b *Object, alpha float64) float64 {
-	_, _, d := kdtree.ClosestPair(a.Cut(alpha), b.Cut(alpha))
+	checkDims(a, b)
+	_, _, d := kdtree.ClosestPair(a.cutCoords(alpha), b.cutCoords(alpha), a.dims)
 	return d
+}
+
+// checkDims panics when a and b cannot be compared point against point.
+func checkDims(a, b *Object) {
+	if a.dims != b.dims {
+		panic(fmt.Sprintf("fuzzy: dimension mismatch %d vs %d", a.dims, b.dims))
+	}
 }
 
 // AlphaDistBrute is the quadratic reference evaluation of d_α used in tests
 // and as the paper's description of the direct approach ("the evaluation of
 // α-distance is quadratic with the number of points", §3.1).
 func AlphaDistBrute(a, b *Object, alpha float64) float64 {
-	ca, cb := a.Cut(alpha), b.Cut(alpha)
+	na, nb := a.cutLen(alpha), b.cutLen(alpha)
 	best := math.Inf(1)
-	for _, p := range ca {
-		for _, q := range cb {
-			if d := geom.DistSq(p, q); d < best {
+	for i := 0; i < na; i++ {
+		p := a.point(i)
+		for j := 0; j < nb; j++ {
+			if d := geom.DistSq(p, b.point(j)); d < best {
 				best = d
 			}
 		}
@@ -74,19 +84,19 @@ func ComputeProfile(a, q *Object) *Profile {
 		// Insert all points with µ >= u that are not inserted yet. A-side
 		// points probe the Q grid; Q-side points probe the A grid, so
 		// same-level cross pairs are found by whichever side inserts last.
-		for ia < len(a.pts) && a.mus[ia] >= u {
-			if _, d := gq.NearestWithin(a.pts[ia], best); d < best {
+		for ; ia < len(a.mus) && a.mus[ia] >= u; ia++ {
+			p := a.point(ia)
+			if _, d := gq.NearestWithin(p, best); d < best {
 				best = d
 			}
-			ga.Insert(a.pts[ia], ia)
-			ia++
+			ga.Insert(p, ia)
 		}
-		for iq < len(q.pts) && q.mus[iq] >= u {
-			if _, d := ga.NearestWithin(q.pts[iq], best); d < best {
+		for ; iq < len(q.mus) && q.mus[iq] >= u; iq++ {
+			p := q.point(iq)
+			if _, d := ga.NearestWithin(p, best); d < best {
 				best = d
 			}
-			gq.Insert(q.pts[iq], iq)
-			iq++
+			gq.Insert(p, iq)
 		}
 		dists[j] = best
 	}

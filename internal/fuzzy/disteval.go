@@ -44,7 +44,7 @@ type DistEval struct {
 func (e *DistEval) Reset(q *Object, alpha float64) {
 	e.q = q
 	e.alpha = alpha
-	e.tree.Rebuild(q.Cut(alpha))
+	e.tree.Rebuild(q.cutCoords(alpha), q.dims)
 	e.qmbr = q.MBR(alpha)
 	if e.memo == nil {
 		e.memo = make(map[uint64]float64, 64)
@@ -85,12 +85,15 @@ func (e *DistEval) Dist(o *Object) float64 {
 // kdtree.BeyondBound for why that is exact); once the first few points fix
 // best, that is the whole far side of o.
 func (e *DistEval) dist(o *Object) float64 {
-	cut := o.Cut(e.alpha)
+	cut := o.cutCoords(e.alpha)
 	if len(cut) == 0 || e.tree.Len() == 0 {
 		return math.Inf(1)
 	}
+	checkDims(o, e.q)
+	dims := o.dims
 	best := math.Inf(1)
-	for _, p := range cut {
+	for ; len(cut) > 0; cut = cut[dims:] {
+		p := geom.Point(cut[:dims])
 		if kdtree.BeyondBound(p, e.qmbr, best) {
 			e.gated++
 			continue

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"fuzzyknn/internal/geom"
 )
@@ -28,20 +29,29 @@ type WeightedPoint struct {
 
 // Object is an immutable fuzzy object. Construct with New or FromSlabs.
 //
-// An object owns three flat slabs and nothing else of size: the coordinates
-// (point i is coords[i*dims:(i+1)*dims]; pts holds those sub-slices so a cut
-// is a prefix of pts), the memberships, and the per-level MBR corners.
+// An object is a header over pointer-free payload: the coordinates (point i
+// is the view coords[i*dims:(i+1)*dims], so the α-cut is the first cutLen(α)
+// points) and the memberships. Everything else — the distinct levels and the
+// exact MBR of every level's cut — is derived into a levelIndex when someone
+// asks; a probe (DistEval, AlphaDist, range search) never does.
 type Object struct {
 	id   uint64
 	dims int
 
-	coords []float64    // n*dims, points in descending-membership order
-	pts    []geom.Point // pts[i] = coords[i*dims:(i+1)*dims]
-	mus    []float64    // parallel to pts, descending
+	coords []float64 // n*dims, points in descending-membership order
+	mus    []float64 // one per point, non-increasing, mus[0] = 1
 
-	levels   []float64 // distinct membership values U_A, ascending (last is 1)
-	levelEnd []int     // levelEnd[i]: cut size at levels[i] (prefix length)
-	mbrs     []float64 // level i: lo corner at [2*i*dims:], hi corner dims later
+	// lazyIndex is built on first use and published once: readers see nil
+	// or a finished index that nobody writes again, so an object stays
+	// immutable to its readers and shareable across shards and caches. It
+	// lives as long as the object does.
+	lazyIndex atomic.Pointer[levelIndex]
+}
+
+// levelIndex is the derived per-level view of an object.
+type levelIndex struct {
+	levels []float64 // distinct membership values U_A, ascending (last is 1)
+	mbrs   []float64 // level i: lo corner at [2*i*dims:], hi corner dims later
 }
 
 // Validation errors returned by New and FromSlabs.
@@ -103,35 +113,45 @@ func FromSlabs(id uint64, dims int, coords, mus []float64) (*Object, error) {
 	if mus[0] != 1 {
 		return nil, ErrEmptyKernel
 	}
+	for i, c := range coords {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("%w: point %d has %v", ErrBadCoord, i/dims, c)
+		}
+	}
+	return &Object{id: id, dims: dims, coords: coords, mus: mus}, nil
+}
+
+// index returns the object's level index, building it on first use.
+// Concurrent first users may each build one; the first to publish wins and
+// every caller returns that one.
+func (o *Object) index() *levelIndex {
+	if ix := o.lazyIndex.Load(); ix != nil {
+		return ix
+	}
+	o.lazyIndex.CompareAndSwap(nil, o.buildLevelIndex())
+	return o.lazyIndex.Load()
+}
+
+// buildLevelIndex derives the levels and their cut MBRs in one pass in
+// descending membership: the running MBR is kept in the slot of the level
+// being filled (levels ascend, so slots fill from the back) and seeds the
+// next lower level's slot when a level closes.
+func (o *Object) buildLevelIndex() *levelIndex {
+	n, dims, mus := len(o.mus), o.dims, o.mus
 	nLevels := 1
 	for i := 1; i < n; i++ {
 		if mus[i] != mus[i-1] {
 			nLevels++
 		}
 	}
-
-	o := &Object{
-		id:       id,
-		dims:     dims,
-		coords:   coords,
-		pts:      make([]geom.Point, n),
-		mus:      mus,
-		levels:   make([]float64, nLevels),
-		levelEnd: make([]int, nLevels),
-		mbrs:     make([]float64, nLevels*2*dims),
+	ix := &levelIndex{
+		levels: make([]float64, nLevels),
+		mbrs:   make([]float64, nLevels*2*dims),
 	}
-	// One pass in descending membership: the running MBR is kept in the slot
-	// of the level being filled (levels ascend, so slots fill from the back)
-	// and seeds the next lower level's slot when a level closes.
 	k := nLevels - 1
-	lo, hi := o.mbrs[2*k*dims:(2*k+1)*dims], o.mbrs[(2*k+1)*dims:]
+	lo, hi := ix.mbrs[2*k*dims:(2*k+1)*dims], ix.mbrs[(2*k+1)*dims:]
 	for i := 0; i < n; i++ {
-		p := coords[i*dims : (i+1)*dims : (i+1)*dims]
-		o.pts[i] = p
-		for j, c := range p {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("%w: point %d has %v", ErrBadCoord, i, c)
-			}
+		for j, c := range o.coords[i*dims : (i+1)*dims] {
 			if i == 0 || c < lo[j] {
 				lo[j] = c
 			}
@@ -140,16 +160,15 @@ func FromSlabs(id uint64, dims int, coords, mus []float64) (*Object, error) {
 			}
 		}
 		if i+1 == n || mus[i+1] != mus[i] {
-			o.levels[k] = mus[i]
-			o.levelEnd[k] = i + 1
+			ix.levels[k] = mus[i]
 			if k--; k >= 0 {
-				next := o.mbrs[2*k*dims : 2*(k+1)*dims]
-				copy(next, o.mbrs[2*(k+1)*dims:2*(k+2)*dims])
+				next := ix.mbrs[2*k*dims : 2*(k+1)*dims]
+				copy(next, ix.mbrs[2*(k+1)*dims:2*(k+2)*dims])
 				lo, hi = next[:dims], next[dims:]
 			}
 		}
 	}
-	return o, nil
+	return ix
 }
 
 // sortDescending returns copies of the slabs with the points stably ordered
@@ -183,54 +202,74 @@ func MustNew(id uint64, points []WeightedPoint) *Object {
 func (o *Object) ID() uint64 { return o.id }
 
 // Len returns the number of points (the support size).
-func (o *Object) Len() int { return len(o.pts) }
+func (o *Object) Len() int { return len(o.mus) }
 
 // Dims returns the dimensionality of the object's points.
 func (o *Object) Dims() int { return o.dims }
 
+// point returns the i-th point as a view of the coordinate slab.
+func (o *Object) point(i int) geom.Point {
+	d := o.dims
+	return o.coords[i*d : (i+1)*d : (i+1)*d]
+}
+
 // At returns the i-th point and its membership, in descending-membership
 // order. The returned point must not be modified.
-func (o *Object) At(i int) (geom.Point, float64) { return o.pts[i], o.mus[i] }
+func (o *Object) At(i int) (geom.Point, float64) { return o.point(i), o.mus[i] }
 
 // Levels returns the distinct membership values U_A in ascending order. The
 // last level is always 1. The returned slice must not be modified.
-func (o *Object) Levels() []float64 { return o.levels }
+func (o *Object) Levels() []float64 { return o.index().levels }
 
 // MinLevel returns the smallest membership value of any point.
-func (o *Object) MinLevel() float64 { return o.levels[0] }
+func (o *Object) MinLevel() float64 { return o.mus[len(o.mus)-1] }
 
-// cutLen returns the number of points in the α-cut.
+// cutLen returns the number of points in the α-cut: how many of the
+// non-increasing memberships are ≥ α (none for α > 1, all for α ≤ MinLevel).
 func (o *Object) cutLen(alpha float64) int {
-	if alpha <= o.levels[0] {
-		return len(o.pts)
+	lo, hi := 0, len(o.mus)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.mus[mid] >= alpha {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	// Find the first level >= alpha (levels ascending); the cut at alpha
-	// equals the cut at that level.
-	i := sort.SearchFloat64s(o.levels, alpha)
-	if i == len(o.levels) {
-		return 0 // alpha > 1: no points qualify
-	}
-	return o.levelEnd[i]
+	return lo
 }
 
-// Cut returns the α-cut A_α = {a : µ(a) ≥ α} as a shared sub-slice of the
-// object's points (descending membership). The result must not be modified.
-// For α ≤ min level this is the support; for α > 1 it is empty.
-func (o *Object) Cut(alpha float64) []geom.Point { return o.pts[:o.cutLen(alpha)] }
+// cutCoords returns the coordinates of the α-cut, a prefix of the slab.
+func (o *Object) cutCoords(alpha float64) []float64 {
+	return o.coords[:o.cutLen(alpha)*o.dims]
+}
 
 // CutSize returns |A_α| without materializing the cut.
 func (o *Object) CutSize(alpha float64) int { return o.cutLen(alpha) }
 
-// Support returns all points (µ > 0). The result must not be modified.
-func (o *Object) Support() []geom.Point { return o.pts }
+// Cut returns the α-cut A_α = {a : µ(a) ≥ α} in descending membership: the
+// support for α ≤ min level, empty for α > 1. It allocates the point slice
+// (the points themselves are views that must not be modified) and is a
+// convenience for tests and tools; evaluation code walks Coords by stride.
+func (o *Object) Cut(alpha float64) []geom.Point {
+	cut := make([]geom.Point, o.cutLen(alpha))
+	for i := range cut {
+		cut[i] = o.point(i)
+	}
+	return cut
+}
 
-// Kernel returns the points with µ = 1. The result must not be modified.
-func (o *Object) Kernel() []geom.Point { return o.pts[:o.levelEnd[len(o.levelEnd)-1]] }
+// Support returns all points (µ > 0), allocating like Cut.
+func (o *Object) Support() []geom.Point { return o.Cut(0) }
 
-// levelMBR returns the exact MBR of the cut at levels[i], viewing the slab.
+// Kernel returns the points with µ = 1, allocating like Cut.
+func (o *Object) Kernel() []geom.Point { return o.Cut(1) }
+
+// levelMBR returns the exact MBR of the cut at Levels()[i], viewing the
+// index's slab.
 func (o *Object) levelMBR(i int) geom.Rect {
 	d := o.dims
-	s := o.mbrs[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
+	s := o.index().mbrs[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
 	return geom.Rect{Lo: s[:d:d], Hi: s[d:]}
 }
 
@@ -239,16 +278,16 @@ func (o *Object) levelMBR(i int) geom.Rect {
 func (o *Object) SupportMBR() geom.Rect { return o.levelMBR(0) }
 
 // KernelMBR returns the exact MBR of the kernel, M_A(1).
-func (o *Object) KernelMBR() geom.Rect { return o.levelMBR(len(o.levels) - 1) }
+func (o *Object) KernelMBR() geom.Rect { return o.levelMBR(len(o.Levels()) - 1) }
 
 // MBR returns the exact MBR M_A(α) of the α-cut. For α > 1 it returns the
 // empty rectangle.
 func (o *Object) MBR(alpha float64) geom.Rect {
-	if alpha <= o.levels[0] {
-		return o.levelMBR(0)
-	}
-	i := sort.SearchFloat64s(o.levels, alpha)
-	if i == len(o.levels) {
+	// The cut at alpha equals the cut at the first level >= alpha (levels
+	// ascending); at or below the lowest level that is the support.
+	levels := o.Levels()
+	i := sort.SearchFloat64s(levels, alpha)
+	if i == len(levels) {
 		return geom.Rect{}
 	}
 	return o.levelMBR(i)
@@ -266,7 +305,7 @@ func (o *Object) Memberships() []float64 { return o.mus }
 // descending-membership order.
 func (o *Object) WeightedPoints() []WeightedPoint {
 	coords := slices.Clone(o.coords)
-	out := make([]WeightedPoint, len(o.pts))
+	out := make([]WeightedPoint, len(o.mus))
 	for i := range out {
 		out[i] = WeightedPoint{P: coords[i*o.dims : (i+1)*o.dims : (i+1)*o.dims], Mu: o.mus[i]}
 	}
@@ -278,7 +317,6 @@ func (o *Object) WeightedPoints() []WeightedPoint {
 // It is a copy: index summaries keep it for as long as the object is
 // indexed, and a view would keep the whole coordinate slab alive with it.
 func (o *Object) Rep() geom.Point {
-	k := o.Kernel()
 	// SplitMix64 of the id selects the kernel index.
 	x := o.id + 0x9E3779B97F4A7C15
 	x ^= x >> 30
@@ -286,17 +324,13 @@ func (o *Object) Rep() geom.Point {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return k[x%uint64(len(k))].Clone()
+	return o.point(int(x % uint64(o.cutLen(1)))).Clone()
 }
 
 // SampleCut returns up to n points pseudo-randomly sampled (without
 // replacement) from the α-cut, deterministically from seed. If the cut has
 // at most n points, the whole cut is returned.
 func (o *Object) SampleCut(alpha float64, n int, seed uint64) []geom.Point {
-	cut := o.Cut(alpha)
-	if len(cut) <= n {
-		return cut
-	}
 	out, _ := o.AppendSampleCut(nil, nil, alpha, n, seed)
 	return out
 }
@@ -304,19 +338,21 @@ func (o *Object) SampleCut(alpha float64, n int, seed uint64) []geom.Point {
 // AppendSampleCut is SampleCut appending the sampled points to dst and
 // reusing idxBuf for the Fisher-Yates index space, so repeated queries
 // sample without allocating. It returns the extended sample slice and the
-// (possibly grown) index buffer; the sampled sequence is identical to
-// SampleCut's for the same arguments.
+// (possibly grown) index buffer.
 func (o *Object) AppendSampleCut(dst []geom.Point, idxBuf []int, alpha float64, n int, seed uint64) ([]geom.Point, []int) {
-	cut := o.Cut(alpha)
-	if len(cut) <= n {
-		return append(dst, cut...), idxBuf
+	size := o.cutLen(alpha)
+	if size <= n {
+		for i := 0; i < size; i++ {
+			dst = append(dst, o.point(i))
+		}
+		return dst, idxBuf
 	}
 	// Partial Fisher-Yates over the index space, driven by SplitMix64 so
 	// results are stable across runs.
-	if cap(idxBuf) < len(cut) {
-		idxBuf = make([]int, len(cut))
+	if cap(idxBuf) < size {
+		idxBuf = make([]int, size)
 	}
-	idx := idxBuf[:len(cut)]
+	idx := idxBuf[:size]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -324,7 +360,7 @@ func (o *Object) AppendSampleCut(dst []geom.Point, idxBuf []int, alpha float64, 
 	for i := 0; i < n; i++ {
 		j := i + int(splitmix64(&state)%uint64(len(idx)-i))
 		idx[i], idx[j] = idx[j], idx[i]
-		dst = append(dst, cut[idx[i]])
+		dst = append(dst, o.point(idx[i]))
 	}
 	return dst, idxBuf
 }
@@ -345,5 +381,5 @@ func splitmix64(state *uint64) uint64 {
 // String summarizes the object.
 func (o *Object) String() string {
 	return fmt.Sprintf("fuzzy.Object{id=%d, n=%d, dims=%d, levels=%d}",
-		o.id, len(o.pts), o.dims, len(o.levels))
+		o.id, len(o.mus), o.dims, len(o.Levels()))
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"fuzzyknn/internal/geom"
@@ -123,6 +124,12 @@ func TestFromSlabs(t *testing.T) {
 		{"NaN mu", 1, []float64{0, 1}, []float64{1, math.NaN()}, ErrBadMu},
 		{"no kernel", 1, []float64{0, 1}, []float64{0.5, 0.9}, ErrEmptyKernel},
 		{"Inf coordinate", 1, []float64{0, math.Inf(1)}, []float64{1, 0.5}, ErrBadCoord},
+		// Precedence when several rules are broken at once: memberships are
+		// validated first, the kernel next, coordinates last.
+		{"bad mu before empty kernel and bad coordinate", 1, []float64{math.NaN(), 1}, []float64{0.5, 0}, ErrBadMu},
+		{"bad mu before bad coordinate", 1, []float64{math.NaN(), 1}, []float64{1, 2}, ErrBadMu},
+		{"empty kernel before bad coordinate", 1, []float64{math.NaN(), 1}, []float64{0.5, 0.9}, ErrEmptyKernel},
+		{"empty kernel before bad coordinate, sorted", 1, []float64{0, math.Inf(-1)}, []float64{0.9, 0.5}, ErrEmptyKernel},
 	} {
 		if _, err := FromSlabs(1, tc.dims, tc.coords, tc.mus); !errors.Is(err, tc.want) {
 			t.Errorf("%s: error = %v, want %v", tc.name, err, tc.want)
@@ -146,8 +153,8 @@ func sameObject(a, b *Object) bool {
 	return true
 }
 
-// TestNewAllocs pins the constructor's allocations: the object, its slabs
-// and per-level arrays — independent of the number of points and levels —
+// TestNewAllocs pins the constructor's allocations: the object header and
+// its two slabs — independent of the number of points and levels —
 // plus the permutation and the reordered slabs when the input is unsorted.
 func TestNewAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 21))
@@ -158,7 +165,7 @@ func TestNewAllocs(t *testing.T) {
 		name string
 		in   []WeightedPoint
 		max  float64
-	}{{"sorted", sorted, 7}, {"shuffled", shuffled, 10}} {
+	}{{"sorted", sorted, 3}, {"shuffled", shuffled, 6}} {
 		if got := testing.AllocsPerRun(50, func() { MustNew(1, tc.in) }); got > tc.max {
 			t.Errorf("New on %s input allocates %.0f times, want ≤ %.0f", tc.name, got, tc.max)
 		}
@@ -279,6 +286,139 @@ func TestMBRMatchesCut(t *testing.T) {
 		if !o.KernelMBR().Equal(geom.BoundingRect(o.Kernel())) {
 			t.Fatal("KernelMBR mismatch")
 		}
+	}
+}
+
+// TestLevelIndexMatchesEagerReference: the lazily built index and the
+// membership search equal a reference derived eagerly from the points —
+// over continuous, heavily tied and all-kernel memberships.
+func TestLevelIndexMatchesEagerReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 23))
+	for iter := 0; iter < 60; iter++ {
+		n, dims := 1+rng.IntN(90), 1+rng.IntN(3)
+		o := randObject(rng, uint64(iter), n, dims, []int{0, 3, 1}[iter%3]) // q=1: every µ is 1
+
+		// Reference: distinct levels ascending, the cut size at each, and
+		// the bounding box of that prefix.
+		var levels []float64
+		var ends []int
+		for i := n - 1; i >= 0; i-- {
+			if _, mu := o.At(i); len(levels) == 0 || mu != levels[len(levels)-1] {
+				levels = append(levels, mu)
+				ends = append(ends, i+1)
+			}
+		}
+		prefix := func(size int) []geom.Point {
+			pts := make([]geom.Point, size)
+			for i := range pts {
+				pts[i], _ = o.At(i)
+			}
+			return pts
+		}
+
+		if o.lazyIndex.Load() != nil {
+			t.Fatal("index built before anyone asked")
+		}
+		if got := o.Levels(); !slices.Equal(got, levels) || got[len(got)-1] != 1 {
+			t.Fatalf("Levels = %v, want %v", got, levels)
+		}
+		for i, u := range levels {
+			if got, want := o.MBR(u), geom.BoundingRect(prefix(ends[i])); !got.Equal(want) {
+				t.Fatalf("MBR at level %v = %v, want %v", u, got, want)
+			}
+		}
+		if !o.SupportMBR().Equal(o.MBR(levels[0])) || !o.KernelMBR().Equal(o.MBR(1)) {
+			t.Fatal("SupportMBR/KernelMBR are not the lowest and top level's MBRs")
+		}
+
+		// The level-based cut size: the cut at α is the cut at the first
+		// level ≥ α.
+		levelCut := func(alpha float64) int {
+			for i, u := range levels {
+				if u >= alpha {
+					return ends[i]
+				}
+			}
+			return 0
+		}
+		alphas := []float64{0, levels[0] / 2, math.Nextafter(1, 2), 1.5}
+		for i, u := range levels {
+			alphas = append(alphas, u, math.Nextafter(u, 0), math.Nextafter(u, 2))
+			if i > 0 {
+				alphas = append(alphas, (u+levels[i-1])/2)
+			}
+		}
+		for _, alpha := range alphas {
+			if got, want := o.CutSize(alpha), levelCut(alpha); got != want {
+				t.Fatalf("CutSize(%v) = %d, level-based %d (levels %v)", alpha, got, want, levels)
+			}
+		}
+	}
+}
+
+// TestLevelIndexSharedFirstTouch: goroutines that first-touch the index of
+// one shared object (two shards hitting the same cached object) all get the
+// one published index. Run under -race.
+func TestLevelIndexSharedFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 25))
+	for iter := 0; iter < 20; iter++ {
+		o := randObject(rng, uint64(iter), 64, 2, 8)
+		const workers = 8
+		type seen struct{ level, lo, hi *float64 }
+		got := make([]seen, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch w % 3 { // whichever accessor comes first builds it
+				case 0:
+					got[w] = seen{level: &o.Levels()[0]}
+				case 1:
+					got[w] = seen{lo: &o.MBR(0.5).Lo[0]}
+				default:
+					got[w] = seen{hi: &o.KernelMBR().Hi[0]}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		want := seen{level: &o.Levels()[0], lo: &o.MBR(0.5).Lo[0], hi: &o.KernelMBR().Hi[0]}
+		for w, g := range got {
+			if (g.level != nil && g.level != want.level) || (g.lo != nil && g.lo != want.lo) || (g.hi != nil && g.hi != want.hi) {
+				t.Fatalf("iter %d: worker %d saw an index that was not the published one", iter, w)
+			}
+		}
+	}
+}
+
+// TestProbeBuildsNoIndex: what a search does to an object it visits —
+// α-distances, cut sizes, the representative, cut samples — reads the two
+// slabs only; evaluating against a pinned query does not allocate either.
+func TestProbeBuildsNoIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 27))
+	q := randObject(rng, 1, 128, 2, 0)
+	src := randObject(rng, 2, 128, 2, 0)
+	o, err := FromSlabs(2, 2, slices.Clone(src.Coords()), slices.Clone(src.Memberships()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e DistEval
+	e.Reset(q, 0.5)
+	if allocs := testing.AllocsPerRun(20, func() { e.dist(o) }); allocs != 0 {
+		t.Errorf("DistEval.dist allocates %.0f times", allocs)
+	}
+	e.Dist(o)
+	AlphaDist(o, q, 0.5)
+	AlphaDistBrute(o, q, 0.5)
+	o.CutSize(0.5)
+	o.MinLevel()
+	o.Rep()
+	o.SampleCut(0.5, 8, 1)
+	if o.lazyIndex.Load() != nil {
+		t.Fatal("a probe built the level index")
 	}
 }
 

@@ -118,6 +118,19 @@ func BoundingRect(pts []Point) Rect {
 	return r
 }
 
+// BoundingRectFlat is BoundingRect over flat storage: point i is
+// coords[i*dims:(i+1)*dims]. It panics on an empty input.
+func BoundingRectFlat(coords []float64, dims int) Rect {
+	if len(coords) == 0 {
+		panic("geom: BoundingRect of empty point set")
+	}
+	r := RectFromPoint(coords[:dims])
+	for at := dims; at < len(coords); at += dims {
+		r.ExpandPoint(coords[at : at+dims])
+	}
+	return r
+}
+
 // IsEmpty reports whether r is the zero (empty) rectangle.
 func (r Rect) IsEmpty() bool { return r.Lo == nil }
 

@@ -1,5 +1,11 @@
 // Package kdtree implements a static k-d tree over d-dimensional points.
 //
+// Point sets are passed and stored flat: one coordinate slab in which point
+// i occupies coords[i*dims:(i+1)*dims]. That is how fuzzy objects hold their
+// points, so a tree is built from an α-cut without materializing a point
+// slice, and a visited node costs one load instead of a slice header and
+// then its coordinates.
+//
 // The tree is the computational workhorse behind α-distance evaluation: the
 // bichromatic closest pair (BCP) between two α-cuts is computed by building a
 // tree over one cut and running pruned nearest-neighbor queries for every
@@ -9,6 +15,7 @@
 package kdtree
 
 import (
+	"fmt"
 	"math"
 
 	"fuzzyknn/internal/geom"
@@ -16,49 +23,56 @@ import (
 
 // Tree is an immutable k-d tree. The zero value is an empty tree.
 type Tree struct {
-	pts  []geom.Point // points in tree order (median layout)
-	idx  []int        // original index of each point in the input slice
-	dims int
+	coords []float64 // points in tree order (median layout), dims apiece
+	idx    []int     // original index of each point in the input slab
+	dims   int
 }
 
-// Build constructs a tree over pts. The input slice is not modified; the
-// original index of each point is preserved and reported by queries.
-// Building an empty tree is allowed.
-func Build(pts []geom.Point) *Tree {
+// Build constructs a tree over the len(coords)/dims points of coords. The
+// input is not modified; the original index of each point is preserved and
+// reported by queries. Building an empty tree is allowed.
+func Build(coords []float64, dims int) *Tree {
 	t := &Tree{}
-	t.Rebuild(pts)
+	t.Rebuild(coords, dims)
 	return t
 }
 
-// Rebuild reconstructs the tree over pts in place, reusing the tree's
+// Rebuild reconstructs the tree over coords in place, reusing the tree's
 // internal buffers when they have capacity. It produces exactly the same
 // layout as Build over the same input and exists so hot paths can evaluate
 // many closest-pair queries without allocating a fresh tree per evaluation
-// (see fuzzy.DistEval). The input slice is not modified.
-func (t *Tree) Rebuild(pts []geom.Point) {
-	if len(pts) == 0 {
-		t.pts = t.pts[:0]
+// (see fuzzy.DistEval). The input is not modified.
+func (t *Tree) Rebuild(coords []float64, dims int) {
+	if len(coords) == 0 {
+		t.coords = t.coords[:0]
 		t.idx = t.idx[:0]
 		t.dims = 0
 		return
 	}
-	t.dims = pts[0].Dims()
-	t.pts = append(t.pts[:0], pts...)
-	if cap(t.idx) < len(pts) {
-		t.idx = make([]int, len(pts))
+	if dims < 1 || len(coords)%dims != 0 {
+		panic(fmt.Sprintf("kdtree: %d coordinates do not make points of %d dims", len(coords), dims))
 	}
-	t.idx = t.idx[:len(pts)]
+	n := len(coords) / dims
+	t.dims = dims
+	t.coords = append(t.coords[:0], coords...)
+	if cap(t.idx) < n {
+		t.idx = make([]int, n)
+	}
+	t.idx = t.idx[:n]
 	for i := range t.idx {
 		t.idx[i] = i
 	}
-	t.build(0, len(t.pts), 0)
+	t.build(0, n, 0)
 }
 
 // Len returns the number of points in the tree.
-func (t *Tree) Len() int { return len(t.pts) }
+func (t *Tree) Len() int { return len(t.idx) }
 
-// build recursively arranges pts[lo:hi] so the median along axis sits at the
-// midpoint, with smaller coordinates on the left.
+// at returns the axis coordinate of the point at tree position i.
+func (t *Tree) at(i, axis int) float64 { return t.coords[i*t.dims+axis] }
+
+// build recursively arranges points [lo, hi) so the median along axis sits
+// at the midpoint, with smaller coordinates on the left.
 func (t *Tree) build(lo, hi, axis int) {
 	if hi-lo <= 1 {
 		return
@@ -70,14 +84,13 @@ func (t *Tree) build(lo, hi, axis int) {
 	t.build(mid+1, hi, next)
 }
 
-// selectMedian partially sorts pts[lo:hi] so the element at position mid is
-// the one that would be there in full sorted order along axis (quickselect
-// with a sort fallback for small ranges).
+// selectMedian partially sorts points [lo, hi) so the element at position
+// mid is the one that would be there in full sorted order along axis
+// (quickselect with a sort fallback for small ranges).
 func (t *Tree) selectMedian(lo, hi, mid, axis int) {
 	for hi-lo > 16 {
 		// Median-of-three pivot.
-		a, b, c := lo, (lo+hi)/2, hi-1
-		pa, pb, pc := t.pts[a][axis], t.pts[b][axis], t.pts[c][axis]
+		pa, pb, pc := t.at(lo, axis), t.at((lo+hi)/2, axis), t.at(hi-1, axis)
 		var pivot float64
 		switch {
 		case (pa <= pb && pb <= pc) || (pc <= pb && pb <= pa):
@@ -89,10 +102,10 @@ func (t *Tree) selectMedian(lo, hi, mid, axis int) {
 		}
 		i, j := lo, hi-1
 		for i <= j {
-			for t.pts[i][axis] < pivot {
+			for t.at(i, axis) < pivot {
 				i++
 			}
-			for t.pts[j][axis] > pivot {
+			for t.at(j, axis) > pivot {
 				j--
 			}
 			if i <= j {
@@ -114,18 +127,43 @@ func (t *Tree) selectMedian(lo, hi, mid, axis int) {
 	// its sort.Interface argument and allocate on every (re)build, which the
 	// zero-allocation hot path cannot afford.
 	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && t.pts[j][axis] < t.pts[j-1][axis]; j-- {
+		for j := i; j > lo && t.at(j, axis) < t.at(j-1, axis); j-- {
 			t.swap(j, j-1)
 		}
 	}
 }
 
 func (t *Tree) swap(i, j int) {
-	t.pts[i], t.pts[j] = t.pts[j], t.pts[i]
+	d := t.dims
+	a, b := t.coords[i*d:(i+1)*d], t.coords[j*d:(j+1)*d]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 	t.idx[i], t.idx[j] = t.idx[j], t.idx[i]
 }
 
-// Nearest returns the index (into the Build input slice) and distance of the
+// distSq is geom.DistSq(q, p) for a p already known to be as long as q — the
+// same differences, each square rounded before it is added, summed in the
+// same order — so distances through the tree are bit-identical to a
+// brute-force scan's. It exists because DistSq's length check keeps it out
+// of line, which costs the descent about 15%.
+func distSq(q geom.Point, p []float64) float64 {
+	var s float64
+	for k, c := range p {
+		d := q[k] - c
+		s += float64(d * d)
+	}
+	return s
+}
+
+// checkDims panics when q cannot be compared with the tree's points.
+func (t *Tree) checkDims(q geom.Point) {
+	if len(q) != t.dims {
+		panic(fmt.Sprintf("kdtree: dimension mismatch %d vs %d", len(q), t.dims))
+	}
+}
+
+// Nearest returns the index (into the Build input) and distance of the
 // point nearest to q. It returns (-1, +Inf) on an empty tree.
 func (t *Tree) Nearest(q geom.Point) (int, float64) {
 	return t.NearestWithin(q, math.Inf(1))
@@ -137,15 +175,16 @@ func (t *Tree) Nearest(q geom.Point) (int, float64) {
 // closest-pair computation: the running best pair distance is passed as the
 // bound for each successive query.
 func (t *Tree) NearestWithin(q geom.Point, bound float64) (int, float64) {
-	if len(t.pts) == 0 {
+	if len(t.idx) == 0 {
 		return -1, math.Inf(1)
 	}
+	t.checkDims(q)
 	bestIdx := -1
 	bestSq := bound * bound
 	if math.IsInf(bound, 1) {
 		bestSq = math.Inf(1)
 	}
-	t.search(q, 0, len(t.pts), 0, &bestIdx, &bestSq)
+	t.search(q, 0, len(t.idx), 0, &bestIdx, &bestSq)
 	if bestIdx < 0 {
 		return -1, math.Inf(1)
 	}
@@ -157,13 +196,16 @@ func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *floa
 		return
 	}
 	mid := (lo + hi) / 2
-	p := t.pts[mid]
-	if d := geom.DistSq(q, p); d < *bestSq {
+	p := t.coords[mid*len(q):][:len(q)]
+	if d := distSq(q, p); d < *bestSq {
 		*bestSq = d
 		*bestIdx = t.idx[mid]
 	}
 	diff := q[axis] - p[axis]
-	next := (axis + 1) % t.dims
+	next := axis + 1
+	if next == len(q) {
+		next = 0
+	}
 	// Descend into the near side first, then the far side only if the
 	// splitting plane is closer than the best distance found so far.
 	if diff < 0 {
@@ -193,12 +235,13 @@ func BeyondBound(q geom.Point, box geom.Rect, bound float64) bool {
 
 // ForEachWithin invokes fn(idx, dist) for every point whose distance to q
 // is at most radius, in tree order, stopping early if fn returns false.
-// idx is the point's index in the Build input slice.
+// idx is the point's index in the Build input.
 func (t *Tree) ForEachWithin(q geom.Point, radius float64, fn func(int, float64) bool) {
-	if len(t.pts) == 0 || radius < 0 {
+	if len(t.idx) == 0 || radius < 0 {
 		return
 	}
-	t.within(q, 0, len(t.pts), 0, radius*radius, fn)
+	t.checkDims(q)
+	t.within(q, 0, len(t.idx), 0, radius*radius, fn)
 }
 
 func (t *Tree) within(q geom.Point, lo, hi, axis int, radiusSq float64, fn func(int, float64) bool) bool {
@@ -206,8 +249,8 @@ func (t *Tree) within(q geom.Point, lo, hi, axis int, radiusSq float64, fn func(
 		return true
 	}
 	mid := (lo + hi) / 2
-	p := t.pts[mid]
-	if d := geom.DistSq(q, p); d <= radiusSq {
+	p := t.coords[mid*len(q):][:len(q)]
+	if d := distSq(q, p); d <= radiusSq {
 		if !fn(t.idx[mid], math.Sqrt(d)) {
 			return false
 		}
@@ -244,12 +287,12 @@ func (t *Tree) CountWithin(q geom.Point, radius float64, limit int) int {
 	return count
 }
 
-// ClosestPair computes the bichromatic closest pair between sets a and b:
-// indices (i, j) into a and b and their Euclidean distance. It builds the
-// tree over the smaller set and queries with the larger. Returns
-// (-1, -1, +Inf) if either set is empty.
-func ClosestPair(a, b []geom.Point) (int, int, float64) {
-	return ClosestPairWithin(a, b, math.Inf(-1))
+// ClosestPair computes the bichromatic closest pair between the point sets
+// a and b (flat, dims coordinates apiece): indices (i, j) into a and b and
+// their Euclidean distance. It builds the tree over the smaller set and
+// queries with the larger. Returns (-1, -1, +Inf) if either set is empty.
+func ClosestPair(a, b []float64, dims int) (int, int, float64) {
+	return ClosestPairWithin(a, b, dims, math.Inf(-1))
 }
 
 // ClosestPairWithin is ClosestPair with an early-exit cutoff: as soon as the
@@ -257,7 +300,7 @@ func ClosestPair(a, b []geom.Point) (int, int, float64) {
 // best pair is returned. Pass -Inf for an exact answer. The returned distance
 // is exact for the returned pair either way; when it exceeds cutoff the pair
 // is the true closest pair.
-func ClosestPairWithin(a, b []geom.Point, cutoff float64) (int, int, float64) {
+func ClosestPairWithin(a, b []float64, dims int, cutoff float64) (int, int, float64) {
 	if len(a) == 0 || len(b) == 0 {
 		return -1, -1, math.Inf(1)
 	}
@@ -266,11 +309,12 @@ func ClosestPairWithin(a, b []geom.Point, cutoff float64) (int, int, float64) {
 		a, b = b, a
 		swapped = true
 	}
-	tree := Build(a)
-	box := geom.BoundingRect(a)
+	tree := Build(a, dims)
+	box := geom.BoundingRectFlat(a, dims)
 	bestI, bestJ := -1, -1
 	best := math.Inf(1)
-	for j, q := range b {
+	for j := 0; j*dims < len(b); j++ {
+		q := geom.Point(b[j*dims : (j+1)*dims])
 		if BeyondBound(q, box, best) {
 			continue
 		}
@@ -287,7 +331,7 @@ func ClosestPairWithin(a, b []geom.Point, cutoff float64) (int, int, float64) {
 		// All queries were pruned by the initial bound; fall back to the
 		// overall nearest of the first query point so callers always get a
 		// valid pair for non-empty inputs.
-		i, d := tree.Nearest(b[0])
+		i, d := tree.Nearest(b[:dims])
 		bestI, bestJ, best = i, 0, d
 	}
 	if swapped {

@@ -3,6 +3,7 @@ package kdtree
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/geom"
@@ -18,6 +19,15 @@ func randPoints(rng *rand.Rand, n, d int) []geom.Point {
 		pts[i] = p
 	}
 	return pts
+}
+
+// flat lays pts out the way the tree takes them: one coordinate slab.
+func flat(pts []geom.Point) []float64 {
+	var out []float64
+	for _, p := range pts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // bruteNearest is the reference nearest-neighbor implementation.
@@ -46,7 +56,7 @@ func bruteClosestPair(a, b []geom.Point) (int, int, float64) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tree := Build(nil)
+	tree := Build(nil, 2)
 	if tree.Len() != 0 {
 		t.Fatalf("empty tree Len = %d", tree.Len())
 	}
@@ -57,7 +67,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestSinglePoint(t *testing.T) {
-	tree := Build([]geom.Point{{3, 4}})
+	tree := Build([]float64{3, 4}, 2)
 	i, d := tree.Nearest(geom.Point{0, 0})
 	if i != 0 || math.Abs(d-5) > 1e-12 {
 		t.Errorf("Nearest = (%d, %v), want (0, 5)", i, d)
@@ -69,7 +79,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 100, 500} {
 		for _, d := range []int{1, 2, 3} {
 			pts := randPoints(rng, n, d)
-			tree := Build(pts)
+			tree := Build(flat(pts), len(pts[0]))
 			if tree.Len() != n {
 				t.Fatalf("Len = %d, want %d", tree.Len(), n)
 			}
@@ -87,7 +97,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 
 func TestNearestWithinBound(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {10, 0}, {20, 0}}
-	tree := Build(pts)
+	tree := Build(flat(pts), len(pts[0]))
 	// Bound excludes everything.
 	i, d := tree.NearestWithin(geom.Point{5, 5}, 1.0)
 	if i != -1 || !math.IsInf(d, 1) {
@@ -107,7 +117,7 @@ func TestNearestWithinBound(t *testing.T) {
 
 func TestDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
-	tree := Build(pts)
+	tree := Build(flat(pts), len(pts[0]))
 	i, d := tree.Nearest(geom.Point{1, 1})
 	if d != 0 {
 		t.Errorf("Nearest to duplicate cluster = %v, want 0", d)
@@ -124,7 +134,7 @@ func TestClosestPairMatchesBruteForce(t *testing.T) {
 		na, nb := 1+rng.IntN(60), 1+rng.IntN(60)
 		a := randPoints(rng, na, d)
 		b := randPoints(rng, nb, d)
-		gi, gj, gd := ClosestPair(a, b)
+		gi, gj, gd := ClosestPair(flat(a), flat(b), len(a[0]))
 		_, _, wd := bruteClosestPair(a, b)
 		if math.Abs(gd-wd) > 1e-9 {
 			t.Fatalf("ClosestPair dist = %v, want %v", gd, wd)
@@ -136,7 +146,7 @@ func TestClosestPairMatchesBruteForce(t *testing.T) {
 }
 
 func TestClosestPairEmpty(t *testing.T) {
-	i, j, d := ClosestPair(nil, []geom.Point{{1, 1}})
+	i, j, d := ClosestPair(nil, []float64{1, 1}, 2)
 	if i != -1 || j != -1 || !math.IsInf(d, 1) {
 		t.Errorf("ClosestPair with empty set = (%d, %d, %v)", i, j, d)
 	}
@@ -146,12 +156,12 @@ func TestClosestPairWithinCutoff(t *testing.T) {
 	a := []geom.Point{{0, 0}}
 	b := []geom.Point{{0, 3}, {0, 2}, {0, 1}}
 	// With a large cutoff the scan stops at the first pair below it.
-	i, j, d := ClosestPairWithin(a, b, 10)
+	i, j, d := ClosestPairWithin(flat(a), flat(b), 2, 10)
 	if i != 0 || j != 0 || math.Abs(d-3) > 1e-12 {
 		t.Errorf("cutoff early-exit = (%d, %d, %v), want (0, 0, 3)", i, j, d)
 	}
 	// With -Inf cutoff the exact pair is found.
-	_, j, d = ClosestPairWithin(a, b, math.Inf(-1))
+	_, j, d = ClosestPairWithin(flat(a), flat(b), 2, math.Inf(-1))
 	if j != 2 || math.Abs(d-1) > 1e-12 {
 		t.Errorf("exact = (j=%d, %v), want (2, 1)", j, d)
 	}
@@ -162,7 +172,7 @@ func TestClosestPairAsymmetricSizes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	a := randPoints(rng, 100, 2)
 	b := randPoints(rng, 3, 2)
-	gi, gj, gd := ClosestPair(a, b)
+	gi, gj, gd := ClosestPair(flat(a), flat(b), len(a[0]))
 	_, _, wd := bruteClosestPair(a, b)
 	if math.Abs(gd-wd) > 1e-9 {
 		t.Fatalf("dist = %v, want %v", gd, wd)
@@ -174,21 +184,18 @@ func TestClosestPairAsymmetricSizes(t *testing.T) {
 
 func TestBuildDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
-	pts := randPoints(rng, 50, 2)
-	orig := make([]geom.Point, len(pts))
-	copy(orig, pts)
-	Build(pts)
-	for i := range pts {
-		if &pts[i][0] != &orig[i][0] {
-			t.Fatalf("input slice reordered at %d", i)
-		}
+	coords := flat(randPoints(rng, 50, 2))
+	orig := slices.Clone(coords)
+	Build(coords, 2)
+	if !slices.Equal(coords, orig) {
+		t.Fatal("input slab reordered")
 	}
 }
 
 func BenchmarkNearest1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	pts := randPoints(rng, 1000, 2)
-	tree := Build(pts)
+	tree := Build(flat(pts), len(pts[0]))
 	queries := randPoints(rng, 256, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -198,10 +205,10 @@ func BenchmarkNearest1000(b *testing.B) {
 
 func BenchmarkClosestPair1000x1000(b *testing.B) {
 	rng := rand.New(rand.NewPCG(2, 2))
-	pa := randPoints(rng, 1000, 2)
-	pb := randPoints(rng, 1000, 2)
+	pa := flat(randPoints(rng, 1000, 2))
+	pb := flat(randPoints(rng, 1000, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ClosestPair(pa, pb)
+		ClosestPair(pa, pb, 2)
 	}
 }

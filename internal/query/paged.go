@@ -163,26 +163,39 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 	if int(count)*rec > len(payload) {
 		return nil, fmt.Errorf("%w: page %d holds %d records of %d bytes beyond its payload", pager.ErrCorrupt, page, count, rec)
 	}
+	// Everything a page's entries point at is carved from one slab per
+	// type, so decoding allocates per page, not per entry; the slabs live
+	// and die with the node frame.
+	perEntry := 2 * d // interior: the entry MBR
+	var lines []hull.Line
+	var approxes []fuzzy.BoundaryApprox
+	var items []leafItem
+	if leaf {
+		perEntry = 5 * d // support and kernel MBRs, representative point
+		lines = make([]hull.Line, int(count)*2*d)
+		approxes = make([]fuzzy.BoundaryApprox, count)
+		items = make([]leafItem, count)
+	}
+	floats := make([]float64, int(count)*perEntry)
 	pos := 0
 	readFloat := func() float64 {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
 		pos += 8
 		return v
 	}
-	readRect := func() geom.Rect {
-		lo := make(geom.Point, d)
-		hi := make(geom.Point, d)
-		for i := 0; i < d; i++ {
-			lo[i] = readFloat()
+	readPoint := func() geom.Point {
+		p := floats[:d:d]
+		floats = floats[d:]
+		for i := range p {
+			p[i] = readFloat()
 		}
-		for i := 0; i < d; i++ {
-			hi[i] = readFloat()
-		}
-		return geom.Rect{Lo: lo, Hi: hi}
+		return p
 	}
+	readRect := func() geom.Rect { return geom.Rect{Lo: readPoint(), Hi: readPoint()} }
 	readLines := func() []hull.Line {
-		ls := make([]hull.Line, d)
-		for i := 0; i < d; i++ {
+		ls := lines[:d:d]
+		lines = lines[d:]
+		for i := range ls {
 			ls[i].M = readFloat()
 			ls[i].T = readFloat()
 		}
@@ -193,20 +206,14 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 		if leaf {
 			id := binary.LittleEndian.Uint64(payload[pos:])
 			pos += 8
-			approx := &fuzzy.BoundaryApprox{
+			approxes[i] = fuzzy.BoundaryApprox{
 				Support: readRect(),
 				Kernel:  readRect(),
 				HiLine:  readLines(),
 				LoLine:  readLines(),
 			}
-			rep := make(geom.Point, d)
-			for j := 0; j < d; j++ {
-				rep[j] = readFloat()
-			}
-			entries[i] = rtree.Entry{
-				Rect: approx.Support,
-				Data: &leafItem{id: id, approx: approx, rep: rep},
-			}
+			items[i] = leafItem{id: id, approx: &approxes[i], rep: readPoint()}
+			entries[i] = rtree.Entry{Rect: approxes[i].Support, Data: &items[i]}
 		} else {
 			r := readRect()
 			child := binary.LittleEndian.Uint32(payload[pos:])

@@ -516,3 +516,75 @@ func BenchmarkPagedAKNN(b *testing.B) {
 		})
 	}
 }
+
+// leafPageOf saves ix to a page file and returns its fullest leaf page, raw,
+// with the arguments decodePage needs beside it.
+func leafPageOf(t testing.TB, ix *Index) (m pager.Manifest, page uint32, flags, count uint16, payload []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "leaf.fzp")
+	if err := ix.SavePaged(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pager.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m = f.Manifest()
+	for pg := uint32(0); pg < m.PageCount; pg++ {
+		fl, n, pl, err := f.ReadPage(pg, make([]byte, m.PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fl&pager.LeafPage != 0 && n > count {
+			page, flags, count, payload = pg, fl, n, pl
+		}
+	}
+	return m, page, flags, count, payload
+}
+
+// TestDecodePageAllocs pins page decoding at a handful of allocations per
+// page — the four slabs, the entries, the node and its packed rectangles —
+// however many entries the page holds.
+func TestDecodePageAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(79, 80))
+	ms, err := store.NewMemStore(makeObjects(rng, 400, 8, 12, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(ms, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, page, flags, count, payload := leafPageOf(t, ix)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := decodePage(nil, int(m.Dims), m.PageCount, page, flags, count, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("decoding a leaf page of %d entries allocates %.0f times, want ≤ 8", count, allocs)
+	}
+}
+
+// BenchmarkDecodePage is what a block-cache miss costs after the read: one
+// leaf page of a default-fan-out tree decoded into a node frame.
+func BenchmarkDecodePage(b *testing.B) {
+	rng := rand.New(rand.NewPCG(79, 80))
+	ms, err := store.NewMemStore(makeObjects(rng, 2000, 8, 12, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(ms, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, page, flags, count, payload := leafPageOf(b, ix)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodePage(nil, int(m.Dims), m.PageCount, page, flags, count, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

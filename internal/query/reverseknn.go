@@ -81,12 +81,12 @@ func (ix *Index) reverseCandidates(sc *scratch, s *snapshot, q *fuzzy.Object, k 
 	if len(items) == 0 {
 		return nil, nil
 	}
-	reps := sc.points[:0]
+	reps := sc.repCoords[:0]
 	for _, it := range items {
-		reps = append(reps, it.rep)
+		reps = append(reps, it.rep...)
 	}
-	sc.points = reps
-	sc.repTree.Rebuild(reps)
+	sc.repCoords = reps
+	sc.repTree.Rebuild(reps, s.dims)
 	sc.dist.Reset(q, alpha)
 
 	var cands []revCandidate
@@ -98,7 +98,7 @@ func (ix *Index) reverseCandidates(sc *scratch, s *snapshot, q *fuzzy.Object, k 
 		// A's own representative (distance 0) separately.
 		if lb > 0 {
 			closer := 0
-			sc.repTree.ForEachWithin(reps[i], lb, func(j int, d float64) bool {
+			sc.repTree.ForEachWithin(it.rep, lb, func(j int, d float64) bool {
 				if j != i && d < lb {
 					closer++
 				}

@@ -80,9 +80,9 @@ type scratch struct {
 	idDists      []idDist
 
 	// Reverse kNN.
-	items   []*leafItem
-	points  []geom.Point
-	repTree kdtree.Tree
+	items     []*leafItem
+	repCoords []float64 // the representatives, flat, as repTree takes them
+	repTree   kdtree.Tree
 }
 
 // idDist is a (object id, distance) work pair for top-k selections.

@@ -304,6 +304,9 @@ func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]R
 	if err := validateArgs(sx.Dims(), q, 1, alpha); err != nil {
 		return nil, st, err
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.dist.Reset(q, alpha)
 	out := make([]Result, len(rs))
 	copy(out, rs)
 	for i := range out {
@@ -316,7 +319,7 @@ func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]R
 			return nil, st, err
 		}
 		st.DistanceEvals++
-		d := fuzzy.AlphaDist(obj, q, alpha)
+		d := sc.dist.Dist(obj)
 		out[i] = Result{ID: out[i].ID, Dist: d, Exact: true, Lower: d, Upper: d}
 	}
 	sortResults(out)
