@@ -32,7 +32,6 @@ func main() {
 		sigma    = flag.Float64("sigma", 0.5, "membership Gaussian sigma (synthetic)")
 		quantize = flag.Int("quantize", 0, "membership quantization levels (0 = continuous)")
 		seed     = flag.Uint64("seed", 1, "generation seed")
-		summary  = flag.String("summary", "", "also write an index summary file here (speeds up later opens)")
 		pageFile = flag.String("pagefile", "", "also write a paged R-tree file here (serve with fuzzyserve -pagefile)")
 	)
 	flag.Parse()
@@ -77,7 +76,7 @@ func main() {
 	fmt.Printf("done: %d objects, %.1f MiB, total %v\n",
 		p.N, float64(info.Size())/(1<<20), time.Since(started).Round(time.Millisecond))
 
-	if *summary != "" || *pageFile != "" {
+	if *pageFile != "" {
 		ds, err := store.Open(*out)
 		if err != nil {
 			fatal(err)
@@ -87,18 +86,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *summary != "" {
-			if err := ix.SaveSummaries(*summary); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("index summaries written to %s\n", *summary)
+		if err := ix.SavePaged(*pageFile); err != nil {
+			fatal(err)
 		}
-		if *pageFile != "" {
-			if err := ix.SavePaged(*pageFile); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("paged R-tree written to %s\n", *pageFile)
-		}
+		fmt.Printf("paged R-tree written to %s\n", *pageFile)
 	}
 }
 

@@ -34,11 +34,18 @@ func main() {
 		space      = flag.Float64("space", 100, "data space edge for generated queries")
 		points     = flag.Int("points", 1000, "points in a generated query object")
 		cacheSize  = flag.Int("cache", 0, "LRU object cache size (0 = none)")
-		summary    = flag.String("summary", "", "index summary file (skips the store scan on open)")
+		pageFile   = flag.String("pagefile", "", "paged R-tree file written by fuzzygen -pagefile (skips the store scan on open)")
 	)
 	flag.Parse()
 
-	idx, err := fuzzyknn.OpenIndex(*storePath, &fuzzyknn.Config{CacheSize: *cacheSize, SummaryFile: *summary})
+	cfg := &fuzzyknn.Config{CacheSize: *cacheSize}
+	var idx *fuzzyknn.Index
+	var err error
+	if *pageFile != "" {
+		idx, err = fuzzyknn.OpenPagedIndex(*storePath, *pageFile, 0, cfg)
+	} else {
+		idx, err = fuzzyknn.OpenIndex(*storePath, cfg)
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -142,7 +142,6 @@ func main() {
 		dims        = flag.Int("dims", 0, "dimensionality when creating a new -log store")
 		fsync       = flag.String("fsync", "batch", "log durability policy: always | batch | off (see command docs)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint+compact the log after every N write groups (0 = only on POST /checkpoint)")
-		summary     = flag.String("summary", "", "index summary file (skips the store scan on open)")
 		pageFile    = flag.String("pagefile", "", "paged R-tree file (written by fuzzygen -pagefile or Index.SavePaged); serves -store without loading the tree into RAM")
 		cacheMB     = flag.Int("cache-mb", 64, "block cache budget in MiB for -pagefile indexes")
 		cacheSize   = flag.Int("cache", 0, "LRU object cache size (0 = none)")
@@ -179,7 +178,7 @@ func main() {
 	if *replRetainMB < 1 {
 		log.Fatal("-replication-retain-mb must be >= 1")
 	}
-	idx, err := openIndex(*storePath, *logPath, *summary, *pageFile, *fsync, *follow, *cacheSize, *cacheMB, *shards, *dims, *demo, *demoSeed)
+	idx, err := openIndex(*storePath, *logPath, *pageFile, *fsync, *follow, *cacheSize, *cacheMB, *shards, *dims, *demo, *demoSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func main() {
 // synthetic one in -demo mode, or an empty mutable one in -follow mode
 // (the follower loop fills it from the leader). Log-backed, demo and
 // follower indexes are mutable.
-func openIndex(storePath, logPath, summary, pageFile, fsync, follow string, cacheSize, cacheMB, shards, dims, demo int, demoSeed uint64) (*fuzzyknn.Index, error) {
+func openIndex(storePath, logPath, pageFile, fsync, follow string, cacheSize, cacheMB, shards, dims, demo int, demoSeed uint64) (*fuzzyknn.Index, error) {
 	modes := 0
 	for _, set := range []bool{storePath != "", logPath != "", demo > 0, follow != ""} {
 		if set {
@@ -286,14 +285,8 @@ func openIndex(storePath, logPath, summary, pageFile, fsync, follow string, cach
 		return nil, errors.New("give exactly one of -store, -log, -demo or -follow")
 	case shards < 1:
 		return nil, errors.New("-shards must be >= 1")
-	case summary != "" && storePath == "":
-		return nil, errors.New("-summary only applies to -store indexes")
-	case summary != "" && shards > 1:
-		return nil, errors.New("-summary requires -shards 1")
 	case pageFile != "" && storePath == "":
 		return nil, errors.New("-pagefile only applies to -store indexes")
-	case pageFile != "" && summary != "":
-		return nil, errors.New("give at most one of -pagefile and -summary")
 	case dims != 0 && logPath == "":
 		return nil, errors.New("-dims only applies to -log indexes")
 	case fsync != "batch" && logPath == "":
@@ -301,7 +294,6 @@ func openIndex(storePath, logPath, summary, pageFile, fsync, follow string, cach
 	case pageFile != "":
 		return fuzzyknn.OpenPagedIndex(storePath, pageFile, cacheMB, cfg)
 	case storePath != "":
-		cfg.SummaryFile = summary
 		return fuzzyknn.OpenIndex(storePath, cfg)
 	case logPath != "":
 		return fuzzyknn.OpenLogIndex(logPath, dims, cfg)

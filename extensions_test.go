@@ -139,55 +139,6 @@ func TestPublicSelfJoin(t *testing.T) {
 	}
 }
 
-func TestPublicSummaryFileFastOpen(t *testing.T) {
-	objs, q := smallDataset(t, 40, 41)
-	dir := t.TempDir()
-	storePath := dir + "/objects.fzs"
-	sumPath := dir + "/objects.fzx"
-	if err := SaveObjects(storePath, 2, objs); err != nil {
-		t.Fatal(err)
-	}
-	full, err := OpenIndex(storePath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.SaveSummaries(sumPath); err != nil {
-		t.Fatal(err)
-	}
-	fast, err := OpenIndex(storePath, &Config{SummaryFile: sumPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fast.Close()
-	a, _, err := full.AKNN(q, 6, 0.5, LBLPUB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := fast.AKNN(q, 6, 0.5, LBLPUB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("summary-opened index differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	full.Close()
-
-	// A stale summary (different store) must be rejected.
-	other, _ := smallDataset(t, 30, 42)
-	otherPath := dir + "/other.fzs"
-	if err := SaveObjects(otherPath, 2, other); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenIndex(otherPath, &Config{SummaryFile: sumPath}); err == nil {
-		t.Fatal("stale summary accepted")
-	}
-}
-
 func TestPublicReverseKNN(t *testing.T) {
 	objs, q := smallDataset(t, 40, 31)
 	idx, err := NewIndex(objs, nil)

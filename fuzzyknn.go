@@ -244,15 +244,10 @@ type Config struct {
 	// Incremental builds the R-tree by repeated insertion instead of STR
 	// bulk loading.
 	Incremental bool
-	// SummaryFile, when set on OpenIndex, rebuilds the index from a
-	// persisted summary file (written by SaveSummaries) instead of scanning
-	// and decoding every stored object. The file must describe exactly the
-	// store's objects.
-	SummaryFile string
 	// StaircaseSteps, when at least 2, replaces the paper's linear boundary
 	// approximation with a conservative staircase over that many membership
 	// levels (the future-work variant of §3.2): tighter bounds, more memory
-	// per object. Indexes built this way cannot persist summaries.
+	// per object. Indexes built this way have no paged form (SavePaged).
 	StaircaseSteps int
 	// Shards, when at least 2, hash-partitions the objects across that many
 	// independent R-trees behind a coordinator that fans every query out in
@@ -261,8 +256,7 @@ type Config struct {
 	// Mutations route to the owning shard by id hash. With OpenLogIndex
 	// each shard appends to its own log file ("<path>.shard<i>-of-<n>"), so
 	// an index must be reopened with the same shard count it was created
-	// with. Shards > 1 cannot be combined with SummaryFile. 0 or 1 selects
-	// the single-tree layout.
+	// with. 0 or 1 selects the single-tree layout.
 	Shards int
 	// Fsync selects the durability policy of a log-backed index
 	// (OpenLogIndex only): when the log fsyncs acknowledged mutations. The
@@ -285,60 +279,105 @@ func (c *Config) orDefault() Config {
 // flight, with snapshot isolation — every query runs against the exact
 // object population that was live when it started. In-memory indexes
 // (NewIndex) and log-backed indexes (OpenLogIndex) accept mutations;
-// indexes over immutable store files (OpenIndex) are read-only.
+// indexes over immutable store files (OpenIndex, OpenPagedIndex) are
+// read-only.
 //
 // With Config.Shards > 1 the objects are hash-partitioned across that many
 // independent R-trees and every query fans out in parallel behind the same
 // API; see Config.Shards.
 type Index struct {
-	inner     query.Searcher
-	single    *query.Index      // non-nil iff unsharded (summary persistence)
-	countings []*store.Counting // per-shard access counters, in shard order
-	closers   []io.Closer       // underlying files (OpenIndex/OpenLogIndex)
-	lrus      []*store.LRU      // object caches (Config.CacheSize), for stats
+	// inner is the one tree itself or the coordinator over the shards'
+	// trees; EnableReplication wraps it in the recording searcher.
+	inner       query.Searcher
+	shards      []shard      // in shard order; one entry for a single tree
+	lrus        []*store.LRU // object caches, one per distinct backing reader
+	closers     []io.Closer  // backing files and page files
+	replicating bool         // EnableReplication ran
 }
 
-// NewIndex builds an in-memory index over the given objects: one MemStore
-// and tree, or — with cfg.Shards > 1 — one MemStore and tree per shard.
-func NewIndex(objs []*Object, cfg *Config) (*Index, error) {
-	c := cfg.orDefault()
-	n := shardCount(c)
+// shard is one tree and the two ends of the reader stack beneath it.
+type shard struct {
+	index    *query.Index
+	counting *store.Counting // what the tree reads: counts accesses, above any LRU
+	base     store.Reader    // the backing store, beneath counter and LRU
+}
+
+// shardSpec describes one shard's backing to assemble.
+type shardSpec struct {
+	reader   store.Reader      // backing store; shards may share one
+	keep     func(uint64) bool // the ids of a shared reader to index (nil = all)
+	pagePath string            // when set, serve the tree from this page file instead of building it
+	expect   int               // the population the page file must record
+}
+
+// assemble is the one way an Index is put together; every constructor only
+// describes its shards' backing and hands over the files it opened (which
+// assemble closes on failure). Per shard the reader stack is backing reader
+// → LRU → access counter, with one LRU per distinct backing reader: shards
+// sharing a store file share one cache of the whole Config.CacheSize,
+// shards with private stores split it evenly. The tree is built over the
+// counter (restricted to the ids keep admits) or opened from a page file
+// behind a block cache of pageCacheBytes split across shards.
+func assemble(specs []shardSpec, files []io.Closer, c Config, pageCacheBytes int64) (*Index, error) {
+	n := len(specs)
+	ix := &Index{shards: make([]shard, n), closers: files}
+	opts := query.Options{
+		MinEntries:  c.NodeMin,
+		MaxEntries:  c.NodeMax,
+		SampleSize:  c.SampleSize,
+		SampleSeed:  c.SampleSeed,
+		Incremental: c.Incremental,
+	}
+	if steps := c.StaircaseSteps; steps >= 2 {
+		opts.Estimator = func(o *fuzzy.Object) fuzzy.MBREstimator {
+			return fuzzy.NewStaircaseApprox(o, steps)
+		}
+	}
+	caches := make(map[store.Reader]*store.LRU, n) // one entry per distinct backing reader
+	for _, sp := range specs {
+		caches[sp.reader] = nil
+	}
+	trees := make([]*query.Index, n)
+	for i, sp := range specs {
+		top := sp.reader
+		if c.CacheSize > 0 {
+			if caches[sp.reader] == nil {
+				caches[sp.reader] = store.NewLRU(sp.reader, (c.CacheSize+len(caches)-1)/len(caches))
+				ix.lrus = append(ix.lrus, caches[sp.reader])
+			}
+			top = caches[sp.reader]
+		}
+		counting := store.NewCounting(top)
+		var err error
+		if sp.pagePath != "" {
+			var p *query.PagedIndex
+			if p, err = query.OpenPagedIndex(counting, sp.pagePath, pageCacheBytes/int64(n), sp.expect, opts); err == nil {
+				ix.closers = append(ix.closers, p)
+				trees[i] = p.Index
+			}
+		} else {
+			trees[i], err = query.BuildFiltered(counting, opts, sp.keep)
+		}
+		if err != nil {
+			ix.Close()
+			return nil, shardErr(i, n, err)
+		}
+		counting.Reset() // exclude index construction from query accounting
+		ix.shards[i] = shard{index: trees[i], counting: counting, base: sp.reader}
+	}
 	if n == 1 {
-		ms, err := store.NewMemStore(objs)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzyknn: %w", err)
-		}
-		return buildIndex(ms, nil, c)
+		// The bare tree, not a coordinator of one: lazy-probe AKNN answers
+		// stay unrefined exactly as the paper's single tree returns them.
+		ix.inner = trees[0]
+		return ix, nil
 	}
-	if err := checkShardedConfig(c); err != nil {
-		return nil, err
+	sx, err := query.NewSharded(trees)
+	if err != nil {
+		ix.Close()
+		return nil, fmt.Errorf("fuzzyknn: %w", err)
 	}
-	parts := make([][]*Object, n)
-	for _, o := range objs {
-		if o == nil {
-			return nil, fmt.Errorf("fuzzyknn: %w: nil object", ErrInvalidQuery)
-		}
-		s := query.ShardOf(o.ID(), n)
-		parts[s] = append(parts[s], o)
-	}
-	shards := make([]*query.Index, n)
-	countings := make([]*store.Counting, n)
-	var lrus []*store.LRU
-	for i := range shards {
-		ms, err := store.NewMemStore(parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("fuzzyknn: %w", err)
-		}
-		var lru *store.LRU
-		shards[i], countings[i], lru, err = buildShard(ms, perShardCache(c.CacheSize, n), c, nil)
-		if err != nil {
-			return nil, err
-		}
-		if lru != nil {
-			lrus = append(lrus, lru)
-		}
-	}
-	return assembleSharded(shards, countings, lrus, nil)
+	ix.inner = sx
+	return ix, nil
 }
 
 // shardCount normalizes Config.Shards (0 and 1 are both the single-tree
@@ -350,29 +389,47 @@ func shardCount(c Config) int {
 	return 1
 }
 
-// perShardCache splits a whole-index cache budget across n shards.
-func perShardCache(total, n int) int {
-	if total <= 0 {
-		return 0
+// shardPath names shard i's file (log or page file) of an n-shard index;
+// a single tree uses path itself. The shard count is baked into the name so
+// a reopen with a different Shards value finds no files (or fresh empty
+// logs) instead of silently serving a wrong partition.
+func shardPath(path string, i, n int) string {
+	if n == 1 {
+		return path
 	}
-	return (total + n - 1) / n
+	return fmt.Sprintf("%s.shard%d-of-%d", path, i, n)
 }
 
-// checkShardedConfig rejects options that only make sense on one tree.
-func checkShardedConfig(c Config) error {
-	if c.SummaryFile != "" {
-		return fmt.Errorf("fuzzyknn: Config.SummaryFile requires Shards <= 1")
+// shardErr tags err with the package and, on a sharded index, the shard.
+func shardErr(i, n int, err error) error {
+	if n == 1 {
+		return fmt.Errorf("fuzzyknn: %w", err)
 	}
-	return nil
+	return fmt.Errorf("fuzzyknn: shard %d: %w", i, err)
 }
 
-// assembleSharded wraps built shards into a public Index.
-func assembleSharded(shards []*query.Index, countings []*store.Counting, lrus []*store.LRU, closers []io.Closer) (*Index, error) {
-	sx, err := query.NewSharded(shards)
-	if err != nil {
-		return nil, fmt.Errorf("fuzzyknn: %w", err)
+// NewIndex builds an in-memory index over the given objects: one MemStore
+// and tree, or — with cfg.Shards > 1 — one MemStore and tree per shard.
+func NewIndex(objs []*Object, cfg *Config) (*Index, error) {
+	c := cfg.orDefault()
+	n := shardCount(c)
+	parts := make([][]*Object, n)
+	for _, o := range objs {
+		if o == nil {
+			return nil, fmt.Errorf("fuzzyknn: %w: nil object", ErrInvalidQuery)
+		}
+		s := query.ShardOf(o.ID(), n)
+		parts[s] = append(parts[s], o)
 	}
-	return &Index{inner: sx, countings: countings, lrus: lrus, closers: closers}, nil
+	specs := make([]shardSpec, n)
+	for i := range specs {
+		ms, err := store.NewMemStore(parts[i])
+		if err != nil {
+			return nil, fmt.Errorf("fuzzyknn: %w", err)
+		}
+		specs[i].reader = ms
+	}
+	return assemble(specs, nil, c, 0)
 }
 
 // SaveObjects persists objects into a single store file that OpenIndex can
@@ -396,41 +453,14 @@ func OpenIndex(path string, cfg *Config) (*Index, error) {
 		return nil, fmt.Errorf("fuzzyknn: %w", err)
 	}
 	n := shardCount(c)
-	if n == 1 {
-		ix, err := buildIndex(ds, ds, c)
-		if err != nil {
-			ds.Close()
-			return nil, err
-		}
-		return ix, nil
-	}
-	if err := checkShardedConfig(c); err != nil {
-		ds.Close()
-		return nil, err
-	}
-	var reader store.Reader = ds
-	var lrus []*store.LRU
-	if c.CacheSize > 0 {
-		lru := store.NewLRU(reader, c.CacheSize)
-		reader, lrus = lru, []*store.LRU{lru}
-	}
-	shards := make([]*query.Index, n)
-	countings := make([]*store.Counting, n)
-	for i := range shards {
-		i := i
-		keep := func(id uint64) bool { return query.ShardOf(id, n) == i }
-		shards[i], countings[i], _, err = buildShard(reader, 0, c, keep)
-		if err != nil {
-			ds.Close()
-			return nil, err
+	specs := make([]shardSpec, n)
+	for i := range specs {
+		specs[i].reader = ds
+		if n > 1 {
+			specs[i].keep = func(id uint64) bool { return query.ShardOf(id, n) == i }
 		}
 	}
-	ix, err := assembleSharded(shards, countings, lrus, []io.Closer{ds})
-	if err != nil {
-		ds.Close()
-		return nil, err
-	}
-	return ix, nil
+	return assemble(specs, []io.Closer{ds}, c, 0)
 }
 
 // OpenLogIndex opens (or creates) a mutable on-disk index backed by an
@@ -445,132 +475,28 @@ func OpenIndex(path string, cfg *Config) (*Index, error) {
 func OpenLogIndex(path string, dims int, cfg *Config) (*Index, error) {
 	c := cfg.orDefault()
 	n := shardCount(c)
-	if n == 1 {
-		ls, err := store.OpenLogPolicy(path, dims, c.Fsync)
+	specs := make([]shardSpec, n)
+	var files []io.Closer
+	for i := range specs {
+		ls, err := store.OpenLogPolicy(shardPath(path, i, n), dims, c.Fsync)
 		if err != nil {
-			return nil, fmt.Errorf("fuzzyknn: %w", err)
+			closeAll(files)
+			return nil, shardErr(i, n, err)
 		}
-		ix, err := buildIndex(ls, ls, c)
-		if err != nil {
-			ls.Close()
-			return nil, err
-		}
-		return ix, nil
+		specs[i].reader = ls
+		files = append(files, ls)
 	}
-	if err := checkShardedConfig(c); err != nil {
-		return nil, err
-	}
-	shards := make([]*query.Index, n)
-	countings := make([]*store.Counting, n)
-	var lrus []*store.LRU
-	var closers []io.Closer
-	fail := func(err error) (*Index, error) {
-		for _, cl := range closers {
-			cl.Close()
-		}
-		return nil, err
-	}
-	for i := range shards {
-		ls, err := store.OpenLogPolicy(shardLogPath(path, i, n), dims, c.Fsync)
-		if err != nil {
-			return fail(fmt.Errorf("fuzzyknn: shard %d: %w", i, err))
-		}
-		closers = append(closers, ls)
-		var lru *store.LRU
-		shards[i], countings[i], lru, err = buildShard(ls, perShardCache(c.CacheSize, n), c, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if lru != nil {
-			lrus = append(lrus, lru)
-		}
-	}
-	ix, err := assembleSharded(shards, countings, lrus, closers)
-	if err != nil {
-		return fail(err)
-	}
-	return ix, nil
-}
-
-// shardLogPath names shard i's log file. The shard count is baked into the
-// name so a reopen with a different Shards value finds empty fresh logs
-// instead of silently replaying a wrong partition.
-func shardLogPath(path string, i, n int) string {
-	return fmt.Sprintf("%s.shard%d-of-%d", path, i, n)
-}
-
-// buildIndex assembles the single-tree layout (the pre-sharding code path,
-// kept byte-identical for Shards <= 1).
-func buildIndex(r store.Reader, closer io.Closer, cfg Config) (*Index, error) {
-	inner, counting, lru, err := buildShard(r, cfg.CacheSize, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{inner: inner, single: inner, countings: []*store.Counting{counting}}
-	if lru != nil {
-		ix.lrus = []*store.LRU{lru}
-	}
-	if closer != nil {
-		ix.closers = []io.Closer{closer}
-	}
-	return ix, nil
-}
-
-// buildShard stacks one shard's readers (optional LRU, then the access
-// counter) and builds its tree over the ids keep admits (nil = all). The
-// LRU, when configured, is also returned so the index can expose its
-// hit/miss counters.
-func buildShard(r store.Reader, cacheCap int, cfg Config, keep func(uint64) bool) (*query.Index, *store.Counting, *store.LRU, error) {
-	var reader store.Reader = r
-	var lru *store.LRU
-	if cacheCap > 0 {
-		lru = store.NewLRU(reader, cacheCap)
-		reader = lru
-	}
-	counting := store.NewCounting(reader)
-	opts := query.Options{
-		MinEntries:  cfg.NodeMin,
-		MaxEntries:  cfg.NodeMax,
-		SampleSize:  cfg.SampleSize,
-		SampleSeed:  cfg.SampleSeed,
-		Incremental: cfg.Incremental,
-	}
-	if cfg.StaircaseSteps >= 2 {
-		steps := cfg.StaircaseSteps
-		opts.Estimator = func(o *fuzzy.Object) fuzzy.MBREstimator {
-			return fuzzy.NewStaircaseApprox(o, steps)
-		}
-	}
-	var inner *query.Index
-	var err error
-	if cfg.SummaryFile != "" {
-		inner, err = query.BuildFromSummaryFile(counting, cfg.SummaryFile, opts)
-	} else {
-		inner, err = query.BuildFiltered(counting, opts, keep)
-	}
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("fuzzyknn: %w", err)
-	}
-	counting.Reset() // exclude index construction from query accounting
-	return inner, counting, lru, nil
-}
-
-// SaveSummaries persists the index's per-object summaries (MBRs,
-// conservative boundary lines, representative points) so a later OpenIndex
-// with Config.SummaryFile can skip the full store scan. Not supported on
-// sharded indexes (a summary file describes exactly one tree's store).
-func (ix *Index) SaveSummaries(path string) error {
-	if ix.single == nil {
-		return fmt.Errorf("fuzzyknn: SaveSummaries requires Shards <= 1")
-	}
-	return ix.single.SaveSummaries(path)
+	return assemble(specs, files, c, 0)
 }
 
 // Close releases the underlying store files, if any. The index must not be
 // used afterwards. Closing an in-memory index is a no-op.
-func (ix *Index) Close() error {
+func (ix *Index) Close() error { return closeAll(ix.closers) }
+
+// closeAll closes every file and returns the first failure.
+func closeAll(files []io.Closer) error {
 	var first error
-	for _, c := range ix.closers {
+	for _, c := range files {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -652,14 +578,14 @@ func (ix *Index) Dims() int { return ix.inner.Dims() }
 // the index was built (all queries combined, summed across shards).
 func (ix *Index) TotalObjectAccesses() int64 {
 	var n int64
-	for _, c := range ix.countings {
-		n += c.Count()
+	for _, sh := range ix.shards {
+		n += sh.counting.Count()
 	}
 	return n
 }
 
 // NumShards returns the number of shards (1 for a single-tree index).
-func (ix *Index) NumShards() int { return len(ix.countings) }
+func (ix *Index) NumShards() int { return len(ix.shards) }
 
 // ShardInfo describes one shard for diagnostics: its live object count,
 // dimensionality, R-tree height and cumulative object accesses.
@@ -679,19 +605,16 @@ type ShardInfo struct {
 // ShardInfo reports per-shard physical state, in shard order (one entry
 // for a single-tree index).
 func (ix *Index) ShardInfo() []ShardInfo {
-	st := ix.inner.Stats()
-	out := make([]ShardInfo, len(st.Shards))
-	for i, s := range st.Shards {
+	out := make([]ShardInfo, len(ix.shards))
+	for i, sh := range ix.shards {
+		s := sh.index.Stats().Shards[0]
 		out[i] = ShardInfo{
 			Objects:        s.Objects,
 			Dims:           s.Dims,
 			TreeHeight:     s.TreeHeight,
-			ObjectAccesses: ix.countings[i].Count(),
+			ObjectAccesses: sh.counting.Count(),
 			Checkpoint:     s.Checkpoint,
-		}
-		if s.PageCache != nil {
-			cs := cacheStatsFrom(*s.PageCache)
-			out[i].PageCache = &cs
+			PageCache:      s.PageCache,
 		}
 	}
 	return out
@@ -770,5 +693,5 @@ func (ix *Index) ExpectedDistKNN(q *Object, k int) ([]Result, Stats, error) {
 // Object fetches a stored object by id (counted as an access, charged to
 // the owning shard).
 func (ix *Index) Object(id uint64) (*Object, error) {
-	return ix.countings[query.ShardOf(id, len(ix.countings))].Get(id)
+	return ix.shards[query.ShardOf(id, len(ix.shards))].counting.Get(id)
 }

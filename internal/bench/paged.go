@@ -65,12 +65,12 @@ func pagedExp(s Scale) (*Table, error) {
 			px.Close()
 			return nil, err
 		}
-		before := px.CacheStats()
+		before, _ := px.CacheStats()
 		if latency[i], _, err = measureSerialAKNN(px, e.QueryObj, DefaultK, DefaultAlpha); err != nil {
 			px.Close()
 			return nil, err
 		}
-		after := px.CacheStats()
+		after, _ := px.CacheStats()
 		hits := after.Hits - before.Hits
 		misses := after.Misses - before.Misses
 		if total := hits + misses; total > 0 {

@@ -49,7 +49,7 @@ func TestEnginePagedAccounting(t *testing.T) {
 		t.Fatalf("paged workload recorded page_reads=%d page_cache_hits=%d, want both > 0",
 			totals.Stats.PageReads, totals.Stats.PageCacheHits)
 	}
-	cs := px.CacheStats()
+	cs, _ := px.CacheStats()
 	if cs.Evictions == 0 {
 		t.Fatalf("no evictions through a %d-byte cache: %+v", 3*pager.PageAlign, cs)
 	}

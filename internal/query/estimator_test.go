@@ -2,6 +2,8 @@ package query
 
 import (
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -74,7 +76,9 @@ func TestStaircaseEstimatorNotWorseOnAccesses(t *testing.T) {
 	}
 }
 
-// TestStaircaseIndexCannotPersistSummaries documents the restriction.
+// TestStaircaseIndexCannotPersistSummaries documents the restriction: leaf
+// summaries built by a non-default estimator have no persistent form, so
+// SavePaged refuses and leaves nothing behind.
 func TestStaircaseIndexCannotPersistSummaries(t *testing.T) {
 	rng := rand.New(rand.NewPCG(605, 3))
 	objs := makeObjects(rng, 10, 8, 10, 4)
@@ -83,7 +87,11 @@ func TestStaircaseIndexCannotPersistSummaries(t *testing.T) {
 			return fuzzy.NewStaircaseApprox(o, 8)
 		},
 	})
-	if _, err := stair.Summaries(); err == nil {
+	dir := t.TempDir()
+	if err := stair.SavePaged(filepath.Join(dir, "stair.fzp")); err == nil {
 		t.Fatal("staircase summaries should not be persistable")
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("refused SavePaged left %d files behind", len(left))
 	}
 }

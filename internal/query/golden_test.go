@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"path/filepath"
 	"slices"
@@ -11,12 +10,11 @@ import (
 	"fuzzyknn/internal/store"
 )
 
-// TestGoldenFormats pins FZKNNIX1 (summaries) and the R-tree page layout
-// inside a page-file generation (see package golden for where the reference
-// bytes come from): the running code must write the reference bytes again,
-// the reference summaries must decode and re-encode unchanged, and the
-// reference page file must reopen as an index over the same ids that
-// answers like the in-memory tree it was saved from.
+// TestGoldenFormats pins the R-tree page layout inside a page-file
+// generation (see package golden for where the reference bytes come from):
+// the running code must write the reference bytes again, and the reference
+// page file must reopen as an index over the same ids that answers like the
+// in-memory tree it was saved from.
 func TestGoldenFormats(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2010, 12))
 	objs := makeObjects(rng, 40, 6, 12, 4)
@@ -30,26 +28,10 @@ func TestGoldenFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := t.TempDir()
-	if err := ix.SaveSummaries(filepath.Join(fresh, "summaries.fzx")); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix.SavePaged(filepath.Join(fresh, "index.fzp")); err != nil {
 		t.Fatal(err)
 	}
 	golden.Check(t, fresh, nil)
-
-	ref := golden.Read(t, filepath.Join(golden.Dir, "summaries.fzx"))
-	dims, sums, err := ReadSummaries(bytes.NewReader(ref))
-	if err != nil {
-		t.Fatalf("reference summaries do not decode: %v", err)
-	}
-	var again bytes.Buffer
-	if err := WriteSummaries(&again, dims, sums); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), ref) {
-		t.Error("summaries do not re-encode byte-identically")
-	}
 
 	px, err := OpenPagedIndex(ms, filepath.Join(golden.Copy(t), "index.fzp"), 1<<20, -1, opts)
 	if err != nil {

@@ -148,8 +148,8 @@ type Options struct {
 	// entries. Nil selects the paper's optimal conservative line
 	// (fuzzy.NewBoundaryApprox); fuzzy.NewStaircaseApprox realizes the
 	// paper's future-work idea of richer boundary approximations at more
-	// storage. Note summary persistence (SaveSummaries) requires the
-	// default estimator.
+	// storage. Note the paged form (SavePaged) requires the default
+	// estimator.
 	Estimator func(*fuzzy.Object) fuzzy.MBREstimator
 }
 
@@ -351,8 +351,7 @@ func (ix *Index) Stats() IndexStats {
 			sh.Checkpoint = &info
 		}
 	}
-	if ix.pageCache != nil {
-		cs := ix.pageCache.Stats()
+	if cs, ok := ix.CacheStats(); ok {
 		sh.PageCache = &cs
 	}
 	return IndexStats{Objects: sh.Objects, Dims: sh.Dims, Shards: []ShardStats{sh}}

@@ -21,7 +21,7 @@ import (
 // interior entries hold stub nodes that traversals resolve on visit, so
 // best-first search faults in exactly the pages its priority order reaches.
 //
-// The page payloads reuse the summary-file record layout for leaves (id,
+// A leaf record is the per-object summary a leaf entry carries (id,
 // support/kernel MBRs, boundary lines, representative point — bitwise
 // identical floats), and interior records are the exact entry MBR plus the
 // child's page id. Because the serialized tree preserves the in-memory tree
@@ -33,6 +33,15 @@ import (
 // store (different dimensionality or object count).
 var ErrPagedMismatch = errors.New("query: page file does not match store")
 
+// leafRecordSize is the fixed per-object record size of leaf pages at
+// dimensionality d.
+func leafRecordSize(d int) int {
+	return 8 + // id
+		2*2*d*8 + // support + kernel rects (lo, hi per dim)
+		2*2*d*8 + // hi + lo lines (m, t per dim)
+		d*8 // rep point
+}
+
 // interiorRecordSize is the fixed per-entry record size of interior pages:
 // the entry MBR plus the child page id.
 func interiorRecordSize(d int) int { return 2*d*8 + 4 }
@@ -40,7 +49,7 @@ func interiorRecordSize(d int) int { return 2*d*8 + 4 }
 // pagePayloadSize returns the payload capacity one node needs at the given
 // dimensionality and fan-out.
 func pagePayloadSize(d, maxEntries int) int {
-	rec := summaryRecordSize(d)
+	rec := leafRecordSize(d)
 	if ir := interiorRecordSize(d); ir > rec {
 		rec = ir
 	}
@@ -48,9 +57,9 @@ func pagePayloadSize(d, maxEntries int) int {
 }
 
 // SavePaged serializes the current snapshot's R-tree to a page file at path
-// (manifest at path+".manifest") via the temp+fsync+rename discipline. Like
-// SaveSummaries it requires the default boundary estimator — only the
-// paper's linear approximation has a persistent form. The saved tree keeps
+// (manifest at path+".manifest") via the temp+fsync+rename discipline. It
+// requires the default boundary estimator — only the paper's linear
+// approximation has a persistent form. The saved tree keeps
 // the snapshot's exact shape, so OpenPagedIndex serves byte-identical
 // answers with identical node-access counts.
 func (ix *Index) SavePaged(path string) error {
@@ -158,7 +167,7 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 	leaf := flags&pager.LeafPage != 0
 	rec := interiorRecordSize(d)
 	if leaf {
-		rec = summaryRecordSize(d)
+		rec = leafRecordSize(d)
 	}
 	if int(count)*rec > len(payload) {
 		return nil, fmt.Errorf("%w: page %d holds %d records of %d bytes beyond its payload", pager.ErrCorrupt, page, count, rec)
@@ -295,9 +304,6 @@ func (p *PagedIndex) Close() error { return p.file.Close() }
 // Generation returns the page file generation being served.
 func (p *PagedIndex) Generation() uint64 { return p.file.Manifest().Generation }
 
-// CacheStats returns the block cache counters.
-func (p *PagedIndex) CacheStats() pager.CacheStats { return p.Index.pageCache.Stats() }
-
 // resolveNode returns a node's decoded form, charging any page fault to the
 // query's stats: a cache miss is one page read, a cache hit is free I/O but
 // still recorded so hit ratios are observable per query. In-memory nodes
@@ -329,30 +335,11 @@ func (ix *Index) pagedErr() error {
 	return nil
 }
 
-// CacheStatsOf exposes a searcher's block-cache counters, aggregated across
-// shards; ok is false for fully in-memory searchers.
-func CacheStatsOf(s Searcher) (cs pager.CacheStats, ok bool) {
-	add := func(ix *Index) {
-		if ix.pageCache == nil {
-			return
-		}
-		st := ix.pageCache.Stats()
-		cs.Hits += st.Hits
-		cs.Misses += st.Misses
-		cs.Evictions += st.Evictions
-		cs.ResidentBytes += st.ResidentBytes
-		cs.CapacityBytes += st.CapacityBytes
-		ok = true
+// CacheStats returns the block cache's counters; ok is false for a fully
+// resident (non-paged) index.
+func (ix *Index) CacheStats() (cs pager.CacheStats, ok bool) {
+	if ix.pageCache == nil {
+		return cs, false
 	}
-	switch v := s.(type) {
-	case *Index:
-		add(v)
-	case *PagedIndex:
-		add(v.Index)
-	case *ShardedIndex:
-		for _, sh := range v.shards {
-			add(sh)
-		}
-	}
-	return cs, ok
+	return ix.pageCache.Stats(), true
 }

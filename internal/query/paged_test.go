@@ -10,6 +10,7 @@ import (
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/pager"
+	"fuzzyknn/internal/rtree"
 	"fuzzyknn/internal/store"
 )
 
@@ -217,9 +218,16 @@ func TestPagedEquivalence(t *testing.T) {
 		if pagedIO == 0 {
 			t.Fatal("paged queries reported no page I/O at all")
 		}
-		cs, ok := CacheStatsOf(p.paged)
-		if !ok {
-			t.Fatal("paged searcher reports no cache stats")
+		var cs pager.CacheStats
+		for i, sh := range p.paged.Stats().Shards {
+			if sh.PageCache == nil {
+				t.Fatalf("paged shard %d reports no cache stats", i)
+			}
+			cs.Hits += sh.PageCache.Hits
+			cs.Misses += sh.PageCache.Misses
+			cs.Evictions += sh.PageCache.Evictions
+			cs.ResidentBytes += sh.PageCache.ResidentBytes
+			cs.CapacityBytes += sh.PageCache.CapacityBytes
 		}
 		if cs.Misses == 0 || cs.Hits == 0 {
 			t.Fatalf("cache never exercised: %+v", cs)
@@ -230,12 +238,93 @@ func TestPagedEquivalence(t *testing.T) {
 		if cs.ResidentBytes > cs.CapacityBytes {
 			t.Fatalf("resident bytes %d exceed capacity %d", cs.ResidentBytes, cs.CapacityBytes)
 		}
-		if _, ok := CacheStatsOf(p.mem); ok {
-			t.Fatal("in-memory searcher claims cache stats")
+		for _, sh := range p.mem.Stats().Shards {
+			if sh.PageCache != nil {
+				t.Fatal("in-memory searcher claims cache stats")
+			}
 		}
 		if err := p.paged.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPagedOpenReadsNoObjects pins what the page file is for: opening it
+// costs no store probe at all (a scan-built open probes every object), and
+// what it decodes is, leaf record for leaf record, the summary the build
+// computed — bitwise, since answers are compared byte for byte.
+func TestPagedOpenReadsNoObjects(t *testing.T) {
+	rng := rand.New(rand.NewPCG(503, 2))
+	ms, err := store.NewMemStore(makeObjects(rng, 60, 12, 10, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(ms, Options{MinEntries: 2, MaxEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.fzp")
+	if err := built.SavePaged(path); err != nil {
+		t.Fatal(err)
+	}
+	counting := store.NewCounting(ms)
+	px, err := OpenPagedIndex(counting, path, tinyCache, -1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	if n := counting.Count(); n != 0 {
+		t.Fatalf("opening the page file read %d objects from the store", n)
+	}
+	leaves := func(ix *Index) map[uint64]leafItem {
+		out := make(map[uint64]leafItem)
+		var walk func(n *rtree.Node)
+		walk = func(n *rtree.Node) {
+			n = n.Resolve(nil)
+			for _, e := range n.Entries() {
+				if n.Leaf() {
+					it := e.Data.(*leafItem)
+					out[it.id] = *it
+				} else {
+					walk(e.Child)
+				}
+			}
+		}
+		walk(ix.treeForTest().Root())
+		return out
+	}
+	want, got := leaves(built), leaves(px.Index)
+	if len(want) != 60 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded leaf summaries differ from the built ones (%d built, %d decoded)", len(want), len(got))
+	}
+}
+
+// TestPagedEmptyIndex round-trips the degenerate tree: an index over no
+// objects saves, reopens over an empty store and answers with nothing.
+func TestPagedEmptyIndex(t *testing.T) {
+	ms, err := store.NewMemStore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(ms, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "empty.fzp")
+	if err := ix.SavePaged(path); err != nil {
+		t.Fatal(err)
+	}
+	px, err := OpenPagedIndex(ms, path, tinyCache, -1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	if px.Len() != 0 {
+		t.Fatalf("Len = %d", px.Len())
+	}
+	q := makeQuery(rand.New(rand.NewPCG(1, 1)), 8, 10, 4)
+	if res, _, err := px.AKNN(q, 3, 0.5, LBLPUB); err != nil || len(res) != 0 {
+		t.Fatalf("AKNN over the empty paged index: %v, %v", res, err)
 	}
 }
 
@@ -509,7 +598,7 @@ func BenchmarkPagedAKNN(b *testing.B) {
 			b.ResetTimer()
 			run(b, px)
 			b.StopTimer()
-			cs := px.CacheStats()
+			cs, _ := px.CacheStats()
 			if cs.Hits+cs.Misses > 0 {
 				b.ReportMetric(float64(cs.Hits)/float64(cs.Hits+cs.Misses), "hit-ratio")
 			}

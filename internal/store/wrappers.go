@@ -53,10 +53,7 @@ func (c *Counting) Get(id uint64) (*fuzzy.Object, error) {
 // Count returns the number of Get calls since construction or the last Reset.
 func (c *Counting) Count() int64 { return c.n.Load() }
 
-// Unwrap returns the wrapped reader: the next layer for As, and the way
-// around the counter for internal consumers whose reads must not pollute the
-// paper's access accounting (e.g. replication snapshot cuts, which scan
-// every live object but are not queries).
+// Unwrap returns the wrapped reader, the next layer for As.
 func (c *Counting) Unwrap() Reader { return c.Reader }
 
 // Reset zeroes the access counter.

@@ -17,23 +17,7 @@ var ErrPagedMismatch = query.ErrPagedMismatch
 // from resident frames, how many had to read a page from disk, and how much
 // of the configured budget is resident. A sharded index reports the sum
 // over its shards' caches.
-type CacheStats struct {
-	Hits          int64 // node loads served without I/O
-	Misses        int64 // node loads that read a page
-	Evictions     int64 // frames dropped to stay under capacity
-	ResidentBytes int64 // resident frames × page size
-	CapacityBytes int64 // configured capacity, in whole pages
-}
-
-func cacheStatsFrom(cs pager.CacheStats) CacheStats {
-	return CacheStats{
-		Hits:          cs.Hits,
-		Misses:        cs.Misses,
-		Evictions:     cs.Evictions,
-		ResidentBytes: cs.ResidentBytes,
-		CapacityBytes: cs.CapacityBytes,
-	}
-}
+type CacheStats = pager.CacheStats
 
 // SavePaged serializes the index's R-tree(s) into paged on-disk form at
 // path: fixed-size CRC-protected pages plus a manifest (path+".manifest")
@@ -41,33 +25,15 @@ func cacheStatsFrom(cs pager.CacheStats) CacheStats {
 // temp+fsync+rename discipline. A sharded index writes one page file per
 // shard ("<path>.shard<i>-of-<n>", like OpenLogIndex's logs), so it must be
 // reopened with the same shard count. Requires the default boundary
-// estimator (like SaveSummaries): only the paper's linear approximation has
-// a persistent form. The page file pairs with the object store — serve both
-// with OpenPagedIndex.
+// estimator: only the paper's linear approximation has a persistent form.
+// The page file pairs with the object store — serve both with
+// OpenPagedIndex.
 func (ix *Index) SavePaged(path string) error {
-	if ix.single != nil {
-		return wrapErr(ix.single.SavePaged(path))
-	}
-	sx := ix.inner.(*query.ShardedIndex)
-	n := sx.NumShards()
-	for i := 0; i < n; i++ {
-		if err := sx.Shard(i).SavePaged(shardPagePath(path, i, n)); err != nil {
-			return fmt.Errorf("fuzzyknn: shard %d: %w", i, err)
+	n := len(ix.shards)
+	for i, sh := range ix.shards {
+		if err := sh.index.SavePaged(shardPath(path, i, n)); err != nil {
+			return shardErr(i, n, err)
 		}
-	}
-	return nil
-}
-
-// shardPagePath names shard i's page file, mirroring shardLogPath: the
-// shard count is baked into the name so a reopen with a different Shards
-// value fails to find files instead of serving a wrong partition.
-func shardPagePath(path string, i, n int) string {
-	return fmt.Sprintf("%s.shard%d-of-%d", path, i, n)
-}
-
-func wrapErr(err error) error {
-	if err != nil {
-		return fmt.Errorf("fuzzyknn: %w", err)
 	}
 	return nil
 }
@@ -88,12 +54,6 @@ func wrapErr(err error) error {
 // Delete and ApplyBatch fail with ErrReadOnly). Close the index when done.
 func OpenPagedIndex(storePath, pagePath string, cacheMB int, cfg *Config) (*Index, error) {
 	c := cfg.orDefault()
-	if c.SummaryFile != "" {
-		return nil, fmt.Errorf("fuzzyknn: OpenPagedIndex cannot combine with Config.SummaryFile")
-	}
-	if c.StaircaseSteps >= 2 {
-		return nil, fmt.Errorf("fuzzyknn: OpenPagedIndex requires the default estimator (StaircaseSteps < 2)")
-	}
 	if cacheMB <= 0 {
 		cacheMB = 64
 	}
@@ -101,74 +61,35 @@ func OpenPagedIndex(storePath, pagePath string, cacheMB int, cfg *Config) (*Inde
 	if err != nil {
 		return nil, fmt.Errorf("fuzzyknn: %w", err)
 	}
-	n := shardCount(c)
-	closers := []io.Closer{ds}
-	fail := func(err error) (*Index, error) {
-		for _, cl := range closers {
-			cl.Close()
-		}
-		return nil, err
-	}
-
-	var reader store.Reader = ds
-	var lrus []*store.LRU
-	if c.CacheSize > 0 {
-		lru := store.NewLRU(reader, c.CacheSize)
-		reader, lrus = lru, []*store.LRU{lru}
-	}
-	opts := query.Options{
-		SampleSize: c.SampleSize,
-		SampleSeed: c.SampleSeed,
-	}
-	perShard := (int64(cacheMB) << 20) / int64(n)
-
-	if n == 1 {
-		counting := store.NewCounting(reader)
-		p, err := query.OpenPagedIndex(counting, pagePath, perShard, -1, opts)
-		if err != nil {
-			return fail(wrapErr(err))
-		}
-		counting.Reset()
-		closers = append(closers, p)
-		return &Index{
-			inner:     p.Index,
-			single:    p.Index,
-			countings: []*store.Counting{counting},
-			closers:   closers,
-			lrus:      lrus,
-		}, nil
-	}
-
 	// Each shard's manifest records its partition's population; size the
 	// expectation from the shared store's id space.
-	expect := make([]int, n)
+	n := shardCount(c)
+	specs := make([]shardSpec, n)
+	for i := range specs {
+		specs[i] = shardSpec{reader: ds, pagePath: shardPath(pagePath, i, n)}
+	}
 	for _, id := range ds.IDs() {
-		expect[query.ShardOf(id, n)]++
+		specs[query.ShardOf(id, n)].expect++
 	}
-	shards := make([]*query.Index, n)
-	countings := make([]*store.Counting, n)
-	for i := range shards {
-		counting := store.NewCounting(reader)
-		p, err := query.OpenPagedIndex(counting, shardPagePath(pagePath, i, n), perShard, expect[i], opts)
-		if err != nil {
-			return fail(fmt.Errorf("fuzzyknn: shard %d: %w", i, err))
-		}
-		counting.Reset()
-		closers = append(closers, p)
-		shards[i], countings[i] = p.Index, counting
-	}
-	ix, err := assembleSharded(shards, countings, lrus, closers)
-	if err != nil {
-		return fail(err)
-	}
-	return ix, nil
+	return assemble(specs, []io.Closer{ds}, c, int64(cacheMB)<<20)
 }
 
 // PageCacheStats returns the block cache's counters, summed across shards;
 // ok is false for fully in-memory (non-paged) indexes.
 func (ix *Index) PageCacheStats() (CacheStats, bool) {
-	cs, ok := query.CacheStatsOf(ix.inner)
-	return cacheStatsFrom(cs), ok
+	var sum CacheStats
+	paged := false
+	for _, sh := range ix.shards {
+		if cs, ok := sh.index.CacheStats(); ok {
+			paged = true
+			sum.Hits += cs.Hits
+			sum.Misses += cs.Misses
+			sum.Evictions += cs.Evictions
+			sum.ResidentBytes += cs.ResidentBytes
+			sum.CapacityBytes += cs.CapacityBytes
+		}
+	}
+	return sum, paged
 }
 
 // ObjectCacheStats returns the object LRU's hit/miss counters (summed when

@@ -48,7 +48,7 @@ type Replication struct {
 // The query hot path is untouched: only the three mutation entry points
 // pass through the recording wrapper.
 func (ix *Index) EnableReplication(cfg *ReplicationConfig) (*Replication, error) {
-	if _, ok := ix.inner.(*recordingSearcher); ok {
+	if ix.replicating {
 		return nil, fmt.Errorf("fuzzyknn: replication already enabled")
 	}
 	var c ReplicationConfig
@@ -60,7 +60,7 @@ func (ix *Index) EnableReplication(cfg *ReplicationConfig) (*Replication, error)
 		Searcher: ix.inner,
 		log:      replica.NewLog(gen, c.RetainFrames, c.RetainBytes),
 	}
-	ix.inner = rec
+	ix.inner, ix.replicating = rec, true
 	return &Replication{ix: ix, rec: rec}, nil
 }
 
@@ -102,7 +102,8 @@ func (r *Replication) FramesSince(ctx context.Context, from uint64, maxBytes int
 // snapshot is valid at. The cut holds the replication write lock, so
 // mutations stall for its duration — acceptable for bootstrap-sized
 // indexes; larger deployments bootstrap rarely and tail cheaply. Snapshot
-// reads bypass the access counters: cutting a snapshot is not a query.
+// reads bypass the access counters and the object cache: cutting a snapshot
+// is not a query.
 func (r *Replication) Snapshot() ([]byte, error) {
 	r.rec.mu.Lock()
 	defer r.rec.mu.Unlock()
@@ -165,15 +166,16 @@ func (r *recordingSearcher) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64
 }
 
 // liveObjectsUncounted collects every live object sorted by id, reading
-// through the uncounted side of each shard's store so the scan does not
-// inflate the paper's object-access metric. Shard id lists can overlap
+// each shard's backing store beneath its access counter and object cache:
+// the scan is not a query, so it neither inflates the paper's object-access
+// metric nor evicts the cache's hot set. Shard id lists can overlap
 // (OpenIndex shards share one store), so ids are deduplicated first.
 func (ix *Index) liveObjectsUncounted() ([]*fuzzy.Object, error) {
-	n := len(ix.countings)
+	n := len(ix.shards)
 	seen := make(map[uint64]struct{})
 	var ids []uint64
-	for _, c := range ix.countings {
-		for _, id := range c.Unwrap().IDs() {
+	for _, sh := range ix.shards {
+		for _, id := range sh.base.IDs() {
 			if _, ok := seen[id]; !ok {
 				seen[id] = struct{}{}
 				ids = append(ids, id)
@@ -183,7 +185,7 @@ func (ix *Index) liveObjectsUncounted() ([]*fuzzy.Object, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	objs := make([]*fuzzy.Object, len(ids))
 	for i, id := range ids {
-		o, err := ix.countings[query.ShardOf(id, n)].Unwrap().Get(id)
+		o, err := ix.shards[query.ShardOf(id, n)].base.Get(id)
 		if err != nil {
 			return nil, fmt.Errorf("fuzzyknn: snapshot read id %d: %w", id, err)
 		}

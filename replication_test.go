@@ -3,6 +3,7 @@ package fuzzyknn_test
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -409,5 +410,85 @@ func TestNoFrameOnFailedMutation(t *testing.T) {
 	}
 	if got := repl.LastSeq(); got != 1 {
 		t.Fatalf("committed insert left log at seq %d, want 1", got)
+	}
+}
+
+// TestReplicationLeaderKeepsPagedSurface is the regression test for the
+// recording wrapper hiding the shards: a replication leader must still save
+// every shard's page file, and a paged leader must still report its block
+// cache.
+func TestReplicationLeaderKeepsPagedSurface(t *testing.T) {
+	objs, _ := replDataset(t, 60, 3)
+	cfg := &fuzzyknn.Config{Shards: 2}
+	leader, err := fuzzyknn.NewIndex(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if _, err := leader.EnableReplication(nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	storePath, pagePath := filepath.Join(dir, "objects.fzs"), filepath.Join(dir, "index.fzp")
+	if err := fuzzyknn.SaveObjects(storePath, 2, objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.SavePaged(pagePath); err != nil {
+		t.Fatalf("SavePaged on a sharded replication leader: %v", err)
+	}
+	// Reopening needs both shards' files.
+	paged, err := fuzzyknn.OpenPagedIndex(storePath, pagePath, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	if _, err := paged.EnableReplication(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := paged.PageCacheStats(); !ok {
+		t.Fatal("PageCacheStats lost the block cache once replication was enabled")
+	}
+}
+
+// TestSnapshotReadsBeneathObjectCache is the regression test for follower
+// bootstraps trampling the leader's object cache: a snapshot cut scans every
+// object, and must do so without touching the cache's counters or contents,
+// or the access counters.
+func TestSnapshotReadsBeneathObjectCache(t *testing.T) {
+	objs, _ := replDataset(t, 40, 4)
+	leader, err := fuzzyknn.NewIndex(objs, &fuzzyknn.Config{CacheSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	repl, err := leader.EnableReplication(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := objs[:4]
+	touchHot := func() {
+		t.Helper()
+		for _, o := range hot {
+			if _, err := leader.Object(o.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	touchHot()
+	hits, misses, _ := leader.ObjectCacheStats()
+	accesses := leader.TotalObjectAccesses()
+
+	if _, err := repl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if h, m, _ := leader.ObjectCacheStats(); h != hits || m != misses {
+		t.Fatalf("snapshot went through the object cache: hits %d→%d, misses %d→%d", hits, h, misses, m)
+	}
+	if a := leader.TotalObjectAccesses(); a != accesses {
+		t.Fatalf("snapshot charged %d object accesses", a-accesses)
+	}
+	touchHot()
+	if h, m, _ := leader.ObjectCacheStats(); h != hits+int64(len(hot)) || m != misses {
+		t.Fatalf("hot set no longer cached after a snapshot: hits %d→%d, misses %d→%d", hits, h, misses, m)
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Paged smoke: generate a store + page file, boot fuzzyserve in paged mode
-# with a small block cache, query it, and check the cache series (one
-# vocabulary, labeled by layer) show real hit/miss traffic on /metrics and
-# /stats. Runnable locally from the repo root:
+# Paged smoke: generate a store + page file, check fuzzyquery answers the
+# same from the page file as from a scan-built open, then boot fuzzyserve in
+# paged mode with a small block cache, query it, and check the cache series
+# (one vocabulary, labeled by layer) show real hit/miss traffic on /metrics
+# and /stats. Runnable locally from the repo root:
 #
 #   scripts/paged_smoke.sh
 set -euo pipefail
@@ -12,6 +13,23 @@ source scripts/ci_lib.sh
 build_fuzzyserve
 go run ./cmd/fuzzygen -out /tmp/objects.fzs -n 2000 -points 64 \
   -pagefile /tmp/objects.fzp
+
+# The page file changes how the index is opened, never what it answers: the
+# answer lines of every query must match a scan-built open of the same store.
+go build -o /tmp/fuzzyquery ./cmd/fuzzyquery
+answers() { grep -E '^ *([0-9]+\. )?object ' || true; }
+for mode in "-mode aknn -k 10 -alpha 0.5" "-mode aknn -k 10 -alpha 0.5 -algo basic" "-mode rknn -k 5"; do
+  # shellcheck disable=SC2086  # $mode is a flag list
+  /tmp/fuzzyquery -store /tmp/objects.fzs -query-id 7 $mode | answers > /tmp/paged-smoke.scan.txt
+  # shellcheck disable=SC2086
+  /tmp/fuzzyquery -store /tmp/objects.fzs -pagefile /tmp/objects.fzp -query-id 7 $mode | answers > /tmp/paged-smoke.paged.txt
+  test -s /tmp/paged-smoke.scan.txt
+  if ! diff /tmp/paged-smoke.scan.txt /tmp/paged-smoke.paged.txt; then
+    echo "fuzzyquery $mode: -pagefile answers differ from the scan-built open" >&2
+    exit 1
+  fi
+done
+
 start_server /tmp/paged-smoke.log -store /tmp/objects.fzs -pagefile /tmp/objects.fzp \
   -cache-mb 1 -addr 127.0.0.1:18081
 wait_healthz http://127.0.0.1:18081

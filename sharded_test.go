@@ -2,7 +2,6 @@ package fuzzyknn
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -284,62 +283,5 @@ func TestPublicShardedLogIndex(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened sharded log diverges\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestPublicShardedStoreFile covers the shared-store-file sharded open.
-func TestPublicShardedStoreFile(t *testing.T) {
-	objs, q := smallDataset(t, 50, 21)
-	path := filepath.Join(t.TempDir(), "objects.fzs")
-	if err := SaveObjects(path, 2, objs); err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := OpenIndex(path, &Config{Shards: 4, CacheSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	single, err := NewIndex(objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-
-	// Read-only: mutations must fail on every shard route.
-	if err := sharded.Delete(objs[0].ID()); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("delete on store-file index: %v", err)
-	}
-	want, _, err := single.LinearScanAKNN(q, 7, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := sharded.AKNN(q, 7, 0.4, LBLPUB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("store-file sharded AKNN diverges")
-	}
-	if _, err := sharded.Object(objs[3].ID()); err != nil {
-		t.Fatal(err)
-	}
-	if sharded.TotalObjectAccesses() == 0 {
-		t.Fatal("accesses not counted")
-	}
-}
-
-// TestPublicShardedConfigErrors pins the unsupported-combination errors.
-func TestPublicShardedConfigErrors(t *testing.T) {
-	objs, _ := smallDataset(t, 10, 3)
-	if _, err := NewIndex(objs, &Config{Shards: 2, SummaryFile: "x"}); err == nil {
-		t.Fatal("Shards+SummaryFile accepted")
-	}
-	sharded, err := NewIndex(objs, &Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	if err := sharded.SaveSummaries(filepath.Join(t.TempDir(), "s.fzx")); err == nil {
-		t.Fatal("SaveSummaries on sharded index accepted")
 	}
 }
