@@ -10,13 +10,17 @@ import (
 )
 
 // TestApplyBatchPublicAPI exercises the public group-commit surface: a
-// log-backed index under every fsync policy ingests a batch, survives
+// log-backed index under every fsync policy name ingests a batch, survives
 // reopen, rejects invalid batches whole with positioned item errors, and
 // answers identically to per-op ingestion — across 1 and 4 shards.
 func TestApplyBatchPublicAPI(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, policy := range []fuzzyknn.FsyncPolicy{fuzzyknn.FsyncAlways, fuzzyknn.FsyncBatch, fuzzyknn.FsyncOff} {
-			t.Run(fmt.Sprintf("shards=%d/fsync=%v", shards, policy), func(t *testing.T) {
+		for _, name := range []string{"always", "batch", "off"} {
+			t.Run(fmt.Sprintf("shards=%d/fsync=%s", shards, name), func(t *testing.T) {
+				policy, err := fuzzyknn.ParseFsyncPolicy(name)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := &fuzzyknn.Config{Shards: shards, Fsync: policy}
 				path := filepath.Join(t.TempDir(), "objects.fzl")
 				idx, err := fuzzyknn.OpenLogIndex(path, 2, cfg)
@@ -100,12 +104,13 @@ func TestApplyBatchPublicAPI(t *testing.T) {
 	}
 }
 
-// TestParseFsyncPolicy pins the CLI names.
+// TestParseFsyncPolicy pins the CLI names: two policies, with "batch" a
+// legacy spelling of "always".
 func TestParseFsyncPolicy(t *testing.T) {
 	for in, want := range map[string]fuzzyknn.FsyncPolicy{
 		"":       fuzzyknn.FsyncAlways,
 		"always": fuzzyknn.FsyncAlways,
-		"BATCH":  fuzzyknn.FsyncBatch,
+		"BATCH":  fuzzyknn.FsyncAlways,
 		"off":    fuzzyknn.FsyncOff,
 	} {
 		got, err := fuzzyknn.ParseFsyncPolicy(in)
@@ -115,6 +120,9 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 	if _, err := fuzzyknn.ParseFsyncPolicy("sometimes"); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+	if fuzzyknn.FsyncBatch != fuzzyknn.FsyncAlways || fuzzyknn.FsyncOff == fuzzyknn.FsyncAlways {
+		t.Fatal("FsyncBatch must alias FsyncAlways, and FsyncOff differ from it")
 	}
 }
 

@@ -58,22 +58,21 @@
 // /stats reports each shard's checkpoint generation, size and age.
 //
 // The -fsync flag picks the log's durability policy (-log mode only).
-// Every HTTP mutation — single or batch — flows through the engine's
-// write coalescer, which commits groups (even groups of one) through
-// ApplyBatch, so under both `always` and `batch` an acknowledged HTTP
-// mutation is fsync'd; the policies differ for library code doing direct
-// per-op Insert/Delete calls:
+// Every mutation — single or batch, over HTTP or through the library — is
+// a group commit (a single insert or delete is a group of one), so there
+// is one write path and two policies:
 //
-//	always  fsync every commit, group or single append. Nothing
-//	        acknowledged is ever lost.
-//	batch   (default) fsync once per group commit; direct single appends
-//	        ride the OS page cache. Recovery after power loss never
-//	        serves half a batch — it truncates the torn tail, or (rare:
-//	        the OS wrote an unsynced tail back out of order) refuses
-//	        loudly with a corruption error rather than guess.
+//	always  (default) fsync every commit before acknowledging it. Nothing
+//	        acknowledged is ever lost. Recovery after power loss never
+//	        serves half a batch — it truncates the torn tail.
 //	off     never fsync; the OS flushes when it pleases. Fastest, weakest:
 //	        any recently acknowledged mutation may be lost on power loss,
-//	        with the same fail-loud recovery contract.
+//	        and recovery either truncates the torn tail or (rare: the OS
+//	        wrote an unsynced tail back out of order) refuses loudly with
+//	        a corruption error rather than guess.
+//
+// `batch` is accepted as a legacy spelling of `always`: it used to leave
+// single-record appends unsynced, a write path that no longer exists.
 //
 // Any writable instance can lead a replica set. -replication makes the
 // server a leader: it serves a bootstrap snapshot and a committed-frame
@@ -140,7 +139,7 @@ func main() {
 		storePath   = flag.String("store", "", "immutable store file to serve (written by fuzzygen)")
 		logPath     = flag.String("log", "", "mutable append-only log store to serve (created if missing)")
 		dims        = flag.Int("dims", 0, "dimensionality when creating a new -log store")
-		fsync       = flag.String("fsync", "batch", "log durability policy: always | batch | off (see command docs)")
+		fsync       = flag.String("fsync", "always", "log durability policy: always | off (see command docs)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint+compact the log after every N write groups (0 = only on POST /checkpoint)")
 		pageFile    = flag.String("pagefile", "", "paged R-tree file (written by fuzzygen -pagefile or Index.SavePaged); serves -store without loading the tree into RAM")
 		cacheMB     = flag.Int("cache-mb", 64, "block cache budget in MiB for -pagefile indexes")
@@ -289,7 +288,7 @@ func openIndex(storePath, logPath, pageFile, fsync, follow string, cacheSize, ca
 		return nil, errors.New("-pagefile only applies to -store indexes")
 	case dims != 0 && logPath == "":
 		return nil, errors.New("-dims only applies to -log indexes")
-	case fsync != "batch" && logPath == "":
+	case policy != fuzzyknn.FsyncAlways && logPath == "":
 		return nil, errors.New("-fsync only applies to -log indexes")
 	case pageFile != "":
 		return fuzzyknn.OpenPagedIndex(storePath, pageFile, cacheMB, cfg)

@@ -19,9 +19,10 @@ type BatchResponse = engine.Response
 // BatchKind selects the query type of a BatchRequest.
 type BatchKind = engine.Kind
 
-// BatchRequest kinds. The mutation kinds (insert/delete) run through the
-// same worker pool as queries, so a mixed batch may interleave reads and
-// writes; snapshot isolation keeps concurrent queries consistent.
+// BatchRequest kinds. The mutation kinds (insert/delete) bypass the query
+// worker pool for the engine's write coalescer, which commits queued
+// mutations in groups; a mixed batch may still interleave reads and writes,
+// and snapshot isolation keeps concurrent queries consistent.
 const (
 	BatchAKNNKind   = engine.AKNN
 	BatchRKNNKind   = engine.RKNN
@@ -180,8 +181,8 @@ func (e *Engine) BatchInsert(ctx context.Context, objs []*Object) ([]error, erro
 	return errs, err
 }
 
-// BatchDelete retires the ids through the engine's worker pool. Semantics
-// match BatchInsert.
+// BatchDelete retires the ids through the engine's write coalescer.
+// Semantics match BatchInsert.
 func (e *Engine) BatchDelete(ctx context.Context, ids []uint64) ([]error, error) {
 	reqs := make([]BatchRequest, len(ids))
 	for i, id := range ids {

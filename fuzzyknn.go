@@ -122,14 +122,15 @@ type FsyncPolicy = store.SyncPolicy
 // Fsync policies for log-backed indexes, trading durability of
 // acknowledged writes for throughput (never integrity — a crash always
 // leaves a log that reopens cleanly; the policy only bounds how much
-// acknowledged tail can be lost):
+// acknowledged tail can be lost). Every mutation is a group commit — an
+// Insert or Delete is a group of one — so there are two policies:
 //
-//   - FsyncAlways: fsync after every committed mutation, single or batch.
-//     The default, and the strongest guarantee.
-//   - FsyncBatch: fsync once per ApplyBatch group commit; single
-//     Insert/Delete appends ride the OS page cache. Acknowledged batches
-//     survive power loss, recently acknowledged single mutations may not.
+//   - FsyncAlways: fsync every commit before it is acknowledged. The
+//     default, and the strongest guarantee.
 //   - FsyncOff: never fsync; the OS flushes at its leisure.
+//
+// FsyncBatch is the legacy spelling of FsyncAlways: it used to skip the
+// fsync of single-record appends, a write path that no longer exists.
 const (
 	FsyncAlways = store.SyncAlways
 	FsyncBatch  = store.SyncBatch
@@ -137,17 +138,16 @@ const (
 )
 
 // ParseFsyncPolicy resolves the CLI names of the fsync policies:
-// always | batch | off (case-insensitive; empty selects FsyncAlways).
+// always | off (case-insensitive; empty selects FsyncAlways, and "batch" is
+// accepted as a legacy synonym of "always").
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
-	case "", "always":
+	case "", "always", "batch":
 		return FsyncAlways, nil
-	case "batch":
-		return FsyncBatch, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("fuzzyknn: unknown fsync policy %q (want always | batch | off)", s)
+	return 0, fmt.Errorf("fuzzyknn: unknown fsync policy %q (want always | off)", s)
 }
 
 // ParseAKNNAlgorithm resolves the CLI/HTTP names of the AKNN variants:
@@ -259,11 +259,9 @@ type Config struct {
 	// with. 0 or 1 selects the single-tree layout.
 	Shards int
 	// Fsync selects the durability policy of a log-backed index
-	// (OpenLogIndex only): when the log fsyncs acknowledged mutations. The
-	// zero value is FsyncAlways, the historical behavior; FsyncBatch keeps
-	// group commits (ApplyBatch, Engine batch ingest, the server's batch
-	// endpoint) durable while letting single mutations ride the page
-	// cache. See the Fsync* constants for the exact tradeoffs.
+	// (OpenLogIndex only): whether the log fsyncs a commit before
+	// acknowledging it. The zero value is FsyncAlways; FsyncOff leaves the
+	// flush to the OS. See the Fsync* constants for the exact tradeoff.
 	Fsync FsyncPolicy
 }
 
@@ -504,24 +502,26 @@ func closeAll(files []io.Closer) error {
 	return first
 }
 
-// Insert adds an object to the index and its store. The object becomes
-// visible to queries that start after Insert returns; queries already in
-// flight complete against the population they started with (snapshot
-// isolation). It fails with ErrInvalidQuery for nil or dimensionally
+// Insert adds an object to the index and its store: an ApplyBatch of one
+// item, returning that item's own error. The object becomes visible to
+// queries that start after Insert returns; queries already in flight
+// complete against the population they started with (snapshot isolation). It fails with ErrInvalidQuery for nil or dimensionally
 // mismatched objects, ErrDuplicate for a live id collision, and
 // ErrReadOnly when the underlying store cannot be written (OpenIndex).
 func (ix *Index) Insert(obj *Object) error {
-	return ix.inner.Insert(obj)
+	_, err := query.Insert(ix.inner, obj)
+	return err
 }
 
-// Delete retires the object with the given id. Queries already in flight
-// still see it (and can still probe its payload — deletes are logical
-// tombstones in the store); queries started after Delete returns do not.
+// Delete retires the object with the given id (an ApplyBatch of one item,
+// like Insert). Queries already in flight still see it (and can still probe
+// its payload — deletes are logical tombstones in the store); queries
+// started after Delete returns do not.
 // It fails with ErrNotFound for ids that are not live and ErrReadOnly on
 // read-only indexes. Locating the object costs one object access (counted
 // in TotalObjectAccesses; BatchDelete responses carry it as Stats).
 func (ix *Index) Delete(id uint64) error {
-	_, err := ix.inner.Delete(id)
+	_, err := query.Delete(ix.inner, id)
 	return err
 }
 

@@ -14,12 +14,11 @@ import (
 
 // The ingest experiment measures write-path throughput (objects/second)
 // against the group-commit batch size, for an in-memory index and for a
-// log-backed index that fsyncs every commit. Batch size 1 is the per-op
-// Insert loop — the pre-group-commit write path: one writer-lock
-// acquisition, one tree clone, one snapshot publish and (log-backed) one
-// fsync per object. Larger batches amortize all four; the log-backed curve
-// additionally collapses N fsyncs into one, which is where the
-// order-of-magnitude win comes from.
+// log-backed index that fsyncs every commit. Batch size 1 is a group
+// commit per object: one writer-lock acquisition, one tree clone, one
+// snapshot publish and (log-backed) one fsync each. Larger batches amortize
+// all four; the log-backed curve additionally collapses N fsyncs into one,
+// which is where the order-of-magnitude win comes from.
 
 // ingestBatchSizes swept by the experiment.
 var ingestBatchSizes = []int{1, 16, 64, 256, 1024}
@@ -70,7 +69,7 @@ func ingestExp(s Scale) (*Table, error) {
 	return &Table{
 		ID:     "ingest",
 		Title:  fmt.Sprintf("Ingest throughput vs batch size — N=%d synthetic objects, %d points each", n, pts),
-		XLabel: "batch size (1 = per-op Insert loop)",
+		XLabel: "batch size (1 = one commit per object)",
 		X:      xs,
 		YLabel: "objects/second",
 		Series: []Series{
@@ -115,8 +114,8 @@ func ingestMem(objs []*fuzzy.Object, batch int) (float64, error) {
 }
 
 // ingestLog is ingestMem against a freshly created log store (SyncAlways:
-// every commit — single record or group — is fsync'd before it is
-// acknowledged, so batch size 1 pays one fsync per object).
+// every commit is fsync'd before it is acknowledged, so batch size 1 pays
+// one fsync per object).
 func ingestLog(objs []*fuzzy.Object, batch int, path string) (float64, error) {
 	ls, err := store.OpenLog(path, objs[0].Dims())
 	if err != nil {
@@ -130,22 +129,14 @@ func ingestLog(objs []*fuzzy.Object, batch int, path string) (float64, error) {
 	return ingestInto(ix, objs, batch)
 }
 
-// ingestInto drives the ingest and times it: per-op Inserts for batch size
-// 1 (the historical write path), ApplyBatch groups otherwise.
+// ingestInto drives the ingest in ApplyBatch groups of the given size and
+// times it.
 func ingestInto(ix *query.Index, objs []*fuzzy.Object, batch int) (float64, error) {
 	started := time.Now()
-	if batch <= 1 {
-		for _, o := range objs {
-			if err := ix.Insert(o); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		for lo := 0; lo < len(objs); lo += batch {
-			hi := min(lo+batch, len(objs))
-			if _, err := ix.ApplyBatch(objs[lo:hi], nil); err != nil {
-				return 0, err
-			}
+	for lo := 0; lo < len(objs); lo += batch {
+		hi := min(lo+batch, len(objs))
+		if _, err := ix.ApplyBatch(objs[lo:hi], nil); err != nil {
+			return 0, err
 		}
 	}
 	return float64(len(objs)) / time.Since(started).Seconds(), nil

@@ -3,39 +3,27 @@ package engine
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fuzzyknn/internal/dataset"
+	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/query"
 	"fuzzyknn/internal/store"
 )
 
-// commitSpy wraps a BatchMutator store and records how mutations land:
-// group commits (with their sizes) vs single-record appends. It is how the
-// coalescing tests observe that N queued engine requests really collapse
-// into few store-level commits.
+// commitSpy wraps a mutable store and records the size of every commit. It
+// is how the coalescing tests observe that N queued engine requests really
+// collapse into few store-level commits.
 type commitSpy struct {
 	*store.MemStore
 
 	mu      sync.Mutex
 	batches []int // one entry per ApplyBatch, the item count
-	singles int   // Insert/Delete calls
-}
-
-func (s *commitSpy) Insert(o *fuzzy.Object) error {
-	s.mu.Lock()
-	s.singles++
-	s.mu.Unlock()
-	return s.MemStore.Insert(o)
-}
-
-func (s *commitSpy) Delete(id uint64) error {
-	s.mu.Lock()
-	s.singles++
-	s.mu.Unlock()
-	return s.MemStore.Delete(id)
 }
 
 func (s *commitSpy) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
@@ -45,10 +33,10 @@ func (s *commitSpy) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error 
 	return s.MemStore.ApplyBatch(inserts, deletes)
 }
 
-func (s *commitSpy) snapshot() (batches []int, singles int) {
+func (s *commitSpy) snapshot() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.batches...), s.singles
+	return append([]int(nil), s.batches...)
 }
 
 // spyEnv builds an empty mutable index whose store-level commits are
@@ -100,20 +88,18 @@ func TestEngineCoalescesWrites(t *testing.T) {
 	if ix.Len() != len(objs) {
 		t.Fatalf("index has %d objects, want %d", ix.Len(), len(objs))
 	}
-	batches, singles := spy.snapshot()
-	commits := len(batches) + singles
-	if commits >= len(objs)/4 {
-		t.Fatalf("%d inserts took %d store commits (%d groups + %d singles); expected heavy coalescing",
-			len(objs), commits, len(batches), singles)
+	batches := spy.snapshot()
+	if len(batches) >= len(objs)/4 {
+		t.Fatalf("%d inserts took %d store commits; expected heavy coalescing", len(objs), len(batches))
 	}
 	var grouped int
 	for _, n := range batches {
 		grouped += n
 	}
-	if grouped+singles != len(objs) {
-		t.Fatalf("commit sizes sum to %d+%d, want %d", grouped, singles, len(objs))
+	if grouped != len(objs) {
+		t.Fatalf("commit sizes sum to %d, want %d", grouped, len(objs))
 	}
-	t.Logf("%d inserts -> %d group commits (sizes %v) + %d singles", len(objs), len(batches), batches, singles)
+	t.Logf("%d inserts -> %d group commits (sizes %v)", len(objs), len(batches), batches)
 }
 
 // TestEngineCoalesceFallback: a group holding invalid requests must report
@@ -174,6 +160,129 @@ func TestEngineCoalesceFallback(t *testing.T) {
 	totals := eng.Totals()
 	if totals.Failures == 0 {
 		t.Fatal("failed requests not counted")
+	}
+}
+
+// searcherSpy counts the commits the engine asks its index for.
+type searcherSpy struct {
+	query.Searcher
+	applies atomic.Int64
+}
+
+func (s *searcherSpy) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]query.Stats, error) {
+	s.applies.Add(1)
+	return s.Searcher.ApplyBatch(inserts, deletes)
+}
+
+// TestEngineLoneRequestCommitsOnce: a group of one has nothing to fall back
+// to — its rejection already is the request's verdict — so a lone invalid
+// insert is validated by exactly one ApplyBatch, and comes back as the
+// item's own error rather than a *query.BatchError.
+func TestEngineLoneRequestCommitsOnce(t *testing.T) {
+	ms, err := store.NewMemStore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := query.Build(ms, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &searcherSpy{Searcher: ix}
+	eng := New(spy, Options{Parallelism: 1})
+	defer eng.Close()
+	objs := genObjects(t, 2, 13)
+	ctx := context.Background()
+
+	if resp := eng.Do(ctx, Request{Kind: Insert, Obj: objs[0]}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if got := spy.applies.Swap(0); got != 1 {
+		t.Fatalf("a lone valid insert cost %d ApplyBatch calls, want 1", got)
+	}
+	resp := eng.Do(ctx, Request{Kind: Insert, Obj: objs[0]})
+	var be *query.BatchError
+	if !errors.Is(resp.Err, store.ErrDuplicate) || errors.As(resp.Err, &be) {
+		t.Fatalf("lone duplicate insert: %v, want the item's own ErrDuplicate", resp.Err)
+	}
+	if got := spy.applies.Swap(0); got != 1 {
+		t.Fatalf("a lone invalid insert cost %d ApplyBatch calls, want 1", got)
+	}
+	resp = eng.Do(ctx, Request{Kind: Delete, ID: 1 << 40})
+	if !errors.Is(resp.Err, store.ErrNotFound) || errors.As(resp.Err, &be) {
+		t.Fatalf("lone delete of an unknown id: %v, want the item's own ErrNotFound", resp.Err)
+	}
+	if got := spy.applies.Swap(0); got != 1 {
+		t.Fatalf("a lone invalid delete cost %d ApplyBatch calls, want 1", got)
+	}
+}
+
+// TestEngineFallbackDegradedOnFsyncFailure: a valid insert coalesced with
+// an invalid groupmate is committed alone by the fallback — and that commit
+// must be as durable as any other. With every log fsync failing, the valid
+// request fails with store.ErrFailed under both names of the syncing policy
+// ("batch" used to leave the fallback's single append unsynced and
+// acknowledge it), the index degrades, and a reopen does not serve the
+// object.
+func TestEngineFallbackDegradedOnFsyncFailure(t *testing.T) {
+	for name, policy := range map[string]store.SyncPolicy{"always": store.SyncAlways, "batch": store.SyncBatch} {
+		t.Run(name, func(t *testing.T) {
+			defer fault.Reset()
+			path := filepath.Join(t.TempDir(), "objects.fzl")
+			ls, err := store.OpenLogPolicy(path, 2, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
+			objs := genObjects(t, 2, 11)
+			dup, valid := objs[0], objs[1]
+			if err := ls.ApplyBatch([]*fuzzy.Object{dup}, nil); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := query.Build(ls, query.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := New(ix, Options{Parallelism: 1})
+			defer eng.Close()
+
+			fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError})
+			// One drained group, handed to the writer's commit step directly
+			// so the two requests are certain to share it.
+			var wg sync.WaitGroup
+			resps := make([]Response, 2)
+			group := make([]job, 2)
+			for i, o := range []*fuzzy.Object{dup, valid} {
+				wg.Add(1)
+				group[i] = job{ctx: context.Background(), req: Request{Kind: Insert, Obj: o}, resp: &resps[i], wg: &wg, start: time.Now()}
+			}
+			eng.executeWrites(group)
+			wg.Wait()
+			fault.Reset()
+
+			if !errors.Is(resps[0].Err, store.ErrDuplicate) {
+				t.Errorf("duplicate insert: %v, want ErrDuplicate", resps[0].Err)
+			}
+			if !errors.Is(resps[1].Err, store.ErrFailed) {
+				t.Errorf("valid insert over a failing fsync: %v, want ErrFailed — it was acknowledged without being durable", resps[1].Err)
+			}
+			if ix.Degraded() == nil {
+				t.Error("index not degraded after the failed fsync")
+			}
+			if err := ls.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := store.OpenLog(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if live, _ := r.Live(valid.ID()); live {
+				t.Errorf("object %d is live after reopen; its commit was refused", valid.ID())
+			}
+			if live, _ := r.Live(dup.ID()); !live {
+				t.Errorf("object %d, committed before the fault, is gone after reopen", dup.ID())
+			}
+		})
 	}
 }
 

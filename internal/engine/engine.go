@@ -12,10 +12,11 @@
 // context cancellation, and aggregate statistics across all requests it has
 // executed. Mutations (Insert/Delete kinds) flow through a dedicated write
 // coalescer instead of the pool: queued mutation requests collapse into
-// group commits (Searcher.ApplyBatch — one writer-lock acquisition, one
-// tree clone, one snapshot publish, one fsync per group) while the index
-// keeps readers on their snapshots; each request still gets its own
-// verdict and its own statistics, exactly as if applied alone.
+// group commits (Searcher.ApplyBatch, the only way a mutation moves — one
+// writer-lock acquisition, one tree clone, one snapshot publish, one fsync
+// per group) while the index keeps readers on their snapshots; each request
+// still gets its own verdict and its own statistics, exactly as if applied
+// alone.
 //
 // An Engine is cheap enough to keep for the life of a process. Submit work
 // with Do (one request) or DoBatch (many, answered in order); both are safe
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +42,10 @@ import (
 // Kind selects the query or mutation type of a Request.
 type Kind int
 
-// Supported request kinds. Insert and Delete are index mutations: they run
-// through the same worker pool and batching machinery as queries, so a
-// mixed batch can interleave reads and writes; the index's snapshot
-// isolation keeps the concurrently executing queries consistent.
+// Supported request kinds. Insert and Delete are index mutations: they
+// bypass the worker pool for the write coalescer (see Engine), so a mixed
+// batch can interleave reads and writes; the index's snapshot isolation
+// keeps the concurrently executing queries consistent.
 const (
 	AKNN Kind = iota
 	RKNN
@@ -329,14 +331,15 @@ func (e *Engine) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
 	return infos, err
 }
 
-// executeWrites commits one drained group of mutation requests. The fast
-// path applies the whole group through Searcher.ApplyBatch; a validation
-// rejection (query.BatchError — nothing was applied) falls back to per-
-// request application in arrival order, so every request keeps exactly the
-// verdict it would have gotten unbatched while valid groupmates still
-// commit. Per-request statistics keep the accounting invariant (store
-// access total == Σ per-request stats): batch validation probes are folded
-// into the owning request even when the group retries item by item.
+// executeWrites commits one drained group of mutation requests through
+// Searcher.ApplyBatch. A validation rejection (query.BatchError — nothing
+// was applied) falls back to committing each request as a group of its own,
+// in arrival order, so every request keeps exactly the verdict it would
+// have gotten unbatched while valid groupmates still commit — each as
+// durably as any other group. Per-request statistics keep the accounting
+// invariant (store access total == Σ per-request stats): batch validation
+// probes are folded into the owning request even when the group retries
+// request by request.
 func (e *Engine) executeWrites(group []job) {
 	answered := make([]bool, len(group))
 	finish := func(i int, st query.Stats, err error) {
@@ -380,33 +383,40 @@ func (e *Engine) executeWrites(group []job) {
 			finish(i, query.Stats{}, fmt.Errorf("engine: unknown mutation kind %d (%w)", int(j.req.Kind), query.ErrInvalidArgument))
 		}
 	}
-	if len(inserts)+len(deletes) == 0 {
+	// applyAlone commits request i as a group of one; its outcome is the
+	// request's own verdict.
+	applyAlone := func(i int) (query.Stats, error) {
+		if group[i].req.Kind == Insert {
+			return query.Insert(e.ix, group[i].req.Obj)
+		}
+		return query.Delete(e.ix, group[i].req.ID)
+	}
+	// order maps ApplyBatch's combined item order (inserts, then deletes)
+	// back onto group positions.
+	order := slices.Concat(insJob, delJob)
+	switch len(order) {
+	case 0:
+		return
+	case 1:
+		// Nothing to fall back to: a refusal already is this request's
+		// verdict, so it is validated once.
+		st, err := applyAlone(order[0])
+		finish(order[0], st, err)
 		return
 	}
-	// Even a group of one goes through ApplyBatch: a drained group is a
-	// group commit, and under store.SyncBatch that is the path that fsyncs
-	// before acknowledgment — the plain Insert/Delete appends deliberately
-	// do not. (A 1-item POST /objects:batch must be as durable as a
-	// 256-item one.)
 	stats, err := e.ix.ApplyBatch(inserts, deletes)
-	// stats is in combined order (inserts, then deletes); map it back onto
-	// group positions. A refusal that did no work at all (e.g. a degraded
-	// index) returns no stats — missing entries stay zero.
-	accrued := make(map[int]query.Stats, len(stats))
-	for bi, i := range insJob {
-		if bi < len(stats) {
-			accrued[i] = stats[bi]
-		}
-	}
-	for bj, j := range delJob {
-		if k := len(inserts) + bj; k < len(stats) {
-			accrued[j] = stats[k]
+	// A refusal that did no work at all (a degraded index) returns no stats
+	// — those entries stay zero.
+	accrued := make([]query.Stats, len(group))
+	for k, i := range order {
+		if k < len(stats) {
+			accrued[i] = stats[k]
 		}
 	}
 	var be *query.BatchError
-	if err != nil && errors.As(err, &be) {
-		// Validation rejected the group and NOTHING was applied. Re-run
-		// each request alone, in arrival order, so invalid items get their
+	if errors.As(err, &be) {
+		// Validation rejected the group and NOTHING was applied. Commit each
+		// request alone, in arrival order, so invalid items get their
 		// precise error and valid ones still land with sequential
 		// semantics. The probes the failed validation performed are folded
 		// into the owning requests on top of whatever the retry costs.
@@ -414,22 +424,17 @@ func (e *Engine) executeWrites(group []job) {
 			if answered[i] {
 				continue
 			}
-			st := accrued[i]
-			if group[i].req.Kind == Insert {
-				finish(i, st, e.ix.Insert(group[i].req.Obj))
-				continue
-			}
-			dst, derr := e.ix.Delete(group[i].req.ID)
-			st.Add(dst)
-			finish(i, st, derr)
+			st, err := applyAlone(i)
+			st.Add(accrued[i])
+			finish(i, st, err)
 		}
 		return
 	}
 	// Success — or a commit-phase failure (I/O class): every request in the
-	// group shares the outcome. No item-by-item retry after a commit error:
-	// the store's state is suspect, and re-applying could double-commit a
-	// half-landed sharded group.
-	for i := range group {
+	// group shares the outcome. No request-by-request retry after a commit
+	// error: the store's state is suspect, and re-applying could
+	// double-commit a half-landed sharded group.
+	for _, i := range order {
 		finish(i, accrued[i], err)
 	}
 }
@@ -461,13 +466,6 @@ func (e *Engine) execute(j job) {
 		j.resp.Ranged, j.resp.Stats, j.resp.Err = e.ix.RKNN(r.Q, r.K, r.AlphaStart, r.AlphaEnd, r.RKNNAlgo)
 	case RangeSearch:
 		j.resp.Results, j.resp.Stats, j.resp.Err = e.ix.RangeSearch(r.Q, r.Alpha, r.Radius)
-	case Insert:
-		j.resp.Err = e.ix.Insert(r.Obj)
-	case Delete:
-		// The locate probe is a real store access; carrying it in the
-		// response (success or not) keeps the accounting invariant (store
-		// total == sum of per-request stats) intact for mixed workloads.
-		j.resp.Stats, j.resp.Err = e.ix.Delete(r.ID)
 	default:
 		j.resp.Err = fmt.Errorf("engine: unknown request kind %d (%w)", int(r.Kind), query.ErrInvalidArgument)
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -115,9 +116,6 @@ func (ix *Index) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats,
 	if len(inserts)+len(deletes) == 0 {
 		return stats, nil
 	}
-	if ix.pageCache != nil {
-		return stats, fmt.Errorf("query: batch: %w: paged index is read-only", store.ErrReadOnly)
-	}
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	prep, errs := ix.prepareBatch(inserts, deletes,
@@ -132,6 +130,43 @@ func (ix *Index) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats,
 	}
 	spreadDuration(stats, time.Since(started))
 	return stats, nil
+}
+
+// Insert adds obj to s as a group of one: the only way a mutation moves is
+// Searcher.ApplyBatch, and a single insert is that with one item. The object
+// is visible to queries that start after Insert returns; queries already in
+// flight complete against their snapshot. A refused item comes back as its
+// own error, not a *BatchError: ErrInvalidArgument for a nil or
+// dimensionally mismatched object, store.ErrDuplicate when the id is live,
+// store.ErrReadOnly when the index or its store has no write side. The
+// Stats is the item's (an insert probes nothing; Duration is the commit's).
+func Insert(s Searcher, obj *fuzzy.Object) (Stats, error) {
+	return applyOne(s.ApplyBatch([]*fuzzy.Object{obj}, nil))
+}
+
+// Delete retires id from s as a group of one (see Insert): the index entry
+// goes and the store tombstones the object, whose payload stays readable
+// for in-flight snapshot queries. It fails with store.ErrNotFound for an id
+// that is not live. Locating the object's rectangle costs one store probe,
+// reported in the Stats whether or not the delete succeeds, so callers
+// aggregating per-request statistics stay consistent with the store's raw
+// access counter.
+func Delete(s Searcher, id uint64) (Stats, error) {
+	return applyOne(s.ApplyBatch(nil, []uint64{id}))
+}
+
+// applyOne reduces a one-item ApplyBatch to the item's own outcome. A
+// refusal that did no work at all (a degraded index) carries no stats.
+func applyOne(stats []Stats, err error) (Stats, error) {
+	var st Stats
+	if len(stats) == 1 {
+		st = stats[0]
+	}
+	var be *BatchError
+	if errors.As(err, &be) && len(be.Items) == 1 {
+		err = fmt.Errorf("query: %s: %w", be.Items[0].Op, be.Items[0].Err)
+	}
+	return st, err
 }
 
 // identityPositions maps a local batch slice onto itself (the unsharded
@@ -164,6 +199,7 @@ func spreadDuration(stats []Stats, d time.Duration) {
 // commit (or through abandonment — dropping a prep is free).
 type batchPrep struct {
 	ix      *Index
+	store   store.Mutator
 	tree    *rtree.Tree
 	dims    int
 	inserts []*fuzzy.Object
@@ -186,12 +222,23 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	insErr := func(i int, err error) { errs = append(errs, BatchItemError{Op: OpInsert, Pos: insPos[i], Err: err}) }
 	delErr := func(j int, err error) { errs = append(errs, BatchItemError{Op: OpDelete, Pos: delPos[j], Err: err}) }
 
-	if _, isMutable := store.As[store.Mutator](ix.store); !isMutable {
+	// A paged tree's shape is bound to its page file, whatever the store
+	// behind it could take; checked here, where the plain and the sharded
+	// coordinator both pass.
+	var readOnly error
+	mutator, isMutable := store.As[store.Mutator](ix.store)
+	switch {
+	case ix.pageCache != nil:
+		readOnly = fmt.Errorf("%w: paged index is read-only", store.ErrReadOnly)
+	case !isMutable:
+		readOnly = fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store)
+	}
+	if readOnly != nil {
 		for i := range inserts {
-			insErr(i, fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store))
+			insErr(i, readOnly)
 		}
 		for j := range deletes {
-			delErr(j, fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store))
+			delErr(j, readOnly)
 		}
 		return nil, errs
 	}
@@ -276,6 +323,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	}
 	return &batchPrep{
 		ix:      ix,
+		store:   mutator,
 		tree:    tree,
 		dims:    dims,
 		inserts: inserts,
@@ -322,47 +370,21 @@ func (ix *Index) bulkRebuild(tree *rtree.Tree, inserts []*fuzzy.Object, items []
 	return rtree.BulkLoad(all, ix.opts.MinEntries, ix.opts.MaxEntries)
 }
 
-// commit lands the prepared batch: one store group commit, then one
-// snapshot publish. writeMu must still be held. A store-side rejection
-// (e.g. a duplicate the index could not see because the store lacks a
-// liveness probe) comes back as a *BatchError with the offending position
-// and nothing published; an I/O failure comes back verbatim — the snapshot
-// is not published then either, so the index never diverges from what the
-// store accepted.
+// commit lands the prepared batch: one store group commit (one write and
+// one fsync for a log store), then one snapshot publish. writeMu must still
+// be held. A store-side rejection (e.g. a duplicate the index could not see
+// because the store lacks a liveness probe) comes back as a *BatchError with
+// the offending position and nothing published; an I/O failure comes back
+// verbatim — the snapshot is not published then either, so the index never
+// diverges from what the store accepted.
 func (p *batchPrep) commit() error {
-	if err := p.storeApply(); err != nil {
-		return err
-	}
-	p.ix.snap.Store(&snapshot{tree: p.tree, dims: p.dims})
-	return nil
-}
-
-// storeApply routes the group to the store's batch side (one write + one
-// fsync for a log store), translating store item errors to batch errors.
-func (p *batchPrep) storeApply() error {
-	bm, ok := store.As[store.BatchMutator](p.ix.store)
-	if !ok {
-		// Exotic stack without a batch side (every shipped mutable store
-		// has one): fall back to item-by-item application. Validation has
-		// already passed, so failures here are of the I/O class.
-		m, _ := store.As[store.Mutator](p.ix.store) // prepareBatch checked it exists
-		for _, o := range p.inserts {
-			if err := p.ix.noteStoreErr(m.Insert(o)); err != nil {
-				return fmt.Errorf("query: batch insert %d: %w", o.ID(), err)
-			}
-		}
-		for _, id := range p.deletes {
-			if err := p.ix.noteStoreErr(m.Delete(id)); err != nil {
-				return fmt.Errorf("query: batch delete %d: %w", id, err)
-			}
-		}
+	err := p.ix.noteStoreErr(p.store.ApplyBatch(p.inserts, p.deletes))
+	var ie *store.ItemError
+	switch {
+	case err == nil:
+		p.ix.snap.Store(&snapshot{tree: p.tree, dims: p.dims})
 		return nil
-	}
-	err := p.ix.noteStoreErr(bm.ApplyBatch(p.inserts, p.deletes))
-	if err == nil {
-		return nil
-	}
-	if ie, isItem := err.(*store.ItemError); isItem {
+	case errors.As(err, &ie):
 		item := BatchItemError{Op: OpInsert, Pos: p.insPos[ie.Pos], Err: ie.Err}
 		if ie.Delete {
 			item = BatchItemError{Op: OpDelete, Pos: p.delPos[ie.Pos], Err: ie.Err}
@@ -422,9 +444,6 @@ func (sx *ShardedIndex) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([
 	stats := make([]Stats, len(inserts)+len(deletes))
 	if len(inserts)+len(deletes) == 0 {
 		return stats, nil
-	}
-	if err := sx.refuseIfDegraded(); err != nil {
-		return nil, fmt.Errorf("query: batch: %w", err)
 	}
 	if err := sx.refuseIfDegraded(); err != nil {
 		return nil, fmt.Errorf("query: batch: %w", err)

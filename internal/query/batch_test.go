@@ -63,12 +63,12 @@ func newBatchEquivState(t *testing.T, seed uint64, shards int) *batchEquivState 
 func (s *batchEquivState) apply(inserts []*fuzzy.Object, deletes []uint64) {
 	s.t.Helper()
 	for _, o := range inserts {
-		if err := s.seq.Insert(o); err != nil {
+		if _, err := Insert(s.seq, o); err != nil {
 			s.t.Fatalf("sequential insert %d: %v", o.ID(), err)
 		}
 	}
 	for _, id := range deletes {
-		if _, err := s.seq.Delete(id); err != nil {
+		if _, err := Delete(s.seq, id); err != nil {
 			s.t.Fatalf("sequential delete %d: %v", id, err)
 		}
 	}

@@ -36,7 +36,7 @@ func (ix *Index) noteStoreErr(err error) error {
 }
 
 // refuseIfDegraded returns the shard's sticky fail-stop error (counting
-// the refusal) when it is degraded. The single-index write paths don't
+// the refusal) when it is degraded. A single index's write path doesn't
 // need it — the poisoned store refuses on its own — but a sharded
 // coordinator must gate writes to its healthy shards too, or a degraded
 // index would keep accepting the subset of writes that happen to hash

@@ -30,7 +30,7 @@ func degradedFixture(t *testing.T, shards int) (Searcher, []uint64) {
 		}
 		t.Cleanup(func() { ls.Close() })
 		for id := lo; id <= hi; id++ {
-			if err := ls.Insert(reID(makeObjects(rng, 1, 3, 4, 0)[0], id)); err != nil {
+			if err := ls.ApplyBatch([]*fuzzy.Object{reID(makeObjects(rng, 1, 3, 4, 0)[0], id)}, nil); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
@@ -74,7 +74,7 @@ func TestDegradedModeStickyAfterFsyncFailure(t *testing.T) {
 			probe := reID(makeObjects(rng, 1, 3, 4, 0)[0], 9000)
 
 			fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError, Nth: 1})
-			err := ix.Insert(reID(makeObjects(rng, 1, 3, 4, 0)[0], 9001))
+			_, err := Insert(ix, reID(makeObjects(rng, 1, 3, 4, 0)[0], 9001))
 			fault.Reset()
 			if !errors.Is(err, store.ErrFailed) {
 				t.Fatalf("insert over failed fsync: %v, want store.ErrFailed", err)
@@ -85,7 +85,7 @@ func TestDegradedModeStickyAfterFsyncFailure(t *testing.T) {
 				t.Fatalf("degraded state after fail-stop: %+v", d)
 			}
 			// Sticky: failpoints are disarmed, writes still refuse.
-			if err := ix.Insert(probe); !errors.Is(err, store.ErrFailed) {
+			if _, err := Insert(ix, probe); !errors.Is(err, store.ErrFailed) {
 				t.Fatalf("insert on degraded index: %v", err)
 			}
 			if _, err := ix.ApplyBatch(nil, ids[:1]); !errors.Is(err, store.ErrFailed) {
@@ -119,7 +119,7 @@ func TestDeleteFailurePoisonsDegraded(t *testing.T) {
 	defer fault.Reset()
 	ix, ids := degradedFixture(t, 1)
 	fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError, Nth: 1})
-	_, err := ix.Delete(ids[0])
+	_, err := Delete(ix, ids[0])
 	fault.Reset()
 	if !errors.Is(err, store.ErrFailed) {
 		t.Fatalf("delete over failed fsync: %v", err)

@@ -18,7 +18,7 @@ func TestInsertDeleteBasics(t *testing.T) {
 
 	// A fresh object inserted right next to the query must become its 1-NN.
 	clone := fuzzy.MustNew(1000, q.WeightedPoints())
-	if err := ix.Insert(clone); err != nil {
+	if _, err := Insert(ix, clone); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 31 {
@@ -37,7 +37,7 @@ func TestInsertDeleteBasics(t *testing.T) {
 	}
 
 	// Deleting it restores the previous answer set.
-	if _, err := ix.Delete(1000); err != nil {
+	if _, err := Delete(ix, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 30 {
@@ -52,20 +52,20 @@ func TestInsertDeleteBasics(t *testing.T) {
 	}
 
 	// Error taxonomy.
-	if err := ix.Insert(nil); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := Insert(ix, nil); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("nil insert: %v", err)
 	}
-	if err := ix.Insert(objs[0]); !errors.Is(err, store.ErrDuplicate) {
+	if _, err := Insert(ix, objs[0]); !errors.Is(err, store.ErrDuplicate) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
-	if _, err := ix.Delete(1000); !errors.Is(err, store.ErrNotFound) {
+	if _, err := Delete(ix, 1000); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if _, err := ix.Delete(99999); !errors.Is(err, store.ErrNotFound) {
+	if _, err := Delete(ix, 99999); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("delete unknown: %v", err)
 	}
 	threeD := fuzzy.MustNew(2000, []fuzzy.WeightedPoint{{P: []float64{1, 2, 3}, Mu: 1}})
-	if err := ix.Insert(threeD); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := Insert(ix, threeD); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("mismatched dims insert: %v", err)
 	}
 	if err := ix.CheckInvariants(); err != nil {
@@ -84,10 +84,10 @@ func TestMutationsOnReadOnlyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(makeObjects(rng, 1, 8, 10, 0)[0]); !errors.Is(err, store.ErrReadOnly) {
+	if _, err := Insert(ix, makeObjects(rng, 1, 8, 10, 0)[0]); !errors.Is(err, store.ErrReadOnly) {
 		t.Fatalf("insert on read-only store: %v", err)
 	}
-	if _, err := ix.Delete(objs[0].ID()); !errors.Is(err, store.ErrReadOnly) {
+	if _, err := Delete(ix, objs[0].ID()); !errors.Is(err, store.ErrReadOnly) {
 		t.Fatalf("delete on read-only store: %v", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestValidateQueryDimsRegression(t *testing.T) {
 
 	// Populate with 2-D: 3-D queries must now fail on every entry point.
 	obj := fuzzy.MustNew(1, []fuzzy.WeightedPoint{{P: []float64{5, 5}, Mu: 1}})
-	if err := ix.Insert(obj); err != nil {
+	if _, err := Insert(ix, obj); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ix.AKNN(q3, 1, 0.5, LBLPUB); !errors.Is(err, ErrInvalidArgument) {
@@ -141,7 +141,7 @@ func TestValidateQueryDimsRegression(t *testing.T) {
 	// The regression scenario: drain the index. The empty-index special
 	// case used to skip the dims check here; the dimensionality is sticky
 	// now, so the 3-D query must still be rejected.
-	if _, err := ix.Delete(1); err != nil {
+	if _, err := Delete(ix, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 0 {
@@ -165,13 +165,13 @@ func TestSnapshotIsolation(t *testing.T) {
 	before := ix.treeForTest()
 
 	for i := 0; i < 20; i++ {
-		if _, err := ix.Delete(objs[i].ID()); err != nil {
+		if _, err := Delete(ix, objs[i].ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	extra := makeObjectsWithBase(rng, 5000, 10, 10, 12, 8)
 	for _, o := range extra {
-		if err := ix.Insert(o); err != nil {
+		if _, err := Insert(ix, o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,13 +240,13 @@ func TestConcurrentQueriesDuringMutation(t *testing.T) {
 		if len(live) == 0 || wrng.Float64() < 0.55 {
 			o := makeObjectsWithBase(wrng, next, 1, 8, 12, 8)[0]
 			next++
-			if err := ix.Insert(o); err != nil {
+			if _, err := Insert(ix, o); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, o.ID())
 		} else {
 			i := wrng.IntN(len(live))
-			if _, err := ix.Delete(live[i]); err != nil {
+			if _, err := Delete(ix, live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live[i] = live[len(live)-1]

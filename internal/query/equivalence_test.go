@@ -51,13 +51,13 @@ func (s *equivState) churn(ops int) {
 		if len(s.live) == 0 || s.rng.Float64() < 0.52 {
 			o := makeObjectsWithBase(s.rng, s.next, 1, 10, 12, 8)[0]
 			s.next++
-			if err := s.ix.Insert(o); err != nil {
+			if _, err := Insert(s.ix, o); err != nil {
 				s.t.Fatalf("churn op %d: insert: %v", op, err)
 			}
 			s.live = append(s.live, o.ID())
 		} else {
 			i := s.rng.IntN(len(s.live))
-			if _, err := s.ix.Delete(s.live[i]); err != nil {
+			if _, err := Delete(s.ix, s.live[i]); err != nil {
 				s.t.Fatalf("churn op %d: delete %d: %v", op, s.live[i], err)
 			}
 			s.live[i] = s.live[len(s.live)-1]
@@ -163,7 +163,7 @@ func TestCrossVariantEquivalenceUnderChurn(t *testing.T) {
 		// equivalence holds near-empty too.
 		for len(s.live) > 5 {
 			i := s.rng.IntN(len(s.live))
-			if _, err := s.ix.Delete(s.live[i]); err != nil {
+			if _, err := Delete(s.ix, s.live[i]); err != nil {
 				t.Fatal(err)
 			}
 			s.live[i] = s.live[len(s.live)-1]
@@ -181,13 +181,13 @@ func TestCrossVariantEquivalenceUnderChurn(t *testing.T) {
 func TestEquivalenceOnEmptyAndTinyIndexes(t *testing.T) {
 	s := newEquivState(t, 99, 3)
 	for len(s.live) > 1 {
-		if _, err := s.ix.Delete(s.live[0]); err != nil {
+		if _, err := Delete(s.ix, s.live[0]); err != nil {
 			t.Fatal(err)
 		}
 		s.live = s.live[1:]
 	}
 	s.assertAllEquivalent("one-object", 1)
-	if _, err := s.ix.Delete(s.live[0]); err != nil {
+	if _, err := Delete(s.ix, s.live[0]); err != nil {
 		t.Fatal(err)
 	}
 	s.live = nil

@@ -170,8 +170,8 @@ type leafItem struct {
 	rep    geom.Point
 }
 
-// Index is a search index over a fuzzy object store. It is mutable: Insert
-// and Delete add and retire objects while queries keep running.
+// Index is a search index over a fuzzy object store. It is mutable:
+// ApplyBatch adds and retires objects while queries keep running.
 //
 // # Snapshot isolation
 //
@@ -193,7 +193,7 @@ type Index struct {
 	// indexes are read-only: their tree shape is bound to the page file.
 	pageCache *pager.Cache
 
-	// writeMu serializes Insert/Delete; readers never take it.
+	// writeMu serializes ApplyBatch; readers never take it.
 	writeMu sync.Mutex
 	snap    atomic.Pointer[snapshot]
 
@@ -384,80 +384,6 @@ func (ix *Index) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
 // it would corrupt the published snapshot under concurrent readers. (The
 // old exported Tree() accessor was removed for exactly that reason.)
 func (ix *Index) treeForTest() *rtree.Tree { return ix.read().tree }
-
-// Insert adds obj to the store and the index. The new object is visible to
-// queries that start after Insert returns; queries already in flight
-// complete against their snapshot. It fails with ErrInvalidArgument for nil
-// or dimensionally mismatched objects, store.ErrDuplicate when the id is
-// live, and store.ErrReadOnly when the store has no write side.
-func (ix *Index) Insert(obj *fuzzy.Object) error {
-	if obj == nil {
-		return badArgf("query: insert: nil object")
-	}
-	if ix.pageCache != nil {
-		return fmt.Errorf("query: insert: %w: paged index is read-only", store.ErrReadOnly)
-	}
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	s := ix.read()
-	if s.dims != 0 && obj.Dims() != s.dims {
-		return badArgf("query: insert: object dims %d, index dims %d", obj.Dims(), s.dims)
-	}
-	m, ok := store.As[store.Mutator](ix.store)
-	if !ok {
-		return fmt.Errorf("query: insert: %w: store %T has no write side", store.ErrReadOnly, ix.store)
-	}
-	if err := ix.noteStoreErr(m.Insert(obj)); err != nil {
-		return fmt.Errorf("query: insert: %w", err)
-	}
-	li := &leafItem{id: obj.ID(), approx: ix.estimator(obj), rep: obj.Rep()}
-	tree := s.tree.Clone()
-	tree.Insert(obj.SupportMBR(), li)
-	ix.snap.Store(&snapshot{tree: tree, dims: obj.Dims()})
-	return nil
-}
-
-// Delete retires the object with the given id from the index and
-// tombstones it in the store (the payload stays readable for in-flight
-// snapshot queries). It returns store.ErrNotFound for ids that are not
-// live and store.ErrReadOnly when the store has no write side. Locating
-// the object's rectangle costs one store probe, reported in the returned
-// Stats so callers aggregating per-request statistics stay consistent
-// with the store's raw access counter.
-func (ix *Index) Delete(id uint64) (Stats, error) {
-	started := time.Now()
-	var st Stats
-	if ix.pageCache != nil {
-		return st, fmt.Errorf("query: delete: %w: paged index is read-only", store.ErrReadOnly)
-	}
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	s := ix.read()
-	m, ok := store.As[store.Mutator](ix.store)
-	if !ok {
-		return st, fmt.Errorf("query: delete: %w: store %T has no write side", store.ErrReadOnly, ix.store)
-	}
-	obj, err := ix.getObject(id, &st)
-	if err != nil {
-		return st, fmt.Errorf("query: delete: %w", err)
-	}
-	// Remove from the tree clone first: it has no durable effect until the
-	// snapshot is published, so a miss (tombstoned id whose payload Get
-	// still serves, or an unexpected tree/store skew) aborts cleanly
-	// before the store is mutated — no divergence window.
-	tree := s.tree.Clone()
-	if !tree.Delete(obj.SupportMBR(), func(d any) bool { return d.(*leafItem).id == id }) {
-		return st, fmt.Errorf("query: delete: %w: id %d not in index", store.ErrNotFound, id)
-	}
-	if err := ix.noteStoreErr(m.Delete(id)); err != nil {
-		// Store refused (e.g. raced liveness); the tree clone is discarded
-		// unpublished, so index and store stay consistent.
-		return st, fmt.Errorf("query: delete: %w", err)
-	}
-	ix.snap.Store(&snapshot{tree: tree, dims: s.dims})
-	st.Duration = time.Since(started)
-	return st, nil
-}
 
 // ErrInvalidArgument tags argument-validation failures of the public query
 // entry points, letting callers (e.g. an HTTP layer) separate client

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -328,18 +329,40 @@ func TestPagedEmptyIndex(t *testing.T) {
 	}
 }
 
+// TestPagedIndexIsReadOnly: a paged tree's shape is bound to its page file,
+// so every write — a group, or the one-item sugar — is refused before
+// anything moves, on one tree and behind the sharded coordinator alike,
+// even though the pair's backing MemStore would take the write.
 func TestPagedIndexIsReadOnly(t *testing.T) {
-	p := newPagedPair(t, 5, 40, 1, tinyCache)
-	defer p.close()
-	o := makeObjectsWithBase(rand.New(rand.NewPCG(1, 2)), 9000, 1, 8, 12, 8)[0]
-	if err := p.paged.Insert(o); !errors.Is(err, store.ErrReadOnly) {
-		t.Fatalf("Insert: %v, want ErrReadOnly", err)
-	}
-	if _, err := p.paged.Delete(1); !errors.Is(err, store.ErrReadOnly) {
-		t.Fatalf("Delete: %v, want ErrReadOnly", err)
-	}
-	if _, err := p.paged.ApplyBatch([]*fuzzy.Object{o}, nil); !errors.Is(err, store.ErrReadOnly) {
-		t.Fatalf("ApplyBatch: %v, want ErrReadOnly", err)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p := newPagedPair(t, 5, 40, shards, tinyCache)
+			defer p.close()
+			o := makeObjectsWithBase(rand.New(rand.NewPCG(1, 2)), 9000, 1, 8, 12, 8)[0]
+			writes := map[string]func() error{
+				"Insert": func() error { _, err := Insert(p.paged, o); return err },
+				"Delete": func() error { _, err := Delete(p.paged, 1); return err },
+				"ApplyBatch insert": func() error {
+					_, err := p.paged.ApplyBatch([]*fuzzy.Object{o}, nil)
+					return err
+				},
+				"ApplyBatch mixed": func() error {
+					_, err := p.paged.ApplyBatch([]*fuzzy.Object{o}, []uint64{1, 2, 3})
+					return err
+				},
+			}
+			for name, write := range writes {
+				if err := write(); !errors.Is(err, store.ErrReadOnly) {
+					t.Errorf("%s: %v, want ErrReadOnly", name, err)
+				}
+				if got := p.paged.Len(); got != 40 {
+					t.Errorf("%s: Len = %d after a refused write, want 40", name, got)
+				}
+				if err := p.paged.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
+					t.Errorf("%s: CheckInvariants after a refused write: %v", name, err)
+				}
+			}
+		})
 	}
 }
 

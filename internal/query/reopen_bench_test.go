@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/store"
 )
 
@@ -35,17 +36,19 @@ func prepareReopenLog(b *testing.B, churnRounds int, checkpoint bool) string {
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
 	objs := makeObjects(rng, reopenLive, 16, 40, 0)
+	// One record per mutation — groups of one — so replay cost scales with
+	// the churn.
 	for _, o := range objs {
-		if err := s.Insert(o); err != nil {
+		if err := s.ApplyBatch([]*fuzzy.Object{o}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for round := 0; round < churnRounds; round++ {
 		for _, o := range objs {
-			if err := s.Delete(o.ID()); err != nil {
+			if err := s.ApplyBatch(nil, []uint64{o.ID()}); err != nil {
 				b.Fatal(err)
 			}
-			if err := s.Insert(o); err != nil {
+			if err := s.ApplyBatch([]*fuzzy.Object{o}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 //
 // All methods must be safe for concurrent use. Query methods run against a
 // consistent snapshot per shard (see Index for the isolation contract);
-// mutation methods serialize per shard.
+// mutations serialize per shard.
 type Searcher interface {
 	// AKNN answers the ad-hoc kNN query (Definition 4) with the selected
 	// algorithm variant; results ascend by (distance, id). Lazy-probe
@@ -40,16 +40,12 @@ type Searcher interface {
 	ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error)
 	// ExpectedDistKNN ranks by the integrated distance ∫₀¹ d_α dα (§2.1).
 	ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error)
-	// Insert adds an object; it becomes visible to queries that start after
-	// Insert returns.
-	Insert(obj *fuzzy.Object) error
-	// Delete retires an object; the locate probe is charged to the returned
-	// Stats.
-	Delete(id uint64) (Stats, error)
-	// ApplyBatch group-commits inserts and deletes as one index transition
-	// per shard (one writer-lock acquisition, one tree clone, one snapshot
-	// publish, one store fsync), all-or-nothing on validation failure
-	// (*BatchError). The stats slice has one entry per item, inserts first.
+	// ApplyBatch is the one way a mutation moves (the Insert and Delete
+	// functions are a group of one through it): it group-commits inserts
+	// and deletes as one index transition per shard (one writer-lock
+	// acquisition, one tree clone, one snapshot publish, one store fsync),
+	// all-or-nothing on validation failure (*BatchError). The stats slice
+	// has one entry per item, inserts first.
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats, error)
 	// Checkpoint cuts a durable checkpoint of every shard's store —
 	// optionally compacting each shard's log afterwards — and returns

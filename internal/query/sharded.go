@@ -166,31 +166,6 @@ func (sx *ShardedIndex) CheckInvariants() error {
 	return nil
 }
 
-// Insert adds obj to its owning shard. See Index.Insert for the error
-// taxonomy; dimensionality is additionally validated against the whole
-// shard set, so an object cannot slip a mismatched dimensionality into an
-// empty shard of a populated index.
-func (sx *ShardedIndex) Insert(obj *fuzzy.Object) error {
-	if obj == nil {
-		return badArgf("query: insert: nil object")
-	}
-	if err := sx.refuseIfDegraded(); err != nil {
-		return fmt.Errorf("query: insert: %w", err)
-	}
-	if d := sx.Dims(); d != 0 && obj.Dims() != d {
-		return badArgf("query: insert: object dims %d, index dims %d", obj.Dims(), d)
-	}
-	return sx.shardFor(obj.ID()).Insert(obj)
-}
-
-// Delete retires id from its owning shard. See Index.Delete.
-func (sx *ShardedIndex) Delete(id uint64) (Stats, error) {
-	if err := sx.refuseIfDegraded(); err != nil {
-		return Stats{}, fmt.Errorf("query: delete: %w", err)
-	}
-	return sx.shardFor(id).Delete(id)
-}
-
 // shardView pins one shard to one snapshot for the duration of a query, so
 // a multi-phase plan (e.g. RKNN's AKNN + range search) reads a consistent
 // population per shard.

@@ -79,10 +79,10 @@ func newShardedEquivState(t *testing.T, seed uint64, n, shards int) *shardedEqui
 
 func (s *shardedEquivState) insert(o *fuzzy.Object) {
 	s.t.Helper()
-	if err := s.single.Insert(o); err != nil {
+	if _, err := Insert(s.single, o); err != nil {
 		s.t.Fatalf("single insert %d: %v", o.ID(), err)
 	}
-	if err := s.sharded.Insert(o); err != nil {
+	if _, err := Insert(s.sharded, o); err != nil {
 		s.t.Fatalf("sharded insert %d: %v", o.ID(), err)
 	}
 	s.live = append(s.live, o.ID())
@@ -91,10 +91,10 @@ func (s *shardedEquivState) insert(o *fuzzy.Object) {
 func (s *shardedEquivState) delete(i int) {
 	s.t.Helper()
 	id := s.live[i]
-	if _, err := s.single.Delete(id); err != nil {
+	if _, err := Delete(s.single, id); err != nil {
 		s.t.Fatalf("single delete %d: %v", id, err)
 	}
-	if _, err := s.sharded.Delete(id); err != nil {
+	if _, err := Delete(s.sharded, id); err != nil {
 		s.t.Fatalf("sharded delete %d: %v", id, err)
 	}
 	s.live[i] = s.live[len(s.live)-1]
@@ -384,13 +384,13 @@ func TestShardedValidation(t *testing.T) {
 		t.Fatalf("negative radius: %v", err)
 	}
 	threeD := fuzzy.MustNew(90000, []fuzzy.WeightedPoint{{P: []float64{1, 2, 3}, Mu: 1}})
-	if err := sx.Insert(threeD); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := Insert(sx, threeD); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("mismatched dims insert: %v", err)
 	}
-	if err := sx.Insert(objs[0]); !errors.Is(err, store.ErrDuplicate) {
+	if _, err := Insert(sx, objs[0]); !errors.Is(err, store.ErrDuplicate) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
-	if _, err := sx.Delete(424242); !errors.Is(err, store.ErrNotFound) {
+	if _, err := Delete(sx, 424242); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("delete unknown: %v", err)
 	}
 	if _, _, err := sx.AKNN(threeD, 1, 0.5, LBLPUB); !errors.Is(err, ErrInvalidArgument) {
@@ -518,13 +518,13 @@ func TestShardedConcurrentQueriesDuringMutation(t *testing.T) {
 		if len(live) == 0 || rng.Float64() < 0.55 {
 			o := makeObjectsWithBase(rng, next, 1, 8, 12, 8)[0]
 			next++
-			if err := sx.Insert(o); err != nil {
+			if _, err := Insert(sx, o); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, o.ID())
 		} else {
 			i := rng.IntN(len(live))
-			if _, err := sx.Delete(live[i]); err != nil {
+			if _, err := Delete(sx, live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live[i] = live[len(live)-1]

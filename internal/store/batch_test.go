@@ -1,20 +1,23 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
 )
 
 // batchStores builds one fresh store per mutable kind so every batch test
-// runs against both implementations of BatchMutator.
-func batchStores(t *testing.T) map[string]BatchMutator {
+// runs against both implementations of Mutator.
+func batchStores(t *testing.T) map[string]Mutator {
 	t.Helper()
 	ms, err := NewMemStore(nil)
 	if err != nil {
@@ -25,7 +28,7 @@ func batchStores(t *testing.T) map[string]BatchMutator {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ls.Close() })
-	return map[string]BatchMutator{"mem": ms, "log": ls}
+	return map[string]Mutator{"mem": ms, "log": ls}
 }
 
 func TestApplyBatchRoundTrip(t *testing.T) {
@@ -156,7 +159,7 @@ func TestLogStoreBatchReplay(t *testing.T) {
 	if err := bs.ApplyBatch(objs[:8], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := bs.Insert(objs[8]); err != nil { // single record between batches
+	if err := insertOne(bs, objs[8]); err != nil { // single record between batches
 		t.Fatal(err)
 	}
 	if err := bs.ApplyBatch(objs[9:], []uint64{2, 5}); err != nil {
@@ -171,12 +174,12 @@ func TestLogStoreBatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := ss.Insert(o); err != nil {
+		if err := insertOne(ss, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, id := range []uint64{2, 5} {
-		if err := ss.Delete(id); err != nil {
+		if err := deleteOne(ss, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +301,7 @@ func TestLogStoreBatchCorruptLengthRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(randObject(rng, 1, 3, 2)); err != nil {
+	if err := insertOne(s, randObject(rng, 1, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	preBatch, err := os.Stat(path)
@@ -349,16 +352,21 @@ func TestLogStoreBatchCorruptLengthRefused(t *testing.T) {
 	}
 }
 
-// TestLogStoreApplyBatchSyncPolicies commits batches under every policy;
-// each must land identically on disk (policy only changes when fsync runs).
+// TestLogStoreApplyBatchSyncPolicies commits batches under every policy
+// name; each must land identically on disk (policy only changes whether
+// fsync runs). SyncBatch is a legacy name for SyncAlways, not a third
+// behaviour.
 func TestLogStoreApplyBatchSyncPolicies(t *testing.T) {
+	if SyncBatch != SyncAlways {
+		t.Fatalf("SyncBatch = %v, want the same value as SyncAlways", SyncBatch)
+	}
 	rng := rand.New(rand.NewPCG(13, 1))
 	objs := []*fuzzy.Object{
 		randObject(rng, 1, 3, 2),
 		randObject(rng, 2, 3, 2),
 	}
-	for _, policy := range []SyncPolicy{SyncAlways, SyncBatch, SyncOff} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for name, policy := range map[string]SyncPolicy{"always": SyncAlways, "batch": SyncBatch, "off": SyncOff} {
+		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "objects.fzl")
 			s, err := OpenLogPolicy(path, 2, policy)
 			if err != nil {
@@ -367,10 +375,10 @@ func TestLogStoreApplyBatchSyncPolicies(t *testing.T) {
 			if err := s.ApplyBatch(objs, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Insert(randObject(rng, 3, 3, 2)); err != nil {
+			if err := insertOne(s, randObject(rng, 3, 3, 2)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete(1); err != nil {
+			if err := deleteOne(s, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Sync(); err != nil {
@@ -404,9 +412,9 @@ func TestWrapperBatchForwarding(t *testing.T) {
 	c := NewCounting(lru)
 	// The write side of the stack is the cache (it must see writes to
 	// invalidate), not the counter above it or the store below it.
-	w, ok := As[BatchMutator](c)
-	if !ok || w != BatchMutator(lru) {
-		t.Fatalf("As[BatchMutator] resolved %T, want the LRU", w)
+	w, ok := As[Mutator](c)
+	if !ok || w != Mutator(lru) {
+		t.Fatalf("As[Mutator] resolved %T, want the LRU", w)
 	}
 
 	objs := []*fuzzy.Object{
@@ -446,4 +454,130 @@ func TestWrapperBatchForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameObject(t, replacement, got)
+}
+
+// TestCommitCostIndependentOfPopulation pins what dropping the maintained id
+// list bought: a one-item commit into a 50 000-id store allocates for its
+// item, not for the population (re-merging a sorted id slice on every commit
+// cost 8 bytes per live id — 400 KB here), and IDs() still comes back
+// ascending after a random history of single and grouped mutations.
+func TestCommitCostIndependentOfPopulation(t *testing.T) {
+	const population = 50_000
+	rng := rand.New(rand.NewPCG(23, 9))
+	seed := make([]*fuzzy.Object, population)
+	for i := range seed {
+		seed[i] = randObject(rng, uint64(i+1), 2, 2)
+	}
+	for name, s := range batchStores(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := s.ApplyBatch(seed, nil); err != nil {
+				t.Fatal(err)
+			}
+			const commits = 64
+			extra := make([]*fuzzy.Object, commits)
+			for i := range extra {
+				extra[i] = randObject(rng, uint64(population+i+1), 2, 2)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i, o := range extra {
+				if err := insertOne(s, o); err != nil {
+					t.Fatal(err)
+				}
+				if err := deleteOne(s, uint64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			const bound = 4 << 10 // bytes per one-item commit
+			if per := (after.TotalAlloc - before.TotalAlloc) / (2 * commits); per > bound {
+				t.Errorf("a one-item commit into %d ids allocates %d bytes, want ≤ %d", population, per, bound)
+			}
+
+			model := make(map[uint64]bool, population)
+			for id := uint64(commits + 1); id <= population+commits; id++ {
+				model[id] = true
+			}
+			next := uint64(population + commits + 1)
+			for step := 0; step < 200; step++ {
+				var ins []*fuzzy.Object
+				var dels []uint64
+				for range 1 + rng.IntN(3) {
+					if rng.IntN(2) == 0 {
+						ins = append(ins, randObject(rng, next, 2, 2))
+						next++
+					} else if id := uint64(commits + 1 + rng.IntN(population)); model[id] && !slices.Contains(dels, id) {
+						dels = append(dels, id)
+					}
+				}
+				if err := s.ApplyBatch(ins, dels); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				for _, o := range ins {
+					model[o.ID()] = true
+				}
+				for _, id := range dels {
+					delete(model, id)
+				}
+			}
+			ids := s.IDs()
+			if len(ids) != len(model) || s.Len() != len(model) {
+				t.Fatalf("IDs() has %d ids, Len() %d, model %d", len(ids), s.Len(), len(model))
+			}
+			for i, id := range ids {
+				if !model[id] || (i > 0 && ids[i-1] >= id) {
+					t.Fatalf("IDs()[%d] = %d: not live, or not ascending after %d", i, id, ids[max(i-1, 0)])
+				}
+			}
+		})
+	}
+}
+
+// TestLogStoreReplaysOneItemBatchRecord: logs written before one-item groups
+// became plain records hold batch records of count one (every lone engine
+// commit wrote one); they must keep replaying, and a lone commit appended
+// after them must land as the plain record.
+func TestLogStoreReplaysOneItemBatchRecord(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 5))
+	a, b := randObject(rng, 1, 3, 2), randObject(rng, 2, 3, 2)
+	rec := codec.AppendRecord(nil, a)
+	payload := binary.LittleEndian.AppendUint32(nil, 1)
+	payload = append(payload, recPut)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec)))
+	payload = append(payload, rec...)
+	image := appendFrame(logHeader(2), recBatch, payload)
+	path := filepath.Join(t.TempDir(), "objects.fzl")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenLog(path, 0)
+	if err != nil {
+		t.Fatalf("one-item batch record does not replay: %v", err)
+	}
+	got, err := s.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameObject(t, a, got)
+	if err := insertOne(s, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := appendFrame(image, recPut, codec.AppendRecord(nil, b)); !bytes.Equal(data, want) {
+		t.Fatalf("a lone commit did not land as the plain put record: log is %d bytes, want %d", len(data), len(want))
+	}
+	r, err := OpenLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if want := []uint64{1, 2}; !slices.Equal(r.IDs(), want) {
+		t.Fatalf("ids %v, want %v", r.IDs(), want)
+	}
 }

@@ -468,7 +468,7 @@ func (s *LogStore) Checkpoint() (CheckpointInfo, error) {
 	newF := fault.WrapFile(newOSF, "store.ckpt")
 
 	// Phase 3 — commit: force the log down to at least the recorded tail
-	// (under SyncBatch/SyncOff the manifest must never bind bytes that are
+	// (under SyncOff the manifest must never bind bytes that are
 	// not yet durable), publish the manifest, and rebind untouched
 	// directory entries to the snapshot so the covered log prefix is no
 	// longer needed for reads.

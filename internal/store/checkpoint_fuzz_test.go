@@ -20,21 +20,21 @@ func validCheckpointImage(t testingTB, dir string, seed uint64) (man, ckpt, logD
 	}
 	rng := rand.New(rand.NewPCG(seed, seed))
 	for i := 1; i <= 5; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3+rng.IntN(4), 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 3+rng.IntN(4), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Delete(2); err != nil {
+	if err := deleteOne(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// A suffix past the cut, so replay-after-checkpoint is exercised too.
-	if err := s.Insert(randObject(rng, 9, 3, 2)); err != nil {
+	if err := insertOne(s, randObject(rng, 9, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(1); err != nil {
+	if err := deleteOne(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -90,7 +90,7 @@ func checkCoherent(t *testing.T, s *LogStore) {
 		}
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	if err := s.Insert(randObject(rng, 1_000_000, 3, s.Dims())); err != nil {
+	if err := insertOne(s, randObject(rng, 1_000_000, 3, s.Dims())); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 }

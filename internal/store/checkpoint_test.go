@@ -62,7 +62,7 @@ func churnedBase(t *testing.T, dir string) map[uint64]*fuzzy.Object {
 	want := map[uint64]*fuzzy.Object{}
 	put := func(o *fuzzy.Object) {
 		t.Helper()
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[o.ID()] = o
@@ -71,7 +71,7 @@ func churnedBase(t *testing.T, dir string) map[uint64]*fuzzy.Object {
 		put(randObject(rng, uint64(i), 3+rng.IntN(3), 2))
 	}
 	for _, id := range []uint64{2, 5, 8, 11} {
-		if err := s.Delete(id); err != nil {
+		if err := deleteOne(s, id); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, id)
@@ -179,11 +179,11 @@ func TestCheckpointBasic(t *testing.T) {
 	// Mutations after the cut land in the log suffix.
 	rng := rand.New(rand.NewPCG(9, 9))
 	extra := randObject(rng, 100, 3, 2)
-	if err := s.Insert(extra); err != nil {
+	if err := insertOne(s, extra); err != nil {
 		t.Fatal(err)
 	}
 	want[100] = extra
-	if err := s.Delete(1); err != nil {
+	if err := deleteOne(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 1)
@@ -232,20 +232,20 @@ func TestCompactLogBasic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	for _, id := range []uint64{30, 31} {
 		o := randObject(rng, id, 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = o
 	}
-	if err := s.Delete(1); err != nil {
+	if err := deleteOne(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 1)
-	if err := s.Delete(4); err != nil {
+	if err := deleteOne(s, 4); err != nil {
 		t.Fatal(err)
 	}
 	re := randObject(rng, 4, 4, 2)
-	if err := s.Insert(re); err != nil {
+	if err := insertOne(s, re); err != nil {
 		t.Fatal(err)
 	}
 	want[4] = re
@@ -267,7 +267,7 @@ func TestCompactLogBasic(t *testing.T) {
 
 	// The store stays writable on the new log.
 	o := randObject(rng, 40, 3, 2)
-	if err := s.Insert(o); err != nil {
+	if err := insertOne(s, o); err != nil {
 		t.Fatal(err)
 	}
 	want[40] = o
@@ -493,20 +493,20 @@ func TestCompactionCrashWindows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 77))
 	for _, id := range []uint64{30, 31} {
 		o := randObject(rng, id, 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = o
 	}
-	if err := s.Delete(1); err != nil {
+	if err := deleteOne(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 1)
-	if err := s.Delete(4); err != nil {
+	if err := deleteOne(s, 4); err != nil {
 		t.Fatal(err)
 	}
 	re := randObject(rng, 4, 5, 2)
-	if err := s.Insert(re); err != nil {
+	if err := insertOne(s, re); err != nil {
 		t.Fatal(err)
 	}
 	want[4] = re
@@ -635,7 +635,7 @@ func TestLogSuffixKillSweepAfterCheckpoint(t *testing.T) {
 	var steps []step
 	for _, id := range []uint64{50, 51, 52, 53} {
 		o := randObject(rng, id, 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = o
@@ -710,7 +710,7 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 1; i <= 40; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 3, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -729,13 +729,13 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 			default:
 			}
 			// Insert a fresh id, churn an existing one, read a few back.
-			if err := s.Insert(randObject(wrng, next, 3, 2)); err != nil {
+			if err := insertOne(s, randObject(wrng, next, 3, 2)); err != nil {
 				t.Error(err)
 				return
 			}
 			victim := uint64(1 + wrng.IntN(40))
-			if err := s.Delete(victim); err == nil {
-				if err := s.Insert(randObject(wrng, victim, 3, 2)); err != nil {
+			if err := deleteOne(s, victim); err == nil {
+				if err := insertOne(s, randObject(wrng, victim, 3, 2)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -798,16 +798,16 @@ func TestReopenCostProportionalToLive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	const live = 40
 	for i := 1; i <= live; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 3, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for round := 0; round < 10; round++ {
 		for i := 1; i <= live; i++ {
-			if err := s.Delete(uint64(i)); err != nil {
+			if err := deleteOne(s, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Insert(randObject(rng, uint64(i), 3, 2)); err != nil {
+			if err := insertOne(s, randObject(rng, uint64(i), 3, 2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -851,16 +851,16 @@ func TestReplayAllocationsBounded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 12))
 	records := 0
 	for i := 1; i <= 300; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 3, 2)); err != nil {
 			t.Fatal(err)
 		}
 		records++
 		if i%2 == 0 {
-			if err := s.Delete(uint64(i)); err != nil {
+			if err := deleteOne(s, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 			records++
-			if err := s.Insert(randObject(rng, uint64(i), 3, 2)); err != nil {
+			if err := insertOne(s, randObject(rng, uint64(i), 3, 2)); err != nil {
 				t.Fatal(err)
 			}
 			records++

@@ -25,7 +25,7 @@ func failStore(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object) {
 	want := map[uint64]*fuzzy.Object{}
 	for i := 1; i <= 5; i++ {
 		o := randObject(rng, uint64(i), 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[o.ID()] = o
@@ -45,7 +45,7 @@ func assertPoisoned(t *testing.T, s *LogStore, opErr error) {
 	}
 	fault.Reset()
 	rng := rand.New(rand.NewPCG(9, 9))
-	if err := s.Insert(randObject(rng, 999, 3, 2)); !errors.Is(err, ErrFailed) {
+	if err := insertOne(s, randObject(rng, 999, 3, 2)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("post-poison Insert = %v, want ErrFailed (retry-and-acknowledge is forbidden)", err)
 	}
 	if err := s.Sync(); !errors.Is(err, ErrFailed) {
@@ -61,7 +61,7 @@ func TestInsertFsyncFailurePoisons(t *testing.T) {
 
 	rng := rand.New(rand.NewPCG(8, 8))
 	fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError, Nth: 1})
-	err := s.Insert(randObject(rng, 100, 3, 2))
+	err := insertOne(s, randObject(rng, 100, 3, 2))
 	assertPoisoned(t, s, err)
 
 	// Reads keep serving what was already acknowledged.

@@ -23,11 +23,11 @@ func validLogImage(t testingTB, dir string, seed uint64) []byte {
 	}
 	rng := rand.New(rand.NewPCG(seed, seed))
 	for i := 1; i <= 4; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3+rng.IntN(5), 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 3+rng.IntN(5), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Delete(2); err != nil {
+	if err := deleteOne(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyBatch([]*fuzzy.Object{
@@ -130,7 +130,7 @@ func FuzzLogTruncate(f *testing.F) {
 		}
 		defer s.Close()
 		rng := rand.New(rand.NewPCG(uint64(cut), 1))
-		if err := s.Insert(randObject(rng, 1_000_000, 3, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, 1_000_000, 3, 2)); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if _, err := s.Get(1_000_000); err != nil {

@@ -43,20 +43,20 @@ func buildGolden(t *testing.T, dir string) map[string]map[uint64]*fuzzy.Object {
 		s, err := OpenLog(filepath.Join(dir, name, "objects.fzl"), 2)
 		must(err)
 		for _, o := range objs[1:5] {
-			must(s.Insert(o))
+			must(insertOne(s, o))
 		}
-		must(s.Delete(2))
+		must(deleteOne(s, 2))
 		must(s.ApplyBatch(objs[5:7], []uint64{3}))
 		_, err = s.Checkpoint()
 		must(err)
-		must(s.Insert(objs[7]))
-		must(s.Delete(1))
+		must(insertOne(s, objs[7]))
+		must(deleteOne(s, 1))
 		must(s.ApplyBatch(objs[8:10], []uint64{4}))
 		live := []int{5, 6, 7, 8, 9}
 		if name == "compacted" {
 			_, err = s.CompactLog()
 			must(err)
-			must(s.Insert(objs[10]))
+			must(insertOne(s, objs[10]))
 			live = append(live, 10)
 		}
 		must(s.Close())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -33,44 +34,42 @@ var (
 	fpCompactRename  = fault.P("store.compact.rename")
 )
 
-// SyncPolicy selects when a LogStore fsyncs. The policies trade the
-// durability of *acknowledged* mutations for write throughput. None of
-// them can make reopen serve wrong or half-applied data: recovery either
-// reconstructs a consistent record prefix (truncating a torn tail whole)
-// or fails loudly with ErrCorrupt. The difference is what a power loss can
-// cost. Under SyncAlways every acknowledged mutation is on stable storage,
-// so recovery always succeeds with at most an unacknowledged tail lost.
-// Under SyncBatch/SyncOff an unsynced tail may vanish — and because the
-// OS may write its pages back out of order, a crash can in rare cases
-// leave a gap mid-tail, which recovery reports as ErrCorrupt (refusing to
-// guess) rather than truncating valid-looking records behind it; restore
-// the file or rebuild the index then. fsync is exactly the barrier that
-// rules that case out.
+// SyncPolicy selects whether a LogStore fsyncs its commits. The two
+// policies trade the durability of *acknowledged* mutations for write
+// throughput. Neither can make reopen serve wrong or half-applied data:
+// recovery either reconstructs a consistent record prefix (truncating a torn
+// tail whole) or fails loudly with ErrCorrupt. The difference is what a
+// power loss can cost. Under SyncAlways every acknowledged mutation is on
+// stable storage, so recovery always succeeds with at most an
+// unacknowledged tail lost. Under SyncOff an unsynced tail may vanish — and
+// because the OS may write its pages back out of order, a crash can in rare
+// cases leave a gap mid-tail, which recovery reports as ErrCorrupt
+// (refusing to guess) rather than truncating valid-looking records behind
+// it; restore the file or rebuild the index then. fsync is exactly the
+// barrier that rules that case out.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every committed mutation — each single
-	// Insert/Delete and each ApplyBatch. An acknowledged mutation survives
-	// power loss. The zero value, and the historical behavior.
+	// SyncAlways fsyncs every commit — each ApplyBatch, of one item or of
+	// many — before it is acknowledged, so an acknowledged mutation survives
+	// power loss. The zero value.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs once per ApplyBatch group commit but lets single
-	// Insert/Delete appends ride the OS page cache. Acknowledged batches
-	// are durable; a power loss may drop recently acknowledged single
-	// mutations (see the type comment for the recovery contract).
-	SyncBatch
 	// SyncOff never fsyncs; the OS flushes at its leisure. Fastest, and a
 	// power loss may drop any recently acknowledged mutations (see the
 	// type comment for the recovery contract).
 	SyncOff
 )
 
+// SyncBatch is the legacy spelling of SyncAlways. It used to fsync group
+// commits only and let single-record appends ride the page cache; every
+// mutation is a group commit now, so nothing is left for it to skip.
+const SyncBatch = SyncAlways
+
 // String names the policy like the fuzzyserve -fsync flag values.
 func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncBatch:
-		return "batch"
 	case SyncOff:
 		return "off"
 	}
@@ -112,7 +111,6 @@ type LogStore struct {
 	policy SyncPolicy
 	live   map[uint64]dirEntry
 	dead   map[uint64]dirEntry // most recent tombstoned version per id
-	ids    []uint64            // sorted live ids
 	offset int64               // append position
 	failed error               // sticky fail-stop poison (wraps ErrFailed); see failLocked
 
@@ -263,11 +261,6 @@ func openWithManifest(path string, dims int, man *logManifest) (*LogStore, error
 		return nil, fmt.Errorf("%w: log recovered to %d bytes, manifest committed %d (fsync'd records lost)",
 			ErrCorrupt, s.offset, man.size)
 	}
-	s.ids = make([]uint64, 0, len(s.live))
-	for id := range s.live {
-		s.ids = append(s.ids, id)
-	}
-	slices.Sort(s.ids)
 	ok = true
 	return s, nil
 }
@@ -316,10 +309,6 @@ func openLogFile(f fault.File, dims int) (*LogStore, error) {
 	if err := s.replay(logHeaderSize, st.Size()); err != nil {
 		return nil, err
 	}
-	for id := range s.live {
-		s.ids = append(s.ids, id)
-	}
-	slices.Sort(s.ids)
 	return s, nil
 }
 
@@ -629,29 +618,20 @@ func appendFrame(buf []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// appendRecord frames, checksums and writes one record at the current end.
-// Under SyncAlways the record is fsync'd before the mutation is
-// acknowledged — without that a power loss could silently drop it (reopen
-// would truncate it as a crash tail); SyncBatch and SyncOff accept that
-// risk for single appends and leave the flush to the OS (group commits
-// fsync through ApplyBatch instead).
-func (s *LogStore) appendRecord(kind byte, payload []byte) error {
-	buf := make([]byte, 0, logFrameSize+len(payload)+4)
-	return s.writeRecord(appendFrame(buf, kind, payload), s.policy == SyncAlways)
-}
-
-// writeRecord lands one framed record at the append position, optionally
-// fsyncing, and advances the position only on success. Any failure
+// writeRecord lands one framed record at the append position, fsyncing it
+// unless the policy is SyncOff — without the fsync a power loss could
+// silently drop an acknowledged commit (reopen would truncate it as a crash
+// tail) — and advances the position only on success. Any failure
 // fail-stops the store (see failLocked): a short or torn write leaves
 // garbage at the tail that a full-length reopen scan could mistake for
 // corruption, and a failed fsync means the page cache may already have
 // dropped acknowledged bytes — in both cases continuing to acknowledge
 // writes would be lying about durability.
-func (s *LogStore) writeRecord(buf []byte, sync bool) error {
+func (s *LogStore) writeRecord(buf []byte) error {
 	if _, err := s.f.WriteAt(buf, s.offset); err != nil {
 		return s.failLocked("log append", err)
 	}
-	if sync {
+	if s.policy != SyncOff {
 		if err := s.f.Sync(); err != nil {
 			return s.failLocked("log fsync", err)
 		}
@@ -711,68 +691,22 @@ func (s *LogStore) Get(id uint64) (*fuzzy.Object, error) {
 	return readObject(f, e, s.dims)
 }
 
-// IDs implements Reader.
+// IDs implements Reader; like MemStore's, assembled per call.
 func (s *LogStore) IDs() []uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]uint64(nil), s.ids...)
+	return slices.Sorted(maps.Keys(s.live))
 }
 
 // Len implements Reader.
 func (s *LogStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ids)
+	return len(s.live)
 }
 
 // Dims implements Reader.
 func (s *LogStore) Dims() int { return s.dims }
-
-// Insert implements Mutator: one durable put record appended to the log.
-func (s *LogStore) Insert(o *fuzzy.Object) error {
-	if o.Dims() != s.dims {
-		return fmt.Errorf("store: object dims %d, store dims %d", o.Dims(), s.dims)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	if _, isLive := s.live[o.ID()]; isLive {
-		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
-	}
-	payload := codec.AppendRecord(nil, o)
-	offset := uint64(s.offset + logFrameSize)
-	if err := s.appendRecord(recPut, payload); err != nil {
-		return err
-	}
-	s.live[o.ID()] = dirEntry{id: o.ID(), offset: offset, length: uint64(len(payload))}
-	s.ids = insertSortedID(s.ids, o.ID())
-	return nil
-}
-
-// Delete implements Mutator: one tombstone record appended to the log. The
-// payload stays readable through Get for in-flight snapshot queries.
-func (s *LogStore) Delete(id uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	e, isLive := s.live[id]
-	if !isLive {
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, id)
-	if err := s.appendRecord(recTombstone, payload); err != nil {
-		return err
-	}
-	delete(s.live, id)
-	s.dead[id] = e
-	s.ids = removeSortedID(s.ids, id)
-	return nil
-}
 
 // Live implements LivenessChecker.
 func (s *LogStore) Live(id uint64) (bool, bool) {
@@ -782,15 +716,20 @@ func (s *LogStore) Live(id uint64) (bool, bool) {
 	return isLive, true
 }
 
-// ApplyBatch implements BatchMutator: the whole batch — puts first, then
-// tombstones — is encoded into ONE batch record, landed with one write and
+// ApplyBatch implements Mutator: the whole batch — puts first, then
+// tombstones — is encoded into ONE record frame, landed with one write and
 // (policy permitting) one fsync. Because the group is a single record
 // frame, a crash mid-write tears the batch as a unit: reopen drops the
 // partial frame whole and every previously fsync'd record survives, so a
-// group commit is atomic across power loss. Compare N single appends: N
-// syscalls, N fsyncs, and no cross-item atomicity.
+// group commit is atomic across power loss.
+//
+// A group of several items is a batch record. A group of one is the plain
+// put or tombstone record — a sub-record closed by its own CRC instead of
+// the batch's — which replay must decode anyway (older files, every
+// compacted log), so a lone insert or delete costs no batch header.
 func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
-	if len(inserts)+len(deletes) == 0 {
+	n := len(inserts) + len(deletes)
+	if n == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -813,9 +752,11 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 		return fmt.Errorf("store: batch payload %d bytes exceeds the record frame limit", payloadSize)
 	}
 	buf := make([]byte, 0, logFrameSize+payloadSize+4)
-	buf = append(buf, recBatch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadSize))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(inserts)+len(deletes)))
+	if n > 1 {
+		buf = append(buf, recBatch)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadSize))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	}
 	entries := make([]dirEntry, len(inserts))
 	for i, o := range inserts {
 		size := codec.Size(o) + codec.CRCSize
@@ -830,7 +771,7 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	if err := s.writeRecord(buf, s.policy != SyncOff); err != nil {
+	if err := s.writeRecord(buf); err != nil {
 		return err
 	}
 	for _, e := range entries {
@@ -841,14 +782,13 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 		delete(s.live, id)
 		s.dead[id] = e
 	}
-	s.ids = rebuildSortedIDs(s.ids, inserts, deletes)
 	return nil
 }
 
-// Sync flushes the file to stable storage. Under SyncAlways every append
-// already syncs itself and this is defense in depth; under SyncBatch and
-// SyncOff it is how a caller forces accumulated appends down before an
-// external checkpoint.
+// Sync flushes the file to stable storage. Under SyncAlways every commit
+// already syncs itself and this is defense in depth; under SyncOff it is
+// how a caller forces accumulated commits down before an external
+// checkpoint.
 func (s *LogStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

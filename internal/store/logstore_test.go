@@ -25,7 +25,7 @@ func TestLogStoreRoundTrip(t *testing.T) {
 	objs := make([]*fuzzy.Object, 20)
 	for i := range objs {
 		objs[i] = randObject(rng, uint64(i+1), 5+rng.IntN(20), 2)
-		if err := s.Insert(objs[i]); err != nil {
+		if err := insertOne(s, objs[i]); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestLogStoreRoundTrip(t *testing.T) {
 	}
 	// Delete a few; they leave the live set but stay readable.
 	for _, id := range []uint64{3, 7, 11} {
-		if err := s.Delete(id); err != nil {
+		if err := deleteOne(s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,14 +51,14 @@ func TestLogStoreRoundTrip(t *testing.T) {
 	if _, err := s.Get(7); err != nil {
 		t.Fatalf("tombstoned payload must stay readable: %v", err)
 	}
-	if err := s.Delete(7); !errors.Is(err, ErrNotFound) {
+	if err := deleteOne(s, 7); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if err := s.Insert(objs[0]); !errors.Is(err, ErrDuplicate) {
+	if err := insertOne(s, objs[0]); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
 	// Re-inserting a deleted id is allowed.
-	if err := s.Insert(randObject(rng, 7, 4, 2)); err != nil {
+	if err := insertOne(s, randObject(rng, 7, 4, 2)); err != nil {
 		t.Fatalf("re-insert after delete: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -107,7 +107,7 @@ func TestLogStorePartialHeaderRecovered(t *testing.T) {
 		t.Fatalf("partial header with dims: %v", err)
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
-	if err := s.Insert(randObject(rng, 1, 4, 2)); err != nil {
+	if err := insertOne(s, randObject(rng, 1, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -131,10 +131,10 @@ func TestLogStoreDimsHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(2, 2))
-	if err := s.Insert(randObject(rng, 1, 5, 2)); err == nil {
+	if err := insertOne(s, randObject(rng, 1, 5, 2)); err == nil {
 		t.Fatal("mismatched object dims accepted")
 	}
-	if err := s.Insert(randObject(rng, 1, 5, 3)); err != nil {
+	if err := insertOne(s, randObject(rng, 1, 5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -159,7 +159,7 @@ func TestLogStoreCrashTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 10, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 10, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestLogStoreCrashTruncation(t *testing.T) {
 			t.Fatalf("cut at %d: len = %d, want 4", cut, s2.Len())
 		}
 		// The store keeps working after recovery.
-		if err := s2.Insert(randObject(rng, 99, 5, 2)); err != nil {
+		if err := insertOne(s2, randObject(rng, 99, 5, 2)); err != nil {
 			t.Fatalf("cut at %d: insert after recovery: %v", cut, err)
 		}
 		if s2.Len() != 5 {
@@ -230,7 +230,7 @@ func TestLogStoreCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 10, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, uint64(i), 10, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -409,19 +409,19 @@ func TestMemStoreMutation(t *testing.T) {
 		t.Fatal("empty store not empty")
 	}
 	o1 := randObject(rng, 1, 5, 2)
-	if err := m.Insert(o1); err != nil {
+	if err := insertOne(m, o1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Dims() != 2 {
 		t.Fatalf("dims not adopted: %d", m.Dims())
 	}
-	if err := m.Insert(randObject(rng, 2, 5, 3)); err == nil {
+	if err := insertOne(m, randObject(rng, 2, 5, 3)); err == nil {
 		t.Fatal("mixed dims accepted")
 	}
-	if err := m.Insert(randObject(rng, 1, 5, 2)); !errors.Is(err, ErrDuplicate) {
+	if err := insertOne(m, randObject(rng, 1, 5, 2)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if err := m.Delete(1); err != nil {
+	if err := deleteOne(m, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 0 {
@@ -436,10 +436,10 @@ func TestMemStoreMutation(t *testing.T) {
 		t.Fatalf("after Compact: %v", err)
 	}
 	// Dims stay sticky across emptiness.
-	if err := m.Insert(randObject(rng, 3, 5, 3)); err == nil {
+	if err := insertOne(m, randObject(rng, 3, 5, 3)); err == nil {
 		t.Fatal("dims changed after emptying the store")
 	}
-	if err := m.Delete(42); !errors.Is(err, ErrNotFound) {
+	if err := deleteOne(m, 42); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete unknown: %v", err)
 	}
 }
@@ -452,9 +452,9 @@ func TestWrapperMutationForwarding(t *testing.T) {
 	}
 	lru := NewLRU(m, 4)
 	c := NewCounting(lru)
-	w, err := asMutator(c)
-	if err != nil {
-		t.Fatal(err)
+	w, ok := As[Mutator](c)
+	if !ok {
+		t.Fatal("no write side reachable through the wrappers")
 	}
 
 	// Warm the cache, then delete through the wrappers: the cached copy
@@ -462,14 +462,14 @@ func TestWrapperMutationForwarding(t *testing.T) {
 	if _, err := c.Get(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Delete(1); err != nil {
+	if err := deleteOne(w, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 0 {
 		t.Fatal("delete did not reach the MemStore")
 	}
 	replacement := randObject(rng, 1, 7, 2)
-	if err := w.Insert(replacement); err != nil {
+	if err := insertOne(w, replacement); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Get(1)
@@ -484,14 +484,14 @@ func TestWrapperMutationForwarding(t *testing.T) {
 	// A read-only inner store surfaces ErrReadOnly through the chain: a
 	// stack with no write side at all, and one whose only write side is the
 	// cache's pass-through.
-	if _, err := asMutator(NewCounting(roReader{m})); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only stack resolved a write side: %v", err)
+	if w, ok := As[Mutator](NewCounting(roReader{m})); ok {
+		t.Fatalf("read-only stack resolved a write side: %T", w)
 	}
 	ro := NewLRU(roReader{m}, 4)
-	if err := ro.Insert(randObject(rng, 9, 5, 2)); !errors.Is(err, ErrReadOnly) {
+	if err := insertOne(ro, randObject(rng, 9, 5, 2)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only insert: %v", err)
 	}
-	if err := ro.Delete(1); !errors.Is(err, ErrReadOnly) {
+	if err := deleteOne(ro, 1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only delete: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 	"sync"
@@ -30,7 +31,7 @@ import (
 type Reader interface {
 	// Get returns the object with the given id, or ErrNotFound. Mutable
 	// stores retain deleted payloads (see Mutator), so Get may serve an
-	// object that a later Delete logically removed — this is what lets
+	// object that a later delete logically removed — this is what lets
 	// queries running against an older index snapshot still resolve their
 	// probes.
 	Get(id uint64) (*fuzzy.Object, error)
@@ -42,9 +43,10 @@ type Reader interface {
 	Dims() int
 }
 
-// Mutator is the write side of an object store: a Reader that also accepts
-// live inserts and deletes. Implementations must be safe for concurrent use
-// and must retain deleted payloads for Get (deletes are logical —
+// Mutator is the write side of an object store: a Reader that also commits
+// groups of mutations. There is one write — ApplyBatch — and a single insert
+// or delete is a group of one. Implementations must be safe for concurrent
+// use and must retain deleted payloads for Get (deletes are logical —
 // tombstones — so snapshot readers keep working; reclaim space with a
 // store-specific Compact once no snapshot can reference the dead objects).
 //
@@ -56,30 +58,19 @@ type Reader interface {
 // recycle ids while such queries can be in flight.
 type Mutator interface {
 	Reader
-	// Insert adds a new object. The id must not collide with a live object
-	// (ErrDuplicate) and the dimensionality must match the store's
-	// (non-empty stores only).
-	Insert(o *fuzzy.Object) error
-	// Delete tombstones the object with the given id, or returns
-	// ErrNotFound if it is not live.
-	Delete(id uint64) error
-}
-
-// BatchMutator is a Mutator that can additionally commit a whole batch of
-// mutations as one group: all inserts, then all deletes, applied atomically
-// — either every item takes effect or none does. A batch must be
-// self-consistent: each id may appear at most once across the whole batch,
-// insert ids must not be live, delete ids must be live. Implementations
-// validate the entire batch before touching any state and report the first
-// offending item as an *ItemError.
-//
-// The point of the interface is group commit: a log-backed store encodes
-// the whole batch into one record frame, issues one write and one fsync,
-// instead of one of each per item.
-type BatchMutator interface {
-	Mutator
-	// ApplyBatch atomically applies inserts followed by deletes. A nil
-	// error means every item took effect; an *ItemError means no item did.
+	// ApplyBatch atomically applies all inserts, then all deletes: either
+	// every item takes effect or none does. A batch must be self-consistent:
+	// each id may appear at most once across the whole batch, insert ids
+	// must not be live (ErrDuplicate), delete ids must be live
+	// (ErrNotFound), and dimensionalities must match the store's (an empty
+	// store adopts its first object's, and keeps it even across deletion of
+	// every object). Implementations validate the entire batch before
+	// touching any state and report the first offending item as an
+	// *ItemError; a nil error means every item took effect.
+	//
+	// The point of the shape is group commit: a log-backed store encodes the
+	// whole batch into one record frame, issues one write and one fsync,
+	// instead of one of each per item.
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error
 }
 
@@ -125,7 +116,7 @@ var ErrCorrupt = errors.New("store: corrupt data")
 // ErrReadOnly is returned for mutations on stores without a write side.
 var ErrReadOnly = errors.New("store: read-only")
 
-// ErrDuplicate is returned by Insert when the id is already live.
+// ErrDuplicate is returned for an insert whose id is already live.
 var ErrDuplicate = errors.New("store: duplicate object id")
 
 // ErrFailed marks a store that has fail-stopped: an I/O error on its
@@ -152,7 +143,6 @@ type MemStore struct {
 	mu   sync.RWMutex
 	objs map[uint64]*fuzzy.Object // live and tombstoned payloads
 	live map[uint64]struct{}
-	ids  []uint64 // sorted live ids
 	dims int
 }
 
@@ -174,9 +164,7 @@ func NewMemStore(objs []*fuzzy.Object) (*MemStore, error) {
 		}
 		m.objs[o.ID()] = o
 		m.live[o.ID()] = struct{}{}
-		m.ids = append(m.ids, o.ID())
 	}
-	slices.Sort(m.ids)
 	return m, nil
 }
 
@@ -191,18 +179,20 @@ func (m *MemStore) Get(id uint64) (*fuzzy.Object, error) {
 	return o, nil
 }
 
-// IDs implements Reader.
+// IDs implements Reader. The ascending list is assembled per call: it is
+// read at index build, snapshot cuts and by tools, never per request, so a
+// commit does not pay to keep it sorted.
 func (m *MemStore) IDs() []uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]uint64(nil), m.ids...)
+	return slices.Sorted(maps.Keys(m.live))
 }
 
 // Len implements Reader.
 func (m *MemStore) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.ids)
+	return len(m.live)
 }
 
 // Dims implements Reader.
@@ -210,39 +200,6 @@ func (m *MemStore) Dims() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.dims
-}
-
-// Insert implements Mutator. An empty store adopts the first object's
-// dimensionality; it stays fixed afterwards, even across deletion of every
-// object.
-func (m *MemStore) Insert(o *fuzzy.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, isLive := m.live[o.ID()]; isLive {
-		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
-	}
-	if m.dims == 0 {
-		m.dims = o.Dims()
-	} else if o.Dims() != m.dims {
-		return fmt.Errorf("store: object dims %d, store dims %d", o.Dims(), m.dims)
-	}
-	m.objs[o.ID()] = o
-	m.live[o.ID()] = struct{}{}
-	m.ids = insertSortedID(m.ids, o.ID())
-	return nil
-}
-
-// Delete implements Mutator: the id leaves the live set but its payload
-// stays readable for in-flight snapshot queries.
-func (m *MemStore) Delete(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, isLive := m.live[id]; !isLive {
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	delete(m.live, id)
-	m.ids = removeSortedID(m.ids, id)
-	return nil
 }
 
 // Live implements LivenessChecker.
@@ -253,10 +210,8 @@ func (m *MemStore) Live(id uint64) (bool, bool) {
 	return isLive, true
 }
 
-// ApplyBatch implements BatchMutator: the whole batch is validated, then
-// applied under one lock acquisition, and the sorted id slice is rebuilt by
-// a single merge instead of one O(n) splice per item (the per-item path
-// makes bulk ingest O(n²)).
+// ApplyBatch implements Mutator: the whole batch is validated, then applied
+// under one lock acquisition.
 func (m *MemStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -275,15 +230,14 @@ func (m *MemStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	for _, id := range deletes {
 		delete(m.live, id)
 	}
-	m.ids = rebuildSortedIDs(m.ids, inserts, deletes)
 	return nil
 }
 
-// validateBatch checks the shared BatchMutator contract — unique ids across
-// the batch, consistent dimensionality, inserts not live, deletes live —
-// against a store's live-set predicate, and returns the dimensionality the
-// store adopts if the batch commits (an empty store takes the first
-// insert's). Every violation is reported as an *ItemError carrying the
+// validateBatch checks the shared Mutator.ApplyBatch contract — unique ids
+// across the batch, consistent dimensionality, inserts not live, deletes
+// live — against a store's live-set predicate, and returns the
+// dimensionality the store adopts if the batch commits (an empty store takes
+// the first insert's). Every violation is reported as an *ItemError carrying the
 // offending position.
 func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live func(uint64) bool) (int, error) {
 	seen := make(map[uint64]bool, len(inserts)+len(deletes))
@@ -314,55 +268,6 @@ func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live fun
 		seen[id] = true
 	}
 	return dims, nil
-}
-
-// rebuildSortedIDs merges a committed batch into the ascending live-id
-// slice: one sort of the inserted ids and one linear merge, O(n + b log b)
-// for the whole batch.
-func rebuildSortedIDs(ids []uint64, inserts []*fuzzy.Object, deletes []uint64) []uint64 {
-	added := make([]uint64, len(inserts))
-	for i, o := range inserts {
-		added[i] = o.ID()
-	}
-	slices.Sort(added)
-	dead := make(map[uint64]bool, len(deletes))
-	for _, id := range deletes {
-		dead[id] = true
-	}
-	out := make([]uint64, 0, len(ids)+len(added)-len(deletes))
-	i, j := 0, 0
-	for i < len(ids) || j < len(added) {
-		var id uint64
-		switch {
-		case j == len(added) || (i < len(ids) && ids[i] < added[j]):
-			id = ids[i]
-			i++
-		default:
-			id = added[j]
-			j++
-		}
-		if !dead[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// insertSortedID splices id into the ascending slice.
-func insertSortedID(ids []uint64, id uint64) []uint64 {
-	i, _ := slices.BinarySearch(ids, id)
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeSortedID splices id out of the ascending slice (no-op if absent).
-func removeSortedID(ids []uint64, id uint64) []uint64 {
-	if i, ok := slices.BinarySearch(ids, id); ok {
-		ids = append(ids[:i], ids[i+1:]...)
-	}
-	return ids
 }
 
 // Compact drops tombstoned payloads. Call it only when no query snapshot

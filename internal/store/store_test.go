@@ -32,6 +32,16 @@ func randObject(rng *rand.Rand, id uint64, n, dims int) *fuzzy.Object {
 	return fuzzy.MustNew(id, pts)
 }
 
+// insertOne and deleteOne are a group of one through the store's only
+// write; the error is ApplyBatch's own (an *ItemError for a refused item).
+func insertOne(m Mutator, o *fuzzy.Object) error {
+	return m.ApplyBatch([]*fuzzy.Object{o}, nil)
+}
+
+func deleteOne(m Mutator, id uint64) error {
+	return m.ApplyBatch(nil, []uint64{id})
+}
+
 func sameObject(t *testing.T, a, b *fuzzy.Object) {
 	t.Helper()
 	if a.ID() != b.ID() || a.Len() != b.Len() || a.Dims() != b.Dims() {

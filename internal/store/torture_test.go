@@ -22,7 +22,7 @@ var tortureOps = []struct {
 	{"append", func(t *testing.T, s *LogStore, want map[uint64]*fuzzy.Object) (map[uint64]*fuzzy.Object, error) {
 		rng := rand.New(rand.NewPCG(101, 101))
 		o := randObject(rng, 500, 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			return nil, err
 		}
 		post := cloneSet(want)
@@ -81,7 +81,7 @@ func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object)
 	want := map[uint64]*fuzzy.Object{}
 	for i := 1; i <= 8; i++ {
 		o := randObject(rng, uint64(i), 3+rng.IntN(2), 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[o.ID()] = o
@@ -89,7 +89,7 @@ func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object)
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(2); err != nil {
+	if err := deleteOne(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 2)
@@ -98,7 +98,7 @@ func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object)
 	}
 	for i := 10; i <= 12; i++ {
 		o := randObject(rng, uint64(i), 3, 2)
-		if err := s.Insert(o); err != nil {
+		if err := insertOne(s, o); err != nil {
 			t.Fatal(err)
 		}
 		want[o.ID()] = o
@@ -155,7 +155,7 @@ func TestTortureSweep(t *testing.T) {
 								t.Fatal("op wrapped ErrFailed but Failed() is nil")
 							}
 							rng := rand.New(rand.NewPCG(1, 2))
-							if err := s.Insert(randObject(rng, 900, 3, 2)); !errors.Is(err, ErrFailed) {
+							if err := insertOne(s, randObject(rng, 900, 3, 2)); !errors.Is(err, ErrFailed) {
 								t.Fatalf("poisoned store acknowledged a mutation: %v", err)
 							}
 						} else if s.Failed() != nil {

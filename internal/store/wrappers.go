@@ -11,10 +11,10 @@ import (
 
 // As finds the first layer of r's wrapper chain — r itself, then whatever
 // each layer's Unwrap returns — that implements T. It is how every optional
-// store capability (Mutator, BatchMutator, LivenessChecker, Checkpointer) is
-// looked up, the errors.As shape: a wrapper implements only what it must
-// intercept and exposes the rest of the stack through Unwrap, instead of
-// forwarding every capability a store below it might have.
+// store capability (Mutator, LivenessChecker, Checkpointer) is looked up,
+// the errors.As shape: a wrapper implements only what it must intercept and
+// exposes the rest of the stack through Unwrap, instead of forwarding every
+// capability a store below it might have.
 func As[T any](r Reader) (T, bool) {
 	for r != nil {
 		if t, ok := r.(T); ok {
@@ -59,44 +59,11 @@ func (c *Counting) Unwrap() Reader { return c.Reader }
 // Reset zeroes the access counter.
 func (c *Counting) Reset() { c.n.Store(0) }
 
-// asMutator resolves the write side of r's stack, or fails with ErrReadOnly.
-func asMutator(r Reader) (Mutator, error) {
-	if m, ok := As[Mutator](r); ok {
-		return m, nil
-	}
-	return nil, fmt.Errorf("%w: %T has no write side", ErrReadOnly, r)
-}
-
-// forwardBatch routes a batch mutation to the wrapped store's batch side
-// when it has one. A plain Mutator gets the items one by one — same
-// outcome when everything is valid, but without cross-item atomicity: the
-// first failure aborts with the items before it already applied.
-func forwardBatch(r Reader, inserts []*fuzzy.Object, deletes []uint64) error {
-	if bm, ok := As[BatchMutator](r); ok {
-		return bm.ApplyBatch(inserts, deletes)
-	}
-	m, err := asMutator(r)
-	if err != nil {
-		return err
-	}
-	for i, o := range inserts {
-		if err := m.Insert(o); err != nil {
-			return &ItemError{Pos: i, Err: err}
-		}
-	}
-	for i, id := range deletes {
-		if err := m.Delete(id); err != nil {
-			return &ItemError{Delete: true, Pos: i, Err: err}
-		}
-	}
-	return nil
-}
-
 // LRU wraps a Reader with a fixed-capacity least-recently-used object cache.
 // It is an extension beyond the paper (which always charges a probe) used by
 // the cache-ablation benchmarks; place it *under* a Counting wrapper to keep
 // the paper's accounting, or *over* one to count only cache misses. Of the
-// optional capabilities it implements only the writes, which it must see to
+// optional capabilities it implements only the write, which it must see to
 // invalidate; As reaches the rest through Unwrap.
 type LRU struct {
 	inner    Reader
@@ -105,7 +72,7 @@ type LRU struct {
 	mu    sync.Mutex
 	ll    *list.List // front = most recent; values are *lruItem
 	items map[uint64]*list.Element
-	gen   uint64 // bumped by invalidate; stale fetches must not re-cache
+	gen   uint64 // bumped by every committed write; stale fetches must not re-cache
 
 	hits, misses atomic.Int64
 }
@@ -146,9 +113,9 @@ func (l *LRU) Get(id uint64) (*fuzzy.Object, error) {
 		return nil, err
 	}
 	l.mu.Lock()
-	// An invalidate between the unlocked fetch and here means obj may be a
-	// superseded version (delete + re-insert of the id); serve it to this
-	// caller but do not cache it.
+	// A committed write between the unlocked fetch and here means obj may
+	// be a superseded version (delete + re-insert of the id); serve it to
+	// this caller but do not cache it.
 	if _, ok := l.items[id]; !ok && l.gen == gen {
 		l.items[id] = l.ll.PushFront(&lruItem{id: id, obj: obj})
 		if l.ll.Len() > l.capacity {
@@ -176,64 +143,37 @@ func (l *LRU) Unwrap() Reader { return l.inner }
 // Stats returns cache hits and misses since construction.
 func (l *LRU) Stats() (hits, misses int64) { return l.hits.Load(), l.misses.Load() }
 
-// invalidate drops id from the cache so the next Get refetches it, and
-// bumps the generation so in-flight fetches cannot re-cache a stale copy.
-// The generation is deliberately global rather than per-id: it only
-// suppresses caching for fetches whose microsecond unlock window overlaps
-// a mutation (the next Get of the same id caches normally), which costs
-// far less than tracking per-id generations for every mutated id forever.
-func (l *LRU) invalidate(id uint64) {
-	l.mu.Lock()
-	if el, ok := l.items[id]; ok {
-		l.ll.Remove(el)
-		delete(l.items, id)
-	}
-	l.gen++
-	l.mu.Unlock()
-}
-
-// Insert implements Mutator by forwarding to the wrapped store's write side
-// (ErrReadOnly when it has none), invalidating any cached version of the id.
-func (l *LRU) Insert(o *fuzzy.Object) error {
-	m, err := asMutator(l.inner)
-	if err != nil {
-		return err
-	}
-	if err := m.Insert(o); err != nil {
-		return err
-	}
-	l.invalidate(o.ID())
-	return nil
-}
-
-// Delete implements Mutator by forwarding; the cached version is dropped so
-// a later re-insert of the id cannot serve stale data.
-func (l *LRU) Delete(id uint64) error {
-	m, err := asMutator(l.inner)
-	if err != nil {
-		return err
-	}
-	if err := m.Delete(id); err != nil {
-		return err
-	}
-	l.invalidate(id)
-	return nil
-}
-
-// ApplyBatch implements BatchMutator by forwarding the group. Every
-// touched id is invalidated even on failure: a rejected batch applied
-// nothing on a real BatchMutator, but the sequential fallback over a plain
-// Mutator may have landed a prefix, and a spurious invalidation only costs
-// a refetch.
+// ApplyBatch implements Mutator by forwarding the group to the wrapped
+// store's write side (ErrReadOnly when it has none) and dropping every id a
+// committed group touched, so a later re-insert of a deleted id cannot
+// serve stale data. The generation bump keeps in-flight fetches from
+// re-caching a superseded copy; it is deliberately global rather than
+// per-id: it only suppresses caching for fetches whose microsecond unlock
+// window overlaps a mutation (the next Get of the same id caches normally),
+// which costs far less than tracking per-id generations for every mutated
+// id forever. A refused group applied nothing, so it invalidates nothing.
 func (l *LRU) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
-	err := forwardBatch(l.inner, inserts, deletes)
-	for _, o := range inserts {
-		if o != nil {
-			l.invalidate(o.ID())
+	m, ok := As[Mutator](l.inner)
+	if !ok {
+		return fmt.Errorf("%w: %T has no write side", ErrReadOnly, l.inner)
+	}
+	if err := m.ApplyBatch(inserts, deletes); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	drop := func(id uint64) {
+		if el, ok := l.items[id]; ok {
+			l.ll.Remove(el)
+			delete(l.items, id)
 		}
 	}
-	for _, id := range deletes {
-		l.invalidate(id)
+	for _, o := range inserts {
+		drop(o.ID())
 	}
-	return err
+	for _, id := range deletes {
+		drop(id)
+	}
+	l.gen++
+	return nil
 }

@@ -38,15 +38,15 @@ type Replication struct {
 }
 
 // EnableReplication makes the index a replication leader: every committed
-// mutation — single Insert/Delete or ApplyBatch group, whether issued
-// directly or through an Engine — is also appended to an in-memory frame
-// log that followers tail. Call it before NewEngine and before sharing the
+// mutation — an ApplyBatch group, of which a single Insert or Delete is one
+// of size one, whether issued directly or through an Engine — is also
+// appended to an in-memory frame log that followers tail. Call it before NewEngine and before sharing the
 // index across goroutines; enabling twice is an error. The generation
 // token is minted from the wall clock, so a restarted leader presents a
 // new generation and followers detect the divergence.
 //
-// The query hot path is untouched: only the three mutation entry points
-// pass through the recording wrapper.
+// The query hot path is untouched: only the mutation entry point passes
+// through the recording wrapper.
 func (ix *Index) EnableReplication(cfg *ReplicationConfig) (*Replication, error) {
 	if ix.replicating {
 		return nil, fmt.Errorf("fuzzyknn: replication already enabled")
@@ -120,34 +120,13 @@ func (r *Replication) Snapshot() ([]byte, error) {
 
 // recordingSearcher wraps the index's Searcher so every committed mutation
 // also lands in the replication frame log, in commit order. Query methods
-// pass straight through the embedded interface. The mutex serializes the
-// three mutation paths with each other and with snapshot cuts so frame
-// order always equals commit order.
+// pass straight through the embedded interface. The mutex serializes
+// commits with each other and with snapshot cuts so frame order always
+// equals commit order.
 type recordingSearcher struct {
 	query.Searcher
 	mu  sync.Mutex
 	log *replica.Log
-}
-
-func (r *recordingSearcher) Insert(o *fuzzy.Object) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.Searcher.Insert(o); err != nil {
-		return err
-	}
-	r.log.Append([]*fuzzy.Object{o}, nil)
-	return nil
-}
-
-func (r *recordingSearcher) Delete(id uint64) (query.Stats, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, err := r.Searcher.Delete(id)
-	if err != nil {
-		return st, err
-	}
-	r.log.Append(nil, []uint64{id})
-	return st, nil
 }
 
 func (r *recordingSearcher) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]query.Stats, error) {

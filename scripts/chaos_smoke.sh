@@ -10,6 +10,10 @@
 #            fuzzyknn_degraded metric), queries keep serving — and a
 #            restart on the same log recovers exactly the acknowledged
 #            prefix.
+#   phase 1b every log fsync fails under the default -fsync → a
+#            /objects:batch that mixes valid and duplicate ids (the
+#            coalescer's request-by-request fallback) acknowledges no
+#            item: 503, nothing served now or after a restart.
 #   phase 2  a follower whose every fetch is corrupted with probability
 #            0.25 still converges to answers byte-identical to its
 #            leader's, with the reconnects it took visible in /metrics.
@@ -106,6 +110,36 @@ test "$objects" = "$acked" || { echo "restart recovered $objects objects, want $
 code="$(insert_obj $BASE 901 2 2)"
 test "$code" = 201 || { echo "insert after recovery answered $code, want 201" >&2; exit 1; }
 echo "restart recovered the $acked acknowledged objects and accepts writes again"
+kill "$LAST_SERVER_PID"
+wait "$LAST_SERVER_PID" 2>/dev/null || true
+
+echo '--- phase 1b: a mixed batch over failing fsyncs acknowledges nothing ---'
+# Create the empty log with a healthy process first: creating a log fsyncs
+# its header, which the armed failpoint would already refuse.
+start_server "$WORK/b-create.log" -log "$WORK/b.fzl" -dims 2 -addr 127.0.0.1:18070
+wait_healthz $BASE
+kill "$LAST_SERVER_PID"
+wait "$LAST_SERVER_PID" 2>/dev/null || true
+export FUZZYKNN_FAILPOINTS='store.log.sync=error'
+start_server "$WORK/b-armed.log" -log "$WORK/b.fzl" -addr 127.0.0.1:18070
+unset FUZZYKNN_FAILPOINTS
+wait_healthz $BASE
+
+# Object 1 twice makes the group invalid as a whole, so every request is
+# committed on its own — each of those commits must fsync like any other.
+obj() { echo "{\"id\":$1,\"points\":[{\"p\":[$1,$1],\"mu\":1.0}]}"; }
+code="$(curl -s -o "$WORK/batch.json" -w '%{http_code}' "$BASE/objects:batch" \
+  -d "{\"objects\":[$(obj 1),$(obj 1),$(obj 2)]}")"
+test "$code" = 503 || { echo "mixed batch over failing fsyncs answered $code ($(cat "$WORK/batch.json")), want 503" >&2; exit 1; }
+objects="$(jfield $BASE/stats "j['objects']")"
+test "$objects" = 0 || { echo "server serves $objects objects none of which was durably committed" >&2; exit 1; }
+kill "$LAST_SERVER_PID"
+wait "$LAST_SERVER_PID" 2>/dev/null || true
+start_server "$WORK/b-recovered.log" -log "$WORK/b.fzl" -addr 127.0.0.1:18070
+wait_healthz $BASE
+objects="$(jfield $BASE/stats "j['objects']")"
+test "$objects" = 0 || { echo "restart serves $objects objects, want 0" >&2; exit 1; }
+echo "mixed batch refused whole; restart serves 0 objects"
 
 echo '--- phase 2: follower converges through a corrupting transport ---'
 start_server "$WORK/leader.log" -log "$WORK/leader.fzl" -dims 2 -replication -addr 127.0.0.1:18071
