@@ -21,8 +21,8 @@
 //
 //	fuzzyserve -demo 2000
 //
-// Any mode can shard the index across N parallel R-trees (queries fan out
-// and merge exactly; /stats reports per-shard depth, size and accesses).
+// Any mode can shard the index across N R-trees (answers are exactly the
+// single tree's; /stats reports per-shard depth, size and accesses).
 // A -log index creates one log file per shard and must be reopened with
 // the same -shards value:
 //
@@ -144,7 +144,7 @@ func main() {
 		pageFile    = flag.String("pagefile", "", "paged R-tree file (written by fuzzygen -pagefile or Index.SavePaged); serves -store without loading the tree into RAM")
 		cacheMB     = flag.Int("cache-mb", 64, "block cache budget in MiB for -pagefile indexes")
 		cacheSize   = flag.Int("cache", 0, "LRU object cache size (0 = none)")
-		shards      = flag.Int("shards", 1, "hash-partitioned index shards queried in parallel (1 = single tree)")
+		shards      = flag.Int("shards", 1, "hash-partitioned index shards behind one coordinator (1 = single tree)")
 		parallelism = flag.Int("parallelism", 0, "max queries executing at once (0 = GOMAXPROCS)")
 		demo        = flag.Int("demo", 0, "serve a generated synthetic dataset of this many objects instead of a store file")
 		demoSeed    = flag.Uint64("demo-seed", 1, "seed for the -demo dataset")

@@ -250,9 +250,10 @@ type Config struct {
 	// per object. Indexes built this way have no paged form (SavePaged).
 	StaircaseSteps int
 	// Shards, when at least 2, hash-partitions the objects across that many
-	// independent R-trees behind a coordinator that fans every query out in
-	// parallel and merges exactly — same results, byte for byte, as a
-	// single tree over the same objects (AKNN answers always come refined).
+	// independent R-trees behind a coordinator that answers exactly — same
+	// results, byte for byte, as a single tree over the same objects (AKNN
+	// answers always come refined). AKNN runs as one best-first search over
+	// all the trees; the other families fan out in parallel and merge.
 	// Mutations route to the owning shard by id hash. With OpenLogIndex
 	// each shard appends to its own log file ("<path>.shard<i>-of-<n>"), so
 	// an index must be reopened with the same shard count it was created
@@ -281,8 +282,7 @@ func (c *Config) orDefault() Config {
 // read-only.
 //
 // With Config.Shards > 1 the objects are hash-partitioned across that many
-// independent R-trees and every query fans out in parallel behind the same
-// API; see Config.Shards.
+// independent R-trees behind the same API; see Config.Shards.
 type Index struct {
 	// inner is the one tree itself or the coordinator over the shards'
 	// trees; EnableReplication wraps it in the recording searcher.

@@ -16,10 +16,11 @@ import (
 // single tree on the §5 workload (ideal fuzzy objects at the scale's
 // defaults): per-query latency and object accesses of serial AKNN, plus
 // batch throughput through the engine. Object accesses are the exactness
-// story — the cross-shard lower-bound early stop should keep the sharded
-// count close to the single tree's, not shards× it; throughput is the
-// parallelism story and only separates on multi-core hosts (GOMAXPROCS is
-// recorded in the -json report).
+// story: a sharded AKNN is the single-tree search over the forest of shard
+// trees, so its count equals the single tree's LB count at any shard count
+// (the shards=1 column runs LB-LP-UB, whose lazy probing may save a probe
+// or two on top). Throughput is the parallelism story and only separates
+// on multi-core hosts (GOMAXPROCS is recorded in the -json report).
 
 // shardCounts compared by the experiment.
 var shardCounts = []int{1, 4}

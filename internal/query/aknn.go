@@ -23,18 +23,20 @@ type Result struct {
 }
 
 // sortResults orders rs by the canonical ascending (Dist, ID) result
-// order, expressed through resultLess — the exact comparator the
-// cross-shard merge uses, so the two orders can never drift apart.
-// Breaking distance ties by object id (rather than heap pop order) makes
-// outputs byte-identical across runs and across shard layouts.
+// order. Breaking distance ties by object id (rather than heap pop order)
+// makes outputs byte-identical across runs and across shard layouts.
 // slices.SortFunc rather than sort.Slice keeps the hot paths allocation
 // free (sort.Slice boxes its closure).
 func sortResults(rs []Result) {
 	slices.SortFunc(rs, func(a, b Result) int {
-		if resultLess(a, b) {
+		switch {
+		case a.Dist < b.Dist:
 			return -1
-		}
-		if resultLess(b, a) {
+		case a.Dist > b.Dist:
+			return 1
+		case a.ID < b.ID:
+			return -1
+		case a.ID > b.ID:
 			return 1
 		}
 		return 0
@@ -64,7 +66,7 @@ func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64,
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.stats = Stats{}
-	out, err := ix.aknnInto(sc, dst, s, q, k, alpha, algo, nil, nil, &sc.stats)
+	out, err := aknnInto(sc, dst, sc.oneView(ix, s), q, k, alpha, algo, nil, nil, &sc.stats)
 	if err != nil {
 		return dst, sc.stats, err
 	}
@@ -77,15 +79,17 @@ func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64,
 type gEntry struct {
 	lower, upper float64
 	item         *leafItem
+	tree         int32 // as pqItem.tree
 }
 
-// aknnRun is the state of one AKNN execution against one snapshot. All
-// formerly closure-captured state lives on this struct — itself embedded in
-// the per-query scratch — so a steady-state search allocates nothing: the
-// heap, the lazy-probe buffer, the probe cache and the distance evaluator
-// are all recycled across queries.
+// aknnRun is the state of one AKNN execution against the pinned snapshots
+// of a forest of trees (one tree for a plain Index, one per shard for a
+// ShardedIndex). All formerly closure-captured state lives on this struct —
+// itself embedded in the per-query scratch — so a steady-state search
+// allocates nothing: the heap, the lazy-probe buffer, the probe cache and
+// the distance evaluator are all recycled across queries.
 type aknnRun struct {
-	ix      *Index
+	views   []shardView
 	q       *fuzzy.Object
 	k       int
 	alpha   float64
@@ -116,13 +120,23 @@ type aknnRun struct {
 // emitted returns how many results this run has produced so far.
 func (r *aknnRun) emitted() int { return len(r.results) - r.base }
 
-// aknnInto is the shared AKNN implementation, running entirely against one
-// snapshot and appending results to dst. probed, when non-nil, receives
-// every probed object (nil selects the scratch's own cache); profiles, when
-// non-nil, short-circuits distance evaluations whose staircase is already
-// cached. The append-into-dst contract is what keeps the steady-state loop
-// at zero allocations.
-func (ix *Index) aknnInto(sc *scratch, dst []Result, s *snapshot, q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm,
+// aknnInto is the one AKNN implementation: the paper's best-first search
+// (§3, Algorithms 1–2) over the forest of the views' trees, appending
+// results to dst. A forest is a tree whose root was never materialised: the
+// queue starts with every non-empty root instead of one, each element
+// remembers which tree it came from so its probe reads that tree's store,
+// and everything else — the §3.2 lower-bound keys, the (key, kind, id) pop
+// order that emits exact (distance, id) order, the stop at the k-th object
+// — is untouched. The leaf entries probed are exactly those whose lower
+// bound is ≤ the k-th exact distance, a property of the objects and not of
+// how they are cut into trees, so ObjectAccesses and DistanceEvals of the
+// non-lazy variants are the same for every partition of one population.
+//
+// probed, when non-nil, receives every probed object (nil selects the
+// scratch's own cache); profiles, when non-nil, short-circuits distance
+// evaluations whose staircase is already cached. The append-into-dst
+// contract is what keeps the steady-state loop at zero allocations.
+func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm,
 	probed map[uint64]*fuzzy.Object, profiles *fuzzy.ProfileCache, st *Stats) ([]Result, error) {
 	if probed == nil {
 		clear(sc.probed)
@@ -131,7 +145,7 @@ func (ix *Index) aknnInto(sc *scratch, dst []Result, s *snapshot, q *fuzzy.Objec
 	sc.dist.Reset(q, alpha)
 	r := &sc.aknn
 	*r = aknnRun{
-		ix:       ix,
+		views:    views,
 		q:        q,
 		k:        k,
 		alpha:    alpha,
@@ -148,22 +162,27 @@ func (ix *Index) aknnInto(sc *scratch, dst []Result, s *snapshot, q *fuzzy.Objec
 	}
 	if algo == LBLPUB {
 		// Q'_α: the fixed sample of the query's α-cut for Lemma 1 (§3.4).
-		sc.samples, sc.sampleIdx = q.AppendSampleCut(sc.samples[:0], sc.sampleIdx, alpha, ix.opts.SampleSize, ix.opts.SampleSeed)
+		opts := views[0].ix.opts
+		sc.samples, sc.sampleIdx = q.AppendSampleCut(sc.samples[:0], sc.sampleIdx, alpha, opts.SampleSize, opts.SampleSeed)
 		r.samples = sc.samples
 	}
 	sc.pq.reset()
-	if root := s.tree.Root(); len(root.Entries()) > 0 {
-		// The root is the queue's only element when popped, so its key never
-		// participates in a comparison; 0 is as good a lower bound as the
-		// tree-bounds MinDist and costs no allocation.
-		sc.pq.Push(pqItem{key: 0, kind: kindNode, node: root})
+	for i, v := range views {
+		if root := v.s.tree.Root(); len(root.Entries()) > 0 {
+			// Key 0 is a lower bound of anything and, unlike the tree-bounds
+			// MinDist, costs no allocation. A tighter key would prune nothing:
+			// hash partitions each cover the whole data space.
+			sc.pq.Push(pqItem{key: 0, kind: kindNode, tree: int32(i), node: root})
+		}
 	}
 	err := r.run()
 	sc.buffer = r.buffer[:0] // keep grown capacity
 	out := r.results
 	r.results = nil
-	if err == nil {
-		err = ix.pagedErr()
+	// A tree whose page cache failed mid-search resolved the failed page to
+	// an empty node; surface that instead of a silently short answer.
+	for i := 0; err == nil && i < len(views); i++ {
+		err = views[i].ix.pagedErr()
 	}
 	if err != nil {
 		return nil, err
@@ -171,10 +190,11 @@ func (ix *Index) aknnInto(sc *scratch, dst []Result, s *snapshot, q *fuzzy.Objec
 	return out, nil
 }
 
-// probe reads one object and evaluates its exact α-distance, charging the
-// access and the evaluation to the run's stats.
-func (r *aknnRun) probe(it *leafItem) (float64, error) {
-	obj, err := r.ix.getObject(it.id, r.st)
+// probe reads one object from the store of the tree its leaf entry came
+// from and evaluates its exact α-distance, charging the access and the
+// evaluation to the run's stats.
+func (r *aknnRun) probe(it *leafItem, tree int32) (float64, error) {
+	obj, err := r.views[tree].ix.getObject(it.id, r.st)
 	if err != nil {
 		return 0, err
 	}
@@ -230,7 +250,7 @@ func (r *aknnRun) probeBufferMin() error {
 	j := r.bufferMin()
 	g := r.buffer[j]
 	r.buffer = append(r.buffer[:j], r.buffer[j+1:]...)
-	d, err := r.probe(g.item)
+	d, err := r.probe(g.item, g.tree)
 	if err != nil {
 		return err
 	}
@@ -299,7 +319,7 @@ func (r *aknnRun) run() error {
 			if j := r.bufferMin(); r.buffer[j].lower <= hKey {
 				g := r.buffer[j]
 				r.buffer = append(r.buffer[:j], r.buffer[j+1:]...)
-				d, err := r.probe(g.item)
+				d, err := r.probe(g.item, g.tree)
 				if err != nil {
 					return err
 				}
@@ -324,18 +344,18 @@ func (r *aknnRun) run() error {
 
 		case kindNode:
 			r.st.NodeAccesses++
-			r.expand(resolveNode(e.node, r.st))
+			r.expand(resolveNode(e.node, r.st), e.tree)
 
 		case kindLeaf:
 			if !r.lazy {
-				d, err := r.probe(e.item)
+				d, err := r.probe(e.item, e.tree)
 				if err != nil {
 					return err
 				}
 				h.Push(pqItem{key: d, kind: kindObject, id: e.item.id, dist: d})
 				continue
 			}
-			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.item), item: e.item})
+			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.item), item: e.item, tree: e.tree})
 			if err := r.enforceInvariant(); err != nil {
 				return err
 			}
@@ -348,11 +368,11 @@ func (r *aknnRun) run() error {
 	return nil
 }
 
-// expand pushes a node's children, scanning lower bounds off the node's
-// flattened rectangle layout (one contiguous pass, no per-entry pointer
-// chasing). Leaf entries of the LB variants take the tighter §3.2
-// conservative boundary MBR instead.
-func (r *aknnRun) expand(n *rtree.Node) {
+// expand pushes a node's children, tagged with the tree they belong to,
+// scanning lower bounds off the node's flattened rectangle layout (one
+// contiguous pass, no per-entry pointer chasing). Leaf entries of the LB
+// variants take the tighter §3.2 conservative boundary MBR instead.
+func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 	ents := n.Entries()
 	if n.Leaf() {
 		for i := range ents {
@@ -364,12 +384,12 @@ func (r *aknnRun) expand(n *rtree.Node) {
 			} else {
 				key = n.EntryMinDist(i, r.mq)
 			}
-			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, id: it.id, item: it})
+			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: it.id, item: it})
 		}
 		return
 	}
 	for i := range ents {
-		r.sc.pq.Push(pqItem{key: n.EntryMinDist(i, r.mq), kind: kindNode, node: ents[i].Child})
+		r.sc.pq.Push(pqItem{key: n.EntryMinDist(i, r.mq), kind: kindNode, tree: tree, node: ents[i].Child})
 	}
 }
 
@@ -433,8 +453,14 @@ func sortIDDists(cands []idDist) {
 // Refine probes any non-exact results (produced by the lazy-probe variants)
 // and returns the set re-sorted by exact (distance, id).
 func (ix *Index) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
+	return refine(ix.Dims(), ix.getObject, q, alpha, rs)
+}
+
+// refine is Refine for both index layouts: fetch probes the store that
+// owns the id, charging the access to the stats it is handed.
+func refine(dims int, fetch func(uint64, *Stats) (*fuzzy.Object, error), q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
 	var st Stats
-	if err := ix.validateQuery(ix.read(), q, 1, alpha); err != nil {
+	if err := validateArgs(dims, q, 1, alpha); err != nil {
 		return nil, st, err
 	}
 	sc := getScratch()
@@ -446,7 +472,7 @@ func (ix *Index) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, 
 		if out[i].Exact {
 			continue
 		}
-		obj, err := ix.getObject(out[i].ID, &st)
+		obj, err := fetch(out[i].ID, &st)
 		if err != nil {
 			return nil, st, err
 		}

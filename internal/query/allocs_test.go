@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"fuzzyknn/internal/fuzzy"
 )
@@ -100,6 +101,39 @@ func TestRKNNSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state RKNN (%v): %v allocs/op, want 0", algo, allocs)
 			}
 		})
+	}
+}
+
+// TestShardedAKNNAllocsIndependentOfShards pins what one search over the
+// forest of shard trees buys: a steady-state sharded AKNN allocates the
+// same few objects (its views and its answer) at 2 and at 7 shards — no
+// goroutine, cursor or scratch per shard, each of which would show as
+// allocations growing with the shard count — and the tag that routes a
+// probe to its shard's store lives in pqItem's padding.
+func TestShardedAKNNAllocsIndependentOfShards(t *testing.T) {
+	if size := unsafe.Sizeof(pqItem{}); size != 48 {
+		t.Fatalf("pqItem is %d bytes, want 48: the tree tag must not grow the heap element", size)
+	}
+	ix, q := allocEnv(t)
+	var allocs [2]float64
+	for i, shards := range []int{2, 7} {
+		sx, err := BuildSharded(ix.Store(), shards, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, _, err := sx.AKNN(q, 8, 0.5, LB); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 3; j++ {
+			run()
+		}
+		allocs[i] = testing.AllocsPerRun(50, run)
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Fatalf("steady-state sharded AKNN: %v allocs/op at 2 shards, %v at 7, want the same and at most 2",
+			allocs[0], allocs[1])
 	}
 }
 

@@ -16,40 +16,45 @@ func reID(o *fuzzy.Object, id uint64) *fuzzy.Object {
 	return fuzzy.MustNew(id, o.WeightedPoints())
 }
 
-// degradedFixture builds a log-backed index with a few objects and returns
-// it with the ids it holds.
+// degradedFixture builds a log-backed index — one log per shard, each
+// holding exactly the ids ShardOf assigns to it, as NewSharded requires —
+// and returns it with the ids it holds.
 func degradedFixture(t *testing.T, shards int) (Searcher, []uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(3, 3))
 	dir := t.TempDir()
 	var ids []uint64
-	build := func(name string, lo, hi uint64) *Index {
-		ls, err := store.OpenLog(filepath.Join(dir, name), 2)
+	stores := make([]*store.LogStore, shards)
+	for i := range stores {
+		ls, err := store.OpenLog(filepath.Join(dir, string(rune('a'+i))+".log"), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ls.Close() })
-		for id := lo; id <= hi; id++ {
-			if err := ls.ApplyBatch([]*fuzzy.Object{reID(makeObjects(rng, 1, 3, 4, 0)[0], id)}, nil); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-		}
-		ix, err := Build(ls, Options{})
-		if err != nil {
+		stores[i] = ls
+	}
+	for id := uint64(1); id <= uint64(6*shards); id++ {
+		o := reID(makeObjects(rng, 1, 3, 4, 0)[0], id)
+		if err := stores[ShardOf(id, shards)].ApplyBatch([]*fuzzy.Object{o}, nil); err != nil {
 			t.Fatal(err)
 		}
-		return ix
-	}
-	if shards <= 1 {
-		return build("one.log", 1, 6), ids
+		ids = append(ids, id)
 	}
 	built := make([]*Index, shards)
-	for i := range built {
-		built[i] = build(string(rune('a'+i))+".log", uint64(1+10*i), uint64(6+10*i))
+	for i, ls := range stores {
+		var err error
+		if built[i], err = Build(ls, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shards == 1 {
+		return built[0], ids
 	}
 	sx, err := NewSharded(built)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	return sx, ids

@@ -29,12 +29,6 @@ func (ix *Index) ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error
 	return out, st, nil
 }
 
-// ExpectedDistKNN is the package-level form of Index.ExpectedDistKNN, kept
-// for callers holding a concrete *Index.
-func ExpectedDistKNN(ix *Index, q *fuzzy.Object, k int) ([]Result, Stats, error) {
-	return ix.ExpectedDistKNN(q, k)
-}
-
 // expectedDistTopK scans one snapshot's population and returns its local
 // top k by (expected distance, id). Because the per-tree ranking is exact,
 // a sharded coordinator can merge the shard-local top-k lists into the

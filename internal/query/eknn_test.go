@@ -14,7 +14,7 @@ func TestExpectedDistKNNMatchesBrute(t *testing.T) {
 	objs := makeObjects(rng, 40, 12, 10, 8)
 	ix := buildIndex(t, objs, Options{})
 	q := makeQuery(rng, 12, 10, 8)
-	got, st, err := ExpectedDistKNN(ix, q, 5)
+	got, st, err := ix.ExpectedDistKNN(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExpectedVsAlphaSemantics(t *testing.T) {
 	}
 
 	// Expected distance: E(fringe) = 0.1·0.5 + 0.9·10 = 9.05 > E(crisp) = 4.
-	eres, _, err := ExpectedDistKNN(ix, q, 1)
+	eres, _, err := ix.ExpectedDistKNN(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +87,16 @@ func TestExpectedDistKNNEdge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(703, 2))
 	empty := buildIndex(t, nil, Options{})
 	q := makeQuery(rng, 10, 10, 4)
-	got, _, err := ExpectedDistKNN(empty, q, 3)
+	got, _, err := empty.ExpectedDistKNN(q, 3)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty index: %d results, err %v", len(got), err)
 	}
 	ix := buildIndex(t, makeObjects(rng, 4, 8, 10, 4), Options{})
-	got, _, err = ExpectedDistKNN(ix, q, 10)
+	got, _, err = ix.ExpectedDistKNN(q, 10)
 	if err != nil || len(got) != 4 {
 		t.Fatalf("k > N: %d results, err %v", len(got), err)
 	}
-	if _, _, err := ExpectedDistKNN(ix, q, 0); err == nil {
+	if _, _, err := ix.ExpectedDistKNN(q, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -56,6 +57,33 @@ func BenchmarkHotPathAKNNBasic(b *testing.B)  { benchmarkHotAKNN(b, Basic) }
 func BenchmarkHotPathAKNNLB(b *testing.B)     { benchmarkHotAKNN(b, LB) }
 func BenchmarkHotPathAKNNLBLP(b *testing.B)   { benchmarkHotAKNN(b, LBLP) }
 func BenchmarkHotPathAKNNLBLPUB(b *testing.B) { benchmarkHotAKNN(b, LBLPUB) }
+
+// BenchmarkHotPathShardedAKNN is the LB search of the same workload through
+// the sharded coordinator. objacc/op is the paper's cost metric; it must
+// read the same at every shard count (and equal the single tree's).
+func BenchmarkHotPathShardedAKNN(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			env := newHotEnv(b)
+			sx, err := BuildSharded(env.ix.Store(), shards, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			accesses := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := env.queries[i%len(env.queries)]
+				_, st, err := sx.AKNN(q, hotK, hotAlpha, LB)
+				if err != nil {
+					b.Fatal(err)
+				}
+				accesses += st.ObjectAccesses
+			}
+			b.ReportMetric(float64(accesses)/float64(b.N), "objacc/op")
+		})
+	}
+}
 
 func BenchmarkHotPathRangeSearch(b *testing.B) {
 	env := newHotEnv(b)

@@ -18,10 +18,13 @@ const (
 
 // pqItem is one priority-queue element: an R-tree node keyed by MinDist, an
 // unresolved leaf entry keyed by its lower bound, or a probed object keyed
-// by its exact α-distance.
+// by its exact α-distance. tree is the index of the tree the element came
+// from in the searched forest (always 0 on a single tree); it sits in the
+// padding after kind, so the element stays 48 bytes.
 type pqItem struct {
 	key  float64
 	kind int8
+	tree int32
 	id   uint64 // object id for leaf/object entries; 0 for nodes
 	node *rtree.Node
 	item *leafItem

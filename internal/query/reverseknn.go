@@ -49,12 +49,6 @@ func (ix *Index) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, St
 	return results, st, nil
 }
 
-// ReverseKNN is the package-level form of Index.ReverseKNN, kept for
-// callers holding a concrete *Index.
-func ReverseKNN(ix *Index, q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
-	return ix.ReverseKNN(q, k, alpha)
-}
-
 // revCandidate is one verified reverse-kNN answer within a single tree: the
 // probed object, its exact distance to q, and how many objects of the SAME
 // tree are strictly closer to it than q (exact, in [0, k)).

@@ -50,7 +50,7 @@ func TestReverseKNNMatchesBrute(t *testing.T) {
 		q := makeQuery(rng, 12, 12, quant)
 		for _, k := range []int{1, 3, 8} {
 			for _, alpha := range []float64{0.3, 0.7, 1.0} {
-				got, _, err := ReverseKNN(ix, q, k, alpha)
+				got, _, err := ix.ReverseKNN(q, k, alpha)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestReverseKNNFilterSavesProbes(t *testing.T) {
 	objs := makeObjects(rng, 300, 12, 30, 8)
 	ix := buildIndex(t, objs, Options{})
 	q := makeQuery(rng, 12, 30, 8)
-	_, st, err := ReverseKNN(ix, q, 5, 0.5)
+	_, st, err := ix.ReverseKNN(q, 5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestReverseKNNKCoversAll(t *testing.T) {
 	objs := makeObjects(rng, 12, 8, 10, 4)
 	ix := buildIndex(t, objs, Options{})
 	q := makeQuery(rng, 8, 10, 4)
-	got, _, err := ReverseKNN(ix, q, 50, 0.5) // k exceeds dataset size
+	got, _, err := ix.ReverseKNN(q, 50, 0.5) // k exceeds dataset size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +117,18 @@ func TestReverseKNNEmptyAndValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(307, 4))
 	q := makeQuery(rng, 8, 10, 4)
 	empty := buildIndex(t, nil, Options{})
-	got, _, err := ReverseKNN(empty, q, 3, 0.5)
+	got, _, err := empty.ReverseKNN(q, 3, 0.5)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty index: %d results, err %v", len(got), err)
 	}
 	ix := buildIndex(t, makeObjects(rng, 5, 8, 10, 4), Options{})
-	if _, _, err := ReverseKNN(ix, q, 0, 0.5); err == nil {
+	if _, _, err := ix.ReverseKNN(q, 0, 0.5); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ReverseKNN(ix, q, 3, 1.5); err == nil {
+	if _, _, err := ix.ReverseKNN(q, 3, 1.5); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
-	if _, _, err := ReverseKNN(ix, nil, 3, 0.5); err == nil {
+	if _, _, err := ix.ReverseKNN(nil, 3, 0.5); err == nil {
 		t.Error("nil query accepted")
 	}
 }

@@ -190,7 +190,7 @@ func justAbove(x float64) float64 { return math.Nextafter(x, 2) }
 // scratch-owned and valid until the next subAKNN call.
 func (c *rknnCtx) subAKNN(alpha float64) ([]Result, error) {
 	c.st.AKNNCalls++
-	res, err := c.ix.aknnInto(c.sc, c.sc.sub[:0], c.snap, c.q, c.k, alpha, LB, c.probed, &c.sc.profiles, c.st)
+	res, err := aknnInto(c.sc, c.sc.sub[:0], c.sc.oneView(c.ix, c.snap), c.q, c.k, alpha, LB, c.probed, &c.sc.profiles, c.st)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,8 @@ type scratch struct {
 	// the run state would escape and cost one heap allocation per query.
 	stats Stats
 
-	// Best-first search (AKNN and the sharded cursor).
+	// Best-first search (AKNN over one tree or a forest of shard trees).
+	views  []shardView // the searched forest, when the caller has no slice of its own
 	pq     bestFirstQueue
 	buffer []gEntry
 	sub    []Result // results of sub-searches (RKNN's inner AKNN)
@@ -104,6 +105,13 @@ func newScratch() *scratch {
 		safeUntil:    make(map[uint64]float64, 16),
 		inCPrime:     make(map[uint64]bool, 16),
 	}
+}
+
+// oneView returns the one-tree forest {ix, s} for aknnInto, backed by the
+// scratch so the single-tree search allocates nothing for it.
+func (sc *scratch) oneView(ix *Index, s *snapshot) []shardView {
+	sc.views = append(sc.views[:0], shardView{ix: ix, s: s})
+	return sc.views
 }
 
 // getScratch takes a warm scratch from the pool.

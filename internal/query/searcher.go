@@ -12,7 +12,7 @@ import (
 //   - *Index: one R-tree over one object store, the paper's single-tree
 //     design with snapshot-isolated mutations.
 //   - *ShardedIndex: N hash-partitioned *Index shards behind a coordinator
-//     that fans every query out in parallel and merges exactly.
+//     that answers exactly what a single tree over their union would.
 //
 // All methods must be safe for concurrent use. Query methods run against a
 // consistent snapshot per shard (see Index for the isolation contract);

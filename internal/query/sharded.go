@@ -14,14 +14,19 @@ import (
 // ShardedIndex is a Searcher over N hash-partitioned shards. Each shard is
 // a complete, independently mutable, snapshot-isolated Index (usually with
 // its own store); ShardOf assigns every object id to exactly one shard.
-// Queries fan out across the shards in parallel and merge exactly:
+// AKNN's pruning bound is global and moves as the search proceeds, so it
+// runs as one search over all shards; the other families fix their bound
+// before touching a shard, so each shard's work is independent and they
+// fan out across the shards in parallel and merge exactly:
 //
-//   - AKNN: per-shard incremental best-first streams, k-way merged with
-//     the cross-shard lower-bound early stop (see merge.go).
+//   - AKNN: the single-tree best-first search (aknnInto) over the forest
+//     of the shards' trees — one queue seeded with every shard's root, on
+//     the calling goroutine. It probes exactly the objects a single tree
+//     over the union would, whatever the shard count.
 //   - RKNN: one cross-shard AKNN at αe fixes the pruning radius (Lemma 3),
 //     per-shard α-range searches collect the global candidate set, and the
 //     candidates are refined in memory through the interval.Set algebra —
-//     the RSS plan (Algorithm 4/5) with the search phase fanned out.
+//     the RSS plan (Algorithm 4/5) with the range-search phase fanned out.
 //   - RangeSearch: per-shard range searches, union, one sort.
 //   - ReverseKNN: per-shard filter+verify yields conservative candidates
 //     (an object with ≥ k closer neighbors in its own shard can never
@@ -31,7 +36,7 @@ import (
 //
 // Mutations route by ShardOf and inherit the owning shard's snapshot
 // isolation. There is no global snapshot: one sharded query reads each
-// shard's snapshot at fan-out time, so a mutation concurrent with a query
+// shard's snapshot when it starts, so a mutation concurrent with a query
 // may be visible in some shards' view and not others. Each individual
 // shard view is still a consistent population, and quiescent reads (no
 // writer in flight) are byte-identical to a single-tree index over the
@@ -203,44 +208,36 @@ func fanOut(views []shardView, fn func(i int, v shardView) error) error {
 	return nil
 }
 
-// AKNN answers the ad-hoc kNN query across all shards. The coordinator
-// merges exactly, so results are always exact, ascending by (distance,
-// id), regardless of the variant: algo only selects the per-shard leaf
-// lower bound (support MBR for Basic, the §3.2 boundary MBR otherwise) —
-// lazy probing is a single-tree optimization that does not survive a
-// cross-shard merge (see merge.go). A refined single-tree answer over the
-// same objects is byte-identical.
+// AKNN answers the ad-hoc kNN query across all shards: one best-first
+// search over the forest of the shards' pinned snapshots (see aknnInto).
+// Results are always exact, ascending by (distance, id), regardless of the
+// variant: algo only selects the leaf lower bound (support MBR for Basic,
+// the §3.2 boundary MBR otherwise), and the lazy variants run as LB — a
+// sharded answer is documented to be byte-identical to the refined
+// single-tree answer over the same objects, which admitting unprobed
+// results would break.
 func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error) {
 	started := time.Now()
-	var st Stats
 	if err := validateArgs(sx.Dims(), q, k, alpha); err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
 	if algo < Basic || algo > LBLPUB {
-		return nil, st, badArgf("query: unknown AKNN algorithm %d", int(algo))
+		return nil, Stats{}, badArgf("query: unknown AKNN algorithm %d", int(algo))
 	}
-	res, err := sx.aknnMerged(sx.views(), q, k, alpha, algo != Basic, &st)
+	if algo != Basic {
+		algo = LB
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.stats = Stats{}
+	// The answer is sized once; a k beyond the population must not size it.
+	dst := make([]Result, 0, min(k, sx.Len()))
+	res, err := aknnInto(sc, dst, sx.views(), q, k, alpha, algo, nil, nil, &sc.stats)
 	if err != nil {
-		return nil, st, err
+		return nil, sc.stats, err
 	}
-	st.Duration = time.Since(started)
-	return res, st, nil
-}
-
-// aknnMerged fans the cursor search out over the given views and merges.
-// Every cursor holds a pooled scratch; they are all released when the merge
-// completes, so a batch of sharded queries recycles one scratch per shard.
-func (sx *ShardedIndex) aknnMerged(views []shardView, q *fuzzy.Object, k int, alpha float64, useLB bool, st *Stats) ([]Result, error) {
-	streams := make([]*shardStream, len(views))
-	for i, v := range views {
-		streams[i] = &shardStream{cur: newNNCursor(v.ix, v.s, q, alpha, useLB)}
-	}
-	defer func() {
-		for _, s := range streams {
-			s.cur.release()
-		}
-	}()
-	return mergeAKNN(streams, k, st)
+	sc.stats.Duration = time.Since(started)
+	return res, sc.stats, nil
 }
 
 // LinearScanAKNN fans the exhaustive baseline out and merges the local
@@ -270,35 +267,17 @@ func (sx *ShardedIndex) LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([
 	return out, st, nil
 }
 
+// getObject probes the shard owning id, charging the access to st.
+func (sx *ShardedIndex) getObject(id uint64, st *Stats) (*fuzzy.Object, error) {
+	return sx.shardFor(id).getObject(id, st)
+}
+
 // Refine probes any non-exact results through their owning shards and
 // re-sorts by exact (distance, id). Sharded AKNN answers are always exact
 // already; this exists so arbitrary Result sets (e.g. relayed from a
 // single-tree index) refine correctly.
 func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, 1, alpha); err != nil {
-		return nil, st, err
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.dist.Reset(q, alpha)
-	out := make([]Result, len(rs))
-	copy(out, rs)
-	for i := range out {
-		if out[i].Exact {
-			continue
-		}
-		sh := sx.shardFor(out[i].ID)
-		obj, err := sh.getObject(out[i].ID, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		st.DistanceEvals++
-		d := sc.dist.Dist(obj)
-		out[i] = Result{ID: out[i].ID, Dist: d, Exact: true, Lower: d, Upper: d}
-	}
-	sortResults(out)
-	return out, st, nil
+	return refine(sx.Dims(), sx.getObject, q, alpha, rs)
 }
 
 // RangeSearch fans the α-range query out and unions the per-shard answers
@@ -344,7 +323,7 @@ func (sx *ShardedIndex) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]R
 }
 
 // RKNN answers the range kNN query across all shards with the RSS plan
-// fanned out (Algorithms 4/5 of the paper, the search phase parallelized):
+// (Algorithms 4/5 of the paper, the range-search phase parallelized):
 //
 //  1. One cross-shard AKNN at αe fixes the global pruning radius — the
 //     k-th nearest distance at the range's top (Lemma 3).
@@ -373,10 +352,13 @@ func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float6
 		return nil, st, badArgf("query: unknown RKNN algorithm %d", int(algo))
 	}
 	views := sx.views()
+	// The coordinator's scratch: phase 1 searches in it, phase 3 refines in it.
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// Phase 1: global pruning radius from one cross-shard AKNN at αe.
 	st.AKNNCalls++
-	resE, err := sx.aknnMerged(views, q, k, alphaEnd, true, &st)
+	resE, err := aknnInto(sc, sc.sub[:0], views, q, k, alphaEnd, LB, nil, nil, &st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -388,6 +370,7 @@ func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float6
 	if len(resE) >= k {
 		radius = resE[len(resE)-1].Dist
 	}
+	sc.sub = resE[:0] // keep grown capacity
 
 	// Phase 2: parallel per-shard range searches at αs. Each goroutine runs
 	// in its own pooled scratch and copies the scratch-owned result map out
@@ -412,17 +395,12 @@ func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float6
 		return nil, st, err
 	}
 
-	// Phase 3: shared in-memory refinement over the candidate union, run in
-	// the coordinator's own scratch.
-	sc := getScratch()
-	defer putScratch(sc)
+	// Phase 3: shared in-memory refinement over the candidate union.
 	ctx := newRKNNCtx(sc, q, k, alphaStart, alphaEnd, &st)
-	ctx.fetch = func(id uint64, st *Stats) (*fuzzy.Object, error) {
-		// Candidates are pre-probed below; this only runs if refinement
-		// ever touches a non-candidate id, which would be a logic error —
-		// route to the owning shard rather than crash.
-		return sx.shardFor(id).getObject(id, st)
-	}
+	// Candidates are pre-probed below; the fetch only runs if refinement
+	// ever touches a non-candidate id, which would be a logic error — route
+	// to the owning shard rather than crash.
+	ctx.fetch = sx.getObject
 	cands := sc.cands[:0]
 	for i := range objMaps {
 		addParallel(&st, stats[i])
@@ -504,6 +482,22 @@ func (sx *ShardedIndex) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Res
 	sortResults(results)
 	st.Duration = time.Since(started)
 	return results, st, nil
+}
+
+// mergeTopK merges per-shard result lists (each already sorted by
+// (distance, id)) into the global top k. Used by the fan-out paths whose
+// shard answers are complete local top-k lists (linear scan, expected
+// distance): the global top k is contained in the union of local top k's.
+func mergeTopK(lists [][]Result, k int) []Result {
+	var all []Result
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	sortResults(all)
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
 }
 
 // ExpectedDistKNN fans the full-profile scan out per shard and merges the

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync"
@@ -12,13 +13,16 @@ import (
 )
 
 // This file extends the cross-variant equivalence harness across shard
-// layouts: a 4-shard index must agree byte-for-byte with a single tree
-// over the same objects for every AKNN variant (after refinement — the
-// sharded coordinator always answers exact), every RKNN variant's
-// qualifying ranges, range search, reverse kNN, expected-distance kNN and
-// the linear-scan baseline — on a fresh index, after a ≥500-op random
-// churn, and on a drained index, with per-shard structural invariants and
-// partition ownership checked at every stage.
+// layouts: a 2-, 4- and 7-shard index must agree byte-for-byte with a
+// single tree over the same objects for every AKNN variant (after
+// refinement — the sharded coordinator always answers exact), every RKNN
+// variant's qualifying ranges, range search, reverse kNN, expected-distance
+// kNN and the linear-scan baseline — on a fresh index, after a ≥500-op
+// random churn, and on a drained index, with per-shard structural
+// invariants and partition ownership checked at every stage. A sharded AKNN
+// must also cost exactly the single tree's object accesses and distance
+// evaluations: which leaf entries the best-first search probes depends on
+// the objects, not on how they are cut into trees.
 
 // buildShardedOver partitions objs by ShardOf and builds one Index per
 // shard, each over its own MemStore — the per-shard-store layout the
@@ -161,16 +165,27 @@ func (s *shardedEquivState) assertEquivalent(label string, queries int) {
 				if err != nil {
 					s.t.Fatalf("%s: linear scan: %v", label, err)
 				}
+				var cost Stats // the single tree's non-lazy run: Basic for Basic, LB otherwise
 				for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-					single, _, err := s.single.AKNN(q, k, alpha, algo)
+					single, singleSt, err := s.single.AKNN(q, k, alpha, algo)
 					if err != nil {
 						s.t.Fatalf("%s: single %v: %v", label, algo, err)
+					}
+					if algo <= LB {
+						cost = singleSt
 					}
 					refined, _, err := s.single.Refine(q, alpha, single)
 					if err != nil {
 						s.t.Fatalf("%s: refine %v: %v", label, algo, err)
 					}
 					mustEqualResults(s.t, refined, want, label+"/single-refined/"+algo.String())
+					// The same lazy answer relayed to the coordinator refines
+					// through the owning shards' stores.
+					relayed, _, err := s.sharded.Refine(q, alpha, single)
+					if err != nil {
+						s.t.Fatalf("%s: sharded refine %v: %v", label, algo, err)
+					}
+					mustEqualResults(s.t, relayed, want, label+"/sharded-refined/"+algo.String())
 
 					got, st, err := s.sharded.AKNN(q, k, alpha, algo)
 					if err != nil {
@@ -180,6 +195,10 @@ func (s *shardedEquivState) assertEquivalent(label string, queries int) {
 					if st.ObjectAccesses < len(got) {
 						s.t.Fatalf("%s: %v probed %d objects for %d exact results",
 							label, algo, st.ObjectAccesses, len(got))
+					}
+					if st.ObjectAccesses != cost.ObjectAccesses || st.DistanceEvals != cost.DistanceEvals {
+						s.t.Fatalf("%s: sharded %v k=%d α=%v cost %d accesses, %d evals; the single tree %d, %d",
+							label, algo, k, alpha, st.ObjectAccesses, st.DistanceEvals, cost.ObjectAccesses, cost.DistanceEvals)
 					}
 				}
 				shardedScan, _, err := s.sharded.LinearScanAKNN(q, k, alpha)
@@ -255,35 +274,37 @@ func (s *shardedEquivState) assertRKNNEquivalent(q *fuzzy.Object, k int, as, ae 
 }
 
 // TestShardedEquivalenceUnderChurn is the headline sharding property test:
-// shards=4 answers byte-identically to shards=1 across every query family
-// on fresh, churned (≥500 mirrored ops) and drained indexes.
+// 2, 4 and 7 shards answer byte-identically to shards=1 across every query
+// family on fresh, churned (≥500 mirrored ops) and drained indexes.
 func TestShardedEquivalenceUnderChurn(t *testing.T) {
-	for _, seed := range []uint64{3, 8} {
-		s := newShardedEquivState(t, seed, 60, 4)
-		s.checkInvariants()
-		s.assertEquivalent("fresh", 2)
+	for _, shards := range []int{2, 4, 7} {
+		for _, seed := range []uint64{3, 8} {
+			s := newShardedEquivState(t, seed, 60, shards)
+			s.checkInvariants()
+			s.assertEquivalent("fresh", 2)
 
-		s.churn(500)
-		s.assertEquivalent("churned", 2)
+			s.churn(500)
+			s.assertEquivalent("churned", 2)
 
-		for len(s.live) > 4 {
-			s.delete(s.rng.IntN(len(s.live)))
-		}
-		s.checkInvariants()
-		s.assertEquivalent("drained", 1)
+			for len(s.live) > 4 {
+				s.delete(s.rng.IntN(len(s.live)))
+			}
+			s.checkInvariants()
+			s.assertEquivalent("drained", 1)
 
-		for len(s.live) > 0 {
-			s.delete(0)
-		}
-		s.checkInvariants()
-		q := makeQuery(s.rng, 12, 12, 8)
-		res, _, err := s.sharded.AKNN(q, 3, 0.5, LBLPUB)
-		if err != nil || len(res) != 0 {
-			t.Fatalf("empty sharded AKNN: %v, %d results", err, len(res))
-		}
-		ranged, _, err := s.sharded.RKNN(q, 3, 0.2, 0.8, RSSICR)
-		if err != nil || len(ranged) != 0 {
-			t.Fatalf("empty sharded RKNN: %v, %d results", err, len(ranged))
+			for len(s.live) > 0 {
+				s.delete(0)
+			}
+			s.checkInvariants()
+			q := makeQuery(s.rng, 12, 12, 8)
+			res, _, err := s.sharded.AKNN(q, 3, 0.5, LBLPUB)
+			if err != nil || len(res) != 0 {
+				t.Fatalf("empty sharded AKNN: %v, %d results", err, len(res))
+			}
+			ranged, _, err := s.sharded.RKNN(q, 3, 0.2, 0.8, RSSICR)
+			if err != nil || len(ranged) != 0 {
+				t.Fatalf("empty sharded RKNN: %v, %d results", err, len(ranged))
+			}
 		}
 	}
 }
@@ -395,6 +416,11 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, _, err := sx.AKNN(threeD, 1, 0.5, LBLPUB); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("mismatched dims query: %v", err)
+	}
+
+	// k only bounds the answer; it must not size it.
+	if all, _, err := sx.AKNN(q, math.MaxInt, 0.5, LB); err != nil || len(all) != len(objs) {
+		t.Fatalf("k beyond the population: %d results, %v", len(all), err)
 	}
 
 	if _, err := NewSharded(nil); err == nil {

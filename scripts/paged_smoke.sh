@@ -3,7 +3,9 @@
 # same from the page file as from a scan-built open, then boot fuzzyserve in
 # paged mode with a small block cache, query it, and check the cache series
 # (one vocabulary, labeled by layer) show real hit/miss traffic on /metrics
-# and /stats. Runnable locally from the repo root:
+# and /stats. A last phase serves the same store as one tree and as three
+# shards and checks AKNN answers and costs the same on both. Runnable
+# locally from the repo root:
 #
 #   scripts/paged_smoke.sh
 set -euo pipefail
@@ -48,4 +50,29 @@ grep -q 'fuzzyknn_engine_page_reads_total' paged-metrics.txt
 # Hits must be nonzero after repeated identical queries.
 hits="$(sed -n 's/^fuzzyknn_cache_hits_total{cache="pages"} //p' paged-metrics.txt)"
 test "$hits" -gt 0
+
+# Sharded phase. A sharded AKNN is one best-first search over all the shard
+# trees, so the same store served as one tree and as three must return the
+# same results AND charge the same object accesses ("algo": "lb" answers
+# exact distances on both layouts).
+start_server /tmp/paged-smoke.one.log -store /tmp/objects.fzs -addr 127.0.0.1:18082
+start_server /tmp/paged-smoke.three.log -store /tmp/objects.fzs -shards 3 -addr 127.0.0.1:18083
+wait_healthz http://127.0.0.1:18082
+wait_healthz http://127.0.0.1:18083
+# aknn_answer_and_cost <base-url> <payload> — the results and what they cost.
+aknn_answer_and_cost() {
+  curl -sf "$1/aknn" -d "$2" | python3 -c 'import json,sys; j=json.load(sys.stdin); print(j["stats"]["object_accesses"], json.dumps(j["results"], sort_keys=True))'
+}
+for k in 5 20; do
+  for id in 7 99 1234; do
+    payload="{\"query_id\": $id, \"k\": $k, \"alpha\": 0.5, \"algo\": \"lb\"}"
+    one="$(aknn_answer_and_cost http://127.0.0.1:18082 "$payload")"
+    three="$(aknn_answer_and_cost http://127.0.0.1:18083 "$payload")"
+    echo "sharded AKNN query_id=$id k=$k: ${one%% *} object accesses on one tree, ${three%% *} on three shards"
+    if [ "$one" != "$three" ]; then
+      echo "AKNN $payload: -shards 3 differs from the single tree in results or object accesses" >&2
+      exit 1
+    fi
+  done
+done
 echo 'paged smoke OK'

@@ -22,6 +22,25 @@ func shardedPair(t *testing.T, objs []*Object) (*Index, *Index) {
 	return single, sharded
 }
 
+// mustCostLikeSingle requires a sharded AKNN to probe exactly as many
+// objects as the single tree's non-lazy search over the same population,
+// counted where the stores count them.
+func mustCostLikeSingle(t *testing.T, label string, single, sharded *Index, q *Object, k int) {
+	t.Helper()
+	for _, algo := range []AKNNAlgorithm{Basic, LB} {
+		cost := func(ix *Index) int64 {
+			before := ix.TotalObjectAccesses()
+			if _, _, err := ix.AKNN(q, k, 0.5, algo); err != nil {
+				t.Fatalf("%s/%v: %v", label, algo, err)
+			}
+			return ix.TotalObjectAccesses() - before
+		}
+		if want, got := cost(single), cost(sharded); got != want || got == 0 {
+			t.Fatalf("%s/%v: sharded AKNN probed %d objects, the single tree %d", label, algo, got, want)
+		}
+	}
+}
+
 // TestPublicShardedMatchesSingle drives the public API end to end: every
 // query family answers byte-identically on shards=4 and shards=1,
 // including after mirrored mutations.
@@ -54,6 +73,7 @@ func TestPublicShardedMatchesSingle(t *testing.T) {
 				t.Fatalf("%s/%v: sharded AKNN diverges\n got %+v\nwant %+v", label, algo, got, want)
 			}
 		}
+		mustCostLikeSingle(t, label, single, sharded, q, 8)
 		wantR, _, err := single.RKNN(q, 5, 0.3, 0.8, RSSICR)
 		if err != nil {
 			t.Fatal(err)
@@ -109,6 +129,18 @@ func TestPublicShardedMatchesSingle(t *testing.T) {
 		}
 	}
 	check("fresh")
+
+	// The same objects as trees over one shared store file.
+	path := filepath.Join(t.TempDir(), "objects.fzs")
+	if err := SaveObjects(path, 2, objs); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenIndex(path, &Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	mustCostLikeSingle(t, "shared store file", single, opened, q, 8)
 
 	// Mirrored churn through the public mutation API.
 	extra, _ := smallDataset(t, 30, 77)
@@ -284,4 +316,5 @@ func TestPublicShardedLogIndex(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened sharded log diverges\n got %+v\nwant %+v", got, want)
 	}
+	mustCostLikeSingle(t, "reopened log", single, sharded, q, 10)
 }
