@@ -1,6 +1,7 @@
 package fuzzyknn
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -119,6 +120,16 @@ func TestPublicJoins(t *testing.T) {
 	// The closest pair must also appear in any join that admits it.
 	if len(pairs) > 0 && math.Abs(pairs[0].Dist-top[0].Dist) > 1e-9 {
 		t.Fatalf("join min %v vs closest pair %v", pairs[0].Dist, top[0].Dist)
+	}
+
+	// Argument mistakes carry the tag every other query entry point gives them.
+	_, _, errAlpha := DistanceJoin(left, right, 1.5, 1)
+	_, _, errEps := DistanceJoin(left, right, 0.5, -1)
+	_, _, errK := KClosestPairs(left, right, 0, 0.5)
+	for _, err := range []error{errAlpha, errEps, errK} {
+		if !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("join argument error %v is not tagged ErrInvalidQuery", err)
+		}
 	}
 }
 

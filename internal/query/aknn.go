@@ -22,6 +22,12 @@ type Result struct {
 	Upper float64 // upper bound d+α (equals Dist when Exact)
 }
 
+// exactResult is the Result of a probed object: its exact α-distance is
+// both of its bounds.
+func exactResult(id uint64, d float64) Result {
+	return Result{ID: id, Dist: d, Exact: true, Lower: d, Upper: d}
+}
+
 // sortResults orders rs by the canonical ascending (Dist, ID) result
 // order. Breaking distance ties by object id (rather than heap pop order)
 // makes outputs byte-identical across runs and across shard layouts.
@@ -59,14 +65,14 @@ func (ix *Index) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm)
 // memory. dst's previous contents must no longer be referenced.
 func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error) {
 	start := time.Now()
-	s := ix.read()
-	if err := ix.validateQuery(s, q, k, alpha); err != nil {
-		return dst, Stats{}, err
-	}
 	sc := getScratch()
 	defer putScratch(sc)
+	views := sc.pin(ix)
+	if err := validateArgs(views, q, k, alpha); err != nil {
+		return dst, Stats{}, err
+	}
 	sc.stats = Stats{}
-	out, err := aknnInto(sc, dst, sc.oneView(ix, s), q, k, alpha, algo, nil, nil, &sc.stats)
+	out, err := aknnInto(sc, dst, views, q, k, alpha, algo, nil, nil)
 	if err != nil {
 		return dst, sc.stats, err
 	}
@@ -96,7 +102,7 @@ type aknnRun struct {
 	st      *Stats
 	sc      *scratch
 	mq      geom.Rect
-	useLB   bool
+	tightLB bool // leaf keys from the §3.2 boundary MBR, not the support MBR
 	lazy    bool
 	samples []geom.Point
 	// probed caches every probed object, keyed by id. For plain AKNN it is
@@ -134,10 +140,11 @@ func (r *aknnRun) emitted() int { return len(r.results) - r.base }
 //
 // probed, when non-nil, receives every probed object (nil selects the
 // scratch's own cache); profiles, when non-nil, short-circuits distance
-// evaluations whose staircase is already cached. The append-into-dst
-// contract is what keeps the steady-state loop at zero allocations.
+// evaluations whose staircase is already cached. The work is charged to
+// sc.stats. The append-into-dst contract is what keeps the steady-state
+// loop at zero allocations.
 func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm,
-	probed map[uint64]*fuzzy.Object, profiles *fuzzy.ProfileCache, st *Stats) ([]Result, error) {
+	probed map[uint64]*fuzzy.Object, profiles *fuzzy.ProfileCache) ([]Result, error) {
 	if probed == nil {
 		clear(sc.probed)
 		probed = sc.probed
@@ -149,10 +156,10 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 		q:        q,
 		k:        k,
 		alpha:    alpha,
-		st:       st,
+		st:       &sc.stats,
 		sc:       sc,
 		mq:       q.MBR(alpha),
-		useLB:    algo != Basic,
+		tightLB:  algo != Basic,
 		lazy:     algo == LBLP || algo == LBLPUB,
 		probed:   probed,
 		profiles: profiles,
@@ -179,10 +186,8 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 	sc.buffer = r.buffer[:0] // keep grown capacity
 	out := r.results
 	r.results = nil
-	// A tree whose page cache failed mid-search resolved the failed page to
-	// an empty node; surface that instead of a silently short answer.
-	for i := 0; err == nil && i < len(views); i++ {
-		err = views[i].ix.pagedErr()
+	if err == nil {
+		err = pagedErr(views)
 	}
 	if err != nil {
 		return nil, err
@@ -335,9 +340,7 @@ func (r *aknnRun) run() error {
 		case kindObject:
 			// Exact distance ≤ every remaining lower bound in H and in the
 			// buffer: this is the next true nearest neighbor.
-			r.results = append(r.results, Result{
-				ID: e.id, Dist: e.dist, Exact: true, Lower: e.dist, Upper: e.dist,
-			})
+			r.results = append(r.results, exactResult(e.id, e.dist))
 			if err := r.enforceInvariant(); err != nil {
 				return err
 			}
@@ -378,7 +381,7 @@ func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 		for i := range ents {
 			it := ents[i].Data.(*leafItem)
 			var key float64
-			if r.useLB {
+			if r.tightLB {
 				r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
 				key = geom.MinDist(r.sc.est, r.mq)
 			} else {
@@ -397,28 +400,50 @@ func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 // evaluate its α-distance, keep the top k by (distance, id). It shares the
 // Result/Stats contract with AKNN and is used as the correctness reference.
 func (ix *Index) LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
-	start := time.Now()
-	var st Stats
-	s := ix.read()
-	if err := ix.validateQuery(s, q, k, alpha); err != nil {
-		return nil, st, err
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.dist.Reset(q, alpha)
-	cands := sc.idDists[:0]
-	// Scan the snapshot's population (not the live store) so the baseline
-	// stays consistent under concurrent mutation.
-	for _, id := range s.leafIDs(&st) {
-		obj, err := ix.getObject(id, &st)
-		if err != nil {
-			return nil, st, err
-		}
-		st.DistanceEvals++
-		cands = append(cands, idDist{id: id, d: sc.dist.Dist(obj)})
+	return scanTopK(sc, sc.pin(ix), q, k, alpha, alphaDistScore)
+}
+
+// A scanScore ranks object o against q for scanTopK, evaluating in sc and
+// charging the evaluation to sc.stats.
+type scanScore func(sc *scratch, q, o *fuzzy.Object, alpha float64) float64
+
+// alphaDistScore is the linear scan's score, d_α(o, q). scanTree dropped
+// the evaluator's pin, so the first object of each tree pins it to (q, α).
+func alphaDistScore(sc *scratch, q, o *fuzzy.Object, alpha float64) float64 {
+	if sc.dist.Query() != q {
+		sc.dist.Reset(q, alpha)
 	}
-	if err := ix.pagedErr(); err != nil {
-		return nil, st, err
+	sc.stats.DistanceEvals++
+	return sc.dist.Dist(o)
+}
+
+// scanTopK is the one exhaustive scan, behind LinearScanAKNN and
+// ExpectedDistKNN: probe every object of every tree of the forest, score
+// it, keep the k best by (score, id). There is no bound to share, so the
+// trees of a forest are scanned concurrently (fanOut). The scan walks the
+// pinned snapshots' populations (not the live stores), so it stays
+// consistent under concurrent mutation.
+func scanTopK(sc *scratch, views []shardView, q *fuzzy.Object, k int, alpha float64, score scanScore) ([]Result, Stats, error) {
+	started := time.Now()
+	if err := validateArgs(views, q, k, alpha); err != nil {
+		return nil, Stats{}, err
+	}
+	sc.stats = Stats{}
+	var cands []idDist
+	var err error
+	if len(views) == 1 {
+		cands, err = scanTree(sc, views[0], q, alpha, score)
+	} else {
+		sc.idDists = sc.idDists[:0]
+		err = fanOut(sc, views, &sc.idDists, func(sub *scratch, tree int) ([]idDist, error) {
+			return scanTree(sub, views[tree], q, alpha, score)
+		})
+		cands = sc.idDists
+	}
+	if err != nil {
+		return nil, sc.stats, err
 	}
 	sortIDDists(cands)
 	if len(cands) > k {
@@ -426,11 +451,26 @@ func (ix *Index) LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([]Result
 	}
 	results := make([]Result, len(cands))
 	for i, c := range cands {
-		results[i] = Result{ID: c.id, Dist: c.d, Exact: true, Lower: c.d, Upper: c.d}
+		results[i] = exactResult(c.id, c.d)
 	}
-	sc.idDists = cands[:0]
-	st.Duration = time.Since(start)
-	return results, st, nil
+	sc.stats.Duration = time.Since(started)
+	return results, sc.stats, nil
+}
+
+// scanTree scores every object of one tree into sc.idDists, charging
+// sc.stats.
+func scanTree(sc *scratch, v shardView, q *fuzzy.Object, alpha float64, score scanScore) ([]idDist, error) {
+	// A pooled evaluator may still be pinned to this very q at another α.
+	sc.dist.Invalidate()
+	sc.idDists = sc.idDists[:0]
+	for _, id := range v.s.leafIDs(&sc.stats) {
+		obj, err := v.ix.getObject(id, &sc.stats)
+		if err != nil {
+			return nil, err
+		}
+		sc.idDists = append(sc.idDists, idDist{id: id, d: score(sc, q, obj, alpha)})
+	}
+	return sc.idDists, v.ix.pagedErr()
 }
 
 // sortIDDists orders work pairs by ascending (distance, id).
@@ -453,18 +493,18 @@ func sortIDDists(cands []idDist) {
 // Refine probes any non-exact results (produced by the lazy-probe variants)
 // and returns the set re-sorted by exact (distance, id).
 func (ix *Index) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
-	return refine(ix.Dims(), ix.getObject, q, alpha, rs)
-}
-
-// refine is Refine for both index layouts: fetch probes the store that
-// owns the id, charging the access to the stats it is handed.
-func refine(dims int, fetch func(uint64, *Stats) (*fuzzy.Object, error), q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
-	var st Stats
-	if err := validateArgs(dims, q, 1, alpha); err != nil {
-		return nil, st, err
-	}
 	sc := getScratch()
 	defer putScratch(sc)
+	return refine(sc, sc.pin(ix), q, alpha, rs)
+}
+
+// refine is the one Refine: each non-exact result is probed in the store
+// of the tree that owns its id.
+func refine(sc *scratch, views []shardView, q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
+	var st Stats
+	if err := validateArgs(views, q, 1, alpha); err != nil {
+		return nil, st, err
+	}
 	sc.dist.Reset(q, alpha)
 	out := make([]Result, len(rs))
 	copy(out, rs)
@@ -472,13 +512,12 @@ func refine(dims int, fetch func(uint64, *Stats) (*fuzzy.Object, error), q *fuzz
 		if out[i].Exact {
 			continue
 		}
-		obj, err := fetch(out[i].ID, &st)
+		obj, err := probe(views, out[i].ID, &st)
 		if err != nil {
 			return nil, st, err
 		}
 		st.DistanceEvals++
-		d := sc.dist.Dist(obj)
-		out[i] = Result{ID: out[i].ID, Dist: d, Exact: true, Lower: d, Upper: d}
+		out[i] = exactResult(out[i].ID, sc.dist.Dist(obj))
 	}
 	sortResults(out)
 	return out, st, nil
@@ -496,109 +535,110 @@ func (ix *Index) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]Result, 
 // AKNNAppend it makes the steady-state loop allocation free when dst is a
 // reused buffer.
 func (ix *Index) RangeSearchAppend(dst []Result, q *fuzzy.Object, alpha, radius float64) ([]Result, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return rangeSearchInto(sc, dst, sc.pin(ix), q, alpha, radius)
+}
+
+// rangeSearchInto is the one RangeSearch: rangeHits over the forest, the
+// hits appended to dst in (distance, id) order.
+func rangeSearchInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, alpha, radius float64) ([]Result, Stats, error) {
 	started := time.Now()
-	s := ix.read()
-	if err := ix.validateQuery(s, q, 1, alpha); err != nil {
+	if err := validateArgs(views, q, 1, alpha); err != nil {
 		return dst, Stats{}, err
 	}
 	if radius < 0 || math.IsNaN(radius) {
 		return dst, Stats{}, badArgf("query: radius must be non-negative, got %v", radius)
 	}
-	sc := getScratch()
-	defer putScratch(sc)
 	sc.stats = Stats{}
-	_, dists, err := ix.rangeSearch(sc, s, q, alpha, radius, true, &sc.stats)
+	hits, err := rangeHits(sc, views, q, alpha, radius)
 	if err != nil {
 		return dst, sc.stats, err
 	}
 	base := len(dst)
-	for id, d := range dists {
-		dst = append(dst, Result{ID: id, Dist: d, Exact: true, Lower: d, Upper: d})
+	for _, h := range hits {
+		dst = append(dst, exactResult(h.obj.ID(), h.dist))
 	}
 	sortResults(dst[base:])
 	sc.stats.Duration = time.Since(started)
 	return dst, sc.stats, nil
 }
 
-// rangeRun is the closure-free state of one range search; like aknnRun it
-// lives in the scratch so traversal allocates nothing.
-type rangeRun struct {
-	ix     *Index
-	q      *fuzzy.Object
-	alpha  float64
-	radius float64
-	useLB  bool
-	mq     geom.Rect
-	st     *Stats
-	sc     *scratch
-	objs   map[uint64]*fuzzy.Object
-	dists  map[uint64]float64
+// rangeHit is one object a range search found: the probed payload and its
+// exact α-distance to the query.
+type rangeHit struct {
+	obj  *fuzzy.Object
+	dist float64
 }
 
-// rangeSearch collects every object with d_α(A, q) ≤ radius, probing only
-// entries whose lower bound passes the radius test (used by RSS, Lemma 3).
-// It runs against the given snapshot and returns the probed objects and
-// their exact distances. The returned maps are owned by sc — valid only
-// until the scratch is released or the next rangeSearch on it.
-func (ix *Index) rangeSearch(sc *scratch, s *snapshot, q *fuzzy.Object, alpha, radius float64, useLB bool, st *Stats) (map[uint64]*fuzzy.Object, map[uint64]float64, error) {
+// rangeHits collects every object of the forest with d_α(A, q) ≤ radius,
+// in no particular order, probing only leaf entries whose §3.2 lower bound
+// passes the radius test (Lemma 3) — a set fixed by the objects and the
+// radius, so ObjectAccesses and DistanceEvals are the same however the
+// population is cut into trees. The radius is known before any tree is
+// touched, so the trees of a forest are searched concurrently (fanOut); one
+// tree is searched on the caller's goroutine, allocating nothing. The hits
+// are owned by sc — valid until it is released or searched again — and the
+// work is charged to sc.stats.
+func rangeHits(sc *scratch, views []shardView, q *fuzzy.Object, alpha, radius float64) ([]rangeHit, error) {
+	if len(views) == 1 {
+		return rangeTree(sc, views[0], q, alpha, radius)
+	}
+	sc.hits = sc.hits[:0]
+	err := fanOut(sc, views, &sc.hits, func(sub *scratch, tree int) ([]rangeHit, error) {
+		return rangeTree(sub, views[tree], q, alpha, radius)
+	})
+	return sc.hits, err
+}
+
+// rangeRun is the closure-free state of one tree's range search; like
+// aknnRun it lives in the scratch so traversal allocates nothing.
+type rangeRun struct {
+	ix     *Index
+	alpha  float64
+	radius float64
+	mq     geom.Rect
+	sc     *scratch
+}
+
+// rangeTree is rangeHits on one tree, into sc.hits.
+func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64) ([]rangeHit, error) {
 	if math.IsInf(radius, 1) {
 		radius = math.MaxFloat64
 	}
-	clear(sc.rngObjs)
-	clear(sc.rngDists)
+	sc.hits = sc.hits[:0]
 	sc.dist.Reset(q, alpha)
 	r := &sc.rng
-	*r = rangeRun{
-		ix:     ix,
-		q:      q,
-		alpha:  alpha,
-		radius: radius,
-		useLB:  useLB,
-		mq:     q.MBR(alpha),
-		st:     st,
-		sc:     sc,
-		objs:   sc.rngObjs,
-		dists:  sc.rngDists,
-	}
-	if root := s.tree.Root(); len(root.Entries()) > 0 {
+	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: q.MBR(alpha), sc: sc}
+	if root := v.s.tree.Root(); len(root.Entries()) > 0 {
 		if err := r.visit(root); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	if err := ix.pagedErr(); err != nil {
-		return nil, nil, err
-	}
-	return r.objs, r.dists, nil
+	return sc.hits, v.ix.pagedErr()
 }
 
 func (r *rangeRun) visit(n *rtree.Node) error {
-	r.st.NodeAccesses++
+	st := &r.sc.stats
+	st.NodeAccesses++
 	ents := n.Entries()
 	for i := range ents {
 		if n.Leaf() {
 			it := ents[i].Data.(*leafItem)
-			var lb float64
-			if r.useLB {
-				r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
-				lb = geom.MinDist(r.sc.est, r.mq)
-			} else {
-				lb = n.EntryMinDist(i, r.mq)
-			}
-			if lb > r.radius {
+			r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
+			if geom.MinDist(r.sc.est, r.mq) > r.radius {
 				continue
 			}
-			obj, err := r.ix.getObject(it.id, r.st)
+			obj, err := r.ix.getObject(it.id, st)
 			if err != nil {
 				return err
 			}
-			r.st.DistanceEvals++
-			d := r.sc.dist.Dist(obj)
-			if d <= r.radius {
-				r.objs[it.id] = obj
-				r.dists[it.id] = d
+			st.DistanceEvals++
+			if d := r.sc.dist.Dist(obj); d <= r.radius {
+				r.sc.hits = append(r.sc.hits, rangeHit{obj: obj, dist: d})
 			}
 		} else if n.EntryMinDist(i, r.mq) <= r.radius {
-			if err := r.visit(resolveNode(ents[i].Child, r.st)); err != nil {
+			if err := r.visit(resolveNode(ents[i].Child, st)); err != nil {
 				return err
 			}
 		}

@@ -280,26 +280,24 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	ix := buildIndex(t, objs, Options{})
 	q := makeQuery(rng, 15, 15, 8)
 	for _, radius := range []float64{0.5, 2, 5, 100} {
-		for _, useLB := range []bool{false, true} {
-			var st Stats
-			sc := getScratch()
-			got, dists, err := ix.rangeSearch(sc, ix.read(), q, 0.5, radius, useLB, &st)
-			if err != nil {
-				t.Fatal(err)
+		sc := getScratch()
+		sc.stats = Stats{}
+		hits, err := rangeHits(sc, sc.pin(ix), q, 0.5, radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[uint64]float64{}
+		for _, o := range objs {
+			if d := fuzzy.AlphaDist(o, q, 0.5); d <= radius {
+				want[o.ID()] = d
 			}
-			want := map[uint64]float64{}
-			for _, o := range objs {
-				if d := fuzzy.AlphaDist(o, q, 0.5); d <= radius {
-					want[o.ID()] = d
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("radius %v useLB=%v: %d objects, want %d", radius, useLB, len(got), len(want))
-			}
-			for id, d := range dists {
-				if wd, ok := want[id]; !ok || math.Abs(d-wd) > 1e-9 {
-					t.Fatalf("radius %v: object %d dist %v, want %v", radius, id, d, wd)
-				}
+		}
+		if len(hits) != len(want) {
+			t.Fatalf("radius %v: %d objects, want %d", radius, len(hits), len(want))
+		}
+		for _, h := range hits {
+			if wd, ok := want[h.obj.ID()]; !ok || math.Abs(h.dist-wd) > 1e-9 {
+				t.Fatalf("radius %v: object %d dist %v, want %v", radius, h.obj.ID(), h.dist, wd)
 			}
 		}
 	}

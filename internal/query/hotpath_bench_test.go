@@ -58,10 +58,11 @@ func BenchmarkHotPathAKNNLB(b *testing.B)     { benchmarkHotAKNN(b, LB) }
 func BenchmarkHotPathAKNNLBLP(b *testing.B)   { benchmarkHotAKNN(b, LBLP) }
 func BenchmarkHotPathAKNNLBLPUB(b *testing.B) { benchmarkHotAKNN(b, LBLPUB) }
 
-// BenchmarkHotPathShardedAKNN is the LB search of the same workload through
-// the sharded coordinator. objacc/op is the paper's cost metric; it must
-// read the same at every shard count (and equal the single tree's).
-func BenchmarkHotPathShardedAKNN(b *testing.B) {
+// benchmarkHotSharded runs one query family of the same workload through
+// the sharded coordinator at 2 and 4 shards. objacc/op is the paper's cost
+// metric; it must read the same at every shard count (and equal the single
+// tree's).
+func benchmarkHotSharded(b *testing.B, query func(sx *ShardedIndex, q *fuzzy.Object) (Stats, error)) {
 	for _, shards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			env := newHotEnv(b)
@@ -73,8 +74,7 @@ func BenchmarkHotPathShardedAKNN(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := env.queries[i%len(env.queries)]
-				_, st, err := sx.AKNN(q, hotK, hotAlpha, LB)
+				st, err := query(sx, env.queries[i%len(env.queries)])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -83,6 +83,27 @@ func BenchmarkHotPathShardedAKNN(b *testing.B) {
 			b.ReportMetric(float64(accesses)/float64(b.N), "objacc/op")
 		})
 	}
+}
+
+func BenchmarkHotPathShardedAKNN(b *testing.B) {
+	benchmarkHotSharded(b, func(sx *ShardedIndex, q *fuzzy.Object) (Stats, error) {
+		_, st, err := sx.AKNN(q, hotK, hotAlpha, LB)
+		return st, err
+	})
+}
+
+func BenchmarkHotPathShardedRangeSearch(b *testing.B) {
+	benchmarkHotSharded(b, func(sx *ShardedIndex, q *fuzzy.Object) (Stats, error) {
+		_, st, err := sx.RangeSearch(q, hotAlpha, 1.5)
+		return st, err
+	})
+}
+
+func BenchmarkHotPathShardedRKNN(b *testing.B) {
+	benchmarkHotSharded(b, func(sx *ShardedIndex, q *fuzzy.Object) (Stats, error) {
+		_, st, err := sx.RKNN(q, hotK, 0.4, 0.6, RSSICR)
+		return st, err
+	})
 }
 
 func BenchmarkHotPathRangeSearch(b *testing.B) {

@@ -19,6 +19,13 @@
 // The Index pairs an in-memory R-tree of per-object summaries with an object
 // store; algorithms traverse the tree and charge one "object access" per
 // store probe, the paper's headline cost metric.
+//
+// Each read family is written once, as a function over a forest of pinned
+// tree snapshots ([]shardView): aknnInto, rknnInto, rangeSearchInto,
+// reverseKNN, scanTopK (the linear scan and ExpectedDistKNN) and refine. An
+// Index is the one-tree forest and a ShardedIndex the forest of its shards'
+// trees; their query methods take a scratch, pin the trees and call the
+// function, so a new family is one function plus a method on each.
 package query
 
 import (
@@ -403,27 +410,33 @@ func badArgf(format string, args ...any) error {
 	return &invalidArgError{msg: fmt.Sprintf(format, args...)}
 }
 
-// validateQuery checks arguments shared by all query entry points against
-// one snapshot. The dims check keys off the snapshot's dimensionality, not
-// its population: an index that was ever told its dimensionality (a typed
-// but empty store, or a populated-then-drained dynamic index) rejects
-// mismatched query objects consistently.
-func (ix *Index) validateQuery(s *snapshot, q *fuzzy.Object, k int, alphas ...float64) error {
-	return validateArgs(s.dims, q, k, alphas...)
-}
-
-// validateArgs is the shared argument check behind validateQuery, also used
-// by the sharded coordinator (whose dimensionality spans shards).
-func validateArgs(dims int, q *fuzzy.Object, k int, alphas ...float64) error {
+// validateArgs checks the arguments shared by all query families against
+// the forest the query is about to search. The dims check keys off the
+// pinned snapshots' dimensionality, not their population: an index that was
+// ever told its dimensionality (a typed but empty store, or a
+// populated-then-drained dynamic index) rejects mismatched query objects
+// consistently. Trees with known dimensionality agree by construction, so
+// the first known value speaks for the forest.
+func validateArgs(views []shardView, q *fuzzy.Object, k int, alphas ...float64) error {
 	if q == nil {
 		return badArgf("query: nil query object")
 	}
-	if dims != 0 && q.Dims() != dims {
-		return badArgf("query: query dims %d, index dims %d", q.Dims(), dims)
+	for _, v := range views {
+		if v.s.dims != 0 {
+			if q.Dims() != v.s.dims {
+				return badArgf("query: query dims %d, index dims %d", q.Dims(), v.s.dims)
+			}
+			break
+		}
 	}
 	if k < 1 {
 		return badArgf("query: k must be >= 1, got %d", k)
 	}
+	return validateAlphas(alphas...)
+}
+
+// validateAlphas checks probability thresholds: each must lie in (0, 1].
+func validateAlphas(alphas ...float64) error {
 	for _, a := range alphas {
 		if !(a > 0 && a <= 1) {
 			return badArgf("query: alpha must be in (0, 1], got %v", a)

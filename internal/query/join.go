@@ -151,7 +151,7 @@ func DistanceJoin(left, right Searcher, alpha, eps float64) ([]JoinPair, Stats, 
 		return nil, st, err
 	}
 	if eps < 0 || math.IsNaN(eps) {
-		return nil, st, fmt.Errorf("query: join epsilon must be non-negative, got %v", eps)
+		return nil, st, badArgf("query: join epsilon must be non-negative, got %v", eps)
 	}
 	out, st, err := runJoinPairs(joinPairs(ls, rs, selfJoin), func(tk treePair) ([]JoinPair, Stats, error) {
 		return distanceJoinTrees(tk, alpha, eps)
@@ -290,7 +290,7 @@ func nodeBounds(n *rtree.Node) geom.Rect {
 // their single-tree shards.
 func joinSides(left, right Searcher, alphas ...float64) (ls, rs []*Index, selfJoin bool, err error) {
 	if left == nil || right == nil {
-		return nil, nil, false, fmt.Errorf("query: nil index in join")
+		return nil, nil, false, badArgf("query: nil index in join")
 	}
 	ls, err = shardTrees(left)
 	if err != nil {
@@ -301,12 +301,10 @@ func joinSides(left, right Searcher, alphas ...float64) (ls, rs []*Index, selfJo
 		return nil, nil, false, err
 	}
 	if ld, rd := left.Dims(), right.Dims(); ld != 0 && rd != 0 && ld != rd {
-		return nil, nil, false, fmt.Errorf("query: join dims %d vs %d", ld, rd)
+		return nil, nil, false, badArgf("query: join dims %d vs %d", ld, rd)
 	}
-	for _, a := range alphas {
-		if !(a > 0 && a <= 1) {
-			return nil, nil, false, fmt.Errorf("query: alpha must be in (0, 1], got %v", a)
-		}
+	if err := validateAlphas(alphas...); err != nil {
+		return nil, nil, false, err
 	}
 	return ls, rs, left == right, nil
 }
@@ -377,7 +375,7 @@ func KClosestPairs(left, right Searcher, k int, alpha float64) ([]JoinPair, Stat
 		return nil, st, err
 	}
 	if k < 1 {
-		return nil, st, fmt.Errorf("query: k must be >= 1, got %d", k)
+		return nil, st, badArgf("query: k must be >= 1, got %d", k)
 	}
 	out, st, err := runJoinPairs(joinPairs(ls, rs, selfJoin), func(tk treePair) ([]JoinPair, Stats, error) {
 		return kClosestPairsTrees(tk, k, alpha)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -97,17 +98,29 @@ func TestSelfJoin(t *testing.T) {
 	}
 }
 
+// TestDistanceJoinValidation: every argument mistake of both joins comes
+// back tagged ErrInvalidArgument, like the same mistake on any other query.
 func TestDistanceJoinValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(205, 3))
 	ix := buildIndex(t, makeObjects(rng, 5, 8, 8, 4), Options{})
-	if _, _, err := DistanceJoin(ix, ix, 0.5, -1); err == nil {
-		t.Error("negative eps accepted")
-	}
-	if _, _, err := DistanceJoin(ix, ix, 0, 1); err == nil {
-		t.Error("alpha 0 accepted")
-	}
-	if _, _, err := DistanceJoin(nil, ix, 0.5, 1); err == nil {
-		t.Error("nil index accepted")
+	threeD := buildIndex(t, []*fuzzy.Object{
+		fuzzy.MustNew(1, []fuzzy.WeightedPoint{{P: []float64{1, 2, 3}, Mu: 1}}),
+	}, Options{})
+	for name, join := range map[string]func() error{
+		"join alpha 0":        func() error { _, _, err := DistanceJoin(ix, ix, 0, 1); return err },
+		"join alpha above 1":  func() error { _, _, err := DistanceJoin(ix, ix, 1.5, 1); return err },
+		"join negative eps":   func() error { _, _, err := DistanceJoin(ix, ix, 0.5, -1); return err },
+		"join NaN eps":        func() error { _, _, err := DistanceJoin(ix, ix, 0.5, math.NaN()); return err },
+		"join nil index":      func() error { _, _, err := DistanceJoin(nil, ix, 0.5, 1); return err },
+		"join dims":           func() error { _, _, err := DistanceJoin(ix, threeD, 0.5, 1); return err },
+		"pairs k 0":           func() error { _, _, err := KClosestPairs(ix, ix, 0, 0.5); return err },
+		"pairs alpha above 1": func() error { _, _, err := KClosestPairs(ix, ix, 3, 1.5); return err },
+		"pairs nil index":     func() error { _, _, err := KClosestPairs(ix, nil, 3, 0.5); return err },
+		"pairs dims":          func() error { _, _, err := KClosestPairs(threeD, ix, 3, 0.5); return err },
+	} {
+		if err := join(); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("%s: error %v is not tagged ErrInvalidArgument", name, err)
+		}
 	}
 }
 

@@ -28,49 +28,83 @@ import (
 // Results are ordered by (d_α(A, q), id). The query object's id only
 // breaks exact distance ties.
 func (ix *Index) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
-	started := time.Now()
-	var st Stats
-	s := ix.read()
-	if err := ix.validateQuery(s, q, k, alpha); err != nil {
-		return nil, st, err
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	cands, err := ix.reverseCandidates(sc, s, q, k, alpha, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	results := make([]Result, len(cands))
-	for i, c := range cands {
-		results[i] = Result{ID: c.obj.ID(), Dist: c.dist, Exact: true, Lower: c.dist, Upper: c.dist}
-	}
-	sortResults(results)
-	st.Duration = time.Since(started)
-	return results, st, nil
+	return reverseKNN(sc, sc.pin(ix), q, k, alpha)
 }
 
-// revCandidate is one verified reverse-kNN answer within a single tree: the
-// probed object, its exact distance to q, and how many objects of the SAME
-// tree are strictly closer to it than q (exact, in [0, k)).
+// reverseKNN is the one ReverseKNN, over the forest of the views' trees.
+// Each tree first runs the filter+verify pipeline on its own objects
+// (reverseTree; q alone fixes the bounds, so the trees of a forest run
+// concurrently), which decides the answer on one tree and is a conservative
+// filter on several: an object with ≥ k closer neighbors in its own tree
+// has ≥ k in the forest. A survivor then qualifies iff its closer-counts
+// summed over all trees stay below k, which the second loop completes
+// against the other trees with early exit at k.
+func reverseKNN(sc *scratch, views []shardView, q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
+	started := time.Now()
+	if err := validateArgs(views, q, k, alpha); err != nil {
+		return nil, Stats{}, err
+	}
+	sc.stats = Stats{}
+	var cands []revCandidate
+	var err error
+	if len(views) == 1 {
+		cands, err = reverseTree(sc, views[0], 0, q, k, alpha)
+	} else {
+		sc.revCands = sc.revCands[:0]
+		err = fanOut(sc, views, &sc.revCands, func(sub *scratch, tree int) ([]revCandidate, error) {
+			return reverseTree(sub, views[tree], tree, q, k, alpha)
+		})
+		cands = sc.revCands
+	}
+	if err != nil {
+		return nil, sc.stats, err
+	}
+	results := make([]Result, 0, len(cands))
+	for _, c := range cands {
+		closer := c.closer
+		for j := 0; j < len(views) && closer < k; j++ {
+			if j == c.tree {
+				continue
+			}
+			n, err := countCloser(sc, views[j], c.obj, alpha, c.dist, q.ID(), k-closer)
+			if err != nil {
+				return nil, sc.stats, err
+			}
+			closer += n
+		}
+		if closer < k {
+			results = append(results, exactResult(c.obj.ID(), c.dist))
+		}
+	}
+	sortResults(results)
+	sc.stats.Duration = time.Since(started)
+	return results, sc.stats, nil
+}
+
+// revCandidate is one object that passed filter+verify within its own tree:
+// the probed object, its exact distance to q, the tree it lives in, and how
+// many objects of that tree are strictly closer to it than q (exact, in
+// [0, k)).
 type revCandidate struct {
 	obj    *fuzzy.Object
 	dist   float64
+	tree   int
 	closer int
 }
 
-// reverseCandidates runs the filter+verify pipeline against one snapshot
-// and returns the surviving candidates in tree order. On a single-tree
-// index these are the final answers; a sharded coordinator treats them as
-// a conservative candidate set (membership in the global answer requires
-// that the closer-counts summed across all shards stay below k) and
-// finishes the count against the other shards. All traversal state lives
-// in sc; the returned candidates are freshly allocated and safe to keep.
-func (ix *Index) reverseCandidates(sc *scratch, s *snapshot, q *fuzzy.Object, k int, alpha float64, st *Stats) ([]revCandidate, error) {
+// reverseTree runs the filter+verify pipeline over v, the tree-th tree of
+// the forest, and returns the surviving candidates in sc.revCands; all
+// traversal state lives in sc and the work is charged to sc.stats.
+func reverseTree(sc *scratch, v shardView, tree int, q *fuzzy.Object, k int, alpha float64) ([]revCandidate, error) {
+	st := &sc.stats
+	sc.revCands = sc.revCands[:0]
 	mq := q.MBR(alpha)
 
 	// Collect leaf entries and build the representative-point tree, both in
 	// scratch storage.
-	items := collectLeafItems(sc.items[:0], s.tree.Root(), st)
+	items := collectLeafItems(sc.items[:0], v.s.tree.Root(), st)
 	sc.items = items
 	if len(items) == 0 {
 		return nil, nil
@@ -80,10 +114,9 @@ func (ix *Index) reverseCandidates(sc *scratch, s *snapshot, q *fuzzy.Object, k 
 		reps = append(reps, it.rep...)
 	}
 	sc.repCoords = reps
-	sc.repTree.Rebuild(reps, s.dims)
+	sc.repTree.Rebuild(reps, v.s.dims)
 	sc.dist.Reset(q, alpha)
 
-	var cands []revCandidate
 	for i, it := range items {
 		sc.est = it.approx.EstimateMBRInto(alpha, sc.est)
 		lb := geom.MinDist(sc.est, mq)
@@ -103,24 +136,21 @@ func (ix *Index) reverseCandidates(sc *scratch, s *snapshot, q *fuzzy.Object, k 
 			}
 		}
 		// Verify: exact d_α(A, q), then count strictly closer objects.
-		a, err := ix.getObject(it.id, st)
+		a, err := v.ix.getObject(it.id, st)
 		if err != nil {
 			return nil, err
 		}
 		st.DistanceEvals++
 		dq := sc.dist.Dist(a)
-		closer, err := ix.countCloser(sc, s, a, alpha, dq, q.ID(), k, st)
+		closer, err := countCloser(sc, v, a, alpha, dq, q.ID(), k)
 		if err != nil {
 			return nil, err
 		}
 		if closer < k {
-			cands = append(cands, revCandidate{obj: a, dist: dq, closer: closer})
+			sc.revCands = append(sc.revCands, revCandidate{obj: a, dist: dq, tree: tree, closer: closer})
 		}
 	}
-	if err := ix.pagedErr(); err != nil {
-		return nil, err
-	}
-	return cands, nil
+	return sc.revCands, v.ix.pagedErr()
 }
 
 // collectLeafItems appends every leaf item below n to dst, charging node
@@ -150,41 +180,37 @@ type closerRun struct {
 	radius float64
 	qID    uint64
 	limit  int
-	st     *Stats
 	sc     *scratch
 	count  int
 }
 
-// countCloser counts stored objects B ≠ a with (d_α(a,B), id_B) <
+// countCloser counts the objects B ≠ a of one tree with (d_α(a,B), id_B) <
 // (radius, qID), stopping at limit. It prunes subtrees and entries whose
 // lower bound already exceeds radius. The secondary distance evaluator is
 // pinned to (a, α) so consecutive evaluations against a share one tree.
-func (ix *Index) countCloser(sc *scratch, s *snapshot, a *fuzzy.Object, alpha, radius float64, qID uint64, limit int, st *Stats) (int, error) {
+func countCloser(sc *scratch, v shardView, a *fuzzy.Object, alpha, radius float64, qID uint64, limit int) (int, error) {
 	sc.dist2.Reset(a, alpha)
 	r := &closerRun{
-		ix:     ix,
+		ix:     v.ix,
 		ma:     a.MBR(alpha),
 		aID:    a.ID(),
 		alpha:  alpha,
 		radius: radius,
 		qID:    qID,
 		limit:  limit,
-		st:     st,
 		sc:     sc,
 	}
-	if root := s.tree.Root(); len(root.Entries()) > 0 {
+	if root := v.s.tree.Root(); len(root.Entries()) > 0 {
 		if err := r.visit(root); err != nil {
 			return 0, err
 		}
 	}
-	if err := ix.pagedErr(); err != nil {
-		return 0, err
-	}
-	return r.count, nil
+	return r.count, v.ix.pagedErr()
 }
 
 func (r *closerRun) visit(n *rtree.Node) error {
-	r.st.NodeAccesses++
+	st := &r.sc.stats
+	st.NodeAccesses++
 	ents := n.Entries()
 	for i := range ents {
 		if r.count >= r.limit {
@@ -199,17 +225,17 @@ func (r *closerRun) visit(n *rtree.Node) error {
 			if geom.MinDist(r.sc.est, r.ma) > r.radius {
 				continue
 			}
-			b, err := r.ix.getObject(it.id, r.st)
+			b, err := r.ix.getObject(it.id, st)
 			if err != nil {
 				return err
 			}
-			r.st.DistanceEvals++
+			st.DistanceEvals++
 			d := r.sc.dist2.Dist(b)
 			if d < r.radius || (d == r.radius && it.id < r.qID) {
 				r.count++
 			}
 		} else if n.EntryMinDist(i, r.ma) <= r.radius {
-			if err := r.visit(resolveNode(ents[i].Child, r.st)); err != nil {
+			if err := r.visit(resolveNode(ents[i].Child, st)); err != nil {
 				return err
 			}
 		}

@@ -38,19 +38,28 @@ func (ix *Index) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo
 // its backing storage and is overwritten in place, so dst's previous
 // contents — including those interval sets — must no longer be referenced.
 func (ix *Index) RKNNAppend(dst []RangedResult, q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo RKNNAlgorithm) ([]RangedResult, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return rknnInto(sc, dst, sc.pin(ix), q, k, alphaStart, alphaEnd, algo)
+}
+
+// rknnInto is the one RKNN: the four §4 algorithms over the forest of the
+// views' trees, the results appended to dst. Every driver is built from
+// parts that already search a forest — the AKNN sub-searches are aknnInto,
+// RSS's range phase is rangeHits, Naive reads every tree's population — so
+// each runs as the paper states it whatever the number of trees, and its
+// object accesses, sub-searches, candidates and refinement pieces are those
+// of one tree over the union.
+func rknnInto(sc *scratch, dst []RangedResult, views []shardView, q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo RKNNAlgorithm) ([]RangedResult, Stats, error) {
 	started := time.Now()
-	s := ix.read()
-	if err := ix.validateQuery(s, q, k, alphaStart, alphaEnd); err != nil {
+	if err := validateArgs(views, q, k, alphaStart, alphaEnd); err != nil {
 		return dst, Stats{}, err
 	}
 	if alphaStart > alphaEnd {
 		return dst, Stats{}, badArgf("query: alphaStart %v > alphaEnd %v", alphaStart, alphaEnd)
 	}
-	sc := getScratch()
-	defer putScratch(sc)
 	sc.stats = Stats{}
-	ctx := newRKNNCtx(sc, q, k, alphaStart, alphaEnd, &sc.stats)
-	ctx.ix, ctx.snap = ix, s
+	ctx := newRKNNCtx(sc, views, q, k, alphaStart, alphaEnd)
 	var err error
 	switch algo {
 	case Naive:
@@ -62,10 +71,10 @@ func (ix *Index) RKNNAppend(dst []RangedResult, q *fuzzy.Object, k int, alphaSta
 	case RSSICR:
 		err = ctx.rss(true)
 	default:
-		err = badArgf("query: unknown RKNN algorithm %d", int(algo))
+		return dst, Stats{}, badArgf("query: unknown RKNN algorithm %d", int(algo))
 	}
 	if err == nil {
-		err = ix.pagedErr()
+		err = pagedErr(views)
 	}
 	if err != nil {
 		return dst, sc.stats, err
@@ -74,15 +83,13 @@ func (ix *Index) RKNNAppend(dst []RangedResult, q *fuzzy.Object, k int, alphaSta
 	return ctx.appendResults(dst), sc.stats, nil
 }
 
-// rknnCtx carries one RKNN execution: the snapshot every sub-search runs
-// against, caches of probed objects and distance profiles, and the
-// per-object qualifying-range accumulator — all backed by the pooled
-// scratch, so a steady-state RKNN allocates nothing. The single-tree
-// drivers (naive, basic, rss) set ix/snap; the sharded coordinator builds a
-// ctx with only fetch set (its candidate refinement never touches a tree).
+// rknnCtx carries one RKNN execution: the forest every sub-search runs
+// against — one pinned snapshot per tree, so all phases of the plan see one
+// population — caches of probed objects and distance profiles, and the
+// per-object qualifying-range accumulator, all backed by the pooled
+// scratch, so a steady-state RKNN on one tree allocates nothing.
 type rknnCtx struct {
-	ix       *Index
-	snap     *snapshot
+	views    []shardView
 	q        *fuzzy.Object
 	k        int
 	as, ae   float64
@@ -91,20 +98,17 @@ type rknnCtx struct {
 	probed   map[uint64]*fuzzy.Object
 	profiles map[uint64]*fuzzy.Profile
 	acc      map[uint64]*interval.Set
-	// fetch overrides how cache-missed objects are loaded (nil = probe
-	// ix's store). The sharded coordinator routes by owning shard here.
-	fetch func(id uint64, st *Stats) (*fuzzy.Object, error)
 }
 
 // newRKNNCtx assembles a context over sc's cleared refinement state. The
 // context itself lives in the scratch, so building one allocates nothing.
-func newRKNNCtx(sc *scratch, q *fuzzy.Object, k int, as, ae float64, st *Stats) *rknnCtx {
+func newRKNNCtx(sc *scratch, views []shardView, q *fuzzy.Object, k int, as, ae float64) *rknnCtx {
 	clear(sc.rknnProbed)
 	clear(sc.rknnProfiles)
 	clear(sc.rknnAcc)
 	sc.resetSets()
 	sc.rctx = rknnCtx{
-		q: q, k: k, as: as, ae: ae, st: st, sc: sc,
+		views: views, q: q, k: k, as: as, ae: ae, st: &sc.stats, sc: sc,
 		probed:   sc.rknnProbed,
 		profiles: sc.rknnProfiles,
 		acc:      sc.rknnAcc,
@@ -116,11 +120,7 @@ func (c *rknnCtx) object(id uint64) (*fuzzy.Object, error) {
 	if o, ok := c.probed[id]; ok {
 		return o, nil
 	}
-	get := c.fetch
-	if get == nil {
-		get = c.ix.getObject
-	}
-	o, err := get(id, c.st)
+	o, err := probe(c.views, id, c.st)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func justAbove(x float64) float64 { return math.Nextafter(x, 2) }
 // scratch-owned and valid until the next subAKNN call.
 func (c *rknnCtx) subAKNN(alpha float64) ([]Result, error) {
 	c.st.AKNNCalls++
-	res, err := aknnInto(c.sc, c.sc.sub[:0], c.sc.oneView(c.ix, c.snap), c.q, c.k, alpha, LB, c.probed, &c.sc.profiles, c.st)
+	res, err := aknnInto(c.sc, c.sc.sub[:0], c.views, c.q, c.k, alpha, LB, c.probed, &c.sc.profiles)
 	if err != nil {
 		return nil, err
 	}
@@ -236,14 +236,16 @@ func (c *rknnCtx) basic() error {
 // membership-level set U_D (plus the query's own levels) inside the range.
 func (c *rknnCtx) naive() error {
 	// Collect the global level universe; the naive method pays for reading
-	// every object (of the snapshot, so the result is churn-consistent).
+	// every object (of the snapshots, so the result is churn-consistent).
 	var levels []float64
-	for _, id := range c.snap.leafIDs(c.st) {
-		o, err := c.object(id)
-		if err != nil {
-			return err
+	for _, v := range c.views {
+		for _, id := range v.s.leafIDs(c.st) {
+			o, err := c.object(id)
+			if err != nil {
+				return err
+			}
+			levels = append(levels, o.Levels()...)
 		}
-		levels = append(levels, o.Levels()...)
 	}
 	levels = append(levels, c.q.Levels()...)
 	slices.Sort(levels)
@@ -316,15 +318,15 @@ func (c *rknnCtx) rss(improvedRefinement bool) error {
 	if len(resE) >= c.k {
 		radius = resE[len(resE)-1].Dist
 	}
-	objs, _, err := c.ix.rangeSearch(c.sc, c.snap, c.q, c.as, radius, true, c.st)
+	hits, err := rangeHits(c.sc, c.views, c.q, c.as, radius)
 	if err != nil {
 		return err
 	}
-	c.st.Candidates = len(objs)
+	c.st.Candidates = len(hits)
 	cands := c.sc.cands[:0]
-	for id, o := range objs {
-		c.probed[id] = o
-		cands = append(cands, id)
+	for _, h := range hits {
+		c.probed[h.obj.ID()] = h.obj
+		cands = append(cands, h.obj.ID())
 	}
 	slices.Sort(cands)
 	c.sc.cands = cands

@@ -37,8 +37,10 @@ type scratch struct {
 	// the run state would escape and cost one heap allocation per query.
 	stats Stats
 
+	// views is the forest the query searches, as pin left it.
+	views []shardView
+
 	// Best-first search (AKNN over one tree or a forest of shard trees).
-	views  []shardView // the searched forest, when the caller has no slice of its own
 	pq     bestFirstQueue
 	buffer []gEntry
 	sub    []Result // results of sub-searches (RKNN's inner AKNN)
@@ -57,9 +59,8 @@ type scratch struct {
 	sampleIdx []int
 
 	// Range search.
-	rng      rangeRun
-	rngObjs  map[uint64]*fuzzy.Object
-	rngDists map[uint64]float64
+	rng  rangeRun
+	hits []rangeHit
 
 	// AKNN run state (kept here so the run struct itself is not allocated).
 	aknn aknnRun
@@ -81,6 +82,7 @@ type scratch struct {
 	idDists      []idDist
 
 	// Reverse kNN.
+	revCands  []revCandidate
 	items     []*leafItem
 	repCoords []float64 // the representatives, flat, as repTree takes them
 	repTree   kdtree.Tree
@@ -97,8 +99,6 @@ var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 func newScratch() *scratch {
 	return &scratch{
 		probed:       make(map[uint64]*fuzzy.Object, 64),
-		rngObjs:      make(map[uint64]*fuzzy.Object, 64),
-		rngDists:     make(map[uint64]float64, 64),
 		rknnProbed:   make(map[uint64]*fuzzy.Object, 64),
 		rknnProfiles: make(map[uint64]*fuzzy.Profile, 64),
 		rknnAcc:      make(map[uint64]*interval.Set, 64),
@@ -107,10 +107,15 @@ func newScratch() *scratch {
 	}
 }
 
-// oneView returns the one-tree forest {ix, s} for aknnInto, backed by the
-// scratch so the single-tree search allocates nothing for it.
-func (sc *scratch) oneView(ix *Index, s *snapshot) []shardView {
-	sc.views = append(sc.views[:0], shardView{ix: ix, s: s})
+// pin reads every tree's current snapshot once, for the duration of one
+// query: a multi-phase plan (RKNN's AKNN, then its range search) sees one
+// consistent population per tree. The forest is backed by the scratch, so
+// pinning allocates nothing; a plain Index is the one-tree forest.
+func (sc *scratch) pin(trees ...*Index) []shardView {
+	sc.views = sc.views[:0]
+	for _, ix := range trees {
+		sc.views = append(sc.views, shardView{ix: ix, s: ix.read()})
+	}
 	return sc.views
 }
 

@@ -2,8 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -14,25 +12,34 @@ import (
 // ShardedIndex is a Searcher over N hash-partitioned shards. Each shard is
 // a complete, independently mutable, snapshot-isolated Index (usually with
 // its own store); ShardOf assigns every object id to exactly one shard.
-// AKNN's pruning bound is global and moves as the search proceeds, so it
-// runs as one search over all shards; the other families fix their bound
-// before touching a shard, so each shard's work is independent and they
-// fan out across the shards in parallel and merge exactly:
 //
-//   - AKNN: the single-tree best-first search (aknnInto) over the forest
-//     of the shards' trees — one queue seeded with every shard's root, on
-//     the calling goroutine. It probes exactly the objects a single tree
-//     over the union would, whatever the shard count.
-//   - RKNN: one cross-shard AKNN at αe fixes the pruning radius (Lemma 3),
-//     per-shard α-range searches collect the global candidate set, and the
-//     candidates are refined in memory through the interval.Set algebra —
-//     the RSS plan (Algorithm 4/5) with the range-search phase fanned out.
-//   - RangeSearch: per-shard range searches, union, one sort.
-//   - ReverseKNN: per-shard filter+verify yields conservative candidates
-//     (an object with ≥ k closer neighbors in its own shard can never
-//     qualify globally); the shared refine completes each candidate's
-//     closer-count against the remaining shards with early exit at k.
-//   - ExpectedDistKNN: per-shard local top-k scans, merged.
+// It has no query algorithms of its own. Every read family is one function
+// over a forest of pinned tree snapshots, and a query method here pins
+// every shard's snapshot (scratch.pin) and calls that function, exactly as
+// the Index method does with its one tree:
+//
+//   - AKNN (aknnInto): the pruning bound is global and moves as the search
+//     proceeds, so it is one best-first search over all the trees — one
+//     queue seeded with every shard's root, on the calling goroutine.
+//   - RangeSearch (rangeSearchInto over rangeHits): the radius is fixed
+//     before any tree is touched, so the trees are searched concurrently
+//     (fanOut) and the hits sorted once.
+//   - RKNN (rknnInto): the four §4 algorithms as named. Their AKNN
+//     sub-searches are the forest AKNN, RSS's range phase is rangeHits (the
+//     only part that fans out), Naive reads every tree's population, and
+//     refinement is in-memory work on the calling goroutine.
+//   - ReverseKNN (reverseKNN): per-tree filter+verify fans out and yields
+//     conservative candidates (an object with ≥ k closer neighbors in its
+//     own shard can never qualify globally); each candidate's closer-count
+//     is then completed against the other trees with early exit at k.
+//   - LinearScanAKNN, ExpectedDistKNN (scanTopK): the trees are scanned
+//     concurrently, the scores gathered and cut at k.
+//   - Refine (refine): each non-exact result is probed in its owning shard.
+//
+// Which leaf entries a bound lets through is a property of the objects and
+// the bound, not of how the objects are cut into trees, so AKNN, RKNN and
+// RangeSearch probe exactly the objects a single tree over the union would,
+// whatever the shard count (only tree-node and page counts differ).
 //
 // Mutations route by ShardOf and inherit the owning shard's snapshot
 // isolation. There is no global snapshot: one sharded query reads each
@@ -47,8 +54,8 @@ type ShardedIndex struct {
 
 // NewSharded assembles a sharded index over pre-built shards. Shard i must
 // hold exactly the objects with ShardOf(id, len(shards)) == i — mutations
-// route by that function, and the exact-merge arguments rely on the
-// partition being disjoint and complete. Shards with known dimensionality
+// and probes by id route by that function, and the forest algorithms rely
+// on the partition being disjoint and complete. Shards with known dimensionality
 // must agree.
 func NewSharded(shards []*Index) (*ShardedIndex, error) {
 	if len(shards) == 0 {
@@ -98,11 +105,6 @@ func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
 
 // Shard returns the i-th shard for diagnostics and tests.
 func (sx *ShardedIndex) Shard(i int) *Index { return sx.shards[i] }
-
-// shardFor returns the shard owning id.
-func (sx *ShardedIndex) shardFor(id uint64) *Index {
-	return sx.shards[ShardOf(id, len(sx.shards))]
-}
 
 // Len returns the total number of indexed objects.
 func (sx *ShardedIndex) Len() int {
@@ -171,32 +173,57 @@ func (sx *ShardedIndex) CheckInvariants() error {
 	return nil
 }
 
-// shardView pins one shard to one snapshot for the duration of a query, so
-// a multi-phase plan (e.g. RKNN's AKNN + range search) reads a consistent
-// population per shard.
+// shardView is one tree of the forest a query searches, pinned to the
+// snapshot read when the query started (see scratch.pin).
 type shardView struct {
 	ix *Index
 	s  *snapshot
 }
 
-func (sx *ShardedIndex) views() []shardView {
-	out := make([]shardView, len(sx.shards))
-	for i, sh := range sx.shards {
-		out[i] = shardView{ix: sh, s: sh.read()}
-	}
-	return out
+// probe reads id from the store of the tree that owns it, charging the
+// access to st.
+func probe(views []shardView, id uint64, st *Stats) (*fuzzy.Object, error) {
+	return views[ShardOf(id, len(views))].ix.getObject(id, st)
 }
 
-// fanOut runs fn once per shard view concurrently and returns the first
-// error (by shard order, for determinism).
-func fanOut(views []shardView, fn func(i int, v shardView) error) error {
+// pagedErr surfaces the first tree's sticky page-cache failure, if any: a
+// failed page resolves to an empty node, which must come back as an error
+// and not as a silently short answer.
+func pagedErr(views []shardView) error {
+	for _, v := range views {
+		if err := v.ix.pagedErr(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fanOut is how a query family runs the part of its plan whose bound is
+// fixed before any tree is touched — a range search's radius, a scan —
+// over a forest of several trees: work runs once per tree concurrently,
+// each call in a pooled scratch of its own, charging sub.stats and
+// returning a slice sub owns. The slices are gathered into *out and the
+// stats into sc.stats before their scratch goes back (in completion order,
+// which no caller can observe: every family sorts what it gathers). The
+// first error by tree order wins, for determinism. A one-tree forest never
+// comes here: its caller runs work on its own goroutine in its own scratch.
+func fanOut[T any](sc *scratch, views []shardView, out *[]T, work func(sub *scratch, tree int) ([]T, error)) error {
 	errs := make([]error, len(views))
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := range views {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(i, views[i])
+			sub := getScratch()
+			defer putScratch(sub)
+			sub.stats = Stats{}
+			part, err := work(sub, i)
+			errs[i] = err
+			mu.Lock()
+			defer mu.Unlock()
+			addParallel(&sc.stats, sub.stats)
+			*out = append(*out, part...)
 		}(i)
 	}
 	wg.Wait()
@@ -218,7 +245,10 @@ func fanOut(views []shardView, fn func(i int, v shardView) error) error {
 // results would break.
 func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error) {
 	started := time.Now()
-	if err := validateArgs(sx.Dims(), q, k, alpha); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	views := sc.pin(sx.shards...)
+	if err := validateArgs(views, q, k, alpha); err != nil {
 		return nil, Stats{}, err
 	}
 	if algo < Basic || algo > LBLPUB {
@@ -227,12 +257,10 @@ func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlg
 	if algo != Basic {
 		algo = LB
 	}
-	sc := getScratch()
-	defer putScratch(sc)
 	sc.stats = Stats{}
 	// The answer is sized once; a k beyond the population must not size it.
 	dst := make([]Result, 0, min(k, sx.Len()))
-	res, err := aknnInto(sc, dst, sx.views(), q, k, alpha, algo, nil, nil, &sc.stats)
+	res, err := aknnInto(sc, dst, views, q, k, alpha, algo, nil, nil)
 	if err != nil {
 		return nil, sc.stats, err
 	}
@@ -240,289 +268,50 @@ func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlg
 	return res, sc.stats, nil
 }
 
-// LinearScanAKNN fans the exhaustive baseline out and merges the local
-// top-k lists.
+// The other read families are the single-tree functions over the forest of
+// the shards' pinned snapshots, exactly as on a plain Index.
+
+// LinearScanAKNN implements Searcher; see scanTopK.
 func (sx *ShardedIndex) LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
-	started := time.Now()
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, k, alpha); err != nil {
-		return nil, st, err
-	}
-	views := sx.views()
-	lists := make([][]Result, len(views))
-	stats := make([]Stats, len(views))
-	err := fanOut(views, func(i int, v shardView) error {
-		var err error
-		lists[i], stats[i], err = v.ix.LinearScanAKNN(q, k, alpha)
-		return err
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	for _, s := range stats {
-		addParallel(&st, s)
-	}
-	out := mergeTopK(lists, k)
-	st.Duration = time.Since(started)
-	return out, st, nil
-}
-
-// getObject probes the shard owning id, charging the access to st.
-func (sx *ShardedIndex) getObject(id uint64, st *Stats) (*fuzzy.Object, error) {
-	return sx.shardFor(id).getObject(id, st)
-}
-
-// Refine probes any non-exact results through their owning shards and
-// re-sorts by exact (distance, id). Sharded AKNN answers are always exact
-// already; this exists so arbitrary Result sets (e.g. relayed from a
-// single-tree index) refine correctly.
-func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
-	return refine(sx.Dims(), sx.getObject, q, alpha, rs)
-}
-
-// RangeSearch fans the α-range query out and unions the per-shard answers
-// (disjoint by partition), ascending by (distance, id).
-func (sx *ShardedIndex) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]Result, Stats, error) {
-	started := time.Now()
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, 1, alpha); err != nil {
-		return nil, st, err
-	}
-	if radius < 0 || math.IsNaN(radius) {
-		return nil, st, badArgf("query: radius must be non-negative, got %v", radius)
-	}
-	views := sx.views()
-	lists := make([][]Result, len(views))
-	stats := make([]Stats, len(views))
-	err := fanOut(views, func(i int, v shardView) error {
-		// Each fan-out goroutine runs in its own pooled scratch; the
-		// scratch-owned result maps are drained into the coordinator's
-		// slice before release.
-		sc := getScratch()
-		defer putScratch(sc)
-		_, dists, err := v.ix.rangeSearch(sc, v.s, q, alpha, radius, true, &stats[i])
-		if err != nil {
-			return err
-		}
-		for id, d := range dists {
-			lists[i] = append(lists[i], Result{ID: id, Dist: d, Exact: true, Lower: d, Upper: d})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	var out []Result
-	for i := range lists {
-		addParallel(&st, stats[i])
-		out = append(out, lists[i]...)
-	}
-	sortResults(out)
-	st.Duration = time.Since(started)
-	return out, st, nil
-}
-
-// RKNN answers the range kNN query across all shards with the RSS plan
-// (Algorithms 4/5 of the paper, the range-search phase parallelized):
-//
-//  1. One cross-shard AKNN at αe fixes the global pruning radius — the
-//     k-th nearest distance at the range's top (Lemma 3).
-//  2. Every shard runs one α-range search at αs with that radius in
-//     parallel; the union is the exact global candidate set (any object
-//     ever in a kNN set within [αs, αe] is within the radius at αs).
-//  3. Candidates are refined in memory: distance profiles are built once
-//     from the objects the range searches already probed (no further IO),
-//     and the per-object qualifying ranges accumulate through the
-//     interval.Set algebra — critical-probability hopping for Naive/Basic/
-//     RSS, Lemma 4 safe ranges for RSSICR.
-//
-// All variants return byte-identical ranges (the same equivalence the
-// paper proves for the single-tree variants); they differ only in
-// refinement cost. Results ascend by object id.
-func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo RKNNAlgorithm) ([]RangedResult, Stats, error) {
-	started := time.Now()
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, k, alphaStart, alphaEnd); err != nil {
-		return nil, st, err
-	}
-	if alphaStart > alphaEnd {
-		return nil, st, badArgf("query: alphaStart %v > alphaEnd %v", alphaStart, alphaEnd)
-	}
-	if algo < Naive || algo > RSSICR {
-		return nil, st, badArgf("query: unknown RKNN algorithm %d", int(algo))
-	}
-	views := sx.views()
-	// The coordinator's scratch: phase 1 searches in it, phase 3 refines in it.
 	sc := getScratch()
 	defer putScratch(sc)
-
-	// Phase 1: global pruning radius from one cross-shard AKNN at αe.
-	st.AKNNCalls++
-	resE, err := aknnInto(sc, sc.sub[:0], views, q, k, alphaEnd, LB, nil, nil, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	if len(resE) == 0 {
-		st.Duration = time.Since(started)
-		return nil, st, nil // empty index
-	}
-	radius := math.Inf(1)
-	if len(resE) >= k {
-		radius = resE[len(resE)-1].Dist
-	}
-	sc.sub = resE[:0] // keep grown capacity
-
-	// Phase 2: parallel per-shard range searches at αs. Each goroutine runs
-	// in its own pooled scratch and copies the scratch-owned result map out
-	// before releasing it.
-	objMaps := make([]map[uint64]*fuzzy.Object, len(views))
-	stats := make([]Stats, len(views))
-	err = fanOut(views, func(i int, v shardView) error {
-		sc := getScratch()
-		defer putScratch(sc)
-		objs, _, err := v.ix.rangeSearch(sc, v.s, q, alphaStart, radius, true, &stats[i])
-		if err != nil {
-			return err
-		}
-		m := make(map[uint64]*fuzzy.Object, len(objs))
-		for id, o := range objs {
-			m[id] = o
-		}
-		objMaps[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Phase 3: shared in-memory refinement over the candidate union.
-	ctx := newRKNNCtx(sc, q, k, alphaStart, alphaEnd, &st)
-	// Candidates are pre-probed below; the fetch only runs if refinement
-	// ever touches a non-candidate id, which would be a logic error — route
-	// to the owning shard rather than crash.
-	ctx.fetch = sx.getObject
-	cands := sc.cands[:0]
-	for i := range objMaps {
-		addParallel(&st, stats[i])
-		for id, o := range objMaps[i] {
-			ctx.probed[id] = o
-			cands = append(cands, id)
-		}
-	}
-	st.Candidates = len(cands)
-	slices.Sort(cands)
-	sc.cands = cands
-	for _, id := range cands {
-		if _, err := ctx.profile(id); err != nil {
-			return nil, st, err
-		}
-	}
-	if algo == RSSICR {
-		err = ctx.refineICR(cands)
-	} else {
-		err = ctx.refineBasic(cands)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	st.Duration = time.Since(started)
-	return ctx.appendResults(nil), st, nil
+	return scanTopK(sc, sc.pin(sx.shards...), q, k, alpha, alphaDistScore)
 }
 
-// ReverseKNN fans the filter+verify pipeline out per shard, then finishes
-// each surviving candidate's closer-count against the remaining shards.
-// Per-shard verification is a conservative filter: an object with ≥ k
-// closer neighbors in its own shard has ≥ k globally and is pruned without
-// cross-shard work; a survivor qualifies iff its closer-counts summed over
-// all shards stay below k, which the shared refine checks with early exit.
-// Results ascend by (distance to q, id).
-func (sx *ShardedIndex) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
-	started := time.Now()
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, k, alpha); err != nil {
-		return nil, st, err
-	}
-	views := sx.views()
-	cands := make([][]revCandidate, len(views))
-	stats := make([]Stats, len(views))
-	err := fanOut(views, func(i int, v shardView) error {
-		sc := getScratch()
-		defer putScratch(sc)
-		var err error
-		cands[i], err = v.ix.reverseCandidates(sc, v.s, q, k, alpha, &stats[i])
-		return err
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	for i := range stats {
-		addParallel(&st, stats[i])
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	var results []Result
-	for i, shardCands := range cands {
-		for _, c := range shardCands {
-			total := c.closer
-			for j, v := range views {
-				if j == i || total >= k {
-					continue
-				}
-				n, err := v.ix.countCloser(sc, v.s, c.obj, alpha, c.dist, q.ID(), k-total, &st)
-				if err != nil {
-					return nil, st, err
-				}
-				total += n
-			}
-			if total < k {
-				results = append(results, Result{ID: c.obj.ID(), Dist: c.dist, Exact: true, Lower: c.dist, Upper: c.dist})
-			}
-		}
-	}
-	sortResults(results)
-	st.Duration = time.Since(started)
-	return results, st, nil
-}
-
-// mergeTopK merges per-shard result lists (each already sorted by
-// (distance, id)) into the global top k. Used by the fan-out paths whose
-// shard answers are complete local top-k lists (linear scan, expected
-// distance): the global top k is contained in the union of local top k's.
-func mergeTopK(lists [][]Result, k int) []Result {
-	var all []Result
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sortResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// ExpectedDistKNN fans the full-profile scan out per shard and merges the
-// exact local top-k lists.
+// ExpectedDistKNN implements Searcher; see scanTopK.
 func (sx *ShardedIndex) ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error) {
-	started := time.Now()
-	var st Stats
-	if err := validateArgs(sx.Dims(), q, k, 1); err != nil {
-		return nil, st, err
-	}
-	views := sx.views()
-	lists := make([][]Result, len(views))
-	stats := make([]Stats, len(views))
-	err := fanOut(views, func(i int, v shardView) error {
-		var err error
-		lists[i], err = v.ix.expectedDistTopK(v.s, q, k, &stats[i])
-		return err
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	for i := range stats {
-		addParallel(&st, stats[i])
-	}
-	out := mergeTopK(lists, k)
-	st.Duration = time.Since(started)
-	return out, st, nil
+	sc := getScratch()
+	defer putScratch(sc)
+	return scanTopK(sc, sc.pin(sx.shards...), q, k, 1, expectedDistScore)
+}
+
+// Refine implements Searcher: non-exact results (e.g. a lazy answer relayed
+// from a single-tree index) are probed through their owning shards; see
+// refine.
+func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return refine(sc, sc.pin(sx.shards...), q, alpha, rs)
+}
+
+// RangeSearch implements Searcher; see rangeSearchInto.
+func (sx *ShardedIndex) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]Result, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return rangeSearchInto(sc, nil, sc.pin(sx.shards...), q, alpha, radius)
+}
+
+// RKNN implements Searcher: all four §4 algorithms run as named, whatever
+// the shard count; see rknnInto.
+func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo RKNNAlgorithm) ([]RangedResult, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return rknnInto(sc, nil, sc.pin(sx.shards...), q, k, alphaStart, alphaEnd, algo)
+}
+
+// ReverseKNN implements Searcher; see reverseKNN.
+func (sx *ShardedIndex) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return reverseKNN(sc, sc.pin(sx.shards...), q, k, alpha)
 }

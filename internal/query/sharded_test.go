@@ -19,10 +19,12 @@ import (
 // variant's qualifying ranges, range search, reverse kNN, expected-distance
 // kNN and the linear-scan baseline — on a fresh index, after a ≥500-op
 // random churn, and on a drained index, with per-shard structural
-// invariants and partition ownership checked at every stage. A sharded AKNN
-// must also cost exactly the single tree's object accesses and distance
-// evaluations: which leaf entries the best-first search probes depends on
-// the objects, not on how they are cut into trees.
+// invariants and partition ownership checked at every stage. A sharded
+// AKNN, RKNN (each of the four algorithms, run as named) and range search
+// must also cost exactly what the single tree's does — object accesses,
+// distance evaluations, sub-searches, candidates, refinement pieces: which
+// leaf entries a bound lets through depends on the objects, not on how they
+// are cut into trees.
 
 // buildShardedOver partitions objs by ShardOf and builds one Index per
 // shard, each over its own MemStore — the per-shard-store layout the
@@ -154,6 +156,20 @@ func mustEqualResults(t *testing.T, got, want []Result, label string) {
 	}
 }
 
+// mustCostEqual demands that two executions of one query cost the same in
+// every layout-invariant counter: all of Stats but the tree-node and page
+// counts, which do depend on how the population is cut into trees, and the
+// wall time.
+func mustCostEqual(t *testing.T, got, want Stats, label string) {
+	t.Helper()
+	for _, st := range []*Stats{&got, &want} {
+		st.NodeAccesses, st.PageReads, st.PageCacheHits, st.Duration = 0, 0, 0, 0
+	}
+	if got != want {
+		t.Fatalf("%s: sharded cost diverges from the single tree's\n got: %+v\nwant: %+v", label, got, want)
+	}
+}
+
 func (s *shardedEquivState) assertEquivalent(label string, queries int) {
 	s.t.Helper()
 	for qi := 0; qi < queries; qi++ {
@@ -231,21 +247,23 @@ func (s *shardedEquivState) assertEquivalent(label string, queries int) {
 		}
 		s.assertRKNNEquivalent(q, 3, 0.5, 0.5, label) // degenerate range
 		for _, radius := range []float64{0, 2.5, 8} {
-			want, _, err := s.single.RangeSearch(q, 0.5, radius)
+			want, wantSt, err := s.single.RangeSearch(q, 0.5, radius)
 			if err != nil {
 				s.t.Fatalf("%s: single range: %v", label, err)
 			}
-			got, _, err := s.sharded.RangeSearch(q, 0.5, radius)
+			got, gotSt, err := s.sharded.RangeSearch(q, 0.5, radius)
 			if err != nil {
 				s.t.Fatalf("%s: sharded range: %v", label, err)
 			}
 			mustEqualResults(s.t, got, want, label+"/range")
+			mustCostEqual(s.t, gotSt, wantSt, label+"/range")
 		}
 	}
 }
 
 // assertRKNNEquivalent checks all four sharded RKNN variants against the
-// single-tree RSSICR reference, byte for byte (ids and qualifying ranges).
+// single-tree RSSICR reference, byte for byte (ids and qualifying ranges),
+// and each one's cost against the same variant on the single tree.
 func (s *shardedEquivState) assertRKNNEquivalent(q *fuzzy.Object, k int, as, ae float64, label string) {
 	s.t.Helper()
 	want, _, err := s.single.RKNN(q, k, as, ae, RSSICR)
@@ -253,10 +271,15 @@ func (s *shardedEquivState) assertRKNNEquivalent(q *fuzzy.Object, k int, as, ae 
 		s.t.Fatalf("%s: single RKNN: %v", label, err)
 	}
 	for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
-		got, _, err := s.sharded.RKNN(q, k, as, ae, algo)
+		got, gotSt, err := s.sharded.RKNN(q, k, as, ae, algo)
 		if err != nil {
 			s.t.Fatalf("%s: sharded %v: %v", label, algo, err)
 		}
+		_, wantSt, err := s.single.RKNN(q, k, as, ae, algo)
+		if err != nil {
+			s.t.Fatalf("%s: single %v: %v", label, algo, err)
+		}
+		mustCostEqual(s.t, gotSt, wantSt, label+"/"+algo.String())
 		if len(got) != len(want) {
 			s.t.Fatalf("%s: sharded %v returned %d objects, single returned %d",
 				label, algo, len(got), len(want))

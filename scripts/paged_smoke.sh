@@ -4,8 +4,8 @@
 # paged mode with a small block cache, query it, and check the cache series
 # (one vocabulary, labeled by layer) show real hit/miss traffic on /metrics
 # and /stats. A last phase serves the same store as one tree and as three
-# shards and checks AKNN answers and costs the same on both. Runnable
-# locally from the repo root:
+# shards and checks AKNN, RKNN (each algorithm) and range answers and costs
+# the same on both. Runnable locally from the repo root:
 #
 #   scripts/paged_smoke.sh
 set -euo pipefail
@@ -51,28 +51,37 @@ grep -q 'fuzzyknn_engine_page_reads_total' paged-metrics.txt
 hits="$(sed -n 's/^fuzzyknn_cache_hits_total{cache="pages"} //p' paged-metrics.txt)"
 test "$hits" -gt 0
 
-# Sharded phase. A sharded AKNN is one best-first search over all the shard
-# trees, so the same store served as one tree and as three must return the
-# same results AND charge the same object accesses ("algo": "lb" answers
-# exact distances on both layouts).
+# Sharded phase. Every query family is one function over a forest of trees,
+# so the same store served as one tree and as three must return the same
+# results AND charge the same object accesses: for AKNN ("algo": "lb"
+# answers exact distances on both layouts), for RKNN under each of its four
+# algorithms, run as named, and for range search.
 start_server /tmp/paged-smoke.one.log -store /tmp/objects.fzs -addr 127.0.0.1:18082
 start_server /tmp/paged-smoke.three.log -store /tmp/objects.fzs -shards 3 -addr 127.0.0.1:18083
 wait_healthz http://127.0.0.1:18082
 wait_healthz http://127.0.0.1:18083
-# aknn_answer_and_cost <base-url> <payload> — the results and what they cost.
-aknn_answer_and_cost() {
-  curl -sf "$1/aknn" -d "$2" | python3 -c 'import json,sys; j=json.load(sys.stdin); print(j["stats"]["object_accesses"], json.dumps(j["results"], sort_keys=True))'
+# answer_and_cost <base-url> <endpoint> <payload> — the results and what they cost.
+answer_and_cost() {
+  curl -sf "$1/$2" -d "$3" | python3 -c 'import json,sys; j=json.load(sys.stdin); print(j["stats"]["object_accesses"], json.dumps(j["results"], sort_keys=True))'
 }
-for k in 5 20; do
-  for id in 7 99 1234; do
-    payload="{\"query_id\": $id, \"k\": $k, \"alpha\": 0.5, \"algo\": \"lb\"}"
-    one="$(aknn_answer_and_cost http://127.0.0.1:18082 "$payload")"
-    three="$(aknn_answer_and_cost http://127.0.0.1:18083 "$payload")"
-    echo "sharded AKNN query_id=$id k=$k: ${one%% *} object accesses on one tree, ${three%% *} on three shards"
-    if [ "$one" != "$three" ]; then
-      echo "AKNN $payload: -shards 3 differs from the single tree in results or object accesses" >&2
-      exit 1
-    fi
+# same_on_both <endpoint> <payload>
+same_on_both() {
+  local one three
+  one="$(answer_and_cost http://127.0.0.1:18082 "$1" "$2")"
+  three="$(answer_and_cost http://127.0.0.1:18083 "$1" "$2")"
+  echo "sharded /$1 $2: ${one%% *} object accesses on one tree, ${three%% *} on three shards"
+  if [ "$one" != "$three" ]; then
+    echo "/$1 $2: -shards 3 differs from the single tree in results or object accesses" >&2
+    exit 1
+  fi
+}
+for id in 7 99 1234; do
+  for k in 5 20; do
+    same_on_both aknn "{\"query_id\": $id, \"k\": $k, \"alpha\": 0.5, \"algo\": \"lb\"}"
   done
+  for algo in naive basic rss rssicr; do
+    same_on_both rknn "{\"query_id\": $id, \"k\": 5, \"alpha_start\": 0.3, \"alpha_end\": 0.8, \"algo\": \"$algo\"}"
+  done
+  same_on_both range "{\"query_id\": $id, \"alpha\": 0.5, \"radius\": 10}"
 done
 echo 'paged smoke OK'

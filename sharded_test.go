@@ -22,21 +22,31 @@ func shardedPair(t *testing.T, objs []*Object) (*Index, *Index) {
 	return single, sharded
 }
 
-// mustCostLikeSingle requires a sharded AKNN to probe exactly as many
-// objects as the single tree's non-lazy search over the same population,
-// counted where the stores count them.
+// mustCostLikeSingle requires a sharded AKNN, RKNN (each algorithm, run as
+// named) and range search to probe exactly as many objects as the single
+// tree's over the same population (for AKNN its non-lazy search), counted
+// where the stores count them.
 func mustCostLikeSingle(t *testing.T, label string, single, sharded *Index, q *Object, k int) {
 	t.Helper()
+	queries := map[string]func(*Index) error{
+		"range": func(ix *Index) error { _, _, err := ix.RangeSearch(q, 0.5, 4); return err },
+	}
 	for _, algo := range []AKNNAlgorithm{Basic, LB} {
+		queries[algo.String()] = func(ix *Index) error { _, _, err := ix.AKNN(q, k, 0.5, algo); return err }
+	}
+	for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
+		queries[algo.String()] = func(ix *Index) error { _, _, err := ix.RKNN(q, k, 0.3, 0.8, algo); return err }
+	}
+	for name, query := range queries {
 		cost := func(ix *Index) int64 {
 			before := ix.TotalObjectAccesses()
-			if _, _, err := ix.AKNN(q, k, 0.5, algo); err != nil {
-				t.Fatalf("%s/%v: %v", label, algo, err)
+			if err := query(ix); err != nil {
+				t.Fatalf("%s/%s: %v", label, name, err)
 			}
 			return ix.TotalObjectAccesses() - before
 		}
 		if want, got := cost(single), cost(sharded); got != want || got == 0 {
-			t.Fatalf("%s/%v: sharded AKNN probed %d objects, the single tree %d", label, algo, got, want)
+			t.Fatalf("%s/%s: sharded probed %d objects, the single tree %d", label, name, got, want)
 		}
 	}
 }
