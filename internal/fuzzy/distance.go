@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fuzzyknn/internal/geom"
-	"fuzzyknn/internal/grid"
 	"fuzzyknn/internal/kdtree"
 )
 
@@ -63,45 +62,137 @@ type Profile struct {
 	integrated bool
 }
 
-// ComputeProfile evaluates the whole distance profile in a single
-// incremental pass: points of both objects are inserted into per-side hash
-// grids in descending membership order, and each insertion probes the
-// opposite grid bounded by the running best pair distance (the profile value
-// is exactly that running minimum, because α-cuts are prefixes).
-func ComputeProfile(a, q *Object) *Profile {
-	levels := mergeLevels(a.Levels(), q.Levels())
-	cell := profileCellSize(a, q)
-	ga := grid.New(cell, a.Dims())
-	gq := grid.New(cell, q.Dims())
+// profileEval computes distance profiles without allocating beyond the
+// Profile it returns. It is the sibling of DistEval for whole staircases:
+// DistEval fixes (query, α) and builds one tree over the query's cut;
+// profileEval fixes the query and sweeps every α at once.
+//
+// Points are stored in descending membership, so the α-cut of either object
+// is always the first m points of its slab, and "the points met so far" in a
+// sweep over descending levels is a prefix too. Nothing is inserted
+// anywhere: one kdtree.PrefixTree is built over all points of each side, and
+// a point arriving at level u asks the other side's tree for its nearest
+// neighbour among the prefix with µ ≥ u. The query's tree is kept for as
+// long as the evaluator meets the same query object (identified by pointer:
+// the evaluator holds the pointer, so the object stays alive and its address
+// cannot come to name another one), the candidate's tree is rebuilt in
+// place, and neither object's level index is touched.
+//
+// A profileEval is not safe for concurrent use; a ProfileCache owns one. The
+// zero value is ready.
+type profileEval struct {
+	q            *Object // the object qTree is built over
+	qTree, aTree kdtree.PrefixTree
+	box          []float64 // running prefix boxes: A's lo, A's hi, Q's lo, Q's hi
+}
 
-	n := len(levels)
-	dists := make([]float64, n)
-	best := math.Inf(1)
-	ia, iq := 0, 0 // cursors into the descending point arrays
+// Profile evaluates the whole distance profile of (a, q) in one pass over
+// the levels in descending order. The profile value at a level is the
+// running minimum over all cross pairs met so far, because α-cuts are
+// prefixes: at each level the new A-points probe Q's prefix, then the new
+// Q-points probe A's prefix (which by then includes this level's A-points),
+// so a same-level cross pair is met by whichever side comes last.
+//
+// The result equals ComputeProfileBrute bit for bit. The running minimum is
+// carried squared — a minimum over the per-pair squared distances brute
+// computes, rounded as brute rounds them, in whatever order — and the one
+// square root per level is brute's; a plateau therefore repeats one bit
+// pattern, which Critical's strict comparison relies on.
+func (e *profileEval) Profile(a, q *Object) *Profile {
+	checkDims(a, q)
+	dims := a.dims
+	if e.q != q {
+		e.qTree.Rebuild(q.coords, dims)
+		e.q = q
+	}
+	e.aTree.Rebuild(a.coords, dims)
 
+	if cap(e.box) < 4*dims {
+		e.box = make([]float64, 4*dims)
+	}
+	e.box = e.box[:4*dims]
+	aBox := geom.Rect{Lo: e.box[:dims], Hi: e.box[dims : 2*dims]}
+	qBox := geom.Rect{Lo: e.box[2*dims : 3*dims], Hi: e.box[3*dims:]}
+	for i := 0; i < dims; i++ {
+		aBox.Lo[i], aBox.Hi[i] = math.Inf(1), math.Inf(-1)
+		qBox.Lo[i], qBox.Hi[i] = math.Inf(1), math.Inf(-1)
+	}
+
+	n := countLevels(a.mus, q.mus)
+	slab := make([]float64, 2*n)
+	levels, dists := slab[:n:n], slab[n:]
+	bestSq := math.Inf(1)
+	ia, iq := 0, 0 // how much of each slab the sweep has met
 	for j := n - 1; j >= 0; j-- {
-		u := levels[j]
-		// Insert all points with µ >= u that are not inserted yet. A-side
-		// points probe the Q grid; Q-side points probe the A grid, so
-		// same-level cross pairs are found by whichever side inserts last.
+		u := nextLevel(a.mus, q.mus, ia, iq)
 		for ; ia < len(a.mus) && a.mus[ia] >= u; ia++ {
 			p := a.point(ia)
-			if _, d := gq.NearestWithin(p, best); d < best {
-				best = d
-			}
-			ga.Insert(p, ia)
+			bestSq = closerSq(p, &e.qTree, iq, qBox, bestSq)
+			aBox.ExpandPoint(p)
 		}
 		for ; iq < len(q.mus) && q.mus[iq] >= u; iq++ {
 			p := q.point(iq)
-			if _, d := ga.NearestWithin(p, best); d < best {
-				best = d
-			}
-			gq.Insert(p, iq)
+			bestSq = closerSq(p, &e.aTree, ia, aBox, bestSq)
+			qBox.ExpandPoint(p)
 		}
-		dists[j] = best
+		levels[j], dists[j] = u, math.Sqrt(bestSq)
 	}
 	return &Profile{Levels: levels, Dists: dists,
 		integral: integrate(levels, dists), integrated: true}
+}
+
+// closerSq returns the squared distance from p to the nearest of tree's first
+// m points if that is below bestSq, and bestSq otherwise. box is the running
+// bounding box of those m points: a point whose squared distance to it is
+// already bestSq or more cannot lower the minimum and is not looked up at
+// all (kdtree.BeyondBound gives the floating-point argument). An empty
+// prefix has the inverted infinite box, which gates every point.
+func closerSq(p geom.Point, tree *kdtree.PrefixTree, m int, box geom.Rect, bestSq float64) float64 {
+	if geom.MinDistPointSq(p, box) >= bestSq {
+		return bestSq
+	}
+	if _, d := tree.NearestInPrefixSq(p, m, bestSq); d < bestSq {
+		return d
+	}
+	return bestSq
+}
+
+// nextLevel returns the largest membership not yet met by a sweep that has
+// consumed the first ia and iq entries of two non-increasing slabs, at least
+// one of which has entries left.
+func nextLevel(amus, qmus []float64, ia, iq int) float64 {
+	switch {
+	case ia == len(amus):
+		return qmus[iq]
+	case iq == len(qmus):
+		return amus[ia]
+	}
+	return max(amus[ia], qmus[iq])
+}
+
+// countLevels returns the number of distinct values in the union of two
+// non-increasing membership slabs.
+func countLevels(amus, qmus []float64) int {
+	n, ia, iq := 0, 0, 0
+	for ia < len(amus) || iq < len(qmus) {
+		u := nextLevel(amus, qmus, ia, iq)
+		for ia < len(amus) && amus[ia] == u {
+			ia++
+		}
+		for iq < len(qmus) && qmus[iq] == u {
+			iq++
+		}
+		n++
+	}
+	return n
+}
+
+// ComputeProfile is the one-shot form of profileEval.Profile: both trees are
+// built for this pair alone. Code that profiles many objects against one
+// query goes through a ProfileCache, which keeps the evaluator.
+func ComputeProfile(a, q *Object) *Profile {
+	var e profileEval
+	return e.Profile(a, q)
 }
 
 // ComputeProfileBrute is the reference profile computation: an independent
@@ -113,20 +204,6 @@ func ComputeProfileBrute(a, q *Object) *Profile {
 		dists[j] = AlphaDistBrute(a, q, u)
 	}
 	return &Profile{Levels: levels, Dists: dists}
-}
-
-// profileCellSize picks a grid cell comparable to the average point spacing
-// of the combined support, so buckets hold O(1) points.
-func profileCellSize(a, q *Object) float64 {
-	r := a.SupportMBR().Union(q.SupportMBR())
-	n := a.Len() + q.Len()
-	d := float64(r.Dims())
-	vol := r.Area()
-	if vol <= 0 || n == 0 {
-		// Degenerate extent (coincident points): any positive cell works.
-		return 1
-	}
-	return math.Pow(vol/float64(n), 1/d)
 }
 
 // mergeLevels returns the ascending union of two ascending level slices.

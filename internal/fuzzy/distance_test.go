@@ -1,9 +1,13 @@
 package fuzzy
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"fuzzyknn/internal/geom"
 )
 
 func TestAlphaDistMatchesBrute(t *testing.T) {
@@ -179,22 +183,182 @@ func TestMergeLevels(t *testing.T) {
 	}
 }
 
-func TestProfileCellSizeDegenerate(t *testing.T) {
-	// All points coincide: zero-volume extent must still give a positive cell.
+// TestProfileCoincidentPoints: every point of both objects at one spot — no
+// extent on any axis — gives distance zero at every level.
+func TestProfileCoincidentPoints(t *testing.T) {
 	pts := []WeightedPoint{
 		{P: []float64{1, 1}, Mu: 1},
 		{P: []float64{1, 1}, Mu: 0.5},
 	}
 	a := MustNew(1, pts)
-	if c := profileCellSize(a, a); c <= 0 {
-		t.Fatalf("cell size = %v", c)
-	}
 	p := ComputeProfile(a, a)
-	for _, d := range p.Dists {
-		if d != 0 {
-			t.Fatalf("coincident objects should have zero distance everywhere: %v", p.Dists)
+	if !slices.Equal(p.Levels, []float64{0.5, 1}) || !slices.Equal(p.Dists, []float64{0, 0}) {
+		t.Fatalf("profile of coincident objects = %v at %v, want zero at [0.5 1]", p.Dists, p.Levels)
+	}
+}
+
+// TestDimensionMismatchPanics: every pairwise evaluation refuses objects of
+// different dimensionality with the same message, in either argument order.
+func TestDimensionMismatchPanics(t *testing.T) {
+	a := MustNew(1, []WeightedPoint{{P: geom.Point{0, 0}, Mu: 1}, {P: geom.Point{1, 1}, Mu: 0.5}})
+	b := MustNew(2, []WeightedPoint{{P: geom.Point{0, 0, 0}, Mu: 1}, {P: geom.Point{1, 1, 1}, Mu: 0.5}})
+	var cache ProfileCache
+	for _, tc := range []struct {
+		name string
+		eval func(x, y *Object)
+	}{
+		{"AlphaDist", func(x, y *Object) { AlphaDist(x, y, 0.5) }},
+		{"ComputeProfile", func(x, y *Object) { ComputeProfile(x, y) }},
+		{"ExpectedDist", func(x, y *Object) { ExpectedDist(x, y) }},
+		{"ProfileCache.Profile", func(x, y *Object) { cache.Profile(x, y) }},
+	} {
+		for _, pair := range [][2]*Object{{a, b}, {b, a}} {
+			x, y := pair[0], pair[1]
+			t.Run(fmt.Sprintf("%s/%dd-vs-%dd", tc.name, x.Dims(), y.Dims()), func(t *testing.T) {
+				want := fmt.Sprintf("fuzzy: dimension mismatch %d vs %d", x.Dims(), y.Dims())
+				defer func() {
+					if r := recover(); r != want {
+						t.Fatalf("recovered %v, want %q", r, want)
+					}
+				}()
+				tc.eval(x, y)
+			})
 		}
 	}
+}
+
+// objectNear builds an n-point object whose points lie within ±1 of centre
+// on every axis. quant > 0 draws memberships from the quant values k/quant,
+// so two such objects share levels.
+func objectNear(rng *rand.Rand, id uint64, n, quant int, centre geom.Point) *Object {
+	pts := make([]WeightedPoint, n)
+	for i := range pts {
+		p := make(geom.Point, len(centre))
+		for j := range p {
+			p[j] = centre[j] + (rng.Float64()-0.5)*2
+		}
+		mu := 1 - rng.Float64()
+		if quant > 0 {
+			mu = math.Ceil(mu*float64(quant)) / float64(quant)
+		}
+		pts[i] = WeightedPoint{P: p, Mu: mu}
+	}
+	pts[0].Mu = 1
+	return MustNew(id, pts)
+}
+
+// sameProfile requires the staircase of (a, q) through e to equal the
+// brute-force one exactly: the paper's contract is exact answers, and
+// Critical compares neighbouring plateaus strictly.
+func sameProfile(t *testing.T, e *profileEval, a, q *Object) {
+	t.Helper()
+	got, want := e.Profile(a, q), ComputeProfileBrute(a, q)
+	if !slices.Equal(got.Levels, want.Levels) {
+		t.Fatalf("%v vs %v: levels %v, want %v", a, q, got.Levels, want.Levels)
+	}
+	if !slices.Equal(got.Dists, want.Dists) {
+		t.Fatalf("%v vs %v: dists %v, want %v", a, q, got.Dists, want.Dists)
+	}
+	if got.Integrate() != want.Integrate() {
+		t.Fatalf("%v vs %v: integral %v, want %v", a, q, got.Integrate(), want.Integrate())
+	}
+}
+
+// TestProfileBitIdenticalToBrute drives ONE evaluator — as a query's scratch
+// does — across changing queries, dimensionalities that go up and come back
+// down, and candidate sizes that shrink and then grow, so a buffer length
+// left over from the previous pair would show.
+func TestProfileBitIdenticalToBrute(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 42))
+	var e profileEval
+	sizes := []int{40, 7, 1, 64, 3, 90}
+	var prevQ *Object
+	for _, dims := range []int{2, 4, 1, 3, 2} {
+		for _, quant := range []int{0, 5} {
+			centre := make(geom.Point, dims)
+			for j := range centre {
+				centre[j] = rng.Float64() * 10
+			}
+			q := objectNear(rng, 1, sizes[rng.IntN(len(sizes))], quant, centre)
+			// Overlapping, interleaved, touching, adjacent and far apart.
+			for _, gap := range []float64{0, 0.7, 2, 2.5, 40} {
+				at := centre.Clone()
+				at[rng.IntN(dims)] += gap
+				for _, n := range sizes {
+					sameProfile(t, &e, objectNear(rng, 2, n, quant, at), q)
+				}
+			}
+			// An RKNN by query_id meets its own query among the candidates.
+			sameProfile(t, &e, q, q)
+			// A candidate sharing exact points with the query, each repeated,
+			// under memberships of its own.
+			wps := q.WeightedPoints()
+			for i := range wps {
+				wps[i].Mu = 1 - rng.Float64()
+			}
+			wps[0].Mu = 1
+			sameProfile(t, &e, MustNew(3, append(wps, wps...)), q)
+			// Back to the previous query (another dimensionality, except the
+			// first time round) and forth again: the pin must follow.
+			if prevQ != nil && prevQ.Dims() == dims {
+				sameProfile(t, &e, q, prevQ)
+				sameProfile(t, &e, prevQ, q)
+			}
+			prevQ = q
+		}
+	}
+	// One-point objects on both sides, and the §6.1 shape the product serves.
+	one := MustNew(4, []WeightedPoint{{P: geom.Point{50, 50}, Mu: 1}})
+	sameProfile(t, &e, one, one)
+	sq, objs := sec61Neighbours(rng, 12)
+	sameProfile(t, &e, one, sq)
+	sameProfile(t, &e, sq, one)
+	for _, o := range objs {
+		sameProfile(t, &e, o, sq)
+	}
+}
+
+// FuzzProfile decodes two small objects from the input — coordinates on a
+// coarse lattice and memberships in quarters, so coincident points, equal
+// levels and exact distance ties are the common case — and requires the
+// evaluator, reused across both argument orders and the self pair, to equal
+// brute force exactly.
+func FuzzProfile(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 3, 2, 0, 0, 3, 4, 4, 1, 8, 0, 2, 1, 1, 3, 5, 5, 0, 9, 9, 2})
+	f.Add([]byte{2, 7, 7, 200, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})
+	f.Add([]byte{0, 5, 5, 4, 7, 3, 7, 2, 7, 1, 7, 0, 7, 3, 7, 3, 7, 3, 7, 3, 7, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		dims := 1 + next()%3
+		na, nq := 1+next()%12, 1+next()%12
+		shift := float64(next()%8) / 2
+		object := func(id uint64, n int, shift float64) *Object {
+			pts := make([]WeightedPoint, n)
+			for i := range pts {
+				p := make(geom.Point, dims)
+				for j := range p {
+					p[j] = float64(next()%8)/2 + shift
+				}
+				pts[i] = WeightedPoint{P: p, Mu: float64(1+next()%4) / 4}
+			}
+			pts[0].Mu = 1
+			return MustNew(id, pts)
+		}
+		a, q := object(1, na, 0), object(2, nq, shift)
+		var e profileEval
+		sameProfile(t, &e, a, q)
+		sameProfile(t, &e, q, a)
+		sameProfile(t, &e, a, a)
+		sameProfile(t, &e, a, q)
+	})
 }
 
 func BenchmarkAlphaDist1K(b *testing.B) {
@@ -214,5 +378,23 @@ func BenchmarkProfile1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ComputeProfile(a, q)
+	}
+}
+
+var profileSink *Profile
+
+// BenchmarkProfileNeighbours128 is the staircase an RKNN refines with: two
+// §6.1 objects one diameter apart, through an evaluator that has met the
+// query before.
+func BenchmarkProfileNeighbours128(b *testing.B) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	q := sec61Object(rng, 1, 50, 50, 128)
+	a := sec61Object(rng, 2, 51, 50, 128)
+	var e profileEval
+	e.Profile(a, q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profileSink = e.Profile(a, q)
 	}
 }

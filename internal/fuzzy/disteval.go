@@ -115,10 +115,15 @@ func (e *DistEval) dist(o *Object) float64 {
 // stores that decode a fresh object per probe and would otherwise grow it
 // without ever hitting).
 //
+// Misses are computed by an evaluator the cache owns, so the k-d tree over
+// the query's points is built once per query object and serves every
+// candidate's staircase, and a miss allocates the Profile and nothing else.
+//
 // A ProfileCache is not safe for concurrent use; pool one per worker.
 type ProfileCache struct {
-	q *Object
-	m map[*Object]*Profile
+	q    *Object
+	m    map[*Object]*Profile
+	eval profileEval
 }
 
 // maxProfileEntries caps the cache; see the type comment.
@@ -150,7 +155,7 @@ func (c *ProfileCache) Profile(o, q *Object) *Profile {
 	if p, ok := c.m[o]; ok {
 		return p
 	}
-	p := ComputeProfile(o, q)
+	p := c.eval.Profile(o, q)
 	if len(c.m) >= maxProfileEntries {
 		clear(c.m)
 	}

@@ -422,6 +422,32 @@ func TestProbeBuildsNoIndex(t *testing.T) {
 	}
 }
 
+// TestProfileBuildsNoIndex: a staircase reads the two slabs only, on both
+// sides, whether it is asked for through a cache or one-shot; and an
+// evaluator that has met the pair's sizes allocates exactly the Profile it
+// returns — the header and one slab shared by Levels and Dists.
+func TestProfileBuildsNoIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 29))
+	q := randObject(rng, 1, 128, 2, 0)
+	o := randObject(rng, 2, 128, 2, 8)
+	var c ProfileCache
+	p := c.Profile(o, q)
+	c.ExpectedDist(o, q)
+	ComputeProfile(o, q)
+	ExpectedDist(q, o)
+	if o.lazyIndex.Load() != nil || q.lazyIndex.Load() != nil {
+		t.Fatal("a profile built a level index")
+	}
+	if !slices.Equal(p.Levels, mergeLevels(o.Levels(), q.Levels())) {
+		t.Fatal("profile levels are not the union of the two level indexes")
+	}
+	var e profileEval
+	e.Profile(o, q)
+	if allocs := testing.AllocsPerRun(20, func() { e.Profile(o, q) }); allocs != 2 {
+		t.Errorf("a warm profileEval.Profile allocates %.0f times, want 2", allocs)
+	}
+}
+
 func TestKernelAllOnes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 11))
 	o := randObject(rng, 3, 60, 2, 4)

@@ -12,6 +12,10 @@
 // point of the other cut. A best-so-far bound makes repeated queries cheap,
 // and an optional cutoff allows early exit as soon as the pair distance is
 // known to beat a caller-supplied threshold.
+//
+// PrefixTree adds the query whole distance profiles need — the nearest
+// neighbour among the first m points of the input — as an annotation beside
+// the tree, so that plain trees neither carry nor compute it.
 package kdtree
 
 import (

@@ -144,3 +144,17 @@ func BenchmarkHotPathReverseKNN(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotPathExpectedDistKNN is the other consumer of the staircase:
+// the scan profiles every object against the query, near or far.
+func BenchmarkHotPathExpectedDistKNN(b *testing.B) {
+	env := newHotEnv(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := env.queries[i%len(env.queries)]
+		if _, _, err := env.ix.ExpectedDistKNN(q, hotK); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
