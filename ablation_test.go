@@ -2,7 +2,6 @@
 // paper's own figures:
 //
 //   - R-tree node capacity C_max (the cost model's key constant),
-//   - the Q'_α sample size n of the improved upper bound (§3.4),
 //   - storage backend (in-memory vs on-disk vs on-disk + LRU cache) — this
 //     recovers the paper's IO-bound running-time trends that an in-memory
 //     store hides,
@@ -72,29 +71,6 @@ func BenchmarkAblationNodeCapacity(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationSampleSize(b *testing.B) {
-	objs := ablationObjects(b)
-	q := ablationQuery(b)
-	for _, n := range []int{2, 8, 16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			idx, err := NewIndex(objs, &Config{SampleSize: n})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var accesses int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := idx.AKNN(q, bench.DefaultK, bench.DefaultAlpha, LBLPUB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += int64(st.ObjectAccesses)
-			}
-			b.ReportMetric(float64(accesses)/float64(b.N), "objacc/op")
-		})
-	}
-}
-
 func BenchmarkAblationStorage(b *testing.B) {
 	objs := ablationObjects(b)
 	q := ablationQuery(b)
@@ -137,38 +113,6 @@ func BenchmarkAblationStorage(b *testing.B) {
 		defer idx.Close()
 		run(b, idx)
 	})
-}
-
-func BenchmarkAblationBoundaryEstimator(b *testing.B) {
-	objs := ablationObjects(b)
-	q := ablationQuery(b)
-	configs := []struct {
-		name string
-		cfg  *Config
-	}{
-		{"linear", nil},
-		{"staircase-4", &Config{StaircaseSteps: 4}},
-		{"staircase-16", &Config{StaircaseSteps: 16}},
-		{"staircase-64", &Config{StaircaseSteps: 64}},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			idx, err := NewIndex(objs, c.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var accesses int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := idx.AKNN(q, bench.DefaultK, 0.7, LB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += int64(st.ObjectAccesses)
-			}
-			b.ReportMetric(float64(accesses)/float64(b.N), "objacc/op")
-		})
-	}
 }
 
 func BenchmarkAblationIndexBuild(b *testing.B) {

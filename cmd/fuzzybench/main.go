@@ -1,12 +1,12 @@
 // Command fuzzybench regenerates the paper's evaluation figures as text
-// tables. Each experiment id names one figure panel (fig11a … fig15b), the
-// §5 cost-model validation (sec5), or the sharding comparison (shards).
+// tables. Each experiment id names one figure panel (fig11a … fig15b) or the
+// §5 cost-model validation (sec5).
 //
 // Examples:
 //
 //	fuzzybench -list
 //	fuzzybench -experiment fig11a
-//	fuzzybench -experiment sec5,shards -json BENCH.json
+//	fuzzybench -experiment sec5,fig11a -json BENCH.json
 //	fuzzybench -experiment all -scale paper   # Table 2 scale; slow
 //
 // With -json, the tables are additionally written to the given path in the
@@ -40,7 +40,7 @@ func (n *noteList) Set(v string) error {
 func main() {
 	var notes noteList
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment ids (figNNx, sec5, shards) or 'all'")
+		experiment = flag.String("experiment", "all", "comma-separated experiment ids (figNNx, sec5) or 'all'")
 		scaleName  = flag.String("scale", "small", "workload scale: small | paper")
 		jsonPath   = flag.String("json", "", "also write results as machine-readable JSON to this path")
 		list       = flag.Bool("list", false, "list experiments and exit")

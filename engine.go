@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"fuzzyknn/internal/engine"
 )
@@ -48,32 +47,10 @@ var ErrOverloaded = engine.ErrOverloaded
 // EngineConfig.AdmissionWait is zero.
 const DefaultAdmissionWait = engine.DefaultAdmissionWait
 
-// EngineConfig tunes an Engine. The zero value (or nil) picks defaults.
-type EngineConfig struct {
-	// Parallelism is the number of queries executing at once
-	// (default: runtime.GOMAXPROCS(0)).
-	Parallelism int
-	// QueueDepth bounds accepted-but-not-running requests
-	// (default: 2×Parallelism).
-	QueueDepth int
-	// MaxWriteBatch caps how many queued Insert/Delete requests one group
-	// commit absorbs (default: 256). Larger groups amortize per-commit
-	// costs further; smaller ones bound the latency of the requests at the
-	// front of a busy write queue.
-	MaxWriteBatch int
-	// CheckpointEvery, when > 0, cuts a durable checkpoint (with log
-	// compaction) after every N committed write groups, bounding restart
-	// replay cost and log growth automatically. Only meaningful for
-	// log-backed indexes (OpenLogIndex); see Index.Checkpoint. Default: 0,
-	// never.
-	CheckpointEvery int
-	// AdmissionWait bounds how long a request may wait for queue space
-	// before the engine sheds it with ErrOverloaded, so a saturated engine
-	// answers with an explicit, retryable rejection instead of parking
-	// callers indefinitely. Zero selects DefaultAdmissionWait; negative
-	// waits without bound (the request context still applies).
-	AdmissionWait time.Duration
-}
+// EngineConfig tunes an Engine: worker count, queue depth, write-group size,
+// automatic checkpoints and the admission budget. The zero value (or nil)
+// picks defaults.
+type EngineConfig = engine.Options
 
 // Engine executes queries concurrently against one Index through a bounded
 // worker pool. It is safe for concurrent use; create with Index.NewEngine
@@ -86,13 +63,9 @@ type Engine struct {
 // against immutable index snapshots and writers serialize inside the index,
 // so any number of engines (and direct Index calls) can coexist.
 func (ix *Index) NewEngine(cfg *EngineConfig) *Engine {
-	var opts engine.Options
+	var opts EngineConfig
 	if cfg != nil {
-		opts.Parallelism = cfg.Parallelism
-		opts.QueueDepth = cfg.QueueDepth
-		opts.MaxWriteBatch = cfg.MaxWriteBatch
-		opts.CheckpointEvery = cfg.CheckpointEvery
-		opts.AdmissionWait = cfg.AdmissionWait
+		opts = *cfg
 	}
 	return &Engine{inner: engine.New(ix.inner, opts)}
 }

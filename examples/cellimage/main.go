@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx, err := fuzzyknn.NewIndex(cells, &fuzzyknn.Config{SampleSeed: 1})
+	idx, err := fuzzyknn.NewIndex(cells, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package fuzzyknn
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -183,5 +184,54 @@ func TestPublicReverseKNN(t *testing.T) {
 	}
 	if stats.Duration <= 0 {
 		t.Fatal("no duration")
+	}
+}
+
+// TestJoinsOnReplicationLeader: a join is a read, so it must answer the
+// same on an index that records its writes for followers — the recording
+// wrapper is not a tree, and the joins must be handed the trees beneath it.
+func TestJoinsOnReplicationLeader(t *testing.T) {
+	objsA, _ := smallDataset(t, 30, 31)
+	objsB, _ := smallDataset(t, 30, 32)
+	for _, shards := range []int{1, 2} {
+		cfg := &Config{Shards: shards}
+		left, err := NewIndex(objsA, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		right, err := NewIndex(objsB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type answer struct {
+			join, pairs []JoinPair
+		}
+		ask := func(l, r *Index) answer {
+			t.Helper()
+			join, _, err := DistanceJoin(l, r, 0.5, 2.0)
+			if err != nil {
+				t.Fatalf("%d shard(s): DistanceJoin: %v", shards, err)
+			}
+			pairs, _, err := KClosestPairs(l, r, 3, 0.5)
+			if err != nil {
+				t.Fatalf("%d shard(s): KClosestPairs: %v", shards, err)
+			}
+			if len(join) == 0 || len(pairs) != 3 {
+				t.Fatalf("%d shard(s): fixture too sparse: %d join pairs, %d closest pairs", shards, len(join), len(pairs))
+			}
+			return answer{join, pairs}
+		}
+		wantSelf, wantTwo := ask(left, left), ask(left, right)
+		for _, ix := range []*Index{left, right} {
+			if _, err := ix.EnableReplication(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := ask(left, left); !reflect.DeepEqual(got, wantSelf) {
+			t.Errorf("%d shard(s): self-join on a leader = %+v, want %+v", shards, got, wantSelf)
+		}
+		if got := ask(left, right); !reflect.DeepEqual(got, wantTwo) {
+			t.Errorf("%d shard(s): two-index join on leaders = %+v, want %+v", shards, got, wantTwo)
+		}
 	}
 }

@@ -230,25 +230,18 @@ func DistanceProfile(a, q *Object) *Profile {
 // Config tunes index construction. The zero value (or a nil pointer) picks
 // sensible defaults.
 type Config struct {
-	// NodeMin / NodeMax are R-tree node capacities (defaults 25/64).
+	// NodeMin / NodeMax are R-tree node capacities (defaults 25/64). Kept
+	// because the paged and sharded suites need multi-level trees over small
+	// fixtures and a page file's manifest records the pair.
 	NodeMin, NodeMax int
-	// SampleSize is the number of points sampled from the query's α-cut for
-	// the improved upper bound (default 16).
-	SampleSize int
-	// SampleSeed fixes the sampling for reproducible experiments.
-	SampleSeed uint64
 	// CacheSize, when positive, interposes an LRU object cache of that many
 	// objects between the index and storage. Accesses are still counted
 	// before the cache, preserving the paper's cost accounting.
 	CacheSize int
 	// Incremental builds the R-tree by repeated insertion instead of STR
-	// bulk loading.
+	// bulk loading. Kept as the equivalence suites' second tree shape: every
+	// answer is checked on both.
 	Incremental bool
-	// StaircaseSteps, when at least 2, replaces the paper's linear boundary
-	// approximation with a conservative staircase over that many membership
-	// levels (the future-work variant of §3.2): tighter bounds, more memory
-	// per object. Indexes built this way have no paged form (SavePaged).
-	StaircaseSteps int
 	// Shards, when at least 2, hash-partitions the objects across that many
 	// independent R-trees behind a coordinator that answers exactly — same
 	// results, byte for byte, as a single tree over the same objects (AKNN
@@ -285,8 +278,10 @@ func (c *Config) orDefault() Config {
 // independent R-trees behind the same API; see Config.Shards.
 type Index struct {
 	// inner is the one tree itself or the coordinator over the shards'
-	// trees; EnableReplication wraps it in the recording searcher.
+	// trees; EnableReplication wraps it in the recording searcher. forest
+	// stays the unwrapped value: a join is a read over the trees themselves.
 	inner       query.Searcher
+	forest      query.Searcher
 	shards      []shard      // in shard order; one entry for a single tree
 	lrus        []*store.LRU // object caches, one per distinct backing reader
 	closers     []io.Closer  // backing files and page files
@@ -322,14 +317,7 @@ func assemble(specs []shardSpec, files []io.Closer, c Config, pageCacheBytes int
 	opts := query.Options{
 		MinEntries:  c.NodeMin,
 		MaxEntries:  c.NodeMax,
-		SampleSize:  c.SampleSize,
-		SampleSeed:  c.SampleSeed,
 		Incremental: c.Incremental,
-	}
-	if steps := c.StaircaseSteps; steps >= 2 {
-		opts.Estimator = func(o *fuzzy.Object) fuzzy.MBREstimator {
-			return fuzzy.NewStaircaseApprox(o, steps)
-		}
 	}
 	caches := make(map[store.Reader]*store.LRU, n) // one entry per distinct backing reader
 	for _, sp := range specs {
@@ -366,7 +354,7 @@ func assemble(specs []shardSpec, files []io.Closer, c Config, pageCacheBytes int
 	if n == 1 {
 		// The bare tree, not a coordinator of one: lazy-probe AKNN answers
 		// stay unrefined exactly as the paper's single tree returns them.
-		ix.inner = trees[0]
+		ix.inner, ix.forest = trees[0], trees[0]
 		return ix, nil
 	}
 	sx, err := query.NewSharded(trees)
@@ -374,7 +362,7 @@ func assemble(specs []shardSpec, files []io.Closer, c Config, pageCacheBytes int
 		ix.Close()
 		return nil, fmt.Errorf("fuzzyknn: %w", err)
 	}
-	ix.inner = sx
+	ix.inner, ix.forest = sx, sx
 	return ix, nil
 }
 
@@ -666,13 +654,13 @@ type JoinPair = query.JoinPair
 // the paper names as future work (§8). Pass the same index twice for a
 // self-join; each unordered pair is then reported once.
 func DistanceJoin(left, right *Index, alpha, eps float64) ([]JoinPair, Stats, error) {
-	return query.DistanceJoin(left.inner, right.inner, alpha, eps)
+	return query.DistanceJoin(left.forest, right.forest, alpha, eps)
 }
 
 // KClosestPairs returns the k pairs with the smallest α-distances between
 // two indexes, ascending — the fuzzy k-closest-pairs query.
 func KClosestPairs(left, right *Index, k int, alpha float64) ([]JoinPair, Stats, error) {
-	return query.KClosestPairs(left.inner, right.inner, k, alpha)
+	return query.KClosestPairs(left.forest, right.forest, k, alpha)
 }
 
 // ReverseKNN returns every object that would count q among its own k

@@ -120,7 +120,7 @@ func TestPublicDiskIndexMatchesMemory(t *testing.T) {
 
 func TestPublicRKNNConsistency(t *testing.T) {
 	objs, q := smallDataset(t, 50, 3)
-	idx, err := NewIndex(objs, &Config{SampleSeed: 99})
+	idx, err := NewIndex(objs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

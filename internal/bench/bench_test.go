@@ -84,8 +84,8 @@ func TestLookup(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 18 {
-		t.Fatalf("expected 18 experiments (14 figure panels + §5 + shards + ingest + paged), got %d", len(seen))
+	if len(seen) != 15 {
+		t.Fatalf("expected 15 experiments (14 figure panels + §5), got %d", len(seen))
 	}
 }
 
@@ -113,37 +113,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Notes) != 1 {
 		t.Fatalf("notes = %v", back.Notes)
-	}
-}
-
-// TestShardsExperimentMicro runs the sharding comparison end to end on the
-// micro workload (shrunk via the experiment's own scale plumbing is not
-// possible, so run the measurement helpers directly over tiny indexes).
-func TestShardsExperimentMicro(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipped in -short mode")
-	}
-	ResetCache()
-	defer ResetCache()
-	e, err := Setup(tinyWorkload(dataset.Ideal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, acc, err := measureSerialAKNN(e.Index, e.QueryObj, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LBLPUB may answer tiny workloads with zero probes (pure bound
-	// admission), so only the latency must be positive.
-	if ms <= 0 || acc < 0 {
-		t.Fatalf("serial measurement: %v ms, %v accesses", ms, acc)
-	}
-	qps, err := measureBatchAKNN(e.Index, e.QueryObj, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qps <= 0 {
-		t.Fatalf("qps = %v", qps)
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 	"fuzzyknn/internal/query"
 )
 
-// Experiment regenerates one figure of the paper.
+// Experiment regenerates one figure of the paper. Questions about the
+// served system — shard fan-out, ingest, the paged index — are answered by
+// cmd/fuzzyload end to end and by the gated Go benchmarks in internal/query,
+// not here.
 type Experiment struct {
 	ID    string // e.g. "fig11a"
 	Title string
@@ -34,9 +37,6 @@ func Experiments() []Experiment {
 		{"fig15a", "Effect of dataset on AKNN — object access (Fig. 15a)", fig15a},
 		{"fig15b", "Effect of dataset on AKNN — running time (Fig. 15b)", fig15b},
 		{"sec5", "Cost model validation — measured vs. predicted accesses (§5)", sec5},
-		{"shards", "Sharded fan-out vs single tree — latency, accesses, throughput", shardsExp},
-		{"ingest", "Ingest throughput vs group-commit batch size — in-memory and log-backed", ingestExp},
-		{"paged", "Paged index vs cache budget — AKNN latency and block-cache hit ratio", pagedExp},
 	}
 }
 

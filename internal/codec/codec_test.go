@@ -45,8 +45,8 @@ func sameObject(t *testing.T, a, b *fuzzy.Object) {
 		t.Fatalf("levels changed: %v vs %v", a.Levels(), b.Levels())
 	}
 	for _, u := range a.Levels() {
-		if len(a.Cut(u)) != len(b.Cut(u)) || !a.MBR(u).Equal(b.MBR(u)) {
-			t.Fatalf("cut at level %v changed: %d points in %v vs %d in %v", u, len(a.Cut(u)), a.MBR(u), len(b.Cut(u)), b.MBR(u))
+		if a.CutSize(u) != b.CutSize(u) || !a.MBR(u).Equal(b.MBR(u)) {
+			t.Fatalf("cut at level %v changed: %d points in %v vs %d in %v", u, a.CutSize(u), a.MBR(u), b.CutSize(u), b.MBR(u))
 		}
 	}
 	if !a.Rep().Equal(b.Rep()) {

@@ -91,7 +91,7 @@ func TestObjectsWithinSpaceAndValid(t *testing.T) {
 			if o.Dims() != 2 {
 				t.Fatalf("%s: dims %d", kind, o.Dims())
 			}
-			if len(o.Kernel()) == 0 {
+			if o.CutSize(1) == 0 {
 				t.Fatalf("%s: empty kernel", kind)
 			}
 			if !bounds.ContainsRect(o.SupportMBR()) {
@@ -151,11 +151,12 @@ func TestIdealCutRadiusMatchesFormula(t *testing.T) {
 	p.PointsPerObject = 2000
 	objs, _ := Generate(p)
 	o := objs[0]
-	c := o.Kernel()[0] // genIdeal pins a kernel point at the exact center
+	c, _ := o.At(0) // genIdeal pins a kernel point at the exact center
 	for _, alpha := range []float64{0.2, 0.5, 0.8} {
 		want := RadiusAt(p.Radius, alpha)
 		maxR := 0.0
-		for _, pt := range o.Cut(alpha) {
+		for i := 0; i < o.CutSize(alpha); i++ {
+			pt, _ := o.At(i)
 			if d := geom.Dist(pt, c); d > maxR {
 				maxR = d
 			}
@@ -204,7 +205,7 @@ func TestGenerateQuery(t *testing.T) {
 	if pa.Equal(pc) {
 		t.Fatal("different query indices should differ")
 	}
-	if len(q1.Kernel()) == 0 {
+	if q1.CutSize(1) == 0 {
 		t.Fatal("query kernel empty")
 	}
 }

@@ -116,15 +116,11 @@ type armed struct {
 // path: Eval is a single atomic load returning (Spec{}, false).
 type Point struct {
 	name  string
-	fires atomic.Uint64
 	armed atomic.Pointer[armed]
 }
 
 // Name returns the point's registered name.
 func (p *Point) Name() string { return p.name }
-
-// Fires returns how many times the point has fired since registration.
-func (p *Point) Fires() uint64 { return p.fires.Load() }
 
 // Eval advances the point's call schedule and reports whether it fires on
 // this call. Disabled points cost one atomic load.
@@ -145,9 +141,6 @@ func (p *Point) Eval() (Spec, bool) {
 		fire = a.nextFloat() < s.Prob
 	default:
 		fire = true
-	}
-	if fire {
-		p.fires.Add(1)
 	}
 	return s, fire
 }
@@ -224,16 +217,6 @@ func Enable(name string, spec Spec) func() {
 	p := P(name)
 	p.arm(spec)
 	return func() { p.armed.Store(nil) }
-}
-
-// Disable disarms the named point (no-op if unknown).
-func Disable(name string) {
-	regMu.Lock()
-	p := points[name]
-	regMu.Unlock()
-	if p != nil {
-		p.armed.Store(nil)
-	}
 }
 
 // Reset disarms every registered point. Call from test cleanup when a

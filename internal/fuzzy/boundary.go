@@ -57,9 +57,12 @@ func (b *BoundaryApprox) EstimateMBR(alpha float64) geom.Rect {
 	return b.EstimateMBRInto(alpha, geom.Rect{})
 }
 
-// EstimateMBRInto implements MBREstimator: the estimate is written into
-// dst's corner slices when they have capacity, so per-visit estimates in
-// the search hot path reuse one scratch rectangle instead of allocating.
+// EstimateMBRInto is EstimateMBR writing into dst's corner slices when they
+// have capacity (allocating fresh ones otherwise) and returning the
+// resulting rectangle, append-style, so per-visit estimates in the search
+// hot path reuse one scratch rectangle instead of allocating. The result is
+// backed by dst or fresh memory, never by b's own storage, and is only
+// valid until the next call with the same dst.
 func (b *BoundaryApprox) EstimateMBRInto(alpha float64, dst geom.Rect) geom.Rect {
 	d := len(b.HiLine)
 	lo, hi := dst.Lo, dst.Hi

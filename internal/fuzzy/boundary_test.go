@@ -3,6 +3,8 @@ package fuzzy
 import (
 	"math/rand/v2"
 	"testing"
+
+	"fuzzyknn/internal/geom"
 )
 
 // TestEstimateMBREnclosesExact is the package's central safety property
@@ -73,5 +75,34 @@ func TestBoundaryApproxSingleLevelObject(t *testing.T) {
 		if !est.Equal(o.KernelMBR()) {
 			t.Fatalf("alpha %v: estimate %v, want kernel %v", alpha, est, o.KernelMBR())
 		}
+	}
+}
+
+// TestEstimateMBRIntoNeverAliasesEstimatorState pins the EstimateMBRInto
+// contract: the returned rectangle must be backed by dst (or fresh memory),
+// never by the summary's own storage — callers hold the result in pooled
+// scratch and later pass it back as a writable dst, so an aliasing return
+// would let one index's estimates corrupt another's shared rectangles.
+func TestEstimateMBRIntoNeverAliasesEstimatorState(t *testing.T) {
+	o := MustNew(1, []WeightedPoint{
+		{P: geom.Point{0, 0}, Mu: 1},
+		{P: geom.Point{2, 1}, Mu: 0.6},
+		{P: geom.Point{4, 3}, Mu: 0.3},
+	})
+	est := NewBoundaryApprox(o)
+	before := est.EstimateMBR(0.5).Clone()
+	var dst geom.Rect
+	dst = est.EstimateMBRInto(0.5, dst)
+	if !dst.Equal(before) {
+		t.Fatalf("EstimateMBRInto = %v, want %v", dst, before)
+	}
+	// Scribble over the returned rectangle as a reused scratch buffer
+	// would; the summary's own answer must be unaffected.
+	for i := range dst.Lo {
+		dst.Lo[i] = -1e9
+		dst.Hi[i] = 1e9
+	}
+	if after := est.EstimateMBR(0.5); !after.Equal(before) {
+		t.Fatalf("summary state mutated through EstimateMBRInto result: %v -> %v", before, after)
 	}
 }

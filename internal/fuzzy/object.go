@@ -247,24 +247,6 @@ func (o *Object) cutCoords(alpha float64) []float64 {
 // CutSize returns |A_α| without materializing the cut.
 func (o *Object) CutSize(alpha float64) int { return o.cutLen(alpha) }
 
-// Cut returns the α-cut A_α = {a : µ(a) ≥ α} in descending membership: the
-// support for α ≤ min level, empty for α > 1. It allocates the point slice
-// (the points themselves are views that must not be modified) and is a
-// convenience for tests and tools; evaluation code walks Coords by stride.
-func (o *Object) Cut(alpha float64) []geom.Point {
-	cut := make([]geom.Point, o.cutLen(alpha))
-	for i := range cut {
-		cut[i] = o.point(i)
-	}
-	return cut
-}
-
-// Support returns all points (µ > 0), allocating like Cut.
-func (o *Object) Support() []geom.Point { return o.Cut(0) }
-
-// Kernel returns the points with µ = 1, allocating like Cut.
-func (o *Object) Kernel() []geom.Point { return o.Cut(1) }
-
 // levelMBR returns the exact MBR of the cut at Levels()[i], viewing the
 // index's slab.
 func (o *Object) levelMBR(i int) geom.Rect {

@@ -181,13 +181,23 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(1, nil)
 }
 
+// cutOf materializes the α-cut A_α = {a : µ(a) ≥ α}, in descending
+// membership, through the accessors product code reads it by.
+func cutOf(o *Object, alpha float64) []geom.Point {
+	cut := make([]geom.Point, o.CutSize(alpha))
+	for i := range cut {
+		cut[i], _ = o.At(i)
+	}
+	return cut
+}
+
 func TestCutIsMembershipFilter(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 3))
 	for iter := 0; iter < 30; iter++ {
 		n := 1 + rng.IntN(100)
 		o := randObject(rng, uint64(iter), n, 2, 10)
 		for _, alpha := range []float64{0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
-			cut := o.Cut(alpha)
+			cut := cutOf(o, alpha)
 			want := 0
 			for i := 0; i < o.Len(); i++ {
 				if _, mu := o.At(i); mu >= alpha {
@@ -270,7 +280,7 @@ func TestMBRMatchesCut(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		o := randObject(rng, uint64(iter), 1+rng.IntN(80), 1+rng.IntN(3), 6)
 		for alpha := 0.05; alpha <= 1.0; alpha += 0.05 {
-			cut := o.Cut(alpha)
+			cut := cutOf(o, alpha)
 			got := o.MBR(alpha)
 			want := geom.BoundingRect(cut)
 			if !got.Equal(want) {
@@ -280,10 +290,10 @@ func TestMBRMatchesCut(t *testing.T) {
 		if !o.MBR(2).IsEmpty() {
 			t.Fatal("MBR above 1 should be empty")
 		}
-		if !o.SupportMBR().Equal(geom.BoundingRect(o.Support())) {
+		if !o.SupportMBR().Equal(geom.BoundingRect(cutOf(o, 0))) {
 			t.Fatal("SupportMBR mismatch")
 		}
-		if !o.KernelMBR().Equal(geom.BoundingRect(o.Kernel())) {
+		if !o.KernelMBR().Equal(geom.BoundingRect(cutOf(o, 1))) {
 			t.Fatal("KernelMBR mismatch")
 		}
 	}
@@ -451,7 +461,7 @@ func TestProfileBuildsNoIndex(t *testing.T) {
 func TestKernelAllOnes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 11))
 	o := randObject(rng, 3, 60, 2, 4)
-	for i, p := range o.Kernel() {
+	for i, p := range cutOf(o, 1) {
 		q, mu := o.At(i)
 		if mu != 1 || !p.Equal(q) {
 			t.Fatalf("kernel point %d has mu %v", i, mu)
@@ -468,7 +478,7 @@ func TestRepDeterministicAndInKernel(t *testing.T) {
 		t.Fatal("Rep not deterministic")
 	}
 	found := false
-	for _, p := range o.Kernel() {
+	for _, p := range cutOf(o, 1) {
 		if p.Equal(r1) {
 			found = true
 			break
@@ -492,7 +502,7 @@ func TestSampleCut(t *testing.T) {
 	if len(s) != 10 {
 		t.Fatalf("sample size = %d, want 10", len(s))
 	}
-	cut := o.Cut(0.3)
+	cut := cutOf(o, 0.3)
 	inCut := func(p geom.Point) bool {
 		for _, q := range cut {
 			if p.Equal(q) {

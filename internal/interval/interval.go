@@ -225,13 +225,6 @@ func (s *Set) Clear() { s.ivs = s.ivs[:0] }
 // without aliasing scratch-owned interval storage.
 func (s *Set) CopyFrom(o Set) { s.ivs = append(s.ivs[:0], o.ivs...) }
 
-// AddSet unions every interval of o into s.
-func (s *Set) AddSet(o Set) {
-	for _, iv := range o.ivs {
-		s.Add(iv)
-	}
-}
-
 // Intervals returns the canonical intervals in ascending order. The returned
 // slice must not be modified.
 func (s Set) Intervals() []Interval { return s.ivs }

@@ -279,18 +279,6 @@ func (t *Tree) within(q geom.Point, lo, hi, axis int, radiusSq float64, fn func(
 	return true
 }
 
-// CountWithin returns the number of points at distance ≤ radius from q,
-// stopping early once the count reaches limit (pass a negative limit to
-// count exhaustively).
-func (t *Tree) CountWithin(q geom.Point, radius float64, limit int) int {
-	count := 0
-	t.ForEachWithin(q, radius, func(int, float64) bool {
-		count++
-		return limit < 0 || count < limit
-	})
-	return count
-}
-
 // ClosestPair computes the bichromatic closest pair between the point sets
 // a and b (flat, dims coordinates apiece): indices (i, j) into a and b and
 // their Euclidean distance. It builds the tree over the smaller set and

@@ -169,8 +169,7 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 	}
 	if algo == LBLPUB {
 		// Q'_α: the fixed sample of the query's α-cut for Lemma 1 (§3.4).
-		opts := views[0].ix.opts
-		sc.samples, sc.sampleIdx = q.AppendSampleCut(sc.samples[:0], sc.sampleIdx, alpha, opts.SampleSize, opts.SampleSeed)
+		sc.samples, sc.sampleIdx = q.AppendSampleCut(sc.samples[:0], sc.sampleIdx, alpha, sampleSize, 0)
 		r.samples = sc.samples
 	}
 	sc.pq.reset()

@@ -308,7 +308,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	items := make([]*leafItem, len(inserts))
 	parallelFor(len(inserts), func(i int) {
 		o := inserts[i]
-		items[i] = &leafItem{id: o.ID(), approx: ix.estimator(o), rep: o.Rep()}
+		items[i] = &leafItem{id: o.ID(), approx: fuzzy.NewBoundaryApprox(o), rep: o.Rep()}
 	})
 	bulk := (*rtree.Tree)(nil)
 	if len(deletes) == 0 {

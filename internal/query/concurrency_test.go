@@ -127,7 +127,7 @@ type queryCase struct {
 func TestConcurrentLazyProbeVariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(402, 1))
 	objs := makeObjects(rng, 80, 12, 12, 8)
-	ix := buildIndex(t, objs, Options{SampleSize: 8, SampleSeed: 9})
+	ix := buildIndex(t, objs, Options{})
 	queries := make([]*fuzzy.Object, 8)
 	for i := range queries {
 		queries[i] = makeQuery(rng, 12, 12, 8)

@@ -139,41 +139,32 @@ func (s *Stats) Add(o Stats) {
 	s.Duration += o.Duration
 }
 
-// Options configures index construction.
+// Options configures index construction. Both knobs are kept for a caller
+// that needs a second value: the node capacities because the paged and
+// sharded suites need multi-level trees over small fixtures and the page
+// manifest records them, Incremental because the equivalence oracles
+// compare every answer on both tree shapes.
 type Options struct {
 	// MinEntries/MaxEntries are R-tree node capacities (0 = defaults).
 	MinEntries, MaxEntries int
-	// SampleSize is n, the number of points sampled from Q_α for the
-	// improved upper bound (§3.4). 0 selects the default of 16.
-	SampleSize int
-	// SampleSeed makes Q'_α sampling reproducible.
-	SampleSeed uint64
 	// Incremental builds the tree by repeated insertion instead of STR
 	// bulk loading (ablation option; bulk loading is the default).
 	Incremental bool
-	// Estimator constructs the per-object MBR estimator stored in leaf
-	// entries. Nil selects the paper's optimal conservative line
-	// (fuzzy.NewBoundaryApprox); fuzzy.NewStaircaseApprox realizes the
-	// paper's future-work idea of richer boundary approximations at more
-	// storage. Note the paged form (SavePaged) requires the default
-	// estimator.
-	Estimator func(*fuzzy.Object) fuzzy.MBREstimator
 }
 
-func (o Options) withDefaults() Options {
-	if o.SampleSize == 0 {
-		o.SampleSize = 16
-	}
-	return o
-}
+// sampleSize is n, the number of points sampled (with seed 0) from the
+// query's α-cut for the improved upper bound of §3.4. It is a constant
+// because it is inert: at the paper's density n ∈ {1, …, 128} moves LB-LP-UB
+// by at most 0.1 object accesses per query (docs/ARCHITECTURE.md, "Measured
+// and removed").
+const sampleSize = 16
 
 // leafItem is the per-object summary stored in R-tree leaf entries: exactly
 // the information §3 keeps in memory — the approximated boundary (support
-// MBR, kernel MBR, L_opt lines by default) and the representative kernel
-// point.
+// MBR, kernel MBR, L_opt lines) and the representative kernel point.
 type leafItem struct {
 	id     uint64
-	approx fuzzy.MBREstimator
+	approx *fuzzy.BoundaryApprox
 	rep    geom.Point
 }
 
@@ -191,9 +182,8 @@ type leafItem struct {
 // Stores retain deleted payloads (see store.Mutator), which keeps the
 // snapshot's probes resolvable even after the object was retired.
 type Index struct {
-	store     store.Reader
-	opts      Options
-	estimator func(*fuzzy.Object) fuzzy.MBREstimator
+	store store.Reader
+	opts  Options
 
 	// pageCache is the block cache serving the tree's pages when the index
 	// is paged (OpenPagedIndex); nil for fully in-memory indexes. Paged
@@ -243,17 +233,9 @@ func (s *snapshot) leafIDs(st *Stats) []uint64 {
 	return out
 }
 
-// resolveEstimator picks the leaf-summary estimator for opts.
-func resolveEstimator(opts Options) func(*fuzzy.Object) fuzzy.MBREstimator {
-	if opts.Estimator != nil {
-		return opts.Estimator
-	}
-	return func(o *fuzzy.Object) fuzzy.MBREstimator { return fuzzy.NewBoundaryApprox(o) }
-}
-
 // newIndex assembles an Index around a freshly built tree.
 func newIndex(tree *rtree.Tree, st store.Reader, opts Options) *Index {
-	ix := &Index{store: st, opts: opts, estimator: resolveEstimator(opts)}
+	ix := &Index{store: st, opts: opts}
 	ix.snap.Store(&snapshot{tree: tree, dims: st.Dims()})
 	return ix
 }
@@ -269,14 +251,12 @@ func Build(st store.Reader, opts Options) (*Index, error) {
 // hash-partitioned index is built over a store shared by all shards: each
 // shard keeps exactly the ids ShardOf assigns to it.
 //
-// Object decoding and summary computation (the boundary estimator and
+// Object decoding and summary computation (the boundary approximation and
 // representative point) dominate build time and are embarrassingly
 // parallel, so they run across GOMAXPROCS workers; the item order — and
 // therefore the resulting tree, whether STR bulk-loaded or incrementally
 // inserted — is identical to a serial build.
 func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Index, error) {
-	opts = opts.withDefaults()
-	estimator := resolveEstimator(opts)
 	var ids []uint64
 	for _, id := range st.IDs() {
 		if keep == nil || keep(id) {
@@ -293,7 +273,7 @@ func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Inde
 		}
 		li := &leafItem{
 			id:     ids[i],
-			approx: estimator(obj),
+			approx: fuzzy.NewBoundaryApprox(obj),
 			rep:    obj.Rep(),
 		}
 		items[i] = rtree.BulkItem{Rect: obj.SupportMBR(), Data: li}

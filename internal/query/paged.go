@@ -57,11 +57,9 @@ func pagePayloadSize(d, maxEntries int) int {
 }
 
 // SavePaged serializes the current snapshot's R-tree to a page file at path
-// (manifest at path+".manifest") via the temp+fsync+rename discipline. It
-// requires the default boundary estimator — only the paper's linear
-// approximation has a persistent form. The saved tree keeps
-// the snapshot's exact shape, so OpenPagedIndex serves byte-identical
-// answers with identical node-access counts.
+// (manifest at path+".manifest") via the temp+fsync+rename discipline. The
+// saved tree keeps the snapshot's exact shape, so OpenPagedIndex serves
+// byte-identical answers with identical node-access counts.
 func (ix *Index) SavePaged(path string) error {
 	s := ix.read()
 	d := s.dims
@@ -118,11 +116,7 @@ func (ix *Index) SavePaged(path string) error {
 			flags = pager.LeafPage
 			for _, e := range ents {
 				it := e.Data.(*leafItem)
-				ba, ok := it.approx.(*fuzzy.BoundaryApprox)
-				if !ok {
-					w.Abort()
-					return fmt.Errorf("query: save paged: object %d uses a non-persistable estimator %T", it.id, it.approx)
-				}
+				ba := it.approx
 				payload = binary.LittleEndian.AppendUint64(payload, it.id)
 				appendRect(ba.Support)
 				appendRect(ba.Kernel)
@@ -254,12 +248,9 @@ var _ Searcher = (*PagedIndex)(nil)
 // must match the page file's dimensionality, and the manifest's object
 // count must equal expectObjects (pass -1 for st.Len() — a shard of a
 // partitioned index passes its partition's population instead, since the
-// store is shared). opts must use the default estimator — page files only
-// encode the paper's linear boundary approximation.
+// store is shared). The node capacities in opts give way to the ones the
+// manifest recorded.
 func OpenPagedIndex(st store.Reader, path string, cacheBytes int64, expectObjects int, opts Options) (*PagedIndex, error) {
-	if opts.Estimator != nil {
-		return nil, badArgf("query: open paged: custom estimators have no persistent form")
-	}
 	f, err := pager.Open(path)
 	if err != nil {
 		return nil, err
@@ -276,7 +267,6 @@ func OpenPagedIndex(st store.Reader, path string, cacheBytes int64, expectObject
 		f.Close()
 		return nil, fmt.Errorf("%w: %d indexed objects for %d expected", ErrPagedMismatch, m.Objects, expectObjects)
 	}
-	opts = opts.withDefaults()
 	opts.MinEntries, opts.MaxEntries = int(m.MinEntries), int(m.MaxEntries)
 
 	d := int(m.Dims)

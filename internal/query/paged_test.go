@@ -421,11 +421,6 @@ func TestPagedMismatchRejected(t *testing.T) {
 	if _, err := OpenPagedIndex(other, path, tinyCache, -1, Options{}); !errors.Is(err, ErrPagedMismatch) {
 		t.Fatalf("mismatched store: %v, want ErrPagedMismatch", err)
 	}
-	// Custom estimators have no persistent form.
-	opts := Options{Estimator: func(o *fuzzy.Object) fuzzy.MBREstimator { return fuzzy.NewStaircaseApprox(o, 4) }}
-	if _, err := OpenPagedIndex(pagedStoreOf(t, p), path, tinyCache, -1, opts); !errors.Is(err, ErrInvalidArgument) {
-		t.Fatalf("custom estimator: %v, want ErrInvalidArgument", err)
-	}
 }
 
 // TestPagedCorruptionFailsLoudly flips one payload byte in a non-root page:

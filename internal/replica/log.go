@@ -33,7 +33,6 @@ type Log struct {
 	notify chan struct{}
 
 	framesAppended atomic.Int64
-	bytesAppended  atomic.Int64
 }
 
 // NewLog builds a frame log for one leader incarnation. gen must be unique
@@ -84,9 +83,6 @@ func (l *Log) FramesRetained() int {
 // FramesAppended reports the lifetime appended-frame total.
 func (l *Log) FramesAppended() int64 { return l.framesAppended.Load() }
 
-// BytesAppended reports the lifetime encoded-frame byte total.
-func (l *Log) BytesAppended() int64 { return l.bytesAppended.Load() }
-
 // Append encodes one committed mutation group as the next frame, wakes
 // blocked readers, trims the window to the retention bounds, and returns
 // the assigned sequence. The caller must already have committed the group
@@ -108,7 +104,6 @@ func (l *Log) Append(inserts []*fuzzy.Object, deletes []uint64) uint64 {
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
 	l.framesAppended.Add(1)
-	l.bytesAppended.Add(int64(len(frame)))
 	return seq
 }
 

@@ -40,9 +40,6 @@ func NewFrame(leaf bool, entries []Entry) *Node {
 	return n
 }
 
-// Stub reports whether n is an unresolved page reference.
-func (n *Node) Stub() bool { return n.src != nil }
-
 // Source returns the node's page source (nil for in-memory nodes).
 func (n *Node) Source() NodeSource { return n.src }
 

@@ -24,10 +24,8 @@ type CacheStats = pager.CacheStats
 // binding the file generation, root page and object count, written with the
 // temp+fsync+rename discipline. A sharded index writes one page file per
 // shard ("<path>.shard<i>-of-<n>", like OpenLogIndex's logs), so it must be
-// reopened with the same shard count. Requires the default boundary
-// estimator: only the paper's linear approximation has a persistent form.
-// The page file pairs with the object store — serve both with
-// OpenPagedIndex.
+// reopened with the same shard count. The page file pairs with the object
+// store — serve both with OpenPagedIndex.
 func (ix *Index) SavePaged(path string) error {
 	n := len(ix.shards)
 	for i, sh := range ix.shards {

@@ -26,7 +26,6 @@ source scripts/ci_lib.sh
 BASE=http://127.0.0.1:18070
 LEADER=http://127.0.0.1:18071
 FOLLOWER=http://127.0.0.1:18072
-WORK="$(mktemp -d)"
 
 # Always rebuild (not build_fuzzyserve's build-once): this smoke arms
 # failpoints inside the binary, so a stale one silently tests nothing.

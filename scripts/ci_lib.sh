@@ -1,10 +1,14 @@
 # Shared helpers for the CI smoke scripts. Source this from a script that
 # runs with `set -euo pipefail`; it installs a single EXIT trap that kills
-# every server started through start_server, so scripts never leak
-# processes and never overwrite each other's traps.
+# every server started through start_server and removes the script's work
+# directory, so scripts never leak processes, never overwrite each other's
+# traps and never write into the checkout.
 
 FUZZYSERVE_BIN="${FUZZYSERVE_BIN:-/tmp/fuzzyserve}"
 SPAWNED_PIDS=()
+# WORK holds everything a smoke writes: server logs, stores, scraped pages.
+# It is removed after a passing run and kept, by name, after a failing one.
+WORK="$(mktemp -d)"
 
 # build_fuzzyserve builds the server binary once per job.
 build_fuzzyserve() {
@@ -24,13 +28,18 @@ start_server() {
   SPAWNED_PIDS+=("$LAST_SERVER_PID")
 }
 
-cleanup_servers() {
-  local pid
+cleanup() {
+  local status=$? pid
   for pid in ${SPAWNED_PIDS[@]+"${SPAWNED_PIDS[@]}"}; do
     kill "$pid" 2>/dev/null || true
   done
+  if [ "$status" -eq 0 ]; then
+    rm -rf "$WORK"
+  else
+    echo "smoke failed; its files are kept in $WORK" >&2
+  fi
 }
-trap cleanup_servers EXIT
+trap cleanup EXIT
 
 # wait_healthz <base-url> — polls /healthz until the server answers (15s cap).
 wait_healthz() {

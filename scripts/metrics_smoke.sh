@@ -20,17 +20,17 @@ curl -sf http://127.0.0.1:18080/range -d '{"query_id": 7, "alpha": 0.5, "radius"
 curl -sf http://127.0.0.1:18080/objects -d '{"object": {"id": 9001, "points": [{"p": [1, 2], "mu": 1.0}]}}' >/dev/null
 curl -sf http://127.0.0.1:18080/stats >/dev/null
 curl -sf 'http://127.0.0.1:18080/debug/pprof/goroutine?debug=1' >/dev/null
-curl -sf http://127.0.0.1:18080/metrics > metrics.txt
-echo '--- /metrics smoke page ---'; head -40 metrics.txt
-grep -q 'fuzzyknn_requests_total{kind="aknn"} 1' metrics.txt
-grep -q 'fuzzyknn_requests_total{kind="rknn"} 1' metrics.txt
-grep -q 'fuzzyknn_requests_total{kind="insert"} 1' metrics.txt
-grep -q 'fuzzyknn_request_duration_seconds_count{kind="aknn"} 1' metrics.txt
-grep -q 'fuzzyknn_engine_queue_depth{queue="query"}' metrics.txt
-grep -q 'fuzzyknn_engine_queue_capacity{queue="write"}' metrics.txt
-grep -q 'fuzzyknn_engine_write_batch_size_count 1' metrics.txt
-grep -q 'fuzzyknn_engine_overloaded_total 0' metrics.txt
-grep -q 'fuzzyknn_http_panics_total 0' metrics.txt
-grep -q 'fuzzyknn_index_objects 501' metrics.txt
-grep -q 'fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1' metrics.txt
+curl -sf http://127.0.0.1:18080/metrics > "$WORK/metrics.txt"
+echo '--- /metrics smoke page ---'; head -40 "$WORK/metrics.txt"
+grep -q 'fuzzyknn_requests_total{kind="aknn"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_requests_total{kind="rknn"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_requests_total{kind="insert"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_request_duration_seconds_count{kind="aknn"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_engine_queue_depth{queue="query"}' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_engine_queue_capacity{queue="write"}' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_engine_write_batch_size_count 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_engine_overloaded_total 0' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_http_panics_total 0' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_index_objects 501' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1' "$WORK/metrics.txt"
 echo 'metrics smoke OK'

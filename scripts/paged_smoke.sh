@@ -39,16 +39,16 @@ wait_healthz http://127.0.0.1:18081
 for i in $(seq 1 5); do
   curl -sf http://127.0.0.1:18081/aknn -d '{"query_id": 7, "k": 5, "alpha": 0.5}' >/dev/null
 done
-curl -sf http://127.0.0.1:18081/stats > stats.json
-grep -q '"page_cache"' stats.json
-curl -sf http://127.0.0.1:18081/metrics > paged-metrics.txt
-echo '--- paged /metrics cache series ---'; grep 'fuzzyknn_cache\|page_reads\|page_cache_hits' paged-metrics.txt
-grep -q 'fuzzyknn_cache_hits_total{cache="pages"}' paged-metrics.txt
-grep -q 'fuzzyknn_cache_misses_total{cache="pages"}' paged-metrics.txt
-grep -q 'fuzzyknn_cache_resident_bytes{cache="pages"}' paged-metrics.txt
-grep -q 'fuzzyknn_engine_page_reads_total' paged-metrics.txt
+curl -sf http://127.0.0.1:18081/stats > "$WORK/stats.json"
+grep -q '"page_cache"' "$WORK/stats.json"
+curl -sf http://127.0.0.1:18081/metrics > "$WORK/paged-metrics.txt"
+echo '--- paged /metrics cache series ---'; grep 'fuzzyknn_cache\|page_reads\|page_cache_hits' "$WORK/paged-metrics.txt"
+grep -q 'fuzzyknn_cache_hits_total{cache="pages"}' "$WORK/paged-metrics.txt"
+grep -q 'fuzzyknn_cache_misses_total{cache="pages"}' "$WORK/paged-metrics.txt"
+grep -q 'fuzzyknn_cache_resident_bytes{cache="pages"}' "$WORK/paged-metrics.txt"
+grep -q 'fuzzyknn_engine_page_reads_total' "$WORK/paged-metrics.txt"
 # Hits must be nonzero after repeated identical queries.
-hits="$(sed -n 's/^fuzzyknn_cache_hits_total{cache="pages"} //p' paged-metrics.txt)"
+hits="$(sed -n 's/^fuzzyknn_cache_hits_total{cache="pages"} //p' "$WORK/paged-metrics.txt")"
 test "$hits" -gt 0
 
 # Sharded phase. Every query family is one function over a forest of trees,

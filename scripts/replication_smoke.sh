@@ -15,7 +15,6 @@ source scripts/ci_lib.sh
 LEADER=http://127.0.0.1:18090
 FOL1=http://127.0.0.1:18091
 FOL2=http://127.0.0.1:18092
-WORK="$(mktemp -d)"
 
 build_fuzzyserve
 start_server "$WORK/leader.log" -log "$WORK/leader.fzl" -dims 2 -replication -addr 127.0.0.1:18090
