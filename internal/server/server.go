@@ -76,12 +76,19 @@
 // basic | lb | lb-lp | lb-lp-ub for AKNN (default lb-lp-ub) and
 // naive | basic | rss | rss-icr for RKNN (default rss-icr).
 //
+// A body is one JSON value — after it only whitespace may follow — with no
+// field the endpoint does not have. Bodies written the canonical way (these
+// lower-case keys, each once, plain numbers) are read by a scanner straight
+// into the object's storage (wirescan.go); every other body is read by
+// encoding/json, which alone decides what is accepted and words each 400.
+//
 // Each HTTP request becomes one engine request, so the engine's Parallelism
 // bounds concurrent query execution no matter how many connections are open,
 // and a client that disconnects cancels its queued query.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -294,7 +301,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // slow-request log. The endpoint label is the mux pattern (bounded
 // cardinality), never the raw path.
 func (s *Server) observe(r *http.Request, rec *statusRecorder, elapsed time.Duration) {
-	_, pattern := s.mux.Handler(r)
+	pattern := r.Pattern // what the mux matched
 	if pattern == "" {
 		pattern = "unmatched"
 	}
@@ -551,10 +558,12 @@ type ErrorResponse struct {
 
 func (s *Server) handleAKNN(w http.ResponseWriter, r *http.Request) {
 	var req AKNNRequest
-	if !decode(w, r, &req) {
+	scanned, ok := decodeBody(w, r, &req, wireFields{
+		object: "query", queryID: &req.QueryID, k: &req.K, alpha: &req.Alpha, algo: &req.Algo})
+	if !ok {
 		return
 	}
-	q, ok := s.resolveQuery(w, req.Query, req.QueryID)
+	q, ok := s.resolveQuery(w, inlineOf(scanned, req.Query), req.QueryID)
 	if !ok {
 		return
 	}
@@ -578,10 +587,13 @@ func (s *Server) handleAKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRKNN(w http.ResponseWriter, r *http.Request) {
 	var req RKNNRequest
-	if !decode(w, r, &req) {
+	scanned, ok := decodeBody(w, r, &req, wireFields{
+		object: "query", queryID: &req.QueryID, k: &req.K,
+		alphaStart: &req.AlphaStart, alphaEnd: &req.AlphaEnd, algo: &req.Algo})
+	if !ok {
 		return
 	}
-	q, ok := s.resolveQuery(w, req.Query, req.QueryID)
+	q, ok := s.resolveQuery(w, inlineOf(scanned, req.Query), req.QueryID)
 	if !ok {
 		return
 	}
@@ -612,10 +624,12 @@ func (s *Server) handleRKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req RangeRequest
-	if !decode(w, r, &req) {
+	scanned, ok := decodeBody(w, r, &req, wireFields{
+		object: "query", queryID: &req.QueryID, alpha: &req.Alpha, radius: &req.Radius})
+	if !ok {
 		return
 	}
-	q, ok := s.resolveQuery(w, req.Query, req.QueryID)
+	q, ok := s.resolveQuery(w, inlineOf(scanned, req.Query), req.QueryID)
 	if !ok {
 		return
 	}
@@ -637,24 +651,25 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if !decode(w, r, &req) {
+	scanned, ok := decodeBody(w, r, &req, wireFields{object: "object"})
+	if !ok {
 		return
 	}
-	if req.Object == nil {
-		writeError(w, http.StatusBadRequest, errors.New("missing object"))
+	in := inlineOf(scanned, req.Object)
+	if in == nil {
+		writeError(w, http.StatusBadRequest, errMissingObject)
 		return
 	}
-	obj, err := objectFromJSON(req.Object)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if in.err != nil {
+		writeError(w, http.StatusBadRequest, in.err)
 		return
 	}
-	resp := s.eng.Do(r.Context(), fuzzyknn.BatchRequest{Kind: fuzzyknn.BatchInsertKind, Obj: obj})
+	resp := s.eng.Do(r.Context(), fuzzyknn.BatchRequest{Kind: fuzzyknn.BatchInsertKind, Obj: in.obj})
 	if resp.Err != nil {
 		writeMutationError(w, resp.Err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, MutationResponse{ID: obj.ID(), Objects: s.ix.Len()})
+	writeJSON(w, http.StatusCreated, MutationResponse{ID: in.id, Objects: s.ix.Len()})
 }
 
 func (s *Server) handleBatchMutate(w http.ResponseWriter, r *http.Request) {
@@ -662,37 +677,34 @@ func (s *Server) handleBatchMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchMutateRequest
-	if !decode(w, r, &req) {
+	objs, ok := decodeBody(w, r, &req, wireFields{objects: true, deleteIDs: &req.DeleteIDs})
+	if !ok {
 		return
 	}
-	if len(req.Objects)+len(req.DeleteIDs) == 0 {
+	for _, oj := range req.Objects { // the ones encoding/json read
+		objs = append(objs, inlineFromJSON(oj))
+	}
+	if len(objs)+len(req.DeleteIDs) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty batch: give objects and/or delete_ids"))
 		return
 	}
-	out := BatchMutateResponse{Results: make([]BatchItemJSON, 0, len(req.Objects)+len(req.DeleteIDs))}
+	out := BatchMutateResponse{Results: make([]BatchItemJSON, 0, len(objs)+len(req.DeleteIDs))}
 
 	// Malformed objects get their per-item verdict locally; well-formed
 	// items are submitted together so the engine's write coalescer can land
 	// them as one group commit. reqs[k] answers out.Results[resultPos[k]].
 	var reqs []fuzzyknn.BatchRequest
 	var resultPos []int
-	for _, oj := range req.Objects {
-		item := BatchItemJSON{Op: "insert"}
-		if oj == nil {
-			item.Error = "missing object"
-			out.Results = append(out.Results, item)
-			continue
-		}
-		item.ID = oj.ID
-		obj, err := objectFromJSON(oj)
-		if err != nil {
-			item.Error = err.Error()
+	for _, in := range objs {
+		item := BatchItemJSON{Op: "insert", ID: in.id}
+		if in.err != nil {
+			item.Error = in.err.Error()
 			out.Results = append(out.Results, item)
 			continue
 		}
 		resultPos = append(resultPos, len(out.Results))
 		out.Results = append(out.Results, item)
-		reqs = append(reqs, fuzzyknn.BatchRequest{Kind: fuzzyknn.BatchInsertKind, Obj: obj})
+		reqs = append(reqs, fuzzyknn.BatchRequest{Kind: fuzzyknn.BatchInsertKind, Obj: in.obj})
 	}
 	for _, id := range req.DeleteIDs {
 		resultPos = append(resultPos, len(out.Results))
@@ -751,10 +763,14 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	compact := true
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
+	sc, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req CheckpointRequest
-	switch err := dec.Decode(&req); {
+	err := unmarshalStrict(sc.body.Bytes(), &req)
+	sc.release()
+	switch {
 	case err == nil:
 		if req.Compact != nil {
 			compact = *req.Compact
@@ -875,21 +891,38 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // process.
 const maxBodyBytes = 16 << 20
 
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// decode is the encoding/json path of decodeBody, and the definition of
+// what a request body may be: one JSON value of dst's shape with no unknown
+// field. On failure it has answered 400.
+func decode(w http.ResponseWriter, body []byte, dst any) bool {
+	if err := unmarshalStrict(body, dst); err != nil {
 		writeDecodeError(w, err)
 		return false
 	}
 	return true
 }
 
+// unmarshalStrict is json.Unmarshal refusing unknown fields: after the
+// value only whitespace may follow. An empty body is io.EOF.
+func unmarshalStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	for _, c := range body[dec.InputOffset():] {
+		if !isSpace(c) {
+			return fmt.Errorf("invalid character %q after top-level value", c)
+		}
+	}
+	return nil
+}
+
 // writeDecodeError distinguishes a body over the size cap (413 — the
 // client must shrink or split the request, retrying as-is cannot succeed)
-// from merely malformed JSON (400). MaxBytesReader surfaces the former as a
-// *http.MaxBytesError wrapped inside the json decoder's error, so unwrap
-// with errors.As rather than string matching.
+// from a malformed one (400). MaxBytesReader surfaces the former as a
+// *http.MaxBytesError, so unwrap with errors.As rather than string
+// matching.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -911,9 +944,9 @@ func objectFromJSON(obj *ObjectJSON) (*fuzzyknn.Object, error) {
 
 // resolveQuery materializes the query object from an inline definition or a
 // stored id. Exactly one of the two must be present.
-func (s *Server) resolveQuery(w http.ResponseWriter, obj *ObjectJSON, id *uint64) (*fuzzyknn.Object, bool) {
+func (s *Server) resolveQuery(w http.ResponseWriter, in *inlineObject, id *uint64) (*fuzzyknn.Object, bool) {
 	switch {
-	case obj != nil && id != nil:
+	case in != nil && id != nil:
 		writeError(w, http.StatusBadRequest, errors.New("give either query or query_id, not both"))
 		return nil, false
 	case id != nil:
@@ -927,13 +960,12 @@ func (s *Server) resolveQuery(w http.ResponseWriter, obj *ObjectJSON, id *uint64
 			return nil, false
 		}
 		return q, true
-	case obj != nil:
-		q, err := objectFromJSON(obj)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+	case in != nil:
+		if in.err != nil {
+			writeError(w, http.StatusBadRequest, in.err)
 			return nil, false
 		}
-		return q, true
+		return in.obj, true
 	default:
 		writeError(w, http.StatusBadRequest, errors.New("missing query or query_id"))
 		return nil, false

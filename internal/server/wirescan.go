@@ -1,0 +1,381 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"fuzzyknn"
+	"fuzzyknn/internal/fuzzy"
+)
+
+// The wire scanner reads the five object-carrying bodies — /aknn, /rknn,
+// /range, /objects, /objects:batch — straight into the slabs fuzzy.FromSlabs
+// keeps. It accepts one canonical grammar (the exact lower-case keys, each at
+// most once; JSON numbers; unescaped ASCII strings) and never reports a
+// syntax error: at the first byte outside that grammar it declines, and the
+// same bytes go to decode, so encoding/json stays the definition of which
+// bodies are accepted and of every 400's wording. What an accepted object is
+// worth is FromSlabs' verdict on both paths.
+
+// inlineObject is one inline object of a request after decoding: the built
+// object, or why it was refused (id is kept for reporting the refusal).
+type inlineObject struct {
+	id  uint64
+	obj *fuzzyknn.Object
+	err error
+}
+
+var errMissingObject = errors.New("missing object")
+
+// inlineFromJSON is inlineObject for the encoding/json path.
+func inlineFromJSON(oj *ObjectJSON) inlineObject {
+	if oj == nil {
+		return inlineObject{err: errMissingObject}
+	}
+	obj, err := objectFromJSON(oj)
+	return inlineObject{id: oj.ID, obj: obj, err: err}
+}
+
+// inlineOf is a request's one inline object, whichever path decoded it, or
+// nil if the body carried none.
+func inlineOf(scanned []inlineObject, oj *ObjectJSON) *inlineObject {
+	switch {
+	case len(scanned) > 0:
+		return &scanned[0]
+	case oj != nil:
+		in := inlineFromJSON(oj)
+		return &in
+	}
+	return nil
+}
+
+// wireFields says where each key of one endpoint's body goes. A nil (or
+// zero) target is a key the endpoint does not have; the scanner declines on
+// it and encoding/json words the refusal.
+type wireFields struct {
+	object    string    // the key of the body's one inline object: "query" or "object"
+	objects   bool      // "objects", a list of them
+	deleteIDs *[]uint64 // "delete_ids"
+	queryID   **uint64  // "query_id"
+	k         *int
+	algo      *string
+
+	alpha, alphaStart, alphaEnd, radius *float64
+}
+
+// maxPooledBytes bounds what a scanner may keep between requests: one
+// 16 MiB body must not pin 16 MiB for the life of the process.
+const maxPooledBytes = 1 << 20
+
+var scanners = sync.Pool{New: func() any { return new(wireScanner) }}
+
+type wireScanner struct {
+	body bytes.Buffer // the request body
+
+	b []byte // the bytes being scanned and the position in them
+	i int
+
+	// One object's points as they are read; copied out at their exact size,
+	// so a batch reuses the pair across its objects.
+	coords, mus []float64
+}
+
+// readBody reads the whole request body, capped at maxBodyBytes, into a
+// pooled scanner the caller releases. On failure it has answered: 413 over
+// the cap, 400 for a body that could not be read.
+func readBody(w http.ResponseWriter, r *http.Request) (*wireScanner, bool) {
+	sc := scanners.Get().(*wireScanner)
+	sc.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		sc.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead to spare before it sees EOF
+	}
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		sc.release()
+		writeDecodeError(w, err)
+		return nil, false
+	}
+	return sc, true
+}
+
+// release returns the scanner to the pool, without what it grew beyond
+// maxPooledBytes.
+func (sc *wireScanner) release() {
+	if sc.body.Cap()+8*(cap(sc.coords)+cap(sc.mus)) > maxPooledBytes {
+		*sc = wireScanner{}
+	}
+	sc.b = nil
+	scanners.Put(sc)
+}
+
+// decodeBody decodes the request body into *req — through f, whose targets
+// point into it — and returns the inline objects if the scanner read them;
+// those encoding/json read are in *req. On failure it has answered.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, req *T, f wireFields) ([]inlineObject, bool) {
+	sc, ok := readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	defer sc.release()
+	if objs, ok := sc.scan(sc.body.Bytes(), f); ok {
+		return objs, true
+	}
+	*req = *new(T) // drop what the scanner stored before it declined
+	return nil, decode(w, sc.body.Bytes(), req)
+}
+
+// scan reads b as one request body. accepted is false when b is outside the
+// scanner's grammar — which says nothing about whether it is valid.
+func (sc *wireScanner) scan(b []byte, f wireFields) (objs []inlineObject, accepted bool) {
+	sc.b, sc.i = b, 0
+	object := func() bool {
+		o, ok := sc.object()
+		objs = append(objs, o)
+		return ok
+	}
+	ok := sc.members(func(key []byte) bool {
+		switch {
+		case f.object != "" && string(key) == f.object:
+			f.object = ""
+			return object()
+		case f.objects && string(key) == "objects":
+			f.objects = false
+			return sc.list(object)
+		case f.deleteIDs != nil && string(key) == "delete_ids":
+			ids := take(&f.deleteIDs)
+			return sc.list(func() bool {
+				var id uint64
+				ok := sc.uint(&id)
+				*ids = append(*ids, id)
+				return ok
+			})
+		case f.queryID != nil && string(key) == "query_id":
+			id := new(uint64)
+			*take(&f.queryID) = id
+			return sc.uint(id)
+		case f.k != nil && string(key) == "k":
+			return sc.int(take(&f.k))
+		case f.algo != nil && string(key) == "algo":
+			return sc.str(take(&f.algo))
+		case f.alpha != nil && string(key) == "alpha":
+			return sc.float(take(&f.alpha))
+		case f.alphaStart != nil && string(key) == "alpha_start":
+			return sc.float(take(&f.alphaStart))
+		case f.alphaEnd != nil && string(key) == "alpha_end":
+			return sc.float(take(&f.alphaEnd))
+		case f.radius != nil && string(key) == "radius":
+			return sc.float(take(&f.radius))
+		}
+		return false
+	})
+	sc.skip()
+	return objs, ok && sc.i == len(b) // anything after the closing brace declines
+}
+
+// take gives up a target: it is cleared once its key is read, so a second
+// occurrence is a key the endpoint does not have.
+func take[T any](target **T) *T {
+	t := *target
+	*target = nil
+	return t
+}
+
+// object reads one {"id":…,"points":[{"p":[…],"mu":…},…]} and hands its
+// slabs to FromSlabs. Ragged or empty p, or no points key, declines.
+func (sc *wireScanner) object() (o inlineObject, ok bool) {
+	sc.coords, sc.mus = sc.coords[:0], sc.mus[:0]
+	dims, seenID, seenPoints := 0, false, false
+	ok = sc.members(func(key []byte) bool {
+		switch {
+		case !seenID && string(key) == "id":
+			seenID = true
+			return sc.uint(&o.id)
+		case !seenPoints && string(key) == "points":
+			seenPoints = true
+			return sc.list(func() bool { return sc.point(&dims) })
+		}
+		return false
+	})
+	if !ok || dims == 0 {
+		return o, false
+	}
+	cells := make([]float64, len(sc.coords)+len(sc.mus))
+	n := copy(cells, sc.coords)
+	copy(cells[n:], sc.mus)
+	o.obj, o.err = fuzzy.FromSlabs(o.id, dims, cells[:n:n], cells[n:])
+	return o, true
+}
+
+// point reads one {"p":[…],"mu":…} onto the scratch slabs. *dims is the
+// object's dimensionality, 0 before its first point.
+func (sc *wireScanner) point(dims *int) bool {
+	seenP, seenMu := false, false
+	ok := sc.members(func(key []byte) bool {
+		switch {
+		case !seenP && string(key) == "p":
+			seenP = true
+			from := len(sc.coords)
+			ok := sc.list(func() bool {
+				var c float64
+				ok := sc.float(&c)
+				sc.coords = append(sc.coords, c)
+				return ok
+			})
+			n := len(sc.coords) - from
+			if *dims == 0 {
+				*dims = n
+			}
+			return ok && n > 0 && n == *dims
+		case !seenMu && string(key) == "mu":
+			seenMu = true
+			var mu float64
+			ok := sc.float(&mu)
+			sc.mus = append(sc.mus, mu)
+			return ok
+		}
+		return false
+	})
+	return ok && seenP && seenMu
+}
+
+// seq reads open elem , elem … close — a list, or an object's members —
+// calling elem at the start of each element.
+func (sc *wireScanner) seq(open, close byte, elem func() bool) bool {
+	if !sc.eat(open) {
+		return false
+	}
+	for first := true; ; first = false {
+		if sc.eat(close) {
+			return true
+		}
+		if !first && !sc.eat(',') || !elem() {
+			return false
+		}
+	}
+}
+
+func (sc *wireScanner) list(elem func() bool) bool { return sc.seq('[', ']', elem) }
+
+// members reads {"key":value,…}, calling value with each key (nil if what
+// is there is not a key and its colon) to read what follows it.
+func (sc *wireScanner) members(value func(key []byte) bool) bool {
+	return sc.seq('{', '}', func() bool { return value(sc.key()) })
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+func (sc *wireScanner) skip() {
+	for sc.i < len(sc.b) && isSpace(sc.b[sc.i]) {
+		sc.i++
+	}
+}
+
+// eat consumes c if it is the next byte after any whitespace.
+func (sc *wireScanner) eat(c byte) bool {
+	sc.skip()
+	if sc.i < len(sc.b) && sc.b[sc.i] == c {
+		sc.i++
+		return true
+	}
+	return false
+}
+
+// key reads "name": and returns name's bytes, nil if that is not what
+// comes next. A name with an escape in it equals none of ours.
+func (sc *wireScanner) key() []byte {
+	if !sc.eat('"') {
+		return nil
+	}
+	end := bytes.IndexByte(sc.b[sc.i:], '"')
+	if end < 0 {
+		return nil
+	}
+	name := sc.b[sc.i : sc.i+end]
+	sc.i += end + 1
+	if !sc.eat(':') {
+		return nil
+	}
+	return name
+}
+
+// number returns the JSON number that comes next, nil if none does. JSON's
+// grammar is narrower than strconv's ("+1", "01", ".5", "1.", "0x1", "1_0"
+// and "Inf" are all out), so it is checked here.
+func (sc *wireScanner) number() []byte {
+	sc.skip()
+	b, i := sc.b, sc.i
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; !digits() {
+			return nil
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil
+		}
+	}
+	tok := b[sc.i:i]
+	sc.i = i
+	return tok
+}
+
+// float, uint and int parse the next number as encoding/json parses it for
+// a field of that type; one strconv refuses (1e999, -1 or 1.5 for an
+// integer, nothing at all) declines.
+func (sc *wireScanner) float(dst *float64) bool {
+	v, err := strconv.ParseFloat(string(sc.number()), 64)
+	*dst = v
+	return err == nil
+}
+
+func (sc *wireScanner) uint(dst *uint64) bool {
+	v, err := strconv.ParseUint(string(sc.number()), 10, 64)
+	*dst = v
+	return err == nil
+}
+
+func (sc *wireScanner) int(dst *int) bool {
+	v, err := strconv.ParseInt(string(sc.number()), 10, strconv.IntSize)
+	*dst = int(v)
+	return err == nil
+}
+
+// str reads a string of unescaped ASCII; escapes and other bytes are
+// encoding/json's to interpret.
+func (sc *wireScanner) str(dst *string) bool {
+	if !sc.eat('"') {
+		return false
+	}
+	for i := sc.i; i < len(sc.b); i++ {
+		switch c := sc.b[i]; {
+		case c == '"':
+			*dst = string(sc.b[sc.i:i])
+			sc.i = i + 1
+			return true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return false
+		}
+	}
+	return false
+}
