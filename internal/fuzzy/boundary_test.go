@@ -1,10 +1,13 @@
 package fuzzy
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/geom"
+	"fuzzyknn/internal/hull"
 )
 
 // TestEstimateMBREnclosesExact is the package's central safety property
@@ -74,6 +77,68 @@ func TestBoundaryApproxSingleLevelObject(t *testing.T) {
 		est := b.EstimateMBR(alpha)
 		if !est.Equal(o.KernelMBR()) {
 			t.Fatalf("alpha %v: estimate %v, want kernel %v", alpha, est, o.KernelMBR())
+		}
+	}
+}
+
+// TestFlatSummaryMatchesBoundaryApprox holds the flat summary the R-tree
+// leaves carry to the BoundaryApprox reference: the layout field for field,
+// and the three estimates bit for bit — at α = 1, on exact levels, just above
+// a level and between levels, against boxes that overlap, touch and lie far
+// from the object.
+func TestFlatSummaryMatchesBoundaryApprox(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for iter := 0; iter < 60; iter++ {
+		dims := 1 + rng.IntN(3)
+		o := randObject(rng, uint64(iter), 1+rng.IntN(120), dims, 16*(iter%2))
+		b := NewBoundaryApprox(o)
+		sum := AppendSummary(nil, o)
+		box := append(slices.Clone(o.SupportMBR().Lo), o.SupportMBR().Hi...)
+
+		var want []float64
+		want = append(want, b.Kernel.Lo...)
+		want = append(want, b.Kernel.Hi...)
+		for _, ls := range [][]hull.Line{b.HiLine, b.LoLine} {
+			for _, l := range ls {
+				want = append(want, l.M, l.T)
+			}
+		}
+		want = append(want, o.Rep()...)
+		if len(sum) != SummaryLen(dims) || !slices.Equal(sum, want) {
+			t.Fatalf("iter %d: flat summary %v, want %v", iter, sum, want)
+		}
+		if !SummaryRep(sum).Equal(o.Rep()) {
+			t.Fatalf("iter %d: SummaryRep %v, want %v", iter, SummaryRep(sum), o.Rep())
+		}
+
+		levels := o.Levels()
+		alphas := []float64{1, 0.5, 1e-9, levels[0], math.Nextafter(levels[0], 2),
+			levels[len(levels)/2], math.Nextafter(levels[len(levels)/2], 2)}
+		for _, alpha := range alphas {
+			ref := b.EstimateMBR(alpha)
+			if got := EstimateInto(box, sum, alpha, geom.Rect{}); !got.Equal(ref) {
+				t.Fatalf("iter %d α %v: EstimateInto %v, want %v", iter, alpha, got, ref)
+			}
+			for trial := 0; trial < 8; trial++ {
+				r := ref.Clone() // trial 0: the estimate itself
+				switch {
+				case trial == 1: // touching on one face
+					r = geom.RectFromPoint(ref.Hi)
+				case trial > 1: // overlapping or apart, at random
+					r = geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+					for i := range r.Lo {
+						r.Lo[i] = ref.Lo[i] + (rng.Float64()*6-3)*(1+ref.Hi[i]-ref.Lo[i])
+						r.Hi[i] = r.Lo[i] + rng.Float64()
+					}
+				}
+				if got, ref := EstimateMinDist(box, sum, alpha, r), geom.MinDist(ref, r); bits(got) != bits(ref) {
+					t.Fatalf("iter %d α %v: EstimateMinDist %v, want %v", iter, alpha, got, ref)
+				}
+				if got, ref := EstimateMaxDist(box, sum, alpha, r), geom.MaxDist(ref, r); bits(got) != bits(ref) {
+					t.Fatalf("iter %d α %v: EstimateMaxDist %v, want %v", iter, alpha, got, ref)
+				}
+			}
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (e *profileEval) Profile(a, q *Object) *Profile {
 // m points if that is below bestSq, and bestSq otherwise. box is the running
 // bounding box of those m points: a point whose squared distance to it is
 // already bestSq or more cannot lower the minimum and is not looked up at
-// all (kdtree.BeyondBound gives the floating-point argument). An empty
+// all (kdtree.Tree.ClosestSq gives the floating-point argument). An empty
 // prefix has the inverted infinite box, which gates every point.
 func closerSq(p geom.Point, tree *kdtree.PrefixTree, m int, box geom.Rect, bestSq float64) float64 {
 	if geom.MinDistPointSq(p, box) >= bestSq {

@@ -34,9 +34,10 @@ type DistEval struct {
 	alpha float64
 	tree  kdtree.Tree
 	qmbr  geom.Rect // M_Q(α), the box of the tree's points
+	gaps  []float64 // ClosestSq's per-point scratch
 	memo  map[uint64]float64
 
-	gated int // points dist skipped by the MBR gate (read by tests)
+	descents int // k-d tree descents dist ran (read by tests)
 }
 
 // Reset points the evaluator at a new (query, α) pair, rebuilding the
@@ -80,29 +81,22 @@ func (e *DistEval) Dist(o *Object) float64 {
 }
 
 // dist is the uncached evaluation: a bichromatic closest pair between o's
-// cut and the prebuilt query-cut tree. A point at least best away from the
-// query cut's MBR cannot improve best and never enters the tree (see
-// kdtree.BeyondBound for why that is exact); once the first few points fix
-// best, that is the whole far side of o.
+// cut and the prebuilt query-cut tree (kdtree.Tree.ClosestSq). The descent
+// from o's point nearest M_Q(α) fixes a tight minimum first; every point at
+// least that far from M_Q(α) — usually the whole far side of o — then never
+// enters the tree.
 func (e *DistEval) dist(o *Object) float64 {
 	cut := o.cutCoords(e.alpha)
 	if len(cut) == 0 || e.tree.Len() == 0 {
 		return math.Inf(1)
 	}
 	checkDims(o, e.q)
-	dims := o.dims
-	best := math.Inf(1)
-	for ; len(cut) > 0; cut = cut[dims:] {
-		p := geom.Point(cut[:dims])
-		if kdtree.BeyondBound(p, e.qmbr, best) {
-			e.gated++
-			continue
-		}
-		if _, d := e.tree.NearestWithin(p, best); d < best {
-			best = d
-		}
+	if n := len(cut) / o.dims; cap(e.gaps) < n {
+		e.gaps = make([]float64, n)
 	}
-	return best
+	_, _, dSq, descents := e.tree.ClosestSq(cut, e.qmbr, e.gaps)
+	e.descents += descents
+	return math.Sqrt(dSq)
 }
 
 // ProfileCache memoizes distance profiles (the staircase α ↦ d_α and hence

@@ -41,7 +41,7 @@ func sec61Neighbours(rng *rand.Rand, n int) (*Object, []*Object) {
 }
 
 // sameBits checks the three evaluations of d_α agree to the last bit: the
-// MBR gates in DistEval and kdtree.ClosestPairWithin may only skip work.
+// gate and the near-side seed of kdtree.Tree.ClosestSq may only skip work.
 func sameBits(t *testing.T, e *DistEval, a, q *Object, alpha float64) {
 	t.Helper()
 	e.Reset(q, alpha)
@@ -105,22 +105,78 @@ func TestDistEvalBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDistEvalGateSkips keeps the gate from rotting into a no-op: on the
-// pairs an AKNN actually evaluates, most points of the visited object lie
-// beyond the running minimum from the query's MBR and never enter the tree.
+// TestDistEvalGateSkips pins the descent count: on the pairs an AKNN
+// actually evaluates, most points of the visited object lie beyond the
+// running minimum from the query's MBR and never enter the tree. The bounds
+// fail for a loop that starts its minimum from the object's first points
+// instead of its near side (68% and 51% skipped).
 func TestDistEvalGateSkips(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 24))
-	q, objs := sec61Neighbours(rng, 200)
-	var e DistEval
-	e.Reset(q, 0.5)
-	points := 0
-	for _, o := range objs {
-		e.Dist(o)
-		points += o.CutSize(0.5)
+	for _, tc := range []struct{ alpha, want float64 }{{0.5, 0.8}, {0.9, 0.7}} {
+		rng := rand.New(rand.NewPCG(23, 24))
+		q, objs := sec61Neighbours(rng, 200)
+		var e DistEval
+		e.Reset(q, tc.alpha)
+		points := 0
+		for _, o := range objs {
+			e.Dist(o)
+			points += o.CutSize(tc.alpha)
+		}
+		skipped := points - e.descents
+		t.Logf("α = %v: %.1f descents per object, %d of %d points skipped", tc.alpha,
+			float64(e.descents)/float64(len(objs)), skipped, points)
+		if share := float64(skipped) / float64(points); share < tc.want {
+			t.Errorf("α = %v: gate skipped %d of %d points (%.1f%%), want ≥ %.0f%%",
+				tc.alpha, skipped, points, 100*share, 100*tc.want)
+		}
 	}
-	if share := float64(e.gated) / float64(points); share <= 0.5 {
-		t.Fatalf("gate skipped %d of %d points (%.0f%%), want > 50%%", e.gated, points, 100*share)
+}
+
+// FuzzDistEval holds the seeded closest pair to brute force on random
+// §6.1-shaped pairs: far apart, overlapping, touching (distance 0), with
+// duplicate points, and against a one-point object, at fixed α, at exact
+// levels of either side and just above one. The three evaluations must agree
+// to the bit: the near-side seed changes the sequence of running minima, and
+// a fixed table only samples it.
+func FuzzDistEval(f *testing.F) {
+	for shape := uint8(0); shape < 5; shape++ {
+		f.Add(uint64(shape), shape, uint8(40), uint8(90), uint8(7*shape))
 	}
+	f.Fuzz(func(t *testing.T, seed uint64, shape, na, nq, pick uint8) {
+		rng := rand.New(rand.NewPCG(seed, uint64(shape)))
+		a := sec61Object(rng, 1, 50, 50, 2+int(na)%127)
+		cx := 50 + rng.Float64() - 0.5 // overlapping
+		if shape%5 == 0 {
+			cx += 1 + 30*rng.Float64() // far apart
+		}
+		q := sec61Object(rng, 2, cx, 50, 2+int(nq)%127)
+		switch shape % 5 {
+		case 2: // touching: q gains one of a's points
+			p, mu := a.At(rng.IntN(a.Len()))
+			q = MustNew(2, append(q.WeightedPoints(), WeightedPoint{P: p.Clone(), Mu: mu}))
+		case 3: // duplicate points on both sides
+			dup := func(o *Object) *Object {
+				wps := o.WeightedPoints()
+				for i := 0; i < 1+len(wps)/4; i++ {
+					w := wps[rng.IntN(len(wps))]
+					wps = append(wps, WeightedPoint{P: w.P.Clone(), Mu: w.Mu})
+				}
+				return MustNew(o.ID(), wps)
+			}
+			a, q = dup(a), dup(q)
+		case 4: // a one-point object
+			q = MustNew(2, []WeightedPoint{{P: geom.Point{cx, 50 + rng.Float64()}, Mu: 1}})
+		}
+		la, lq := a.Levels(), q.Levels()
+		level := la[int(pick)%len(la)]
+		if pick%2 == 1 {
+			level = lq[int(pick)%len(lq)]
+		}
+		var e DistEval
+		for _, alpha := range []float64{1e-9, 0.05, 0.5, 0.95, 1, level, math.Nextafter(level, 2)} {
+			sameBits(t, &e, a, q, alpha)
+			sameBits(t, &e, q, a, alpha)
+		}
+	})
 }
 
 var distSink float64

@@ -296,9 +296,11 @@ func (o *Object) WeightedPoints() []WeightedPoint {
 
 // Rep returns the object's representative kernel point (§3.4): a
 // deterministic pseudo-random pick so that index rebuilds are reproducible.
-// It is a copy: index summaries keep it for as long as the object is
-// indexed, and a view would keep the whole coordinate slab alive with it.
-func (o *Object) Rep() geom.Point {
+// It is a copy: a view would keep the whole coordinate slab alive with it.
+func (o *Object) Rep() geom.Point { return o.point(o.repIndex()).Clone() }
+
+// repIndex returns the index of the representative point among the kernel's.
+func (o *Object) repIndex() int {
 	// SplitMix64 of the id selects the kernel index.
 	x := o.id + 0x9E3779B97F4A7C15
 	x ^= x >> 30
@@ -306,7 +308,7 @@ func (o *Object) Rep() geom.Point {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return o.point(int(x % uint64(o.cutLen(1)))).Clone()
+	return int(x % uint64(o.cutLen(1)))
 }
 
 // SampleCut returns up to n points pseudo-randomly sampled (without

@@ -50,8 +50,8 @@ func Dist(p, q Point) float64 { return math.Sqrt(DistSq(p, q)) }
 //
 // The float64 conversion rounds each square before it is added, so a
 // compiler with a fused multiply-add cannot round this sum differently from
-// MinDistPointSq's (see kdtree.BeyondBound, which relies on the two
-// agreeing).
+// MinDistPointSq's (the closest-pair gates in kdtree and fuzzy rely on the
+// two agreeing).
 func DistSq(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
@@ -114,19 +114,6 @@ func BoundingRect(pts []Point) Rect {
 	r := RectFromPoint(pts[0])
 	for _, p := range pts[1:] {
 		r.ExpandPoint(p)
-	}
-	return r
-}
-
-// BoundingRectFlat is BoundingRect over flat storage: point i is
-// coords[i*dims:(i+1)*dims]. It panics on an empty input.
-func BoundingRectFlat(coords []float64, dims int) Rect {
-	if len(coords) == 0 {
-		panic("geom: BoundingRect of empty point set")
-	}
-	r := RectFromPoint(coords[:dims])
-	for at := dims; at < len(coords); at += dims {
-		r.ExpandPoint(coords[at : at+dims])
 	}
 	return r
 }

@@ -8,10 +8,10 @@
 //
 // The tree is the computational workhorse behind α-distance evaluation: the
 // bichromatic closest pair (BCP) between two α-cuts is computed by building a
-// tree over one cut and running pruned nearest-neighbor queries for every
-// point of the other cut. A best-so-far bound makes repeated queries cheap,
-// and an optional cutoff allows early exit as soon as the pair distance is
-// known to beat a caller-supplied threshold.
+// tree over one cut and running pruned nearest-neighbor queries for the
+// points of the other cut (ClosestSq). The query nearest the tree's box goes
+// first, so the best-so-far bound that prunes every later query is tight
+// from the start.
 //
 // PrefixTree adds the query whole distance profiles need — the nearest
 // neighbour among the first m points of the input — as an annotation beside
@@ -160,6 +160,24 @@ func distSq(q geom.Point, p []float64) float64 {
 	return s
 }
 
+// gapSq is geom.MinDistPointSq(q, box) for the box with corners lo and hi,
+// of q's length, written so it inlines for the reason distSq is: the same
+// gaps, each square rounded before it is added, summed in the same order.
+func gapSq(q, lo, hi []float64) float64 {
+	var s float64
+	for k, c := range q {
+		var l float64
+		switch {
+		case c < lo[k]:
+			l = lo[k] - c
+		case c > hi[k]:
+			l = c - hi[k]
+		}
+		s += float64(l * l)
+	}
+	return s
+}
+
 // checkDims panics when q cannot be compared with the tree's points.
 func (t *Tree) checkDims(q geom.Point) {
 	if len(q) != t.dims {
@@ -183,16 +201,24 @@ func (t *Tree) NearestWithin(q geom.Point, bound float64) (int, float64) {
 		return -1, math.Inf(1)
 	}
 	t.checkDims(q)
-	bestIdx := -1
-	bestSq := bound * bound
+	boundSq := bound * bound
 	if math.IsInf(bound, 1) {
-		bestSq = math.Inf(1)
+		boundSq = math.Inf(1)
 	}
-	t.search(q, 0, len(t.idx), 0, &bestIdx, &bestSq)
-	if bestIdx < 0 {
+	i, dSq := t.nearestSq(q, boundSq)
+	if i < 0 {
 		return -1, math.Inf(1)
 	}
-	return bestIdx, math.Sqrt(bestSq)
+	return i, math.Sqrt(dSq)
+}
+
+// nearestSq is NearestWithin on squared distances, for a non-empty tree and
+// a q of the tree's dimensionality: the nearest point whose squared distance
+// is strictly below boundSq, or (-1, boundSq).
+func (t *Tree) nearestSq(q geom.Point, boundSq float64) (int, float64) {
+	bestIdx := -1
+	t.search(q, 0, len(t.idx), 0, &bestIdx, &boundSq)
+	return bestIdx, boundSq
 }
 
 func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *float64) {
@@ -223,18 +249,6 @@ func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *floa
 			t.search(q, lo, mid, next, bestIdx, bestSq)
 		}
 	}
-}
-
-// BeyondBound reports whether NearestWithin(q, bound) is certain to find
-// nothing in a tree whose points all lie inside box, letting closest-pair
-// loops skip the descent. The test is exact in floating point, not merely in
-// the reals: for every point t in box and every axis, |q[i]-t[i]| is at
-// least q's gap to the box on that axis, rounding is monotone, and
-// MinDistPointSq squares and sums the gaps in the order DistSq sums the
-// differences — so DistSq(q, t) ≥ MinDistPointSq(q, box) ≥ bound², and the
-// strict d < bound² that search demands fails for every t.
-func BeyondBound(q geom.Point, box geom.Rect, bound float64) bool {
-	return geom.MinDistPointSq(q, box) >= bound*bound
 }
 
 // ForEachWithin invokes fn(idx, dist) for every point whose distance to q
@@ -279,55 +293,81 @@ func (t *Tree) within(q geom.Point, lo, hi, axis int, radiusSq float64, fn func(
 	return true
 }
 
+// ClosestSq is the one bichromatic closest-pair loop, behind ClosestPair and
+// fuzzy.DistEval: between the tree's points, all of which lie inside box,
+// and the len(pts)/dims query points of pts (flat, the tree's dims apiece),
+// it returns the index i of the tree point (into the Build input), the index
+// j of the query point, their squared distance, and how many nearest-
+// neighbour descents it ran. gaps is scratch of at least one float per
+// query point. It returns (-1, -1, +Inf, 0) when either side is empty.
+//
+// It makes two passes. The first computes every query point's squared gap
+// to box into gaps and runs one unbounded descent from the point with the
+// smallest gap — the near side, where the closest pair usually is — so the
+// running minimum starts tight. The second skips every other point whose gap
+// is already at least the running minimum and descends, bounded by it, from
+// the rest. The skip is exact in floating point, not merely in the reals: for
+// every point t in box and every axis, |q[i]-t[i]| is at least q's gap to
+// the box on that axis, rounding is monotone, and gapSq squares and sums the
+// gaps in the order distSq sums the differences — so distSq(q, t) is
+// at least the gap, and the strict d < minimum that search demands fails for
+// every t. The minimum is carried squared and never passes through a square
+// root, so it is the minimum of the same per-pair squared distances a
+// brute-force scan rounds, bit for bit, whatever order the pairs are met in.
+func (t *Tree) ClosestSq(pts []float64, box geom.Rect, gaps []float64) (i, j int, dSq float64, descents int) {
+	if len(t.idx) == 0 || len(pts) == 0 {
+		return -1, -1, math.Inf(1), 0
+	}
+	dims := t.dims
+	if len(pts)%dims != 0 {
+		panic(fmt.Sprintf("kdtree: %d coordinates do not make points of %d dims", len(pts), dims))
+	}
+	gaps = gaps[:len(pts)/dims]
+	lo, hi := box.Lo[:dims], box.Hi[:dims]
+	j = 0
+	for k := range gaps {
+		gaps[k] = gapSq(pts[k*dims:][:dims], lo, hi)
+		if gaps[k] < gaps[j] {
+			j = k
+		}
+	}
+	i, dSq = t.nearestSq(pts[j*dims:][:dims], math.Inf(1))
+	descents = 1
+	for k, gap := range gaps {
+		if k == j || gap >= dSq {
+			continue
+		}
+		descents++
+		if ik, d := t.nearestSq(pts[k*dims:][:dims], dSq); ik >= 0 {
+			i, j, dSq = ik, k, d
+		}
+	}
+	return i, j, dSq, descents
+}
+
 // ClosestPair computes the bichromatic closest pair between the point sets
 // a and b (flat, dims coordinates apiece): indices (i, j) into a and b and
 // their Euclidean distance. It builds the tree over the smaller set and
 // queries with the larger. Returns (-1, -1, +Inf) if either set is empty.
 func ClosestPair(a, b []float64, dims int) (int, int, float64) {
-	return ClosestPairWithin(a, b, dims, math.Inf(-1))
-}
-
-// ClosestPairWithin is ClosestPair with an early-exit cutoff: as soon as the
-// best pair distance drops to cutoff or below, the scan stops and the current
-// best pair is returned. Pass -Inf for an exact answer. The returned distance
-// is exact for the returned pair either way; when it exceeds cutoff the pair
-// is the true closest pair.
-func ClosestPairWithin(a, b []float64, dims int, cutoff float64) (int, int, float64) {
 	if len(a) == 0 || len(b) == 0 {
 		return -1, -1, math.Inf(1)
 	}
-	swapped := false
-	if len(b) < len(a) {
-		a, b = b, a
-		swapped = true
-	}
-	tree := Build(a, dims)
-	box := geom.BoundingRectFlat(a, dims)
-	bestI, bestJ := -1, -1
-	best := math.Inf(1)
-	for j := 0; j*dims < len(b); j++ {
-		q := geom.Point(b[j*dims : (j+1)*dims])
-		if BeyondBound(q, box, best) {
-			continue
-		}
-		i, d := tree.NearestWithin(q, best)
-		if i >= 0 && d < best {
-			best = d
-			bestI, bestJ = i, j
-			if best <= cutoff {
-				break
-			}
-		}
-	}
-	if bestI < 0 {
-		// All queries were pruned by the initial bound; fall back to the
-		// overall nearest of the first query point so callers always get a
-		// valid pair for non-empty inputs.
-		i, d := tree.Nearest(b[:dims])
-		bestI, bestJ, best = i, 0, d
-	}
+	swapped := len(b) < len(a)
 	if swapped {
-		bestI, bestJ = bestJ, bestI
+		a, b = b, a
 	}
-	return bestI, bestJ, best
+	// One allocation holds the tree side's bounding box and the gaps.
+	scratch := make([]float64, 2*dims+len(b)/dims)
+	box := geom.Rect{Lo: scratch[:dims], Hi: scratch[dims : 2*dims]}
+	copy(box.Lo, a[:dims])
+	copy(box.Hi, a[:dims])
+	for at := dims; at < len(a); at += dims {
+		box.ExpandPoint(a[at : at+dims])
+	}
+	i, j, dSq, _ := Build(a, dims).ClosestSq(b, box, scratch[2*dims:])
+	if swapped {
+		i, j = j, i
+	}
+	return i, j, math.Sqrt(dSq)
 }

@@ -152,18 +152,35 @@ func TestClosestPairEmpty(t *testing.T) {
 	}
 }
 
-func TestClosestPairWithinCutoff(t *testing.T) {
+// TestClosestPairIndicesMatchBrute checks ClosestPair against brute force to
+// the bit, indices included, on inputs whose closest pair is unique — the far
+// side listed first, so the near-side seed is not the first query point —
+// and, under duplicates, that the returned pair is one at the minimum.
+func TestClosestPairIndicesMatchBrute(t *testing.T) {
 	a := []geom.Point{{0, 0}}
 	b := []geom.Point{{0, 3}, {0, 2}, {0, 1}}
-	// With a large cutoff the scan stops at the first pair below it.
-	i, j, d := ClosestPairWithin(flat(a), flat(b), 2, 10)
-	if i != 0 || j != 0 || math.Abs(d-3) > 1e-12 {
-		t.Errorf("cutoff early-exit = (%d, %d, %v), want (0, 0, 3)", i, j, d)
+	if i, j, d := ClosestPair(flat(a), flat(b), 2); i != 0 || j != 2 || d != 1 {
+		t.Errorf("ClosestPair = (%d, %d, %v), want (0, 2, 1)", i, j, d)
 	}
-	// With -Inf cutoff the exact pair is found.
-	_, j, d = ClosestPairWithin(flat(a), flat(b), 2, math.Inf(-1))
-	if j != 2 || math.Abs(d-1) > 1e-12 {
-		t.Errorf("exact = (j=%d, %v), want (2, 1)", j, d)
+	rng := rand.New(rand.NewPCG(3, 3))
+	for iter := 0; iter < 200; iter++ {
+		d := 1 + rng.IntN(3)
+		a := randPoints(rng, 1+rng.IntN(40), d)
+		b := randPoints(rng, 1+rng.IntN(40), d)
+		if iter%4 == 0 { // a shared point: distance 0, possibly at several pairs
+			b[rng.IntN(len(b))] = a[rng.IntN(len(a))].Clone()
+		}
+		gi, gj, gd := ClosestPair(flat(a), flat(b), d)
+		wi, wj, wd := bruteClosestPair(a, b)
+		if math.Float64bits(gd) != math.Float64bits(wd) {
+			t.Fatalf("iter %d: dist %v, brute %v", iter, gd, wd)
+		}
+		if got := geom.Dist(a[gi], b[gj]); math.Float64bits(got) != math.Float64bits(wd) {
+			t.Fatalf("iter %d: pair (%d, %d) is %v apart, brute (%d, %d) %v", iter, gi, gj, got, wi, wj, wd)
+		}
+		if iter%4 != 0 && (gi != wi || gj != wj) {
+			t.Fatalf("iter %d: pair (%d, %d), brute (%d, %d)", iter, gi, gj, wi, wj)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64,
 // entry with its distance bounds.
 type gEntry struct {
 	lower, upper float64
-	item         *leafItem
+	id           uint64
 	tree         int32 // as pqItem.tree
 }
 
@@ -197,8 +197,8 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 // probe reads one object from the store of the tree its leaf entry came
 // from and evaluates its exact α-distance, charging the access and the
 // evaluation to the run's stats.
-func (r *aknnRun) probe(it *leafItem, tree int32) (float64, error) {
-	obj, err := r.views[tree].ix.getObject(it.id, r.st)
+func (r *aknnRun) probe(id uint64, tree int32) (float64, error) {
+	obj, err := r.views[tree].ix.getObject(id, r.st)
 	if err != nil {
 		return 0, err
 	}
@@ -209,7 +209,7 @@ func (r *aknnRun) probe(it *leafItem, tree int32) (float64, error) {
 	} else {
 		d = r.sc.dist.Dist(obj)
 	}
-	r.probed[it.id] = obj
+	r.probed[id] = obj
 	return d, nil
 }
 
@@ -220,14 +220,15 @@ func (r *aknnRun) lookupProfile(obj *fuzzy.Object) (*fuzzy.Profile, bool) {
 	return r.profiles.Lookup(obj, r.q)
 }
 
-// upper evaluates the §3.4 upper bound of a leaf entry: MaxDist of the
+// upper evaluates the §3.4 upper bound of leaf n's entry i: MaxDist of the
 // estimated cut MBR, improved by the representative-point distances to the
 // sampled query cut (Lemma 1).
-func (r *aknnRun) upper(it *leafItem) float64 {
-	r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
-	u := geom.MaxDist(r.sc.est, r.mq)
+func (r *aknnRun) upper(n *rtree.Node, i int) float64 {
+	box, sum := n.EntrySummary(i)
+	u := fuzzy.EstimateMaxDist(box, sum, r.alpha, r.mq)
+	rep := fuzzy.SummaryRep(sum)
 	for _, s := range r.samples {
-		if d := geom.Dist(it.rep, s); d < u {
+		if d := geom.Dist(rep, s); d < u {
 			u = d
 		}
 	}
@@ -241,7 +242,7 @@ func (r *aknnRun) bufferMin() int {
 	j := 0
 	for i := 1; i < len(r.buffer); i++ {
 		if r.buffer[i].lower < r.buffer[j].lower ||
-			(r.buffer[i].lower == r.buffer[j].lower && r.buffer[i].item.id < r.buffer[j].item.id) {
+			(r.buffer[i].lower == r.buffer[j].lower && r.buffer[i].id < r.buffer[j].id) {
 			j = i
 		}
 	}
@@ -254,11 +255,11 @@ func (r *aknnRun) probeBufferMin() error {
 	j := r.bufferMin()
 	g := r.buffer[j]
 	r.buffer = append(r.buffer[:j], r.buffer[j+1:]...)
-	d, err := r.probe(g.item, g.tree)
+	d, err := r.probe(g.id, g.tree)
 	if err != nil {
 		return err
 	}
-	r.sc.pq.Push(pqItem{key: d, kind: kindObject, id: g.item.id, dist: d})
+	r.sc.pq.Push(pqItem{key: d, kind: kindObject, id: g.id, dist: d})
 	return nil
 }
 
@@ -295,7 +296,7 @@ func (r *aknnRun) run() error {
 				if r.buffer[i].upper < hKey {
 					g := r.buffer[i]
 					r.results = append(r.results, Result{
-						ID: g.item.id, Dist: g.lower, Exact: false, Lower: g.lower, Upper: g.upper,
+						ID: g.id, Dist: g.lower, Exact: false, Lower: g.lower, Upper: g.upper,
 					})
 					r.buffer = append(r.buffer[:i], r.buffer[i+1:]...)
 					progressed = true
@@ -323,11 +324,11 @@ func (r *aknnRun) run() error {
 			if j := r.bufferMin(); r.buffer[j].lower <= hKey {
 				g := r.buffer[j]
 				r.buffer = append(r.buffer[:j], r.buffer[j+1:]...)
-				d, err := r.probe(g.item, g.tree)
+				d, err := r.probe(g.id, g.tree)
 				if err != nil {
 					return err
 				}
-				h.Push(pqItem{key: d, kind: kindObject, id: g.item.id, dist: d})
+				h.Push(pqItem{key: d, kind: kindObject, id: g.id, dist: d})
 				continue
 			}
 		}
@@ -350,14 +351,14 @@ func (r *aknnRun) run() error {
 
 		case kindLeaf:
 			if !r.lazy {
-				d, err := r.probe(e.item, e.tree)
+				d, err := r.probe(e.id, e.tree)
 				if err != nil {
 					return err
 				}
-				h.Push(pqItem{key: d, kind: kindObject, id: e.item.id, dist: d})
+				h.Push(pqItem{key: d, kind: kindObject, id: e.id, dist: d})
 				continue
 			}
-			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.item), item: e.item, tree: e.tree})
+			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.node, e.ent), id: e.id, tree: e.tree})
 			if err := r.enforceInvariant(); err != nil {
 				return err
 			}
@@ -371,22 +372,21 @@ func (r *aknnRun) run() error {
 }
 
 // expand pushes a node's children, tagged with the tree they belong to,
-// scanning lower bounds off the node's flattened rectangle layout (one
-// contiguous pass, no per-entry pointer chasing). Leaf entries of the LB
-// variants take the tighter §3.2 conservative boundary MBR instead.
+// scanning lower bounds off the node's flattened layouts (one contiguous
+// pass, no per-entry pointer chasing). Leaf entries of the LB variants take
+// the tighter §3.2 bound, computed from the summaries in the same slab.
 func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 	ents := n.Entries()
 	if n.Leaf() {
 		for i := range ents {
-			it := ents[i].Data.(*leafItem)
 			var key float64
 			if r.tightLB {
-				r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
-				key = geom.MinDist(r.sc.est, r.mq)
+				box, sum := n.EntrySummary(i)
+				key = fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq)
 			} else {
 				key = n.EntryMinDist(i, r.mq)
 			}
-			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: it.id, item: it})
+			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: ents[i].Data.(*leafItem).id, node: n, ent: i})
 		}
 		return
 	}
@@ -623,12 +623,10 @@ func (r *rangeRun) visit(n *rtree.Node) error {
 	ents := n.Entries()
 	for i := range ents {
 		if n.Leaf() {
-			it := ents[i].Data.(*leafItem)
-			r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
-			if geom.MinDist(r.sc.est, r.mq) > r.radius {
+			if box, sum := n.EntrySummary(i); fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq) > r.radius {
 				continue
 			}
-			obj, err := r.ix.getObject(it.id, st)
+			obj, err := r.ix.getObject(ents[i].Data.(*leafItem).id, st)
 			if err != nil {
 				return err
 			}

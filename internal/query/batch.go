@@ -307,8 +307,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	// so compute them across GOMAXPROCS workers before the tree work.
 	items := make([]*leafItem, len(inserts))
 	parallelFor(len(inserts), func(i int) {
-		o := inserts[i]
-		items[i] = &leafItem{id: o.ID(), approx: fuzzy.NewBoundaryApprox(o), rep: o.Rep()}
+		items[i] = newLeafItem(inserts[i])
 	})
 	bulk := (*rtree.Tree)(nil)
 	if len(deletes) == 0 {

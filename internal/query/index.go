@@ -159,13 +159,24 @@ type Options struct {
 // and removed").
 const sampleSize = 16
 
-// leafItem is the per-object summary stored in R-tree leaf entries: exactly
-// the information §3 keeps in memory — the approximated boundary (support
-// MBR, kernel MBR, L_opt lines) and the representative kernel point.
+// leafItem is the payload of an R-tree leaf entry: the object's id and
+// exactly the information §3 keeps in memory — the approximated boundary
+// (kernel MBR and L_opt lines; the support MBR is the entry's rectangle) and
+// the representative kernel point — as one flat summary
+// (fuzzy.AppendSummary). The leaf lays the summary out in its packed slab
+// (rtree.Summarized), and every search reads it there.
 type leafItem struct {
-	id     uint64
-	approx *fuzzy.BoundaryApprox
-	rep    geom.Point
+	id  uint64
+	sum []float64
+}
+
+// Summary implements rtree.Summarized.
+func (it *leafItem) Summary() []float64 { return it.sum }
+
+// newLeafItem summarises o.
+func newLeafItem(o *fuzzy.Object) *leafItem {
+	sum := make([]float64, 0, fuzzy.SummaryLen(o.Dims()))
+	return &leafItem{id: o.ID(), sum: fuzzy.AppendSummary(sum, o)}
 }
 
 // Index is a search index over a fuzzy object store. It is mutable:
@@ -271,12 +282,7 @@ func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Inde
 			errs[i] = err
 			return
 		}
-		li := &leafItem{
-			id:     ids[i],
-			approx: fuzzy.NewBoundaryApprox(obj),
-			rep:    obj.Rep(),
-		}
-		items[i] = rtree.BulkItem{Rect: obj.SupportMBR(), Data: li}
+		items[i] = rtree.BulkItem{Rect: obj.SupportMBR(), Data: newLeafItem(obj)}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -184,15 +184,15 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 	if left != right {
 		rightObjs = make(map[uint64]*fuzzy.Object)
 	}
-	probe := func(ix *Index, cache map[uint64]*fuzzy.Object, it *leafItem) (*fuzzy.Object, error) {
-		if o, ok := cache[it.id]; ok {
+	probe := func(ix *Index, cache map[uint64]*fuzzy.Object, id uint64) (*fuzzy.Object, error) {
+		if o, ok := cache[id]; ok {
 			return o, nil
 		}
-		o, err := ix.getObject(it.id, &st)
+		o, err := ix.getObject(id, &st)
 		if err != nil {
 			return nil, err
 		}
-		cache[it.id] = o
+		cache[id] = o
 		return o, nil
 	}
 
@@ -229,19 +229,19 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 				}
 			}
 		default:
-			for _, ea := range a.Entries() {
-				ia := ea.Data.(*leafItem)
-				// ra stays live across the inner loop; rb (estB) is consumed
-				// immediately — two distinct scratch slots.
-				sc.est = ia.approx.EstimateMBRInto(alpha, sc.est)
-				ra := sc.est
-				for _, eb := range b.Entries() {
-					ib := eb.Data.(*leafItem)
-					if selfPair && ia.id >= ib.id {
+			for i, ea := range a.Entries() {
+				ia := ea.Data.(*leafItem).id
+				// a's estimate stays live across the inner loop; b's bound is
+				// read off b's slab against it. MinDist is symmetric, so this
+				// is MinDist(M_a(α)*, M_b(α)*) to the bit.
+				boxA, sumA := a.EntrySummary(i)
+				sc.est = fuzzy.EstimateInto(boxA, sumA, alpha, sc.est)
+				for j, eb := range b.Entries() {
+					ib := eb.Data.(*leafItem).id
+					if selfPair && ia >= ib {
 						continue // each unordered pair once; no self-pairs
 					}
-					sc.estB = ib.approx.EstimateMBRInto(alpha, sc.estB)
-					if geom.MinDist(ra, sc.estB) > eps {
+					if box, sum := b.EntrySummary(j); fuzzy.EstimateMinDist(box, sum, alpha, sc.est) > eps {
 						continue
 					}
 					oa, err := probe(left, leftObjs, ia)
@@ -257,7 +257,7 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 						sc.dist.Reset(oa, alpha)
 					}
 					if d := sc.dist.Dist(ob); d <= eps {
-						out = append(out, JoinPair{LeftID: ia.id, RightID: ib.id, Dist: d})
+						out = append(out, JoinPair{LeftID: ia, RightID: ib, Dist: d})
 					}
 				}
 			}
@@ -326,7 +326,7 @@ func shardTrees(s Searcher) ([]*Index, error) {
 // either an interior node or a leaf item, or a fully evaluated object pair.
 type pairSide struct {
 	node *rtree.Node // non-nil for interior sides
-	item *leafItem   // non-nil for leaf sides
+	id   uint64      // the object of a leaf side
 	rect geom.Rect
 }
 
@@ -351,10 +351,10 @@ func (a pairItem) lessThan(b pairItem) bool {
 		return !a.exact
 	}
 	if a.exact {
-		if l, r := a.a.item.id, b.a.item.id; l != r {
+		if l, r := a.a.id, b.a.id; l != r {
 			return l < r
 		}
-		return a.b.item.id < b.b.item.id
+		return a.b.id < b.b.id
 	}
 	return a.seq < b.seq
 }
@@ -413,15 +413,15 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 	if left != right {
 		rightObjs = make(map[uint64]*fuzzy.Object)
 	}
-	probe := func(ix *Index, cache map[uint64]*fuzzy.Object, it *leafItem) (*fuzzy.Object, error) {
-		if o, ok := cache[it.id]; ok {
+	probe := func(ix *Index, cache map[uint64]*fuzzy.Object, id uint64) (*fuzzy.Object, error) {
+		if o, ok := cache[id]; ok {
 			return o, nil
 		}
-		o, err := ix.getObject(it.id, &st)
+		o, err := ix.getObject(id, &st)
 		if err != nil {
 			return nil, err
 		}
-		cache[it.id] = o
+		cache[id] = o
 		return o, nil
 	}
 
@@ -443,10 +443,10 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 		n = resolveNode(n, &st)
 		st.NodeAccesses++
 		out := make([]pairSide, 0, len(n.Entries()))
-		for _, e := range n.Entries() {
+		for i, e := range n.Entries() {
 			if n.Leaf() {
-				it := e.Data.(*leafItem)
-				out = append(out, pairSide{item: it, rect: it.approx.EstimateMBR(alpha)})
+				box, sum := n.EntrySummary(i)
+				out = append(out, pairSide{id: e.Data.(*leafItem).id, rect: fuzzy.EstimateInto(box, sum, alpha, geom.Rect{})})
 			} else {
 				out = append(out, pairSide{node: e.Child, rect: e.Rect})
 			}
@@ -459,12 +459,12 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 		e := pq.Pop()
 		switch {
 		case e.exact:
-			results = append(results, JoinPair{LeftID: e.a.item.id, RightID: e.b.item.id, Dist: e.dist})
+			results = append(results, JoinPair{LeftID: e.a.id, RightID: e.b.id, Dist: e.dist})
 
 		case e.a.node == nil && e.b.node == nil:
 			// Leaf-leaf: evaluate the exact α-distance.
-			ia, ib := e.a.item, e.b.item
-			if selfPair && ia.id >= ib.id {
+			ia, ib := e.a.id, e.b.id
+			if selfPair && ia >= ib {
 				continue
 			}
 			oa, err := probe(left, leftObjs, ia)
@@ -485,7 +485,7 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 			// truncates equal-distance pairs in heap order, which must be
 			// the canonical (LeftID, RightID) order or a tie at the k-th
 			// slot could keep a different pair than the single tree would.
-			if tk.normalize && ia.id > ib.id {
+			if tk.normalize && ia > ib {
 				e.a, e.b = e.b, e.a
 			}
 			push(pairItem{key: d, exact: true, a: e.a, b: e.b, dist: d})

@@ -8,7 +8,6 @@ import (
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
-	"fuzzyknn/internal/hull"
 	"fuzzyknn/internal/pager"
 	"fuzzyknn/internal/rtree"
 	"fuzzyknn/internal/store"
@@ -116,20 +115,10 @@ func (ix *Index) SavePaged(path string) error {
 			flags = pager.LeafPage
 			for _, e := range ents {
 				it := e.Data.(*leafItem)
-				ba := it.approx
 				payload = binary.LittleEndian.AppendUint64(payload, it.id)
-				appendRect(ba.Support)
-				appendRect(ba.Kernel)
-				for i := 0; i < d; i++ {
-					appendFloat(ba.HiLine[i].M)
-					appendFloat(ba.HiLine[i].T)
-				}
-				for i := 0; i < d; i++ {
-					appendFloat(ba.LoLine[i].M)
-					appendFloat(ba.LoLine[i].T)
-				}
-				for i := 0; i < d; i++ {
-					appendFloat(it.rep[i])
+				appendRect(e.Rect)
+				for _, v := range it.sum {
+					appendFloat(v)
 				}
 			}
 		} else {
@@ -166,59 +155,46 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 	if int(count)*rec > len(payload) {
 		return nil, fmt.Errorf("%w: page %d holds %d records of %d bytes beyond its payload", pager.ErrCorrupt, page, count, rec)
 	}
-	// Everything a page's entries point at is carved from one slab per
-	// type, so decoding allocates per page, not per entry; the slabs live
-	// and die with the node frame.
-	perEntry := 2 * d // interior: the entry MBR
-	var lines []hull.Line
-	var approxes []fuzzy.BoundaryApprox
+	// Everything a page's entries point at is carved from one float slab
+	// and one item slab, so decoding allocates per page, not per entry; the
+	// slabs live and die with the node frame. A leaf record is the entry's
+	// rectangle (its support MBR) and its flat summary, field for field —
+	// the entry's stretch of the leaf's packed slab — so the records are read
+	// into the slab the frame adopts, and each entry's rectangle and item's
+	// summary are views of it.
+	stride := 2 * d
 	var items []leafItem
 	if leaf {
-		perEntry = 5 * d // support and kernel MBRs, representative point
-		lines = make([]hull.Line, int(count)*2*d)
-		approxes = make([]fuzzy.BoundaryApprox, count)
+		stride += fuzzy.SummaryLen(d)
 		items = make([]leafItem, count)
 	}
-	floats := make([]float64, int(count)*perEntry)
+	floats := make([]float64, int(count)*stride)
 	pos := 0
-	readFloat := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
-		pos += 8
-		return v
-	}
-	readPoint := func() geom.Point {
-		p := floats[:d:d]
-		floats = floats[d:]
-		for i := range p {
-			p[i] = readFloat()
+	readFloats := func(dst []float64) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
+			pos += 8
 		}
-		return p
 	}
-	readRect := func() geom.Rect { return geom.Rect{Lo: readPoint(), Hi: readPoint()} }
-	readLines := func() []hull.Line {
-		ls := lines[:d:d]
-		lines = lines[d:]
-		for i := range ls {
-			ls[i].M = readFloat()
-			ls[i].T = readFloat()
-		}
-		return ls
+	readRect := func(i int) geom.Rect {
+		p := floats[i*stride:]
+		r := geom.Rect{Lo: p[:d:d], Hi: p[d : 2*d : 2*d]}
+		readFloats(r.Lo)
+		readFloats(r.Hi)
+		return r
 	}
 	entries := make([]rtree.Entry, count)
 	for i := range entries {
 		if leaf {
 			id := binary.LittleEndian.Uint64(payload[pos:])
 			pos += 8
-			approxes[i] = fuzzy.BoundaryApprox{
-				Support: readRect(),
-				Kernel:  readRect(),
-				HiLine:  readLines(),
-				LoLine:  readLines(),
-			}
-			items[i] = leafItem{id: id, approx: &approxes[i], rep: readPoint()}
-			entries[i] = rtree.Entry{Rect: approxes[i].Support, Data: &items[i]}
+			r := readRect(i)
+			sum := floats[i*stride+2*d : (i+1)*stride : (i+1)*stride]
+			readFloats(sum)
+			items[i] = leafItem{id: id, sum: sum}
+			entries[i] = rtree.Entry{Rect: r, Data: &items[i]}
 		} else {
-			r := readRect()
+			r := readRect(i)
 			child := binary.LittleEndian.Uint32(payload[pos:])
 			pos += 4
 			if child <= page || child >= pageCount {
@@ -227,7 +203,10 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 			entries[i] = rtree.Entry{Rect: r, Child: rtree.NewStub(src, child)}
 		}
 	}
-	return rtree.NewFrame(leaf, entries), nil
+	if leaf {
+		return rtree.NewLeafFrame(entries, floats), nil
+	}
+	return rtree.NewFrame(false, entries), nil
 }
 
 // PagedIndex is an Index served from a page file through a block cache

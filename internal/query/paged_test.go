@@ -651,8 +651,8 @@ func leafPageOf(t testing.TB, ix *Index) (m pager.Manifest, page uint32, flags, 
 }
 
 // TestDecodePageAllocs pins page decoding at a handful of allocations per
-// page — the four slabs, the entries, the node and its packed rectangles —
-// however many entries the page holds.
+// page — the float slab the frame adopts as its packed slab, the items, the
+// entries and the node — however many entries the page holds.
 func TestDecodePageAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(79, 80))
 	ms, err := store.NewMemStore(makeObjects(rng, 400, 8, 12, 0))
@@ -669,8 +669,8 @@ func TestDecodePageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("decoding a leaf page of %d entries allocates %.0f times, want ≤ 8", count, allocs)
+	if allocs > 4 {
+		t.Errorf("decoding a leaf page of %d entries allocates %.0f times, want ≤ 4", count, allocs)
 	}
 }
 

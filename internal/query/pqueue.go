@@ -25,10 +25,10 @@ type pqItem struct {
 	key  float64
 	kind int8
 	tree int32
-	id   uint64 // object id for leaf/object entries; 0 for nodes
-	node *rtree.Node
-	item *leafItem
-	dist float64 // exact α-distance for kindObject
+	id   uint64      // object id for leaf/object entries; 0 for nodes
+	node *rtree.Node // the node to expand, or the leaf holding the entry
+	ent  int         // the entry's index in node, for kindLeaf
+	dist float64     // exact α-distance for kindObject
 }
 
 // lessThan is the queue's strict weak order: (key, kind, id) ascending.

@@ -100,32 +100,26 @@ type revCandidate struct {
 func reverseTree(sc *scratch, v shardView, tree int, q *fuzzy.Object, k int, alpha float64) ([]revCandidate, error) {
 	st := &sc.stats
 	sc.revCands = sc.revCands[:0]
-	mq := q.MBR(alpha)
 
-	// Collect leaf entries and build the representative-point tree, both in
-	// scratch storage.
-	items := collectLeafItems(sc.items[:0], v.s.tree.Root(), st)
-	sc.items = items
-	if len(items) == 0 {
+	// Collect the leaf entries and build the representative-point tree,
+	// both in scratch storage.
+	sc.revEntries, sc.repCoords = sc.revEntries[:0], sc.repCoords[:0]
+	sc.collectLeaves(v.s.tree.Root(), alpha, q.MBR(alpha))
+	if len(sc.revEntries) == 0 {
 		return nil, nil
 	}
-	reps := sc.repCoords[:0]
-	for _, it := range items {
-		reps = append(reps, it.rep...)
-	}
-	sc.repCoords = reps
-	sc.repTree.Rebuild(reps, v.s.dims)
+	dims := v.s.dims
+	sc.repTree.Rebuild(sc.repCoords, dims)
 	sc.dist.Reset(q, alpha)
 
-	for i, it := range items {
-		sc.est = it.approx.EstimateMBRInto(alpha, sc.est)
-		lb := geom.MinDist(sc.est, mq)
+	for i, it := range sc.revEntries {
+		lb := it.lb
 		// Filter: k other representatives strictly within lb of rep(A)
 		// certify k objects closer than q. The strictness margin excludes
 		// A's own representative (distance 0) separately.
 		if lb > 0 {
 			closer := 0
-			sc.repTree.ForEachWithin(it.rep, lb, func(j int, d float64) bool {
+			sc.repTree.ForEachWithin(sc.repCoords[i*dims:(i+1)*dims], lb, func(j int, d float64) bool {
 				if j != i && d < lb {
 					closer++
 				}
@@ -153,22 +147,31 @@ func reverseTree(sc *scratch, v shardView, tree int, q *fuzzy.Object, k int, alp
 	return sc.revCands, v.ix.pagedErr()
 }
 
-// collectLeafItems appends every leaf item below n to dst, charging node
-// accesses to st.
-func collectLeafItems(dst []*leafItem, n *rtree.Node, st *Stats) []*leafItem {
-	n = resolveNode(n, st)
+// revEntry is one leaf entry as reverse kNN's filter reads it: the object's
+// id and the §3.2 lower bound of its distance to the query.
+type revEntry struct {
+	id uint64
+	lb float64
+}
+
+// collectLeaves appends every leaf entry below n to sc.revEntries, with its
+// bound to mq at alpha, and its representative point to sc.repCoords,
+// charging node accesses to sc.stats.
+func (sc *scratch) collectLeaves(n *rtree.Node, alpha float64, mq geom.Rect) {
+	n = resolveNode(n, &sc.stats)
 	if len(n.Entries()) == 0 {
-		return dst
+		return
 	}
-	st.NodeAccesses++
-	for _, e := range n.Entries() {
-		if n.Leaf() {
-			dst = append(dst, e.Data.(*leafItem))
-		} else {
-			dst = collectLeafItems(dst, e.Child, st)
+	sc.stats.NodeAccesses++
+	for i, e := range n.Entries() {
+		if !n.Leaf() {
+			sc.collectLeaves(e.Child, alpha, mq)
+			continue
 		}
+		box, sum := n.EntrySummary(i)
+		sc.revEntries = append(sc.revEntries, revEntry{id: e.Data.(*leafItem).id, lb: fuzzy.EstimateMinDist(box, sum, alpha, mq)})
+		sc.repCoords = append(sc.repCoords, fuzzy.SummaryRep(sum)...)
 	}
-	return dst
 }
 
 // closerRun is the closure-free state of one countCloser traversal.
@@ -217,21 +220,20 @@ func (r *closerRun) visit(n *rtree.Node) error {
 			return nil
 		}
 		if n.Leaf() {
-			it := ents[i].Data.(*leafItem)
-			if it.id == r.aID {
+			id := ents[i].Data.(*leafItem).id
+			if id == r.aID {
 				continue
 			}
-			r.sc.est = it.approx.EstimateMBRInto(r.alpha, r.sc.est)
-			if geom.MinDist(r.sc.est, r.ma) > r.radius {
+			if box, sum := n.EntrySummary(i); fuzzy.EstimateMinDist(box, sum, r.alpha, r.ma) > r.radius {
 				continue
 			}
-			b, err := r.ix.getObject(it.id, st)
+			b, err := r.ix.getObject(id, st)
 			if err != nil {
 				return err
 			}
 			st.DistanceEvals++
 			d := r.sc.dist2.Dist(b)
-			if d < r.radius || (d == r.radius && it.id < r.qID) {
+			if d < r.radius || (d == r.radius && id < r.qID) {
 				r.count++
 			}
 		} else if n.EntryMinDist(i, r.ma) <= r.radius {

@@ -51,8 +51,8 @@ type scratch struct {
 	dist2    fuzzy.DistEval // secondary pin (reverse-kNN closer counts)
 	profiles fuzzy.ProfileCache
 
-	// MBR estimates consumed immediately after computation (never retained).
-	est, estB geom.Rect
+	// The join's held §3.2 estimate (the slab bounds write none).
+	est geom.Rect
 
 	// LBLPUB query-cut sampling.
 	samples   []geom.Point
@@ -82,10 +82,10 @@ type scratch struct {
 	idDists      []idDist
 
 	// Reverse kNN.
-	revCands  []revCandidate
-	items     []*leafItem
-	repCoords []float64 // the representatives, flat, as repTree takes them
-	repTree   kdtree.Tree
+	revCands   []revCandidate
+	revEntries []revEntry
+	repCoords  []float64 // the representatives, flat, as repTree takes them
+	repTree    kdtree.Tree
 }
 
 // idDist is a (object id, distance) work pair for top-k selections.

@@ -9,6 +9,14 @@ import (
 	"fuzzyknn/internal/geom"
 )
 
+// item is the structural tests' leaf payload: an id with a summary derived
+// from it, so that CheckInvariants checks the summaries laid out in the
+// leaves' packed slabs through every insert, split, delete, condense, clone
+// and bulk load below.
+type item int
+
+func (it item) Summary() []float64 { return []float64{float64(it), -float64(it), 0.5} }
+
 // liveSet reads the payloads of every leaf entry reachable from the tree.
 func liveSet(tr *Tree) map[int]bool {
 	out := make(map[int]bool)
@@ -16,7 +24,7 @@ func liveSet(tr *Tree) map[int]bool {
 	walk = func(n *Node) {
 		for _, e := range n.entries {
 			if n.leaf {
-				out[e.Data.(int)] = true
+				out[int(e.Data.(item))] = true
 			} else {
 				walk(e.Child)
 			}
@@ -32,12 +40,12 @@ func TestDeleteBasic(t *testing.T) {
 	rects := make([]geom.Rect, 200)
 	for i := range rects {
 		rects[i] = randRect(rng, 2, 5)
-		tr.Insert(rects[i], i)
+		tr.Insert(rects[i], item(i))
 	}
 	// Delete in random order, checking structure at every step.
 	order := rng.Perm(len(rects))
 	for step, i := range order {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(int) == i }) {
+		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
 			t.Fatalf("step %d: entry %d not found", step, i)
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -60,8 +68,8 @@ func TestDeleteMisses(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	tr := New(2, 4)
 	r := randRect(rng, 2, 5)
-	tr.Insert(r, 1)
-	if tr.Delete(r, func(d any) bool { return d.(int) == 2 }) {
+	tr.Insert(r, item(1))
+	if tr.Delete(r, func(d any) bool { return d.(item) == 2 }) {
 		t.Fatal("delete with non-matching payload succeeded")
 	}
 	if tr.Delete(randRect(rng, 2, 5), func(any) bool { return true }) {
@@ -87,7 +95,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		if len(model) == 0 || rng.Float64() < 0.55 {
 			r := randRect(rng, 2, 8)
-			tr.Insert(r, next)
+			tr.Insert(r, item(next))
 			model[next] = r
 			next++
 		} else {
@@ -101,7 +109,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 				}
 				k--
 			}
-			if !tr.Delete(model[victim], func(d any) bool { return d.(int) == victim }) {
+			if !tr.Delete(model[victim], func(d any) bool { return d.(item) == item(victim) }) {
 				t.Fatalf("op %d: live entry %d not deletable", op, victim)
 			}
 			delete(model, victim)
@@ -135,7 +143,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 		}
 		found := make(map[int]bool)
 		tr.Search(probe, func(e Entry) bool {
-			found[e.Data.(int)] = true
+			found[int(e.Data.(item))] = true
 			return true
 		})
 		if len(found) != len(want) {
@@ -157,11 +165,11 @@ func TestDeleteFromBulkLoaded(t *testing.T) {
 	rects := make([]geom.Rect, len(items))
 	for i := range items {
 		rects[i] = randRect(rng, 2, 5)
-		items[i] = BulkItem{Rect: rects[i], Data: i}
+		items[i] = BulkItem{Rect: rects[i], Data: item(i)}
 	}
 	tr := BulkLoad(items, 2, 6)
 	for _, i := range rng.Perm(len(rects))[:300] {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(int) == i }) {
+		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
 			t.Fatalf("entry %d not found", i)
 		}
 	}
@@ -181,19 +189,19 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	rects := make([]geom.Rect, 300)
 	for i := range rects {
 		rects[i] = randRect(rng, 2, 5)
-		tr.Insert(rects[i], i)
+		tr.Insert(rects[i], item(i))
 	}
 	snap := tr.Clone()
 	wantLive := liveSet(snap)
 
 	// Mutate the original: delete half, insert new ones.
 	for _, i := range rng.Perm(len(rects))[:150] {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(int) == i }) {
+		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
 			t.Fatalf("entry %d not found", i)
 		}
 	}
 	for i := 1000; i < 1200; i++ {
-		tr.Insert(randRect(rng, 2, 5), i)
+		tr.Insert(randRect(rng, 2, 5), item(i))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("mutated tree: %v", err)
@@ -224,7 +232,7 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	// Mutating the snapshot clone is equally safe in the other direction.
 	before := tr.Len()
 	for i := 2000; i < 2050; i++ {
-		snap.Insert(randRect(rng, 2, 5), i)
+		snap.Insert(randRect(rng, 2, 5), item(i))
 	}
 	if tr.Len() != before {
 		t.Fatal("mutating the clone disturbed the original")
@@ -240,7 +248,7 @@ func TestMinFillInvariantDetectsUnderflow(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 12))
 	tr := New(3, 7)
 	for i := 0; i < 100; i++ {
-		tr.Insert(randRect(rng, 2, 5), i)
+		tr.Insert(randRect(rng, 2, 5), item(i))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -264,6 +272,53 @@ func TestMinFillInvariantDetectsUnderflow(t *testing.T) {
 	}
 }
 
+// TestSummarySlab covers the rest of the packed slab's life: page frames
+// built both ways lay each entry's rectangle and summary out, EntrySummary
+// reads them back, and the checker fires on a summary that diverges, on a
+// slab that lacks the summaries, and on one that has them beside a payload
+// that carries none.
+func TestSummarySlab(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 13))
+	entries := make([]Entry, 5)
+	var packed, rects []float64
+	for i := range entries {
+		entries[i] = Entry{Rect: randRect(rng, 2, 5), Data: item(i)}
+		packed = append(append(append(packed, entries[i].Rect.Lo...), entries[i].Rect.Hi...), item(i).Summary()...)
+		rects = append(append(rects, entries[i].Rect.Lo...), entries[i].Rect.Hi...)
+	}
+	for name, n := range map[string]*Node{
+		"NewFrame":     NewFrame(true, entries),
+		"NewLeafFrame": NewLeafFrame(entries, packed),
+	} {
+		if err := n.checkPacked(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, e := range entries {
+			box, sum := n.EntrySummary(i)
+			if !geom.Point(box[:2]).Equal(e.Rect.Lo) || !geom.Point(box[2:]).Equal(e.Rect.Hi) ||
+				!geom.Point(sum).Equal(item(i).Summary()) {
+				t.Fatalf("%s: EntrySummary(%d) = %v %v", name, i, box, sum)
+			}
+		}
+	}
+
+	n := NewFrame(true, entries)
+	n.packed[n.stride+5] = 99 // entry 1's second summary float
+	if err := n.checkPacked(); err == nil {
+		t.Error("diverged summary not detected")
+	}
+	if err := NewLeafFrame(entries, rects).checkPacked(); err == nil {
+		t.Error("slab without the summaries not detected")
+	}
+	mixed := append([]Entry{{Rect: randRect(rng, 2, 5), Data: 7}}, entries...)
+	if n := NewFrame(true, mixed); n.stride != 4 || n.checkPacked() != nil {
+		t.Errorf("a leaf with an unsummarized payload laid out stride %d", n.stride)
+	}
+	if err := NewLeafFrame(mixed[:5], packed).checkPacked(); err == nil {
+		t.Error("summaries beside an unsummarized payload not detected")
+	}
+}
+
 // TestChurnDeterminism double-checks that the same seeded op sequence gives
 // the same tree shape — mutations must be deterministic for reproducible
 // experiments.
@@ -276,7 +331,7 @@ func TestChurnDeterminism(t *testing.T) {
 			if len(live) == 0 || rng.Float64() < 0.6 {
 				r := randRect(rng, 2, 5)
 				live[op] = r
-				tr.Insert(r, op)
+				tr.Insert(r, item(op))
 			} else {
 				ids := make([]int, 0, len(live))
 				for id := range live {
@@ -284,7 +339,7 @@ func TestChurnDeterminism(t *testing.T) {
 				}
 				sort.Ints(ids)
 				victim := ids[rng.IntN(len(ids))]
-				tr.Delete(live[victim], func(d any) bool { return d.(int) == victim })
+				tr.Delete(live[victim], func(d any) bool { return d.(item) == item(victim) })
 				delete(live, victim)
 			}
 		}

@@ -33,10 +33,24 @@ func NewStub(src NodeSource, page uint32) *Node {
 }
 
 // NewFrame builds a decoded page-backed node from final entries (the slice
-// is retained). The packed rectangle layout is built immediately.
+// is retained). The packed slab is built immediately.
 func NewFrame(leaf bool, entries []Entry) *Node {
 	n := &Node{leaf: leaf, entries: entries}
 	n.pack()
+	return n
+}
+
+// NewLeafFrame is NewFrame for a decoded leaf that already has its packed
+// slab: packed holds, for every entry in order, its rectangle's corners and
+// its payload's summary — exactly what pack would lay out — and the frame
+// adopts it instead of building its own. A page decoder reads each record
+// into packed and hands the entry and its payload views of it, so a page's
+// rectangles and summaries are held once.
+func NewLeafFrame(entries []Entry, packed []float64) *Node {
+	n := &Node{leaf: true, entries: entries}
+	if len(entries) > 0 {
+		n.packed, n.dims, n.stride = packed, entries[0].Rect.Dims(), len(packed)/len(entries)
+	}
 	return n
 }
 

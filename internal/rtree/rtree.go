@@ -69,12 +69,16 @@ type Node struct {
 	// snapshot is frozen forever.
 	gen uint64
 
-	// packed flattens the entry rectangles into one contiguous slice —
-	// 2·d floats per entry, lower corner first — so best-first traversals
-	// scan MinDist bounds sequentially instead of chasing two slice
-	// headers per entry. It is filled by pack() when a node's entries are
-	// final (nodes are immutable once reachable from a published root).
+	// packed flattens the entries into one contiguous slice, so best-first
+	// traversals scan their bounds sequentially instead of chasing slice
+	// headers per entry: stride floats per entry — the rectangle's lower
+	// corner, its upper corner and, in a leaf whose payloads are all
+	// Summarized with one common length, the payload's summary. It is filled
+	// by pack() when a node's entries are final (nodes are immutable once
+	// reachable from a published root).
 	packed []float64
+	dims   int // d of the entry rectangles; 0 while the node is empty
+	stride int // floats per entry in packed: 2·d, plus the summary's length
 
 	// src/page make the node a stub: a placeholder holding no entries that
 	// resolves on demand to the decoded form of page via src (see Resolve).
@@ -84,61 +88,115 @@ type Node struct {
 	page uint32
 }
 
+// Summarized is the optional interface of leaf payloads that carry a flat
+// float summary the searches bound them by (the query layer's per-object
+// §3.2 summaries). A leaf lays every payload's summary out in its packed
+// slab right after the entry's rectangle, so a traversal reads an entry's
+// bound inputs from one stretch of contiguous memory instead of from the
+// payload. A summary must not change once its payload is in a tree.
+type Summarized interface {
+	Summary() []float64
+}
+
 // Leaf reports whether the node's entries are leaf entries.
 func (n *Node) Leaf() bool { return n.leaf }
 
 // Entries returns the node's entries. The slice must not be modified.
 func (n *Node) Entries() []Entry { return n.entries }
 
-// pack (re)builds the flattened rectangle layout from the current entries.
-// Construction paths call it exactly when a node's entry set is final.
+// pack (re)builds the packed slab from the current entries. Construction
+// paths call it exactly when a node's entry set is final.
 func (n *Node) pack() {
 	if len(n.entries) == 0 {
-		n.packed = nil
+		n.packed, n.dims, n.stride = nil, 0, 0
 		return
 	}
-	d := n.entries[0].Rect.Dims()
-	need := 2 * d * len(n.entries)
+	d, s := n.entries[0].Rect.Dims(), summaryLen(n)
+	n.dims, n.stride = d, 2*d+s
+	need := n.stride * len(n.entries)
 	if cap(n.packed) < need {
 		n.packed = make([]float64, need)
 	}
 	n.packed = n.packed[:need]
 	for i, e := range n.entries {
-		base := 2 * d * i
-		copy(n.packed[base:base+d], e.Rect.Lo)
-		copy(n.packed[base+d:base+2*d], e.Rect.Hi)
+		p := n.packed[n.stride*i : n.stride*(i+1)]
+		copy(p, e.Rect.Lo)
+		copy(p[d:], e.Rect.Hi)
+		if s > 0 {
+			copy(p[2*d:], e.Data.(Summarized).Summary())
+		}
 	}
 }
 
-// checkPacked verifies the flattened layout mirrors the entry rectangles.
+// summaryLen returns the length of the summaries a leaf lays out: that of
+// its payloads' when they are all Summarized with one common length, and 0
+// otherwise.
+func summaryLen(n *Node) int {
+	if !n.leaf || len(n.entries) == 0 {
+		return 0
+	}
+	first, ok := n.entries[0].Data.(Summarized)
+	if !ok {
+		return 0
+	}
+	s := len(first.Summary())
+	for _, e := range n.entries[1:] {
+		if p, ok := e.Data.(Summarized); !ok || len(p.Summary()) != s {
+			return 0
+		}
+	}
+	return s
+}
+
+// checkPacked verifies the packed slab mirrors the entry rectangles and the
+// payload summaries bit for bit.
 func (n *Node) checkPacked() error {
 	if len(n.entries) == 0 {
 		return nil
 	}
-	d := n.entries[0].Rect.Dims()
-	if len(n.packed) != 2*d*len(n.entries) {
-		return fmt.Errorf("packed layout has %d floats, want %d", len(n.packed), 2*d*len(n.entries))
+	d, s := n.entries[0].Rect.Dims(), summaryLen(n)
+	if n.dims != d || n.stride != 2*d+s || len(n.packed) != n.stride*len(n.entries) {
+		return fmt.Errorf("packed slab has %d floats of stride %d at %d dims, want %d of stride %d at %d",
+			len(n.packed), n.stride, n.dims, (2*d+s)*len(n.entries), 2*d+s, d)
 	}
 	for i, e := range n.entries {
-		base := 2 * d * i
-		for j := 0; j < d; j++ {
-			if n.packed[base+j] != e.Rect.Lo[j] || n.packed[base+d+j] != e.Rect.Hi[j] {
-				return fmt.Errorf("packed rect %d diverges from entry rect %v", i, e.Rect)
-			}
+		box, sum := n.EntrySummary(i)
+		if !sameBits(box[:d], e.Rect.Lo) || !sameBits(box[d:], e.Rect.Hi) {
+			return fmt.Errorf("packed rect %d diverges from entry rect %v", i, e.Rect)
+		}
+		if s > 0 && !sameBits(sum, e.Data.(Summarized).Summary()) {
+			return fmt.Errorf("packed summary %d diverges from its payload's", i)
 		}
 	}
 	return nil
 }
 
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// EntrySummary returns leaf entry i's stretch of the packed slab: its
+// rectangle's corners (the lower, then the upper: 2·d floats) and its
+// payload's summary (nil when the leaf lays none out). Both are views into
+// memory the node owns: read them, do not keep or modify them.
+func (n *Node) EntrySummary(i int) (box, sum []float64) {
+	p := n.packed[n.stride*i : n.stride*(i+1) : n.stride*(i+1)]
+	box, sum = p[:2*n.dims:2*n.dims], p[2*n.dims:]
+	if len(sum) == 0 {
+		sum = nil
+	}
+	return box, sum
+}
+
 // EntryMinDist returns MinDist(entries[i].Rect, r), reading the i-th
-// rectangle from the packed layout when available. The value is bitwise
+// rectangle from the packed slab when available. The value is bitwise
 // identical to geom.MinDist on the entry's Rect.
 func (n *Node) EntryMinDist(i int, r geom.Rect) float64 {
 	d := len(r.Lo)
-	if len(n.packed) < 2*d*(i+1) {
+	if n.stride == 0 || len(n.packed) < n.stride*(i+1) {
 		return geom.MinDist(n.entries[i].Rect, r)
 	}
-	base := 2 * d * i
+	base := n.stride * i
 	return geom.MinDistLoHi(n.packed[base:base+d], n.packed[base+d:base+2*d], r)
 }
 
@@ -636,7 +694,9 @@ func sortByCenter(entries []Entry, dim int) {
 //   - non-root nodes of incrementally built trees hold at least minEntries
 //     (bulk-loaded trees are exempt: STR legitimately leaves the last node
 //     of a level underfull),
-//   - the recorded size matches the number of reachable leaf entries.
+//   - the recorded size matches the number of reachable leaf entries,
+//   - every node's packed slab mirrors its entries' rectangles and, in a
+//     leaf, their payloads' summaries bit for bit.
 func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	count := 0

@@ -168,8 +168,11 @@ type edgeCase struct {
 }
 
 const (
-	replyBadMu0   = `{"error":"fuzzy: membership values must lie in (0, 1]: got 0"}`
-	replyNearest1 = `[{"id":1,"dist":1.7,"exact":true,"lower":1.7,"upper":1.7}]`
+	replyBadMu0    = `{"error":"fuzzy: membership values must lie in (0, 1]: got 0"}`
+	replyNearest1  = `[{"id":1,"dist":1.7,"exact":true,"lower":1.7,"upper":1.7}]`
+	replyBadAlpha0 = `{"error":"query: alpha must be in (0, 1], got 0"}`
+	replyBadAlphaN = `{"error":"query: alpha must be in (0, 1], got -0.25"}`
+	replyBadAlphaP = `{"error":"query: alpha must be in (0, 1], got 1.0000001"}`
 )
 
 var edgeCases = []edgeCase{
@@ -241,6 +244,32 @@ var edgeCases = []edgeCase{
 		true, 400, `{"error":"query: k must be >= 1, got 0"}`},
 	{"k negative", "/rknn", `{"query_id":1,"k":-3,"alpha_start":0.2,"alpha_end":0.8}`,
 		true, 400, `{"error":"query: k must be >= 1, got -3"}`},
+	// α outside (0, 1] is the query layer's to refuse; an underflowing α
+	// reads as 0 on both paths.
+	{"alpha zero", "/aknn", `{"query_id":1,"k":1,"alpha":0}`,
+		true, 400, replyBadAlpha0},
+	{"alpha zero in range", "/range", `{"query_id":1,"alpha":0,"radius":3}`,
+		true, 400, replyBadAlpha0},
+	{"alpha_start zero", "/rknn", `{"query_id":1,"k":1,"alpha_start":0,"alpha_end":0.8}`,
+		true, 400, replyBadAlpha0},
+	{"alpha negative", "/aknn", `{"query_id":1,"k":1,"alpha":-0.25}`,
+		true, 400, replyBadAlphaN},
+	{"alpha negative in range", "/range", `{"query_id":1,"alpha":-0.25,"radius":3}`,
+		true, 400, replyBadAlphaN},
+	{"alpha_start negative", "/rknn", `{"query_id":1,"k":1,"alpha_start":-0.25,"alpha_end":0.8}`,
+		true, 400, replyBadAlphaN},
+	{"alpha above one", "/aknn", `{"query_id":1,"k":1,"alpha":1.0000001}`,
+		true, 400, replyBadAlphaP},
+	{"alpha above one in range", "/range", `{"query_id":1,"alpha":1.0000001,"radius":3}`,
+		true, 400, replyBadAlphaP},
+	{"alpha_end above one", "/rknn", `{"query_id":1,"k":1,"alpha_start":0.2,"alpha_end":1.0000001}`,
+		true, 400, replyBadAlphaP},
+	{"alpha underflowing", "/aknn", `{"query_id":1,"k":1,"alpha":1e-400}`,
+		true, 400, replyBadAlpha0},
+	{"alpha underflowing in range", "/range", `{"query_id":1,"alpha":1e-400,"radius":3}`,
+		true, 400, replyBadAlpha0},
+	{"alpha_start underflowing", "/rknn", `{"query_id":1,"k":1,"alpha_start":1e-400,"alpha_end":0.8}`,
+		true, 400, replyBadAlpha0},
 	{"k above n", "/aknn", `{"query_id":1,"k":100,"alpha":0.9,"algo":"lb"}`,
 		true, 200, `[{"id":1,"dist":0,"exact":true,"lower":0,"upper":0},{"id":2,"dist":1.118033988749895,"exact":true,"lower":1.118033988749895,"upper":1.118033988749895},{"id":3,"dist":2.23606797749979,"exact":true,"lower":2.23606797749979,"upper":2.23606797749979},{"id":5,"dist":5.0990195135927845,"exact":true,"lower":5.0990195135927845,"upper":5.0990195135927845},{"id":4,"dist":6.324555320336759,"exact":true,"lower":6.324555320336759,"upper":6.324555320336759},{"id":6,"dist":6.324555320336759,"exact":true,"lower":6.324555320336759,"upper":6.324555320336759}]`},
 }
