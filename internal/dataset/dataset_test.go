@@ -140,8 +140,8 @@ func TestSyntheticQuantization(t *testing.T) {
 	p.Quantize = 16
 	objs, _ := Generate(p)
 	for _, o := range objs {
-		if len(o.Levels()) > 16 {
-			t.Fatalf("levels = %d, want <= 16", len(o.Levels()))
+		if n := len(o.AppendLevels(nil)); n > 16 {
+			t.Fatalf("levels = %d, want <= 16", n)
 		}
 	}
 }
@@ -179,8 +179,8 @@ func TestCellsLookLikeMasks(t *testing.T) {
 		// Quantized to the 1/255 lattice after max-normalization is not
 		// guaranteed, but the level count must stay far below the point
 		// count (unlike the continuous synthetic data).
-		if len(o.Levels()) > 256 {
-			t.Fatalf("cell object has %d levels", len(o.Levels()))
+		if n := len(o.AppendLevels(nil)); n > 256 {
+			t.Fatalf("cell object has %d levels", n)
 		}
 		if o.Len() < 32 {
 			t.Fatalf("cell object only has %d points", o.Len())

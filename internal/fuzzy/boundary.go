@@ -2,6 +2,8 @@ package fuzzy
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"fuzzyknn/internal/geom"
 	"fuzzyknn/internal/hull"
@@ -26,39 +28,104 @@ type BoundaryApprox struct {
 }
 
 // NewBoundaryApprox builds the approximation from an object's exact
-// per-level MBRs. Cost is O(|U_A| · d) plus the line fits.
+// per-level MBRs. Cost is one walk of the points plus the line fits.
 func NewBoundaryApprox(o *Object) *BoundaryApprox {
+	t := getLevelTable(o)
+	defer levelTables.Put(t)
 	d := o.Dims()
 	b := &BoundaryApprox{
-		Support: o.SupportMBR().Clone(),
-		Kernel:  o.KernelMBR().Clone(),
+		Support: t.box(0).Clone(),
+		Kernel:  t.box(len(t.levels) - 1).Clone(),
 		HiLine:  make([]hull.Line, d),
 		LoLine:  make([]hull.Line, d),
 	}
-	var f lineFit
 	for dim := 0; dim < d; dim++ {
-		b.HiLine[dim], b.LoLine[dim] = f.fit(o, dim)
+		b.HiLine[dim], b.LoLine[dim] = t.fit(dim)
 	}
 	return b
 }
 
-// lineFit fits the two conservative lines of one dimension, keeping its
-// sample buffer across dimensions.
-type lineFit struct{ pts []hull.Pt }
+// levelTable is what the §3.2 line fit reads of one object: the distinct
+// levels and the exact MBR of every level's cut, plus the fit's own working
+// storage. No search reads it, so no object keeps it: a summary builds it in
+// one walk of the points into a pooled table and gives it back, so for a
+// caller summarising many objects (an index build) it is scratch rather
+// than garbage, and a warm pool allocates nothing for it.
+type levelTable struct {
+	dims   int
+	levels []float64   // distinct membership values U_A, ascending (last is 1)
+	boxes  []float64   // level i: lo corner at [2*i*dims:], hi corner dims later
+	pts    []hull.Pt   // the line fit's samples of one dimension, both faces
+	fitter hull.Fitter // the line fit's sorted samples and hull
+}
+
+var levelTables = sync.Pool{New: func() any { return new(levelTable) }}
+
+// getLevelTable takes a table from the pool and builds o's into it; the
+// caller puts it back.
+func getLevelTable(o *Object) *levelTable {
+	t := levelTables.Get().(*levelTable)
+	t.build(o)
+	return t
+}
+
+// build derives the levels and their cut MBRs in one pass in descending
+// membership: the running MBR is kept in the slot of the level being filled
+// (levels ascend, so slots fill from the back) and seeds the next lower
+// level's slot when a level closes.
+func (t *levelTable) build(o *Object) {
+	n, dims, mus := len(o.mus), o.dims, o.mus
+	nLevels := countLevels(mus, nil)
+	t.dims = dims
+	t.levels = resize(t.levels, nLevels)
+	t.boxes = resize(t.boxes, nLevels*2*dims)
+	k := nLevels - 1
+	lo, hi := t.boxes[2*k*dims:(2*k+1)*dims], t.boxes[(2*k+1)*dims:]
+	for i := 0; i < n; i++ {
+		for j, c := range o.coords[i*dims : (i+1)*dims] {
+			if i == 0 || c < lo[j] {
+				lo[j] = c
+			}
+			if i == 0 || c > hi[j] {
+				hi[j] = c
+			}
+		}
+		if i+1 == n || mus[i+1] != mus[i] {
+			t.levels[k] = mus[i]
+			if k--; k >= 0 {
+				next := t.boxes[2*k*dims : 2*(k+1)*dims]
+				copy(next, t.boxes[2*(k+1)*dims:2*(k+2)*dims])
+				lo, hi = next[:dims], next[dims:]
+			}
+		}
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// box returns the exact MBR of the cut at level i, viewing the table.
+func (t *levelTable) box(i int) geom.Rect {
+	d := t.dims
+	s := t.boxes[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
+	return geom.Rect{Lo: s[:d:d], Hi: s[d:]}
+}
 
 // fit returns L_opt for the upper and the lower face of dimension dim.
-func (f *lineFit) fit(o *Object, dim int) (hi, lo hull.Line) {
-	kern := o.KernelMBR()
-	levels := o.Levels()
-	n := len(levels) + 1
-	if cap(f.pts) < 2*n {
-		f.pts = make([]hull.Pt, 2*n)
-	}
-	hiPts, loPts := f.pts[:0:n], f.pts[n:n:2*n]
+func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
+	kern := t.box(len(t.levels) - 1)
+	n := len(t.levels) + 1
+	t.pts = resize(t.pts, 2*n)
+	hiPts, loPts := t.pts[:0:n], t.pts[n:n:2*n]
 	// α = 0 anchors the boundary function at the support (the cut is
 	// constant below the smallest level, so δ(0) = δ(minLevel)).
-	for i, u := range levels {
-		m := o.levelMBR(i)
+	for i, u := range t.levels {
+		m := t.box(i)
 		hiPts = append(hiPts, hull.Pt{X: u, Y: m.Hi[dim] - kern.Hi[dim]})
 		loPts = append(loPts, hull.Pt{X: u, Y: kern.Lo[dim] - m.Lo[dim]})
 		if i == 0 {
@@ -66,7 +133,7 @@ func (f *lineFit) fit(o *Object, dim int) (hi, lo hull.Line) {
 			loPts = append(loPts, hull.Pt{X: 0, Y: kern.Lo[dim] - m.Lo[dim]})
 		}
 	}
-	return hull.OptimalConservativeLine(hiPts), hull.OptimalConservativeLine(loPts)
+	return t.fitter.Fit(hiPts), t.fitter.Fit(loPts)
 }
 
 // EstimateMBR returns M_A(α)*, a rectangle guaranteed to enclose the true
@@ -133,14 +200,31 @@ func SummaryLen(d int) int { return 7 * d }
 // AppendSummary appends o's flat summary to dst: the kernel MBR, the line
 // fit NewBoundaryApprox makes, and the representative point.
 func AppendSummary(dst []float64, o *Object) []float64 {
-	kern := o.KernelMBR()
+	t := getLevelTable(o)
+	defer levelTables.Put(t)
+	return t.appendSummary(dst, o)
+}
+
+// Summarize is AppendSummary that also returns o's support MBR, in fresh
+// memory: what an R-tree leaf entry keeps of an object, from one walk of its
+// points.
+func Summarize(dst []float64, o *Object) ([]float64, geom.Rect) {
+	t := getLevelTable(o)
+	defer levelTables.Put(t)
+	d := o.dims
+	box := slices.Clone(t.boxes[:2*d]) // level 0, the support: lo, then hi
+	return t.appendSummary(dst, o), geom.Rect{Lo: box[:d:d], Hi: box[d:]}
+}
+
+// appendSummary appends the flat summary of o, whose table t is.
+func (t *levelTable) appendSummary(dst []float64, o *Object) []float64 {
+	kern := t.box(len(t.levels) - 1)
 	dst = append(dst, kern.Lo...)
 	dst = append(dst, kern.Hi...)
 	lines := len(dst)
 	dst = append(dst, make([]float64, 4*o.dims)...)
-	var f lineFit
 	for dim := 0; dim < o.dims; dim++ {
-		hi, lo := f.fit(o, dim)
+		hi, lo := t.fit(dim)
 		dst[lines+2*dim], dst[lines+2*dim+1] = hi.M, hi.T
 		dst[lines+2*(o.dims+dim)], dst[lines+2*(o.dims+dim)+1] = lo.M, lo.T
 	}

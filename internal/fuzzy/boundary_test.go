@@ -33,9 +33,9 @@ func TestEstimateMBREnclosesExact(t *testing.T) {
 				t.Fatalf("iter %d alpha %v: estimate %v escapes support %v",
 					iter, alpha, est, o.SupportMBR())
 			}
-			if !est.ContainsRect(o.KernelMBR()) {
+			if !est.ContainsRect(o.MBR(1)) {
 				t.Fatalf("iter %d alpha %v: estimate %v does not contain kernel %v",
-					iter, alpha, est, o.KernelMBR())
+					iter, alpha, est, o.MBR(1))
 			}
 		}
 	}
@@ -75,8 +75,8 @@ func TestBoundaryApproxSingleLevelObject(t *testing.T) {
 	b := NewBoundaryApprox(o)
 	for _, alpha := range []float64{0, 0.3, 0.7, 1} {
 		est := b.EstimateMBR(alpha)
-		if !est.Equal(o.KernelMBR()) {
-			t.Fatalf("alpha %v: estimate %v, want kernel %v", alpha, est, o.KernelMBR())
+		if !est.Equal(o.MBR(1)) {
+			t.Fatalf("alpha %v: estimate %v, want kernel %v", alpha, est, o.MBR(1))
 		}
 	}
 }

@@ -75,8 +75,8 @@ type Profile struct {
 // neighbour among the prefix with µ ≥ u. The query's tree is kept for as
 // long as the evaluator meets the same query object (identified by pointer:
 // the evaluator holds the pointer, so the object stays alive and its address
-// cannot come to name another one), the candidate's tree is rebuilt in
-// place, and neither object's level index is touched.
+// cannot come to name another one), and the candidate's tree is rebuilt in
+// place.
 //
 // A profileEval is not safe for concurrent use; a ProfileCache owns one. The
 // zero value is ready.
@@ -198,7 +198,7 @@ func ComputeProfile(a, q *Object) *Profile {
 // ComputeProfileBrute is the reference profile computation: an independent
 // brute-force closest pair at every level. Used in tests.
 func ComputeProfileBrute(a, q *Object) *Profile {
-	levels := mergeLevels(a.Levels(), q.Levels())
+	levels := mergeLevels(a.AppendLevels(nil), q.AppendLevels(nil))
 	dists := make([]float64, len(levels))
 	for j, u := range levels {
 		dists[j] = AlphaDistBrute(a, q, u)

@@ -33,7 +33,8 @@ type DistEval struct {
 	q     *Object
 	alpha float64
 	tree  kdtree.Tree
-	qmbr  geom.Rect // M_Q(α), the box of the tree's points
+	qmbr  geom.Rect // M_Q(α), the box of the tree's points, backed by qbox
+	qbox  []float64 // qmbr's corners: lo, then hi
 	gaps  []float64 // ClosestSq's per-point scratch
 	memo  map[uint64]float64
 
@@ -41,12 +42,18 @@ type DistEval struct {
 }
 
 // Reset points the evaluator at a new (query, α) pair, rebuilding the
-// query-cut tree in place and dropping all memoized values.
+// query-cut tree and M_Q(α) in place and dropping all memoized values. Once
+// its buffers have grown to the query's size it allocates nothing, whichever
+// object q is.
 func (e *DistEval) Reset(q *Object, alpha float64) {
 	e.q = q
 	e.alpha = alpha
 	e.tree.Rebuild(q.cutCoords(alpha), q.dims)
-	e.qmbr = q.MBR(alpha)
+	d := q.dims
+	if cap(e.qbox) < 2*d {
+		e.qbox = make([]float64, 2*d)
+	}
+	e.qmbr = q.MBRInto(alpha, geom.Rect{Lo: e.qbox[:d:d], Hi: e.qbox[d : 2*d : 2*d]})
 	if e.memo == nil {
 		e.memo = make(map[uint64]float64, 64)
 	}
@@ -69,6 +76,12 @@ func (e *DistEval) Query() *Object { return e.q }
 
 // Alpha returns the α the evaluator is currently pinned to.
 func (e *DistEval) Alpha() float64 { return e.alpha }
+
+// QueryMBR returns M_Q(α) of the pinned pair (empty for α > 1). It is the
+// evaluator's own storage: valid until the next Reset, and not to be
+// modified. A search pinned to a pair reads its query box here instead of
+// computing a second one.
+func (e *DistEval) QueryMBR() geom.Rect { return e.qmbr }
 
 // Dist returns d_α(o, Q) for the pinned query and α, memoized by o.ID().
 func (e *DistEval) Dist(o *Object) float64 {

@@ -131,6 +131,31 @@ func TestDistEvalGateSkips(t *testing.T) {
 	}
 }
 
+// TestDistEvalResetAllocs pins what pinning a query costs: a warm evaluator
+// Reset to a query object it has never seen rebuilds its tree and M_Q(α) in
+// its own storage and allocates nothing — nothing is derived onto, or kept
+// for, the query object — and QueryMBR is that object's MBR(α) bit for bit.
+func TestDistEvalResetAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 28))
+	const runs = 20
+	qs := make([]*Object, runs+2)
+	for i := range qs {
+		qs[i] = sec61Object(rng, uint64(i), 50, 50, 128)
+	}
+	var e DistEval
+	e.Reset(qs[len(qs)-1], 0.5) // warm: buffers at the queries' size
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() { e.Reset(qs[next], 0.5); next++ }); allocs != 0 {
+		t.Errorf("a warm DistEval.Reset on a new query object allocates %.0f times, want 0", allocs)
+	}
+	for _, alpha := range []float64{1e-9, 0.5, 1, 1.5} {
+		e.Reset(qs[0], alpha)
+		if got, want := e.QueryMBR(), qs[0].MBR(alpha); !sameBitsRect(got, want) || got.IsEmpty() != want.IsEmpty() {
+			t.Errorf("α = %v: QueryMBR %v, want %v", alpha, got, want)
+		}
+	}
+}
+
 // FuzzDistEval holds the seeded closest pair to brute force on random
 // §6.1-shaped pairs: far apart, overlapping, touching (distance 0), with
 // duplicate points, and against a one-point object, at fixed α, at exact

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"sync/atomic"
 
 	"fuzzyknn/internal/geom"
 )
@@ -29,29 +27,19 @@ type WeightedPoint struct {
 
 // Object is an immutable fuzzy object. Construct with New or FromSlabs.
 //
-// An object is a header over pointer-free payload: the coordinates (point i
-// is the view coords[i*dims:(i+1)*dims], so the α-cut is the first cutLen(α)
-// points) and the memberships. Everything else — the distinct levels and the
-// exact MBR of every level's cut — is derived into a levelIndex when someone
-// asks; a probe (DistEval, AlphaDist, range search) never does.
+// An object is a header over pointer-free payload and nothing else: the
+// coordinates (point i is the view coords[i*dims:(i+1)*dims], so the α-cut
+// is the first cutLen(α) points) and the memberships. Nothing derived is
+// kept beside them: a cut's box, the distinct levels and the §3.2 line fit's
+// per-level table are computed by whoever needs them, into storage that
+// caller owns (MBRInto, AppendLevels, AppendSummary). An object is therefore
+// immutable by construction and shareable across shards and caches.
 type Object struct {
 	id   uint64
 	dims int
 
 	coords []float64 // n*dims, points in descending-membership order
 	mus    []float64 // one per point, non-increasing, mus[0] = 1
-
-	// lazyIndex is built on first use and published once: readers see nil
-	// or a finished index that nobody writes again, so an object stays
-	// immutable to its readers and shareable across shards and caches. It
-	// lives as long as the object does.
-	lazyIndex atomic.Pointer[levelIndex]
-}
-
-// levelIndex is the derived per-level view of an object.
-type levelIndex struct {
-	levels []float64 // distinct membership values U_A, ascending (last is 1)
-	mbrs   []float64 // level i: lo corner at [2*i*dims:], hi corner dims later
 }
 
 // Validation errors returned by New and FromSlabs.
@@ -121,56 +109,6 @@ func FromSlabs(id uint64, dims int, coords, mus []float64) (*Object, error) {
 	return &Object{id: id, dims: dims, coords: coords, mus: mus}, nil
 }
 
-// index returns the object's level index, building it on first use.
-// Concurrent first users may each build one; the first to publish wins and
-// every caller returns that one.
-func (o *Object) index() *levelIndex {
-	if ix := o.lazyIndex.Load(); ix != nil {
-		return ix
-	}
-	o.lazyIndex.CompareAndSwap(nil, o.buildLevelIndex())
-	return o.lazyIndex.Load()
-}
-
-// buildLevelIndex derives the levels and their cut MBRs in one pass in
-// descending membership: the running MBR is kept in the slot of the level
-// being filled (levels ascend, so slots fill from the back) and seeds the
-// next lower level's slot when a level closes.
-func (o *Object) buildLevelIndex() *levelIndex {
-	n, dims, mus := len(o.mus), o.dims, o.mus
-	nLevels := 1
-	for i := 1; i < n; i++ {
-		if mus[i] != mus[i-1] {
-			nLevels++
-		}
-	}
-	ix := &levelIndex{
-		levels: make([]float64, nLevels),
-		mbrs:   make([]float64, nLevels*2*dims),
-	}
-	k := nLevels - 1
-	lo, hi := ix.mbrs[2*k*dims:(2*k+1)*dims], ix.mbrs[(2*k+1)*dims:]
-	for i := 0; i < n; i++ {
-		for j, c := range o.coords[i*dims : (i+1)*dims] {
-			if i == 0 || c < lo[j] {
-				lo[j] = c
-			}
-			if i == 0 || c > hi[j] {
-				hi[j] = c
-			}
-		}
-		if i+1 == n || mus[i+1] != mus[i] {
-			ix.levels[k] = mus[i]
-			if k--; k >= 0 {
-				next := ix.mbrs[2*k*dims : 2*(k+1)*dims]
-				copy(next, ix.mbrs[2*(k+1)*dims:2*(k+2)*dims])
-				lo, hi = next[:dims], next[dims:]
-			}
-		}
-	}
-	return ix
-}
-
 // sortDescending returns copies of the slabs with the points stably ordered
 // by descending membership.
 func sortDescending(dims int, coords, mus []float64) ([]float64, []float64) {
@@ -217,9 +155,16 @@ func (o *Object) point(i int) geom.Point {
 // order. The returned point must not be modified.
 func (o *Object) At(i int) (geom.Point, float64) { return o.point(i), o.mus[i] }
 
-// Levels returns the distinct membership values U_A in ascending order. The
-// last level is always 1. The returned slice must not be modified.
-func (o *Object) Levels() []float64 { return o.index().levels }
+// AppendLevels appends the distinct membership values U_A to dst in
+// ascending order (the last is always 1) and returns the extended slice.
+func (o *Object) AppendLevels(dst []float64) []float64 {
+	for i := len(o.mus) - 1; i >= 0; i-- {
+		if i == len(o.mus)-1 || o.mus[i] != o.mus[i+1] {
+			dst = append(dst, o.mus[i])
+		}
+	}
+	return dst
+}
 
 // MinLevel returns the smallest membership value of any point.
 func (o *Object) MinLevel() float64 { return o.mus[len(o.mus)-1] }
@@ -247,33 +192,45 @@ func (o *Object) cutCoords(alpha float64) []float64 {
 // CutSize returns |A_α| without materializing the cut.
 func (o *Object) CutSize(alpha float64) int { return o.cutLen(alpha) }
 
-// levelMBR returns the exact MBR of the cut at Levels()[i], viewing the
-// index's slab.
-func (o *Object) levelMBR(i int) geom.Rect {
-	d := o.dims
-	s := o.index().mbrs[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
-	return geom.Rect{Lo: s[:d:d], Hi: s[d:]}
-}
-
-// SupportMBR returns the exact MBR of the support, M_A(0) in paper notation.
-// Like every MBR an object returns, it must not be modified.
-func (o *Object) SupportMBR() geom.Rect { return o.levelMBR(0) }
-
-// KernelMBR returns the exact MBR of the kernel, M_A(1).
-func (o *Object) KernelMBR() geom.Rect { return o.levelMBR(len(o.Levels()) - 1) }
-
-// MBR returns the exact MBR M_A(α) of the α-cut. For α > 1 it returns the
-// empty rectangle.
-func (o *Object) MBR(alpha float64) geom.Rect {
-	// The cut at alpha equals the cut at the first level >= alpha (levels
-	// ascending); at or below the lowest level that is the support.
-	levels := o.Levels()
-	i := sort.SearchFloat64s(levels, alpha)
-	if i == len(levels) {
+// MBRInto writes M_A(α), the exact MBR of the α-cut, into dst's corner
+// slices when they have capacity (allocating one slab for both otherwise)
+// and returns it, append-style. It is one pass over the cut's points, the
+// first cutLen(α) of the slab: minimum and maximum are exact, so the box is
+// the cut's bounding rectangle bit for bit. For α > 1 the cut is empty and
+// the result is the empty rectangle, leaving dst untouched.
+func (o *Object) MBRInto(alpha float64, dst geom.Rect) geom.Rect {
+	cut := o.cutCoords(alpha)
+	if len(cut) == 0 {
 		return geom.Rect{}
 	}
-	return o.levelMBR(i)
+	d := o.dims
+	lo, hi := dst.Lo, dst.Hi
+	if cap(lo) < d || cap(hi) < d {
+		box := make([]float64, 2*d)
+		lo, hi = box[:d:d], box[d:]
+	}
+	lo, hi = lo[:d], hi[:d]
+	copy(lo, cut[:d])
+	copy(hi, cut[:d])
+	for i := d; i < len(cut); i += d {
+		for j, c := range cut[i : i+d] {
+			if c < lo[j] {
+				lo[j] = c
+			} else if c > hi[j] {
+				hi[j] = c
+			}
+		}
+	}
+	return geom.Rect{Lo: lo, Hi: hi}
 }
+
+// MBR returns the exact MBR M_A(α) of the α-cut in fresh memory. For α > 1
+// it returns the empty rectangle.
+func (o *Object) MBR(alpha float64) geom.Rect { return o.MBRInto(alpha, geom.Rect{}) }
+
+// SupportMBR returns the exact MBR of the support, M_A(0) in paper notation,
+// in fresh memory.
+func (o *Object) SupportMBR() geom.Rect { return o.MBR(0) }
 
 // Coords returns all coordinates as one slab, point i (in At order) at
 // [i*Dims():(i+1)*Dims()]. The result must not be modified.
@@ -365,5 +322,5 @@ func splitmix64(state *uint64) uint64 {
 // String summarizes the object.
 func (o *Object) String() string {
 	return fmt.Sprintf("fuzzy.Object{id=%d, n=%d, dims=%d, levels=%d}",
-		o.id, len(o.mus), o.dims, len(o.Levels()))
+		o.id, len(o.mus), o.dims, countLevels(o.mus, nil))
 }

@@ -137,6 +137,9 @@ func TestFromSlabs(t *testing.T) {
 	}
 }
 
+// Levels is AppendLevels into a fresh slice, for the package's tests.
+func (o *Object) Levels() []float64 { return o.AppendLevels(nil) }
+
 // sameObject reports whether two objects are structurally equal: points and
 // memberships in At order, levels, the cut and MBR at every level, Rep.
 func sameObject(a, b *Object) bool {
@@ -293,17 +296,20 @@ func TestMBRMatchesCut(t *testing.T) {
 		if !o.SupportMBR().Equal(geom.BoundingRect(cutOf(o, 0))) {
 			t.Fatal("SupportMBR mismatch")
 		}
-		if !o.KernelMBR().Equal(geom.BoundingRect(cutOf(o, 1))) {
-			t.Fatal("KernelMBR mismatch")
+		if !o.MBR(1).Equal(geom.BoundingRect(cutOf(o, 1))) {
+			t.Fatal("kernel MBR mismatch")
 		}
 	}
 }
 
-// TestLevelIndexMatchesEagerReference: the lazily built index and the
-// membership search equal a reference derived eagerly from the points —
-// over continuous, heavily tied and all-kernel memberships.
-func TestLevelIndexMatchesEagerReference(t *testing.T) {
+// TestMBRIntoMatchesEagerReference: AppendLevels, the membership search and
+// MBRInto — writing into one reused dst throughout — equal a reference
+// derived eagerly from the points, bit for bit, at α = 0, on every level,
+// `nextafter` on either side of it, between levels, at 1 and above 1 — over
+// continuous, heavily tied and all-kernel memberships.
+func TestMBRIntoMatchesEagerReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 23))
+	var dst geom.Rect
 	for iter := 0; iter < 60; iter++ {
 		n, dims := 1+rng.IntN(90), 1+rng.IntN(3)
 		o := randObject(rng, uint64(iter), n, dims, []int{0, 3, 1}[iter%3]) // q=1: every µ is 1
@@ -326,23 +332,12 @@ func TestLevelIndexMatchesEagerReference(t *testing.T) {
 			return pts
 		}
 
-		if o.lazyIndex.Load() != nil {
-			t.Fatal("index built before anyone asked")
-		}
-		if got := o.Levels(); !slices.Equal(got, levels) || got[len(got)-1] != 1 {
-			t.Fatalf("Levels = %v, want %v", got, levels)
-		}
-		for i, u := range levels {
-			if got, want := o.MBR(u), geom.BoundingRect(prefix(ends[i])); !got.Equal(want) {
-				t.Fatalf("MBR at level %v = %v, want %v", u, got, want)
-			}
-		}
-		if !o.SupportMBR().Equal(o.MBR(levels[0])) || !o.KernelMBR().Equal(o.MBR(1)) {
-			t.Fatal("SupportMBR/KernelMBR are not the lowest and top level's MBRs")
+		got := o.AppendLevels([]float64{-1})
+		if !slices.Equal(got[1:], levels) || got[len(got)-1] != 1 {
+			t.Fatalf("AppendLevels = %v, want %v after the -1 it was handed", got, levels)
 		}
 
-		// The level-based cut size: the cut at α is the cut at the first
-		// level ≥ α.
+		// The level-based cut: the cut at α is the cut at the first level ≥ α.
 		levelCut := func(alpha float64) int {
 			for i, u := range levels {
 				if u >= alpha {
@@ -351,7 +346,7 @@ func TestLevelIndexMatchesEagerReference(t *testing.T) {
 			}
 			return 0
 		}
-		alphas := []float64{0, levels[0] / 2, math.Nextafter(1, 2), 1.5}
+		alphas := []float64{0, levels[0] / 2, 1, math.Nextafter(1, 2), 1.5}
 		for i, u := range levels {
 			alphas = append(alphas, u, math.Nextafter(u, 0), math.Nextafter(u, 2))
 			if i > 0 {
@@ -359,22 +354,63 @@ func TestLevelIndexMatchesEagerReference(t *testing.T) {
 			}
 		}
 		for _, alpha := range alphas {
-			if got, want := o.CutSize(alpha), levelCut(alpha); got != want {
-				t.Fatalf("CutSize(%v) = %d, level-based %d (levels %v)", alpha, got, want, levels)
+			size := levelCut(alpha)
+			if got := o.CutSize(alpha); got != size {
+				t.Fatalf("CutSize(%v) = %d, level-based %d (levels %v)", alpha, got, size, levels)
 			}
+			got := o.MBRInto(alpha, dst)
+			if size == 0 {
+				if !got.IsEmpty() {
+					t.Fatalf("MBRInto(%v) = %v above the top level, want empty", alpha, got)
+				}
+				continue
+			}
+			want := geom.BoundingRect(prefix(size))
+			if !sameBitsRect(got, want) || !sameBitsRect(o.MBR(alpha), want) {
+				t.Fatalf("MBRInto(%v) = %v, MBR %v, want %v", alpha, got, o.MBR(alpha), want)
+			}
+			roomy := cap(dst.Lo) >= dims && cap(dst.Hi) >= dims
+			if roomy && (&got.Lo[0] != &dst.Lo[0] || &got.Hi[0] != &dst.Hi[0]) {
+				t.Fatalf("MBRInto(%v) did not reuse a dst with room", alpha)
+			}
+			dst = got
+		}
+		if !sameBitsRect(o.SupportMBR(), o.MBR(0)) || !sameBitsRect(o.SupportMBR(), o.MBR(levels[0])) {
+			t.Fatal("SupportMBR is not the lowest level's MBR")
 		}
 	}
 }
 
-// TestLevelIndexSharedFirstTouch: goroutines that first-touch the index of
-// one shared object (two shards hitting the same cached object) all get the
-// one published index. Run under -race.
-func TestLevelIndexSharedFirstTouch(t *testing.T) {
+// sameBitsRect reports whether two rectangles have bitwise equal corners.
+func sameBitsRect(a, b geom.Rect) bool {
+	if len(a.Lo) != len(b.Lo) || len(a.Hi) != len(b.Hi) {
+		return false
+	}
+	for i := range a.Lo {
+		if math.Float64bits(a.Lo[i]) != math.Float64bits(b.Lo[i]) ||
+			math.Float64bits(a.Hi[i]) != math.Float64bits(b.Hi[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedObjectReaders: one object read by 8 goroutines at once — as two
+// shards or a cache and a query share one — gives every reader the same
+// cut boxes, levels, summary and α-distances, and under -race shows that
+// reading an object writes nothing.
+func TestSharedObjectReaders(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 25))
 	for iter := 0; iter < 20; iter++ {
-		o := randObject(rng, uint64(iter), 64, 2, 8)
+		o := randObject(rng, uint64(iter), 64, 2, []int{0, 8}[iter%2])
+		q := randObject(rng, 1000+uint64(iter), 64, 2, 0)
 		const workers = 8
-		type seen struct{ level, lo, hi *float64 }
+		type seen struct {
+			box       geom.Rect
+			levels    []float64
+			summary   []float64
+			dist, rev float64
+		}
 		got := make([]seen, workers)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -383,30 +419,35 @@ func TestLevelIndexSharedFirstTouch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				switch w % 3 { // whichever accessor comes first builds it
-				case 0:
-					got[w] = seen{level: &o.Levels()[0]}
-				case 1:
-					got[w] = seen{lo: &o.MBR(0.5).Lo[0]}
-				default:
-					got[w] = seen{hi: &o.KernelMBR().Hi[0]}
+				var e, rev DistEval
+				e.Reset(q, 0.5)
+				rev.Reset(o, 0.5) // o as the query object too
+				got[w] = seen{
+					box:     o.MBRInto(0.5, geom.Rect{}),
+					levels:  o.AppendLevels(nil),
+					summary: AppendSummary(nil, o),
+					dist:    e.Dist(o),
+					rev:     rev.Dist(q),
 				}
 			}()
 		}
 		close(start)
 		wg.Wait()
-		want := seen{level: &o.Levels()[0], lo: &o.MBR(0.5).Lo[0], hi: &o.KernelMBR().Hi[0]}
 		for w, g := range got {
-			if (g.level != nil && g.level != want.level) || (g.lo != nil && g.lo != want.lo) || (g.hi != nil && g.hi != want.hi) {
-				t.Fatalf("iter %d: worker %d saw an index that was not the published one", iter, w)
+			if !sameBitsRect(g.box, got[0].box) || !slices.Equal(g.levels, got[0].levels) ||
+				!slices.Equal(g.summary, got[0].summary) || g.dist != got[0].dist || g.rev != got[0].rev {
+				t.Fatalf("iter %d: worker %d read %+v, worker 0 %+v", iter, w, g, got[0])
 			}
+		}
+		if want := AlphaDistBrute(o, q, 0.5); got[0].dist != want || got[0].rev != want {
+			t.Fatalf("iter %d: shared readers' distances %v and %v, want %v", iter, got[0].dist, got[0].rev, want)
 		}
 	}
 }
 
-// TestProbeBuildsNoIndex: what a search does to an object it visits —
-// α-distances, cut sizes, the representative, cut samples — reads the two
-// slabs only; evaluating against a pinned query does not allocate either.
+// TestProbeBuildsNoIndex: what a search does to an object it visits reads
+// the two slabs only — evaluating against a pinned query allocates nothing,
+// and agrees with the one-shot and the brute-force α-distance.
 func TestProbeBuildsNoIndex(t *testing.T) {
 	rng := rand.New(rand.NewPCG(26, 27))
 	q := randObject(rng, 1, 128, 2, 0)
@@ -420,15 +461,8 @@ func TestProbeBuildsNoIndex(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { e.dist(o) }); allocs != 0 {
 		t.Errorf("DistEval.dist allocates %.0f times", allocs)
 	}
-	e.Dist(o)
-	AlphaDist(o, q, 0.5)
-	AlphaDistBrute(o, q, 0.5)
-	o.CutSize(0.5)
-	o.MinLevel()
-	o.Rep()
-	o.SampleCut(0.5, 8, 1)
-	if o.lazyIndex.Load() != nil {
-		t.Fatal("a probe built the level index")
+	if d, one, brute := e.Dist(o), AlphaDist(o, q, 0.5), AlphaDistBrute(o, q, 0.5); d != one || d != brute {
+		t.Errorf("pinned %v, one-shot %v, brute force %v", d, one, brute)
 	}
 }
 
@@ -445,11 +479,8 @@ func TestProfileBuildsNoIndex(t *testing.T) {
 	c.ExpectedDist(o, q)
 	ComputeProfile(o, q)
 	ExpectedDist(q, o)
-	if o.lazyIndex.Load() != nil || q.lazyIndex.Load() != nil {
-		t.Fatal("a profile built a level index")
-	}
 	if !slices.Equal(p.Levels, mergeLevels(o.Levels(), q.Levels())) {
-		t.Fatal("profile levels are not the union of the two level indexes")
+		t.Fatal("profile levels are not the union of the two objects' levels")
 	}
 	var e profileEval
 	e.Profile(o, q)

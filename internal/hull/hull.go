@@ -17,8 +17,9 @@
 package hull
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Pt is a 2-d sample of a boundary function: X is the probability threshold
@@ -43,14 +44,26 @@ func Upper(pts []Pt) []Pt {
 	if len(pts) == 0 {
 		return nil
 	}
-	sorted := make([]Pt, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
+	return appendUpper(nil, sortPts(slices.Clone(pts)))
+}
+
+// sortPts sorts pts by x, then highest y first, and returns it. That is a
+// total order on distinct points, and equal points are equal values, so
+// every sort gives the same sequence. slices.SortFunc, unlike sort.Slice,
+// needs no reflection swapper or boxed closure.
+func sortPts(pts []Pt) []Pt {
+	slices.SortFunc(pts, func(a, b Pt) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		return sorted[i].Y > sorted[j].Y
+		return cmp.Compare(b.Y, a.Y)
 	})
+	return pts
+}
+
+// appendUpper appends the upper hull of sorted (ordered by sortPts,
+// non-empty) to dst. It drops duplicate x from sorted in place.
+func appendUpper(dst, sorted []Pt) []Pt {
 	// Drop duplicate x (the highest y, first after sorting, dominates).
 	uniq := sorted[:1]
 	for _, p := range sorted[1:] {
@@ -58,12 +71,12 @@ func Upper(pts []Pt) []Pt {
 			uniq = append(uniq, p)
 		}
 	}
-	var h []Pt
+	h, base := dst, len(dst)
 	for _, p := range uniq {
 		// Keep only right turns: the new point must be below the line of the
 		// last hull segment extended; pop while the middle point is not
 		// strictly above the chord from h[-2] to p.
-		for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
+		for len(h)-base >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
 			h = h[:len(h)-1]
 		}
 		h = append(h, p)
@@ -82,12 +95,27 @@ func cross(a, b, c Pt) float64 {
 // sample. It panics on an empty input. A single sample yields the
 // horizontal line through it.
 func OptimalConservativeLine(pts []Pt) Line {
+	var f Fitter
+	return f.Fit(pts)
+}
+
+// Fitter is OptimalConservativeLine keeping its working storage — the
+// sorted samples and their hull — across calls, so a caller fitting many
+// lines (a §3.2 summary fits 2·d per object, an index build one summary per
+// object) allocates nothing once the buffers have grown. The zero value is
+// ready. A Fitter is not safe for concurrent use.
+type Fitter struct {
+	sorted, hull []Pt
+}
+
+// Fit returns OptimalConservativeLine(pts).
+func (f *Fitter) Fit(pts []Pt) Line {
 	if len(pts) == 0 {
 		panic("hull: OptimalConservativeLine of empty point set")
 	}
-	h := Upper(pts)
-	line := bisectAnchor(h, pts)
-	return lift(line, pts)
+	f.sorted = sortPts(append(f.sorted[:0], pts...))
+	f.hull = appendUpper(f.hull[:0], f.sorted)
+	return lift(bisectAnchor(f.hull, pts), pts)
 }
 
 // bisectAnchor runs the Achtert et al. bisection over hull vertices.

@@ -205,6 +205,33 @@ func TestOptimalLineTypicalBoundaryFunction(t *testing.T) {
 	}
 }
 
+// TestFitterReuse: a Fitter carried across fits of different sizes returns
+// OptimalConservativeLine's line bit for bit, and a warm one allocates
+// nothing.
+func TestFitterReuse(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	var f Fitter
+	for iter := 0; iter < 200; iter++ {
+		pts := make([]Pt, 1+rng.IntN(80))
+		for i := range pts {
+			pts[i] = Pt{X: rng.Float64(), Y: rng.Float64() * 3}
+		}
+		if iter%3 == 0 { // duplicate x, as the α = 0 anchor makes
+			pts = append(pts, Pt{X: pts[0].X, Y: pts[0].Y / 2})
+		}
+		if got, want := f.Fit(pts), OptimalConservativeLine(pts); got != want {
+			t.Fatalf("iter %d: Fitter %+v, OptimalConservativeLine %+v", iter, got, want)
+		}
+	}
+	pts := make([]Pt, 64)
+	for i := range pts {
+		pts[i] = Pt{X: float64(i) / 64, Y: 1 - float64(i*i)/4096}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.Fit(pts) }); allocs != 0 {
+		t.Errorf("a warm Fitter allocates %.0f times per fit", allocs)
+	}
+}
+
 func BenchmarkOptimalLine256(b *testing.B) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	pts := make([]Pt, 256)
@@ -213,6 +240,7 @@ func BenchmarkOptimalLine256(b *testing.B) {
 		y -= rng.Float64() * 0.1
 		pts[i] = Pt{X: float64(i) / 256, Y: y}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		OptimalConservativeLine(pts)

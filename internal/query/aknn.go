@@ -158,7 +158,7 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 		alpha:    alpha,
 		st:       &sc.stats,
 		sc:       sc,
-		mq:       q.MBR(alpha),
+		mq:       sc.dist.QueryMBR(),
 		tightLB:  algo != Basic,
 		lazy:     algo == LBLP || algo == LBLPUB,
 		probed:   probed,
@@ -608,7 +608,7 @@ func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64)
 	sc.hits = sc.hits[:0]
 	sc.dist.Reset(q, alpha)
 	r := &sc.rng
-	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: q.MBR(alpha), sc: sc}
+	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: sc.dist.QueryMBR(), sc: sc}
 	if root := v.s.tree.Root(); len(root.Entries()) > 0 {
 		if err := r.visit(root); err != nil {
 			return nil, err

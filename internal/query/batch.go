@@ -305,19 +305,19 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 
 	// Summaries are per-object pure CPU — the expensive part of ingest —
 	// so compute them across GOMAXPROCS workers before the tree work.
-	items := make([]*leafItem, len(inserts))
+	items := make([]rtree.BulkItem, len(inserts))
 	parallelFor(len(inserts), func(i int) {
 		items[i] = newLeafItem(inserts[i])
 	})
 	bulk := (*rtree.Tree)(nil)
 	if len(deletes) == 0 {
-		bulk = ix.bulkRebuild(tree, inserts, items)
+		bulk = ix.bulkRebuild(tree, items)
 	}
 	if bulk != nil {
 		tree = bulk
 	} else {
-		for i, o := range inserts {
-			tree.Insert(o.SupportMBR(), items[i])
+		for _, it := range items {
+			tree.Insert(it.Rect, it.Data)
 		}
 	}
 	return &batchPrep{
@@ -345,12 +345,12 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 // holds exactly the same leaf items, so
 // answers are unchanged; only the node layout differs (STR-packed instead
 // of split-grown), which the cross-path equivalence tests pin down.
-func (ix *Index) bulkRebuild(tree *rtree.Tree, inserts []*fuzzy.Object, items []*leafItem) *rtree.Tree {
+func (ix *Index) bulkRebuild(tree *rtree.Tree, items []rtree.BulkItem) *rtree.Tree {
 	const bulkRebuildFactor = 4
-	if len(inserts) == 0 || ix.opts.Incremental || tree.Len() > bulkRebuildFactor*len(inserts) {
+	if len(items) == 0 || ix.opts.Incremental || tree.Len() > bulkRebuildFactor*len(items) {
 		return nil
 	}
-	all := make([]rtree.BulkItem, 0, tree.Len()+len(inserts))
+	all := make([]rtree.BulkItem, 0, tree.Len()+len(items))
 	var walk func(n *rtree.Node)
 	walk = func(n *rtree.Node) {
 		n = n.Resolve(nil)
@@ -363,9 +363,7 @@ func (ix *Index) bulkRebuild(tree *rtree.Tree, inserts []*fuzzy.Object, items []
 		}
 	}
 	walk(tree.Root())
-	for i, o := range inserts {
-		all = append(all, rtree.BulkItem{Rect: o.SupportMBR(), Data: items[i]})
-	}
+	all = append(all, items...)
 	return rtree.BulkLoad(all, ix.opts.MinEntries, ix.opts.MaxEntries)
 }
 

@@ -163,7 +163,7 @@ const sampleSize = 16
 // exactly the information §3 keeps in memory — the approximated boundary
 // (kernel MBR and L_opt lines; the support MBR is the entry's rectangle) and
 // the representative kernel point — as one flat summary
-// (fuzzy.AppendSummary). The leaf lays the summary out in its packed slab
+// (fuzzy.Summarize). The leaf lays the summary out in its packed slab
 // (rtree.Summarized), and every search reads it there.
 type leafItem struct {
 	id  uint64
@@ -173,10 +173,11 @@ type leafItem struct {
 // Summary implements rtree.Summarized.
 func (it *leafItem) Summary() []float64 { return it.sum }
 
-// newLeafItem summarises o.
-func newLeafItem(o *fuzzy.Object) *leafItem {
-	sum := make([]float64, 0, fuzzy.SummaryLen(o.Dims()))
-	return &leafItem{id: o.ID(), sum: fuzzy.AppendSummary(sum, o)}
+// newLeafItem summarises o into the leaf entry that indexes it: the support
+// MBR and the payload, from one walk of o's points.
+func newLeafItem(o *fuzzy.Object) rtree.BulkItem {
+	sum, support := fuzzy.Summarize(make([]float64, 0, fuzzy.SummaryLen(o.Dims())), o)
+	return rtree.BulkItem{Rect: support, Data: &leafItem{id: o.ID(), sum: sum}}
 }
 
 // Index is a search index over a fuzzy object store. It is mutable:
@@ -282,7 +283,7 @@ func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Inde
 			errs[i] = err
 			return
 		}
-		items[i] = rtree.BulkItem{Rect: obj.SupportMBR(), Data: newLeafItem(obj)}
+		items[i] = newLeafItem(obj)
 	})
 	for _, err := range errs {
 		if err != nil {

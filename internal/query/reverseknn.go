@@ -101,16 +101,17 @@ func reverseTree(sc *scratch, v shardView, tree int, q *fuzzy.Object, k int, alp
 	st := &sc.stats
 	sc.revCands = sc.revCands[:0]
 
-	// Collect the leaf entries and build the representative-point tree,
-	// both in scratch storage.
+	// Collect the leaf entries, bounded against the pinned evaluator's
+	// M_Q(α), and build the representative-point tree, both in scratch
+	// storage.
+	sc.dist.Reset(q, alpha)
 	sc.revEntries, sc.repCoords = sc.revEntries[:0], sc.repCoords[:0]
-	sc.collectLeaves(v.s.tree.Root(), alpha, q.MBR(alpha))
+	sc.collectLeaves(v.s.tree.Root(), alpha, sc.dist.QueryMBR())
 	if len(sc.revEntries) == 0 {
 		return nil, nil
 	}
 	dims := v.s.dims
 	sc.repTree.Rebuild(sc.repCoords, dims)
-	sc.dist.Reset(q, alpha)
 
 	for i, it := range sc.revEntries {
 		lb := it.lb
@@ -195,7 +196,7 @@ func countCloser(sc *scratch, v shardView, a *fuzzy.Object, alpha, radius float6
 	sc.dist2.Reset(a, alpha)
 	r := &closerRun{
 		ix:     v.ix,
-		ma:     a.MBR(alpha),
+		ma:     sc.dist2.QueryMBR(),
 		aID:    a.ID(),
 		alpha:  alpha,
 		radius: radius,

@@ -244,10 +244,10 @@ func (c *rknnCtx) naive() error {
 			if err != nil {
 				return err
 			}
-			levels = append(levels, o.Levels()...)
+			levels = o.AppendLevels(levels)
 		}
 	}
-	levels = append(levels, c.q.Levels()...)
+	levels = c.q.AppendLevels(levels)
 	slices.Sort(levels)
 	levels = dedupeInWindow(levels, c.as, c.ae)
 

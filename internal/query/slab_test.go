@@ -69,7 +69,7 @@ func TestLeafSlabBoundsBitIdentical(t *testing.T) {
 				}
 				ref := fuzzy.NewBoundaryApprox(obj)
 				box, sum := n.EntrySummary(i)
-				lv, qlv := obj.Levels(), q.Levels()
+				lv, qlv := obj.AppendLevels(nil), q.AppendLevels(nil)
 				for _, alpha := range []float64{1, 0.5, lv[0], lv[len(lv)/2], qlv[len(qlv)/2], math.Nextafter(lv[len(lv)/2], 2)} {
 					mq, est := q.MBR(alpha), ref.EstimateMBR(alpha)
 					if got, want := fuzzy.EstimateMinDist(box, sum, alpha, mq), geom.MinDist(est, mq); bits(got) != bits(want) {
@@ -110,11 +110,11 @@ func TestAlphaEdgeBattery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallest := q.Levels()[0]
+	smallest := q.MinLevel()
 	for _, o := range objs {
-		smallest = min(smallest, o.Levels()[0])
+		smallest = min(smallest, o.MinLevel())
 	}
-	ql, pl := q.Levels(), probed.Levels()
+	ql, pl := q.AppendLevels(nil), probed.AppendLevels(nil)
 	alphas := map[string]float64{
 		"1":                 1,
 		"query level":       ql[len(ql)/2],

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -112,6 +113,26 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 	if got := seriesValue(t, page, `fuzzyknn_requests_total{kind="aknn"}`); got != count2 {
 		t.Fatalf("requests_total (%v) and histogram count (%v) disagree", got, count2)
+	}
+}
+
+// TestServeRuntimeMemoryGauges: /metrics reports the process's memory from
+// runtime/metrics — the live heap the last collection found, and above it
+// the next collection's goal and everything the runtime has mapped.
+func TestServeRuntimeMemoryGauges(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	runtime.GC() // the live-heap series is zero until a collection has run
+	page := scrape(t, ts.URL)
+	live := seriesValue(t, page, "fuzzyknn_go_heap_live_bytes")
+	goal := seriesValue(t, page, "fuzzyknn_go_heap_goal_bytes")
+	total := seriesValue(t, page, "fuzzyknn_go_memory_bytes")
+	if live <= 0 || goal < live || total < live {
+		t.Fatalf("heap live %v, goal %v, runtime total %v: want 0 < live ≤ goal and live ≤ total", live, goal, total)
+	}
+	for _, g := range []string{"fuzzyknn_go_heap_live_bytes", "fuzzyknn_go_heap_goal_bytes", "fuzzyknn_go_memory_bytes"} {
+		if !strings.Contains(page, "# TYPE "+g+" gauge") {
+			t.Fatalf("%s is not exposed as a gauge:\n%s", g, page)
+		}
 	}
 }
 

@@ -97,6 +97,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -154,6 +155,15 @@ type Server struct {
 	repl   replState
 }
 
+// runtimeGauge returns a sampler of one uint64 runtime/metrics series.
+func runtimeGauge(name string) func() int64 {
+	return func() int64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+}
+
 // New builds the handler. opts may be nil for defaults.
 func New(ix *fuzzyknn.Index, eng *fuzzyknn.Engine, opts *Options) *Server {
 	s := &Server{ix: ix, eng: eng, mux: http.NewServeMux(), reg: metrics.NewRegistry()}
@@ -176,6 +186,16 @@ func New(ix *fuzzyknn.Index, eng *fuzzyknn.Engine, opts *Options) *Server {
 	s.reg.CounterFunc("fuzzyknn_storage_faults_total",
 		"Store operations refused by fail-stopped storage (the triggering fault plus every rejected retry).",
 		ix.StorageFaults)
+	// The process's memory, read from runtime/metrics at scrape time only.
+	s.reg.GaugeFunc("fuzzyknn_go_heap_live_bytes",
+		"Heap bytes the last garbage collection found live.",
+		runtimeGauge("/gc/heap/live:bytes"))
+	s.reg.GaugeFunc("fuzzyknn_go_heap_goal_bytes",
+		"Heap size at which the next garbage collection starts.",
+		runtimeGauge("/gc/heap/goal:bytes"))
+	s.reg.GaugeFunc("fuzzyknn_go_memory_bytes",
+		"All memory the Go runtime has mapped for the process (heap, stacks, runtime metadata).",
+		runtimeGauge("/memory/classes/total:bytes"))
 	// One cache vocabulary for both caching layers: the block cache holds
 	// index pages (cache="pages"), the store LRU holds decoded object
 	// payloads (cache="objects"). Families register only for the layers the
