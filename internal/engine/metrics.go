@@ -118,6 +118,9 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.CounterFunc("fuzzyknn_engine_distance_evals_total",
 		"Exact distance evaluations summed across every executed request.",
 		sample(func(t Totals) int64 { return int64(t.Stats.DistanceEvals) }))
+	reg.CounterFunc("fuzzyknn_engine_profile_points_total",
+		"Points swept by distance staircases (both objects' cuts at each staircase's floor) summed across every executed request.",
+		sample(func(t Totals) int64 { return int64(t.Stats.ProfilePoints) }))
 	reg.CounterFunc("fuzzyknn_engine_page_reads_total",
 		"Index pages read from disk (block-cache misses) summed across every executed request.",
 		sample(func(t Totals) int64 { return int64(t.Stats.PageReads) }))

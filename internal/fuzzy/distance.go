@@ -42,14 +42,19 @@ func AlphaDistBrute(a, b *Object, alpha float64) float64 {
 	return math.Sqrt(best)
 }
 
-// Profile is the complete step function α ↦ d_α(A, Q) for a pair of fuzzy
-// objects, represented by its plateaus: for α in (Levels[j-1], Levels[j]]
-// (with Levels[-1] = 0), the distance is Dists[j]. Levels is the ascending
-// union of both objects' membership levels, always ending at 1; Dists is
-// non-decreasing — the monotonicity property of d_α.
+// Profile is the step function α ↦ d_α(A, Q) for a pair of fuzzy objects,
+// represented by its plateaus: for α in (Levels[j-1], Levels[j]] (with
+// Levels[-1] = 0), the distance is Dists[j]. Levels is the ascending union of
+// both objects' membership levels at or above the profile's floor, always
+// ending at 1; Dists is non-decreasing — the monotonicity property of d_α.
+//
+// A profile with floor 0 is the complete staircase; one built from a higher
+// floor is its suffix of levels ≥ floor, bit for bit, and answers only there.
 type Profile struct {
 	Levels []float64
 	Dists  []float64
+
+	floor float64 // the lowest α the staircase answers; 0 when complete
 
 	// integral memoizes Integrate (the staircase's exact integral — the
 	// expected distance): refinement paths read it repeatedly and must not
@@ -65,18 +70,18 @@ type Profile struct {
 // profileEval computes distance profiles without allocating beyond the
 // Profile it returns. It is the sibling of DistEval for whole staircases:
 // DistEval fixes (query, α) and builds one tree over the query's cut;
-// profileEval fixes the query and sweeps every α at once.
+// profileEval fixes the query and sweeps every α from a floor at once.
 //
 // Points are stored in descending membership, so the α-cut of either object
 // is always the first m points of its slab, and "the points met so far" in a
 // sweep over descending levels is a prefix too. Nothing is inserted
-// anywhere: one kdtree.PrefixTree is built over all points of each side, and
+// anywhere: one kdtree.PrefixTree is built over the points of each side, and
 // a point arriving at level u asks the other side's tree for its nearest
 // neighbour among the prefix with µ ≥ u. The query's tree is kept for as
 // long as the evaluator meets the same query object (identified by pointer:
 // the evaluator holds the pointer, so the object stays alive and its address
 // cannot come to name another one), and the candidate's tree is rebuilt in
-// place.
+// place over the candidate's floor-cut only.
 //
 // A profileEval is not safe for concurrent use; a ProfileCache owns one. The
 // zero value is ready.
@@ -86,26 +91,34 @@ type profileEval struct {
 	box          []float64 // running prefix boxes: A's lo, A's hi, Q's lo, Q's hi
 }
 
-// Profile evaluates the whole distance profile of (a, q) in one pass over
-// the levels in descending order. The profile value at a level is the
-// running minimum over all cross pairs met so far, because α-cuts are
-// prefixes: at each level the new A-points probe Q's prefix, then the new
-// Q-points probe A's prefix (which by then includes this level's A-points),
-// so a same-level cross pair is met by whichever side comes last.
+// Profile evaluates the distance profile of (a, q) at the levels ≥ floor
+// (floor ≤ 1) in one pass over them in descending order. The profile value
+// at a level is the running minimum over all cross pairs met so far, because
+// α-cuts are prefixes: at each level the new A-points probe Q's prefix, then
+// the new Q-points probe A's prefix (which by then includes this level's
+// A-points), so a same-level cross pair is met by whichever side comes last.
 //
-// The result equals ComputeProfileBrute bit for bit. The running minimum is
-// carried squared — a minimum over the per-pair squared distances brute
-// computes, rounded as brute rounds them, in whatever order — and the one
-// square root per level is brute's; a plateau therefore repeats one bit
-// pattern, which Critical's strict comparison relies on.
-func (e *profileEval) Profile(a, q *Object) *Profile {
+// The sweep stops at the floor: every α-cut with α ≥ floor lies inside the
+// two floor-cut prefixes, so the pairs met down to a level u ≥ floor are the
+// pairs with both memberships ≥ u whether or not the sweep would go on. The
+// query's tree still covers all of q, since it is kept across candidates and
+// the prefix length restricts it. A floor at or below both objects' lowest
+// levels gives the complete staircase, its integral memoized.
+//
+// The result equals ComputeProfileBrute's levels ≥ floor bit for bit. The
+// running minimum is carried squared — a minimum over the per-pair squared
+// distances brute computes, rounded as brute rounds them, in whatever order —
+// and the one square root per level is brute's; a plateau therefore repeats
+// one bit pattern, which Critical's strict comparison relies on.
+func (e *profileEval) Profile(a, q *Object, floor float64) *Profile {
 	checkDims(a, q)
 	dims := a.dims
 	if e.q != q {
 		e.qTree.Rebuild(q.coords, dims)
 		e.q = q
 	}
-	e.aTree.Rebuild(a.coords, dims)
+	amus, qmus := a.mus[:a.cutLen(floor)], q.mus[:q.cutLen(floor)]
+	e.aTree.Rebuild(a.coords[:len(amus)*dims], dims)
 
 	if cap(e.box) < 4*dims {
 		e.box = make([]float64, 4*dims)
@@ -118,24 +131,27 @@ func (e *profileEval) Profile(a, q *Object) *Profile {
 		qBox.Lo[i], qBox.Hi[i] = math.Inf(1), math.Inf(-1)
 	}
 
-	n := countLevels(a.mus, q.mus)
+	n := countLevels(amus, qmus)
 	slab := make([]float64, 2*n)
 	levels, dists := slab[:n:n], slab[n:]
 	bestSq := math.Inf(1)
-	ia, iq := 0, 0 // how much of each slab the sweep has met
+	ia, iq := 0, 0 // how much of each prefix the sweep has met
 	for j := n - 1; j >= 0; j-- {
-		u := nextLevel(a.mus, q.mus, ia, iq)
-		for ; ia < len(a.mus) && a.mus[ia] >= u; ia++ {
+		u := nextLevel(amus, qmus, ia, iq)
+		for ; ia < len(amus) && amus[ia] >= u; ia++ {
 			p := a.point(ia)
 			bestSq = closerSq(p, &e.qTree, iq, qBox, bestSq)
 			aBox.ExpandPoint(p)
 		}
-		for ; iq < len(q.mus) && q.mus[iq] >= u; iq++ {
+		for ; iq < len(qmus) && qmus[iq] >= u; iq++ {
 			p := q.point(iq)
 			bestSq = closerSq(p, &e.aTree, ia, aBox, bestSq)
 			qBox.ExpandPoint(p)
 		}
 		levels[j], dists[j] = u, math.Sqrt(bestSq)
+	}
+	if len(amus) < len(a.mus) || len(qmus) < len(q.mus) {
+		return &Profile{Levels: levels, Dists: dists, floor: floor}
 	}
 	return &Profile{Levels: levels, Dists: dists,
 		integral: integrate(levels, dists), integrated: true}
@@ -187,12 +203,13 @@ func countLevels(amus, qmus []float64) int {
 	return n
 }
 
-// ComputeProfile is the one-shot form of profileEval.Profile: both trees are
-// built for this pair alone. Code that profiles many objects against one
-// query goes through a ProfileCache, which keeps the evaluator.
+// ComputeProfile is the one-shot form of profileEval.Profile for the
+// complete staircase: both trees are built for this pair alone. Code that
+// profiles many objects against one query goes through a ProfileCache, which
+// keeps the evaluator.
 func ComputeProfile(a, q *Object) *Profile {
 	var e profileEval
-	return e.Profile(a, q)
+	return e.Profile(a, q, 0)
 }
 
 // ComputeProfileBrute is the reference profile computation: an independent
@@ -227,14 +244,25 @@ func mergeLevels(a, b []float64) []float64 {
 	return out
 }
 
-// Dist returns d_α for any α in (0, 1]. Values of α at or below the lowest
-// level fall on the first plateau; α above 1 is reported as +Inf.
+// Dist returns d_α for any α in (0, 1] at or above the floor. Values of α at
+// or below the lowest level fall on the first plateau; α above 1 is reported
+// as +Inf.
 func (p *Profile) Dist(alpha float64) float64 {
+	p.checkFloor(alpha)
 	if alpha > p.Levels[len(p.Levels)-1] {
 		return math.Inf(1)
 	}
 	j := sort.SearchFloat64s(p.Levels, alpha)
 	return p.Dists[j]
+}
+
+// checkFloor panics when alpha lies below the staircase's floor: α is
+// validated at the boundary, so such a read is a bug and must not pass as a
+// wrong plateau.
+func (p *Profile) checkFloor(alpha float64) {
+	if alpha < p.floor {
+		panic(fmt.Sprintf("fuzzy: profile read at α = %v below its floor %v", alpha, p.floor))
+	}
 }
 
 // Critical returns the critical probability set Ω_Q(A) (Definition 7): every
@@ -252,8 +280,9 @@ func (p *Profile) Critical() []float64 {
 
 // NextCritical returns the smallest critical probability ≥ alpha (Lemma 2's
 // α′). Since level 1 is always critical, the result is well defined for any
-// alpha ≤ 1.
+// alpha ≤ 1 at or above the floor.
 func (p *Profile) NextCritical(alpha float64) float64 {
+	p.checkFloor(alpha)
 	j := sort.SearchFloat64s(p.Levels, alpha)
 	for ; j < len(p.Levels)-1; j++ {
 		if p.Dists[j+1] > p.Dists[j] {
@@ -267,7 +296,9 @@ func (p *Profile) NextCritical(alpha float64) float64 {
 // and true, or (0, false) when alpha is at or beyond the top level. It is
 // the exact replacement for the paper's "α ← α* + ε" stepping: the next
 // plateau starts just above alpha and is fully characterized by this level.
+// alpha must be at or above the floor.
 func (p *Profile) NextLevel(alpha float64) (float64, bool) {
+	p.checkFloor(alpha)
 	j := sort.Search(len(p.Levels), func(i int) bool { return p.Levels[i] > alpha })
 	if j == len(p.Levels) {
 		return 0, false

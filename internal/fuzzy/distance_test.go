@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 
 	"fuzzyknn/internal/geom"
@@ -210,7 +211,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		{"AlphaDist", func(x, y *Object) { AlphaDist(x, y, 0.5) }},
 		{"ComputeProfile", func(x, y *Object) { ComputeProfile(x, y) }},
 		{"ExpectedDist", func(x, y *Object) { ExpectedDist(x, y) }},
-		{"ProfileCache.Profile", func(x, y *Object) { cache.Profile(x, y) }},
+		{"ProfileCache.Profile", func(x, y *Object) { cache.Profile(x, y, 0) }},
 	} {
 		for _, pair := range [][2]*Object{{a, b}, {b, a}} {
 			x, y := pair[0], pair[1]
@@ -248,11 +249,12 @@ func objectNear(rng *rand.Rand, id uint64, n, quant int, centre geom.Point) *Obj
 }
 
 // sameProfile requires the staircase of (a, q) through e to equal the
-// brute-force one exactly: the paper's contract is exact answers, and
-// Critical compares neighbouring plateaus strictly.
+// brute-force one exactly — the paper's contract is exact answers, and
+// Critical compares neighbouring plateaus strictly — and every floored
+// staircase profileFloors names to be its suffix (sameSuffix).
 func sameProfile(t *testing.T, e *profileEval, a, q *Object) {
 	t.Helper()
-	got, want := e.Profile(a, q), ComputeProfileBrute(a, q)
+	got, want := e.Profile(a, q, 0), ComputeProfileBrute(a, q)
 	if !slices.Equal(got.Levels, want.Levels) {
 		t.Fatalf("%v vs %v: levels %v, want %v", a, q, got.Levels, want.Levels)
 	}
@@ -262,6 +264,83 @@ func sameProfile(t *testing.T, e *profileEval, a, q *Object) {
 	if got.Integrate() != want.Integrate() {
 		t.Fatalf("%v vs %v: integral %v, want %v", a, q, got.Integrate(), want.Integrate())
 	}
+	for _, floor := range profileFloors(a, q) {
+		sameSuffix(t, e, a, q, want, floor)
+	}
+}
+
+// profileFloors names the floors a staircase of (a, q) is checked from: one
+// below every level, the lowest and a middle level of either side, the float
+// just above each of those, and 1.
+func profileFloors(a, q *Object) []float64 {
+	floors := []float64{min(a.MinLevel(), q.MinLevel()) / 2, 1}
+	for _, o := range []*Object{a, q} {
+		levels := o.AppendLevels(nil)
+		for _, u := range []float64{levels[0], levels[len(levels)/2]} {
+			floors = append(floors, u)
+			if u < 1 {
+				floors = append(floors, math.Nextafter(u, 2))
+			}
+		}
+	}
+	return floors
+}
+
+// sameSuffix requires the staircase of (a, q) from floor, through e, to hold
+// exactly want's levels ≥ floor and their distances (compared bit for bit),
+// to answer Dist, NextCritical and NextLevel as want does at every α ≥ floor,
+// and then either to be the complete staircase with its integral — when the
+// floor cuts nothing off either object — or to refuse loudly to be read below
+// its floor or integrated.
+func sameSuffix(t *testing.T, e *profileEval, a, q *Object, want *Profile, floor float64) {
+	t.Helper()
+	got := e.Profile(a, q, floor)
+	j0 := sort.SearchFloat64s(want.Levels, floor)
+	if !equalBits(got.Levels, want.Levels[j0:]) || !equalBits(got.Dists, want.Dists[j0:]) {
+		t.Fatalf("%v vs %v from %v: levels %v dists %v, want %v %v",
+			a, q, floor, got.Levels, got.Dists, want.Levels[j0:], want.Dists[j0:])
+	}
+	alphas := []float64{floor}
+	for _, u := range got.Levels {
+		alphas = append(alphas, u)
+		if u < 1 {
+			alphas = append(alphas, math.Nextafter(u, 2))
+		}
+	}
+	for _, alpha := range alphas {
+		gl, gok := got.NextLevel(alpha)
+		wl, wok := want.NextLevel(alpha)
+		if !equalBits([]float64{got.Dist(alpha), got.NextCritical(alpha), gl}, []float64{want.Dist(alpha), want.NextCritical(alpha), wl}) || gok != wok {
+			t.Fatalf("%v vs %v from %v at α = %v: Dist, NextCritical, NextLevel = %v, %v, %v/%v; want %v, %v, %v/%v",
+				a, q, floor, alpha, got.Dist(alpha), got.NextCritical(alpha), gl, gok,
+				want.Dist(alpha), want.NextCritical(alpha), wl, wok)
+		}
+	}
+	if floor <= min(a.MinLevel(), q.MinLevel()) {
+		if !got.integrated || !equalBits([]float64{got.Integrate()}, []float64{want.Integrate()}) {
+			t.Fatalf("%v vs %v from %v (below every level): integral %v (memoized %v), want %v",
+				a, q, floor, got.integral, got.integrated, want.Integrate())
+		}
+		return
+	}
+	mustPanic(t, "Dist below the floor", func() { got.Dist(math.Nextafter(floor, 0)) })
+	mustPanic(t, "Integrate of a floored staircase", func() { got.Integrate() })
+}
+
+// equalBits reports whether x and y hold the same float64 bit patterns.
+func equalBits(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 // TestProfileBitIdenticalToBrute drives ONE evaluator — as a query's scratch
@@ -322,7 +401,9 @@ func TestProfileBitIdenticalToBrute(t *testing.T) {
 // coarse lattice and memberships in quarters, so coincident points, equal
 // levels and exact distance ties are the common case — and requires the
 // evaluator, reused across both argument orders and the self pair, to equal
-// brute force exactly.
+// brute force exactly, from every floor profileFloors names and from one more
+// the input draws: an eighth, on a quarter level or between two, or the
+// float just above it.
 func FuzzProfile(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 3, 2, 0, 0, 3, 4, 4, 1, 8, 0, 2, 1, 1, 3, 5, 5, 0, 9, 9, 2})
@@ -353,10 +434,15 @@ func FuzzProfile(f *testing.F) {
 			return MustNew(id, pts)
 		}
 		a, q := object(1, na, 0), object(2, nq, shift)
+		floor := float64(next()%9) / 8
+		if next()%2 == 1 && floor < 1 {
+			floor = math.Nextafter(floor, 2)
+		}
 		var e profileEval
 		sameProfile(t, &e, a, q)
 		sameProfile(t, &e, q, a)
 		sameProfile(t, &e, a, a)
+		sameSuffix(t, &e, a, q, ComputeProfileBrute(a, q), floor)
 		sameProfile(t, &e, a, q)
 	})
 }
@@ -391,10 +477,25 @@ func BenchmarkProfileNeighbours128(b *testing.B) {
 	q := sec61Object(rng, 1, 50, 50, 128)
 	a := sec61Object(rng, 2, 51, 50, 128)
 	var e profileEval
-	e.Profile(a, q)
+	e.Profile(a, q, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profileSink = e.Profile(a, q)
+		profileSink = e.Profile(a, q, 0)
+	}
+}
+
+// BenchmarkProfileNeighbours128Floor04 is the same staircase as an RKNN over
+// a window starting at αs = 0.4 asks for it: swept from floor 0.4 only.
+func BenchmarkProfileNeighbours128Floor04(b *testing.B) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	q := sec61Object(rng, 1, 50, 50, 128)
+	a := sec61Object(rng, 2, 51, 50, 128)
+	var e profileEval
+	e.Profile(a, q, 0.4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profileSink = e.Profile(a, q, 0.4)
 	}
 }

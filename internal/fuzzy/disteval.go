@@ -125,6 +125,8 @@ func (e *DistEval) dist(o *Object) float64 {
 // Misses are computed by an evaluator the cache owns, so the k-d tree over
 // the query's points is built once per query object and serves every
 // candidate's staircase, and a miss allocates the Profile and nothing else.
+// An entry answers only at or above the floor it was swept from, so a
+// staircase cut for one window never serves a wider one.
 //
 // A ProfileCache is not safe for concurrent use; pool one per worker.
 type ProfileCache struct {
@@ -136,21 +138,26 @@ type ProfileCache struct {
 // maxProfileEntries caps the cache; see the type comment.
 const maxProfileEntries = 4096
 
-// Lookup returns the cached profile of (o, q) without computing on a miss.
-// Search paths use it to reuse a staircase value some earlier phase already
-// paid for while never paying a full profile for a one-shot distance.
-func (c *ProfileCache) Lookup(o, q *Object) (*Profile, bool) {
+// Lookup returns the cached profile of (o, q) if it answers at alpha,
+// without computing on a miss. Search paths use it to reuse a staircase
+// value some earlier phase already paid for while never paying a profile for
+// a one-shot distance.
+func (c *ProfileCache) Lookup(o, q *Object, alpha float64) (*Profile, bool) {
 	if c.q != q || c.m == nil {
 		return nil, false
 	}
 	p, ok := c.m[o]
-	return p, ok
+	if !ok || alpha < p.floor {
+		return nil, false
+	}
+	return p, true
 }
 
-// Profile returns the memoized profile of (o, q), computing and caching it
-// on a miss. Both repeated calls within one query execution and repeats of
-// the same query object across executions hit the cache.
-func (c *ProfileCache) Profile(o, q *Object) *Profile {
+// Profile returns the memoized profile of (o, q) exact at every α ≥ floor,
+// computing it from that floor and caching it when no entry reaches that
+// low. Both repeated calls within one query execution and repeats of the
+// same query object across executions hit the cache.
+func (c *ProfileCache) Profile(o, q *Object, floor float64) *Profile {
 	if c.q != q || c.m == nil {
 		if c.m == nil {
 			c.m = make(map[*Object]*Profile, 64)
@@ -159,10 +166,10 @@ func (c *ProfileCache) Profile(o, q *Object) *Profile {
 		}
 		c.q = q
 	}
-	if p, ok := c.m[o]; ok {
+	if p, ok := c.m[o]; ok && p.floor <= floor {
 		return p
 	}
-	p := c.eval.Profile(o, q)
+	p := c.eval.Profile(o, q, floor)
 	if len(c.m) >= maxProfileEntries {
 		clear(c.m)
 	}
@@ -170,8 +177,9 @@ func (c *ProfileCache) Profile(o, q *Object) *Profile {
 	return p
 }
 
-// ExpectedDist returns the memoized integrated distance E(o, q); the
-// profile's integral is itself computed at most once (see Integrate).
+// ExpectedDist returns the memoized integrated distance E(o, q) from the
+// complete staircase; the profile's integral is itself computed at most once
+// (see Integrate).
 func (c *ProfileCache) ExpectedDist(o, q *Object) float64 {
-	return c.Profile(o, q).Integrate()
+	return c.Profile(o, q, 0).Integrate()
 }

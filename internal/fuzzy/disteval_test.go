@@ -204,6 +204,45 @@ func FuzzDistEval(f *testing.F) {
 	})
 }
 
+// TestProfileCacheFloorsDoNotLeak drives one cache through windows that widen
+// under it: an entry answers only from its own floor up, a lower floor
+// recomputes and replaces it, and the expected distance — the integral over
+// every level — never comes from a floored staircase.
+func TestProfileCacheFloorsDoNotLeak(t *testing.T) {
+	q, objs := sec61Neighbours(rand.New(rand.NewPCG(43, 44)), 1)
+	o := objs[0]
+	var c ProfileCache
+	p5 := c.Profile(o, q, 0.5)
+	if _, ok := c.Lookup(o, q, 0.4); ok {
+		t.Fatal("Lookup at 0.4 served the staircase floored at 0.5")
+	}
+	if p, ok := c.Lookup(o, q, 0.5); !ok || p != p5 {
+		t.Fatal("Lookup at 0.5 missed the staircase floored at 0.5")
+	}
+	p4 := c.Profile(o, q, 0.4)
+	if p4 == p5 {
+		t.Fatal("Profile from 0.4 served the staircase floored at 0.5")
+	}
+	if p := c.Profile(o, q, 0.6); p != p4 {
+		t.Fatal("Profile from 0.6 recomputed although the entry answers from 0.4")
+	}
+	brute := ComputeProfileBrute(o, q)
+	for _, alpha := range []float64{0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 1} {
+		if got, want := p4.Dist(alpha), brute.Dist(alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d_%v from the floor-0.4 staircase = %v, brute force %v", alpha, got, want)
+		}
+	}
+	if _, ok := c.Lookup(o, q, 0.3); ok {
+		t.Fatal("Lookup at 0.3 served the staircase floored at 0.4")
+	}
+	if got, want := c.ExpectedDist(o, q), ExpectedDist(o, q); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("cached expected distance %v, one-shot %v", got, want)
+	}
+	if p, ok := c.Lookup(o, q, 0.3); !ok || p.floor != 0 {
+		t.Fatal("the complete staircase ExpectedDist cached does not answer at 0.3")
+	}
+}
+
 var distSink float64
 
 // BenchmarkDistEval is the arithmetic of one probe: d_0.5 between a query

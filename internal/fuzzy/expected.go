@@ -1,5 +1,7 @@
 package fuzzy
 
+import "fmt"
+
 // ExpectedDist computes the integrated ("expected") distance between two
 // fuzzy objects:
 //
@@ -25,10 +27,15 @@ func ExpectedDist(a, b *Object) float64 {
 // Profiles built by ComputeProfile carry the integral precomputed, so this
 // is a plain field read there. For hand-assembled profiles the sum is
 // computed on the fly without being stored: Integrate never writes to the
-// profile, so sharing a *Profile across goroutines stays safe.
+// profile, so sharing a *Profile across goroutines stays safe. A staircase
+// built from a floor above its lowest levels lacks the plateaus below the
+// floor, and integrating it panics.
 func (p *Profile) Integrate() float64 {
 	if p.integrated {
 		return p.integral
+	}
+	if p.floor > 0 {
+		panic(fmt.Sprintf("fuzzy: integral of a profile floored at %v", p.floor))
 	}
 	return integrate(p.Levels, p.Dists)
 }

@@ -475,7 +475,7 @@ func TestProfileBuildsNoIndex(t *testing.T) {
 	q := randObject(rng, 1, 128, 2, 0)
 	o := randObject(rng, 2, 128, 2, 8)
 	var c ProfileCache
-	p := c.Profile(o, q)
+	p := c.Profile(o, q, 0)
 	c.ExpectedDist(o, q)
 	ComputeProfile(o, q)
 	ExpectedDist(q, o)
@@ -483,8 +483,8 @@ func TestProfileBuildsNoIndex(t *testing.T) {
 		t.Fatal("profile levels are not the union of the two objects' levels")
 	}
 	var e profileEval
-	e.Profile(o, q)
-	if allocs := testing.AllocsPerRun(20, func() { e.Profile(o, q) }); allocs != 2 {
+	e.Profile(o, q, 0)
+	if allocs := testing.AllocsPerRun(20, func() { e.Profile(o, q, 0) }); allocs != 2 {
 		t.Errorf("a warm profileEval.Profile allocates %.0f times, want 2", allocs)
 	}
 }

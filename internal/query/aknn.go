@@ -217,7 +217,7 @@ func (r *aknnRun) lookupProfile(obj *fuzzy.Object) (*fuzzy.Profile, bool) {
 	if r.profiles == nil {
 		return nil, false
 	}
-	return r.profiles.Lookup(obj, r.q)
+	return r.profiles.Lookup(obj, r.q, r.alpha)
 }
 
 // upper evaluates the §3.4 upper bound of leaf n's entry i: MaxDist of the

@@ -22,5 +22,6 @@ func (ix *Index) ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error
 // integral they already paid for.
 func expectedDistScore(sc *scratch, q, o *fuzzy.Object, _ float64) float64 {
 	sc.stats.ProfilesBuilt++
+	sc.stats.ProfilePoints += o.Len() + q.Len()
 	return sc.profiles.ExpectedDist(o, q)
 }

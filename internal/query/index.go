@@ -108,7 +108,8 @@ type Stats struct {
 	ObjectAccesses int           // store probes — the paper's primary metric
 	NodeAccesses   int           // R-tree nodes visited
 	DistanceEvals  int           // exact α-distance computations
-	ProfilesBuilt  int           // full distance profiles computed (RKNN)
+	ProfilesBuilt  int           // staircases requested by RKNN refinement and expected-distance scoring
+	ProfilePoints  int           // points those staircases cover: both objects' cuts at each one's floor
 	AKNNCalls      int           // AKNN sub-searches issued (RKNN)
 	Candidates     int           // RKNN candidate set size after pruning
 	Pieces         int           // RKNN refinement iterations (plateaus)
@@ -131,6 +132,7 @@ func (s *Stats) Add(o Stats) {
 	s.NodeAccesses += o.NodeAccesses
 	s.DistanceEvals += o.DistanceEvals
 	s.ProfilesBuilt += o.ProfilesBuilt
+	s.ProfilePoints += o.ProfilePoints
 	s.AKNNCalls += o.AKNNCalls
 	s.Candidates += o.Candidates
 	s.Pieces += o.Pieces

@@ -128,11 +128,14 @@ func (c *rknnCtx) object(id uint64) (*fuzzy.Object, error) {
 	return o, nil
 }
 
-// profile returns the (object, query) distance profile, building it at most
-// once per payload: the per-query map serves repeat lookups by id, and the
-// scratch's cross-query cache (keyed by object pointer) serves repeats of
-// the same query so the staircase — and its memoized integral — is never
-// recomputed once paid for.
+// profile returns the (object, query) distance profile from the window's
+// floor αs, building it at most once per payload: the per-query map serves
+// repeat lookups by id, and the scratch's cross-query cache (keyed by object
+// pointer) serves repeats of the same query so the staircase is never
+// recomputed once paid for. Refinement reads a staircase only at α ≥ αs —
+// topK and kPlus1Dist at the current representative, NextCritical and
+// safeRangeEnd from it, the AKNN sub-searches at it or at αe — so the
+// levels below αs are never swept.
 func (c *rknnCtx) profile(id uint64) (*fuzzy.Profile, error) {
 	if p, ok := c.profiles[id]; ok {
 		return p, nil
@@ -142,7 +145,8 @@ func (c *rknnCtx) profile(id uint64) (*fuzzy.Profile, error) {
 		return nil, err
 	}
 	c.st.ProfilesBuilt++
-	p := c.sc.profiles.Profile(o, c.q)
+	c.st.ProfilePoints += o.CutSize(c.as) + c.q.CutSize(c.as)
+	p := c.sc.profiles.Profile(o, c.q, c.as)
 	c.profiles[id] = p
 	return p, nil
 }

@@ -1,7 +1,10 @@
 package query
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -100,6 +103,12 @@ func TestRKNNAllVariantsMatchBruteForce(t *testing.T) {
 			{1, 0.5, 0.5}, // degenerate single-point range
 			{3, 0.8, 1.0},
 			{n + 3, 0.3, 0.7}, // k exceeds dataset
+			// The staircases start at αs: exactly on a level of every
+			// quantization, just above it, and below every object's lowest
+			// level (1/16), where they are complete.
+			{3, 0.5, 0.9},
+			{3, math.Nextafter(0.5, 1), 0.9},
+			{4, 0.03, 0.6},
 		} {
 			want := bruteRKNN(objs, q, cfg.k, cfg.as, cfg.ae)
 			for _, algo := range algos {
@@ -109,6 +118,58 @@ func TestRKNNAllVariantsMatchBruteForce(t *testing.T) {
 				}
 				checkSameRanged(t, got, want, algo.String())
 			}
+		}
+	}
+}
+
+// TestRKNNWideningWindowsShareOneCache: one scratch answers RKNN [0.5, 0.6],
+// then RKNN [0.4, 0.6], then an expected-distance kNN for the same query
+// object, so each later question meets staircases an earlier one cached from
+// a higher floor. Every answer must equal that of a fresh index searched
+// through a fresh scratch, on one tree and on four shards.
+func TestRKNNWideningWindowsShareOneCache(t *testing.T) {
+	rng := rand.New(rand.NewPCG(109, 5))
+	objs := makeObjects(rng, 60, 16, 10, 0)
+	q := makeQuery(rng, 16, 10, 0)
+	opts := Options{MinEntries: 2, MaxEntries: 6}
+	for _, shards := range []int{1, 4} {
+		forest := func() []*Index {
+			if shards == 1 {
+				return []*Index{buildIndex(t, objs, opts)}
+			}
+			return buildShardedOver(t, objs, shards, opts).shards
+		}
+		trees, sc := forest(), newScratch()
+		for _, algo := range []RKNNAlgorithm{BasicRKNN, RSS, RSSICR} {
+			for _, w := range [][2]float64{{0.5, 0.6}, {0.4, 0.6}} {
+				label := fmt.Sprintf("%d shards %v [%v, %v] after narrower windows", shards, algo, w[0], w[1])
+				got, gotSt, err := rknnInto(sc, nil, sc.pin(trees...), q, 3, w[0], w[1], algo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fsc := newScratch()
+				want, wantSt, err := rknnInto(fsc, nil, fsc.pin(forest()...), q, 3, w[0], w[1], algo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameRanged(t, got, want, label)
+				// The work charged is the window's, whatever the cache held.
+				if gotSt.ProfilePoints != wantSt.ProfilePoints || gotSt.ProfilePoints == 0 {
+					t.Fatalf("%s: %d profile points, fresh %d", label, gotSt.ProfilePoints, wantSt.ProfilePoints)
+				}
+			}
+		}
+		got, _, err := scanTopK(sc, sc.pin(trees...), q, 5, 1, expectedDistScore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsc := newScratch()
+		want, _, err := scanTopK(fsc, fsc.pin(forest()...), q, 5, 1, expectedDistScore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d shards: expected-distance kNN after RKNNs %v, fresh %v", shards, got, want)
 		}
 	}
 }

@@ -33,6 +33,10 @@ grep -q 'fuzzyknn_engine_overloaded_total 0' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_http_panics_total 0' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_index_objects 501' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1' "$WORK/metrics.txt"
+# The /rknn call above refined its candidates' staircases (RSS-ICR, the
+# default), so the points they swept are counted.
+grep -qE '^fuzzyknn_engine_profile_points_total [1-9][0-9]*$' "$WORK/metrics.txt" ||
+  { echo 'fuzzyknn_engine_profile_points_total missing or zero' >&2; exit 1; }
 # The runtime memory gauges: present and non-zero (booting the demo index
 # runs the collector, so the live heap is known by the first scrape).
 for g in fuzzyknn_go_heap_live_bytes fuzzyknn_go_heap_goal_bytes fuzzyknn_go_memory_bytes; do
