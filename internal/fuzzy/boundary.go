@@ -56,7 +56,7 @@ type levelTable struct {
 	levels []float64   // distinct membership values U_A, ascending (last is 1)
 	boxes  []float64   // level i: lo corner at [2*i*dims:], hi corner dims later
 	pts    []hull.Pt   // the line fit's samples of one dimension, both faces
-	fitter hull.Fitter // the line fit's sorted samples and hull
+	fitter hull.Fitter // the line fit's hull
 }
 
 var levelTables = sync.Pool{New: func() any { return new(levelTable) }}
@@ -118,20 +118,20 @@ func (t *levelTable) box(i int) geom.Rect {
 
 // fit returns L_opt for the upper and the lower face of dimension dim.
 func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
+	d, n := t.dims, len(t.levels)+1
 	kern := t.box(len(t.levels) - 1)
-	n := len(t.levels) + 1
+	kLo, kHi := kern.Lo[dim], kern.Hi[dim]
 	t.pts = resize(t.pts, 2*n)
-	hiPts, loPts := t.pts[:0:n], t.pts[n:n:2*n]
+	hiPts, loPts := t.pts[:n], t.pts[n:2*n]
 	// α = 0 anchors the boundary function at the support (the cut is
-	// constant below the smallest level, so δ(0) = δ(minLevel)).
+	// constant below the smallest level, so δ(0) = δ(minLevel)); it comes
+	// first, so the samples ascend in α as the fit requires.
+	hiPts[0] = hull.Pt{X: 0, Y: t.boxes[d+dim] - kHi}
+	loPts[0] = hull.Pt{X: 0, Y: kLo - t.boxes[dim]}
 	for i, u := range t.levels {
-		m := t.box(i)
-		hiPts = append(hiPts, hull.Pt{X: u, Y: m.Hi[dim] - kern.Hi[dim]})
-		loPts = append(loPts, hull.Pt{X: u, Y: kern.Lo[dim] - m.Lo[dim]})
-		if i == 0 {
-			hiPts = append(hiPts, hull.Pt{X: 0, Y: m.Hi[dim] - kern.Hi[dim]})
-			loPts = append(loPts, hull.Pt{X: 0, Y: kern.Lo[dim] - m.Lo[dim]})
-		}
+		box := t.boxes[2*i*d : 2*(i+1)*d]
+		hiPts[i+1] = hull.Pt{X: u, Y: box[d+dim] - kHi}
+		loPts[i+1] = hull.Pt{X: u, Y: kLo - box[dim]}
 	}
 	return t.fitter.Fit(hiPts), t.fitter.Fit(loPts)
 }

@@ -143,6 +143,65 @@ func TestFlatSummaryMatchesBoundaryApprox(t *testing.T) {
 	}
 }
 
+// TestSummaryLinesDominateSamples: every served §3.2 line lies on or above
+// every sample of its boundary function, exactly — the lift leaves no sample
+// an ulp above the line, on §6.1-shaped objects and on random ones.
+func TestSummaryLinesDominateSamples(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	lt := new(levelTable)
+	for iter := 0; iter < 400; iter++ {
+		var o *Object
+		if iter%2 == 0 {
+			o = sec61Object(rng, uint64(iter), 100*rng.Float64()-50, 50, 2+rng.IntN(127))
+		} else {
+			o = randObject(rng, uint64(iter), 1+rng.IntN(120), 1+rng.IntN(3), 16*(iter%4/2))
+		}
+		lt.build(o)
+		for dim := 0; dim < o.Dims(); dim++ {
+			hi, lo := lt.fit(dim)
+			n := len(lt.levels) + 1
+			for face, l := range []hull.Line{hi, lo} {
+				for _, p := range lt.pts[face*n : (face+1)*n] {
+					if p.Y > l.Eval(p.X) {
+						t.Fatalf("iter %d dim %d face %d: line %+v below sample %v", iter, dim, face, l, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// summarize128 is an index build's unit of work: one §6.1 object of 128
+// points and a buffer its flat summary has already been appended to once.
+func summarize128() (*Object, []float64) {
+	o := sec61Object(rand.New(rand.NewPCG(128, 1)), 1, 50, 50, 128)
+	return o, AppendSummary(nil, o)
+}
+
+// TestAppendSummaryAllocs: summarising an object into a reused buffer from a
+// warm pool — the level table and its line fits — allocates nothing.
+func TestAppendSummaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race (sync.Pool reuse is randomized)")
+	}
+	o, buf := summarize128()
+	if allocs := testing.AllocsPerRun(50, func() { buf = AppendSummary(buf[:0], o) }); allocs != 0 {
+		t.Errorf("AppendSummary allocates %.1f times per object", allocs)
+	}
+}
+
+// BenchmarkSummarize128 times what every index build does once per object:
+// AppendSummary of a 128-point §6.1 object, one level table and four line
+// fits.
+func BenchmarkSummarize128(b *testing.B) {
+	o, buf := summarize128()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendSummary(buf[:0], o)
+	}
+}
+
 // TestEstimateMBRIntoNeverAliasesEstimatorState pins the EstimateMBRInto
 // contract: the returned rectangle must be backed by dst (or fresh memory),
 // never by the summary's own storage — callers hold the result in pooled

@@ -6,7 +6,10 @@
 // The reference bytes were written by the commit before the codec and
 // publish consolidation (the pin tests ran there with -update-golden), so
 // they prove the consolidation changed no format. Regenerate them only in a
-// commit whose point is a format change.
+// commit whose point is a format change, or one that changes what a format
+// carries without changing the format (internal/query's page file after the
+// closed-form §3.2 line fit); such a commit keeps the older bytes as a
+// compatibility fixture that the running code must still read.
 package golden
 
 import (

@@ -9,18 +9,19 @@
 // (2) minimizes the sum of squared errors among all dominating lines
 // (Definition 6 of the paper).
 //
-// L_opt is found with the algorithm of Achtert et al. (SIGMOD 2006, cited as
-// [1] by the paper): the optimal line interpolates at least one vertex of
-// the upper convex hull, and a bisection over hull vertices locates that
-// anchor by checking whether the anchor's neighbor lies above the
-// anchor-optimal line (AOL).
+// L_opt has a closed form over the upper hull h. For a fixed slope m the
+// lowest dominating intercept is t(m) = maxᵢ(yᵢ − m·xᵢ), and no higher
+// intercept is better: the least-squares intercept for slope m is the mean
+// of yᵢ − m·xᵢ, which never exceeds their maximum. t(m) is convex and
+// piecewise linear, and vertex h[j] attains the maximum exactly for m in
+// [slope(h[j], h[j+1]), slope(h[j−1], h[j])]. On that piece the line passes
+// through h[j], and the objective is a convex quadratic in m, minimized by
+// the anchor-optimal slope through h[j] clamped to the piece. The objective
+// over all m is convex, so L_opt is the best of these h candidates. A
+// clamped candidate is the line of a hull edge.
 package hull
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // Pt is a 2-d sample of a boundary function: X is the probability threshold
 // α, Y the boundary offset δ(α).
@@ -36,47 +37,27 @@ type Line struct {
 // Eval returns the line's value at x.
 func (l Line) Eval(x float64) float64 { return l.M*x + l.T }
 
-// Upper returns the upper convex hull of pts using Andrew's monotone chain,
-// as a sequence with strictly increasing x and strictly decreasing segment
-// slopes ("right turns"). Points sharing an x keep only the highest y. The
-// input is not modified. An empty input yields an empty hull.
-func Upper(pts []Pt) []Pt {
-	if len(pts) == 0 {
-		return nil
-	}
-	return appendUpper(nil, sortPts(slices.Clone(pts)))
-}
-
-// sortPts sorts pts by x, then highest y first, and returns it. That is a
-// total order on distinct points, and equal points are equal values, so
-// every sort gives the same sequence. slices.SortFunc, unlike sort.Slice,
-// needs no reflection swapper or boxed closure.
-func sortPts(pts []Pt) []Pt {
-	slices.SortFunc(pts, func(a, b Pt) int {
-		if c := cmp.Compare(a.X, b.X); c != 0 {
-			return c
+// upperHull returns the upper convex hull of pts, which ascend in x, in
+// h's storage, using Andrew's monotone chain: a sequence with strictly
+// increasing x and strictly decreasing segment slopes ("right turns"). It
+// panics if pts do not ascend.
+func upperHull(h, pts []Pt) []Pt {
+	h = h[:0]
+	for i, p := range pts {
+		if i > 0 && p.X < pts[i-1].X {
+			panic("hull: samples not in ascending x")
 		}
-		return cmp.Compare(b.Y, a.Y)
-	})
-	return pts
-}
-
-// appendUpper appends the upper hull of sorted (ordered by sortPts,
-// non-empty) to dst. It drops duplicate x from sorted in place.
-func appendUpper(dst, sorted []Pt) []Pt {
-	// Drop duplicate x (the highest y, first after sorting, dominates).
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if p.X != uniq[len(uniq)-1].X {
-			uniq = append(uniq, p)
+		// The last hull vertex has the largest x so far; of two samples at
+		// one x the higher dominates.
+		if top := len(h) - 1; top >= 0 && p.X == h[top].X {
+			if p.Y <= h[top].Y {
+				continue
+			}
+			h = h[:top]
 		}
-	}
-	h, base := dst, len(dst)
-	for _, p := range uniq {
-		// Keep only right turns: the new point must be below the line of the
-		// last hull segment extended; pop while the middle point is not
-		// strictly above the chord from h[-2] to p.
-		for len(h)-base >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
+		// Keep only right turns: pop while the middle point is not strictly
+		// above the chord from h[-2] to p.
+		for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
 			h = h[:len(h)-1]
 		}
 		h = append(h, p)
@@ -91,21 +72,21 @@ func cross(a, b, c Pt) float64 {
 }
 
 // OptimalConservativeLine computes L_opt for the given boundary-function
-// samples: the least-squares line constrained to lie on or above every
-// sample. It panics on an empty input. A single sample yields the
-// horizontal line through it.
+// samples, which must ascend in x: the least-squares line constrained to
+// lie on or above every sample. It panics on an empty or unsorted input. A
+// single sample yields the horizontal line through it.
 func OptimalConservativeLine(pts []Pt) Line {
 	var f Fitter
 	return f.Fit(pts)
 }
 
-// Fitter is OptimalConservativeLine keeping its working storage — the
-// sorted samples and their hull — across calls, so a caller fitting many
-// lines (a §3.2 summary fits 2·d per object, an index build one summary per
-// object) allocates nothing once the buffers have grown. The zero value is
-// ready. A Fitter is not safe for concurrent use.
+// Fitter is OptimalConservativeLine keeping its working storage — the hull
+// — across calls, so a caller fitting many lines (a §3.2 summary fits 2·d
+// per object, an index build one summary per object) allocates nothing once
+// the buffer has grown. The zero value is ready. A Fitter is not safe for
+// concurrent use.
 type Fitter struct {
-	sorted, hull []Pt
+	hull []Pt
 }
 
 // Fit returns OptimalConservativeLine(pts).
@@ -113,66 +94,64 @@ func (f *Fitter) Fit(pts []Pt) Line {
 	if len(pts) == 0 {
 		panic("hull: OptimalConservativeLine of empty point set")
 	}
-	f.sorted = sortPts(append(f.sorted[:0], pts...))
-	f.hull = appendUpper(f.hull[:0], f.sorted)
-	return lift(bisectAnchor(f.hull, pts), pts)
+	f.hull = upperHull(f.hull, pts)
+	return lift(bestCandidate(f.hull, pts), pts)
 }
 
-// bisectAnchor runs the Achtert et al. bisection over hull vertices.
-func bisectAnchor(h, all []Pt) Line {
-	lo, hi := 0, len(h)-1
-	for lo <= hi {
-		j := (lo + hi) / 2
-		line := anchorOptimalLine(h[j], all)
-		switch {
-		case j+1 < len(h) && above(h[j+1], line):
-			lo = j + 1
-		case j-1 >= 0 && above(h[j-1], line):
-			hi = j - 1
-		default:
-			return line
-		}
+// bestCandidate returns the best of the clamped anchor-optimal lines, one
+// per vertex of the upper hull h of pts (see the package comment).
+//
+// With the centred moments Cxx = Σ(x−x̄)², Cxy = Σ(x−x̄)(y−ȳ) and the least-
+// squares slope m̂ = Cxy/Cxx, the line through (a, b) with slope m has the
+// objective Cyy − Cxy²/Cxx + Cxx·(m − m̂)² + n·(b − ȳ − m·(a − x̄))². The
+// first two terms are the same for every candidate, so candidates compare
+// by the last two, a sum of squares with no cancellation.
+func bestCandidate(h, pts []Pt) Line {
+	n := float64(len(pts))
+	var sx, sy float64
+	for _, p := range pts {
+		sx += p.X
+		sy += p.Y
 	}
-	// Numerical degeneracy: fall back to an exhaustive scan of anchors,
-	// keeping the conservative line with the smallest objective.
-	best := Line{M: 0, T: math.Inf(1)}
-	bestObj := math.Inf(1)
-	for _, p := range h {
-		line := lift(anchorOptimalLine(p, all), all)
-		if obj := sumSqErr(line, all); obj < bestObj {
-			bestObj = obj
-			best = line
+	mx, my := sx/n, sy/n
+	var cxx, cxy float64
+	for _, p := range pts {
+		dx := p.X - mx
+		cxx += dx * dx
+		cxy += dx * (p.Y - my)
+	}
+	var mhat float64
+	if cxx > 0 {
+		mhat = cxy / cxx
+	}
+	var best Line
+	bestCost := math.Inf(1)
+	for j, a := range h {
+		dx, dy := a.X-mx, a.Y-my
+		var m float64 // Σ(x−a)(y−b) / Σ(x−a)², zero when every x is a.X
+		if den := cxx + n*dx*dx; den > 0 {
+			m = (cxy + n*dx*dy) / den
+		}
+		if j+1 < len(h) {
+			m = max(m, slope(a, h[j+1]))
+		}
+		if j > 0 {
+			m = min(m, slope(h[j-1], a))
+		}
+		e, c := m-mhat, dy-m*dx
+		if cost := cxx*e*e + n*c*c; cost < bestCost {
+			best, bestCost = Line{M: m, T: a.Y - m*a.X}, cost
 		}
 	}
 	return best
 }
 
-// anchorOptimalLine returns the line through anchor p minimizing the sum of
-// squared errors over all points (unconstrained except for the
-// interpolation of p).
-func anchorOptimalLine(p Pt, all []Pt) Line {
-	var num, den float64
-	for _, q := range all {
-		dx := q.X - p.X
-		num += dx * (q.Y - p.Y)
-		den += dx * dx
-	}
-	m := 0.0
-	if den > 0 {
-		m = num / den
-	}
-	return Line{M: m, T: p.Y - m*p.X}
-}
+// slope returns the slope of the line through a and b.
+func slope(a, b Pt) float64 { return (b.Y - a.Y) / (b.X - a.X) }
 
-// above reports whether p lies strictly above the line beyond a small
-// relative tolerance.
-func above(p Pt, l Line) bool {
-	v := l.Eval(p.X)
-	return p.Y > v+1e-12*(1+math.Abs(v))
-}
-
-// lift raises the line's intercept by the largest violation so the result
-// dominates every point exactly (guards against floating-point residue).
+// lift raises the line's intercept until it dominates every point exactly:
+// first by the largest violation, then an ulp at a time for what the
+// rounding of that addition left.
 func lift(l Line, pts []Pt) Line {
 	var maxViolation float64
 	for _, p := range pts {
@@ -180,18 +159,14 @@ func lift(l Line, pts []Pt) Line {
 			maxViolation = v
 		}
 	}
-	if maxViolation > 0 {
-		l.T += maxViolation
+	if maxViolation == 0 {
+		return l
+	}
+	l.T += maxViolation
+	for _, p := range pts {
+		for p.Y > l.Eval(p.X) {
+			l.T = math.Nextafter(l.T, math.Inf(1))
+		}
 	}
 	return l
-}
-
-// sumSqErr returns the objective Σ (l(x_i) − y_i)².
-func sumSqErr(l Line, pts []Pt) float64 {
-	var s float64
-	for _, p := range pts {
-		e := l.Eval(p.X) - p.Y
-		s += e * e
-	}
-	return s
 }

@@ -2,7 +2,9 @@ package query
 
 import (
 	"math/rand/v2"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -10,15 +12,12 @@ import (
 	"fuzzyknn/internal/store"
 )
 
-// TestGoldenFormats pins the R-tree page layout inside a page-file
-// generation (see package golden for where the reference bytes come from):
-// the running code must write the reference bytes again, and the reference
-// page file must reopen as an index over the same ids that answers like the
-// in-memory tree it was saved from.
-func TestGoldenFormats(t *testing.T) {
+// goldenFixture is the index the reference page file is saved from, the
+// store under it and the generator its queries continue from.
+func goldenFixture(t *testing.T) (*rand.Rand, *store.MemStore, Options, *Index) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(2010, 12))
-	objs := makeObjects(rng, 40, 6, 12, 4)
-	ms, err := store.NewMemStore(objs)
+	ms, err := store.NewMemStore(makeObjects(rng, 40, 6, 12, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +26,20 @@ func TestGoldenFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rng, ms, opts, ix
+}
+
+// TestGoldenFormats pins the R-tree page layout inside a page-file
+// generation (see package golden for where the reference bytes come from):
+// the running code must write the reference bytes again, and the reference
+// page file must reopen as an index over the same ids that answers like the
+// in-memory tree it was saved from.
+//
+// The reference was last rewritten when the §3.2 line fit became the
+// closed form: the leaf records' line coefficients changed, the format did
+// not. TestCompatPageFileAnswers keeps the bytes written before that.
+func TestGoldenFormats(t *testing.T) {
+	rng, ms, opts, ix := goldenFixture(t)
 	fresh := t.TempDir()
 	if err := ix.SavePaged(filepath.Join(fresh, "index.fzp")); err != nil {
 		t.Fatal(err)
@@ -54,4 +67,54 @@ func TestGoldenFormats(t *testing.T) {
 		}
 		assertSameAnswers(t, "golden aknn", want, got, wantSt, gotSt)
 	}
+}
+
+// TestCompatPageFileAnswers: testdata/compat is the golden page file as the
+// bisection line fit wrote it, before the closed form replaced it. Its §3.2
+// lines differ from today's but are still conservative, so no format
+// version separates the two: it must reopen under the running code and give
+// AKNN, range and RKNN answers identical to the in-memory tree built now.
+// Only probe counts may differ, since a different line is a different key.
+func TestCompatPageFileAnswers(t *testing.T) {
+	rng, ms, opts, ix := goldenFixture(t)
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/compat")); err != nil {
+		t.Fatal(err)
+	}
+	px, err := OpenPagedIndex(ms, filepath.Join(dir, "index.fzp"), 1<<20, -1, opts)
+	if err != nil {
+		t.Fatalf("compat page file does not reopen: %v", err)
+	}
+	defer px.Close()
+	answered := 0
+	same := func(label string, want, got any, wantErr, gotErr error) {
+		t.Helper()
+		answered += reflect.ValueOf(want).Len()
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%s: errors %v (mem), %v (compat)", label, wantErr, gotErr)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: compat answers differ\n   mem: %+v\ncompat: %+v", label, want, got)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		q := makeQuery(rng, 6, 12, 4)
+		for _, alpha := range []float64{0.2, 0.5, 0.9} {
+			want, _, wantErr := ix.AKNN(q, 3, alpha, LB)
+			got, _, gotErr := px.AKNN(q, 3, alpha, LB)
+			same("aknn", want, got, wantErr, gotErr)
+			want, _, wantErr = ix.RangeSearch(q, alpha, 3)
+			got, _, gotErr = px.RangeSearch(q, alpha, 3)
+			same("range", want, got, wantErr, gotErr)
+		}
+		for _, algo := range []RKNNAlgorithm{Naive, RSSICR} {
+			want, _, wantErr := ix.RKNN(q, 3, 0.3, 0.8, algo)
+			got, _, gotErr := px.RKNN(q, 3, 0.3, 0.8, algo)
+			same("rknn", want, got, wantErr, gotErr)
+		}
+	}
+	if answered == 0 {
+		t.Fatal("every query answered empty: the comparison checked nothing")
+	}
+	t.Logf("%d results compared", answered)
 }

@@ -19,6 +19,12 @@ import (
 //
 // A change that moves a number on purpose — a better bound, a different
 // summary — re-records it and says so; the test prints what it measured.
+// The closed-form §3.2 line fit (L_opt itself, where the bisection it
+// replaced often returned a worse conservative line) moved the §3.2-keyed
+// counts, and only downwards. Before it, Basic/LB/LB-LP/LB-LP-UB read:
+// synthetic {349, 183, 183, 179} and {733, 614, 614, 614}; cells
+// {298, 202, 202, 202} and {696, 617, 617, 617}. Basic keys on the support
+// MBR and did not move.
 func TestObjectAccessesPinned(t *testing.T) {
 	const nQueries = 24
 	cells := []struct {
@@ -29,8 +35,8 @@ func TestObjectAccessesPinned(t *testing.T) {
 	// want[kind][cell][algo]: ObjectAccesses summed over the queries, on one
 	// tree.
 	want := map[dataset.Kind][2][4]int{
-		dataset.Synthetic: {{349, 183, 183, 179}, {733, 614, 614, 614}},
-		dataset.Cells:     {{298, 202, 202, 202}, {696, 617, 617, 617}},
+		dataset.Synthetic: {{349, 180, 180, 176}, {733, 612, 612, 612}},
+		dataset.Cells:     {{298, 190, 190, 190}, {696, 613, 613, 613}},
 	}
 	for _, kind := range []dataset.Kind{dataset.Synthetic, dataset.Cells} {
 		p := dataset.Default(kind)
