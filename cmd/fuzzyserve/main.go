@@ -208,7 +208,6 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		AdmissionWait:   *admissionWait,
 	})
-	defer eng.Close()
 	log.Printf("serving %d objects (%d dims) on %s, shards %d, parallelism %d, request timeout %v, pprof %v",
 		idx.Len(), idx.Dims(), *addr, idx.NumShards(), eng.Parallelism(), *reqTimeout, *enablePprof)
 
@@ -260,6 +259,9 @@ func main() {
 		log.Printf("shutdown: drain timeout exceeded, in-flight requests dropped")
 	case err != nil:
 		log.Printf("shutdown: %v", err)
+	}
+	if left := eng.Shutdown(shutdownCtx); left > 0 {
+		log.Printf("shutdown: drain timeout exceeded, engine abandoned %d requests", left)
 	}
 }
 

@@ -193,8 +193,16 @@ func (e *Engine) Checkpoint(compact bool) ([]CheckpointInfo, error) {
 // summed query statistics.
 func (e *Engine) Totals() EngineTotals { return e.inner.Totals() }
 
-// Close stops accepting work, waits for in-flight queries, and releases the
-// workers. Idempotent. The underlying Index stays usable.
+// Shutdown stops accepting work and waits for queued and in-flight
+// requests until ctx is done; then it answers the still-queued ones with
+// ErrEngineClosed and returns how many requests it left behind (those and
+// the ones still running, which finish in the background). The underlying
+// Index stays usable.
+func (e *Engine) Shutdown(ctx context.Context) int { return e.inner.Shutdown(ctx) }
+
+// Close is Shutdown with no deadline: it stops accepting work, waits for
+// in-flight queries, and releases the workers. Idempotent. The underlying
+// Index stays usable.
 func (e *Engine) Close() { e.inner.Close() }
 
 // BatchAKNN answers many AKNN queries concurrently using a transient engine

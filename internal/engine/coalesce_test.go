@@ -248,15 +248,16 @@ func TestEngineFallbackDegradedOnFsyncFailure(t *testing.T) {
 			fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError})
 			// One drained group, handed to the writer's commit step directly
 			// so the two requests are certain to share it.
-			var wg sync.WaitGroup
 			resps := make([]Response, 2)
+			states := make([]atomic.Int32, 2)
+			done := make(chan struct{}, 2)
 			group := make([]job, 2)
 			for i, o := range []*fuzzy.Object{dup, valid} {
-				wg.Add(1)
-				group[i] = job{ctx: context.Background(), req: Request{Kind: Insert, Obj: o}, resp: &resps[i], wg: &wg, start: time.Now()}
+				group[i] = job{ctx: context.Background(), req: Request{Kind: Insert, Obj: o}, resp: &resps[i], state: &states[i], done: done, start: time.Now()}
 			}
 			eng.executeWrites(group)
-			wg.Wait()
+			<-done
+			<-done
 			fault.Reset()
 
 			if !errors.Is(resps[0].Err, store.ErrDuplicate) {

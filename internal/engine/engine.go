@@ -22,6 +22,15 @@
 // with Do (one request) or DoBatch (many, answered in order); both are safe
 // for concurrent use from any number of goroutines, so an HTTP handler can
 // call Do per connection while a batch job calls DoBatch elsewhere.
+//
+// A caller's context bounds its wait, not the work: when it is done, Do and
+// DoBatch answer every request not yet finished with the context's error
+// and return. A request abandoned while queued is skipped by the worker
+// that dequeues it; one abandoned while running runs to completion (queries
+// are not interruptible), its result dropped. Each job carries a state
+// that the caller and the worker move by compare-and-swap, so exactly one
+// of them answers it and no worker writes a response after its caller
+// has returned.
 package engine
 
 import (
@@ -31,6 +40,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fuzzyknn/internal/fuzzy"
@@ -171,9 +181,29 @@ type job struct {
 	ctx   context.Context
 	req   Request
 	resp  *Response
-	wg    *sync.WaitGroup
-	start time.Time // submission time; latency histograms measure from here
+	state *atomic.Int32 // jobQueued → jobRunning → jobDone, or → jobAbandoned by the caller
+	done  chan<- struct{}
+	start time.Time // when its DoBatch began; latency histograms measure from here
 }
+
+// Job states. The worker claims a queued job (jobQueued → jobRunning) and
+// answers it (jobRunning → jobDone: it writes the response, then signals
+// done); the caller abandons a queued or running one (→ jobAbandoned) and
+// answers it itself. Whoever wins the compare-and-swap owns the response.
+const (
+	jobQueued int32 = iota
+	jobRunning
+	jobDone
+	jobAbandoned
+)
+
+// Stages at which a request can be abandoned, for the cancelled-requests
+// counter.
+const (
+	stageQueued = iota
+	stageRunning
+	numStages
+)
 
 // Engine is a bounded worker pool over one shared index, plus a dedicated
 // write coalescer: queries fan out across the pool, while Insert/Delete
@@ -259,11 +289,52 @@ func (e *Engine) Metrics() *metrics.Registry { return e.metrics.reg }
 func (e *Engine) worker() {
 	defer e.workers.Done()
 	for j := range e.jobs {
+		if err := j.ctx.Err(); err != nil {
+			e.abandon(j, err)
+			continue
+		}
+		if !j.state.CompareAndSwap(jobQueued, jobRunning) {
+			continue // abandoned while queued: it has been answered
+		}
 		e.metrics.inflightQueries.Add(1)
-		e.execute(j)
+		resp := e.execute(j)
 		e.metrics.inflightQueries.Add(-1)
-		j.wg.Done()
+		e.finish(j, resp)
 	}
+}
+
+// finish answers a job its worker ran and books it — unless the caller
+// abandoned it meanwhile and answered it already; then only the work it did
+// is booked, so the lifetime stats still sum every store access.
+func (e *Engine) finish(j job, resp Response) {
+	if !j.state.CompareAndSwap(jobRunning, jobDone) {
+		e.mu.Lock()
+		e.totals.Stats.Add(resp.Stats)
+		e.mu.Unlock()
+		return
+	}
+	e.record(j.req.Kind, resp.Stats, resp.Err == nil, j.start)
+	*j.resp = resp
+	j.done <- struct{}{}
+}
+
+// abandon answers a job with err in place of its worker, if no worker has
+// answered it yet, and reports whether it did. The caller gives up on its
+// jobs this way, a worker on a job whose context ended while it was queued,
+// and Shutdown on the jobs left in the queues.
+func (e *Engine) abandon(j job, err error) bool {
+	stage := stageQueued
+	if !j.state.CompareAndSwap(jobQueued, jobAbandoned) {
+		if !j.state.CompareAndSwap(jobRunning, jobAbandoned) {
+			return false
+		}
+		stage = stageRunning
+	}
+	e.metrics.cancelled[kindSlot(j.req.Kind)][stage].Inc()
+	e.record(j.req.Kind, query.Stats{}, false, j.start)
+	*j.resp = Response{Err: err}
+	j.done <- struct{}{}
+	return true
 }
 
 // writer is the engine's single write coalescer. Mutations queue on
@@ -347,10 +418,7 @@ func (e *Engine) executeWrites(group []job) {
 			return
 		}
 		answered[i] = true
-		group[i].resp.Stats = st
-		group[i].resp.Err = err
-		e.record(group[i].req.Kind, st, err == nil, group[i].start)
-		group[i].wg.Done()
+		e.finish(group[i], Response{Stats: st, Err: err})
 	}
 	defer func() {
 		// A panicking mutation must cost its callers one response each, not
@@ -369,7 +437,10 @@ func (e *Engine) executeWrites(group []job) {
 	for i := range group {
 		j := &group[i]
 		if err := j.ctx.Err(); err != nil {
-			finish(i, query.Stats{}, err)
+			e.abandon(*j, err)
+		}
+		if !j.state.CompareAndSwap(jobQueued, jobRunning) {
+			answered[i] = true // abandoned while queued: never applied
 			continue
 		}
 		switch j.req.Kind {
@@ -439,43 +510,37 @@ func (e *Engine) executeWrites(group []job) {
 	}
 }
 
-// execute runs one job, honoring cancellation that happened while queued.
-// Queries are pure CPU and individually short, so cancellation is checked at
-// start rather than threaded through the search loops.
-func (e *Engine) execute(j job) {
+// execute runs one claimed job and returns its response. A query is not
+// interrupted once it runs: its worker checked its context before claiming
+// it.
+func (e *Engine) execute(j job) (resp Response) {
 	defer func() {
 		// Workers outlive any one request; a panicking query must cost its
 		// caller one response, not the process (handler goroutines would get
 		// net/http's recover — pool goroutines have only this one).
 		if p := recover(); p != nil {
-			j.resp.Results, j.resp.Ranged = nil, nil
-			j.resp.Err = fmt.Errorf("engine: query panicked: %v", p)
-			e.record(j.req.Kind, j.resp.Stats, false, j.start)
+			resp.Results, resp.Ranged = nil, nil
+			resp.Err = fmt.Errorf("engine: query panicked: %v", p)
 		}
 	}()
-	if err := j.ctx.Err(); err != nil {
-		j.resp.Err = err
-		e.record(j.req.Kind, j.resp.Stats, false, j.start)
-		return
-	}
 	r := &j.req
 	switch r.Kind {
 	case AKNN:
-		j.resp.Results, j.resp.Stats, j.resp.Err = e.ix.AKNN(r.Q, r.K, r.Alpha, r.AKNNAlgo)
+		resp.Results, resp.Stats, resp.Err = e.ix.AKNN(r.Q, r.K, r.Alpha, r.AKNNAlgo)
 	case RKNN:
-		j.resp.Ranged, j.resp.Stats, j.resp.Err = e.ix.RKNN(r.Q, r.K, r.AlphaStart, r.AlphaEnd, r.RKNNAlgo)
+		resp.Ranged, resp.Stats, resp.Err = e.ix.RKNN(r.Q, r.K, r.AlphaStart, r.AlphaEnd, r.RKNNAlgo)
 	case RangeSearch:
-		j.resp.Results, j.resp.Stats, j.resp.Err = e.ix.RangeSearch(r.Q, r.Alpha, r.Radius)
+		resp.Results, resp.Stats, resp.Err = e.ix.RangeSearch(r.Q, r.Alpha, r.Radius)
 	default:
-		j.resp.Err = fmt.Errorf("engine: unknown request kind %d (%w)", int(r.Kind), query.ErrInvalidArgument)
+		resp.Err = fmt.Errorf("engine: unknown request kind %d (%w)", int(r.Kind), query.ErrInvalidArgument)
 	}
-	e.record(r.Kind, j.resp.Stats, j.resp.Err == nil, j.start)
+	return resp
 }
 
 // record books one finished request: latency and outcome onto the atomic
 // metric series (lock-free), then the lifetime totals under their mutex.
-// start is the submission time, so the histogram measures what the caller
-// experienced — queue wait included.
+// start is when the request's DoBatch began, so the histogram measures
+// what the caller experienced — queue wait included.
 func (e *Engine) record(k Kind, st query.Stats, ok bool, start time.Time) {
 	e.metrics.observe(k, ok, time.Since(start))
 	e.mu.Lock()
@@ -499,16 +564,16 @@ func (e *Engine) Totals() Totals {
 	return t
 }
 
-// Do executes one request, blocking until it completes (or until ctx is
-// cancelled while it is still queued).
+// Do executes one request, blocking until it completes or ctx is done.
 func (e *Engine) Do(ctx context.Context, req Request) Response {
 	resps := e.DoBatch(ctx, []Request{req})
 	return resps[0]
 }
 
 // DoBatch executes the requests across the worker pool and returns their
-// responses in request order. It blocks until every request has either run
-// or been abandoned to a cancelled context; per-request failures land in
+// responses in request order. It blocks until every request has run or ctx
+// is done; then every request not yet answered is abandoned with ctx's
+// error (see the package comment). Per-request failures land in
 // Response.Err rather than aborting the batch.
 //
 // The admission budget gates batch ENTRY, not every job: until a first job
@@ -523,12 +588,17 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []Response {
 		ctx = context.Background()
 	}
 	resps := make([]Response, len(reqs))
-	var wg sync.WaitGroup
+	states := make([]atomic.Int32, len(reqs))
+	done := make(chan struct{}, len(reqs))
+	start := time.Now()
+	jobAt := func(i int) job {
+		return job{ctx: ctx, req: reqs[i], resp: &resps[i], state: &states[i], done: done, start: start}
+	}
 	wait := e.admissionWait
 	shed := false
+	admitted := 0
 	for i := range reqs {
-		j := job{ctx: ctx, req: reqs[i], resp: &resps[i], wg: &wg, start: time.Now()}
-		wg.Add(1)
+		j := jobAt(i)
 		var err error
 		if shed {
 			err = ErrOverloaded
@@ -539,12 +609,28 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []Response {
 			shed = true
 		}
 		if err != nil {
+			states[i].Store(jobDone)
 			resps[i].Err = err
 			e.record(reqs[i].Kind, query.Stats{}, false, j.start)
-			wg.Done()
+		} else {
+			admitted++
 		}
 	}
-	wg.Wait()
+	// Every admitted job signals done once, after its response is written:
+	// from the worker that answered it or from whoever abandoned it.
+	for ; admitted > 0; admitted-- {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			for i := range reqs {
+				e.abandon(jobAt(i), ctx.Err())
+			}
+			for ; admitted > 0; admitted-- {
+				<-done
+			}
+			return resps
+		}
+	}
 	return resps
 }
 
@@ -600,17 +686,43 @@ func (e *Engine) submit(j job, wait time.Duration) error {
 	}
 }
 
-// Close stops accepting new work, waits for queued and in-flight requests
-// to finish, and releases the workers and the writer. It is idempotent.
-func (e *Engine) Close() {
+// Shutdown stops accepting new work and waits, until ctx is done, for
+// queued and running requests to finish and the workers and the writer to
+// exit. If ctx ends the wait, every request still queued is answered with
+// ErrClosed and skipped; requests still running finish in the background
+// and answer their callers (or are dropped if those gave up). It returns
+// how many requests it left behind: those abandoned in the queue and those
+// still running. It may be called again, and by Close.
+func (e *Engine) Shutdown(ctx context.Context) int {
 	e.lifecycle.Lock()
-	if e.closed {
-		e.lifecycle.Unlock()
-		return
+	if !e.closed {
+		e.closed = true
+		close(e.jobs)
+		close(e.writes)
 	}
-	e.closed = true
-	close(e.jobs)
-	close(e.writes)
 	e.lifecycle.Unlock()
-	e.workers.Wait()
+	stopped := make(chan struct{})
+	go func() {
+		e.workers.Wait()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		return 0
+	case <-ctx.Done():
+	}
+	left := 0
+	for _, queue := range []chan job{e.jobs, e.writes} {
+		for j := range queue {
+			if e.abandon(j, ErrClosed) {
+				left++
+			}
+		}
+	}
+	return left + int(e.metrics.inflightQueries.Value()+e.metrics.inflightWrites.Value())
 }
+
+// Close stops accepting new work, waits for queued and in-flight requests
+// to finish, and releases the workers and the writer: Shutdown with no
+// deadline. It is idempotent.
+func (e *Engine) Close() { e.Shutdown(context.Background()) }

@@ -30,9 +30,10 @@ func kindSlot(k Kind) int {
 type engineMetrics struct {
 	reg *metrics.Registry
 
-	requests [kindSlots]*metrics.Counter
-	failures [kindSlots]*metrics.Counter
-	latency  [kindSlots]*metrics.Histogram
+	requests  [kindSlots]*metrics.Counter
+	failures  [kindSlots]*metrics.Counter
+	latency   [kindSlots]*metrics.Histogram
+	cancelled [kindSlots][numStages]*metrics.Counter
 
 	inflightQueries *metrics.Gauge
 	inflightWrites  *metrics.Gauge
@@ -68,6 +69,11 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		m.latency[slot] = reg.Histogram("fuzzyknn_request_duration_seconds",
 			"End-to-end request latency (queue wait + execution) by kind.",
 			durBounds, durScale, "kind", kind)
+		for stage, name := range [numStages]string{stageQueued: "queued", stageRunning: "running"} {
+			m.cancelled[slot][stage] = reg.Counter("fuzzyknn_requests_cancelled_total",
+				"Requests answered with their context's error (or ErrClosed at shutdown) before their worker answered them, by kind and by the stage they were abandoned in: a queued one is skipped, a running one runs on and its result is dropped.",
+				"kind", kind, "stage", name)
+		}
 	}
 
 	m.inflightQueries = reg.Gauge("fuzzyknn_engine_inflight",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,5 +271,108 @@ func TestEngineUnboundedAdmissionWait(t *testing.T) {
 	wg.Wait()
 	if r := <-done; r.Err != nil {
 		t.Fatalf("unbounded submission failed after drain: %v", r.Err)
+	}
+}
+
+// blockingSearcher parks every RKNN until released and answers every AKNN
+// at once, counting the AKNNs it ran.
+type blockingSearcher struct {
+	query.Searcher
+	started chan struct{}
+	release chan struct{}
+	aknns   atomic.Int32
+}
+
+func (b *blockingSearcher) RKNN(*fuzzy.Object, int, float64, float64, query.RKNNAlgorithm) ([]query.RangedResult, query.Stats, error) {
+	b.started <- struct{}{}
+	<-b.release
+	return []query.RangedResult{{ID: 1}}, query.Stats{ObjectAccesses: 7}, nil
+}
+
+func (b *blockingSearcher) AKNN(*fuzzy.Object, int, float64, query.AKNNAlgorithm) ([]query.Result, query.Stats, error) {
+	b.aknns.Add(1)
+	return []query.Result{{ID: 1}}, query.Stats{ObjectAccesses: 1}, nil
+}
+
+// TestEngineDeadlineEndsTheWait pins that a caller's deadline ends its
+// wait, on one worker held by a query that does not return: the running
+// query's caller returns at its deadline, an AKNN queued behind it returns
+// at its own, the worker skips the abandoned AKNN once it is free and
+// writes into neither response, and Shutdown gives up on the running query
+// at its own deadline.
+func TestEngineDeadlineEndsTheWait(t *testing.T) {
+	s := &blockingSearcher{started: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := New(s, Options{Parallelism: 1})
+	released := false
+	defer func() {
+		if !released {
+			close(s.release)
+		}
+		eng.Close()
+	}()
+	within := func(what string, took, deadline, slack time.Duration) {
+		t.Helper()
+		if took < deadline || took > deadline+slack {
+			t.Errorf("%s returned after %v, want between its %v deadline and %v later", what, took, deadline, slack)
+		}
+	}
+
+	var rknn Response
+	rknnDone := make(chan time.Duration)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		rknn = eng.Do(ctx, Request{Kind: RKNN, K: 1, AlphaStart: 0.3, AlphaEnd: 0.8})
+		rknnDone <- time.Since(start)
+	}()
+	<-s.started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	resps := eng.DoBatch(ctx, []Request{{Kind: AKNN, K: 1, Alpha: 0.5}})
+	within("the queued AKNN", time.Since(start), 300*time.Millisecond, 50*time.Millisecond)
+	if !errors.Is(resps[0].Err, context.DeadlineExceeded) || resps[0].Results != nil {
+		t.Fatalf("queued AKNN answered %+v, want DeadlineExceeded", resps[0])
+	}
+	within("the running RKNN", <-rknnDone, 200*time.Millisecond, 150*time.Millisecond)
+	if !errors.Is(rknn.Err, context.DeadlineExceeded) || rknn.Ranged != nil {
+		t.Fatalf("running RKNN answered %+v, want DeadlineExceeded", rknn)
+	}
+
+	sctx, scancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer scancel()
+	start = time.Now()
+	left := eng.Shutdown(sctx)
+	within("Shutdown", time.Since(start), 100*time.Millisecond, 100*time.Millisecond)
+	if left != 1 {
+		t.Errorf("Shutdown left %d requests behind, want the running RKNN", left)
+	}
+
+	close(s.release)
+	released = true
+	eng.Close()
+	if n := s.aknns.Load(); n != 0 {
+		t.Errorf("the worker ran the abandoned AKNN %d times", n)
+	}
+	if !errors.Is(resps[0].Err, context.DeadlineExceeded) || resps[0].Results != nil || resps[0].Stats != (query.Stats{}) {
+		t.Errorf("the abandoned AKNN's response changed after its caller returned: %+v", resps[0])
+	}
+	tot := eng.Totals()
+	if tot.Requests["rknn"] != 1 || tot.Requests["aknn"] != 1 || tot.Failures != 2 || tot.Stats.ObjectAccesses != 7 {
+		t.Errorf("totals %+v, want one failed RKNN whose 7 accesses still count and one failed AKNN", tot)
+	}
+	var sb strings.Builder
+	if err := eng.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`fuzzyknn_requests_cancelled_total{kind="aknn",stage="queued"} 1`,
+		`fuzzyknn_requests_cancelled_total{kind="rknn",stage="running"} 1`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("metrics lack %s", want)
+		}
 	}
 }

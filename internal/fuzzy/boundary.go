@@ -2,7 +2,6 @@ package fuzzy
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"fuzzyknn/internal/geom"
@@ -183,13 +182,12 @@ func (b *BoundaryApprox) EstimateMBRInto(alpha float64, dst geom.Rect) geom.Rect
 
 // The flat summary.
 //
-// An R-tree leaf lays each entry's §3.2 summary out in its packed slab right
-// after the entry's rectangle (rtree.Summarized), so a search computes every
-// entry's bound from one contiguous stretch instead of chasing a summary
-// value's slices. The support MBR is that rectangle, read as box: the lower
-// corner, then the upper. The rest is the entry's summary, SummaryLen(d)
-// floats in the order a page file's leaf record stores them after the
-// support:
+// An R-tree leaf row is an entry's rectangle followed by its §3.2 summary,
+// so a search computes every entry's bound from one contiguous stretch of
+// the leaf's slab. The support MBR is that rectangle, read as box: the
+// lower corner, then the upper. The rest is the entry's summary,
+// SummaryLen(d) floats in the order a page file's leaf record stores them
+// after the support:
 //
 //	kernel lo (d) | kernel hi (d) | upper lines (m, t per dim) | lower lines (m, t per dim) | representative point (d)
 
@@ -205,15 +203,16 @@ func AppendSummary(dst []float64, o *Object) []float64 {
 	return t.appendSummary(dst, o)
 }
 
-// Summarize is AppendSummary that also returns o's support MBR, in fresh
-// memory: what an R-tree leaf entry keeps of an object, from one walk of its
-// points.
-func Summarize(dst []float64, o *Object) ([]float64, geom.Rect) {
+// Summarize returns what an R-tree leaf row holds of o — its support MBR,
+// then its flat summary — from one walk of its points, as views of one
+// fresh buffer of 2·d + SummaryLen(d) floats.
+func Summarize(o *Object) (support geom.Rect, sum []float64) {
 	t := getLevelTable(o)
 	defer levelTables.Put(t)
 	d := o.dims
-	box := slices.Clone(t.boxes[:2*d]) // level 0, the support: lo, then hi
-	return t.appendSummary(dst, o), geom.Rect{Lo: box[:d:d], Hi: box[d:]}
+	row := make([]float64, 2*d, 2*d+SummaryLen(d))
+	copy(row, t.boxes[:2*d]) // level 0, the support: lo, then hi
+	return geom.Rect{Lo: row[:d:d], Hi: row[d : 2*d : 2*d]}, t.appendSummary(row[2*d:], o)
 }
 
 // appendSummary appends the flat summary of o, whose table t is.

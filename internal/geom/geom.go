@@ -177,26 +177,6 @@ func (r *Rect) ExpandRect(s Rect) {
 	}
 }
 
-// Union returns the MBR of r and s without modifying either.
-func (r Rect) Union(s Rect) Rect {
-	u := r.Clone()
-	u.ExpandRect(s)
-	return u
-}
-
-// ContainsPoint reports whether p lies inside r (boundaries inclusive).
-func (r Rect) ContainsPoint(p Point) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	for i := range p {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsRect reports whether s lies entirely inside r. The empty rectangle
 // is contained in everything.
 func (r Rect) ContainsRect(s Rect) bool {
@@ -239,19 +219,6 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths of r (the L1 "perimeter" used by
-// some R-tree split heuristics).
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	c := make(Point, len(r.Lo))
@@ -259,28 +226,6 @@ func (r Rect) Center() Point {
 		c[i] = (r.Lo[i] + r.Hi[i]) / 2
 	}
 	return c
-}
-
-// EnlargementArea returns the increase of r.Area() required to include s.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
-// OverlapArea returns the volume of the intersection of r and s.
-func (r Rect) OverlapArea(s Rect) float64 {
-	if r.IsEmpty() || s.IsEmpty() {
-		return 0
-	}
-	a := 1.0
-	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], s.Lo[i])
-		hi := math.Min(r.Hi[i], s.Hi[i])
-		if hi <= lo {
-			return 0
-		}
-		a *= hi - lo
-	}
-	return a
 }
 
 // String renders the rectangle as "[lo; hi]".
@@ -361,11 +306,8 @@ func MaxDistSq(r, s Rect) float64 {
 	return sum
 }
 
-// MinDistPoint returns the minimum Euclidean distance from point p to
-// rectangle r (0 if p is inside r, +Inf if r is empty).
-func MinDistPoint(p Point, r Rect) float64 { return math.Sqrt(MinDistPointSq(p, r)) }
-
-// MinDistPointSq is the squared form of MinDistPoint. It never exceeds
+// MinDistPointSq returns the squared minimum Euclidean distance from point
+// p to rectangle r (0 if p is inside r, +Inf if r is empty). It never exceeds
 // DistSq(p, q) for a q inside r, in floating point too: the gaps are
 // squared, rounded and summed exactly as DistSq does the differences.
 func MinDistPointSq(p Point, r Rect) float64 {
@@ -382,23 +324,6 @@ func MinDistPointSq(p Point, r Rect) float64 {
 			l = p[i] - r.Hi[i]
 		}
 		sum += float64(l * l)
-	}
-	return sum
-}
-
-// MaxDistPoint returns the maximum Euclidean distance from point p to any
-// point of rectangle r (+Inf if r is empty).
-func MaxDistPoint(p Point, r Rect) float64 { return math.Sqrt(MaxDistPointSq(p, r)) }
-
-// MaxDistPointSq is the squared form of MaxDistPoint.
-func MaxDistPointSq(p Point, r Rect) float64 {
-	if r.IsEmpty() {
-		return math.Inf(1)
-	}
-	var sum float64
-	for i := range p {
-		l := math.Max(math.Abs(p[i]-r.Lo[i]), math.Abs(p[i]-r.Hi[i]))
-		sum += l * l
 	}
 	return sum
 }

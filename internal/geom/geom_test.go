@@ -57,7 +57,7 @@ func TestBoundingRect(t *testing.T) {
 		t.Errorf("BoundingRect = %v, want %v", r, want)
 	}
 	for _, p := range pts {
-		if !r.ContainsPoint(p) {
+		if !r.ContainsRect(RectFromPoint(p)) {
 			t.Errorf("bounding rect %v does not contain %v", r, p)
 		}
 	}
@@ -122,30 +122,16 @@ func TestContainsAndIntersects(t *testing.T) {
 	}
 }
 
-func TestAreaMarginCenter(t *testing.T) {
+func TestAreaCenter(t *testing.T) {
 	r := NewRect(pt(0, 0), pt(4, 2))
 	if got := r.Area(); got != 8 {
 		t.Errorf("Area = %v, want 8", got)
-	}
-	if got := r.Margin(); got != 6 {
-		t.Errorf("Margin = %v, want 6", got)
 	}
 	if got := r.Center(); !got.Equal(pt(2, 1)) {
 		t.Errorf("Center = %v, want (2,1)", got)
 	}
 	if got := (Rect{}).Area(); got != 0 {
 		t.Errorf("empty Area = %v", got)
-	}
-}
-
-func TestOverlapArea(t *testing.T) {
-	r := NewRect(pt(0, 0), pt(4, 4))
-	s := NewRect(pt(2, 2), pt(6, 6))
-	if got := r.OverlapArea(s); got != 4 {
-		t.Errorf("OverlapArea = %v, want 4", got)
-	}
-	if got := r.OverlapArea(NewRect(pt(10, 10), pt(12, 12))); got != 0 {
-		t.Errorf("disjoint OverlapArea = %v, want 0", got)
 	}
 }
 
@@ -177,8 +163,8 @@ func TestMinMaxDistEmpty(t *testing.T) {
 		t.Error("distances involving empty rect should be +Inf")
 	}
 	p := pt(0, 0)
-	if !math.IsInf(MinDistPoint(p, Rect{}), 1) || !math.IsInf(MaxDistPoint(p, Rect{}), 1) {
-		t.Error("point distances to empty rect should be +Inf")
+	if !math.IsInf(MinDistPointSq(p, Rect{}), 1) {
+		t.Error("point distance to empty rect should be +Inf")
 	}
 }
 
@@ -193,11 +179,11 @@ func TestPointRectDistances(t *testing.T) {
 		{pt(-1, -1), math.Sqrt2, 3 * math.Sqrt2}, // below-left corner
 	}
 	for _, tc := range tests {
-		if got := MinDistPoint(tc.p, r); math.Abs(got-tc.min) > 1e-12 {
-			t.Errorf("MinDistPoint(%v) = %v, want %v", tc.p, got, tc.min)
+		if got := math.Sqrt(MinDistPointSq(tc.p, r)); math.Abs(got-tc.min) > 1e-12 {
+			t.Errorf("MinDistPointSq(%v) = %v², want %v²", tc.p, got, tc.min)
 		}
-		if got := MaxDistPoint(tc.p, r); math.Abs(got-tc.max) > 1e-12 {
-			t.Errorf("MaxDistPoint(%v) = %v, want %v", tc.p, got, tc.max)
+		if got := MaxDist(RectFromPoint(tc.p), r); math.Abs(got-tc.max) > 1e-12 {
+			t.Errorf("MaxDist(%v) = %v, want %v", tc.p, got, tc.max)
 		}
 	}
 }
@@ -271,7 +257,7 @@ func TestPointDistSandwich(t *testing.T) {
 		d := 1 + rng.IntN(3)
 		r := randRect(rng, d)
 		p := randPointIn(rng, randRect(rng, d))
-		lo, hi := MinDistPoint(p, r), MaxDistPoint(p, r)
+		lo, hi := math.Sqrt(MinDistPointSq(p, r)), MaxDist(RectFromPoint(p), r)
 		for j := 0; j < 10; j++ {
 			q := randPointIn(rng, r)
 			dd := Dist(p, q)
@@ -279,23 +265,6 @@ func TestPointDistSandwich(t *testing.T) {
 				t.Fatalf("point dist %v outside [%v,%v]", dd, lo, hi)
 			}
 		}
-	}
-}
-
-// TestUnionContains property via testing/quick on 2-d rects encoded as 8
-// floats: the union contains both inputs.
-func TestUnionContains(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
-		if anyNaNInf(ax, ay, bx, by, cx, cy, dx, dy) {
-			return true
-		}
-		r := NewRect(pt(ax, ay), pt(bx, by))
-		s := NewRect(pt(cx, cy), pt(dx, dy))
-		u := r.Union(s)
-		return u.ContainsRect(r) && u.ContainsRect(s)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -320,18 +289,6 @@ func anyNaNInf(vs ...float64) bool {
 		}
 	}
 	return false
-}
-
-func TestEnlargementArea(t *testing.T) {
-	r := NewRect(pt(0, 0), pt(2, 2))
-	s := NewRect(pt(3, 0), pt(4, 2))
-	// Union is [0,4]x[0,2], area 8, original area 4.
-	if got := r.EnlargementArea(s); got != 4 {
-		t.Errorf("EnlargementArea = %v, want 4", got)
-	}
-	if got := r.EnlargementArea(NewRect(pt(1, 1), pt(2, 2))); got != 0 {
-		t.Errorf("EnlargementArea contained = %v, want 0", got)
-	}
 }
 
 func TestStringForms(t *testing.T) {

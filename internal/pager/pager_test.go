@@ -286,7 +286,7 @@ func TestCacheFailStop(t *testing.T) {
 	if hit {
 		t.Fatal("failed load reported as hit")
 	}
-	if len(n.Entries()) != 0 || !n.Leaf() {
+	if n.Len() != 0 || !n.Leaf() {
 		t.Fatal("degraded frame is not an empty leaf")
 	}
 	if err := c.Err(); !errors.Is(err, ErrCorrupt) {

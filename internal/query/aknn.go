@@ -174,7 +174,7 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 	}
 	sc.pq.reset()
 	for i, v := range views {
-		if root := v.s.tree.Root(); len(root.Entries()) > 0 {
+		if root := v.s.tree.Root(); root.Len() > 0 {
 			// Key 0 is a lower bound of anything and, unlike the tree-bounds
 			// MinDist, costs no allocation. A tighter key would prune nothing:
 			// hash partitions each cover the whole data space.
@@ -376,9 +376,8 @@ func (r *aknnRun) run() error {
 // pass, no per-entry pointer chasing). Leaf entries of the LB variants take
 // the tighter §3.2 bound, computed from the summaries in the same slab.
 func (r *aknnRun) expand(n *rtree.Node, tree int32) {
-	ents := n.Entries()
 	if n.Leaf() {
-		for i := range ents {
+		for i := 0; i < n.Len(); i++ {
 			var key float64
 			if r.tightLB {
 				box, sum := n.EntrySummary(i)
@@ -386,12 +385,12 @@ func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 			} else {
 				key = n.EntryMinDist(i, r.mq)
 			}
-			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: ents[i].Data.(*leafItem).id, node: n, ent: i})
+			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: n.ID(i), node: n, ent: i})
 		}
 		return
 	}
-	for i := range ents {
-		r.sc.pq.Push(pqItem{key: n.EntryMinDist(i, r.mq), kind: kindNode, tree: tree, node: ents[i].Child})
+	for i := 0; i < n.Len(); i++ {
+		r.sc.pq.Push(pqItem{key: n.EntryMinDist(i, r.mq), kind: kindNode, tree: tree, node: n.Child(i)})
 	}
 }
 
@@ -609,7 +608,7 @@ func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64)
 	sc.dist.Reset(q, alpha)
 	r := &sc.rng
 	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: sc.dist.QueryMBR(), sc: sc}
-	if root := v.s.tree.Root(); len(root.Entries()) > 0 {
+	if root := v.s.tree.Root(); root.Len() > 0 {
 		if err := r.visit(root); err != nil {
 			return nil, err
 		}
@@ -620,13 +619,12 @@ func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64)
 func (r *rangeRun) visit(n *rtree.Node) error {
 	st := &r.sc.stats
 	st.NodeAccesses++
-	ents := n.Entries()
-	for i := range ents {
+	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
 			if box, sum := n.EntrySummary(i); fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq) > r.radius {
 				continue
 			}
-			obj, err := r.ix.getObject(ents[i].Data.(*leafItem).id, st)
+			obj, err := r.ix.getObject(n.ID(i), st)
 			if err != nil {
 				return err
 			}
@@ -635,7 +633,7 @@ func (r *rangeRun) visit(n *rtree.Node) error {
 				r.sc.hits = append(r.sc.hits, rangeHit{obj: obj, dist: d})
 			}
 		} else if n.EntryMinDist(i, r.mq) <= r.radius {
-			if err := r.visit(resolveNode(ents[i].Child, st)); err != nil {
+			if err := r.visit(resolveNode(n.Child(i), st)); err != nil {
 				return err
 			}
 		}

@@ -295,7 +295,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 			delErr(j, err)
 			continue
 		}
-		if !tree.Delete(obj.SupportMBR(), func(d any) bool { return d.(*leafItem).id == id }) {
+		if !tree.Delete(obj.SupportMBR(), func(d any) bool { return d.(uint64) == id }) {
 			delErr(j, fmt.Errorf("%w: id %d not in index", store.ErrNotFound, id))
 		}
 	}
@@ -307,7 +307,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	// so compute them across GOMAXPROCS workers before the tree work.
 	items := make([]rtree.BulkItem, len(inserts))
 	parallelFor(len(inserts), func(i int) {
-		items[i] = newLeafItem(inserts[i])
+		items[i] = leafEntry(inserts[i])
 	})
 	bulk := (*rtree.Tree)(nil)
 	if len(deletes) == 0 {
@@ -317,7 +317,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 		tree = bulk
 	} else {
 		for _, it := range items {
-			tree.Insert(it.Rect, it.Data)
+			tree.Insert(it.Rect, it.Data, it.Summary...)
 		}
 	}
 	return &batchPrep{
@@ -342,7 +342,7 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 // nil when the incremental path should be used — Incremental-option trees
 // (the ablation that pins incremental insertion) always take it, and the
 // caller routes deleting batches to it before asking. The rebuilt tree
-// holds exactly the same leaf items, so
+// holds exactly the same leaf entries, so
 // answers are unchanged; only the node layout differs (STR-packed instead
 // of split-grown), which the cross-path equivalence tests pin down.
 func (ix *Index) bulkRebuild(tree *rtree.Tree, items []rtree.BulkItem) *rtree.Tree {
@@ -353,12 +353,13 @@ func (ix *Index) bulkRebuild(tree *rtree.Tree, items []rtree.BulkItem) *rtree.Tr
 	all := make([]rtree.BulkItem, 0, tree.Len()+len(items))
 	var walk func(n *rtree.Node)
 	walk = func(n *rtree.Node) {
-		n = n.Resolve(nil)
-		for _, e := range n.Entries() {
+		n = n.Resolve()
+		for i := 0; i < n.Len(); i++ {
 			if n.Leaf() {
-				all = append(all, rtree.BulkItem{Rect: e.Rect, Data: e.Data})
+				_, sum := n.EntrySummary(i)
+				all = append(all, rtree.BulkItem{Rect: n.EntryRect(i), Data: n.ID(i), Summary: sum})
 			} else {
-				walk(e.Child)
+				walk(n.Child(i))
 			}
 		}
 	}

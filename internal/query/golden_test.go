@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/golden"
 	"fuzzyknn/internal/store"
 )
@@ -29,11 +30,50 @@ func goldenFixture(t *testing.T) (*rand.Rand, *store.MemStore, Options, *Index) 
 	return rng, ms, opts, ix
 }
 
+// incrementalHistory replays a seeded insert/delete history into an
+// incrementally built index with tiny nodes: 600 inserts, 250 deletes in
+// random order (splits, condensing and the reinsertion of orphaned
+// entries), then 100 more inserts. Its page file pins the tree's split and
+// condense decisions, which an STR build never makes.
+func incrementalHistory(t *testing.T) *Index {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(2010, 34))
+	objs := makeObjects(rng, 700, 4, 12, 4)
+	ms, err := store.NewMemStore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(ms, Options{Incremental: true, MinEntries: 2, MaxEntries: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ins []*fuzzy.Object, del []uint64) {
+		if _, err := ix.ApplyBatch(ins, del); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < 600; lo += 100 {
+		apply(objs[lo:lo+100], nil)
+	}
+	victims := rng.Perm(600)[:250]
+	for lo := 0; lo < len(victims); lo += 25 {
+		var del []uint64
+		for _, v := range victims[lo : lo+25] {
+			del = append(del, objs[v].ID())
+		}
+		apply(nil, del)
+	}
+	apply(objs[600:], nil)
+	return ix
+}
+
 // TestGoldenFormats pins the R-tree page layout inside a page-file
 // generation (see package golden for where the reference bytes come from):
 // the running code must write the reference bytes again, and the reference
 // page file must reopen as an index over the same ids that answers like the
-// in-memory tree it was saved from.
+// in-memory tree it was saved from. The set also holds the page file of
+// incrementalHistory, so a change to how the tree inserts, splits, deletes
+// or condenses shows as different bytes.
 //
 // The reference was last rewritten when the §3.2 line fit became the
 // closed form: the leaf records' line coefficients changed, the format did
@@ -42,6 +82,9 @@ func TestGoldenFormats(t *testing.T) {
 	rng, ms, opts, ix := goldenFixture(t)
 	fresh := t.TempDir()
 	if err := ix.SavePaged(filepath.Join(fresh, "index.fzp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := incrementalHistory(t).SavePaged(filepath.Join(fresh, "incremental.fzp")); err != nil {
 		t.Fatal(err)
 	}
 	golden.Check(t, fresh, nil)

@@ -161,25 +161,12 @@ type Options struct {
 // and removed").
 const sampleSize = 16
 
-// leafItem is the payload of an R-tree leaf entry: the object's id and
-// exactly the information §3 keeps in memory — the approximated boundary
-// (kernel MBR and L_opt lines; the support MBR is the entry's rectangle) and
-// the representative kernel point — as one flat summary
-// (fuzzy.Summarize). The leaf lays the summary out in its packed slab
-// (rtree.Summarized), and every search reads it there.
-type leafItem struct {
-	id  uint64
-	sum []float64
-}
-
-// Summary implements rtree.Summarized.
-func (it *leafItem) Summary() []float64 { return it.sum }
-
-// newLeafItem summarises o into the leaf entry that indexes it: the support
-// MBR and the payload, from one walk of o's points.
-func newLeafItem(o *fuzzy.Object) rtree.BulkItem {
-	sum, support := fuzzy.Summarize(make([]float64, 0, fuzzy.SummaryLen(o.Dims())), o)
-	return rtree.BulkItem{Rect: support, Data: &leafItem{id: o.ID(), sum: sum}}
+// leafEntry is o's leaf entry: its id beside what §3 keeps in memory — the
+// support MBR, kernel MBR, L_opt lines and representative point — which
+// the tree copies into a leaf row (see fuzzy.Summarize).
+func leafEntry(o *fuzzy.Object) rtree.BulkItem {
+	support, sum := fuzzy.Summarize(o)
+	return rtree.BulkItem{Rect: support, Data: o.ID(), Summary: sum}
 }
 
 // Index is a search index over a fuzzy object store. It is mutable:
@@ -234,11 +221,11 @@ func (s *snapshot) leafIDs(st *Stats) []uint64 {
 	var walk func(n *rtree.Node)
 	walk = func(n *rtree.Node) {
 		n = resolveNode(n, st)
-		for _, e := range n.Entries() {
+		for i := 0; i < n.Len(); i++ {
 			if n.Leaf() {
-				out = append(out, e.Data.(*leafItem).id)
+				out = append(out, n.ID(i))
 			} else {
-				walk(e.Child)
+				walk(n.Child(i))
 			}
 		}
 	}
@@ -285,7 +272,7 @@ func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Inde
 			errs[i] = err
 			return
 		}
-		items[i] = newLeafItem(obj)
+		items[i] = leafEntry(obj)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -296,7 +283,7 @@ func BuildFiltered(st store.Reader, opts Options, keep func(uint64) bool) (*Inde
 	if opts.Incremental {
 		tree = rtree.New(opts.MinEntries, opts.MaxEntries)
 		for _, it := range items {
-			tree.Insert(it.Rect, it.Data)
+			tree.Insert(it.Rect, it.Data, it.Summary...)
 		}
 	} else {
 		tree = rtree.BulkLoad(items, opts.MinEntries, opts.MaxEntries)

@@ -85,6 +85,42 @@ func newLogIndex(b *testing.B, path string) *Index {
 	return ix
 }
 
+// ingestPerOpAllocBudget bounds the heap allocations of one one-object
+// Insert into a MemStore index, averaged over BenchmarkIngestMemPerOp's
+// 1 024 objects: the measured 17.1 (testing.AllocsPerRun runs at
+// GOMAXPROCS 1; the benchmark's figure is higher by its worker goroutines)
+// plus 10%. Most are the group commit's own and the copy-on-write copies of
+// the insertion path's nodes (a slab, ids or children, and the node each).
+// Comparing boxes through allocated rectangles, as the tree once did, cost
+// over 300.
+const ingestPerOpAllocBudget = 18.8
+
+func TestIngestMemPerOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race (sync.Pool reuse is randomized)")
+	}
+	objs := makeObjects(rand.New(rand.NewPCG(42, 42)), ingestObjects, 16, 40, 0)
+	allocs := testing.AllocsPerRun(2, func() {
+		ms, err := store.NewMemStore(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(ms, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs {
+			if _, err := Insert(ix, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / ingestObjects
+	t.Logf("%.1f allocations per one-object insert", allocs)
+	if allocs > ingestPerOpAllocBudget {
+		t.Errorf("a one-object insert allocates %.1f times, want ≤ %.1f", allocs, ingestPerOpAllocBudget)
+	}
+}
+
 func BenchmarkIngestMemPerOp(b *testing.B) {
 	objs := ingestObjs(b)
 	runIngest(b, objs, 1, func(int) *Index { return newMemIndex(b) })

@@ -203,41 +203,41 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 		st.NodeAccesses++
 		switch {
 		case !a.Leaf() && !b.Leaf():
-			for _, ea := range a.Entries() {
-				for _, eb := range b.Entries() {
-					if geom.MinDist(ea.Rect, eb.Rect) <= eps {
-						if err := walk(ea.Child, eb.Child); err != nil {
+			for i := 0; i < a.Len(); i++ {
+				for j := 0; j < b.Len(); j++ {
+					if geom.MinDist(a.EntryRect(i), b.EntryRect(j)) <= eps {
+						if err := walk(a.Child(i), b.Child(j)); err != nil {
 							return err
 						}
 					}
 				}
 			}
 		case !a.Leaf():
-			for _, ea := range a.Entries() {
-				if geom.MinDist(ea.Rect, nodeBounds(b)) <= eps {
-					if err := walk(ea.Child, b); err != nil {
+			for i := 0; i < a.Len(); i++ {
+				if geom.MinDist(a.EntryRect(i), b.Bounds()) <= eps {
+					if err := walk(a.Child(i), b); err != nil {
 						return err
 					}
 				}
 			}
 		case !b.Leaf():
-			for _, eb := range b.Entries() {
-				if geom.MinDist(nodeBounds(a), eb.Rect) <= eps {
-					if err := walk(a, eb.Child); err != nil {
+			for j := 0; j < b.Len(); j++ {
+				if geom.MinDist(a.Bounds(), b.EntryRect(j)) <= eps {
+					if err := walk(a, b.Child(j)); err != nil {
 						return err
 					}
 				}
 			}
 		default:
-			for i, ea := range a.Entries() {
-				ia := ea.Data.(*leafItem).id
+			for i := 0; i < a.Len(); i++ {
+				ia := a.ID(i)
 				// a's estimate stays live across the inner loop; b's bound is
 				// read off b's slab against it. MinDist is symmetric, so this
 				// is MinDist(M_a(α)*, M_b(α)*) to the bit.
 				boxA, sumA := a.EntrySummary(i)
 				sc.est = fuzzy.EstimateInto(boxA, sumA, alpha, sc.est)
-				for j, eb := range b.Entries() {
-					ib := eb.Data.(*leafItem).id
+				for j := 0; j < b.Len(); j++ {
+					ib := b.ID(j)
 					if selfPair && ia >= ib {
 						continue // each unordered pair once; no self-pairs
 					}
@@ -276,14 +276,6 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 		return nil, st, err
 	}
 	return out, st, nil
-}
-
-func nodeBounds(n *rtree.Node) geom.Rect {
-	var r geom.Rect
-	for _, e := range n.Entries() {
-		r.ExpandRect(e.Rect)
-	}
-	return r
 }
 
 // joinSides validates a join's arguments and decomposes both sides into
@@ -432,7 +424,7 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 		seq++
 		pq.Push(it)
 	}
-	sideFor := func(n *rtree.Node) pairSide { return pairSide{node: n, rect: nodeBounds(n)} }
+	sideFor := func(n *rtree.Node) pairSide { return pairSide{node: n, rect: n.Bounds()} }
 	push(pairItem{
 		key: geom.MinDist(sl.tree.Bounds(), sr.tree.Bounds()),
 		a:   sideFor(sl.tree.Root()), b: sideFor(sr.tree.Root()),
@@ -442,13 +434,13 @@ func kClosestPairsTrees(tk treePair, k int, alpha float64) ([]JoinPair, Stats, e
 	children := func(n *rtree.Node) []pairSide {
 		n = resolveNode(n, &st)
 		st.NodeAccesses++
-		out := make([]pairSide, 0, len(n.Entries()))
-		for i, e := range n.Entries() {
+		out := make([]pairSide, 0, n.Len())
+		for i := 0; i < n.Len(); i++ {
 			if n.Leaf() {
 				box, sum := n.EntrySummary(i)
-				out = append(out, pairSide{id: e.Data.(*leafItem).id, rect: fuzzy.EstimateInto(box, sum, alpha, geom.Rect{})})
+				out = append(out, pairSide{id: n.ID(i), rect: fuzzy.EstimateInto(box, sum, alpha, geom.Rect{})})
 			} else {
-				out = append(out, pairSide{node: e.Child, rect: e.Rect})
+				out = append(out, pairSide{node: n.Child(i), rect: n.EntryRect(i)})
 			}
 		}
 		return out

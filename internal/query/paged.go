@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"fuzzyknn/internal/fuzzy"
-	"fuzzyknn/internal/geom"
 	"fuzzyknn/internal/pager"
 	"fuzzyknn/internal/rtree"
 	"fuzzyknn/internal/store"
@@ -76,15 +75,15 @@ func (ix *Index) SavePaged(path string) error {
 		id := uint32(len(nodes))
 		nodes = append(nodes, savedNode{n: n})
 		if !n.Leaf() {
-			kids := make([]uint32, len(n.Entries()))
-			for i, e := range n.Entries() {
-				kids[i] = visit(e.Child.Resolve(nil))
+			kids := make([]uint32, n.Len())
+			for i := range kids {
+				kids[i] = visit(n.Child(i).Resolve())
 			}
 			nodes[id].children = kids
 		}
 		return id
 	}
-	visit(tree.Root().Resolve(nil))
+	visit(tree.Root().Resolve())
 
 	min, max := ix.opts.MinEntries, tree.MaxEntries()
 	if min == 0 {
@@ -98,36 +97,31 @@ func (ix *Index) SavePaged(path string) error {
 		return err
 	}
 	payload := make([]byte, 0, pagePayloadSize(d, max))
-	appendFloat := func(v float64) { payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v)) }
-	appendRect := func(r geom.Rect) {
-		for i := 0; i < d; i++ {
-			appendFloat(r.Lo[i])
-		}
-		for i := 0; i < d; i++ {
-			appendFloat(r.Hi[i])
+	// A record is the entry's row — its rectangle and, in a leaf, its flat
+	// summary — after a leaf's id or before an interior entry's child page.
+	appendFloats := func(vs []float64) {
+		for _, v := range vs {
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
 		}
 	}
 	for _, sn := range nodes {
 		payload = payload[:0]
-		flags := uint16(0)
-		ents := sn.n.Entries()
-		if sn.n.Leaf() {
+		n, flags := sn.n, uint16(0)
+		if n.Leaf() {
 			flags = pager.LeafPage
-			for _, e := range ents {
-				it := e.Data.(*leafItem)
-				payload = binary.LittleEndian.AppendUint64(payload, it.id)
-				appendRect(e.Rect)
-				for _, v := range it.sum {
-					appendFloat(v)
-				}
+		}
+		for i := 0; i < n.Len(); i++ {
+			box, sum := n.EntrySummary(i)
+			if n.Leaf() {
+				payload = binary.LittleEndian.AppendUint64(payload, n.ID(i))
 			}
-		} else {
-			for i, e := range ents {
-				appendRect(e.Rect)
+			appendFloats(box)
+			appendFloats(sum)
+			if !n.Leaf() {
 				payload = binary.LittleEndian.AppendUint32(payload, sn.children[i])
 			}
 		}
-		if _, err := w.WritePage(flags, uint16(len(ents)), payload); err != nil {
+		if _, err := w.WritePage(flags, uint16(n.Len()), payload); err != nil {
 			w.Abort()
 			return err
 		}
@@ -155,58 +149,41 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 	if int(count)*rec > len(payload) {
 		return nil, fmt.Errorf("%w: page %d holds %d records of %d bytes beyond its payload", pager.ErrCorrupt, page, count, rec)
 	}
-	// Everything a page's entries point at is carved from one float slab
-	// and one item slab, so decoding allocates per page, not per entry; the
-	// slabs live and die with the node frame. A leaf record is the entry's
-	// rectangle (its support MBR) and its flat summary, field for field —
-	// the entry's stretch of the leaf's packed slab — so the records are read
-	// into the slab the frame adopts, and each entry's rectangle and item's
-	// summary are views of it.
+	// A record is the entry's row — a leaf's after its id, an interior
+	// entry's before its child page — so the records are read straight into
+	// the slab the frame adopts: decoding allocates per page, not per entry.
 	stride := 2 * d
-	var items []leafItem
 	if leaf {
 		stride += fuzzy.SummaryLen(d)
-		items = make([]leafItem, count)
 	}
-	floats := make([]float64, int(count)*stride)
+	packed := make([]float64, int(count)*stride)
 	pos := 0
-	readFloats := func(dst []float64) {
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
+	readRow := func(i int) {
+		for k := range packed[i*stride : (i+1)*stride] {
+			packed[i*stride+k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
 			pos += 8
-		}
-	}
-	readRect := func(i int) geom.Rect {
-		p := floats[i*stride:]
-		r := geom.Rect{Lo: p[:d:d], Hi: p[d : 2*d : 2*d]}
-		readFloats(r.Lo)
-		readFloats(r.Hi)
-		return r
-	}
-	entries := make([]rtree.Entry, count)
-	for i := range entries {
-		if leaf {
-			id := binary.LittleEndian.Uint64(payload[pos:])
-			pos += 8
-			r := readRect(i)
-			sum := floats[i*stride+2*d : (i+1)*stride : (i+1)*stride]
-			readFloats(sum)
-			items[i] = leafItem{id: id, sum: sum}
-			entries[i] = rtree.Entry{Rect: r, Data: &items[i]}
-		} else {
-			r := readRect(i)
-			child := binary.LittleEndian.Uint32(payload[pos:])
-			pos += 4
-			if child <= page || child >= pageCount {
-				return nil, fmt.Errorf("%w: page %d references child page %d (must be in (%d, %d))", pager.ErrCorrupt, page, child, page, pageCount)
-			}
-			entries[i] = rtree.Entry{Rect: r, Child: rtree.NewStub(src, child)}
 		}
 	}
 	if leaf {
-		return rtree.NewLeafFrame(entries, floats), nil
+		ids := make([]uint64, count)
+		for i := range ids {
+			ids[i] = binary.LittleEndian.Uint64(payload[pos:])
+			pos += 8
+			readRow(i)
+		}
+		return rtree.NewLeaf(d, packed, ids), nil
 	}
-	return rtree.NewFrame(false, entries), nil
+	kids := make([]*rtree.Node, count)
+	for i := range kids {
+		readRow(i)
+		child := binary.LittleEndian.Uint32(payload[pos:])
+		pos += 4
+		if child <= page || child >= pageCount {
+			return nil, fmt.Errorf("%w: page %d references child page %d (must be in (%d, %d))", pager.ErrCorrupt, page, child, page, pageCount)
+		}
+		kids[i] = rtree.NewStub(src, child)
+	}
+	return rtree.NewInterior(d, packed, kids), nil
 }
 
 // PagedIndex is an Index served from a page file through a block cache

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -277,17 +278,17 @@ func TestPagedOpenReadsNoObjects(t *testing.T) {
 	if n := counting.Count(); n != 0 {
 		t.Fatalf("opening the page file read %d objects from the store", n)
 	}
-	leaves := func(ix *Index) map[uint64]leafItem {
-		out := make(map[uint64]leafItem)
+	leaves := func(ix *Index) map[uint64][]float64 {
+		out := make(map[uint64][]float64)
 		var walk func(n *rtree.Node)
 		walk = func(n *rtree.Node) {
-			n = n.Resolve(nil)
-			for _, e := range n.Entries() {
+			n = n.Resolve()
+			for i := 0; i < n.Len(); i++ {
 				if n.Leaf() {
-					it := e.Data.(*leafItem)
-					out[it.id] = *it
+					box, sum := n.EntrySummary(i)
+					out[n.ID(i)] = append(slices.Clone(box), sum...)
 				} else {
-					walk(e.Child)
+					walk(n.Child(i))
 				}
 			}
 		}
@@ -650,9 +651,9 @@ func leafPageOf(t testing.TB, ix *Index) (m pager.Manifest, page uint32, flags, 
 	return m, page, flags, count, payload
 }
 
-// TestDecodePageAllocs pins page decoding at a handful of allocations per
-// page — the float slab the frame adopts as its packed slab, the items, the
-// entries and the node — however many entries the page holds.
+// TestDecodePageAllocs pins leaf page decoding at three allocations per
+// page — the ids, the rows the frame adopts as its slab and the node —
+// however many entries the page holds.
 func TestDecodePageAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(79, 80))
 	ms, err := store.NewMemStore(makeObjects(rng, 400, 8, 12, 0))
@@ -669,8 +670,8 @@ func TestDecodePageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("decoding a leaf page of %d entries allocates %.0f times, want ≤ 4", count, allocs)
+	if allocs > 3 {
+		t.Errorf("decoding a leaf page of %d entries allocates %.0f times, want ≤ 3 (ids, rows, node)", count, allocs)
 	}
 }
 

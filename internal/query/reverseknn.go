@@ -160,17 +160,17 @@ type revEntry struct {
 // charging node accesses to sc.stats.
 func (sc *scratch) collectLeaves(n *rtree.Node, alpha float64, mq geom.Rect) {
 	n = resolveNode(n, &sc.stats)
-	if len(n.Entries()) == 0 {
+	if n.Len() == 0 {
 		return
 	}
 	sc.stats.NodeAccesses++
-	for i, e := range n.Entries() {
+	for i := 0; i < n.Len(); i++ {
 		if !n.Leaf() {
-			sc.collectLeaves(e.Child, alpha, mq)
+			sc.collectLeaves(n.Child(i), alpha, mq)
 			continue
 		}
 		box, sum := n.EntrySummary(i)
-		sc.revEntries = append(sc.revEntries, revEntry{id: e.Data.(*leafItem).id, lb: fuzzy.EstimateMinDist(box, sum, alpha, mq)})
+		sc.revEntries = append(sc.revEntries, revEntry{id: n.ID(i), lb: fuzzy.EstimateMinDist(box, sum, alpha, mq)})
 		sc.repCoords = append(sc.repCoords, fuzzy.SummaryRep(sum)...)
 	}
 }
@@ -204,7 +204,7 @@ func countCloser(sc *scratch, v shardView, a *fuzzy.Object, alpha, radius float6
 		limit:  limit,
 		sc:     sc,
 	}
-	if root := v.s.tree.Root(); len(root.Entries()) > 0 {
+	if root := v.s.tree.Root(); root.Len() > 0 {
 		if err := r.visit(root); err != nil {
 			return 0, err
 		}
@@ -215,13 +215,12 @@ func countCloser(sc *scratch, v shardView, a *fuzzy.Object, alpha, radius float6
 func (r *closerRun) visit(n *rtree.Node) error {
 	st := &r.sc.stats
 	st.NodeAccesses++
-	ents := n.Entries()
-	for i := range ents {
+	for i := 0; i < n.Len(); i++ {
 		if r.count >= r.limit {
 			return nil
 		}
 		if n.Leaf() {
-			id := ents[i].Data.(*leafItem).id
+			id := n.ID(i)
 			if id == r.aID {
 				continue
 			}
@@ -238,7 +237,7 @@ func (r *closerRun) visit(n *rtree.Node) error {
 				r.count++
 			}
 		} else if n.EntryMinDist(i, r.ma) <= r.radius {
-			if err := r.visit(resolveNode(ents[i].Child, st)); err != nil {
+			if err := r.visit(resolveNode(n.Child(i), st)); err != nil {
 				return err
 			}
 		}

@@ -16,7 +16,7 @@ import (
 
 // TestLeafSlabBoundsBitIdentical holds every leaf entry of an incremental, a
 // bulk-loaded and a paged tree to the BoundaryApprox reference: the §3.2
-// bounds the searches read off the leaves' packed slabs are, bit for bit,
+// bounds the searches read off the leaves' rows are, bit for bit,
 // MinDist and MaxDist of the estimate NewBoundaryApprox makes of the stored
 // object — at α = 1, on exact levels of the entry and of the query, and just
 // above a level.
@@ -56,14 +56,14 @@ func TestLeafSlabBoundsBitIdentical(t *testing.T) {
 		entries := 0
 		var walk func(n *rtree.Node)
 		walk = func(n *rtree.Node) {
-			n = n.Resolve(nil)
-			for i, e := range n.Entries() {
+			n = n.Resolve()
+			for i := 0; i < n.Len(); i++ {
 				if !n.Leaf() {
-					walk(e.Child)
+					walk(n.Child(i))
 					continue
 				}
 				entries++
-				obj, err := ms.Get(e.Data.(*leafItem).id)
+				obj, err := ms.Get(n.ID(i))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,31 +3,40 @@ package rtree
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
 	"fuzzyknn/internal/geom"
 )
 
-// item is the structural tests' leaf payload: an id with a summary derived
-// from it, so that CheckInvariants checks the summaries laid out in the
-// leaves' packed slabs through every insert, split, delete, condense, clone
-// and bulk load below.
-type item int
+// sumOf is the structural tests' summary of entry id. Every leaf row below
+// carries one, so liveSet checks that the summaries travel with their ids
+// through every insert, split, delete, condense, clone and bulk load.
+func sumOf(id int) []float64 { return []float64{float64(id), -float64(id), 0.5} }
 
-func (it item) Summary() []float64 { return []float64{float64(it), -float64(it), 0.5} }
+// insert adds entry id with its summary.
+func insert(tr *Tree, r geom.Rect, id int) { tr.Insert(r, uint64(id), sumOf(id)...) }
 
-// liveSet reads the payloads of every leaf entry reachable from the tree.
+// matchID is the Delete predicate for entry id.
+func matchID(id int) func(any) bool { return func(d any) bool { return d.(uint64) == uint64(id) } }
+
+// liveSet reads the ids of every leaf entry reachable from the tree,
+// panicking on a row whose summary is not its id's.
 func liveSet(tr *Tree) map[int]bool {
 	out := make(map[int]bool)
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		for _, e := range n.entries {
-			if n.leaf {
-				out[int(e.Data.(item))] = true
-			} else {
-				walk(e.Child)
+		for i := 0; i < n.Len(); i++ {
+			if !n.Leaf() {
+				walk(n.Child(i))
+				continue
 			}
+			id := int(n.ID(i))
+			if _, sum := n.EntrySummary(i); !slices.Equal(sum, sumOf(id)) {
+				panic(fmt.Sprintf("entry %d carries the summary %v", id, sum))
+			}
+			out[id] = true
 		}
 	}
 	walk(tr.Root())
@@ -40,12 +49,12 @@ func TestDeleteBasic(t *testing.T) {
 	rects := make([]geom.Rect, 200)
 	for i := range rects {
 		rects[i] = randRect(rng, 2, 5)
-		tr.Insert(rects[i], item(i))
+		insert(tr, rects[i], i)
 	}
 	// Delete in random order, checking structure at every step.
 	order := rng.Perm(len(rects))
 	for step, i := range order {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
+		if !tr.Delete(rects[i], matchID(i)) {
 			t.Fatalf("step %d: entry %d not found", step, i)
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -68,8 +77,8 @@ func TestDeleteMisses(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	tr := New(2, 4)
 	r := randRect(rng, 2, 5)
-	tr.Insert(r, item(1))
-	if tr.Delete(r, func(d any) bool { return d.(item) == 2 }) {
+	insert(tr, r, 1)
+	if tr.Delete(r, matchID(2)) {
 		t.Fatal("delete with non-matching payload succeeded")
 	}
 	if tr.Delete(randRect(rng, 2, 5), func(any) bool { return true }) {
@@ -95,7 +104,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		if len(model) == 0 || rng.Float64() < 0.55 {
 			r := randRect(rng, 2, 8)
-			tr.Insert(r, item(next))
+			insert(tr, r, next)
 			model[next] = r
 			next++
 		} else {
@@ -109,7 +118,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 				}
 				k--
 			}
-			if !tr.Delete(model[victim], func(d any) bool { return d.(item) == item(victim) }) {
+			if !tr.Delete(model[victim], matchID(victim)) {
 				t.Fatalf("op %d: live entry %d not deletable", op, victim)
 			}
 			delete(model, victim)
@@ -142,10 +151,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 			}
 		}
 		found := make(map[int]bool)
-		tr.Search(probe, func(e Entry) bool {
-			found[int(e.Data.(item))] = true
-			return true
-		})
+		search(tr, probe, func(id uint64) { found[int(id)] = true })
 		if len(found) != len(want) {
 			t.Fatalf("trial %d: found %d, want %d", trial, len(found), len(want))
 		}
@@ -165,11 +171,11 @@ func TestDeleteFromBulkLoaded(t *testing.T) {
 	rects := make([]geom.Rect, len(items))
 	for i := range items {
 		rects[i] = randRect(rng, 2, 5)
-		items[i] = BulkItem{Rect: rects[i], Data: item(i)}
+		items[i] = BulkItem{Rect: rects[i], Data: uint64(i), Summary: sumOf(i)}
 	}
 	tr := BulkLoad(items, 2, 6)
 	for _, i := range rng.Perm(len(rects))[:300] {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
+		if !tr.Delete(rects[i], matchID(i)) {
 			t.Fatalf("entry %d not found", i)
 		}
 	}
@@ -189,19 +195,19 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	rects := make([]geom.Rect, 300)
 	for i := range rects {
 		rects[i] = randRect(rng, 2, 5)
-		tr.Insert(rects[i], item(i))
+		insert(tr, rects[i], i)
 	}
 	snap := tr.Clone()
 	wantLive := liveSet(snap)
 
 	// Mutate the original: delete half, insert new ones.
 	for _, i := range rng.Perm(len(rects))[:150] {
-		if !tr.Delete(rects[i], func(d any) bool { return d.(item) == item(i) }) {
+		if !tr.Delete(rects[i], matchID(i)) {
 			t.Fatalf("entry %d not found", i)
 		}
 	}
 	for i := 1000; i < 1200; i++ {
-		tr.Insert(randRect(rng, 2, 5), item(i))
+		insert(tr, randRect(rng, 2, 5), i)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("mutated tree: %v", err)
@@ -232,7 +238,7 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	// Mutating the snapshot clone is equally safe in the other direction.
 	before := tr.Len()
 	for i := 2000; i < 2050; i++ {
-		snap.Insert(randRect(rng, 2, 5), item(i))
+		insert(snap, randRect(rng, 2, 5), i)
 	}
 	if tr.Len() != before {
 		t.Fatal("mutating the clone disturbed the original")
@@ -248,7 +254,7 @@ func TestMinFillInvariantDetectsUnderflow(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 12))
 	tr := New(3, 7)
 	for i := 0; i < 100; i++ {
-		tr.Insert(randRect(rng, 2, 5), item(i))
+		insert(tr, randRect(rng, 2, 5), i)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -258,64 +264,60 @@ func TestMinFillInvariantDetectsUnderflow(t *testing.T) {
 	n := tr.Root()
 	for !n.leaf {
 		parent = n
-		n = n.entries[0].Child
+		n = n.kids[0]
 	}
 	if parent == nil {
 		t.Skip("tree too small")
 	}
-	saved := n.entries
-	n.entries = n.entries[:tr.minEntries-1]
-	defer func() { n.entries = saved }()
+	saved := *n
+	n.ids = n.ids[:tr.minEntries-1]
+	n.packed = n.packed[:n.stride*len(n.ids)]
+	defer func() { *n = saved }()
 	// The stale-MBR check may fire first; any error is acceptable, none is not.
 	if err := tr.CheckInvariants(); err == nil {
 		t.Fatal("underfull node not detected")
 	}
 }
 
-// TestSummarySlab covers the rest of the packed slab's life: page frames
-// built both ways lay each entry's rectangle and summary out, EntrySummary
-// reads them back, and the checker fires on a summary that diverges, on a
-// slab that lacks the summaries, and on one that has them beside a payload
-// that carries none.
+// TestSummarySlab covers the rest of the rows' life: a leaf frame built
+// from entries and one adopting decoded rows lay out and read back the same
+// rectangles, ids and summaries; a tree of bare ids lays out no summary;
+// and the checker fires on a leaf whose stride differs from its siblings'.
 func TestSummarySlab(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	entries := make([]Entry, 5)
-	var packed, rects []float64
+	var packed []float64
+	var ids []uint64
 	for i := range entries {
-		entries[i] = Entry{Rect: randRect(rng, 2, 5), Data: item(i)}
-		packed = append(append(append(packed, entries[i].Rect.Lo...), entries[i].Rect.Hi...), item(i).Summary()...)
-		rects = append(append(rects, entries[i].Rect.Lo...), entries[i].Rect.Hi...)
+		entries[i] = Entry{Rect: randRect(rng, 2, 5), ID: uint64(10 + i), Summary: sumOf(i)}
+		packed = append(append(append(packed, entries[i].Rect.Lo...), entries[i].Rect.Hi...), sumOf(i)...)
+		ids = append(ids, uint64(10+i))
 	}
 	for name, n := range map[string]*Node{
-		"NewFrame":     NewFrame(true, entries),
-		"NewLeafFrame": NewLeafFrame(entries, packed),
+		"NewFrame": NewFrame(true, entries),
+		"NewLeaf":  NewLeaf(2, packed, ids),
 	} {
-		if err := n.checkPacked(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		for i, e := range entries {
 			box, sum := n.EntrySummary(i)
-			if !geom.Point(box[:2]).Equal(e.Rect.Lo) || !geom.Point(box[2:]).Equal(e.Rect.Hi) ||
-				!geom.Point(sum).Equal(item(i).Summary()) {
-				t.Fatalf("%s: EntrySummary(%d) = %v %v", name, i, box, sum)
+			if !n.EntryRect(i).Equal(e.Rect) || !geom.Point(box[:2]).Equal(e.Rect.Lo) || !geom.Point(box[2:]).Equal(e.Rect.Hi) ||
+				!slices.Equal(sum, sumOf(i)) || n.ID(i) != e.ID {
+				t.Fatalf("%s: entry %d reads back as %v %v id %d", name, i, box, sum, n.ID(i))
 			}
 		}
 	}
 
-	n := NewFrame(true, entries)
-	n.packed[n.stride+5] = 99 // entry 1's second summary float
-	if err := n.checkPacked(); err == nil {
-		t.Error("diverged summary not detected")
+	bare := NewFrame(true, []Entry{{Rect: randRect(rng, 2, 5), ID: 7}})
+	if box, sum := bare.EntrySummary(0); len(box) != 4 || sum != nil {
+		t.Errorf("a bare id's row reads back as %v %v", box, sum)
 	}
-	if err := NewLeafFrame(entries, rects).checkPacked(); err == nil {
-		t.Error("slab without the summaries not detected")
+	left, right := NewFrame(true, entries[:2]), NewFrame(true, entries[2:])
+	rows := append(append(left.Bounds().Lo, left.Bounds().Hi...), append(right.Bounds().Lo, right.Bounds().Hi...)...)
+	if err := NewPagedTree(NewInterior(2, rows, []*Node{left, right}), 2, 5, 1, 4).CheckInvariants(); err != nil {
+		t.Fatalf("two leaves of one stride: %v", err)
 	}
-	mixed := append([]Entry{{Rect: randRect(rng, 2, 5), Data: 7}}, entries...)
-	if n := NewFrame(true, mixed); n.stride != 4 || n.checkPacked() != nil {
-		t.Errorf("a leaf with an unsummarized payload laid out stride %d", n.stride)
-	}
-	if err := NewLeafFrame(mixed[:5], packed).checkPacked(); err == nil {
-		t.Error("summaries beside an unsummarized payload not detected")
+	rows = append(append(left.Bounds().Lo, left.Bounds().Hi...), append(bare.Bounds().Lo, bare.Bounds().Hi...)...)
+	if err := NewPagedTree(NewInterior(2, rows, []*Node{left, bare}), 2, 3, 1, 4).CheckInvariants(); err == nil {
+		t.Error("leaves of two strides not detected")
 	}
 }
 
@@ -331,7 +333,7 @@ func TestChurnDeterminism(t *testing.T) {
 			if len(live) == 0 || rng.Float64() < 0.6 {
 				r := randRect(rng, 2, 5)
 				live[op] = r
-				tr.Insert(r, item(op))
+				insert(tr, r, op)
 			} else {
 				ids := make([]int, 0, len(live))
 				for id := range live {
@@ -339,7 +341,7 @@ func TestChurnDeterminism(t *testing.T) {
 				}
 				sort.Ints(ids)
 				victim := ids[rng.IntN(len(ids))]
-				tr.Delete(live[victim], func(d any) bool { return d.(item) == item(victim) })
+				tr.Delete(live[victim], matchID(victim))
 				delete(live, victim)
 			}
 		}

@@ -1,5 +1,7 @@
 package rtree
 
+import "fuzzyknn/internal/geom"
+
 // Page-backed trees.
 //
 // A tree served from disk keeps only its root node resident; every interior
@@ -21,37 +23,50 @@ type NodeSource interface {
 	Load(page uint32) (n *Node, hit bool)
 }
 
-// PageCounts accumulates page-load accounting across one traversal.
-type PageCounts struct {
-	Reads int // loads that missed the cache (one page read each)
-	Hits  int // loads served from the cache
-}
-
 // NewStub returns a placeholder node that Resolve loads from src on demand.
 func NewStub(src NodeSource, page uint32) *Node {
 	return &Node{src: src, page: page}
 }
 
-// NewFrame builds a decoded page-backed node from final entries (the slice
-// is retained). The packed slab is built immediately.
+// Entry is one entry of a frame NewFrame builds: an interior entry's Rect
+// and Child, or a leaf entry's Rect, ID and Summary.
+type Entry struct {
+	Rect    geom.Rect
+	Child   *Node
+	ID      uint64
+	Summary []float64
+}
+
+// NewFrame builds a decoded node from final entries, laying their rows out
+// in a fresh slab.
 func NewFrame(leaf bool, entries []Entry) *Node {
-	n := &Node{leaf: leaf, entries: entries}
-	n.pack()
+	n := &Node{leaf: leaf}
+	for _, e := range entries {
+		if leaf {
+			n.appendLeaf(e.Rect, e.ID, e.Summary)
+		} else {
+			n.appendRow(e.Rect.Lo, e.Rect.Hi, nil)
+			n.kids = append(n.kids, e.Child)
+		}
+	}
 	return n
 }
 
-// NewLeafFrame is NewFrame for a decoded leaf that already has its packed
-// slab: packed holds, for every entry in order, its rectangle's corners and
-// its payload's summary — exactly what pack would lay out — and the frame
-// adopts it instead of building its own. A page decoder reads each record
-// into packed and hands the entry and its payload views of it, so a page's
-// rectangles and summaries are held once.
-func NewLeafFrame(entries []Entry, packed []float64) *Node {
-	n := &Node{leaf: true, entries: entries}
-	if len(entries) > 0 {
-		n.packed, n.dims, n.stride = packed, entries[0].Rect.Dims(), len(packed)/len(entries)
+// NewLeaf returns a leaf frame that adopts its rows and ids: entry i is
+// ids[i] beside the i-th of len(ids) equal rows of packed, each a
+// rectangle's corners at d = dims, then a summary.
+func NewLeaf(dims int, packed []float64, ids []uint64) *Node {
+	n := &Node{leaf: true, dims: dims, stride: 2 * dims, packed: packed, ids: ids}
+	if len(ids) > 0 {
+		n.stride = len(packed) / len(ids)
 	}
 	return n
+}
+
+// NewInterior returns an interior frame that adopts its rows and children:
+// entry i is kids[i] with the rectangle packed[2d·i : 2d·(i+1)], d = dims.
+func NewInterior(dims int, packed []float64, kids []*Node) *Node {
+	return &Node{dims: dims, stride: 2 * dims, packed: packed, kids: kids}
 }
 
 // Source returns the node's page source (nil for in-memory nodes).
@@ -62,19 +77,11 @@ func (n *Node) Page() uint32 { return n.page }
 
 // Resolve returns the node's decoded form: n itself for in-memory nodes and
 // resolved frames, or the frame loaded from the node's source for stubs.
-// When c is non-nil, a stub resolution charges it one read or one hit.
-func (n *Node) Resolve(c *PageCounts) *Node {
+func (n *Node) Resolve() *Node {
 	if n.src == nil {
 		return n
 	}
-	f, hit := n.src.Load(n.page)
-	if c != nil {
-		if hit {
-			c.Hits++
-		} else {
-			c.Reads++
-		}
-	}
+	f, _ := n.src.Load(n.page)
 	return f
 }
 

@@ -1,12 +1,23 @@
-// Package rtree implements an R-tree over axis-aligned rectangles with
-// opaque leaf payloads.
+// Package rtree implements an R-tree over axis-aligned rectangles whose
+// leaf entries are object ids, each with an optional float summary.
 //
 // It provides exactly what the paper's search algorithms need (§3.1): a
 // height-balanced hierarchy of MBRs whose internal structure is exposed for
-// custom best-first traversals, plus rectangle range search. Two
-// construction paths are supported: incremental insertion with Guttman's
-// quadratic split, and Sort-Tile-Recursive (STR) bulk loading for building
-// indexes over whole datasets deterministically.
+// custom best-first traversals. Two construction paths are supported:
+// incremental insertion with Guttman's quadratic split, and
+// Sort-Tile-Recursive (STR) bulk loading for building indexes over whole
+// datasets deterministically.
+//
+// # Rows
+//
+// A node is one float slab of rows beside a leaf's ids or an interior
+// node's children. Entry i's row is its rectangle's lower and upper
+// corners (2·d floats) and, in a leaf, its summary: the w floats a search
+// bounds it by (w = 7·d for the query layer's §3.2 summaries, 0 in a tree
+// of bare ids), one w per tree. The row is the only copy of what it holds.
+// A copy into a slab never reads views of that same slab: splits and STR
+// tiles write fresh slabs, and orphans are reinserted from a slab of their
+// own.
 //
 // # Mutation and snapshots
 //
@@ -15,16 +26,16 @@
 // Clone (O(1) — it copies only the tree header) moves both trees to fresh
 // generations, and a mutation copies a node exactly when its stamp differs
 // from the mutating tree's generation — after which the copy is owned and
-// further mutations in the same ownership span update it in place. The
-// pair supports cheap snapshot isolation:
+// further mutations in the same ownership span append, overwrite and remove
+// its rows in place. The pair supports cheap snapshot isolation:
 //
 //	snap := t.Clone() // or keep t.Root()/Height()/Len() from before
-//	t.Insert(r, data) // snap still sees the old, fully consistent tree
+//	t.Insert(r, id)   // snap still sees the old, fully consistent tree
 //
 // The in-place half is what makes group commits cheap: a clone receiving a
-// batch of inserts copies and repacks each touched node once per batch,
-// not once per insert, while every node reachable from any other clone
-// stays intact (classic persistent-structure transients).
+// batch of inserts copies each touched node once per batch, not once per
+// insert, while every node reachable from any other clone stays intact
+// (classic persistent-structure transients).
 //
 // A Tree itself is not safe for concurrent mutation; callers serialize
 // writers and publish clones (e.g. through an atomic pointer) to readers.
@@ -48,19 +59,19 @@ const (
 	DefaultMinEntries = DefaultMaxEntries * 2 / 5
 )
 
-// Entry is a node slot: either an interior entry (Child != nil) whose Rect
-// is the exact MBR of the child node, or a leaf entry carrying Data.
-type Entry struct {
-	Rect  geom.Rect
-	Child *Node // nil for leaf entries
-	Data  any   // payload of leaf entries
-}
-
 // Node is an R-tree node. Nodes are exposed read-only so query algorithms
-// can run their own traversals; do not mutate entries.
+// can run their own traversals: they read entry i through ID, Child,
+// EntrySummary, EntryRect and EntryMinDist.
 type Node struct {
-	leaf    bool
-	entries []Entry
+	leaf   bool
+	dims   int // d of the entry rectangles
+	stride int // floats per row: 2·d, plus the tree's summary length in a leaf
+
+	// packed holds the rows, stride floats each, in entry order; ids (in a
+	// leaf) and kids (in an interior node) hold the rest of each entry.
+	packed []float64
+	ids    []uint64
+	kids   []*Node
 
 	// gen is the ownership generation of the tree that created this node.
 	// A tree may mutate a node in place iff the node's gen equals its own;
@@ -68,17 +79,6 @@ type Node struct {
 	// both trees' generations, so every node reachable from a cloned-away
 	// snapshot is frozen forever.
 	gen uint64
-
-	// packed flattens the entries into one contiguous slice, so best-first
-	// traversals scan their bounds sequentially instead of chasing slice
-	// headers per entry: stride floats per entry — the rectangle's lower
-	// corner, its upper corner and, in a leaf whose payloads are all
-	// Summarized with one common length, the payload's summary. It is filled
-	// by pack() when a node's entries are final (nodes are immutable once
-	// reachable from a published root).
-	packed []float64
-	dims   int // d of the entry rectangles; 0 while the node is empty
-	stride int // floats per entry in packed: 2·d, plus the summary's length
 
 	// src/page make the node a stub: a placeholder holding no entries that
 	// resolves on demand to the decoded form of page via src (see Resolve).
@@ -88,99 +88,47 @@ type Node struct {
 	page uint32
 }
 
-// Summarized is the optional interface of leaf payloads that carry a flat
-// float summary the searches bound them by (the query layer's per-object
-// §3.2 summaries). A leaf lays every payload's summary out in its packed
-// slab right after the entry's rectangle, so a traversal reads an entry's
-// bound inputs from one stretch of contiguous memory instead of from the
-// payload. A summary must not change once its payload is in a tree.
-type Summarized interface {
-	Summary() []float64
-}
-
 // Leaf reports whether the node's entries are leaf entries.
 func (n *Node) Leaf() bool { return n.leaf }
 
-// Entries returns the node's entries. The slice must not be modified.
-func (n *Node) Entries() []Entry { return n.entries }
-
-// pack (re)builds the packed slab from the current entries. Construction
-// paths call it exactly when a node's entry set is final.
-func (n *Node) pack() {
-	if len(n.entries) == 0 {
-		n.packed, n.dims, n.stride = nil, 0, 0
-		return
+// Len returns the number of the node's entries.
+func (n *Node) Len() int {
+	if n.leaf {
+		return len(n.ids)
 	}
-	d, s := n.entries[0].Rect.Dims(), summaryLen(n)
-	n.dims, n.stride = d, 2*d+s
-	need := n.stride * len(n.entries)
-	if cap(n.packed) < need {
-		n.packed = make([]float64, need)
-	}
-	n.packed = n.packed[:need]
-	for i, e := range n.entries {
-		p := n.packed[n.stride*i : n.stride*(i+1)]
-		copy(p, e.Rect.Lo)
-		copy(p[d:], e.Rect.Hi)
-		if s > 0 {
-			copy(p[2*d:], e.Data.(Summarized).Summary())
-		}
-	}
+	return len(n.kids)
 }
 
-// summaryLen returns the length of the summaries a leaf lays out: that of
-// its payloads' when they are all Summarized with one common length, and 0
-// otherwise.
-func summaryLen(n *Node) int {
-	if !n.leaf || len(n.entries) == 0 {
-		return 0
-	}
-	first, ok := n.entries[0].Data.(Summarized)
-	if !ok {
-		return 0
-	}
-	s := len(first.Summary())
-	for _, e := range n.entries[1:] {
-		if p, ok := e.Data.(Summarized); !ok || len(p.Summary()) != s {
-			return 0
-		}
-	}
-	return s
+// ID returns leaf entry i's id.
+func (n *Node) ID(i int) uint64 { return n.ids[i] }
+
+// Child returns interior entry i's child.
+func (n *Node) Child(i int) *Node { return n.kids[i] }
+
+// row returns entry i's row.
+func (n *Node) row(i int) []float64 {
+	return n.packed[n.stride*i : n.stride*(i+1) : n.stride*(i+1)]
 }
 
-// checkPacked verifies the packed slab mirrors the entry rectangles and the
-// payload summaries bit for bit.
-func (n *Node) checkPacked() error {
-	if len(n.entries) == 0 {
-		return nil
-	}
-	d, s := n.entries[0].Rect.Dims(), summaryLen(n)
-	if n.dims != d || n.stride != 2*d+s || len(n.packed) != n.stride*len(n.entries) {
-		return fmt.Errorf("packed slab has %d floats of stride %d at %d dims, want %d of stride %d at %d",
-			len(n.packed), n.stride, n.dims, (2*d+s)*len(n.entries), 2*d+s, d)
-	}
-	for i, e := range n.entries {
-		box, sum := n.EntrySummary(i)
-		if !sameBits(box[:d], e.Rect.Lo) || !sameBits(box[d:], e.Rect.Hi) {
-			return fmt.Errorf("packed rect %d diverges from entry rect %v", i, e.Rect)
-		}
-		if s > 0 && !sameBits(sum, e.Data.(Summarized).Summary()) {
-			return fmt.Errorf("packed summary %d diverges from its payload's", i)
-		}
-	}
-	return nil
+// corners returns entry i's rectangle as its two corner slices.
+func (n *Node) corners(i int) (lo, hi []float64) {
+	p := n.row(i)
+	return p[:n.dims:n.dims], p[n.dims : 2*n.dims : 2*n.dims]
 }
 
-func sameBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+// EntryRect returns entry i's rectangle, a view into the node's slab:
+// read it, do not modify it.
+func (n *Node) EntryRect(i int) geom.Rect {
+	lo, hi := n.corners(i)
+	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// EntrySummary returns leaf entry i's stretch of the packed slab: its
-// rectangle's corners (the lower, then the upper: 2·d floats) and its
-// payload's summary (nil when the leaf lays none out). Both are views into
-// memory the node owns: read them, do not keep or modify them.
+// EntrySummary returns entry i's row: its rectangle's corners (the lower,
+// then the upper: 2·d floats) and its summary (nil in an interior node or a
+// tree of bare ids). Both are views into memory the node owns: read them,
+// do not keep or modify them.
 func (n *Node) EntrySummary(i int) (box, sum []float64) {
-	p := n.packed[n.stride*i : n.stride*(i+1) : n.stride*(i+1)]
+	p := n.row(i)
 	box, sum = p[:2*n.dims:2*n.dims], p[2*n.dims:]
 	if len(sum) == 0 {
 		sum = nil
@@ -188,16 +136,132 @@ func (n *Node) EntrySummary(i int) (box, sum []float64) {
 	return box, sum
 }
 
-// EntryMinDist returns MinDist(entries[i].Rect, r), reading the i-th
-// rectangle from the packed slab when available. The value is bitwise
-// identical to geom.MinDist on the entry's Rect.
+// EntryMinDist returns MinDist(entry i's rectangle, r), bitwise
+// geom.MinDist on the rectangle EntryRect returns.
 func (n *Node) EntryMinDist(i int, r geom.Rect) float64 {
-	d := len(r.Lo)
-	if n.stride == 0 || len(n.packed) < n.stride*(i+1) {
-		return geom.MinDist(n.entries[i].Rect, r)
+	lo, hi := n.corners(i)
+	return geom.MinDistLoHi(lo, hi, r)
+}
+
+// Bounds returns the MBR of the node's entries in fresh memory (the empty
+// rectangle for an empty node).
+func (n *Node) Bounds() geom.Rect {
+	if n.Len() == 0 {
+		return geom.Rect{}
 	}
-	base := n.stride * i
-	return geom.MinDistLoHi(n.packed[base:base+d], n.packed[base+d:base+2*d], r)
+	b := make([]float64, 2*n.dims)
+	n.mbrInto(b)
+	return geom.Rect{Lo: b[:n.dims:n.dims], Hi: b[n.dims:]}
+}
+
+// mbrInto writes the MBR of the node's entries, which must exist, to
+// dst[:2·d]: the first row's corners, expanded by each further row in turn.
+func (n *Node) mbrInto(dst []float64) {
+	d := n.dims
+	lo, hi := dst[:d], dst[d:2*d]
+	copy(lo, n.packed[:d])
+	copy(hi, n.packed[d:2*d])
+	for i := 1; i < n.Len(); i++ {
+		slo, shi := n.corners(i)
+		expand(lo, hi, slo, shi)
+	}
+}
+
+// expand grows the box (lo, hi) in place to include (slo, shi).
+func expand(lo, hi, slo, shi []float64) {
+	for i := range lo {
+		if slo[i] < lo[i] {
+			lo[i] = slo[i]
+		}
+		if shi[i] > hi[i] {
+			hi[i] = shi[i]
+		}
+	}
+}
+
+// area returns the volume of the box (lo, hi): the product of its extents,
+// starting from 1.0, as geom.Rect.Area.
+func area(lo, hi []float64) float64 {
+	a := 1.0
+	for i := range lo {
+		a *= hi[i] - lo[i]
+	}
+	return a
+}
+
+// unionArea returns the volume of the MBR of boxes a and b without
+// building it: the corners a expanded by b would have, dimension by
+// dimension, multiplied as area does.
+func unionArea(alo, ahi, blo, bhi []float64) float64 {
+	a := 1.0
+	for i := range alo {
+		l, h := alo[i], ahi[i]
+		if blo[i] < l {
+			l = blo[i]
+		}
+		if bhi[i] > h {
+			h = bhi[i]
+		}
+		a *= h - l
+	}
+	return a
+}
+
+// appendRow appends a row: the box's corners, then sum (none in an
+// interior node). Every row of a node has one stride.
+func (n *Node) appendRow(lo, hi, sum []float64) {
+	if stride := 2*len(lo) + len(sum); len(n.packed) == 0 {
+		n.dims, n.stride = len(lo), stride
+	} else if stride != n.stride {
+		panic(fmt.Sprintf("rtree: a row of stride %d in a node of stride %d", stride, n.stride))
+	}
+	n.packed = append(append(append(n.packed, lo...), hi...), sum...)
+}
+
+// appendLeaf appends a leaf entry.
+func (n *Node) appendLeaf(r geom.Rect, id uint64, sum []float64) {
+	n.appendRow(r.Lo, r.Hi, sum)
+	n.ids = append(n.ids, id)
+}
+
+// appendKid appends an interior entry for k, whose row is k's MBR.
+func (n *Node) appendKid(k *Node) {
+	n.dims, n.stride = k.dims, 2*k.dims
+	at := len(n.packed)
+	n.packed = append(n.packed, make([]float64, n.stride)...)
+	k.mbrInto(n.packed[at:])
+	n.kids = append(n.kids, k)
+}
+
+// remove deletes entry i in place.
+func (n *Node) remove(i int) {
+	n.packed = slices.Delete(n.packed, n.stride*i, n.stride*(i+1))
+	if n.leaf {
+		n.ids = slices.Delete(n.ids, i, i+1)
+	} else {
+		n.kids = slices.Delete(n.kids, i, i+1)
+	}
+}
+
+// subset returns a copy of n holding the given entries of n, in that
+// order, in fresh memory.
+func (n *Node) subset(entries []int) *Node {
+	s := *n
+	s.packed = make([]float64, 0, len(entries)*n.stride)
+	if n.leaf {
+		s.ids = make([]uint64, 0, len(entries))
+	} else {
+		s.kids = make([]*Node, 0, len(entries))
+	}
+	for _, i := range entries {
+		s.packed = append(s.packed, n.row(i)...)
+		if n.leaf {
+			s.ids = append(s.ids, n.ids[i])
+		} else {
+			s.kids = append(s.kids, n.kids[i])
+		}
+	}
+	return &s
 }
 
 // Tree is an R-tree. Create with New or BulkLoad.
@@ -260,13 +324,7 @@ func (t *Tree) MaxEntries() int { return t.maxEntries }
 func (t *Tree) Root() *Node { return t.root }
 
 // Bounds returns the MBR of everything stored (empty rect for empty tree).
-func (t *Tree) Bounds() geom.Rect {
-	var r geom.Rect
-	for _, e := range t.root.entries {
-		r.ExpandRect(e.Rect)
-	}
-	return r
-}
+func (t *Tree) Bounds() geom.Rect { return t.root.Bounds() }
 
 // Clone returns a snapshot of the tree in O(1): only the header is copied,
 // all nodes are shared. Both trees move to fresh ownership generations, so
@@ -282,109 +340,105 @@ func (t *Tree) Clone() *Tree {
 }
 
 // mutable returns a node this tree may mutate: n itself when this tree
-// created it (its generation matches), otherwise a fresh owned copy of n's
-// entries. The copy leaves packed empty; mutators repack once the entry
-// set settles.
+// created it (its generation matches), otherwise an owned copy of n with
+// room for one more entry.
 func (t *Tree) mutable(n *Node) *Node {
 	if n.gen == t.gen {
 		return n
 	}
-	nn := &Node{leaf: n.leaf, gen: t.gen, entries: make([]Entry, len(n.entries), len(n.entries)+1)}
-	copy(nn.entries, n.entries)
-	return nn
+	nn := *n
+	nn.gen = t.gen
+	nn.packed = append(make([]float64, 0, len(n.packed)+n.stride), n.packed...)
+	if n.leaf {
+		nn.ids = append(make([]uint64, 0, len(n.ids)+1), n.ids...)
+	} else {
+		nn.kids = append(make([]*Node, 0, len(n.kids)+1), n.kids...)
+	}
+	return &nn
 }
 
-// Insert adds a leaf entry with the given rectangle and payload. The
+// Insert adds a leaf entry with rectangle r, id and summary (every entry
+// of a tree has a summary of one length; none in a tree of bare ids). The
 // previous tree structure remains intact for snapshot holders: only fresh
 // copies of the nodes along the insertion path are modified.
-func (t *Tree) Insert(r geom.Rect, data any) {
+func (t *Tree) Insert(r geom.Rect, id uint64, summary ...float64) {
 	if r.IsEmpty() {
 		panic("rtree: cannot insert empty rectangle")
 	}
-	t.insertEntry(Entry{Rect: r.Clone(), Data: data})
+	t.insertRow(r, id, summary)
 	t.size++
 }
 
-// insertEntry places a leaf entry without touching the size counter (shared
+// insertRow places a leaf entry without touching the size counter (shared
 // by Insert and the condense-tree reinsertion pass).
-func (t *Tree) insertEntry(e Entry) {
-	root, split := t.insert(t.root, e, t.height-1)
+func (t *Tree) insertRow(r geom.Rect, id uint64, sum []float64) {
+	root, split := t.insert(t.root, r, id, sum, t.height-1)
 	if split != nil {
 		// Root split: grow the tree by one level.
-		root = &Node{
-			leaf: false,
-			gen:  t.gen,
-			entries: []Entry{
-				{Rect: nodeMBR(root), Child: root},
-				{Rect: nodeMBR(split), Child: split},
-			},
-		}
-		root.pack()
+		up := &Node{gen: t.gen}
+		up.appendKid(root)
+		up.appendKid(split)
+		root = up
 		t.height++
 	}
 	t.root = root
 }
 
-// insert places e at the given level (0 = leaf) below n, returning the
-// replacement for n and, if the replacement overflowed, the node split off
-// of it. Nodes owned by other trees are never modified; nodes this tree
-// owns update in place.
-func (t *Tree) insert(n *Node, e Entry, level int) (*Node, *Node) {
+// insert places a leaf entry below n, which sits level levels above the
+// leaves, returning the replacement for n and, if the replacement
+// overflowed, the node split off of it. Nodes owned by other trees are
+// never modified; nodes this tree owns update in place.
+func (t *Tree) insert(n *Node, r geom.Rect, id uint64, sum []float64, level int) (*Node, *Node) {
 	nn := t.mutable(n)
 	if level == 0 {
-		nn.entries = append(nn.entries, e)
-		if len(nn.entries) > t.maxEntries {
-			return nn, t.splitNode(nn)
+		nn.appendLeaf(r, id, sum)
+	} else {
+		i := nn.chooseSubtree(r.Lo, r.Hi)
+		child, split := t.insert(nn.kids[i], r, id, sum, level-1)
+		nn.kids[i] = child
+		child.mbrInto(nn.row(i))
+		if split == nil {
+			return nn, nil
 		}
-		nn.pack()
-		return nn, nil
+		nn.appendKid(split)
 	}
-	i := chooseSubtree(nn, e.Rect)
-	child, split := t.insert(nn.entries[i].Child, e, level-1)
-	nn.entries[i] = Entry{Rect: nodeMBR(child), Child: child}
-	if split != nil {
-		nn.entries = append(nn.entries, Entry{Rect: nodeMBR(split), Child: split})
-		if len(nn.entries) > t.maxEntries {
-			return nn, t.splitNode(nn)
-		}
+	if nn.Len() > t.maxEntries {
+		return nn, t.splitNode(nn)
 	}
-	nn.pack()
 	return nn, nil
 }
 
-// Delete removes one leaf entry whose rectangle equals r and whose payload
-// satisfies match, reporting whether such an entry was found. Underfull
-// nodes along the way are dissolved and their leaf entries reinserted
-// (Guttman's CondenseTree), and a root left with a single child is cut, so
-// the tree stays height-balanced with min-fill intact. Like Insert, the
-// change is copy-on-write: previously obtained roots keep their view.
-func (t *Tree) Delete(r geom.Rect, match func(data any) bool) bool {
+// Delete removes one leaf entry whose rectangle equals r and whose id
+// satisfies match (it is handed the id), reporting whether such an entry
+// was found. Underfull nodes along the way are dissolved and their leaf
+// entries reinserted (Guttman's CondenseTree), and a root left with a
+// single child is cut, so the tree stays height-balanced with min-fill
+// intact. Like Insert, the change is copy-on-write: previously obtained
+// roots keep their view.
+func (t *Tree) Delete(r geom.Rect, match func(id any) bool) bool {
 	if r.IsEmpty() || t.size == 0 {
 		return false
 	}
-	var orphans []Entry
+	orphans := Node{leaf: true} // the dissolved nodes' leaf entries, in a slab of their own
 	root, found := t.deleteFrom(t.root, r, match, &orphans)
 	if !found {
 		return false
 	}
 	t.root = root
 	// Cut the root while it is an interior node with at most one child.
-	for !t.root.leaf {
-		switch len(t.root.entries) {
-		case 0:
+	for !t.root.leaf && t.root.Len() <= 1 {
+		if t.root.Len() == 0 {
 			t.root = &Node{leaf: true, gen: t.gen}
 			t.height = 1
-		case 1:
-			t.root = t.root.entries[0].Child
+		} else {
+			t.root = t.root.kids[0]
 			t.height--
-		default:
-			goto condensed
 		}
 	}
-condensed:
 	t.size--
-	for _, e := range orphans {
-		t.insertEntry(e)
+	for i := range orphans.ids {
+		_, sum := orphans.EntrySummary(i)
+		t.insertRow(orphans.EntryRect(i), orphans.ids[i], sum)
 	}
 	return true
 }
@@ -393,158 +447,155 @@ condensed:
 // (nil when n dissolved into orphans) and whether the entry was found. Leaf
 // entries of dissolved subtrees are appended to orphans for reinsertion.
 // Like insert, only nodes this tree owns are modified in place.
-func (t *Tree) deleteFrom(n *Node, r geom.Rect, match func(any) bool, orphans *[]Entry) (*Node, bool) {
+func (t *Tree) deleteFrom(n *Node, r geom.Rect, match func(any) bool, orphans *Node) (*Node, bool) {
 	if n.leaf {
-		idx := -1
-		for i, e := range n.entries {
-			if e.Rect.Equal(r) && match(e.Data) {
-				idx = i
-				break
+		for i := range n.ids {
+			if n.EntryRect(i).Equal(r) && match(n.ids[i]) {
+				nn := t.mutable(n)
+				nn.remove(i)
+				return t.condense(n, nn, orphans), true
 			}
 		}
-		if idx < 0 {
-			return n, false
-		}
-		nn := t.mutable(n)
-		nn.entries = append(nn.entries[:idx], nn.entries[idx+1:]...)
-		if n != t.root && len(nn.entries) < t.minEntries {
-			*orphans = append(*orphans, nn.entries...)
-			return nil, true
-		}
-		nn.pack()
-		return nn, true
+		return n, false
 	}
-	for i, e := range n.entries {
-		if !e.Rect.ContainsRect(r) {
+	for i := range n.kids {
+		if !n.EntryRect(i).ContainsRect(r) {
 			continue
 		}
-		child, found := t.deleteFrom(e.Child, r, match, orphans)
+		child, found := t.deleteFrom(n.kids[i], r, match, orphans)
 		if !found {
 			continue
 		}
 		nn := t.mutable(n)
 		if child != nil {
-			nn.entries[i] = Entry{Rect: nodeMBR(child), Child: child}
+			nn.kids[i] = child
+			child.mbrInto(nn.row(i))
 		} else {
-			nn.entries = append(nn.entries[:i], nn.entries[i+1:]...)
+			nn.remove(i)
 		}
-		if n != t.root && len(nn.entries) < t.minEntries {
-			collectLeafEntries(nn, orphans)
-			return nil, true
-		}
-		nn.pack()
-		return nn, true
+		return t.condense(n, nn, orphans), true
 	}
 	return n, false
 }
 
-// collectLeafEntries appends every leaf entry below n to out.
-func collectLeafEntries(n *Node, out *[]Entry) {
-	if n.leaf {
-		*out = append(*out, n.entries...)
-		return
+// condense returns nn, n's replacement after a deletion below it — or nil,
+// having copied every leaf entry below nn into orphans, when n is not the
+// root and nn holds fewer than min entries.
+func (t *Tree) condense(n, nn, orphans *Node) *Node {
+	if n == t.root || nn.Len() >= t.minEntries {
+		return nn
 	}
-	for _, e := range n.entries {
-		collectLeafEntries(e.Child, out)
+	var collect func(n *Node)
+	collect = func(n *Node) {
+		if !n.leaf {
+			for _, k := range n.kids {
+				collect(k)
+			}
+			return
+		}
+		orphans.dims, orphans.stride = n.dims, n.stride
+		orphans.packed = append(orphans.packed, n.packed...)
+		orphans.ids = append(orphans.ids, n.ids...)
 	}
+	collect(nn)
+	return nil
 }
 
-// chooseSubtree picks the child needing the least area enlargement to cover
-// r, breaking ties by smaller area (Guttman's ChooseLeaf).
-func chooseSubtree(n *Node, r geom.Rect) int {
+// chooseSubtree picks the child needing the least area enlargement to
+// cover the box (lo, hi), breaking ties by smaller area (Guttman's
+// ChooseLeaf).
+func (n *Node) chooseSubtree(lo, hi []float64) int {
 	best := -1
 	bestEnl := math.Inf(1)
 	bestArea := math.Inf(1)
-	for i, e := range n.entries {
-		enl := e.Rect.EnlargementArea(r)
-		area := e.Rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
+	for i := range n.kids {
+		elo, ehi := n.corners(i)
+		a := area(elo, ehi)
+		enl := unionArea(elo, ehi, lo, hi) - a
+		if enl < bestEnl || (enl == bestEnl && a < bestArea) {
+			best, bestEnl, bestArea = i, enl, a
 		}
 	}
 	return best
 }
 
-// splitNode performs Guttman's quadratic split in place, leaving one group
-// in n and returning the other as a fresh node.
+// splitNode performs Guttman's quadratic split of n, which it owns: n
+// keeps one group and the other is returned as a fresh node, each group's
+// rows in a fresh slab.
 func (t *Tree) splitNode(n *Node) *Node {
-	entries := n.entries
-	seedA, seedB := pickSeeds(entries)
+	m, d := n.Len(), n.dims
+	seedA, seedB := n.pickSeeds()
 
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
-	rectA := entries[seedA].Rect.Clone()
-	rectB := entries[seedB].Rect.Clone()
-
-	rest := make([]Entry, 0, len(entries)-2)
-	for i, e := range entries {
+	idx := make([]int, 3*m)
+	groupA := append(idx[:0:m], seedA)
+	groupB := append(idx[m:m:2*m], seedB)
+	rest := idx[2*m : 2*m]
+	for i := 0; i < m; i++ {
 		if i != seedA && i != seedB {
-			rest = append(rest, e)
+			rest = append(rest, i)
 		}
 	}
+	boxes := make([]float64, 4*d)
+	copy(boxes, n.row(seedA)[:2*d])
+	copy(boxes[2*d:], n.row(seedB)[:2*d])
+	loA, hiA, loB, hiB := boxes[:d], boxes[d:2*d], boxes[2*d:3*d], boxes[3*d:]
 
 	for len(rest) > 0 {
 		// If one group must take all remaining entries to reach min fill, do it.
 		if len(groupA)+len(rest) == t.minEntries {
-			for _, e := range rest {
-				groupA = append(groupA, e)
-				rectA.ExpandRect(e.Rect)
-			}
+			groupA = append(groupA, rest...)
 			break
 		}
 		if len(groupB)+len(rest) == t.minEntries {
-			for _, e := range rest {
-				groupB = append(groupB, e)
-				rectB.ExpandRect(e.Rect)
-			}
+			groupB = append(groupB, rest...)
 			break
 		}
 		// PickNext: entry with the greatest preference for one group.
 		bestIdx, bestDiff := -1, -1.0
 		var bestDA, bestDB float64
-		for i, e := range rest {
-			dA := rectA.EnlargementArea(e.Rect)
-			dB := rectB.EnlargementArea(e.Rect)
+		for k, i := range rest {
+			lo, hi := n.corners(i)
+			dA := unionArea(loA, hiA, lo, hi) - area(loA, hiA)
+			dB := unionArea(loB, hiB, lo, hi) - area(loB, hiB)
 			if diff := math.Abs(dA - dB); diff > bestDiff {
-				bestIdx, bestDiff = i, diff
+				bestIdx, bestDiff = k, diff
 				bestDA, bestDB = dA, dB
 			}
 		}
-		e := rest[bestIdx]
+		i := rest[bestIdx]
 		rest[bestIdx] = rest[len(rest)-1]
 		rest = rest[:len(rest)-1]
 		// Resolve ties by smaller area, then smaller group.
 		toA := bestDA < bestDB
 		if bestDA == bestDB {
-			aA, aB := rectA.Area(), rectB.Area()
+			aA, aB := area(loA, hiA), area(loB, hiB)
 			toA = aA < aB || (aA == aB && len(groupA) <= len(groupB))
 		}
+		lo, hi := n.corners(i)
 		if toA {
-			groupA = append(groupA, e)
-			rectA.ExpandRect(e.Rect)
+			groupA = append(groupA, i)
+			expand(loA, hiA, lo, hi)
 		} else {
-			groupB = append(groupB, e)
-			rectB.ExpandRect(e.Rect)
+			groupB = append(groupB, i)
+			expand(loB, hiB, lo, hi)
 		}
 	}
 
-	n.entries = groupA
-	n.pack()
-	other := &Node{leaf: n.leaf, gen: t.gen, entries: groupB}
-	other.pack()
+	other := n.subset(groupB)
+	*n = *n.subset(groupA)
 	return other
 }
 
 // pickSeeds returns the pair of entries wasting the most area if grouped
 // together (Guttman's quadratic PickSeeds).
-func pickSeeds(entries []Entry) (int, int) {
+func (n *Node) pickSeeds() (int, int) {
 	worst := math.Inf(-1)
 	a, b := 0, 1
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			u := entries[i].Rect.Union(entries[j].Rect)
-			waste := u.Area() - entries[i].Rect.Area() - entries[j].Rect.Area()
-			if waste > worst {
+	for i := 0; i < n.Len(); i++ {
+		loI, hiI := n.corners(i)
+		for j := i + 1; j < n.Len(); j++ {
+			loJ, hiJ := n.corners(j)
+			if waste := unionArea(loI, hiI, loJ, hiJ) - area(loI, hiI) - area(loJ, hiJ); waste > worst {
 				worst, a, b = waste, i, j
 			}
 		}
@@ -552,129 +603,83 @@ func pickSeeds(entries []Entry) (int, int) {
 	return a, b
 }
 
-// nodeMBR computes the exact MBR of a node's entries.
-func nodeMBR(n *Node) geom.Rect {
-	var r geom.Rect
-	for _, e := range n.entries {
-		r.ExpandRect(e.Rect)
-	}
-	return r
-}
-
-// Search invokes fn for every leaf entry whose rectangle intersects r,
-// stopping early if fn returns false.
-func (t *Tree) Search(r geom.Rect, fn func(Entry) bool) {
-	t.search(t.root, r, fn)
-}
-
-func (t *Tree) search(n *Node, r geom.Rect, fn func(Entry) bool) bool {
-	n = n.Resolve(nil)
-	for _, e := range n.entries {
-		if !e.Rect.Intersects(r) {
-			continue
-		}
-		if n.leaf {
-			if !fn(e) {
-				return false
-			}
-		} else if !t.search(e.Child, r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // BulkItem is one input to BulkLoad.
 type BulkItem struct {
-	Rect geom.Rect
-	Data any
+	Rect    geom.Rect
+	Data    uint64    // the entry's id
+	Summary []float64 // the entry's summary; one length across the items
 }
 
 // BulkLoad builds a tree over items with the Sort-Tile-Recursive algorithm:
 // items are sorted and tiled into slabs dimension by dimension, packed into
 // full leaves, and upper levels are packed recursively. The result is
 // deterministic for a given input order. Capacity semantics match New.
+// Every node's rows are copied into a fresh slab of its own.
 func BulkLoad(items []BulkItem, min, max int) *Tree {
 	t := New(min, max)
 	t.relaxedMinFill = true
 	if len(items) == 0 {
 		return t
 	}
-	entries := make([]Entry, len(items))
-	for i, it := range items {
-		if it.Rect.IsEmpty() {
-			panic("rtree: cannot bulk load empty rectangle")
+	d, w := items[0].Rect.Dims(), len(items[0].Summary)
+	for _, it := range items {
+		if it.Rect.IsEmpty() || it.Rect.Dims() != d || len(it.Summary) != w {
+			panic("rtree: cannot bulk load an empty rectangle or entries of different shapes")
 		}
-		entries[i] = Entry{Rect: it.Rect.Clone(), Data: it.Data}
 	}
-	dims := entries[0].Rect.Dims()
-	nodes := packLevel(entries, true, t.maxEntries, dims)
-	t.height = 1
-	for len(nodes) > 1 {
-		up := make([]Entry, len(nodes))
-		for i, n := range nodes {
-			up[i] = Entry{Rect: nodeMBR(n), Child: n}
+	// pack tiles count entries into nodes of up to max, filling each with
+	// add, in fresh slabs of the given stride.
+	pack := func(count, stride int, leaf bool, center func(i, dim int) float64, add func(n *Node, i int)) (nodes []*Node) {
+		order := make([]int, count)
+		for i := range order {
+			order[i] = i
 		}
-		nodes = packLevel(up, false, t.maxEntries, dims)
-		t.height++
+		strTile(order, 0, d, t.maxEntries, center, func(chunk []int) {
+			n := &Node{leaf: leaf, packed: make([]float64, 0, len(chunk)*stride)}
+			if leaf {
+				n.ids = make([]uint64, 0, len(chunk))
+			} else {
+				n.kids = make([]*Node, 0, len(chunk))
+			}
+			for _, i := range chunk {
+				add(n, i)
+			}
+			nodes = append(nodes, n)
+		})
+		return nodes
+	}
+	nodes := pack(len(items), 2*d+w, true, func(i, dim int) float64 {
+		return items[i].Rect.Lo[dim] + items[i].Rect.Hi[dim]
+	}, func(n *Node, i int) {
+		n.appendLeaf(items[i].Rect, items[i].Data, items[i].Summary)
+	})
+	for t.height = 1; len(nodes) > 1; t.height++ {
+		level := nodes
+		boxes := make([]float64, 2*d*len(level)) // the level's MBRs, in order
+		for i, n := range level {
+			n.mbrInto(boxes[2*d*i:])
+		}
+		nodes = pack(len(level), 2*d, false, func(i, dim int) float64 {
+			return boxes[2*d*i+dim] + boxes[2*d*i+d+dim]
+		}, func(n *Node, i int) {
+			n.appendRow(boxes[2*d*i:2*d*i+d], boxes[2*d*i+d:2*d*(i+1)], nil)
+			n.kids = append(n.kids, level[i])
+		})
 	}
 	t.root = nodes[0]
 	t.size = len(items)
 	return t
 }
 
-// packLevel tiles entries into nodes of up to max entries using recursive
-// STR over the given number of dimensions.
-func packLevel(entries []Entry, leaf bool, max, dims int) []*Node {
-	var nodes []*Node
-	strTile(entries, 0, dims, max, func(chunk []Entry) {
-		n := &Node{leaf: leaf, entries: append([]Entry(nil), chunk...)}
-		n.pack()
-		nodes = append(nodes, n)
-	})
-	return nodes
-}
-
 // strTile recursively slices entries into slabs along dimension dim so that
 // the final chunks hold at most max entries, then emits them.
-func strTile(entries []Entry, dim, dims, max int, emit func([]Entry)) {
-	if len(entries) <= max {
-		emit(entries)
+func strTile(order []int, dim, dims, max int, center func(i, dim int) float64, emit func([]int)) {
+	if len(order) <= max {
+		emit(order)
 		return
 	}
-	if dim == dims-1 {
-		// Last dimension: sort and emit runs of max.
-		sortByCenter(entries, dim)
-		for start := 0; start < len(entries); start += max {
-			end := start + max
-			if end > len(entries) {
-				end = len(entries)
-			}
-			emit(entries[start:end])
-		}
-		return
-	}
-	sortByCenter(entries, dim)
-	// Number of leaf pages below, spread across the remaining dimensions.
-	pages := int(math.Ceil(float64(len(entries)) / float64(max)))
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dims-dim))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	per := int(math.Ceil(float64(len(entries)) / float64(slabs)))
-	for start := 0; start < len(entries); start += per {
-		end := start + per
-		if end > len(entries) {
-			end = len(entries)
-		}
-		strTile(entries[start:end], dim+1, dims, max, emit)
-	}
-}
-
-func sortByCenter(entries []Entry, dim int) {
-	slices.SortStableFunc(entries, func(a, b Entry) int {
-		ca := a.Rect.Lo[dim] + a.Rect.Hi[dim]
-		cb := b.Rect.Lo[dim] + b.Rect.Hi[dim]
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := center(a, dim), center(b, dim)
 		switch {
 		case ca < cb:
 			return -1
@@ -683,6 +688,23 @@ func sortByCenter(entries []Entry, dim int) {
 		}
 		return 0
 	})
+	if dim == dims-1 {
+		// Last dimension: emit runs of max.
+		for start := 0; start < len(order); start += max {
+			emit(order[start:min(start+max, len(order))])
+		}
+		return
+	}
+	// Number of leaf pages below, spread across the remaining dimensions.
+	pages := int(math.Ceil(float64(len(order)) / float64(max)))
+	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dims-dim))))
+	if slabs < 1 {
+		slabs = 1
+	}
+	per := int(math.Ceil(float64(len(order)) / float64(slabs)))
+	for start := 0; start < len(order); start += per {
+		strTile(order[start:min(start+per, len(order))], dim+1, dims, max, center, emit)
+	}
 }
 
 // CheckInvariants validates structural invariants; it is used by tests and
@@ -695,24 +717,23 @@ func sortByCenter(entries []Entry, dim int) {
 //     (bulk-loaded trees are exempt: STR legitimately leaves the last node
 //     of a level underfull),
 //   - the recorded size matches the number of reachable leaf entries,
-//   - every node's packed slab mirrors its entries' rectangles and, in a
-//     leaf, their payloads' summaries bit for bit.
+//   - every node's slab holds one row per entry, an interior row is a
+//     rectangle, and every non-empty leaf has the one stride.
 func (t *Tree) CheckInvariants() error {
-	leafDepth := -1
+	leafDepth, leafStride := -1, -1
 	count := 0
 	var walk func(n *Node, depth int) error
 	walk = func(n *Node, depth int) error {
-		if len(n.entries) > t.maxEntries {
-			return fmt.Errorf("node overflow: %d > %d", len(n.entries), t.maxEntries)
-		}
-		if err := n.checkPacked(); err != nil {
-			return err
-		}
-		if len(n.entries) == 0 && n != t.root {
+		m := n.Len()
+		switch {
+		case m > t.maxEntries:
+			return fmt.Errorf("node overflow: %d > %d", m, t.maxEntries)
+		case m == 0 && n != t.root:
 			return errors.New("empty non-root node")
-		}
-		if !t.relaxedMinFill && n != t.root && len(n.entries) < t.minEntries {
-			return fmt.Errorf("node underflow: %d < %d", len(n.entries), t.minEntries)
+		case !t.relaxedMinFill && n != t.root && m < t.minEntries:
+			return fmt.Errorf("node underflow: %d < %d", m, t.minEntries)
+		case len(n.packed) != n.stride*m:
+			return fmt.Errorf("slab of %d floats for %d rows of stride %d", len(n.packed), m, n.stride)
 		}
 		if n.leaf {
 			if leafDepth == -1 {
@@ -720,16 +741,26 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("leaves at different depths: %d vs %d", depth, leafDepth)
 			}
-			count += len(n.entries)
+			if m > 0 {
+				if leafStride == -1 {
+					leafStride = n.stride
+				} else if n.stride != leafStride {
+					return fmt.Errorf("leaf rows of stride %d beside leaf rows of stride %d", n.stride, leafStride)
+				}
+			}
+			count += m
 			return nil
 		}
-		for _, e := range n.entries {
-			if e.Child == nil {
+		if n.stride != 2*n.dims {
+			return fmt.Errorf("interior rows of stride %d at %d dims", n.stride, n.dims)
+		}
+		for i, k := range n.kids {
+			if k == nil {
 				return errors.New("interior entry without child")
 			}
-			child := e.Child.Resolve(nil)
-			if got := nodeMBR(child); !got.Equal(e.Rect) {
-				return fmt.Errorf("stale MBR: entry %v vs child %v", e.Rect, got)
+			child := k.Resolve()
+			if got := child.Bounds(); !got.Equal(n.EntryRect(i)) {
+				return fmt.Errorf("stale MBR: entry %v vs child %v", n.EntryRect(i), got)
 			}
 			if err := walk(child, depth+1); err != nil {
 				return err
@@ -737,7 +768,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	if err := walk(t.root.Resolve(nil), 1); err != nil {
+	if err := walk(t.root.Resolve(), 1); err != nil {
 		return err
 	}
 	if leafDepth != -1 && leafDepth != t.height {

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -44,12 +45,7 @@ func TestEmptyTree(t *testing.T) {
 	if !tr.Bounds().IsEmpty() {
 		t.Fatal("empty tree should have empty bounds")
 	}
-	found := 0
-	tr.Search(randRect(rand.New(rand.NewPCG(1, 1)), 2, 10), func(Entry) bool {
-		found++
-		return true
-	})
-	if found != 0 {
+	if found := searchIDs(tr, randRect(rand.New(rand.NewPCG(1, 1)), 2, 10)); len(found) != 0 {
 		t.Fatal("search on empty tree returned entries")
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -64,7 +60,7 @@ func TestInsertSmallCapacityManySplits(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		r := randRect(rng, 2, 5)
 		rects = append(rects, r)
-		tr.Insert(r, i)
+		tr.Insert(r, uint64(i))
 		if i%50 == 0 {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("after %d inserts: %v", i+1, err)
@@ -82,15 +78,7 @@ func TestInsertSmallCapacityManySplits(t *testing.T) {
 	}
 	// Every inserted item is findable via a point search on its own rect.
 	for i, r := range rects {
-		found := false
-		tr.Search(r, func(e Entry) bool {
-			if e.Data.(int) == i {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
+		if !slices.Contains(searchIDs(tr, r), i) {
 			t.Fatalf("item %d not found", i)
 		}
 	}
@@ -103,16 +91,32 @@ func TestInsertEmptyRectPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tr.Insert(geom.Rect{}, nil)
+	tr.Insert(geom.Rect{}, 0)
 }
 
-// searchIDs collects the payload ints of all leaf entries intersecting r.
+// search calls fn with the id of every leaf entry whose rectangle
+// intersects r, descending only into interior entries whose rectangle does:
+// a range search over the rows, which misses entries if an MBR is wrong.
+func search(tr *Tree, r geom.Rect, fn func(id uint64)) {
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for i := 0; i < n.Len(); i++ {
+			switch {
+			case !n.EntryRect(i).Intersects(r):
+			case n.Leaf():
+				fn(n.ID(i))
+			default:
+				walk(n.Child(i))
+			}
+		}
+	}
+	walk(tr.Root())
+}
+
+// searchIDs collects the ids of all leaf entries intersecting r, ascending.
 func searchIDs(tr *Tree, r geom.Rect) []int {
 	var ids []int
-	tr.Search(r, func(e Entry) bool {
-		ids = append(ids, e.Data.(int))
-		return true
-	})
+	search(tr, r, func(id uint64) { ids = append(ids, int(id)) })
 	sort.Ints(ids)
 	return ids
 }
@@ -150,13 +154,13 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				r := randRect(rng, d, 8)
 				rects = append(rects, r)
-				items = append(items, BulkItem{Rect: r, Data: i})
+				items = append(items, BulkItem{Rect: r, Data: uint64(i)})
 			}
 			var tr *Tree
 			if build == "insert" {
 				tr = New(2, 6)
 				for i, r := range rects {
-					tr.Insert(r, i)
+					tr.Insert(r, uint64(i))
 				}
 			} else {
 				tr = BulkLoad(items, 2, 6)
@@ -173,21 +177,6 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	tr := New(2, 4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), i)
-	}
-	visited := 0
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(Entry) bool {
-		visited++
-		return visited < 5
-	})
-	if visited != 5 {
-		t.Fatalf("early stop visited %d, want 5", visited)
 	}
 }
 
@@ -209,7 +198,7 @@ func TestBulkLoadLarge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	var items []BulkItem
 	for i := 0; i < 10000; i++ {
-		items = append(items, BulkItem{Rect: randRect(rng, 2, 2), Data: i})
+		items = append(items, BulkItem{Rect: randRect(rng, 2, 2), Data: uint64(i)})
 	}
 	tr := BulkLoad(items, 0, 0)
 	if tr.Len() != 10000 {
@@ -220,10 +209,7 @@ func TestBulkLoadLarge(t *testing.T) {
 	}
 	// All reachable.
 	seen := make([]bool, 10000)
-	tr.Search(tr.Bounds(), func(e Entry) bool {
-		seen[e.Data.(int)] = true
-		return true
-	})
+	search(tr, tr.Bounds(), func(id uint64) { seen[id] = true })
 	for i, s := range seen {
 		if !s {
 			t.Fatalf("item %d unreachable", i)
@@ -235,18 +221,18 @@ func TestBulkLoadDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	var items []BulkItem
 	for i := 0; i < 1000; i++ {
-		items = append(items, BulkItem{Rect: randRect(rng, 2, 3), Data: i})
+		items = append(items, BulkItem{Rect: randRect(rng, 2, 3), Data: uint64(i)})
 	}
 	t1 := BulkLoad(items, 2, 8)
 	t2 := BulkLoad(items, 2, 8)
 	var shape func(n *Node) string
 	shape = func(n *Node) string {
 		s := "("
-		for _, e := range n.entries {
-			if e.Child != nil {
-				s += shape(e.Child)
-			} else {
+		for i := 0; i < n.Len(); i++ {
+			if n.Leaf() {
 				s += "x"
+			} else {
+				s += shape(n.Child(i))
 			}
 		}
 		return s + ")"
@@ -260,7 +246,7 @@ func TestBulkLoadHighUtilization(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	var items []BulkItem
 	for i := 0; i < 4096; i++ {
-		items = append(items, BulkItem{Rect: randRect(rng, 2, 1), Data: i})
+		items = append(items, BulkItem{Rect: randRect(rng, 2, 1), Data: uint64(i)})
 	}
 	tr := BulkLoad(items, 0, 64)
 	// Count leaves.
@@ -271,8 +257,8 @@ func TestBulkLoadHighUtilization(t *testing.T) {
 			leaves++
 			return
 		}
-		for _, e := range n.entries {
-			walk(e.Child)
+		for _, k := range n.kids {
+			walk(k)
 		}
 	}
 	walk(tr.Root())
@@ -286,7 +272,7 @@ func TestDuplicateRects(t *testing.T) {
 	tr := New(2, 4)
 	r := geom.NewRect(geom.Point{1, 1}, geom.Point{2, 2})
 	for i := 0; i < 50; i++ {
-		tr.Insert(r, i)
+		tr.Insert(r, uint64(i))
 	}
 	if got := len(searchIDs(tr, r)); got != 50 {
 		t.Fatalf("found %d duplicates, want 50", got)
@@ -302,11 +288,12 @@ func BenchmarkInsert10K(b *testing.B) {
 	for i := range rects {
 		rects[i] = randRect(rng, 2, 2)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := New(0, 0)
 		for j, r := range rects {
-			tr.Insert(r, j)
+			tr.Insert(r, uint64(j))
 		}
 	}
 }
@@ -315,27 +302,11 @@ func BenchmarkBulkLoad10K(b *testing.B) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	items := make([]BulkItem, 10000)
 	for i := range items {
-		items[i] = BulkItem{Rect: randRect(rng, 2, 2), Data: i}
+		items[i] = BulkItem{Rect: randRect(rng, 2, 2), Data: uint64(i)}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BulkLoad(items, 0, 0)
-	}
-}
-
-func BenchmarkSearch10K(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	items := make([]BulkItem, 10000)
-	for i := range items {
-		items[i] = BulkItem{Rect: randRect(rng, 2, 2), Data: i}
-	}
-	tr := BulkLoad(items, 0, 0)
-	queries := make([]geom.Rect, 64)
-	for i := range queries {
-		queries[i] = randRect(rng, 2, 10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Search(queries[i%len(queries)], func(Entry) bool { return true })
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"fuzzyknn"
+	"fuzzyknn/internal/dataset"
 )
 
 // scrape fetches /metrics and returns the exposition page.
@@ -278,6 +280,48 @@ func TestServeRequestDeadline504(t *testing.T) {
 		assertJSONError(t, resp, "deadline exceeded")
 	case <-time.After(10 * time.Second):
 		t.Fatal("expired request hung instead of answering 504")
+	}
+}
+
+// TestServeRunningQueryDeadline504 pins that a deadline ends a request
+// that is already running: a naive RKNN over a wide window runs for about a
+// second on the one worker, and at a 200 ms RequestTimeout the request
+// answers 504 at its deadline instead of when the worker is done.
+func TestServeRunningQueryDeadline504(t *testing.T) {
+	p := dataset.Default(dataset.Synthetic)
+	p.N, p.PointsPerObject, p.Space = 200, 50, math.Sqrt(200.0/5)
+	objs, err := dataset.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := fuzzyknn.NewIndex(objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ix.NewEngine(&fuzzyknn.EngineConfig{Parallelism: 1})
+	ts := httptest.NewServer(New(ix, eng, &Options{RequestTimeout: 200 * time.Millisecond}))
+	t.Cleanup(func() { ts.Close(); eng.Close(); ix.Close() })
+
+	body, _ := json.Marshal(map[string]any{"query_id": 1, "k": 50, "alpha_start": 0.01, "alpha_end": 1, "algo": "naive"})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/rknn", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("RKNN past its deadline = %d, want 504", resp.StatusCode)
+	}
+	assertJSONError(t, resp, "deadline exceeded")
+	if took > 600*time.Millisecond {
+		t.Errorf("504 came after %v, want at the 200 ms deadline", took)
+	}
+	var sb strings.Builder
+	if err := eng.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `fuzzyknn_requests_cancelled_total{kind="rknn",stage="running"} 1`; !strings.Contains(sb.String(), want) {
+		t.Errorf("metrics lack %s", want)
 	}
 }
 

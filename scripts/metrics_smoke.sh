@@ -30,6 +30,9 @@ grep -q 'fuzzyknn_engine_queue_depth{queue="query"}' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_queue_capacity{queue="write"}' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_write_batch_size_count 1' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_overloaded_total 0' "$WORK/metrics.txt"
+# Every request met its deadline: the cancelled family is exported, zeros included.
+grep -q 'fuzzyknn_requests_cancelled_total{kind="aknn",stage="queued"} 0' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_requests_cancelled_total{kind="rknn",stage="running"} 0' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_http_panics_total 0' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_index_objects 501' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1' "$WORK/metrics.txt"
