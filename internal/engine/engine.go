@@ -184,6 +184,7 @@ type job struct {
 	state *atomic.Int32 // jobQueued → jobRunning → jobDone, or → jobAbandoned by the caller
 	done  chan<- struct{}
 	start time.Time // when its DoBatch began; latency histograms measure from here
+	ran   time.Time // when a worker or the writer claimed it: queue time before, service time after
 }
 
 // Job states. The worker claims a queued job (jobQueued → jobRunning) and
@@ -296,6 +297,7 @@ func (e *Engine) worker() {
 		if !j.state.CompareAndSwap(jobQueued, jobRunning) {
 			continue // abandoned while queued: it has been answered
 		}
+		j.ran = time.Now()
 		e.metrics.inflightQueries.Add(1)
 		resp := e.execute(j)
 		e.metrics.inflightQueries.Add(-1)
@@ -314,6 +316,7 @@ func (e *Engine) finish(j job, resp Response) {
 		return
 	}
 	e.record(j.req.Kind, resp.Stats, resp.Err == nil, j.start)
+	e.metrics.observeSplit(j.req.Kind, j.ran.Sub(j.start), time.Since(j.ran))
 	*j.resp = resp
 	j.done <- struct{}{}
 }
@@ -434,6 +437,7 @@ func (e *Engine) executeWrites(group []job) {
 	var inserts []*fuzzy.Object
 	var deletes []uint64
 	var insJob, delJob []int
+	ran := time.Now()
 	for i := range group {
 		j := &group[i]
 		if err := j.ctx.Err(); err != nil {
@@ -443,6 +447,7 @@ func (e *Engine) executeWrites(group []job) {
 			answered[i] = true // abandoned while queued: never applied
 			continue
 		}
+		j.ran = ran
 		switch j.req.Kind {
 		case Insert:
 			inserts = append(inserts, j.req.Obj)

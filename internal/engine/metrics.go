@@ -33,6 +33,8 @@ type engineMetrics struct {
 	requests  [kindSlots]*metrics.Counter
 	failures  [kindSlots]*metrics.Counter
 	latency   [kindSlots]*metrics.Histogram
+	queue     [kindSlots]*metrics.Histogram
+	service   [kindSlots]*metrics.Histogram
 	cancelled [kindSlots][numStages]*metrics.Counter
 
 	inflightQueries *metrics.Gauge
@@ -68,6 +70,12 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			"Engine requests that returned an error, by kind.", "kind", kind)
 		m.latency[slot] = reg.Histogram("fuzzyknn_request_duration_seconds",
 			"End-to-end request latency (queue wait + execution) by kind.",
+			durBounds, durScale, "kind", kind)
+		m.queue[slot] = reg.Histogram("fuzzyknn_request_queue_seconds",
+			"Time a request a worker (or, for a write, the writer) answered spent queued before it was claimed, by kind.",
+			durBounds, durScale, "kind", kind)
+		m.service[slot] = reg.Histogram("fuzzyknn_request_service_seconds",
+			"Time from a request's claim by a worker (or, for a write, the writer) to its answer, by kind; with the queue time it makes the request's duration.",
 			durBounds, durScale, "kind", kind)
 		for stage, name := range [numStages]string{stageQueued: "queued", stageRunning: "running"} {
 			m.cancelled[slot][stage] = reg.Counter("fuzzyknn_requests_cancelled_total",
@@ -146,4 +154,12 @@ func (m *engineMetrics) observe(k Kind, ok bool, elapsed time.Duration) {
 		m.failures[slot].Inc()
 	}
 	m.latency[slot].ObserveDuration(elapsed)
+}
+
+// observeSplit records where an answered request's time went: queued
+// before its claim, in service after it.
+func (m *engineMetrics) observeSplit(k Kind, queued, service time.Duration) {
+	slot := kindSlot(k)
+	m.queue[slot].ObserveDuration(queued)
+	m.service[slot].ObserveDuration(service)
 }

@@ -376,3 +376,56 @@ func TestEngineDeadlineEndsTheWait(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineQueueServiceSplit pins where a request's time is split: at its
+// worker's claim. On one worker held 200 ms by an RKNN, an AKNN queued
+// behind it books the wait as queue time and its own instant answer as
+// service time, and the RKNN books the 200 ms as service.
+func TestEngineQueueServiceSplit(t *testing.T) {
+	s := &blockingSearcher{started: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := New(s, Options{Parallelism: 1})
+	defer eng.Close()
+	const hold = 200 * time.Millisecond
+
+	rknn := make(chan Response)
+	go func() {
+		rknn <- eng.Do(context.Background(), Request{Kind: RKNN, K: 1, AlphaStart: 0.3, AlphaEnd: 0.8})
+	}()
+	<-s.started
+	aknn := make(chan Response)
+	go func() { aknn <- eng.Do(context.Background(), Request{Kind: AKNN, K: 1, Alpha: 0.5}) }()
+	waitDepth(t, eng.jobs, 1)
+	time.Sleep(hold)
+	close(s.release)
+	if r := <-rknn; r.Err != nil {
+		t.Fatalf("RKNN: %v", r.Err)
+	}
+	if r := <-aknn; r.Err != nil {
+		t.Fatalf("AKNN: %v", r.Err)
+	}
+
+	secs := hold.Seconds()
+	aq, as := eng.metrics.queue[kindSlot(AKNN)], eng.metrics.service[kindSlot(AKNN)]
+	if aq.Count() != 1 || as.Count() != 1 || aq.Sum() < secs || as.Sum() > secs/4 {
+		t.Errorf("the AKNN booked %d queue samples (%.3fs) and %d service samples (%.3fs), want one of ≥ %v and one of little",
+			aq.Count(), aq.Sum(), as.Count(), as.Sum(), hold)
+	}
+	rq, rs := eng.metrics.queue[kindSlot(RKNN)], eng.metrics.service[kindSlot(RKNN)]
+	if rq.Count() != 1 || rs.Count() != 1 || rq.Sum() > secs/4 || rs.Sum() < secs {
+		t.Errorf("the RKNN booked %d queue samples (%.3fs) and %d service samples (%.3fs), want one of little and one of ≥ %v",
+			rq.Count(), rq.Sum(), rs.Count(), rs.Sum(), hold)
+	}
+	var sb strings.Builder
+	if err := eng.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`fuzzyknn_request_queue_seconds_count{kind="aknn"} 1`,
+		`fuzzyknn_request_service_seconds_count{kind="aknn"} 1`,
+		`fuzzyknn_request_queue_seconds_count{kind="range"} 0`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("metrics lack %s", want)
+		}
+	}
+}

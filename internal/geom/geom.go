@@ -157,26 +157,6 @@ func (r *Rect) ExpandPoint(p Point) {
 	}
 }
 
-// ExpandRect grows r in place to include s. Expanding by the empty rectangle
-// is a no-op.
-func (r *Rect) ExpandRect(s Rect) {
-	if s.IsEmpty() {
-		return
-	}
-	if r.IsEmpty() {
-		*r = s.Clone()
-		return
-	}
-	for i := range s.Lo {
-		if s.Lo[i] < r.Lo[i] {
-			r.Lo[i] = s.Lo[i]
-		}
-		if s.Hi[i] > r.Hi[i] {
-			r.Hi[i] = s.Hi[i]
-		}
-	}
-}
-
 // ContainsRect reports whether s lies entirely inside r. The empty rectangle
 // is contained in everything.
 func (r Rect) ContainsRect(s Rect) bool {

@@ -81,16 +81,6 @@ func TestRectExpand(t *testing.T) {
 	if !r.Equal(RectFromPoint(pt(1, 1))) {
 		t.Errorf("expanding empty rect by point: %v", r)
 	}
-	r.ExpandRect(NewRect(pt(2, 2), pt(3, 3)))
-	if !r.Equal(Rect{Lo: pt(1, 1), Hi: pt(3, 3)}) {
-		t.Errorf("after ExpandRect: %v", r)
-	}
-	// Expanding by empty is a no-op.
-	before := r.Clone()
-	r.ExpandRect(Rect{})
-	if !r.Equal(before) {
-		t.Errorf("ExpandRect by empty changed rect: %v", r)
-	}
 }
 
 func TestContainsAndIntersects(t *testing.T) {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -301,64 +303,185 @@ func (sc *wireScanner) key() []byte {
 	return name
 }
 
-// number returns the JSON number that comes next, nil if none does. JSON's
-// grammar is narrower than strconv's ("+1", "01", ".5", "1.", "0x1", "1_0"
-// and "Inf" are all out), so it is checked here.
-func (sc *wireScanner) number() []byte {
+// number is one JSON number as the scanner's walk reads it: ±man × 10^exp10,
+// man holding the first 19 significant digits (10^19 fits a uint64).
+type number struct {
+	from  int // where the literal starts: strconv reads it again when the walk cannot decide
+	man   uint64
+	exp10 int
+	neg   bool
+	trunc bool // a nonzero digit after the 19th was dropped
+	frac  bool // a fraction or an exponent: not an integer literal
+}
+
+// number reads the JSON number that comes next in one walk, checking JSON's
+// grammar — narrower than strconv's ("+1", "01", ".5", "1.", "0x1", "1_0"
+// and "Inf" are all out) — as it takes the digits. ok is false if no number
+// comes next. The digits are read as strconv's readFloat reads them, so
+// (man, exp10, trunc) are the values strconv itself would decide from.
+func (sc *wireScanner) number() (n number, ok bool) {
 	sc.skip()
 	b, i := sc.b, sc.i
-	digits := func() bool {
+	n.from = i
+	n.neg = i < len(b) && b[i] == '-'
+	if n.neg {
+		i++
+	}
+	nd := 0 // significant digits in n.man
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		n.man, nd, i = digits(b, i, 0, 0)
 		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil
+		i = n.drop(b, i)
+		n.exp10 = i - from // each dropped digit before the point scales by ten
+	default:
+		return n, false
 	}
 	if i < len(b) && b[i] == '.' {
-		if i++; !digits() {
-			return nil
+		n.frac = true
+		i++
+		from := i
+		for n.man == 0 && i < len(b) && b[i] == '0' {
+			i++ // leading zeros are not significant
+		}
+		n.man, nd, i = digits(b, i, n.man, nd)
+		n.exp10 -= i - from
+		if i = n.drop(b, i); i == from {
+			return n, false
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+	if i < len(b) && b[i]|0x20 == 'e' {
+		n.frac = true
+		i++
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		if !digits() {
-			return nil
+		from, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // beyond every table; strconv caps it alike
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		if i == from {
+			return n, false
+		}
+		if neg {
+			e = -e
+		}
+		n.exp10 += e
 	}
-	tok := b[sc.i:i]
 	sc.i = i
-	return tok
+	return n, true
+}
+
+// digits takes the digits at b[i:] onto man, which holds nd of them, until
+// it holds 19 or the digits end; eight at a time where it can.
+func digits(b []byte, i int, man uint64, nd int) (uint64, int, int) {
+	for ; nd <= 19-8 && i+8 <= len(b); i, nd = i+8, nd+8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		if v&0xF0F0F0F0F0F0F0F0|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+			break // not eight digits
+		}
+		// Lemire's SWAR: pairs, then quads, then the eight.
+		v -= 0x3030303030303030
+		v = v*10 + v>>8
+		v = (v&0x000000FF000000FF*(100+1000000<<32) + v>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
+		man = man*1e8 + v
+	}
+	for ; i < len(b) && nd < 19 && b[i]-'0' <= 9; i, nd = i+1, nd+1 {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return man, nd, i
+}
+
+// drop skips the digits at b[i:] that did not fit in man, noting whether
+// any was nonzero, and returns where they end.
+func (n *number) drop(b []byte, i int) int {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n.trunc = n.trunc || b[i] != '0'
+	}
+	return i
+}
+
+// exactPow10 are the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// fast is n's value where it is decided without strconv: exactly by one
+// multiply or divide when man and 10^|exp10| are both exact float64s, else
+// by Eisel–Lemire. ok is false when neither decides.
+func (n *number) fast() (float64, bool) {
+	switch {
+	case n.trunc:
+		return 0, false
+	case n.man < 1<<53 && -len(exactPow10) < n.exp10 && n.exp10 < len(exactPow10):
+		f := float64(n.man)
+		if n.exp10 < 0 {
+			f /= exactPow10[-n.exp10]
+		} else {
+			f *= exactPow10[n.exp10]
+		}
+		if n.neg {
+			f = -f
+		}
+		return f, true
+	}
+	return eiselLemire64(n.man, n.exp10, n.neg)
 }
 
 // float, uint and int parse the next number as encoding/json parses it for
 // a field of that type; one strconv refuses (1e999, -1 or 1.5 for an
-// integer, nothing at all) declines.
+// integer, nothing at all) declines. The walk decides almost every value;
+// strconv reads the literal again only for what it cannot.
 func (sc *wireScanner) float(dst *float64) bool {
-	v, err := strconv.ParseFloat(string(sc.number()), 64)
-	*dst = v
+	n, ok := sc.number()
+	if !ok {
+		return false
+	}
+	if f, ok := n.fast(); ok {
+		*dst = f
+		return true
+	}
+	f, err := strconv.ParseFloat(string(sc.b[n.from:sc.i]), 64)
+	*dst = f
 	return err == nil
 }
 
+// uint refuses a sign, a fraction and an exponent, as strconv.ParseUint
+// does; an integer literal of 19 digits or fewer is exactly man.
 func (sc *wireScanner) uint(dst *uint64) bool {
-	v, err := strconv.ParseUint(string(sc.number()), 10, 64)
+	n, ok := sc.number()
+	switch {
+	case !ok || n.neg || n.frac:
+		return false
+	case n.exp10 == 0:
+		*dst = n.man
+		return true
+	}
+	v, err := strconv.ParseUint(string(sc.b[n.from:sc.i]), 10, 64)
 	*dst = v
 	return err == nil
 }
 
+// int refuses a fraction and an exponent, as strconv.ParseInt does, and
+// anything outside int — which every literal of 20 digits or more is.
 func (sc *wireScanner) int(dst *int) bool {
-	v, err := strconv.ParseInt(string(sc.number()), 10, strconv.IntSize)
-	*dst = int(v)
-	return err == nil
+	n, ok := sc.number()
+	limit := uint64(math.MaxInt)
+	if n.neg {
+		limit++ // -math.MinInt
+	}
+	if !ok || n.frac || n.exp10 != 0 || n.man > limit {
+		return false
+	}
+	*dst = int(n.man)
+	if n.neg {
+		*dst = -*dst
+	}
+	return true
 }
 
 // str reads a string of unescaped ASCII; escapes and other bytes are

@@ -26,6 +26,10 @@ grep -q 'fuzzyknn_requests_total{kind="aknn"} 1' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_requests_total{kind="rknn"} 1' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_requests_total{kind="insert"} 1' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_request_duration_seconds_count{kind="aknn"} 1' "$WORK/metrics.txt"
+# The duration split at the claim: queued, then in service (the writer's for the insert).
+grep -q 'fuzzyknn_request_queue_seconds_count{kind="aknn"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_request_service_seconds_count{kind="aknn"} 1' "$WORK/metrics.txt"
+grep -q 'fuzzyknn_request_service_seconds_count{kind="insert"} 1' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_queue_depth{queue="query"}' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_queue_capacity{queue="write"}' "$WORK/metrics.txt"
 grep -q 'fuzzyknn_engine_write_batch_size_count 1' "$WORK/metrics.txt"
