@@ -514,10 +514,10 @@ func (ix *Index) Delete(id uint64) error {
 }
 
 // ApplyBatch group-commits a batch of mutations — inserts, then deletes —
-// as one index transition per shard: one writer-lock acquisition, one
-// copy-on-write tree clone, one snapshot publish, and (log-backed) ONE
-// write and ONE fsync for the whole batch. Queries observe either none of
-// the batch or all of it (per shard), and bulk ingest through ApplyBatch is
+// as one index transition: per shard one writer-lock acquisition, one
+// copy-on-write tree clone and (log-backed) ONE write and ONE fsync for the
+// whole batch, then one snapshot publish. Queries observe either none of
+// the batch or all of it, across shards too, and bulk ingest through ApplyBatch is
 // an order of magnitude faster than an Insert loop on a log-backed index.
 //
 // The batch must be self-consistent: each id appears at most once across

@@ -428,12 +428,11 @@ func parallelFor(n int, fn func(i int)) {
 // partitioned by ShardOf, every owning shard's writer lock is taken (in
 // shard order), all sub-batches are validated and prepared in parallel, and
 // only if every shard accepts does each commit — in parallel, one group
-// commit and one snapshot publish per shard. A validation failure anywhere
-// aborts the whole batch with nothing applied on any shard, mirroring the
-// single-tree all-or-nothing contract. (As with single mutations there is
-// no global snapshot: a concurrent query may see shard A's half of a batch
-// before shard B publishes; each shard's view is still consistent, and
-// quiescent reads match a single tree.)
+// commit per shard. A validation failure anywhere aborts the whole batch
+// with nothing applied on any shard, mirroring the single-tree
+// all-or-nothing contract. Once every touched shard has committed, one
+// forest swap (publish) makes the whole batch visible to sharded reads at
+// once.
 //
 // Stats and error positions refer to the caller's slices, exactly like
 // Index.ApplyBatch.
@@ -537,13 +536,14 @@ func (sx *ShardedIndex) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([
 		}(ti)
 	}
 	wg.Wait()
+	sx.publish(touched)
 	for _, err := range commitErrs {
 		if err != nil {
 			// A commit-phase failure is of the I/O class (validation passed
-			// everywhere); other shards may have published their
-			// sub-batches — the same no-global-snapshot caveat as
-			// concurrent single mutations, reported verbatim so the caller
-			// does not retry item-by-item on top of a half-landed group.
+			// everywhere); the shards whose stores committed have published
+			// their sub-batches, as the store holds them. It is reported
+			// verbatim so the caller does not retry item-by-item on top of a
+			// half-landed group.
 			return stats, err
 		}
 	}

@@ -74,29 +74,21 @@ type treePair struct {
 }
 
 // joinPairs decomposes a (possibly sharded) join into single-tree pairs
-// over per-shard snapshots pinned exactly once.
-func joinPairs(ls, rs []*Index, selfJoin bool) []treePair {
-	lsnaps := make([]*snapshot, len(ls))
-	for i, ix := range ls {
-		lsnaps[i] = ix.read()
-	}
+// over the snapshots each side pinned once (see joinSides).
+func joinPairs(ls, rs []shardView, selfJoin bool) []treePair {
 	var tasks []treePair
 	if selfJoin {
 		for i := range ls {
-			tasks = append(tasks, treePair{left: ls[i], right: ls[i], sl: lsnaps[i], sr: lsnaps[i], self: true})
+			tasks = append(tasks, treePair{left: ls[i].ix, right: ls[i].ix, sl: ls[i].s, sr: ls[i].s, self: true})
 			for j := i + 1; j < len(ls); j++ {
-				tasks = append(tasks, treePair{left: ls[i], right: ls[j], sl: lsnaps[i], sr: lsnaps[j], normalize: true})
+				tasks = append(tasks, treePair{left: ls[i].ix, right: ls[j].ix, sl: ls[i].s, sr: ls[j].s, normalize: true})
 			}
 		}
 		return tasks
 	}
-	rsnaps := make([]*snapshot, len(rs))
-	for j, ix := range rs {
-		rsnaps[j] = ix.read()
-	}
 	for i := range ls {
 		for j := range rs {
-			tasks = append(tasks, treePair{left: ls[i], right: rs[j], sl: lsnaps[i], sr: rsnaps[j]})
+			tasks = append(tasks, treePair{left: ls[i].ix, right: rs[j].ix, sl: ls[i].s, sr: rs[j].s})
 		}
 	}
 	return tasks
@@ -279,8 +271,8 @@ func distanceJoinTrees(tk treePair, alpha, eps float64) ([]JoinPair, Stats, erro
 }
 
 // joinSides validates a join's arguments and decomposes both sides into
-// their single-tree shards.
-func joinSides(left, right Searcher, alphas ...float64) (ls, rs []*Index, selfJoin bool, err error) {
+// their single-tree shards, each side pinned once.
+func joinSides(left, right Searcher, alphas ...float64) (ls, rs []shardView, selfJoin bool, err error) {
 	if left == nil || right == nil {
 		return nil, nil, false, badArgf("query: nil index in join")
 	}
@@ -301,15 +293,16 @@ func joinSides(left, right Searcher, alphas ...float64) (ls, rs []*Index, selfJo
 	return ls, rs, left == right, nil
 }
 
-// shardTrees returns the single-tree indexes behind a Searcher.
-func shardTrees(s Searcher) ([]*Index, error) {
+// shardTrees pins the single-tree indexes behind a Searcher.
+func shardTrees(s Searcher) ([]shardView, error) {
 	switch v := s.(type) {
 	case *Index:
-		return []*Index{v}, nil
+		return []shardView{{v, v.read()}}, nil
 	case *PagedIndex:
-		return []*Index{v.Index}, nil
+		return []shardView{{v.Index, v.Index.read()}}, nil
 	case *ShardedIndex:
-		return v.shards, nil
+		var sc scratch // only its views are used
+		return v.pin(&sc), nil
 	}
 	return nil, fmt.Errorf("query: join over unsupported index type %T", s)
 }

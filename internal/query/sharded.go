@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fuzzyknn/internal/fuzzy"
@@ -14,9 +15,9 @@ import (
 // its own store); ShardOf assigns every object id to exactly one shard.
 //
 // It has no query algorithms of its own. Every read family is one function
-// over a forest of pinned tree snapshots, and a query method here pins
-// every shard's snapshot (scratch.pin) and calls that function, exactly as
-// the Index method does with its one tree:
+// over a forest of pinned tree snapshots, and a query method here pins the
+// forest (pin) and calls that function, exactly as the Index method does
+// with its one tree:
 //
 //   - AKNN (aknnInto): the pruning bound is global and moves as the search
 //     proceeds, so it is one best-first search over all the trees — one
@@ -41,15 +42,22 @@ import (
 // RangeSearch probe exactly the objects a single tree over the union would,
 // whatever the shard count (only tree-node and page counts differ).
 //
-// Mutations route by ShardOf and inherit the owning shard's snapshot
-// isolation. There is no global snapshot: one sharded query reads each
-// shard's snapshot when it starts, so a mutation concurrent with a query
-// may be visible in some shards' view and not others. Each individual
-// shard view is still a consistent population, and quiescent reads (no
-// writer in flight) are byte-identical to a single-tree index over the
-// same objects — the property the equivalence tests pin down.
+// Mutations route by ShardOf; ApplyBatch commits every touched shard and
+// then publishes one forest, the array of all shards' snapshots, with one
+// atomic swap. A sharded read pins the forest with one load, so it sees
+// either none of a batch or all of it, across shards as within one: every
+// answer is the answer over a population some commit produced. Quiescent
+// reads (no writer in flight) are byte-identical to a single-tree index
+// over the same objects — the property the equivalence tests pin down.
 type ShardedIndex struct {
 	shards []*Index
+
+	// forest is every shard's snapshot as the last published batch left
+	// them; never mutated once stored.
+	forest atomic.Pointer[[]*snapshot]
+	// publishMu orders the swaps of batches over disjoint shards, each of
+	// which builds its forest from the previous one.
+	publishMu sync.Mutex
 }
 
 // NewSharded assembles a sharded index over pre-built shards. Shard i must
@@ -76,7 +84,36 @@ func NewSharded(shards []*Index) (*ShardedIndex, error) {
 			return nil, fmt.Errorf("query: shard %d has dims %d, shard set has dims %d", i, d, dims)
 		}
 	}
-	return &ShardedIndex{shards: shards}, nil
+	sx := &ShardedIndex{shards: shards}
+	forest := make([]*snapshot, len(shards))
+	for i, sh := range shards {
+		forest[i] = sh.read()
+	}
+	sx.forest.Store(&forest)
+	return sx, nil
+}
+
+// publish swaps in a forest of the touched shards' current snapshots and
+// the previous forest's others. The touched shards' writer locks must be
+// held, so what they hold now is what their batch committed.
+func (sx *ShardedIndex) publish(touched []int) {
+	sx.publishMu.Lock()
+	defer sx.publishMu.Unlock()
+	next := append([]*snapshot(nil), *sx.forest.Load()...)
+	for _, sh := range touched {
+		next[sh] = sx.shards[sh].read()
+	}
+	sx.forest.Store(&next)
+}
+
+// pin is scratch.pin over the forest: one load pins every shard's snapshot,
+// all as one published batch left them.
+func (sx *ShardedIndex) pin(sc *scratch) []shardView {
+	sc.views = sc.views[:0]
+	for i, s := range *sx.forest.Load() {
+		sc.views = append(sc.views, shardView{ix: sx.shards[i], s: s})
+	}
+	return sc.views
 }
 
 // BuildSharded partitions the store's objects across n shards by ShardOf
@@ -109,8 +146,8 @@ func (sx *ShardedIndex) Shard(i int) *Index { return sx.shards[i] }
 // Len returns the total number of indexed objects.
 func (sx *ShardedIndex) Len() int {
 	n := 0
-	for _, sh := range sx.shards {
-		n += sh.Len()
+	for _, s := range *sx.forest.Load() {
+		n += s.tree.Len()
 	}
 	return n
 }
@@ -118,9 +155,9 @@ func (sx *ShardedIndex) Len() int {
 // Dims returns the index dimensionality: the first shard-known value (all
 // non-empty shards agree by construction).
 func (sx *ShardedIndex) Dims() int {
-	for _, sh := range sx.shards {
-		if d := sh.Dims(); d != 0 {
-			return d
+	for _, s := range *sx.forest.Load() {
+		if s.dims != 0 {
+			return s.dims
 		}
 	}
 	return 0
@@ -164,7 +201,7 @@ func (sx *ShardedIndex) CheckInvariants() error {
 		if err := sh.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		for _, id := range sh.read().leafIDs(&Stats{}) {
+		for _, id := range (*sx.forest.Load())[i].leafIDs(&Stats{}) {
 			if ShardOf(id, len(sx.shards)) != i {
 				return fmt.Errorf("shard %d holds id %d owned by shard %d", i, id, ShardOf(id, len(sx.shards)))
 			}
@@ -174,7 +211,8 @@ func (sx *ShardedIndex) CheckInvariants() error {
 }
 
 // shardView is one tree of the forest a query searches, pinned to the
-// snapshot read when the query started (see scratch.pin).
+// snapshot read when the query started (see scratch.pin and
+// ShardedIndex.pin).
 type shardView struct {
 	ix *Index
 	s  *snapshot
@@ -236,7 +274,7 @@ func fanOut[T any](sc *scratch, views []shardView, out *[]T, work func(sub *scra
 }
 
 // AKNN answers the ad-hoc kNN query across all shards: one best-first
-// search over the forest of the shards' pinned snapshots (see aknnInto).
+// search over the pinned forest (see aknnInto).
 // Results are always exact, ascending by (distance, id), regardless of the
 // variant: algo only selects the leaf lower bound (support MBR for Basic,
 // the §3.2 boundary MBR otherwise), and the lazy variants run as LB — a
@@ -247,7 +285,7 @@ func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlg
 	started := time.Now()
 	sc := getScratch()
 	defer putScratch(sc)
-	views := sc.pin(sx.shards...)
+	views := sx.pin(sc)
 	if err := validateArgs(views, q, k, alpha); err != nil {
 		return nil, Stats{}, err
 	}
@@ -268,21 +306,21 @@ func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlg
 	return res, sc.stats, nil
 }
 
-// The other read families are the single-tree functions over the forest of
-// the shards' pinned snapshots, exactly as on a plain Index.
+// The other read families are the single-tree functions over the pinned
+// forest, exactly as on a plain Index.
 
 // LinearScanAKNN implements Searcher; see scanTopK.
 func (sx *ShardedIndex) LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return scanTopK(sc, sc.pin(sx.shards...), q, k, alpha, alphaDistScore)
+	return scanTopK(sc, sx.pin(sc), q, k, alpha, alphaDistScore)
 }
 
 // ExpectedDistKNN implements Searcher; see scanTopK.
 func (sx *ShardedIndex) ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return scanTopK(sc, sc.pin(sx.shards...), q, k, 1, expectedDistScore)
+	return scanTopK(sc, sx.pin(sc), q, k, 1, expectedDistScore)
 }
 
 // Refine implements Searcher: non-exact results (e.g. a lazy answer relayed
@@ -291,14 +329,14 @@ func (sx *ShardedIndex) ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats
 func (sx *ShardedIndex) Refine(q *fuzzy.Object, alpha float64, rs []Result) ([]Result, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return refine(sc, sc.pin(sx.shards...), q, alpha, rs)
+	return refine(sc, sx.pin(sc), q, alpha, rs)
 }
 
 // RangeSearch implements Searcher; see rangeSearchInto.
 func (sx *ShardedIndex) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]Result, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return rangeSearchInto(sc, nil, sc.pin(sx.shards...), q, alpha, radius)
+	return rangeSearchInto(sc, nil, sx.pin(sc), q, alpha, radius)
 }
 
 // RKNN implements Searcher: all four §4 algorithms run as named, whatever
@@ -306,12 +344,12 @@ func (sx *ShardedIndex) RangeSearch(q *fuzzy.Object, alpha, radius float64) ([]R
 func (sx *ShardedIndex) RKNN(q *fuzzy.Object, k int, alphaStart, alphaEnd float64, algo RKNNAlgorithm) ([]RangedResult, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return rknnInto(sc, nil, sc.pin(sx.shards...), q, k, alphaStart, alphaEnd, algo)
+	return rknnInto(sc, nil, sx.pin(sc), q, k, alphaStart, alphaEnd, algo)
 }
 
 // ReverseKNN implements Searcher; see reverseKNN.
 func (sx *ShardedIndex) ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return reverseKNN(sc, sc.pin(sx.shards...), q, k, alpha)
+	return reverseKNN(sc, sx.pin(sc), q, k, alpha)
 }

@@ -2,11 +2,13 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/store"
@@ -651,4 +653,133 @@ func TestTieDeterminismAcrossLayouts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// movingObject is the geometry a cross-shard move carries between its two
+// ids: a small blob far from makeObjects' square, so that a query with the
+// same points finds it at distance 0 and nothing else near.
+func movingObject(id uint64) *fuzzy.Object {
+	return fuzzy.MustNew(id, []fuzzy.WeightedPoint{
+		{P: []float64{100, 100}, Mu: 1},
+		{P: []float64{100.5, 100}, Mu: 0.6},
+		{P: []float64{100, 100.5}, Mu: 0.3},
+	})
+}
+
+// TestShardedBatchIsOneSnapshot moves one object between two shards, one
+// ApplyBatch per step: delete id a in shard 0 and insert the same geometry
+// as id b in shard 1, then back. Every concurrent read — a range search
+// around it, a k = 1 AKNN, an RKNN and a distance join — must see exactly
+// one copy. A shard-by-shard publish shows zero or two to about one read in
+// three; run with -race.
+func TestShardedBatchIsOneSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 2))
+	sx := buildShardedOver(t, makeObjects(rng, 40, 8, 12, 8), 2, Options{})
+	a, b := uint64(1000), uint64(1001)
+	for ShardOf(a, 2) != 0 {
+		a++
+	}
+	for b = a + 1; ShardOf(b, 2) != 1; b++ {
+	}
+	if _, err := Insert(sx, movingObject(a)); err != nil {
+		t.Fatal(err)
+	}
+	q := movingObject(0)
+	probe := buildIndex(t, []*fuzzy.Object{movingObject(1)}, Options{})
+
+	// oneCopy reports what is wrong with the ids a read found near q.
+	oneCopy := func(kind string, ids []uint64, err error) string {
+		switch {
+		case err != nil:
+			return kind + ": " + err.Error()
+		case len(ids) != 1 || ids[0] != a && ids[0] != b:
+			return fmt.Sprintf("%s saw %v, want exactly one of %d and %d", kind, ids, a, b)
+		}
+		return ""
+	}
+	reads := []func() string{
+		func() string {
+			rs, _, err := sx.RangeSearch(q, 0.5, 1)
+			var ids []uint64
+			for _, r := range rs {
+				ids = append(ids, r.ID)
+			}
+			return oneCopy("range search", ids, err)
+		},
+		func() string {
+			rs, _, err := sx.AKNN(q, 1, 0.5, LB)
+			var ids []uint64
+			for _, r := range rs {
+				if r.Dist == 0 {
+					ids = append(ids, r.ID)
+				}
+			}
+			return oneCopy("AKNN", ids, err)
+		},
+		func() string {
+			rs, _, err := sx.RKNN(q, 1, 0.3, 0.8, RSSICR)
+			var ids []uint64
+			for _, r := range rs {
+				ids = append(ids, r.ID)
+			}
+			return oneCopy("RKNN", ids, err)
+		},
+		func() string {
+			ps, _, err := DistanceJoin(probe, sx, 0.5, 1)
+			var ids []uint64
+			for _, p := range ps {
+				ids = append(ids, p.RightID)
+			}
+			return oneCopy("distance join", ids, err)
+		},
+	}
+	for _, read := range reads {
+		if msg := read(); msg != "" {
+			t.Fatalf("before any move: %s", msg)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var bad []string
+	counts := make([]int, len(reads))
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				msg := reads[i%len(reads)]()
+				mu.Lock()
+				counts[i%len(reads)]++
+				if msg != "" && len(bad) < 5 {
+					bad = append(bad, msg)
+				}
+				mu.Unlock()
+			}
+		}(r)
+	}
+	from, to := a, b
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); from, to = to, from {
+		if _, err := sx.ApplyBatch([]*fuzzy.Object{movingObject(to)}, []uint64{from}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, msg := range bad {
+		t.Error(msg)
+	}
+	for i, n := range counts {
+		if n == 0 {
+			t.Errorf("read %d never ran", i)
+		}
+	}
+	t.Logf("reads by kind: %v", counts)
 }

@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"fuzzyknn"
+	"fuzzyknn/internal/query"
 )
 
 // wireObject converts a built object to its JSON form.
@@ -83,4 +90,111 @@ func TestServeBatchMutate(t *testing.T) {
 	if out.Applied != 50 || out.Failed != 0 || ix.Len() != 57 {
 		t.Fatalf("bulk applied=%d failed=%d len=%d", out.Applied, out.Failed, ix.Len())
 	}
+}
+
+// TestShardedBatchIsOneSnapshotOverHTTP is the cross-shard move through
+// POST /objects:batch on a two-shard server: each batch deletes the mover's
+// id in one shard and inserts its geometry under an id of the other. Every
+// concurrent /range, k = 1 /aknn and /rknn around it must see exactly one
+// copy.
+func TestShardedBatchIsOneSnapshotOverHTTP(t *testing.T) {
+	objs := []*fuzzyknn.Object{blob(t, 1, 2, 0), blob(t, 2, 3, 0.5), blob(t, 3, 4, -1), blob(t, 4, 8, 2)}
+	a, b := uint64(1000), uint64(1001)
+	for query.ShardOf(a, 2) != 0 {
+		a++
+	}
+	for b = a + 1; query.ShardOf(b, 2) != 1; b++ {
+	}
+	ix, err := fuzzyknn.NewIndex(append(objs, blob(t, a, 50, 50)), &fuzzyknn.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ix.NewEngine(&fuzzyknn.EngineConfig{Parallelism: 4})
+	ts := httptest.NewServer(New(ix, eng, nil))
+	defer func() {
+		ts.Close()
+		eng.Close()
+		ix.Close()
+	}()
+
+	q := wireObject(t, blob(t, 7, 50, 50))
+	bodies := []any{
+		RangeRequest{Query: q, Alpha: 0.5, Radius: 1},
+		AKNNRequest{Query: q, K: 1, Alpha: 0.5, Algo: "lb"},
+		RKNNRequest{Query: q, K: 1, AlphaStart: 0.3, AlphaEnd: 0.8},
+	}
+	paths := []string{"/range", "/aknn", "/rknn"}
+	// read answers what is wrong with one read's ids near the mover; it runs
+	// off the test's goroutine, so it reports instead of failing.
+	read := func(i int) string {
+		buf, err := json.Marshal(bodies[i])
+		if err != nil {
+			return err.Error()
+		}
+		resp, err := http.Post(ts.URL+paths[i], "application/json", bytes.NewReader(buf))
+		if err != nil {
+			return err.Error()
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Results []struct {
+				ID   uint64  `json:"id"`
+				Dist float64 `json:"dist"` // absent, so 0, in an RKNN answer
+			} `json:"results"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			return fmt.Sprintf("%s answered %d (%v)", paths[i], resp.StatusCode, err)
+		}
+		var ids []uint64
+		for _, r := range out.Results {
+			if r.Dist == 0 {
+				ids = append(ids, r.ID)
+			}
+		}
+		if len(ids) != 1 || ids[0] != a && ids[0] != b {
+			return fmt.Sprintf("%s saw %v, want exactly one of %d and %d", paths[i], ids, a, b)
+		}
+		return ""
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var bad []string
+	reads := 0
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				msg := read(i % len(paths))
+				mu.Lock()
+				reads++
+				if msg != "" && len(bad) < 5 {
+					bad = append(bad, msg)
+				}
+				mu.Unlock()
+			}
+		}(r)
+	}
+	from, to := a, b
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); from, to = to, from {
+		req := BatchMutateRequest{Objects: []*ObjectJSON{wireObject(t, blob(t, to, 50, 50))}, DeleteIDs: []uint64{from}}
+		var out BatchMutateResponse
+		if status := postJSON(t, ts.URL+"/objects:batch", req, &out); status != http.StatusOK || out.Failed != 0 {
+			t.Errorf("move %d → %d: status %d, %+v", from, to, status, out)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, msg := range bad {
+		t.Error(msg)
+	}
+	t.Logf("%d reads", reads)
 }

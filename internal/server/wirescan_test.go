@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -145,12 +146,14 @@ func diffAll(t *testing.T, body []byte) map[string]bool {
 		"/range": diffKind(t, body, rangeFields, func(r *RangeRequest) []*ObjectJSON { return takeQuery(&r.Query) }),
 		"/objects": diffKind(t, body, insertFields,
 			func(r *InsertRequest) []*ObjectJSON { return takeQuery(&r.Object) }),
-		"/objects:batch": diffKind(t, body, batchFields, func(r *BatchMutateRequest) []*ObjectJSON {
-			objs := r.Objects
-			r.Objects = nil
-			return objs
-		}),
+		"/objects:batch": diffKind(t, body, batchFields, takeObjects),
 	}
+}
+
+func takeObjects(r *BatchMutateRequest) []*ObjectJSON {
+	objs := r.Objects
+	r.Objects = nil
+	return objs
 }
 
 // edgeCase is one body of the JSON-edge boundary battery. status and reply
@@ -355,6 +358,10 @@ func TestTrailingBytesRefused(t *testing.T) {
 // read as each of the five endpoints' bodies: whatever the scanner accepts,
 // encoding/json accepts and reads identically.
 func FuzzWireScan(f *testing.F) {
+	// Small pieces, so that the 64-object seed and what grows from it are
+	// read in pieces.
+	defer func(n int) { minPieceBytes = n }(minPieceBytes)
+	minPieceBytes = 512
 	q := queryJSON(f)
 	id := uint64(3)
 	for _, v := range []any{
@@ -364,6 +371,7 @@ func FuzzWireScan(f *testing.F) {
 		RangeRequest{Query: q, Alpha: 0.5, Radius: 3},
 		InsertRequest{Object: q},
 		BatchMutateRequest{Objects: []*ObjectJSON{q, {ID: 901}, nil, q}, DeleteIDs: []uint64{6, 777777}},
+		splitBody(64, 2),
 	} {
 		f.Add(mustMarshal(f, v))
 	}
@@ -372,6 +380,126 @@ func FuzzWireScan(f *testing.F) {
 		f.Add([]byte(slowForm(tc.body)))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { diffAll(t, body) })
+}
+
+// splitBody is a batch of n objects of the given number of points.
+func splitBody(n, points int) BatchMutateRequest {
+	rng := rand.New(rand.NewSource(3))
+	req := BatchMutateRequest{}
+	for id := uint64(1); id <= uint64(n); id++ {
+		req.Objects = append(req.Objects, randomObject(rng, id, points))
+	}
+	return req
+}
+
+// elem is one compact "objects" element, id first as encoding/json writes
+// it; pts are the members of its points, in order.
+func elem(id int, pts ...string) string {
+	return fmt.Sprintf(`{"id":%d,"points":[%s]}`, id, strings.Join(pts, ","))
+}
+
+// elems is the elements first..last, each of one point but the first,
+// which has three: a cut at half the list lands inside it.
+func elems(first, last int) string {
+	var out []string
+	for id := first; id <= last; id++ {
+		pts := []string{fmt.Sprintf(`{"p":[%d,0.5],"mu":1}`, id)}
+		if id == first {
+			pts = append(pts, `{"p":[1e-3,-2],"mu":0.25}`, `{"p":[3,4.5e1],"mu":0.75}`)
+		}
+		out = append(out, elem(id, pts...))
+	}
+	return strings.Join(out, ",")
+}
+
+// splitCases are batch bodies for the split. scanned says whether the
+// scanner accepts the body; split whether, at two cores and with every
+// piece allowed to be small, the "objects" list is read in pieces that meet.
+var splitCases = []struct {
+	name           string
+	body           string
+	scanned, split bool
+}{
+	{"one object", `{"objects":[` + elems(1, 1) + `]}`, true, false},
+	{"two objects", `{"objects":[` + elems(1, 2) + `]}`, true, true},
+	{"eight objects and deletes", `{"objects":[` + elems(1, 8) + `],"delete_ids":[20,21]}`, true, true},
+	{"empty list", `{"objects":[]}`, true, false},
+	{"points before id", `{"objects":[` + elems(1, 2) +
+		`,{"points":[{"p":[0,0],"mu":1}],"id":3},` + elems(4, 5) + `,{"points":[{"mu":1,"p":[1,1]}],"id":6}]}`, true, true},
+	{"whitespace around every token", " {\n \"objects\" : [ { \"id\" : 1 , \"points\" : [ { \"p\" : [ 0 , 0 ] , \"mu\" : 1 } ] } ,\r\n\t" +
+		"{ \"id\" : 2 , \"points\" : [ { \"p\" : [ 1 , 1 ] , \"mu\" : 1 } ] } ] } ", true, false},
+	{"whitespace around every token but the guessed ones", " {\n \"objects\" : [ " + elem(1, `{ "p" : [ 0 , 0 ] , "mu" : 1 }`, `{ "p" : [ 9 , 9 ] , "mu" : 0.5 }`) +
+		" ,\r\n\t" + elem(2, ` { "p" : [ 1 , 1 ] , "mu" : 1 } `) + " ,  " + elem(3, `{"p":[2,2] ,"mu" :1}`) + " ] } ", true, true},
+	{"guess inside a point", `{"objects":[` + elems(1, 2) + `,` + elem(3, `{"id":4,"p":[0,0],"mu":1}`) + `]}`, false, false},
+	{"guess inside an unknown member", `{"objects":[` + elem(1, `{"p":[0,0],"mu":1}`, `{"p":[5,5],"mu":1}`) +
+		`,{"id":2,"points":[{"p":[1,1],"mu":1}],"x":{"id":9}}]}`, false, false},
+	{"bad element inside the second piece", `{"objects":[` + elems(1, 5) + `,` + elem(6, `{"p":[0,0],"mu":null}`) + `]}`, false, false},
+	{"refused element inside the second piece", `{"objects":[` + elems(1, 5) + `,` + elem(6, `{"p":[0,0],"mu":0}`) + `,` + elems(7, 7) + `]}`, true, true},
+	{"ragged element inside the second piece", `{"objects":[` + elems(1, 5) + `,` + elem(6, `{"p":[0,0],"mu":1}`, `{"p":[0],"mu":1}`) + `]}`, false, false},
+	{"repeated objects key", `{"objects":[` + elems(1, 4) + `],"objects":[` + elems(5, 8) + `]}`, false, false},
+	{"bracket after the list", `{"objects":[` + elems(1, 8) + `]]}`, false, true},
+	{"bytes after the body", `{"objects":[` + elems(1, 8) + `]} x`, false, true},
+	{"trailing comma", `{"objects":[` + elems(1, 8) + `,]}`, false, false},
+	{"unclosed list", `{"objects":[` + elems(1, 8), false, false},
+}
+
+// TestSplitReadsAsSerial: every batch body reads the same through the split
+// (at two and at four cores), the serial scanner (at one) and encoding/json.
+func TestSplitReadsAsSerial(t *testing.T) {
+	defer func(n int) { minPieceBytes = n }(minPieceBytes)
+	minPieceBytes = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range splitCases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := []byte(tc.body)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				if got := diffKind(t, body, batchFields, takeObjects); got != tc.scanned {
+					t.Fatalf("at GOMAXPROCS %d the scanner accepted = %v, want %v: %s", procs, got, tc.scanned, body)
+				}
+			}
+			runtime.GOMAXPROCS(2)
+			sc := scanners.Get().(*wireScanner)
+			defer sc.release()
+			sc.b, sc.i = body, bytes.Index(body, []byte(`"objects"`))
+			if sc.key() == nil {
+				t.Fatal("no objects key")
+			}
+			from := sc.i
+			var objs []inlineObject
+			if got := sc.split(&objs); got != tc.split {
+				t.Fatalf("split = %v, want %v", got, tc.split)
+			} else if !got && (sc.i != from || objs != nil) {
+				t.Fatalf("a split that did not meet moved the scanner from %d to %d and read %d objects", from, sc.i, len(objs))
+			}
+		})
+	}
+}
+
+// TestSplitAllocs holds the split to the serial scanner's allocation budget
+// for a bulk-load group (see TestInlineDecodeAllocs), counted at two cores:
+// AllocsPerRun runs at one, where no list is split.
+func TestSplitAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const batch, runs = 500, 5
+	many := batchBody(t, batch)
+	sc := new(wireScanner)
+	sc.b, sc.i = many, len(`{"objects":`)
+	var objs []inlineObject
+	if !sc.split(&objs) || len(objs) != batch {
+		t.Fatalf("the split did not read the batch body: %d objects", len(objs))
+	}
+	var req BatchMutateRequest
+	sc.scan(many, batchFields(&req)) // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sc.scan(many, batchFields(&req))
+	}
+	runtime.ReadMemStats(&after)
+	if n := float64(after.Mallocs-before.Mallocs) / runs; n > 3*batch+16 {
+		t.Errorf("scanning a %d-object batch in pieces allocates %v times, want ≤ %d", batch, n, 3*batch+16)
+	}
 }
 
 // rewindBody is a request body a test can send again without allocating.

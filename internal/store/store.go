@@ -12,6 +12,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -283,9 +284,13 @@ func (m *MemStore) Compact() {
 }
 
 // Writer streams objects into a store file. Create one with Create, Append
-// objects, then Close to finalize the directory and footer.
+// objects, then Close to finalize the directory and footer. Writes go
+// through one buffer, so a write error may surface at a later Append or at
+// Close.
 type Writer struct {
 	f      *os.File
+	w      *bufio.Writer
+	rec    []byte // the record being written, reused across Appends
 	dims   int
 	offset uint64
 	dir    []dirEntry
@@ -312,15 +317,13 @@ func Create(path string, dims int) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := &Writer{f: f, w: bufio.NewWriterSize(f, 64<<10), dims: dims, offset: headerSize, seen: make(map[uint64]bool)}
 	hdr := make([]byte, headerSize)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint32(hdr[8:], version)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(dims))
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Writer{f: f, dims: dims, offset: headerSize, seen: make(map[uint64]bool)}, nil
+	_, _ = w.w.Write(hdr) // cannot fail: it fits the empty buffer
+	return w, nil
 }
 
 // Append serializes one object. Objects must have the writer's
@@ -335,19 +338,20 @@ func (w *Writer) Append(o *fuzzy.Object) error {
 	if w.seen[o.ID()] {
 		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
 	}
-	rec := codec.AppendRecord(nil, o)
-	if _, err := w.f.Write(rec); err != nil {
+	w.rec = codec.AppendRecord(w.rec[:0], o)
+	if _, err := w.w.Write(w.rec); err != nil {
 		w.err = err
 		return err
 	}
-	w.dir = append(w.dir, dirEntry{id: o.ID(), offset: w.offset, length: uint64(len(rec))})
-	w.offset += uint64(len(rec))
+	w.dir = append(w.dir, dirEntry{id: o.ID(), offset: w.offset, length: uint64(len(w.rec))})
+	w.offset += uint64(len(w.rec))
 	w.seen[o.ID()] = true
 	return nil
 }
 
-// Close writes the directory and footer and closes the file. The Writer is
-// unusable afterwards.
+// Close writes the directory and footer, flushes and closes the file,
+// returning the first error any write met. The Writer is unusable
+// afterwards.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		w.f.Close()
@@ -365,7 +369,8 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(buf[pos:], dirOffset)
 	binary.LittleEndian.PutUint64(buf[pos+8:], uint64(len(w.dir)))
 	copy(buf[pos+16:], magic)
-	if _, err := w.f.Write(buf); err != nil {
+	_, _ = w.w.Write(buf) // a failure here stays in the buffer for Flush
+	if err := w.w.Flush(); err != nil {
 		w.f.Close()
 		return err
 	}

@@ -147,6 +147,40 @@ func TestWriterRejectsBadAppends(t *testing.T) {
 	}
 }
 
+// TestWriterBuffers: Append writes through the Writer's buffer with its one
+// record buffer — no allocation of its own per object — and an error met
+// when the buffer is flushed comes back from Close.
+func TestWriterBuffers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 5))
+	objs := make([]*fuzzy.Object, 201)
+	for i := range objs {
+		objs[i] = randObject(rng, uint64(i+1), 64, 2)
+	}
+	w, err := Create(filepath.Join(t.TempDir(), "w.fzs"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(objs[0]); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	// What is left is the directory's and the id set's growth.
+	if n := testing.AllocsPerRun(len(objs)-2, func() {
+		if err := w.Append(objs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n > 0.5 {
+		t.Errorf("Append allocates %v times per object, want ≤ 0.5", n)
+	}
+	if err := w.f.Close(); err != nil { // the buffered records can no longer land
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close reported no error for records it could not write")
+	}
+}
+
 func TestCreateRejectsBadDims(t *testing.T) {
 	if _, err := Create(filepath.Join(t.TempDir(), "x"), 0); err == nil {
 		t.Fatal("dims 0 accepted")
