@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,63 +12,13 @@ import (
 
 // TestAssemblyMatrix checks the one assembly path over its whole input
 // space: every backing at one and three shards, with and without an object
-// cache, must report the same layout facts, keep the paper's access
-// accounting, and answer byte for byte like the unsharded in-memory index.
-// Backings with a file per shard also prove that a failure opening the last
-// shard closes everything opened before it.
+// cache, must report the same layout facts and charge no object access to
+// the open itself. Backings with a file per shard also prove that a failure
+// opening the last shard closes everything opened before it. What the
+// assembled indexes answer, and what their reads cost, FuzzConformance
+// checks.
 func TestAssemblyMatrix(t *testing.T) {
-	objs, q := replDataset(t, 90, 17)
-	queries := []*fuzzyknn.Object{q, objs[11], objs[42]}
-	ref, err := fuzzyknn.NewIndex(objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aknnAlgos := []fuzzyknn.AKNNAlgorithm{fuzzyknn.Basic, fuzzyknn.LB, fuzzyknn.LBLP, fuzzyknn.LBLPUB}
-	rknnAlgos := []fuzzyknn.RKNNAlgorithm{fuzzyknn.Naive, fuzzyknn.BasicRKNN, fuzzyknn.RSS, fuzzyknn.RSSICR}
-
-	// answers runs the mixed batch and returns its answers with the object
-	// accesses the per-query stats charged. Lazy-probe AKNN answers carry
-	// bounds on a single tree and come refined from a coordinator, so the
-	// reference is taken twice: as the single tree answers, and with every
-	// AKNN answer replaced by the exact scan's (scan).
-	answers := func(t *testing.T, ix *fuzzyknn.Index, scan bool) (out []string, accesses int64) {
-		t.Helper()
-		for qi, q := range queries {
-			for _, algo := range aknnAlgos {
-				rs, st, err := ix.AKNN(q, 6, 0.5, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				accesses += int64(st.ObjectAccesses)
-				if scan {
-					rs, _, err = ix.LinearScanAKNN(q, 6, 0.5)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				out = append(out, fmt.Sprintf("aknn %d %v %+v", qi, algo, rs))
-			}
-			for _, algo := range rknnAlgos {
-				rs, st, err := ix.RKNN(q, 4, 0.3, 0.8, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				accesses += int64(st.ObjectAccesses)
-				for _, r := range rs {
-					out = append(out, fmt.Sprintf("rknn %d %v %d %s", qi, algo, r.ID, r.Qualifying.String()))
-				}
-			}
-			rs, st, err := ix.RangeSearch(q, 0.5, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			accesses += int64(st.ObjectAccesses)
-			out = append(out, fmt.Sprintf("range %d %+v", qi, rs))
-		}
-		return out, accesses
-	}
-	wantBounds, _ := answers(t, ref, false)
-	wantExact, _ := answers(t, ref, true)
+	objs, _ := replDataset(t, 90, 17)
 
 	shardFile := func(path string, i, n int) string {
 		if n == 1 {
@@ -182,26 +131,6 @@ func TestAssemblyMatrix(t *testing.T) {
 					}
 					if n := ix.TotalObjectAccesses(); n != 0 {
 						t.Fatalf("%d object accesses charged to the open itself", n)
-					}
-					got, charged := answers(t, ix, false)
-					want := wantBounds
-					if shards > 1 {
-						want = wantExact
-					}
-					if !reflect.DeepEqual(got, want) {
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("answer %d differs from the unsharded in-memory index\n got %s\nwant %s", i, got[i], want[i])
-							}
-						}
-						t.Fatalf("%d answers, want %d", len(got), len(want))
-					}
-					var perShard int64
-					for _, si := range ix.ShardInfo() {
-						perShard += si.ObjectAccesses
-					}
-					if total := ix.TotalObjectAccesses(); total != charged || perShard != charged {
-						t.Fatalf("object accesses: index total %d, per-shard sum %d, query stats sum %d", total, perShard, charged)
 					}
 				})
 			}

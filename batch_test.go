@@ -125,63 +125,3 @@ func TestParseFsyncPolicy(t *testing.T) {
 		t.Fatal("FsyncBatch must alias FsyncAlways, and FsyncOff differ from it")
 	}
 }
-
-// TestBatchMatchesSequentialPublic compares batch-built and per-op-built
-// in-memory indexes through the public API.
-func TestBatchMatchesSequentialPublic(t *testing.T) {
-	var objs []*fuzzyknn.Object
-	for i := uint64(1); i <= 60; i++ {
-		objs = append(objs, disk(i, float64(i%12), float64(i%7)))
-	}
-	seq, err := fuzzyknn.NewIndex(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := fuzzyknn.NewIndex(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range objs {
-		if err := seq.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bat.ApplyBatch(objs, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []uint64{3, 17, 41} {
-		if err := seq.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bat.ApplyBatch(nil, []uint64{3, 17, 41}); err != nil {
-		t.Fatal(err)
-	}
-	q := disk(200, 5.5, 2.5)
-	for _, alpha := range []float64{0.3, 0.7, 1.0} {
-		want, _, err := seq.AKNN(q, 7, alpha, fuzzyknn.LBLPUB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err = seq.Refine(q, alpha, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := bat.AKNN(q, 7, alpha, fuzzyknn.LBLPUB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err = bat.Refine(q, alpha, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("alpha %g: %d results, want %d", alpha, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("alpha %g result %d: %+v, want %+v", alpha, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -3,7 +3,6 @@ package fuzzyknn_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -167,71 +166,5 @@ func TestMutableIndexKeepsPaperAccounting(t *testing.T) {
 	}
 	if got := idx.TotalObjectAccesses(); got != base+1 {
 		t.Fatalf("delete charged %d accesses, want 1", got-base)
-	}
-}
-
-// TestDynamicIndexMatchesRebuilt cross-checks a mutated index against one
-// built from scratch over the same final population: every query type must
-// agree.
-func TestDynamicIndexMatchesRebuilt(t *testing.T) {
-	var final []*fuzzyknn.Object
-	idx, err := fuzzyknn.NewIndex(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	for i := uint64(1); i <= 40; i++ {
-		o := disk(i, float64(i%7)*1.5, float64(i%5))
-		if err := idx.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			if err := idx.Delete(i); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			final = append(final, o)
-		}
-	}
-	rebuilt, err := fuzzyknn.NewIndex(final, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rebuilt.Close()
-	if idx.Len() != rebuilt.Len() {
-		t.Fatalf("len %d vs %d", idx.Len(), rebuilt.Len())
-	}
-	q := disk(999, 3, 1)
-	for _, alpha := range []float64{0.3, 1.0} {
-		a, _, err := idx.AKNN(q, 5, alpha, fuzzyknn.LBLPUB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _, err = idx.Refine(q, alpha, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := rebuilt.AKNN(q, 5, alpha, fuzzyknn.LBLPUB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err = rebuilt.Refine(q, alpha, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("alpha %v:\n mutated: %v\n rebuilt: %v", alpha, a, b)
-		}
-	}
-	ra, _, err := idx.RKNN(q, 3, 0.2, 0.9, fuzzyknn.RSSICR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, _, err := rebuilt.RKNN(q, 3, 0.2, 0.9, fuzzyknn.RSSICR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(ra) != fmt.Sprint(rb) {
-		t.Fatalf("RKNN:\n mutated: %v\n rebuilt: %v", ra, rb)
 	}
 }

@@ -2,7 +2,6 @@ package fuzzyknn
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"fuzzyknn/internal/dataset"
@@ -64,57 +63,6 @@ func TestPublicAKNNEndToEnd(t *testing.T) {
 	}
 	if idx.TotalObjectAccesses() == 0 {
 		t.Fatal("no accesses recorded across queries")
-	}
-}
-
-func TestPublicDiskIndexMatchesMemory(t *testing.T) {
-	objs, q := smallDataset(t, 40, 2)
-	mem, err := NewIndex(objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "objects.fzs")
-	if err := SaveObjects(path, 2, objs); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := OpenIndex(path, &Config{CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-
-	a, _, err := mem.AKNN(q, 5, 0.7, LB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := disk.AKNN(q, 5, 0.7, LB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || math.Abs(a[i].Dist-b[i].Dist) > 1e-12 {
-			t.Fatalf("disk result %d = %+v, mem %+v", i, b[i], a[i])
-		}
-	}
-
-	r1, _, err := mem.RKNN(q, 3, 0.3, 0.8, RSSICR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := disk.RKNN(q, 3, 0.3, 0.8, RSSICR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("RKNN counts differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i].ID != r2[i].ID || !r1[i].Qualifying.Equal(r2[i].Qualifying) {
-			t.Fatalf("RKNN result %d differs: %v vs %v", i, r1[i], r2[i])
-		}
 	}
 }
 
@@ -190,26 +138,6 @@ func TestPublicObjectFetch(t *testing.T) {
 	}
 	if _, err := idx.Object(999999); err == nil {
 		t.Fatal("missing id should error")
-	}
-}
-
-func TestPublicDeterministicAcrossConfigs(t *testing.T) {
-	// Different R-tree shapes must not change answers.
-	objs, q := smallDataset(t, 70, 5)
-	a, err := NewIndex(objs, &Config{NodeMin: 2, NodeMax: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewIndex(objs, &Config{NodeMin: 10, NodeMax: 32, Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _, _ := a.AKNN(q, 6, 0.6, LB)
-	rb, _, _ := b.AKNN(q, 6, 0.6, LB)
-	for i := range ra {
-		if ra[i].ID != rb[i].ID {
-			t.Fatalf("tree shape changed results: %v vs %v", ra[i], rb[i])
-		}
 	}
 }
 

@@ -212,7 +212,7 @@ func OpenPagedIndex(st store.Reader, path string, cacheBytes int64, expectObject
 		return nil, err
 	}
 	m := f.Manifest()
-	if st.Len() > 0 && int(m.Dims) != st.Dims() {
+	if st.Len() > 0 && m.Objects > 0 && int(m.Dims) != st.Dims() {
 		f.Close()
 		return nil, fmt.Errorf("%w: dims %d vs store %d", ErrPagedMismatch, m.Dims, st.Dims())
 	}

@@ -20,6 +20,7 @@ import (
 // in-memory and through a page file with a deliberately tiny block cache,
 // at the same shard count.
 type pagedPair struct {
+	objs    []*fuzzy.Object
 	mem     Searcher
 	paged   Searcher
 	closers []interface{ Close() error }
@@ -45,7 +46,7 @@ func newPagedPair(t testing.TB, seed uint64, n, shards int, cacheBytes int64) *p
 	}
 	opts := Options{MinEntries: 2, MaxEntries: 4}
 	dir := t.TempDir()
-	p := &pagedPair{}
+	p := &pagedPair{objs: objs}
 	if shards <= 1 {
 		ix, err := Build(ms, opts)
 		if err != nil {
@@ -109,145 +110,6 @@ func assertSameAnswers[R any](t *testing.T, label string, want, got []R, wantSt,
 	}
 	if wantSt.PageReads != 0 || wantSt.PageCacheHits != 0 {
 		t.Fatalf("%s: in-memory run charged page I/O: %+v", label, wantSt)
-	}
-}
-
-func TestPagedEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		p := newPagedPair(t, 42, 120, shards, tinyCache)
-		defer p.close()
-		rng := rand.New(rand.NewPCG(7, 11))
-		pagedIO := 0
-		for qi := 0; qi < 3; qi++ {
-			q := makeQuery(rng, 12, 12, 8)
-			label := func(s string) string {
-				return s + "/shards=" + string(rune('0'+shards))
-			}
-
-			for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-				want, wantSt, err := p.mem.AKNN(q, 5, 0.5, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.AKNN(q, 5, 0.5, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("aknn/"+algo.String()), want, got, wantSt, gotSt)
-				pagedIO += gotSt.PageReads + gotSt.PageCacheHits
-			}
-			for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
-				want, wantSt, err := p.mem.RKNN(q, 4, 0.2, 0.8, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.RKNN(q, 4, 0.2, 0.8, algo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("rknn/"+algo.String()), want, got, wantSt, gotSt)
-				pagedIO += gotSt.PageReads + gotSt.PageCacheHits
-			}
-			{
-				want, wantSt, err := p.mem.RangeSearch(q, 0.5, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.RangeSearch(q, 0.5, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("range"), want, got, wantSt, gotSt)
-			}
-			{
-				want, wantSt, err := p.mem.ReverseKNN(q, 3, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.ReverseKNN(q, 3, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("reverse"), want, got, wantSt, gotSt)
-			}
-			{
-				want, wantSt, err := p.mem.ExpectedDistKNN(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.ExpectedDistKNN(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("eknn"), want, got, wantSt, gotSt)
-			}
-			{
-				want, wantSt, err := p.mem.LinearScanAKNN(q, 5, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := p.paged.LinearScanAKNN(q, 5, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswers(t, label("linear"), want, got, wantSt, gotSt)
-			}
-		}
-		// Joins, including a self-join.
-		{
-			want, wantSt, err := DistanceJoin(p.mem, p.mem, 0.5, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSt, err := DistanceJoin(p.paged, p.paged, 0.5, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, "join", want, got, wantSt, gotSt)
-		}
-		{
-			want, wantSt, err := KClosestPairs(p.mem, p.mem, 8, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSt, err := KClosestPairs(p.paged, p.paged, 8, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, "pairs", want, got, wantSt, gotSt)
-		}
-
-		if pagedIO == 0 {
-			t.Fatal("paged queries reported no page I/O at all")
-		}
-		var cs pager.CacheStats
-		for i, sh := range p.paged.Stats().Shards {
-			if sh.PageCache == nil {
-				t.Fatalf("paged shard %d reports no cache stats", i)
-			}
-			cs.Hits += sh.PageCache.Hits
-			cs.Misses += sh.PageCache.Misses
-			cs.Evictions += sh.PageCache.Evictions
-			cs.ResidentBytes += sh.PageCache.ResidentBytes
-			cs.CapacityBytes += sh.PageCache.CapacityBytes
-		}
-		if cs.Misses == 0 || cs.Hits == 0 {
-			t.Fatalf("cache never exercised: %+v", cs)
-		}
-		if cs.Evictions == 0 {
-			t.Fatalf("tiny cache never evicted: %+v", cs)
-		}
-		if cs.ResidentBytes > cs.CapacityBytes {
-			t.Fatalf("resident bytes %d exceed capacity %d", cs.ResidentBytes, cs.CapacityBytes)
-		}
-		for _, sh := range p.mem.Stats().Shards {
-			if sh.PageCache != nil {
-				t.Fatal("in-memory searcher claims cache stats")
-			}
-		}
-		if err := p.paged.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -14,19 +14,11 @@ import (
 	"fuzzyknn/internal/store"
 )
 
-// This file extends the cross-variant equivalence harness across shard
-// layouts: a 2-, 4- and 7-shard index must agree byte-for-byte with a
-// single tree over the same objects for every AKNN variant (after
-// refinement — the sharded coordinator always answers exact), every RKNN
-// variant's qualifying ranges, range search, reverse kNN, expected-distance
-// kNN and the linear-scan baseline — on a fresh index, after a ≥500-op
-// random churn, and on a drained index, with per-shard structural
-// invariants and partition ownership checked at every stage. A sharded
-// AKNN, RKNN (each of the four algorithms, run as named) and range search
-// must also cost exactly what the single tree's does — object accesses,
-// distance evaluations, sub-searches, candidates, refinement pieces: which
-// leaf entries a bound lets through depends on the objects, not on how they
-// are cut into trees.
+// This file pins what the sharded coordinator adds beyond answers and
+// their cost (which FuzzConformance in the root package checks against a
+// single tree and a scan for every history): argument validation, the
+// routing hash, the shared-store build, tie order across layouts, and
+// readers that see each batch whole.
 
 // buildShardedOver partitions objs by ShardOf and builds one Index per
 // shard, each over its own MemStore — the per-shard-store layout the
@@ -56,97 +48,6 @@ func buildShardedOver(t testing.TB, objs []*fuzzy.Object, n int, opts Options) *
 	return sx
 }
 
-// shardedEquivState drives one mirrored run: every mutation is applied to
-// a single-tree index and a sharded index, and every assertion demands
-// byte-identical answers from both.
-type shardedEquivState struct {
-	t       *testing.T
-	rng     *rand.Rand
-	single  *Index
-	sharded *ShardedIndex
-	live    []uint64
-	next    uint64
-}
-
-func newShardedEquivState(t *testing.T, seed uint64, n, shards int) *shardedEquivState {
-	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-	objs := makeObjects(rng, n, 10, 12, 8) // quantized memberships force ties
-	opts := Options{MinEntries: 2, MaxEntries: 6, Incremental: seed%2 == 1}
-	s := &shardedEquivState{
-		t:       t,
-		rng:     rng,
-		single:  buildIndex(t, objs, opts),
-		sharded: buildShardedOver(t, objs, shards, opts),
-		next:    uint64(n) + 5000,
-	}
-	for _, o := range objs {
-		s.live = append(s.live, o.ID())
-	}
-	return s
-}
-
-func (s *shardedEquivState) insert(o *fuzzy.Object) {
-	s.t.Helper()
-	if _, err := Insert(s.single, o); err != nil {
-		s.t.Fatalf("single insert %d: %v", o.ID(), err)
-	}
-	if _, err := Insert(s.sharded, o); err != nil {
-		s.t.Fatalf("sharded insert %d: %v", o.ID(), err)
-	}
-	s.live = append(s.live, o.ID())
-}
-
-func (s *shardedEquivState) delete(i int) {
-	s.t.Helper()
-	id := s.live[i]
-	if _, err := Delete(s.single, id); err != nil {
-		s.t.Fatalf("single delete %d: %v", id, err)
-	}
-	if _, err := Delete(s.sharded, id); err != nil {
-		s.t.Fatalf("sharded delete %d: %v", id, err)
-	}
-	s.live[i] = s.live[len(s.live)-1]
-	s.live = s.live[:len(s.live)-1]
-}
-
-func (s *shardedEquivState) churn(ops int) {
-	for op := 0; op < ops; op++ {
-		if len(s.live) == 0 || s.rng.Float64() < 0.52 {
-			o := makeObjectsWithBase(s.rng, s.next, 1, 10, 12, 8)[0]
-			s.next++
-			s.insert(o)
-		} else {
-			s.delete(s.rng.IntN(len(s.live)))
-		}
-		if op%100 == 0 || op == ops-1 {
-			s.checkInvariants()
-		}
-	}
-}
-
-// checkInvariants verifies both layouts' structure, the population model,
-// and that every shard only holds ids ShardOf assigns to it.
-func (s *shardedEquivState) checkInvariants() {
-	s.t.Helper()
-	if err := s.single.CheckInvariants(); err != nil {
-		s.t.Fatalf("single: %v", err)
-	}
-	if err := s.sharded.CheckInvariants(); err != nil {
-		s.t.Fatalf("sharded: %v", err)
-	}
-	if s.single.Len() != len(s.live) || s.sharded.Len() != len(s.live) {
-		s.t.Fatalf("len: single %d, sharded %d, model %d", s.single.Len(), s.sharded.Len(), len(s.live))
-	}
-	st := s.sharded.Stats()
-	total := 0
-	for _, sh := range st.Shards {
-		total += sh.Objects
-	}
-	if total != len(s.live) {
-		s.t.Fatalf("shard stats sum %d, model %d", total, len(s.live))
-	}
-}
-
 // mustEqualResults demands byte-identical result slices (all fields).
 func mustEqualResults(t *testing.T, got, want []Result, label string) {
 	t.Helper()
@@ -155,248 +56,6 @@ func mustEqualResults(t *testing.T, got, want []Result, label string) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: sharded answer diverges\n got: %+v\nwant: %+v", label, got, want)
-	}
-}
-
-// mustCostEqual demands that two executions of one query cost the same in
-// every layout-invariant counter: all of Stats but the tree-node and page
-// counts, which do depend on how the population is cut into trees, and the
-// wall time.
-func mustCostEqual(t *testing.T, got, want Stats, label string) {
-	t.Helper()
-	for _, st := range []*Stats{&got, &want} {
-		st.NodeAccesses, st.PageReads, st.PageCacheHits, st.Duration = 0, 0, 0, 0
-	}
-	if got != want {
-		t.Fatalf("%s: sharded cost diverges from the single tree's\n got: %+v\nwant: %+v", label, got, want)
-	}
-}
-
-func (s *shardedEquivState) assertEquivalent(label string, queries int) {
-	s.t.Helper()
-	for qi := 0; qi < queries; qi++ {
-		q := makeQuery(s.rng, 12, 12, 8)
-		for _, k := range []int{1, 4} {
-			for _, alpha := range []float64{0.3, 0.75} {
-				// The linear scan is the ground truth both layouts must hit.
-				want, _, err := s.single.LinearScanAKNN(q, k, alpha)
-				if err != nil {
-					s.t.Fatalf("%s: linear scan: %v", label, err)
-				}
-				var cost Stats // the single tree's non-lazy run: Basic for Basic, LB otherwise
-				for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-					single, singleSt, err := s.single.AKNN(q, k, alpha, algo)
-					if err != nil {
-						s.t.Fatalf("%s: single %v: %v", label, algo, err)
-					}
-					if algo <= LB {
-						cost = singleSt
-					}
-					refined, _, err := s.single.Refine(q, alpha, single)
-					if err != nil {
-						s.t.Fatalf("%s: refine %v: %v", label, algo, err)
-					}
-					mustEqualResults(s.t, refined, want, label+"/single-refined/"+algo.String())
-					// The same lazy answer relayed to the coordinator refines
-					// through the owning shards' stores.
-					relayed, _, err := s.sharded.Refine(q, alpha, single)
-					if err != nil {
-						s.t.Fatalf("%s: sharded refine %v: %v", label, algo, err)
-					}
-					mustEqualResults(s.t, relayed, want, label+"/sharded-refined/"+algo.String())
-
-					got, st, err := s.sharded.AKNN(q, k, alpha, algo)
-					if err != nil {
-						s.t.Fatalf("%s: sharded %v: %v", label, algo, err)
-					}
-					mustEqualResults(s.t, got, want, label+"/sharded/"+algo.String())
-					if st.ObjectAccesses < len(got) {
-						s.t.Fatalf("%s: %v probed %d objects for %d exact results",
-							label, algo, st.ObjectAccesses, len(got))
-					}
-					if st.ObjectAccesses != cost.ObjectAccesses || st.DistanceEvals != cost.DistanceEvals {
-						s.t.Fatalf("%s: sharded %v k=%d α=%v cost %d accesses, %d evals; the single tree %d, %d",
-							label, algo, k, alpha, st.ObjectAccesses, st.DistanceEvals, cost.ObjectAccesses, cost.DistanceEvals)
-					}
-				}
-				shardedScan, _, err := s.sharded.LinearScanAKNN(q, k, alpha)
-				if err != nil {
-					s.t.Fatalf("%s: sharded linear scan: %v", label, err)
-				}
-				mustEqualResults(s.t, shardedScan, want, label+"/sharded-linear")
-			}
-			s.assertRKNNEquivalent(q, k, 0.2, 0.85, label)
-
-			wantRev, _, err := s.single.ReverseKNN(q, k, 0.6)
-			if err != nil {
-				s.t.Fatalf("%s: single reverse: %v", label, err)
-			}
-			gotRev, _, err := s.sharded.ReverseKNN(q, k, 0.6)
-			if err != nil {
-				s.t.Fatalf("%s: sharded reverse: %v", label, err)
-			}
-			mustEqualResults(s.t, gotRev, wantRev, label+"/reverse")
-
-			wantE, _, err := s.single.ExpectedDistKNN(q, k)
-			if err != nil {
-				s.t.Fatalf("%s: single eknn: %v", label, err)
-			}
-			gotE, _, err := s.sharded.ExpectedDistKNN(q, k)
-			if err != nil {
-				s.t.Fatalf("%s: sharded eknn: %v", label, err)
-			}
-			mustEqualResults(s.t, gotE, wantE, label+"/eknn")
-		}
-		s.assertRKNNEquivalent(q, 3, 0.5, 0.5, label) // degenerate range
-		for _, radius := range []float64{0, 2.5, 8} {
-			want, wantSt, err := s.single.RangeSearch(q, 0.5, radius)
-			if err != nil {
-				s.t.Fatalf("%s: single range: %v", label, err)
-			}
-			got, gotSt, err := s.sharded.RangeSearch(q, 0.5, radius)
-			if err != nil {
-				s.t.Fatalf("%s: sharded range: %v", label, err)
-			}
-			mustEqualResults(s.t, got, want, label+"/range")
-			mustCostEqual(s.t, gotSt, wantSt, label+"/range")
-		}
-	}
-}
-
-// assertRKNNEquivalent checks all four sharded RKNN variants against the
-// single-tree RSSICR reference, byte for byte (ids and qualifying ranges),
-// and each one's cost against the same variant on the single tree.
-func (s *shardedEquivState) assertRKNNEquivalent(q *fuzzy.Object, k int, as, ae float64, label string) {
-	s.t.Helper()
-	want, _, err := s.single.RKNN(q, k, as, ae, RSSICR)
-	if err != nil {
-		s.t.Fatalf("%s: single RKNN: %v", label, err)
-	}
-	for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
-		got, gotSt, err := s.sharded.RKNN(q, k, as, ae, algo)
-		if err != nil {
-			s.t.Fatalf("%s: sharded %v: %v", label, algo, err)
-		}
-		_, wantSt, err := s.single.RKNN(q, k, as, ae, algo)
-		if err != nil {
-			s.t.Fatalf("%s: single %v: %v", label, algo, err)
-		}
-		mustCostEqual(s.t, gotSt, wantSt, label+"/"+algo.String())
-		if len(got) != len(want) {
-			s.t.Fatalf("%s: sharded %v returned %d objects, single returned %d",
-				label, algo, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID {
-				s.t.Fatalf("%s: %v result %d: id %d, want %d", label, algo, i, got[i].ID, want[i].ID)
-			}
-			if g, w := got[i].Qualifying.String(), want[i].Qualifying.String(); g != w {
-				s.t.Fatalf("%s: %v object %d qualifies on %s, single on %s",
-					label, algo, got[i].ID, g, w)
-			}
-		}
-	}
-}
-
-// TestShardedEquivalenceUnderChurn is the headline sharding property test:
-// 2, 4 and 7 shards answer byte-identically to shards=1 across every query
-// family on fresh, churned (≥500 mirrored ops) and drained indexes.
-func TestShardedEquivalenceUnderChurn(t *testing.T) {
-	for _, shards := range []int{2, 4, 7} {
-		for _, seed := range []uint64{3, 8} {
-			s := newShardedEquivState(t, seed, 60, shards)
-			s.checkInvariants()
-			s.assertEquivalent("fresh", 2)
-
-			s.churn(500)
-			s.assertEquivalent("churned", 2)
-
-			for len(s.live) > 4 {
-				s.delete(s.rng.IntN(len(s.live)))
-			}
-			s.checkInvariants()
-			s.assertEquivalent("drained", 1)
-
-			for len(s.live) > 0 {
-				s.delete(0)
-			}
-			s.checkInvariants()
-			q := makeQuery(s.rng, 12, 12, 8)
-			res, _, err := s.sharded.AKNN(q, 3, 0.5, LBLPUB)
-			if err != nil || len(res) != 0 {
-				t.Fatalf("empty sharded AKNN: %v, %d results", err, len(res))
-			}
-			ranged, _, err := s.sharded.RKNN(q, 3, 0.2, 0.8, RSSICR)
-			if err != nil || len(ranged) != 0 {
-				t.Fatalf("empty sharded RKNN: %v, %d results", err, len(ranged))
-			}
-		}
-	}
-}
-
-// TestShardedJoinsMatchSingle pins the join fan-out: sharded-vs-sharded
-// and sharded-vs-single joins must reproduce the single-tree pairs.
-func TestShardedJoinsMatchSingle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(77, 2))
-	left := makeObjects(rng, 30, 10, 10, 8)
-	right := makeObjectsWithBase(rng, 2000, 30, 10, 10, 8)
-	opts := Options{MinEntries: 2, MaxEntries: 5}
-	ixL, ixR := buildIndex(t, left, opts), buildIndex(t, right, opts)
-	sxL, sxR := buildShardedOver(t, left, 3, opts), buildShardedOver(t, right, 4, opts)
-
-	wantJoin, _, err := DistanceJoin(ixL, ixR, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, sides := range map[string][2]Searcher{
-		"sharded-sharded": {sxL, sxR},
-		"sharded-single":  {sxL, ixR},
-		"single-sharded":  {ixL, sxR},
-	} {
-		got, _, err := DistanceJoin(sides[0], sides[1], 0.5, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, wantJoin) && (len(got) > 0 || len(wantJoin) > 0) {
-			t.Fatalf("%s join diverges:\n got %+v\nwant %+v", name, got, wantJoin)
-		}
-	}
-
-	wantSelf, _, err := DistanceJoin(ixL, ixL, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSelf, _, err := DistanceJoin(sxL, sxL, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSelf, wantSelf) && (len(gotSelf) > 0 || len(wantSelf) > 0) {
-		t.Fatalf("self join diverges:\n got %+v\nwant %+v", gotSelf, wantSelf)
-	}
-
-	for _, k := range []int{1, 5, 17} {
-		want, _, err := KClosestPairs(ixL, ixR, k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := KClosestPairs(sxL, sxR, k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
-			t.Fatalf("k=%d closest pairs diverge:\n got %+v\nwant %+v", k, got, want)
-		}
-		wantSelf, _, err := KClosestPairs(ixL, ixL, k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSelf, _, err := KClosestPairs(sxL, sxL, k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotSelf, wantSelf) && (len(gotSelf) > 0 || len(wantSelf) > 0) {
-			t.Fatalf("k=%d self closest pairs diverge:\n got %+v\nwant %+v", k, gotSelf, wantSelf)
-		}
 	}
 }
 

@@ -284,12 +284,13 @@ func TestServeRequestDeadline504(t *testing.T) {
 }
 
 // TestServeRunningQueryDeadline504 pins that a deadline ends a request
-// that is already running: a naive RKNN over a wide window runs for about a
-// second on the one worker, and at a 200 ms RequestTimeout the request
-// answers 504 at its deadline instead of when the worker is done.
+// that is already running: a basic RKNN at k = 300 over 500 objects and a
+// wide window runs for about 0.8 s with no deadline on the one worker of a
+// 2-core box (four times the deadline), and at a 200 ms RequestTimeout the
+// request answers 504 at its deadline instead of when the worker is done.
 func TestServeRunningQueryDeadline504(t *testing.T) {
 	p := dataset.Default(dataset.Synthetic)
-	p.N, p.PointsPerObject, p.Space = 200, 50, math.Sqrt(200.0/5)
+	p.N, p.PointsPerObject, p.Space = 500, 50, math.Sqrt(500.0/5)
 	objs, err := dataset.Generate(p)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +303,7 @@ func TestServeRunningQueryDeadline504(t *testing.T) {
 	ts := httptest.NewServer(New(ix, eng, &Options{RequestTimeout: 200 * time.Millisecond}))
 	t.Cleanup(func() { ts.Close(); eng.Close(); ix.Close() })
 
-	body, _ := json.Marshal(map[string]any{"query_id": 1, "k": 50, "alpha_start": 0.01, "alpha_end": 1, "algo": "naive"})
+	body, _ := json.Marshal(map[string]any{"query_id": 1, "k": 300, "alpha_start": 0.01, "alpha_end": 1, "algo": "basic"})
 	start := time.Now()
 	resp, err := http.Post(ts.URL+"/rknn", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -74,7 +74,8 @@
 // ...]}) or as a stored id ({"query_id": 7}; resolving it counts as one
 // object access, like any store probe). Algorithm names match the CLI tools:
 // basic | lb | lb-lp | lb-lp-ub for AKNN (default lb-lp-ub) and
-// naive | basic | rss | rss-icr for RKNN (default rss-icr).
+// basic | rss | rss-icr for RKNN (default rss-icr); "naive", whose cost
+// grows with every membership level in the window, answers 400.
 //
 // A body is one JSON value — after it only whitespace may follow — with no
 // field the endpoint does not have. Bodies written the canonical way (these
@@ -618,6 +619,11 @@ func (s *Server) handleRKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := fuzzyknn.ParseRKNNAlgorithm(req.Algo)
+	if err == nil && algo == fuzzyknn.Naive {
+		// One exact kNN per membership level in the window: no deadline
+		// can bound that, so Naive stays the library's reference.
+		err = errors.New(`rknn: "naive" is not served over HTTP (one kNN per membership level in the window); use "rss-icr"`)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

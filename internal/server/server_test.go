@@ -163,6 +163,24 @@ func TestServeRKNN(t *testing.T) {
 	}
 }
 
+// TestServeRKNNRefusesNaive pins that /rknn does not serve the Naive
+// strawman, whose cost grows with every membership level in the window:
+// "naive" answers 400 and names the algorithm to use instead.
+func TestServeRKNNRefusesNaive(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	for _, name := range []string{"naive", "NAIVE"} {
+		body, _ := json.Marshal(RKNNRequest{Query: queryJSON(t), K: 2, AlphaStart: 0.3, AlphaEnd: 1, Algo: name})
+		resp, err := http.Post(ts.URL+"/rknn", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("algo %q: status %d, want 400", name, resp.StatusCode)
+		}
+		assertJSONError(t, resp, `"rss-icr"`)
+	}
+}
+
 // TestServeRange drives /range.
 func TestServeRange(t *testing.T) {
 	ts, ix, _ := newTestServer(t)

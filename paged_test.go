@@ -3,7 +3,6 @@ package fuzzyknn
 import (
 	"errors"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -32,118 +31,6 @@ func pagedFixture(t *testing.T, objs []*Object, shards int) (storePath, pagePath
 		t.Fatal(err)
 	}
 	return storePath, pagePath
-}
-
-// TestPublicPagedMatchesMemory drives the public paged API end to end at 1
-// and 4 shards: every query family answers byte-identically to the
-// in-memory index the pages were saved from, the block cache reports
-// activity, and mutations are rejected as read-only.
-func TestPublicPagedMatchesMemory(t *testing.T) {
-	objs, q := smallDataset(t, 120, 5)
-	for _, shards := range []int{1, 4} {
-		cfg := pagedTestConfig(shards)
-		storePath, pagePath := pagedFixture(t, objs, shards)
-		mem, err := OpenIndex(storePath, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 1 MiB split across shards still evicts on this dataset's tree.
-		paged, err := OpenPagedIndex(storePath, pagePath, 1, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if paged.Len() != mem.Len() || paged.Dims() != mem.Dims() || paged.NumShards() != shards {
-			t.Fatalf("shards=%d: paged %d/%dd/%d shards vs mem %d/%dd",
-				shards, paged.Len(), paged.Dims(), paged.NumShards(), mem.Len(), mem.Dims())
-		}
-
-		for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-			want, wantStats, err := mem.AKNN(q, 8, 0.5, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats, err := paged.AKNN(q, 8, 0.5, algo)
-			if err != nil {
-				t.Fatalf("shards=%d/%v: %v", shards, algo, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d/%v: paged AKNN diverges\n got %+v\nwant %+v", shards, algo, got, want)
-			}
-			if got, want := gotStats.ObjectAccesses, wantStats.ObjectAccesses; got != want {
-				t.Fatalf("shards=%d/%v: paged object accesses %d, want %d (logical cost must not change)",
-					shards, algo, got, want)
-			}
-		}
-		for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
-			want, _, err := mem.RKNN(q, 5, 0.3, 0.8, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := paged.RKNN(q, 5, 0.3, 0.8, algo)
-			if err != nil {
-				t.Fatalf("shards=%d/%v: %v", shards, algo, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d/%v: paged RKNN diverges", shards, algo)
-			}
-		}
-		for label, run := range map[string]func(ix *Index) (any, error){
-			"range":   func(ix *Index) (any, error) { r, _, err := ix.RangeSearch(q, 0.5, 4); return r, err },
-			"reverse": func(ix *Index) (any, error) { r, _, err := ix.ReverseKNN(q, 4, 0.5); return r, err },
-			"edist":   func(ix *Index) (any, error) { r, _, err := ix.ExpectedDistKNN(q, 6); return r, err },
-			"linear":  func(ix *Index) (any, error) { r, _, err := ix.LinearScanAKNN(q, 8, 0.5); return r, err },
-		} {
-			want, err := run(mem)
-			if err != nil {
-				t.Fatalf("shards=%d/%s: mem: %v", shards, label, err)
-			}
-			got, err := run(paged)
-			if err != nil {
-				t.Fatalf("shards=%d/%s: paged: %v", shards, label, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d/%s: paged answer diverges", shards, label)
-			}
-		}
-
-		cs, ok := paged.PageCacheStats()
-		if !ok || cs.Misses == 0 || cs.Hits == 0 {
-			t.Fatalf("shards=%d: cache stats ok=%v %+v, want hits and misses > 0", shards, ok, cs)
-		}
-		if cs.ResidentBytes > cs.CapacityBytes {
-			t.Fatalf("shards=%d: resident %d exceeds capacity %d", shards, cs.ResidentBytes, cs.CapacityBytes)
-		}
-		if _, ok := mem.PageCacheStats(); ok {
-			t.Fatalf("shards=%d: in-memory index reports a page cache", shards)
-		}
-		infos := paged.ShardInfo()
-		if len(infos) != shards {
-			t.Fatalf("shards=%d: %d shard infos", shards, len(infos))
-		}
-		var infoMisses int64
-		for i, si := range infos {
-			if si.PageCache == nil {
-				t.Fatalf("shards=%d: shard %d has no page-cache info", shards, i)
-			}
-			infoMisses += si.PageCache.Misses
-		}
-		if infoMisses != cs.Misses {
-			t.Fatalf("shards=%d: per-shard misses %d != total %d", shards, infoMisses, cs.Misses)
-		}
-
-		if err := paged.Insert(objs[0]); !errors.Is(err, ErrReadOnly) {
-			t.Fatalf("shards=%d: paged insert: %v, want ErrReadOnly", shards, err)
-		}
-		if err := paged.Delete(1); !errors.Is(err, ErrReadOnly) {
-			t.Fatalf("shards=%d: paged delete: %v, want ErrReadOnly", shards, err)
-		}
-
-		if err := paged.Close(); err != nil {
-			t.Fatalf("shards=%d: close: %v", shards, err)
-		}
-		mem.Close()
-	}
 }
 
 // TestPublicPagedObjectLRULayering checks the two caches stay distinct: the
