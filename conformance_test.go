@@ -1,33 +1,68 @@
-package fuzzyknn
+package fuzzyknn_test
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	// The checker drives internal/server, which imports fuzzyknn, so it
+	// lives outside the package and names the package's identifiers bare.
+	. "fuzzyknn"
+	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/pager"
 	"fuzzyknn/internal/query"
-	"fuzzyknn/internal/store"
+	"fuzzyknn/internal/server"
 )
 
 // FuzzConformance is the one statement of the paper's contract: every read
 // family answers exactly what a scan of the live objects answers, in every
-// deployment shape, after any history of mutations. Each input is a
-// generator byte, an initial population and a history of (op, arg) pairs.
-// The history runs against a model — a map of the live objects — and
-// against every mutable shape at once: in-memory (NewIndex) and log-backed
-// (OpenLogIndex, with an object LRU, reopened at each checkpoint step),
-// each at 1 and 4 shards, each built by STR and by repeated insertion. A
-// query step adds, per build mode and shard count, a read-only index built
-// from scratch over the model saved to a store file (OpenIndex, with an
-// object LRU) and its trees saved to page files and reopened behind a
-// block cache of a few pages.
+// deployment shape, after any history of mutations, refusals, restarts and
+// storage faults. Each input is a generator byte, an initial population and
+// a history of (op, arg) pairs. The history runs against a model — a map
+// of the live objects — and against every mutable shape at once: in-memory
+// (NewIndex) and log-backed (OpenLogIndex, with an object LRU, reopened at
+// each checkpoint step; STR-built logs never fsync, incrementally built
+// ones fsync every commit), each at every shard count, each built by STR
+// and by repeated insertion. A query step adds, per build mode and shard
+// count, a read-only index built from scratch over the model saved to a
+// store file (OpenIndex, with an object LRU) and its trees saved to page
+// files and reopened behind a block cache of a few pages.
+//
+// Two mutable shapes are replication leaders, each serving the real
+// /replication/ endpoints of server.New on its own URL: the in-memory STR
+// shape at the first shard count, with the default frame window, and the
+// incrementally built log at the last, which keeps two frames. Each is
+// tailed by followers (NewIndex(nil)) at every shard count. A restarted
+// leader keeps its URL: the handler behind it is swapped.
+//
+// At each write the checker asserts:
+//   - a committed call charges no object access per insert and one per
+//     delete, and appends exactly one frame on a leader (none when empty);
+//   - a write drawn to fail answers its error class through Insert or
+//     Delete and through a one-item ApplyBatch alike, only ApplyBatch
+//     answers a *BatchError, its items name exactly the drawn positions,
+//     and it changes no population and appends no frame;
+//   - a log shape whose store fails a write or an fsync fail-stops: every
+//     later write and Checkpoint answers ErrDegraded, its reads answer the
+//     scan of what it published, a degraded leader bootstraps no follower
+//     while its followers hold the population before the failed write,
+//     and after a reopen each shard holds its part of the population
+//     before the write or of the one after it.
+//
+// After every mutation each shard's tree passes CheckInvariants, every id
+// sits in the shard that owns it, and every shape holds exactly the model's
+// population.
 //
 // At each query step the checker asserts:
 //   - AKNN (all four algorithms, lazy answers after Refine) and
@@ -45,11 +80,13 @@ import (
 //     shows page I/O and counts its evictions, and its resident bytes stay
 //     within capacity; an in-memory shape reports no page cache;
 //   - the per-call object accesses sum to the index's total and to the
-//     per-shard sums.
-//
-// After every mutation each shard's tree passes CheckInvariants, every id
-// sits in the shard that owns it, and every shape holds exactly the model's
-// population.
+//     per-shard sums;
+//   - every follower, after Sync, sits at its leader's last sequence with
+//     no lag, holds the model's objects and answers every read family as
+//     the model does; one follower of the default-window leader first steps
+//     through every committed sequence with SyncTo, holding the model's
+//     population of each; a follower re-bootstraps exactly when it fell
+//     off its leader's window or the leader restarted.
 //
 // The generator byte picks continuous objects (random blobs, memberships
 // in eighths) or the tie lattice: points on a small integer grid,
@@ -57,8 +94,9 @@ import (
 // radii and join ε at attained distances — so many objects share the k-th
 // distance exactly and every boundary rule (the (distance, id) order, the
 // inclusive range, join and reverse-kNN radii, §3.3 admission) is decided
-// by a tie. The seeds below are the time-boxed run; a nightly fuzz run
-// shrinks any failure to a corpus file that replays it.
+// by a tie. Inserts sometimes re-issue a deleted id, with a new object. The
+// seeds below are the time-boxed run; a nightly fuzz run shrinks any
+// failure to a corpus file that replays it.
 func FuzzConformance(f *testing.F) {
 	for _, seed := range conformanceSeeds {
 		f.Add(seed)
@@ -133,6 +171,130 @@ func TestBatchMatchesSequentialPublic(t *testing.T) {
 	conform(t, []byte{2, 0, opBatch, 5, opInsert, 3, opBatch, 23, opInsert, 2, opBatch, 17, opQuery, 6, opBatch, 22, opDelete, 4, opQuery, 7}, 1, 4)
 }
 
+// TestFollowerMatchesLeaderAcrossQueries: followers at one and four shards
+// of single and sharded leaders answer every family as the model does
+// after batches, deletes, single inserts and mixed batches.
+func TestFollowerMatchesLeaderAcrossQueries(t *testing.T) {
+	h := []byte{0, 20, opQuery, 1, opBatch, 5, opDelete, 3, opDelete, 7, opInsert, 0, opBatch, 20, opQuery, 2}
+	t.Run("single-single", func(t *testing.T) { conform(t, h, 1) })
+	t.Run("sharded-sharded", func(t *testing.T) { conform(t, h, 4) })
+	t.Run("single-sharded", func(t *testing.T) { conform(t, h, 1, 4) })
+}
+
+// TestFollowerCatchUpAtEveryFrameBoundary: a follower stepped through a
+// dozen frames holds the leader's population at every boundary.
+func TestFollowerCatchUpAtEveryFrameBoundary(t *testing.T) {
+	conform(t, []byte{2, 12, opInsert, 0, opDelete, 1, opBatch, 7, opInsert, 3, opDelete, 4, opBatch, 13, opDelete, 0, opInsert, 1, opBatch, 8, opQuery, 3}, 1)
+}
+
+// TestFollowerRebootstrapAfterTruncation: followers parked behind a
+// two-frame window, or behind a restarted leader, re-bootstrap from its
+// snapshot and converge, re-issued ids carrying new objects included.
+func TestFollowerRebootstrapAfterTruncation(t *testing.T) {
+	conform(t, []byte{4, 12, opQuery, 0, opDelete, 2, opDelete, 3, opInsert, 3, opInsert, 3, opQuery, 1, opRestart, 0, opInsert, 2, opQuery, 2}, 1, 4)
+}
+
+// TestNoFrameOnFailedMutation: duplicate, dead, never-issued, repeated and
+// malformed writes are refused whole on every shape and reach no
+// follower; the committed ones that follow append one frame each.
+func TestNoFrameOnFailedMutation(t *testing.T) {
+	conform(t, []byte{0, 8, opRefuse, 0, opRefuse, 1, opDelete, 0, opRefuse, 6, opRefuse, 2, opRefuse, 8, opRefuse, 9, opInsert, 0, opQuery, 0}, 1, 4)
+}
+
+// TestDegradedLeaderCutsNoSnapshot: a 2-shard log leader whose batch fails
+// one shard's fsync holds part of a batch no frame names, so it bootstraps
+// no new follower, while the followers it already had keep the population
+// from before the batch.
+func TestDegradedLeaderCutsNoSnapshot(t *testing.T) {
+	conform(t, []byte{0, 24, opFailStop, 1, opQuery, 0}, 2)
+}
+
+// TestSingleMutationIsOneItemBatch: Insert and Delete answer what a
+// one-item ApplyBatch does, at the same cost, on every mutable shape, a
+// fail-stopped log included; read-only shapes refuse both alike.
+func TestSingleMutationIsOneItemBatch(t *testing.T) {
+	for i, store := range []string{"mem", "log", "static"} {
+		for _, shards := range []int{1, 3} {
+			for r, replication := range []string{"false", "true"} {
+				h := []byte{byte(2*i + r), 6, opRefuse, 0, opRefuse, 10, opRefuse, 2, opRefuse, 3, opDelete, 1, opRefuse, 1, opRefuse, 11}
+				switch store {
+				case "log":
+					h = append(h, opFailStop, byte(16*i+r), opRefuse, 5)
+				case "static":
+					h = append(h, opQuery, byte(i))
+				}
+				t.Run(fmt.Sprintf("%s/shards=%d/replication=%s", store, shards, replication), func(t *testing.T) { conform(t, h, shards) })
+			}
+		}
+	}
+}
+
+// TestApplyBatchPublicAPI: batches commit whole, refused ones name every
+// offending position, and log shapes under either fsync policy survive
+// reopens, at one and four shards.
+func TestApplyBatchPublicAPI(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for i, name := range []string{"always", "batch", "off"} {
+			t.Run(fmt.Sprintf("shards=%d/fsync=%s", shards, name), func(t *testing.T) {
+				conform(t, []byte{byte(2 * i), 0, opBatch, 23, opBatch, 15, opRefuse, 135, opRefuse, 136, opRefuse, 139, opBatch, 24, opCheckpoint, 0, opQuery, 5}, shards)
+			})
+		}
+	}
+}
+
+// TestJoinsOnReplicationLeader: self-joins on replication leaders, whose
+// recorder wraps the trees on both sides, and a leader joined with another
+// shape answer what the scan does.
+func TestJoinsOnReplicationLeader(t *testing.T) {
+	conform(t, []byte{1, 24, opQuery, 50, opBatch, 9, opQuery, 51}, 1, 4)
+}
+
+// TestOpenLogIndexLifecycle: log shapes created, mutated, queried and
+// reopened keep every mutation, and take back a deleted id after a reopen.
+func TestOpenLogIndexLifecycle(t *testing.T) {
+	conform(t, []byte{0, 0, opInsert, 3, opInsert, 3, opInsert, 1, opDelete, 3, opQuery, 6, opCheckpoint, 0, opQuery, 7, opInsert, 3, opInsert, 3, opQuery, 8}, 1)
+}
+
+// TestReadOnlyIndexRejectsMutations: static and paged shapes refuse Insert,
+// Delete and one-item batches as read-only.
+func TestReadOnlyIndexRejectsMutations(t *testing.T) {
+	conform(t, []byte{0, 2, opQuery, 9}, 1, 4)
+}
+
+// TestMutableIndexKeepsPaperAccounting: on every mutable shape an insert
+// charges no object access and a delete exactly one.
+func TestMutableIndexKeepsPaperAccounting(t *testing.T) {
+	conform(t, []byte{0, 2, opInsert, 0, opDelete, 2, opBatch, 21, opDelete, 0}, 1, 4)
+}
+
+// TestPublicAKNNEndToEnd: every AKNN algorithm, refined, answers what the
+// linear scan does, each read timed and its object accesses counted.
+func TestPublicAKNNEndToEnd(t *testing.T) {
+	conform(t, []byte{0, 29, opQuery, 70, opQuery, 71}, 1)
+}
+
+// TestPublicRKNNConsistency: the four RKNN algorithms answer alike.
+func TestPublicRKNNConsistency(t *testing.T) {
+	conform(t, []byte{2, 25, opQuery, 72, opQuery, 73}, 1)
+}
+
+// TestPublicRangeSearch: range search answers the objects within the
+// radius at their exact distances, the boundary included.
+func TestPublicRangeSearch(t *testing.T) {
+	conform(t, []byte{1, 26, opQuery, 60, opQuery, 61}, 1)
+}
+
+// TestPublicSelfJoin: a self-join names each pair once, left id first.
+func TestPublicSelfJoin(t *testing.T) {
+	conform(t, []byte{0, 26, opQuery, 62}, 1)
+}
+
+// TestPublicReverseKNN: reverse kNN answers exactly the objects that have
+// the query among their k nearest.
+func TestPublicReverseKNN(t *testing.T) {
+	conform(t, []byte{3, 26, opQuery, 63, opQuery, 64}, 1)
+}
+
 // The history ops. An op byte is read modulo numOps; each op takes one
 // argument byte.
 const (
@@ -140,7 +302,10 @@ const (
 	opDelete            // Delete the live object at arg mod population
 	opBatch             // one ApplyBatch: arg%6 fresh objects, arg/6%4 deletes
 	opCheckpoint        // close and reopen every log after no checkpoint (arg%3 = 0), a checkpoint (1) or a compacting one (2)
-	opQuery             // every read family on every shape, with parameters drawn from arg
+	opQuery             // every read family on every shape and follower, with parameters drawn from arg
+	opRefuse            // a write drawn to fail (see refuse)
+	opRestart           // close and reopen the log leader, which replicates anew
+	opFailStop          // one batch that fail-stops a log shape (see failStop)
 	numOps
 )
 
@@ -161,6 +326,14 @@ var conformanceSeeds = [][]byte{
 	{3, 20, opInsert, 3, opQuery, 9, opDelete, 7, opCheckpoint, 0, opQuery, 10, opBatch, 11, opQuery, 12},
 	{5, 29, opQuery, 13, opQuery, 14, opQuery, 15, opQuery, 16},
 	{7, 6, opBatch, 5, opBatch, 11, opInsert, 3, opDelete, 1, opBatch, 17, opQuery, 20, opDelete, 2, opDelete, 3, opQuery, 21},
+	// Replication and failure: refusals, deleted ids re-issued, restarts,
+	// followers parked behind the window, and fail-stops on every log
+	// shape, the sharded leader's fsync among them.
+	{8, 16, opRefuse, 0, opDelete, 1, opDelete, 2, opInsert, 3, opRefuse, 1, opQuery, 1, opRestart, 0, opBatch, 23, opQuery, 2, opRefuse, 9},
+	{10, 14, opQuery, 0, opFailStop, 3, opQuery, 1, opDelete, 0, opFailStop, 16, opQuery, 2, opFailStop, 33, opBatch, 11, opQuery, 3},
+	{12, 20, opDelete, 3, opDelete, 4, opBatch, 14, opFailStop, 1, opQuery, 5, opInsert, 3, opInsert, 3, opRestart, 0, opQuery, 6},
+	{9, 18, opRefuse, 4, opRefuse, 3, opQuery, 7, opFailStop, 34, opBatch, 21, opQuery, 8, opCheckpoint, 1, opRefuse, 10, opQuery, 9},
+	{14, 18, opQuery, 0, opDelete, 1, opDelete, 2, opDelete, 3, opQuery, 1, opDelete, 4, opDelete, 5, opQuery, 2, opBatch, 24, opRefuse, 135, opRefuse, 136, opRefuse, 139, opRefuse, 145, opQuery, 3},
 }
 
 // Bounds on one history, so that a long fuzz input stays a quick one.
@@ -176,6 +349,27 @@ type shape struct {
 	ix    *Index
 	log   string // a log shape's path ("" for any other shape)
 	paged bool
+	lead  *leader // set on a replication leader
+}
+
+// leader is a shape's replication feed: the frames it must have appended
+// since it (re)started, the URL its followers tail and the followers.
+type leader struct {
+	repl      *Replication
+	window    int    // RetainFrames; 0 keeps the default window
+	seq       uint64 // the frames committed calls appended since the feed began
+	srv       *httptest.Server
+	feed      atomic.Pointer[server.Server] // what srv serves; a restart swaps it
+	tails     []*tail
+	restarted bool                 // since the followers last synced
+	pops      []map[uint64]*Object // the population at each sequence (default window only)
+}
+
+// tail is one follower of a leader.
+type tail struct {
+	*shape
+	f     *Follower
+	boots int64 // the bootstraps it must have counted
 }
 
 // checker runs one history against the model and the shapes.
@@ -186,11 +380,14 @@ type checker struct {
 	dir    string
 	salt   uint64
 	lat    bool
+	shards []int
 	model  map[uint64]*Object
-	live   []uint64 // the model's ids, for picking victims
-	next   uint64   // the next unused id
-	shapes []*shape // the mutable shapes
-	at     string   // the step being checked, for failure messages
+	live   []uint64          // the model's ids, for picking victims
+	dead   []uint64          // deleted ids, for re-issuing and for refused deletes
+	issued map[uint64]uint64 // times an id was re-issued, which salts its object
+	next   uint64            // the next unused id
+	shapes []*shape          // the mutable shapes
+	at     string            // the step being checked, for failure messages
 }
 
 // input reads the input's next byte; past its end every byte reads as 0.
@@ -203,11 +400,11 @@ func (c *checker) input() byte {
 }
 
 func newChecker(t *testing.T, data []byte, shards []int) *checker {
-	c := &checker{t: t, data: data, dir: t.TempDir(), model: make(map[uint64]*Object), next: 1}
+	c := &checker{t: t, data: data, dir: t.TempDir(), shards: shards, model: make(map[uint64]*Object), issued: make(map[uint64]uint64), next: 1}
 	g := c.input()
 	c.lat, c.salt = g&lattice != 0, uint64(g>>1)
 	c.at = "initial population"
-	objs := c.fresh(int(c.input()) % (maxLive / 2))
+	objs := c.fresh(nil, int(c.input())%(maxLive/2))
 	for _, inc := range []bool{false, true} {
 		for _, n := range shards {
 			cfg := Config{NodeMin: 2, NodeMax: 6, Incremental: inc, Shards: n}
@@ -217,6 +414,9 @@ func newChecker(t *testing.T, data []byte, shards []int) *checker {
 			c.shapes = append(c.shapes, &shape{name: "mem/" + name, cfg: cfg, ix: mem})
 			lc := cfg
 			lc.CacheSize = 8
+			if !inc {
+				lc.Fsync = FsyncOff // STR logs never fsync; incremental ones fsync every commit
+			}
 			path := filepath.Join(c.dir, fmt.Sprintf("log-%d-%v.fzl", n, inc))
 			lg, err := OpenLogIndex(path, 2, &lc)
 			c.must(err, "log/"+name)
@@ -227,11 +427,66 @@ func newChecker(t *testing.T, data []byte, shards []int) *checker {
 		}
 	}
 	c.admit(objs, nil)
+	for _, s := range c.shapes {
+		switch s.name {
+		case fmt.Sprintf("mem/str/shards=%d", shards[0]):
+			c.lead(s, 0)
+		case fmt.Sprintf("log/incremental/shards=%d", shards[len(shards)-1]):
+			c.lead(s, 2)
+		}
+	}
 	return c
+}
+
+// lead makes s a replication leader keeping window frames, served on its
+// own URL, and bootstraps its followers, one per shard count.
+func (c *checker) lead(s *shape, window int) {
+	l := &leader{window: window}
+	s.lead = l
+	l.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { l.feed.Load().ServeHTTP(w, r) }))
+	c.replicate(s)
+	if window == 0 {
+		l.pops = []map[uint64]*Object{maps.Clone(c.model)}
+	}
+	for _, n := range c.shards {
+		cfg := Config{Shards: n}
+		ix, err := NewIndex(nil, &cfg)
+		c.must(err, "a follower")
+		f, err := ix.NewFollower(l.srv.URL, nil)
+		c.must(err, "a follower")
+		t := &tail{shape: &shape{name: fmt.Sprintf("follower/shards=%d of %s", n, s.name), cfg: cfg, ix: ix}, f: f, boots: 1}
+		l.tails = append(l.tails, t)
+		c.must(f.Sync(c.ctx(5*time.Second)), t.name)
+		c.holds(t.shape, c.model, "after its bootstrap")
+	}
+}
+
+// replicate enables replication on a leader's (re)opened index and serves
+// its feed through server.New. The followers reach only the replication
+// endpoints, which need no engine.
+func (c *checker) replicate(s *shape) {
+	l := s.lead
+	repl, err := s.ix.EnableReplication(&ReplicationConfig{RetainFrames: l.window})
+	c.must(err, s.name+": EnableReplication")
+	l.repl, l.seq = repl, 0
+	l.feed.Store(server.New(s.ix, nil, &server.Options{Replication: repl}))
+}
+
+// ctx is a context that ends after d, and with the test.
+func (c *checker) ctx(d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	c.t.Cleanup(cancel)
+	return ctx
 }
 
 func (c *checker) close() {
 	for _, s := range c.shapes {
+		if l := s.lead; l != nil {
+			l.srv.Close()
+			for _, t := range l.tails {
+				t.ix.Close()
+			}
+		}
 		s.ix.Close()
 	}
 }
@@ -243,10 +498,10 @@ func (c *checker) must(err error, where string) {
 	}
 }
 
-// object is the object the generator draws for id: the same id always
-// draws the same object within one history.
+// object is the object the generator draws for id: the same id draws the
+// same object until it is re-issued.
 func (c *checker) object(id uint64) *Object {
-	return c.blob(rand.New(rand.NewPCG(id, c.salt)), id)
+	return c.blob(rand.New(rand.NewPCG(id, c.salt+c.issued[id]<<8)), id)
 }
 
 // blob draws one object. On the lattice: one to four points on a 6×6 grid
@@ -285,15 +540,73 @@ func (c *checker) level(rng *rand.Rand) float64 {
 	return 1 - rng.Float64()
 }
 
-// fresh draws n objects under unused ids, at most up to maxLive.
-func (c *checker) fresh(n int) []*Object {
+// fresh draws n objects under ids that are not live, at most up to
+// maxLive: an unused id, or, one time in four when rng is given, a deleted
+// id re-issued with a new object.
+func (c *checker) fresh(rng *rand.Rand, n int) []*Object {
 	n = min(n, maxLive-len(c.model))
 	objs := make([]*Object, 0, max(n, 0))
 	for i := 0; i < n; i++ {
+		if rng != nil && len(c.dead) > 0 && rng.IntN(4) == 0 {
+			j := rng.IntN(len(c.dead))
+			id := c.dead[j]
+			c.dead = slices.Delete(c.dead, j, j+1)
+			c.issued[id]++
+			objs = append(objs, c.object(id))
+			continue
+		}
 		objs = append(objs, c.object(c.next))
 		c.next++
 	}
 	return objs
+}
+
+// write lands one committed mutation on every mutable shape but skip —
+// Insert or Delete for a single item, else ApplyBatch — and admits it to
+// the model. Each call must charge one object access per delete and none
+// per insert, and append exactly one frame on a leader, none when empty.
+func (c *checker) write(ins []*Object, dels []uint64, single bool, skip *shape) {
+	c.t.Helper()
+	for _, s := range c.shapes {
+		if s == skip {
+			continue
+		}
+		before := s.ix.TotalObjectAccesses()
+		c.must(apply(s.ix, ins, dels, single), s.name)
+		if got := s.ix.TotalObjectAccesses() - before; got != int64(len(dels)) {
+			c.t.Fatalf("%s: %s: %d inserts and %d deletes charged %d object accesses, want one per delete", c.at, s.name, len(ins), len(dels), got)
+		}
+		c.framed(s, len(ins)+len(dels) > 0)
+	}
+	c.admit(ins, dels)
+}
+
+// apply is one mutation call: Insert or Delete for a single item, else
+// ApplyBatch.
+func apply(ix *Index, ins []*Object, dels []uint64, single bool) error {
+	switch {
+	case !single:
+		return ix.ApplyBatch(ins, dels)
+	case len(ins) > 0:
+		return ix.Insert(ins[0])
+	}
+	return ix.Delete(dels[0])
+}
+
+// framed checks a leader's frame log after one call on s: one more frame
+// when the call committed a mutation, none otherwise.
+func (c *checker) framed(s *shape, committed bool) {
+	c.t.Helper()
+	l := s.lead
+	if l == nil {
+		return
+	}
+	if committed {
+		l.seq++
+	}
+	if got := l.repl.LastSeq(); got != l.seq {
+		c.t.Fatalf("%s: %s: the feed is at sequence %d, want %d", c.at, s.name, got, l.seq)
+	}
 }
 
 // admit applies a mutation to the model and checks every shape holds it.
@@ -306,8 +619,12 @@ func (c *checker) admit(inserts []*Object, deletes []uint64) {
 	for _, id := range deletes {
 		delete(c.model, id)
 		c.live = slices.DeleteFunc(c.live, func(x uint64) bool { return x == id })
+		c.dead = append(c.dead, id)
 	}
 	for _, s := range c.shapes {
+		if l := s.lead; l != nil && l.pops != nil && uint64(len(l.pops)) == l.seq {
+			l.pops = append(l.pops, maps.Clone(c.model))
+		}
 		c.checkPopulation(s)
 	}
 }
@@ -315,12 +632,10 @@ func (c *checker) admit(inserts []*Object, deletes []uint64) {
 // checkPopulation asserts s holds the model's population in sound trees.
 func (c *checker) checkPopulation(s *shape) {
 	c.t.Helper()
-	if s.ix.Len() != len(c.model) {
-		c.t.Fatalf("%s: %s holds %d objects, the model %d", c.at, s.name, s.ix.Len(), len(c.model))
+	if s.ix.Len() != len(c.model) || len(c.model) > 0 && s.ix.Dims() != 2 {
+		c.t.Fatalf("%s: %s holds %d objects of %d dimensions, the model %d", c.at, s.name, s.ix.Len(), s.ix.Dims(), len(c.model))
 	}
-	// Every tree's structure, and on a sharded index every id in the shard
-	// that owns it.
-	if err := s.ix.forest.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
+	if err := CheckInvariants(s.ix); err != nil {
 		c.t.Fatalf("%s: %s: %v", c.at, s.name, err)
 	}
 	sum := 0
@@ -329,6 +644,20 @@ func (c *checker) checkPopulation(s *shape) {
 	}
 	if sum != len(c.model) {
 		c.t.Fatalf("%s: %s's shards hold %d objects, the model %d", c.at, s.name, sum, len(c.model))
+	}
+}
+
+// holds asserts s holds exactly the objects of pop.
+func (c *checker) holds(s *shape, pop map[uint64]*Object, when string) {
+	c.t.Helper()
+	if s.ix.Len() != len(pop) {
+		c.t.Fatalf("%s: %s holds %d objects %s, want %d", c.at, s.name, s.ix.Len(), when, len(pop))
+	}
+	for id, o := range pop {
+		got, err := s.ix.Object(id)
+		if err != nil || fmt.Sprint(got.WeightedPoints()) != fmt.Sprint(o.WeightedPoints()) {
+			c.t.Fatalf("%s: %s holds %v (%v) for id %d %s, want %v", c.at, s.name, got, err, id, when, o.WeightedPoints())
+		}
 	}
 }
 
@@ -348,37 +677,40 @@ func (c *checker) run() {
 		rng := rand.New(rand.NewPCG(uint64(arg), c.salt^uint64(step)<<8))
 		switch op {
 		case opInsert:
-			objs := c.fresh(int(arg%4) + 1)
-			c.at = fmt.Sprintf("step %d: insert %d", step, len(objs))
-			for _, s := range c.shapes {
-				for _, o := range objs {
-					c.must(s.ix.Insert(o), s.name)
-				}
+			for _, o := range c.fresh(rng, int(arg%4)+1) {
+				c.at = fmt.Sprintf("step %d: insert %d", step, o.ID())
+				c.write([]*Object{o}, nil, true, nil)
 			}
-			c.admit(objs, nil)
 		case opDelete:
 			if len(c.live) == 0 {
 				continue
 			}
 			id := c.live[int(arg)%len(c.live)]
 			c.at = fmt.Sprintf("step %d: delete %d", step, id)
-			for _, s := range c.shapes {
-				c.must(s.ix.Delete(id), s.name)
-			}
-			c.admit(nil, []uint64{id})
+			c.write(nil, []uint64{id}, true, nil)
 		case opBatch:
-			objs, dels := c.fresh(int(arg%6)), c.victims(rng, int(arg/6%4))
+			objs, dels := c.fresh(rng, int(arg%6)), c.victims(rng, int(arg/6%4))
 			c.at = fmt.Sprintf("step %d: batch of %d inserts, %d deletes", step, len(objs), len(dels))
-			for _, s := range c.shapes {
-				c.must(s.ix.ApplyBatch(objs, dels), s.name)
-			}
-			c.admit(objs, dels)
+			c.write(objs, dels, false, nil)
 		case opCheckpoint:
 			c.at = fmt.Sprintf("step %d: reopen after %s", step, [3]string{"no checkpoint", "a checkpoint", "a compacting checkpoint"}[arg%3])
 			c.reopen(arg % 3)
 		case opQuery:
 			c.at = fmt.Sprintf("step %d: query %d", step, arg)
 			c.query(rng)
+		case opRefuse:
+			c.at = fmt.Sprintf("step %d: refuse %d", step, arg)
+			c.refuse(rng, arg)
+		case opRestart:
+			c.at = fmt.Sprintf("step %d: restart", step)
+			for _, s := range c.shapes {
+				if s.lead != nil && s.log != "" {
+					c.reopenShape(s)
+					c.checkPopulation(s)
+				}
+			}
+		case opFailStop:
+			c.failStop(rng, arg, step)
 		}
 	}
 }
@@ -402,13 +734,269 @@ func (c *checker) reopen(cut byte) {
 			}
 		}
 		if s.log != "" {
-			c.must(s.ix.Close(), s.name)
-			ix, err := OpenLogIndex(s.log, 0, &s.cfg)
-			c.must(err, s.name+" reopen")
-			s.ix = ix
+			c.reopenShape(s)
 			c.checkPopulation(s)
 		}
 	}
+}
+
+// reopenShape closes and reopens a log shape. A leader restarts: it
+// replicates under a new generation, served at the same URL.
+func (c *checker) reopenShape(s *shape) {
+	c.must(s.ix.Close(), s.name)
+	ix, err := OpenLogIndex(s.log, 0, &s.cfg)
+	c.must(err, s.name+" reopen")
+	s.ix = ix
+	if s.lead != nil {
+		c.replicate(s)
+		s.lead.restarted = true
+	}
+}
+
+// refuse draws one write that must fail — a live id inserted again, a dead
+// or never-issued id deleted, a nil or a 3-D object inserted, or, in a
+// batch, one live id deleted twice — and runs it on every mutable shape:
+// as an Insert or Delete and as its one-item ApplyBatch (arg/5 even), or
+// inside a batch of valid items (odd), which from arg 128 on carries a
+// second refused item in the same half: a nil object or a never-issued id.
+// It must change no population and append no frame.
+func (c *checker) refuse(rng *rand.Rand, arg byte) {
+	var bad *Object
+	item := BatchItemError{Op: BatchInsertOp, Err: ErrInvalidQuery}
+	var badID uint64
+	repeat := false
+	switch kind := arg % 5; {
+	case kind == 0 && len(c.live) > 0:
+		bad, item.Err = c.model[c.live[rng.IntN(len(c.live))]], ErrDuplicate
+	case kind == 1:
+		item, badID = BatchItemError{Op: BatchDeleteOp, Err: ErrNotFound}, c.next+1<<20
+		if len(c.dead) > 0 && rng.IntN(2) == 0 {
+			badID = c.dead[rng.IntN(len(c.dead))]
+		}
+	case kind == 3 && len(c.model) > 0:
+		var err error
+		bad, err = NewObject(c.next+1<<21, []WeightedPoint{{P: Point{1, 2, 3}, Mu: 1}})
+		c.must(err, "a 3-D object")
+	case kind == 4 && len(c.live) > 0:
+		item.Op, repeat = BatchDeleteOp, true
+	}
+	items := []BatchItemError{item}
+	var ins []*Object
+	var dels []uint64
+	if arg/5%2 == 1 || repeat {
+		// Valid items around the drawn one, under ids no other item names.
+		for i := range rng.IntN(3) {
+			ins = append(ins, c.object(c.next+uint64(i)))
+		}
+		n := rng.IntN(3)
+		if repeat {
+			n++
+		}
+		for _, id := range c.victims(rng, n) {
+			if bad == nil || id != bad.ID() {
+				dels = append(dels, id)
+			}
+		}
+		switch {
+		case repeat:
+			first := rng.IntN(len(dels))
+			items[0].Pos = first + 1 + rng.IntN(len(dels)-first)
+			dels = slices.Insert(dels, items[0].Pos, dels[first])
+		case item.Op == BatchDeleteOp:
+			items[0].Pos = rng.IntN(len(dels) + 1)
+			dels = slices.Insert(dels, items[0].Pos, badID)
+		default:
+			items[0].Pos = rng.IntN(len(ins) + 1)
+			ins = slices.Insert(ins, items[0].Pos, bad)
+		}
+		if arg >= 128 {
+			// A second refused item in the same half of the batch.
+			second := BatchItemError{Op: item.Op, Err: ErrInvalidQuery}
+			if item.Op == BatchDeleteOp {
+				second.Pos, second.Err = rng.IntN(len(dels)+1), ErrNotFound
+				dels = slices.Insert(dels, second.Pos, c.next+1<<20+1)
+			} else {
+				second.Pos = rng.IntN(len(ins) + 1)
+				ins = slices.Insert(ins, second.Pos, nil)
+			}
+			if second.Pos <= items[0].Pos {
+				items[0].Pos++
+			}
+			items = append(items, second)
+			slices.SortFunc(items, func(a, b BatchItemError) int { return a.Pos - b.Pos })
+		}
+	} else if item.Op == BatchDeleteOp {
+		dels = []uint64{badID}
+	} else {
+		ins = []*Object{bad}
+	}
+	for _, s := range c.shapes {
+		charged := c.refused(s, ins, dels, false, items)
+		if len(ins)+len(dels) == 1 {
+			if single := c.refused(s, ins, dels, true, items); single != charged {
+				c.t.Fatalf("%s: %s: the refusal charged %d object accesses through Insert/Delete, %d through ApplyBatch", c.at, s.name, single, charged)
+			}
+		}
+		c.framed(s, false)
+	}
+	c.admit(nil, nil)
+}
+
+// refused runs one write on s that must be refused: through Insert or
+// Delete (single) with the one item's own error, through ApplyBatch as a
+// *BatchError naming exactly items, in order, each with its error class.
+// It returns the object accesses the call charged.
+func (c *checker) refused(s *shape, ins []*Object, dels []uint64, single bool, items []BatchItemError) int64 {
+	c.t.Helper()
+	before := s.ix.TotalObjectAccesses()
+	err := apply(s.ix, ins, dels, single)
+	var be *BatchError
+	isBatch := errors.As(err, &be)
+	switch {
+	case slices.ContainsFunc(items, func(it BatchItemError) bool { return !errors.Is(err, it.Err) }):
+		c.t.Fatalf("%s: %s: %d inserts, %d deletes (single %v) answer %v, want %v", c.at, s.name, len(ins), len(dels), single, err, items)
+	case single && isBatch:
+		c.t.Fatalf("%s: %s: Insert or Delete answers a *BatchError: %v", c.at, s.name, err)
+	case !single && (!isBatch || !slices.EqualFunc(be.Items, items, func(got, want BatchItemError) bool {
+		return got.Op == want.Op && got.Pos == want.Pos && errors.Is(got.Err, want.Err)
+	})):
+		c.t.Fatalf("%s: %s: ApplyBatch answers %v, want a *BatchError naming exactly %v", c.at, s.name, err, items)
+	}
+	return s.ix.TotalObjectAccesses() - before
+}
+
+// failStop runs one batch of fresh inserts and live deletes on every
+// mutable shape, on one log shape with a log failpoint armed for its first
+// call: an fsync that fails (on a shape that syncs) or a write that fails,
+// lands short or tears. That shape must fail-stop. Until it is reopened it
+// answers ErrDegraded to every write and to Checkpoint, changes nothing,
+// and answers every read family as a scan of what it published; a
+// degraded leader bootstraps no new follower, and the followers that can
+// still tail it hold the population from before the batch. Reopened, each
+// of its shards holds its part of the population before the batch or of
+// the one after it, and the checker lands the rest of the batch.
+func (c *checker) failStop(rng *rand.Rand, arg byte, step int) {
+	var logs []*shape
+	for _, s := range c.shapes {
+		if s.log != "" {
+			logs = append(logs, s)
+		}
+	}
+	s := logs[int(arg)%len(logs)]
+	point := "store.log.write"
+	if s.cfg.Fsync == FsyncAlways && arg/8%2 == 0 {
+		point = "store.log.sync"
+	}
+	action := [3]fault.Action{fault.ActError, fault.ActShort, fault.ActTorn}[arg/16%3]
+	ins, dels := c.fresh(rng, 1+rng.IntN(4)), c.victims(rng, rng.IntN(3))
+	if len(ins)+len(dels) == 0 {
+		return // a full, empty model: nothing to write
+	}
+	c.at = fmt.Sprintf("step %d: %s=%s under %s's batch of %d inserts, %d deletes", step, point, action, s.name, len(ins), len(dels))
+	before, after := maps.Clone(c.model), maps.Clone(c.model)
+	for _, o := range ins {
+		after[o.ID()] = o
+	}
+	for _, id := range dels {
+		delete(after, id)
+	}
+
+	disarm := fault.Enable(point, fault.Spec{Action: action, Nth: 1})
+	err := s.ix.ApplyBatch(ins, dels)
+	disarm()
+	if !errors.Is(err, ErrDegraded) || s.ix.Degraded() == nil {
+		c.t.Fatalf("%s: ApplyBatch = %v, Degraded = %v; want a fail-stop", c.at, err, s.ix.Degraded())
+	}
+	held := c.shardwise(s, before, after)
+	c.degraded(s, held, rng)
+	if l := s.lead; l != nil {
+		f, err := NewIndex(nil, nil)
+		c.must(err, "a fresh follower")
+		defer f.Close()
+		fol, err := f.NewFollower(l.srv.URL, nil)
+		c.must(err, "a fresh follower")
+		if err := fol.Sync(c.ctx(100 * time.Millisecond)); err == nil || fol.Stats().Bootstraps != 0 || f.Len() != 0 {
+			c.t.Fatalf("%s: a fresh follower of a degraded leader: Sync = %v, %+v, %d objects", c.at, err, fol.Stats(), f.Len())
+		}
+		for _, t := range l.tails {
+			if applied := t.f.Stats().AppliedSeq; l.restarted || l.window > 0 && l.seq > applied+uint64(l.window) {
+				continue // it must re-bootstrap, which the leader refuses
+			}
+			c.must(t.f.Sync(c.ctx(5*time.Second)), t.name)
+			if got := t.f.Stats().AppliedSeq; got != l.seq {
+				c.t.Fatalf("%s: %s applied sequence %d of %d", c.at, t.name, got, l.seq)
+			}
+			c.holds(t.shape, before, "behind a degraded leader")
+		}
+	}
+
+	c.reopenShape(s)
+	held = c.shardwise(s, before, after)
+	rest := slices.DeleteFunc(slices.Clone(ins), func(o *Object) bool { return held[o.ID()] != nil })
+	gone := slices.DeleteFunc(slices.Clone(dels), func(id uint64) bool { return held[id] == nil })
+	c.must(s.ix.ApplyBatch(rest, gone), s.name+": the rest of the batch")
+	c.framed(s, len(rest)+len(gone) > 0)
+	c.write(ins, dels, false, s)
+}
+
+// shardwise reads the population s serves and asserts that each of its
+// shards holds its part of before or its part of after.
+func (c *checker) shardwise(s *shape, before, after map[uint64]*Object) map[uint64]*Object {
+	c.t.Helper()
+	rs, _, err := s.ix.LinearScanAKNN(c.object(0), len(before)+len(after)+1, 1)
+	c.must(err, s.name+": a scan of what it serves")
+	held := make(map[uint64]*Object)
+	for _, r := range rs {
+		held[r.ID] = cmp.Or(after[r.ID], before[r.ID])
+	}
+	n := s.ix.NumShards()
+	for i := range n {
+		part := func(pop map[uint64]*Object) string {
+			ids := slices.Sorted(maps.Keys(pop))
+			return fmt.Sprint(slices.DeleteFunc(ids, func(id uint64) bool { return query.ShardOf(id, n) != i }))
+		}
+		if got := part(held); got != part(before) && got != part(after) {
+			c.t.Fatalf("%s: %s's shard %d holds %s, neither %s before the batch nor %s after it", c.at, s.name, i, got, part(before), part(after))
+		}
+	}
+	return held
+}
+
+// degraded checks a fail-stopped shape holding held: a write to each of
+// its shards, a delete, a batch and a checkpoint are refused as degraded
+// and change nothing, and every read family answers the scan of held.
+func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
+	c.t.Helper()
+	n := s.ix.NumShards()
+	var probes []*Object
+	for id := c.next + 1<<22; len(probes) < n; id++ {
+		if query.ShardOf(id, n) == len(probes) {
+			probes = append(probes, c.object(id))
+		}
+	}
+	var errs []error
+	for _, o := range probes {
+		errs = append(errs, s.ix.Insert(o))
+	}
+	for id := range held {
+		errs = append(errs, s.ix.Delete(id))
+		break
+	}
+	_, err := s.ix.Checkpoint(false)
+	errs = append(errs, s.ix.ApplyBatch(probes, nil), err)
+	for _, err := range errs {
+		if !errors.Is(err, ErrDegraded) {
+			c.t.Fatalf("%s: %s: a write or checkpoint after the fail-stop answers %v, want ErrDegraded", c.at, s.name, err)
+		}
+	}
+	c.framed(s, false)
+	var objs []*Object
+	for _, id := range slices.Sorted(maps.Keys(held)) {
+		objs = append(objs, held[id])
+	}
+	p, _, want := c.expect(objs, rng)
+	c.answers(s, p, want)
+	c.shardwise(s, held, held)
 }
 
 // params are one query step's arguments.
@@ -440,13 +1028,9 @@ var (
 	rknnAlgos = []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR}
 )
 
-// query draws one step's parameters, computes the oracle's answers and
-// checks every shape against them.
-func (c *checker) query(rng *rand.Rand) {
-	objs := make([]*Object, 0, len(c.model))
-	for _, id := range c.live {
-		objs = append(objs, c.model[id])
-	}
+// expect draws one query step's parameters over objs and computes the
+// oracle's answer to every single-index read family.
+func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[string]string) {
 	p := params{k: 1 + rng.IntN(6), kp: 1 + rng.IntN(8), alpha: c.level(rng), as: c.level(rng), ae: c.level(rng)}
 	if p.as > p.ae {
 		p.as, p.ae = p.ae, p.as
@@ -485,7 +1069,17 @@ func (c *checker) query(rng *rand.Rand) {
 	for _, algo := range rknnAlgos {
 		want["rknn/"+algo.String()] = showRanged(naive)
 	}
+	return p, o, want
+}
 
+// query draws one step's parameters, computes the oracle's answers and
+// checks every shape and every follower against them.
+func (c *checker) query(rng *rand.Rand) {
+	objs := make([]*Object, 0, len(c.model))
+	for _, id := range c.live {
+		objs = append(objs, c.model[id])
+	}
+	p, o, want := c.expect(objs, rng)
 	shapes := c.shapes
 	if len(objs) > 0 {
 		shapes = append(slices.Clip(shapes), c.pagedShapes(objs)...)
@@ -497,12 +1091,7 @@ func (c *checker) query(rng *rand.Rand) {
 	}
 	runs := make([]map[string]answer, len(shapes))
 	for i, s := range shapes {
-		runs[i] = c.read(s, p)
-		for fam, a := range runs[i] {
-			if a.got != want[fam] {
-				c.t.Fatalf("%s (%v): %s: %s answers\n %s\nwant\n %s", c.at, p, s.name, fam, a.got, want[fam])
-			}
-		}
+		runs[i] = c.answers(s, p, want)
 	}
 	c.costsAgree(shapes, runs)
 	for i := len(c.shapes); i < len(shapes); i++ {
@@ -523,12 +1112,47 @@ func (c *checker) query(rng *rand.Rand) {
 		}
 	}
 	c.joins(shapes, o, p)
+	for _, s := range c.shapes {
+		if l := s.lead; l != nil {
+			for _, t := range l.tails {
+				c.follow(l, t, p, want)
+			}
+			l.restarted = false
+		}
+	}
+}
+
+// follow brings one follower up to its leader — the default-window
+// leader's first follower one committed sequence at a time, holding that
+// sequence's population at each — and checks its position, its bootstrap
+// count, its population and its answers to every read family.
+func (c *checker) follow(l *leader, t *tail, p params, want map[string]string) {
+	c.t.Helper()
+	ctx := c.ctx(5 * time.Second)
+	applied := t.f.Stats().AppliedSeq
+	if l.restarted || l.window > 0 && l.seq > applied+uint64(l.window) {
+		t.boots++
+	}
+	if l.pops != nil && t == l.tails[0] {
+		for seq := applied + 1; seq <= l.seq; seq++ {
+			c.must(t.f.SyncTo(ctx, seq), t.name)
+			c.holds(t.shape, l.pops[seq], fmt.Sprintf("at sequence %d", seq))
+		}
+	}
+	c.must(t.f.Sync(ctx), t.name)
+	if st := t.f.Stats(); st.AppliedSeq != l.seq || st.LagFrames != 0 || st.Bootstraps != t.boots {
+		c.t.Fatalf("%s: %s: %+v, want sequence %d, no lag, %d bootstraps", c.at, t.name, st, l.seq, t.boots)
+	}
+	c.checkPopulation(t.shape)
+	c.holds(t.shape, c.model, "after a sync")
+	c.answers(t.shape, p, want)
 }
 
 // pagedShapes saves the model to a store file and builds, per build mode
 // and shard count, a static index over it (OpenIndex) and that index saved
 // and reopened paged; each paged shape directly follows the index it was
-// saved from. Both are read-only.
+// saved from. Both are read-only: Insert, Delete and their one-item
+// batches are refused alike.
 func (c *checker) pagedShapes(objs []*Object) []*shape {
 	storePath := filepath.Join(c.dir, "objects.fzs")
 	c.must(SaveObjects(storePath, 2, objs), "SaveObjects")
@@ -545,37 +1169,29 @@ func (c *checker) pagedShapes(objs []*Object) []*shape {
 		c.must(src.SavePaged(pagePath), "static/"+layout+" SavePaged")
 		cfg := s.cfg
 		cfg.CacheSize = 0
-		px, err := openPagedTiny(storePath, pagePath, cfg)
+		px, err := OpenPagedTiny(storePath, pagePath, cfg)
 		c.must(err, "paged/"+layout)
 		out = append(out, &shape{name: "paged/" + layout, cfg: cfg, ix: px, paged: true})
 	}
 	for _, s := range out {
-		if err := s.ix.Insert(objs[0]); !errors.Is(err, ErrReadOnly) {
-			c.t.Fatalf("%s: %s: Insert = %v, want ErrReadOnly", c.at, s.name, err)
-		}
-		if err := s.ix.Delete(objs[0].ID()); !errors.Is(err, ErrReadOnly) {
-			c.t.Fatalf("%s: %s: Delete = %v, want ErrReadOnly", c.at, s.name, err)
+		for _, single := range []bool{true, false} {
+			c.refused(s, objs[:1], nil, single, []BatchItemError{{Op: BatchInsertOp, Err: ErrReadOnly}})
+			c.refused(s, nil, []uint64{objs[0].ID()}, single, []BatchItemError{{Op: BatchDeleteOp, Err: ErrReadOnly}})
 		}
 	}
 	return out
 }
 
-// openPagedTiny is OpenPagedIndex with a block cache of three pages per
-// shard, so that a history's small trees still evict mid-query.
-func openPagedTiny(storePath, pagePath string, cfg Config) (*Index, error) {
-	ds, err := store.Open(storePath)
-	if err != nil {
-		return nil, err
+// answers reads s and checks every family's answer against want.
+func (c *checker) answers(s *shape, p params, want map[string]string) map[string]answer {
+	c.t.Helper()
+	runs := c.read(s, p)
+	for fam, a := range runs {
+		if a.got != want[fam] {
+			c.t.Fatalf("%s (%v): %s: %s answers\n %s\nwant\n %s", c.at, p, s.name, fam, a.got, want[fam])
+		}
 	}
-	n := shardCount(cfg)
-	specs := make([]shardSpec, n)
-	for i := range specs {
-		specs[i] = shardSpec{reader: ds, pagePath: shardPath(pagePath, i, n)}
-	}
-	for _, id := range ds.IDs() {
-		specs[query.ShardOf(id, n)].expect++
-	}
-	return assemble(specs, []io.Closer{ds}, cfg, int64(n)*3*pager.PageAlign)
+	return runs
 }
 
 // read runs every single-index read family on s and checks the access
@@ -589,6 +1205,9 @@ func (c *checker) read(s *shape, p params) map[string]answer {
 	add := func(fam string, raw string, st Stats, err error) {
 		c.t.Helper()
 		c.must(err, s.name+": "+fam)
+		if st.Duration <= 0 {
+			c.t.Fatalf("%s: %s: %s reports no duration", c.at, s.name, fam)
+		}
 		out[fam] = answer{got: raw, raw: raw, st: st}
 	}
 	for _, algo := range aknnAlgos {

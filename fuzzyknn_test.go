@@ -26,72 +26,6 @@ func smallDataset(t testing.TB, n int, seed uint64) ([]*Object, *Object) {
 	return objs, q
 }
 
-func TestPublicAKNNEndToEnd(t *testing.T) {
-	objs, q := smallDataset(t, 60, 1)
-	idx, err := NewIndex(objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	if idx.Len() != 60 || idx.Dims() != 2 {
-		t.Fatalf("Len=%d Dims=%d", idx.Len(), idx.Dims())
-	}
-	want, _, err := idx.LinearScanAKNN(q, 8, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-		got, stats, err := idx.AKNN(q, 8, 0.5, algo)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		refined, _, err := idx.Refine(q, 0.5, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(refined) != len(want) {
-			t.Fatalf("%v: %d results, want %d", algo, len(refined), len(want))
-		}
-		for i := range refined {
-			if math.Abs(refined[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("%v: dist[%d] = %v, want %v", algo, i, refined[i].Dist, want[i].Dist)
-			}
-		}
-		if stats.Duration <= 0 {
-			t.Fatalf("%v: no duration", algo)
-		}
-	}
-	if idx.TotalObjectAccesses() == 0 {
-		t.Fatal("no accesses recorded across queries")
-	}
-}
-
-func TestPublicRKNNConsistency(t *testing.T) {
-	objs, q := smallDataset(t, 50, 3)
-	idx, err := NewIndex(objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _, err := idx.RKNN(q, 4, 0.2, 0.9, BasicRKNN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []RKNNAlgorithm{Naive, RSS, RSSICR} {
-		got, _, err := idx.RKNN(q, 4, 0.2, 0.9, algo)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("%v: %d results, want %d", algo, len(got), len(base))
-		}
-		for i := range got {
-			if got[i].ID != base[i].ID || !got[i].Qualifying.Equal(base[i].Qualifying) {
-				t.Fatalf("%v: result %d = %v, want %v", algo, i, got[i], base[i])
-			}
-		}
-	}
-}
-
 func TestPublicObjectConstruction(t *testing.T) {
 	// Errors surface for invalid objects.
 	if _, err := NewObject(1, nil); err == nil {

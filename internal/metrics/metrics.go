@@ -95,11 +95,13 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) * h.scale }
 
 // DurationBuckets are histogram bounds in nanoseconds from 100µs to 30s,
-// paired with scale 1e-9 so the series renders in seconds.
+// paired with scale 1e-9 so the series renders in seconds. They step by
+// 50µs up to 250µs, where warm AKNN service times land.
 func DurationBuckets() ([]int64, float64) {
 	ms := int64(time.Millisecond)
 	return []int64{
-		int64(100 * time.Microsecond), int64(250 * time.Microsecond), int64(500 * time.Microsecond),
+		int64(100 * time.Microsecond), int64(150 * time.Microsecond), int64(200 * time.Microsecond),
+		int64(250 * time.Microsecond), int64(500 * time.Microsecond),
 		1 * ms, 2 * ms, 5 * ms, 10 * ms, 25 * ms, 50 * ms, 100 * ms, 250 * ms, 500 * ms,
 		1000 * ms, 2500 * ms, 5000 * ms, 10000 * ms, 30000 * ms,
 	}, 1e-9

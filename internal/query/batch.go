@@ -227,6 +227,11 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	// coordinator both pass.
 	var readOnly error
 	mutator, isMutable := store.As[store.Mutator](ix.store)
+	if lru, ok := mutator.(*store.LRU); ok {
+		// An object cache forwards writes, to a store that may have no
+		// write side.
+		_, isMutable = store.As[store.Mutator](lru.Unwrap())
+	}
 	switch {
 	case ix.pageCache != nil:
 		readOnly = fmt.Errorf("%w: paged index is read-only", store.ErrReadOnly)

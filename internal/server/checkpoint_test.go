@@ -26,8 +26,12 @@ func newLogTestServer(t *testing.T, shards int) (*httptest.Server, *fuzzyknn.Ind
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
+	repl, err := ix.EnableReplication(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := ix.NewEngine(&fuzzyknn.EngineConfig{Parallelism: 4})
-	ts := httptest.NewServer(New(ix, eng, nil))
+	ts := httptest.NewServer(New(ix, eng, &Options{Replication: repl}))
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Close()

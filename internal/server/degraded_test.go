@@ -65,6 +65,11 @@ func TestServeDegradedMode(t *testing.T) {
 	if status := postJSON(t, ts.URL+"/checkpoint", struct{}{}, &er); status != http.StatusServiceUnavailable {
 		t.Fatalf("checkpoint on degraded server = %d, want 503", status)
 	}
+	// No frame names what a degraded leader holds, so it cuts no bootstrap
+	// snapshot either.
+	if status := doRequest(t, http.MethodGet, ts.URL+"/replication/checkpoint", nil, &er); status != http.StatusServiceUnavailable || !strings.Contains(er.Error, "degraded") {
+		t.Fatalf("replication checkpoint on degraded server = %d (%s), want 503", status, er.Error)
+	}
 
 	// /healthz keeps answering 200 — the process is alive and serving
 	// queries — but tells the truth about the state.

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fuzzyknn"
 	"fuzzyknn/internal/replica"
 )
 
@@ -18,6 +19,7 @@ import (
 //	GET /replication/checkpoint
 //	    Binary bootstrap snapshot: every live object at one consistent
 //	    (generation, sequence) point. Content-Type application/octet-stream.
+//	    503 while the leader is degraded: no frame names what it holds.
 //	GET /replication/log?from=<seq>&wait_ms=<ms>&max_bytes=<n>
 //	    Binary stream of committed frames with sequence >= from. When the
 //	    caller is caught up and wait_ms > 0 the request long-polls until a
@@ -100,7 +102,11 @@ func (s *Server) rejectOnFollower(w http.ResponseWriter) bool {
 func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.opts.Replication.Snapshot()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, fuzzyknn.ErrDegraded) {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, err)
 		return
 	}
 	s.repl.bytesStreamed.Add(int64(len(snap)))

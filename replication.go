@@ -103,10 +103,16 @@ func (r *Replication) FramesSince(ctx context.Context, from uint64, maxBytes int
 // mutations stall for its duration — acceptable for bootstrap-sized
 // indexes; larger deployments bootstrap rarely and tail cheaply. Snapshot
 // reads bypass the access counters and the object cache: cutting a snapshot
-// is not a query.
+// is not a query. A degraded leader refuses with an error wrapping
+// ErrDegraded: after a sharded commit-phase failure the shards whose stores
+// committed have published their part of a batch no frame records, so a
+// snapshot would name a population no frame sequence leads to.
 func (r *Replication) Snapshot() ([]byte, error) {
 	r.rec.mu.Lock()
 	defer r.rec.mu.Unlock()
+	if d := r.ix.Degraded(); d != nil {
+		return nil, fmt.Errorf("fuzzyknn: snapshot of a degraded leader: %w", d.Cause)
+	}
 	objs, err := r.ix.liveObjectsUncounted()
 	if err != nil {
 		return nil, err
