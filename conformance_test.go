@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -295,6 +296,14 @@ func TestPublicReverseKNN(t *testing.T) {
 	conform(t, []byte{3, 26, opQuery, 63, opQuery, 64}, 1)
 }
 
+// TestReadsBesideWrites: readers of every family, on every mutable shape,
+// see each batch and each single write whole or not at all while a
+// compacting checkpoint runs beside them, before and after a leader
+// restart and a fail-stop.
+func TestReadsBesideWrites(t *testing.T) {
+	conform(t, []byte{6, 22, opRace, 17, opRestart, 0, opRace, 21, opFailStop, 17, opRace, 4, opQuery, 8}, 1, 4)
+}
+
 // The history ops. An op byte is read modulo numOps; each op takes one
 // argument byte.
 const (
@@ -306,6 +315,7 @@ const (
 	opRefuse            // a write drawn to fail (see refuse)
 	opRestart           // close and reopen the log leader, which replicates anew
 	opFailStop          // one batch that fail-stops a log shape (see failStop)
+	opRace              // writes beside readers (see race)
 	numOps
 )
 
@@ -334,6 +344,9 @@ var conformanceSeeds = [][]byte{
 	{12, 20, opDelete, 3, opDelete, 4, opBatch, 14, opFailStop, 1, opQuery, 5, opInsert, 3, opInsert, 3, opRestart, 0, opQuery, 6},
 	{9, 18, opRefuse, 4, opRefuse, 3, opQuery, 7, opFailStop, 34, opBatch, 21, opQuery, 8, opCheckpoint, 1, opRefuse, 10, opQuery, 9},
 	{14, 18, opQuery, 0, opDelete, 1, opDelete, 2, opDelete, 3, opQuery, 1, opDelete, 4, opDelete, 5, opQuery, 2, opBatch, 24, opRefuse, 135, opRefuse, 136, opRefuse, 139, opRefuse, 145, opQuery, 3},
+	// Reads beside writes, on continuous objects and on the lattice.
+	{16, 24, opRace, 23, opQuery, 4, opFailStop, 2, opRace, 9, opDelete, 5, opRace, 16},
+	{11, 20, opRace, 11, opCheckpoint, 2, opRace, 22, opRestart, 0, opRace, 5, opQuery, 6},
 }
 
 // Bounds on one history, so that a long fuzz input stays a quick one.
@@ -388,6 +401,7 @@ type checker struct {
 	next   uint64            // the next unused id
 	shapes []*shape          // the mutable shapes
 	at     string            // the step being checked, for failure messages
+	clocks []raceClock       // per mutable shape, while readers race the writes
 }
 
 // input reads the input's next byte; past its end every byte reads as 0.
@@ -564,16 +578,23 @@ func (c *checker) fresh(rng *rand.Rand, n int) []*Object {
 // write lands one committed mutation on every mutable shape but skip —
 // Insert or Delete for a single item, else ApplyBatch — and admits it to
 // the model. Each call must charge one object access per delete and none
-// per insert, and append exactly one frame on a leader, none when empty.
+// per insert (unless readers race it), and append exactly one frame on a
+// leader, none when empty.
 func (c *checker) write(ins []*Object, dels []uint64, single bool, skip *shape) {
 	c.t.Helper()
-	for _, s := range c.shapes {
+	for i, s := range c.shapes {
 		if s == skip {
 			continue
 		}
 		before := s.ix.TotalObjectAccesses()
-		c.must(apply(s.ix, ins, dels, single), s.name)
-		if got := s.ix.TotalObjectAccesses() - before; got != int64(len(dels)) {
+		if c.clocks != nil {
+			c.clocks[i].begun.Add(1)
+			c.must(apply(s.ix, ins, dels, single), s.name)
+			c.clocks[i].done.Add(1)
+		} else {
+			c.must(apply(s.ix, ins, dels, single), s.name)
+		}
+		if got := s.ix.TotalObjectAccesses() - before; c.clocks == nil && got != int64(len(dels)) {
 			c.t.Fatalf("%s: %s: %d inserts and %d deletes charged %d object accesses, want one per delete", c.at, s.name, len(ins), len(dels), got)
 		}
 		c.framed(s, len(ins)+len(dels) > 0)
@@ -711,6 +732,9 @@ func (c *checker) run() {
 			}
 		case opFailStop:
 			c.failStop(rng, arg, step)
+		case opRace:
+			c.at = fmt.Sprintf("step %d: race %d", step, arg)
+			c.race(rng, arg)
 		}
 	}
 }
@@ -999,6 +1023,152 @@ func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
 	c.shardwise(s, held, held)
 }
 
+// raceClock counts one shape's writes in a race window: those begun and
+// those done.
+type raceClock struct{ begun, done atomic.Int64 }
+
+// sighting is one read a racing reader ran: lo is the writes its shape had
+// finished when it began, hi those begun when it ended.
+type sighting struct {
+	shape  int
+	fam    string
+	lo, hi int64
+	got    string
+	err    error
+}
+
+// race lands, on every mutable shape, a batch of arg%6 fresh inserts and
+// arg/6%4 deletes, a compacting checkpoint on the log shapes and one to
+// three single inserts or deletes, while readers run every read family, a
+// self-join and a join with a static index over the query on every
+// mutable shape through the public Index — each reader at least one pass
+// over every (shape, read) pair, the writes starting once every reader
+// reads. No reopen and no re-issued id falls inside the window. Each
+// answer must be the scan of the population after some number of the
+// window's writes between the writes its shape had finished when the read
+// began and those begun when it ended.
+func (c *checker) race(rng *rand.Rand, arg byte) {
+	pops := [][]*Object{c.objects()}
+	p := c.draw(pops[0], rng)
+	pin, err := NewObject(c.next+1<<23, p.q.WeightedPoints())
+	c.must(err, "the static index's object")
+	static, err := NewIndex([]*Object{pin}, nil)
+	c.must(err, "the static index")
+	defer static.Close()
+	reads := append(slices.Clip(families), "self-join", "static-join")
+	const readers = 3
+	pass := len(c.shapes) * len(reads)
+	seen := make([][]sighting, readers)
+	c.clocks = make([]raceClock, len(c.shapes))
+	var reading, wg sync.WaitGroup
+	var written atomic.Bool
+	reading.Add(readers)
+	wg.Add(readers)
+	for g := range readers {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pass || !written.Load(); i++ {
+				j := g*pass/readers + i
+				si, fam := j%len(c.shapes), reads[j/len(c.shapes)%len(reads)]
+				ix, clk := c.shapes[si].ix, &c.clocks[si]
+				lo := clk.done.Load()
+				if i == 0 {
+					reading.Done()
+				}
+				var got string
+				var err error
+				switch fam {
+				case "self-join", "static-join":
+					left := ix
+					if fam == "static-join" {
+						left = static
+					}
+					var ps []JoinPair
+					ps, _, err = DistanceJoin(left, ix, p.alpha, p.eps)
+					got = fmt.Sprint(ps)
+				default:
+					var a answer
+					a, err = readFamily(ix, p, fam)
+					got = a.got
+				}
+				seen[g] = append(seen[g], sighting{si, fam, lo, clk.begun.Load(), got, err})
+			}
+		}()
+	}
+	// stop ends the readers, also when a write fails the test.
+	stop := func() {
+		written.Store(true)
+		wg.Wait()
+		c.clocks = nil
+	}
+	defer stop()
+	reading.Wait()
+	c.write(c.fresh(nil, int(arg%6)), c.victims(rng, int(arg/6%4)), false, nil)
+	pops = append(pops, c.objects())
+	for _, s := range c.shapes {
+		if s.log != "" {
+			_, err := s.ix.Checkpoint(true)
+			c.must(err, s.name+": a compacting checkpoint")
+		}
+	}
+	for range 1 + rng.IntN(3) {
+		if ins := c.fresh(nil, 1); len(c.live) == 0 || len(ins) > 0 && rng.IntN(2) == 0 {
+			c.write(ins, nil, true, nil)
+		} else {
+			c.write(nil, c.victims(rng, 1), true, nil)
+		}
+		pops = append(pops, c.objects())
+	}
+	stop()
+
+	// wantAt is every read's answer over the population after k writes.
+	wants := make([]map[string]string, len(pops))
+	wantAt := func(k int64) map[string]string {
+		if wants[k] == nil {
+			o, want := c.want(pops[k], p)
+			want["self-join"] = fmt.Sprint(o.join(p.eps, true))
+			var ps []JoinPair
+			for _, x := range o.toQ {
+				if x.d <= p.eps {
+					ps = append(ps, JoinPair{LeftID: pin.ID(), RightID: x.id, Dist: x.d})
+				}
+			}
+			want["static-join"] = fmt.Sprint(ps)
+			wants[k] = want
+		}
+		return wants[k]
+	}
+	n, beside := 0, 0
+	for _, ss := range seen {
+		for _, sg := range ss {
+			n++
+			if sg.lo < sg.hi {
+				beside++
+			}
+			match := false
+			var cands []string
+			for k := sg.lo; k <= sg.hi && sg.err == nil && !match; k++ {
+				match = sg.got == wantAt(k)[sg.fam]
+				cands = append(cands, fmt.Sprintf("  after %d writes: %s", k, wantAt(k)[sg.fam]))
+			}
+			if !match {
+				c.t.Fatalf("%s (%v): %s: %s, read between %d and %d writes, answers\n  %s (%v)\nno population in that window answers that:\n%s",
+					c.at, p, c.shapes[sg.shape].name, sg.fam, sg.lo, sg.hi, sg.got, sg.err, strings.Join(cands, "\n"))
+			}
+		}
+	}
+	c.t.Logf("%s: %d reads, %d of them beside a write, over %d writes", c.at, n, beside, len(pops)-1)
+}
+
+// objects lists the model's live objects in the order they were issued.
+func (c *checker) objects() []*Object {
+	objs := make([]*Object, 0, len(c.model))
+	for _, id := range c.live {
+		objs = append(objs, c.model[id])
+	}
+	return objs
+}
+
 // params are one query step's arguments.
 type params struct {
 	q             *Object
@@ -1031,6 +1201,13 @@ var (
 // expect draws one query step's parameters over objs and computes the
 // oracle's answer to every single-index read family.
 func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[string]string) {
+	p := c.draw(objs, rng)
+	o, want := c.want(objs, p)
+	return p, o, want
+}
+
+// draw draws one query step's parameters over objs.
+func (c *checker) draw(objs []*Object, rng *rand.Rand) params {
 	p := params{k: 1 + rng.IntN(6), kp: 1 + rng.IntN(8), alpha: c.level(rng), as: c.level(rng), ae: c.level(rng)}
 	if p.as > p.ae {
 		p.as, p.ae = p.ae, p.as
@@ -1040,10 +1217,10 @@ func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[s
 	} else {
 		p.q = c.blob(rng, uint64(rng.IntN(int(c.next)+1)))
 	}
-	o := newOracle(objs, p.q, p.alpha)
 	p.radius, p.eps = rng.Float64()*8, rng.Float64()*4
 	if c.lat {
 		// At attained distances, so the inclusive boundaries decide.
+		o := newOracle(objs, p.q, p.alpha)
 		if len(o.toQ) > 0 {
 			p.radius = o.toQ[rng.IntN(len(o.toQ))].d
 		}
@@ -1052,7 +1229,13 @@ func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[s
 			p.eps = o.pair[i][(i+1+rng.IntN(len(objs)-1))%len(objs)]
 		}
 	}
+	return p
+}
 
+// want is the oracle over objs and its answer to every single-index read
+// family.
+func (c *checker) want(objs []*Object, p params) (*oracle, map[string]string) {
+	o := newOracle(objs, p.q, p.alpha)
 	ref, err := NewIndex(objs, nil)
 	c.must(err, "Naive's reference index")
 	naive, _, err := ref.RKNN(p.q, p.k, p.as, p.ae, Naive)
@@ -1069,16 +1252,13 @@ func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[s
 	for _, algo := range rknnAlgos {
 		want["rknn/"+algo.String()] = showRanged(naive)
 	}
-	return p, o, want
+	return o, want
 }
 
 // query draws one step's parameters, computes the oracle's answers and
 // checks every shape and every follower against them.
 func (c *checker) query(rng *rand.Rand) {
-	objs := make([]*Object, 0, len(c.model))
-	for _, id := range c.live {
-		objs = append(objs, c.model[id])
-	}
+	objs := c.objects()
 	p, o, want := c.expect(objs, rng)
 	shapes := c.shapes
 	if len(objs) > 0 {
@@ -1202,38 +1382,14 @@ func (c *checker) read(s *shape, p params) map[string]answer {
 	ix := s.ix
 	out := make(map[string]answer)
 	before := ix.TotalObjectAccesses()
-	add := func(fam string, raw string, st Stats, err error) {
-		c.t.Helper()
+	for _, fam := range families {
+		a, err := readFamily(ix, p, fam)
 		c.must(err, s.name+": "+fam)
-		if st.Duration <= 0 {
+		if a.st.Duration <= 0 {
 			c.t.Fatalf("%s: %s: %s reports no duration", c.at, s.name, fam)
 		}
-		out[fam] = answer{got: raw, raw: raw, st: st}
+		out[fam] = a
 	}
-	for _, algo := range aknnAlgos {
-		rs, st, err := ix.AKNN(p.q, p.k, p.alpha, algo)
-		fam := "aknn/" + algo.String()
-		add(fam, fmt.Sprint(rs), st, err)
-		if algo == LBLP || algo == LBLPUB {
-			refined, rst, err := ix.Refine(p.q, p.alpha, rs)
-			c.must(err, s.name+": refine "+fam)
-			a := out[fam]
-			a.got, a.refineOA = fmt.Sprint(refined), rst.ObjectAccesses
-			out[fam] = a
-		}
-	}
-	rs, st, err := ix.LinearScanAKNN(p.q, p.k, p.alpha)
-	add("linear", fmt.Sprint(rs), st, err)
-	for _, algo := range rknnAlgos {
-		rr, st, err := ix.RKNN(p.q, p.k, p.as, p.ae, algo)
-		add("rknn/"+algo.String(), showRanged(rr), st, err)
-	}
-	rs, st, err = ix.RangeSearch(p.q, p.alpha, p.radius)
-	add("range", fmt.Sprint(rs), st, err)
-	rs, st, err = ix.ReverseKNN(p.q, p.k, p.alpha)
-	add("reverse", fmt.Sprint(rs), st, err)
-	rs, st, err = ix.ExpectedDistKNN(p.q, p.k)
-	add("eknn", fmt.Sprint(rs), st, err)
 
 	var charged int64
 	for _, a := range out {
@@ -1254,6 +1410,52 @@ func (c *checker) read(s *shape, p params) map[string]answer {
 		c.t.Fatalf("%s: %s: PageCacheStats ok = %v", c.at, s.name, ok)
 	}
 	return out
+}
+
+// families names the single-index read families as the oracle keys them.
+var families = func() []string {
+	fams := []string{"linear", "range", "reverse", "eknn"}
+	for _, algo := range aknnAlgos {
+		fams = append(fams, "aknn/"+algo.String())
+	}
+	for _, algo := range rknnAlgos {
+		fams = append(fams, "rknn/"+algo.String())
+	}
+	return fams
+}()
+
+// readFamily runs one read family on ix; a lazy AKNN answer is refined on
+// ix, at the cost refineOA.
+func readFamily(ix *Index, p params, fam string) (answer, error) {
+	var rs []Result
+	var st Stats
+	var err error
+	switch fam {
+	case "linear":
+		rs, st, err = ix.LinearScanAKNN(p.q, p.k, p.alpha)
+	case "range":
+		rs, st, err = ix.RangeSearch(p.q, p.alpha, p.radius)
+	case "reverse":
+		rs, st, err = ix.ReverseKNN(p.q, p.k, p.alpha)
+	case "eknn":
+		rs, st, err = ix.ExpectedDistKNN(p.q, p.k)
+	}
+	for _, algo := range rknnAlgos {
+		if fam == "rknn/"+algo.String() {
+			rr, st, err := ix.RKNN(p.q, p.k, p.as, p.ae, algo)
+			return answer{got: showRanged(rr), raw: showRanged(rr), st: st}, err
+		}
+	}
+	for _, algo := range aknnAlgos {
+		if fam == "aknn/"+algo.String() {
+			rs, st, err = ix.AKNN(p.q, p.k, p.alpha, algo)
+			if err == nil && (algo == LBLP || algo == LBLPUB) {
+				refined, rst, err := ix.Refine(p.q, p.alpha, rs)
+				return answer{got: fmt.Sprint(refined), raw: fmt.Sprint(rs), st: st, refineOA: rst.ObjectAccesses}, err
+			}
+		}
+	}
+	return answer{got: fmt.Sprint(rs), raw: fmt.Sprint(rs), st: st}, err
 }
 
 // logical is a read's cost with what may differ between shapes of one

@@ -1,8 +1,10 @@
 package pager
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -119,6 +121,22 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	}
 	if _, err := ReadManifest(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated manifest: %v", err)
+	}
+	// So are a padded manifest and fields that cannot describe a page
+	// file, under checksums that hold.
+	good := Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 2, Dims: 2, Height: 2, MinEntries: 2, MaxEntries: 6}
+	padded := append(encodeManifest(good)[:manifestSize-4], 0)
+	for name, buf := range map[string][]byte{
+		"padded":                  binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded)),
+		"root past the last page": encodeManifest(Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 3, Dims: 2, Height: 2, MinEntries: 2, MaxEntries: 6}),
+		"min entries above max":   encodeManifest(Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 2, Dims: 2, Height: 2, MinEntries: 7, MaxEntries: 6}),
+	} {
+		if _, err := decodeManifest(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := decodeManifest(encodeManifest(good)); err != nil {
+		t.Fatal(err)
 	}
 }
 

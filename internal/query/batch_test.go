@@ -3,8 +3,6 @@ package query
 import (
 	"errors"
 	"math/rand/v2"
-	"slices"
-	"sync"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -197,64 +195,3 @@ func TestApplyBatchReadOnly(t *testing.T) {
 
 // readOnlyStore hides a store's write side.
 type readOnlyStore struct{ store.Reader }
-
-// TestApplyBatchConcurrentQueries race-checks group commits against
-// snapshot readers on both layouts: queries running during an ApplyBatch
-// must see either the whole batch or none of it (per shard).
-func TestApplyBatchConcurrentQueries(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		rng := rand.New(rand.NewPCG(11, 11^0x5ca1ab1e))
-		s := emptySearcher(t, shards, Options{MinEntries: 2, MaxEntries: 6, Incremental: true})
-		var live []uint64
-		next := uint64(1)
-		fresh := func(n int) []*fuzzy.Object {
-			objs := makeObjectsWithBase(rng, next, n, 10, 12, 8)
-			next += uint64(n)
-			for _, o := range objs {
-				live = append(live, o.ID())
-			}
-			return objs
-		}
-		if _, err := s.ApplyBatch(fresh(80), nil); err != nil {
-			t.Fatal(err)
-		}
-		const batches = 20
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewPCG(seed, 1))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					q := makeQuery(rng, 8, 12, 8)
-					if _, _, err := s.AKNN(q, 3, 0.5, LBLPUB); err != nil {
-						t.Errorf("AKNN during batch: %v", err)
-						return
-					}
-					if _, _, err := s.RKNN(q, 2, 0.3, 0.8, RSSICR); err != nil {
-						t.Errorf("RKNN during batch: %v", err)
-						return
-					}
-				}
-			}(uint64(w + 100))
-		}
-		for b := 0; b < batches; b++ {
-			dels := slices.Clone(live[:min(4, len(live))])
-			live = live[len(dels):]
-			if _, err := s.ApplyBatch(fresh(8), dels); err != nil {
-				t.Fatalf("batch %d: %v", b, err)
-			}
-		}
-		close(stop)
-		wg.Wait()
-		if err := s.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

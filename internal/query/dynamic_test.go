@@ -3,7 +3,6 @@ package query
 import (
 	"errors"
 	"math/rand/v2"
-	"sync"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
@@ -187,82 +186,5 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestConcurrentQueriesDuringMutation runs direct index queries against a
-// churning writer; run with -race. Every query must succeed — snapshots
-// plus tombstone-retaining stores make mutation invisible to readers.
-func TestConcurrentQueriesDuringMutation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(34, 1))
-	objs := makeObjects(rng, 60, 8, 12, 8)
-	ix := buildIndex(t, objs, Options{MinEntries: 2, MaxEntries: 6})
-	q := makeQuery(rng, 8, 12, 8)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 64)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var err error
-				switch i % 3 {
-				case 0:
-					_, _, err = ix.AKNN(q, 5, 0.5, AKNNAlgorithm(i%4))
-				case 1:
-					_, _, err = ix.RKNN(q, 3, 0.3, 0.8, RKNNAlgorithm(i%4))
-				case 2:
-					_, _, err = ix.RangeSearch(q, 0.5, 6)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-
-	// Writer: 400 mutations, then stop the readers.
-	wrng := rand.New(rand.NewPCG(35, 1))
-	live := make([]uint64, 0, len(objs))
-	for _, o := range objs {
-		live = append(live, o.ID())
-	}
-	next := uint64(10_000)
-	for op := 0; op < 400; op++ {
-		if len(live) == 0 || wrng.Float64() < 0.55 {
-			o := makeObjectsWithBase(wrng, next, 1, 8, 12, 8)[0]
-			next++
-			if _, err := Insert(ix, o); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, o.ID())
-		} else {
-			i := wrng.IntN(len(live))
-			if _, err := Delete(ix, live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("query during mutation: %v", err)
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != len(live) {
-		t.Fatalf("Len = %d, live = %d", ix.Len(), len(live))
 	}
 }

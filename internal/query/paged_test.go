@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -337,6 +338,14 @@ func TestPagedCorruptionFailsLoudly(t *testing.T) {
 	}
 	if err := px.CheckInvariants(); !errors.Is(err, pager.ErrCorrupt) {
 		t.Fatalf("CheckInvariants: %v, want ErrCorrupt", err)
+	}
+	// An interior entry's child page must come after its own, so that a
+	// corrupt page cannot make a cycle.
+	payload := binary.LittleEndian.AppendUint32(make([]byte, interiorRecordSize(2)-4), 3) // one 2-D row, child page 3
+	for _, page := range []uint32{3, 4} {
+		if _, err := decodePage(nil, 2, 10, page, 0, 1, payload); !errors.Is(err, pager.ErrCorrupt) {
+			t.Errorf("page %d with child page 3: %v, want ErrCorrupt", page, err)
+		}
 	}
 }
 

@@ -2,13 +2,10 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/store"
@@ -17,8 +14,9 @@ import (
 // This file pins what the sharded coordinator adds beyond answers and
 // their cost (which FuzzConformance in the root package checks against a
 // single tree and a scan for every history): argument validation, the
-// routing hash, the shared-store build, tie order across layouts, and
-// readers that see each batch whole.
+// routing hash, the shared-store build and tie order across layouts.
+// Readers that see each batch whole are equivalence_test.go's race
+// replays.
 
 // buildShardedOver partitions objs by ShardOf and builds one Index per
 // shard, each over its own MemStore — the per-shard-store layout the
@@ -176,82 +174,6 @@ func TestBuildShardedSharedStore(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentQueriesDuringMutation exercises the coordinator
-// under live churn; run with -race. Every query must succeed against a
-// consistent per-shard snapshot.
-func TestShardedConcurrentQueriesDuringMutation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(55, 4))
-	objs := makeObjects(rng, 60, 8, 12, 8)
-	sx := buildShardedOver(t, objs, 4, Options{MinEntries: 2, MaxEntries: 6})
-	queries := make([]*fuzzy.Object, 4)
-	for i := range queries {
-		queries[i] = makeQuery(rng, 8, 12, 8)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 64)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(q *fuzzy.Object) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, _, err := sx.AKNN(q, 5, 0.5, LBLPUB); err != nil {
-					errs <- err
-					return
-				}
-				if _, _, err := sx.RKNN(q, 3, 0.3, 0.7, RSSICR); err != nil {
-					errs <- err
-					return
-				}
-				if _, _, err := sx.RangeSearch(q, 0.5, 5); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(queries[w])
-	}
-	live := append([]uint64(nil), func() []uint64 {
-		ids := make([]uint64, len(objs))
-		for i, o := range objs {
-			ids[i] = o.ID()
-		}
-		return ids
-	}()...)
-	next := uint64(100000)
-	for op := 0; op < 300; op++ {
-		if len(live) == 0 || rng.Float64() < 0.55 {
-			o := makeObjectsWithBase(rng, next, 1, 8, 12, 8)[0]
-			next++
-			if _, err := Insert(sx, o); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, o.ID())
-		} else {
-			i := rng.IntN(len(live))
-			if _, err := Delete(sx, live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := sx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTieDeterminismAcrossLayouts pins the satellite fix: equal-distance
 // ties resolve by object id, so differently built trees (bulk vs
 // incremental, different fanout) and different shard counts all emit the
@@ -312,133 +234,4 @@ func TestTieDeterminismAcrossLayouts(t *testing.T) {
 			}
 		}
 	}
-}
-
-// movingObject is the geometry a cross-shard move carries between its two
-// ids: a small blob far from makeObjects' square, so that a query with the
-// same points finds it at distance 0 and nothing else near.
-func movingObject(id uint64) *fuzzy.Object {
-	return fuzzy.MustNew(id, []fuzzy.WeightedPoint{
-		{P: []float64{100, 100}, Mu: 1},
-		{P: []float64{100.5, 100}, Mu: 0.6},
-		{P: []float64{100, 100.5}, Mu: 0.3},
-	})
-}
-
-// TestShardedBatchIsOneSnapshot moves one object between two shards, one
-// ApplyBatch per step: delete id a in shard 0 and insert the same geometry
-// as id b in shard 1, then back. Every concurrent read — a range search
-// around it, a k = 1 AKNN, an RKNN and a distance join — must see exactly
-// one copy. A shard-by-shard publish shows zero or two to about one read in
-// three; run with -race.
-func TestShardedBatchIsOneSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewPCG(19, 2))
-	sx := buildShardedOver(t, makeObjects(rng, 40, 8, 12, 8), 2, Options{})
-	a, b := uint64(1000), uint64(1001)
-	for ShardOf(a, 2) != 0 {
-		a++
-	}
-	for b = a + 1; ShardOf(b, 2) != 1; b++ {
-	}
-	if _, err := Insert(sx, movingObject(a)); err != nil {
-		t.Fatal(err)
-	}
-	q := movingObject(0)
-	probe := buildIndex(t, []*fuzzy.Object{movingObject(1)}, Options{})
-
-	// oneCopy reports what is wrong with the ids a read found near q.
-	oneCopy := func(kind string, ids []uint64, err error) string {
-		switch {
-		case err != nil:
-			return kind + ": " + err.Error()
-		case len(ids) != 1 || ids[0] != a && ids[0] != b:
-			return fmt.Sprintf("%s saw %v, want exactly one of %d and %d", kind, ids, a, b)
-		}
-		return ""
-	}
-	reads := []func() string{
-		func() string {
-			rs, _, err := sx.RangeSearch(q, 0.5, 1)
-			var ids []uint64
-			for _, r := range rs {
-				ids = append(ids, r.ID)
-			}
-			return oneCopy("range search", ids, err)
-		},
-		func() string {
-			rs, _, err := sx.AKNN(q, 1, 0.5, LB)
-			var ids []uint64
-			for _, r := range rs {
-				if r.Dist == 0 {
-					ids = append(ids, r.ID)
-				}
-			}
-			return oneCopy("AKNN", ids, err)
-		},
-		func() string {
-			rs, _, err := sx.RKNN(q, 1, 0.3, 0.8, RSSICR)
-			var ids []uint64
-			for _, r := range rs {
-				ids = append(ids, r.ID)
-			}
-			return oneCopy("RKNN", ids, err)
-		},
-		func() string {
-			ps, _, err := DistanceJoin(probe, sx, 0.5, 1)
-			var ids []uint64
-			for _, p := range ps {
-				ids = append(ids, p.RightID)
-			}
-			return oneCopy("distance join", ids, err)
-		},
-	}
-	for _, read := range reads {
-		if msg := read(); msg != "" {
-			t.Fatalf("before any move: %s", msg)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var bad []string
-	counts := make([]int, len(reads))
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				msg := reads[i%len(reads)]()
-				mu.Lock()
-				counts[i%len(reads)]++
-				if msg != "" && len(bad) < 5 {
-					bad = append(bad, msg)
-				}
-				mu.Unlock()
-			}
-		}(r)
-	}
-	from, to := a, b
-	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); from, to = to, from {
-		if _, err := sx.ApplyBatch([]*fuzzy.Object{movingObject(to)}, []uint64{from}); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	for _, msg := range bad {
-		t.Error(msg)
-	}
-	for i, n := range counts {
-		if n == 0 {
-			t.Errorf("read %d never ran", i)
-		}
-	}
-	t.Logf("reads by kind: %v", counts)
 }

@@ -372,7 +372,7 @@ func needsRebootstrap(err error) bool {
 // sequence as observed during the pass. It retries transport errors until
 // ctx expires.
 func (f *Follower) Sync(ctx context.Context) error {
-	return f.syncTo(ctx, 0)
+	return f.follow(ctx, false, 0)
 }
 
 // SyncTo is Sync but stops as soon as the applied sequence reaches seq,
@@ -382,39 +382,63 @@ func (f *Follower) SyncTo(ctx context.Context, seq uint64) error {
 	if seq == 0 {
 		return errors.New("replica: SyncTo requires seq >= 1")
 	}
-	return f.syncTo(ctx, seq)
+	return f.follow(ctx, false, seq)
 }
 
-func (f *Follower) syncTo(ctx context.Context, upTo uint64) error {
+// Run drives the follower until ctx ends: bootstrap (with retry), then
+// long-poll tail, re-bootstrapping on truncation/divergence and backing
+// off on transport errors. Always returns ctx.Err().
+func (f *Follower) Run(ctx context.Context) error {
+	return f.follow(ctx, true, 0)
+}
+
+// follow is the one bootstrap, poll and backoff loop. Run (run) long-polls
+// until ctx ends and then answers ctx.Err(); a sync polls without waiting,
+// stops once the applied sequence reaches upTo (0: the leader's sequence
+// seen in the pass) and answers the error of a request cut short by ctx.
+func (f *Follower) follow(ctx context.Context, run bool, upTo uint64) error {
 	backoff := newJitterBackoff(f.opts.MinBackoff, f.opts.MaxBackoff, f.opts.BackoffSeed)
+	var wait time.Duration
+	if run {
+		wait = f.opts.PollWait
+	}
+	// retry counts a failed request and sleeps before the next one; it
+	// reports the error that ends the loop, if ctx has ended.
+	retry := func(what string, err error) error {
+		if ctx.Err() != nil {
+			if run {
+				return ctx.Err()
+			}
+			return err
+		}
+		f.reconnects.Add(1)
+		f.logf("replica: %s %s failed: %v (retrying)", what, f.leader, err)
+		if !sleepCtx(ctx, backoff.next()) {
+			return ctx.Err()
+		}
+		return nil
+	}
+	reached := func() bool { return upTo != 0 && f.applied.Load() >= upTo }
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if f.needsBootstrap() {
 			if err := f.bootstrap(ctx); err != nil {
-				if ctx.Err() != nil {
+				if err := retry("bootstrap from", err); err != nil {
 					return err
-				}
-				f.reconnects.Add(1)
-				f.logf("replica: bootstrap from %s failed: %v (retrying)", f.leader, err)
-				if !sleepCtx(ctx, backoff.next()) {
-					return ctx.Err()
 				}
 				continue
 			}
 			backoff.reset()
 		}
-		if upTo != 0 && f.applied.Load() >= upTo {
+		if reached() {
 			return nil
 		}
-		n, err := f.pollOnce(ctx, 0, upTo)
+		n, err := f.pollOnce(ctx, wait, upTo)
 		switch {
 		case err == nil:
-			if upTo != 0 && f.applied.Load() >= upTo {
-				return nil
-			}
-			if n == 0 && f.applied.Load() >= f.leaderSeq.Load() {
+			if !run && (reached() || n == 0 && f.applied.Load() >= f.leaderSeq.Load()) {
 				return nil // converged
 			}
 			backoff.reset()
@@ -422,56 +446,8 @@ func (f *Follower) syncTo(ctx context.Context, upTo uint64) error {
 			f.logf("replica: %v; re-bootstrapping", err)
 			f.markUnbootstrapped()
 		default:
-			if ctx.Err() != nil {
+			if err := retry("poll", err); err != nil {
 				return err
-			}
-			f.reconnects.Add(1)
-			f.logf("replica: poll %s failed: %v (retrying)", f.leader, err)
-			if !sleepCtx(ctx, backoff.next()) {
-				return ctx.Err()
-			}
-		}
-	}
-}
-
-// Run drives the follower until ctx ends: bootstrap (with retry), then
-// long-poll tail, re-bootstrapping on truncation/divergence and backing
-// off on transport errors. Always returns ctx.Err().
-func (f *Follower) Run(ctx context.Context) error {
-	backoff := newJitterBackoff(f.opts.MinBackoff, f.opts.MaxBackoff, f.opts.BackoffSeed)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if f.needsBootstrap() {
-			if err := f.bootstrap(ctx); err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				f.reconnects.Add(1)
-				f.logf("replica: bootstrap from %s failed: %v (retrying)", f.leader, err)
-				if !sleepCtx(ctx, backoff.next()) {
-					return ctx.Err()
-				}
-				continue
-			}
-			backoff.reset()
-		}
-		_, err := f.pollOnce(ctx, f.opts.PollWait, 0)
-		switch {
-		case err == nil:
-			backoff.reset()
-		case needsRebootstrap(err):
-			f.logf("replica: %v; re-bootstrapping", err)
-			f.markUnbootstrapped()
-		default:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			f.reconnects.Add(1)
-			f.logf("replica: poll %s failed: %v (retrying)", f.leader, err)
-			if !sleepCtx(ctx, backoff.next()) {
-				return ctx.Err()
 			}
 		}
 	}

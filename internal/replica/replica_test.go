@@ -2,8 +2,10 @@ package replica
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -100,6 +102,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("object %d CRC mismatch", i)
 		}
 	}
+	// A byte past the objects is refused, even under a checksum that holds.
+	padded := append(enc[:len(enc)-crcSize:len(enc)-crcSize], 0)
+	if _, err := DecodeSnapshot(binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt for a trailing byte, got %v", err)
+	}
 	enc[len(enc)-7] ^= 1
 	if _, err := DecodeSnapshot(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt after bitflip, got %v", err)
@@ -120,6 +127,9 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := DecodeStream([]byte("not a stream at all")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+	if _, _, _, err := DecodeStream(append(EncodeStream(9, 5, frames), 0)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt for a trailing byte, got %v", err)
 	}
 }
 

@@ -6,6 +6,10 @@
 # no longer occurs exactly once. Runnable from the repo root:
 #
 #   scripts/mutation_census.sh [TREE [MATRIX]]
+#   scripts/mutation_census.sh --anchors [TREE]
+#
+# --anchors only checks that every anchor occurs exactly once in TREE's
+# file and runs no tests: a refactor that orphans a mutant fails at once.
 #
 # TREE (default: this checkout) is the git checkout to mutate: its tracked
 # and untracked, unignored files are copied. The catalogue is always this
@@ -17,9 +21,65 @@
 # (9–30 s on two cores; a few minutes when the mutant makes tests block).
 set -euo pipefail
 here="$(cd "$(dirname "$0")/.." && pwd)"
+anchors_only=false
+if [ "${1:-}" = --anchors ]; then
+  anchors_only=true
+  shift
+fi
 tree="$(cd "${1:-$here}" && pwd)"
 matrix="${2:-/dev/null}"
 catalogue="$here/scripts/mutants.txt"
+
+# mutate replaces the anchor (\n and \t unescaped) in file, or, with
+# --dry-run, only checks that it occurs exactly once.
+mutate() {
+  python3 - "$@" <<'PY'
+import sys
+args = sys.argv[1:]
+dry = args[0] == "--dry-run"
+path, anchor, replace = args[dry:]
+unescape = lambda s: s.replace("\\n", "\n").replace("\\t", "\t")
+anchor, replace = unescape(anchor), unescape(replace)
+try:
+    src = open(path).read()
+except OSError as e:
+    sys.exit(str(e))
+if src.count(anchor) != 1:
+    sys.exit(f"anchor occurs {src.count(anchor)} times")
+if not dry:
+    open(path, "w").write(src.replace(anchor, replace))
+PY
+}
+
+# each calls the function named by $1 with every catalogue entry's id,
+# file, anchor, replacement and expected verdict.
+each() {
+  local id='' file='' anchor='' replace='' line
+  while IFS= read -r line; do
+    case "$line" in
+      'id: '*) id="${line#id: }" ;;
+      'file: '*) file="${line#file: }" ;;
+      'anchor: '*) anchor="${line#anchor: }" ;;
+      'replace: '*) replace="${line#replace: }" ;;
+      'expect: '*) "$1" "$id" "$file" "$anchor" "$replace" "${line#expect: }" ;;
+    esac
+  done < "$catalogue"
+}
+
+if $anchors_only; then
+  orphans=0 entries=0
+  anchored() {
+    entries=$((entries + 1))
+    if ! mutate --dry-run "$tree/$2" "$3" "$4"; then
+      echo "FAIL $1: the anchor in $2 no longer matches exactly once" >&2
+      orphans=$((orphans + 1))
+    fi
+  }
+  each anchored
+  echo "anchors: $entries mutants, $orphans orphaned"
+  [ "$orphans" -eq 0 ]
+  exit
+fi
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -60,16 +120,7 @@ check() {
   local id="$1" file="$2" anchor="$3" replace="$4" expect="$5"
   mutants=$((mutants + 1))
   cp "$work/$file" "$work/.orig"
-  if ! python3 - "$work/$file" "$anchor" "$replace" <<'PY'; then
-import sys
-path, anchor, replace = sys.argv[1:]
-unescape = lambda s: s.replace("\\n", "\n").replace("\\t", "\t")
-anchor, replace = unescape(anchor), unescape(replace)
-src = open(path).read()
-if src.count(anchor) != 1:
-    sys.exit(f"anchor occurs {src.count(anchor)} times")
-open(path, "w").write(src.replace(anchor, replace))
-PY
+  if ! mutate "$work/$file" "$anchor" "$replace"; then
     echo "FAIL $id: the anchor in $file no longer matches exactly once" >&2
     failures=$((failures + 1))
     return
@@ -101,16 +152,7 @@ PY
   esac
 }
 
-id='' file='' anchor='' replace=''
-while IFS= read -r line; do
-  case "$line" in
-    'id: '*) id="${line#id: }" ;;
-    'file: '*) file="${line#file: }" ;;
-    'anchor: '*) anchor="${line#anchor: }" ;;
-    'replace: '*) replace="${line#replace: }" ;;
-    'expect: '*) check "$id" "$file" "$anchor" "$replace" "${line#expect: }" ;;
-  esac
-done < "$catalogue"
+each check
 
 echo "census: $mutants mutants, $killed killed, $((mutants - killed)) survived, $failures verdicts against the catalogue"
 [ "$failures" -eq 0 ]
