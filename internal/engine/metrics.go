@@ -126,6 +126,12 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.CounterFunc("fuzzyknn_engine_object_accesses_total",
 		"Store object probes summed across every executed request.",
 		sample(func(t Totals) int64 { return int64(t.Stats.ObjectAccesses) }))
+	reg.CounterFunc("fuzzyknn_engine_lazy_deferred_total",
+		"Leaf entries the lazy AKNN variants deferred into their probe buffer, summed across every executed request.",
+		sample(func(t Totals) int64 { return int64(t.Stats.LazyDeferred) }))
+	reg.CounterFunc("fuzzyknn_engine_lazy_admitted_total",
+		"AKNN results the lazy variants admitted unprobed on their upper bound, summed across every executed request.",
+		sample(func(t Totals) int64 { return int64(t.Stats.LazyAdmitted) }))
 	reg.CounterFunc("fuzzyknn_engine_node_accesses_total",
 		"R-tree node visits summed across every executed request.",
 		sample(func(t Totals) int64 { return int64(t.Stats.NodeAccesses) }))

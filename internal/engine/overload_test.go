@@ -332,7 +332,9 @@ func TestEngineDeadlineEndsTheWait(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	resps := eng.DoBatch(ctx, []Request{{Kind: AKNN, K: 1, Alpha: 0.5}})
-	within("the queued AKNN", time.Since(start), 300*time.Millisecond, 50*time.Millisecond)
+	// The same slack as the running RKNN's: beside the other packages'
+	// tests on two cores, 50 ms was overrun now and then.
+	within("the queued AKNN", time.Since(start), 300*time.Millisecond, 150*time.Millisecond)
 	if !errors.Is(resps[0].Err, context.DeadlineExceeded) || resps[0].Results != nil {
 		t.Fatalf("queued AKNN answered %+v, want DeadlineExceeded", resps[0])
 	}

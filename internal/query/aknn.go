@@ -279,6 +279,18 @@ func (r *aknnRun) enforceInvariant() error {
 // The lazy-probe buffer G maintains the invariant |G| ≤ k − |results| after
 // every step, so every buffered entry is guaranteed a slot in the top-k
 // once all other candidates are exhausted.
+//
+// Membership, not order, is what lets §3.3 defer a probe. When an exact
+// object pops from H, everything still in H (or below it) ranks after it
+// by (distance, id), so the only objects that can rank before it are the
+// results already emitted and the entries buffered in G. While
+// |R| + |G| < k that is fewer than k objects, and the popped object belongs
+// to the top k whatever the buffered entries turn out to be. G's minimum
+// is therefore probed before H is popped only when G already fills the
+// remaining k − |R| slots (the popped object could then be pushed out), or
+// when its lower bound ties H's top key. The tie case lets equal keys
+// resolve through the heap's (key, kind, id) order, as in the eager
+// variants; membership alone does not need it.
 func (r *aknnRun) run() error {
 	h := &r.sc.pq
 	for r.emitted() < r.k && (h.Len() > 0 || len(r.buffer) > 0) {
@@ -299,6 +311,7 @@ func (r *aknnRun) run() error {
 						ID: g.id, Dist: g.lower, Exact: false, Lower: g.lower, Upper: g.upper,
 					})
 					r.buffer = append(r.buffer[:i], r.buffer[i+1:]...)
+					r.st.LazyAdmitted++
 					progressed = true
 				} else {
 					i++
@@ -315,20 +328,14 @@ func (r *aknnRun) run() error {
 				}
 				continue
 			}
-			// If the buffer's best lower bound precedes — or ties — the best
-			// of H, it must be resolved before any exact object in H may be
-			// emitted. The tie case matters for determinism: the buffered
-			// entry could hide an equal-distance object with a smaller id,
-			// which must then win the (distance, id) ranking through the
-			// heap's id tiebreak rather than lose to pop order.
-			if j := r.bufferMin(); r.buffer[j].lower <= hKey {
-				g := r.buffer[j]
-				r.buffer = append(r.buffer[:j], r.buffer[j+1:]...)
-				d, err := r.probe(g.id, g.tree)
-				if err != nil {
+			// Probe the buffer's best entry ahead of H's top only when it
+			// ties that top, or precedes it with G already filling every
+			// remaining slot; otherwise it stays deferred.
+			if lo := r.buffer[r.bufferMin()].lower; lo == hKey ||
+				(lo < hKey && len(r.buffer) >= r.k-r.emitted()) {
+				if err := r.probeBufferMin(); err != nil {
 					return err
 				}
-				h.Push(pqItem{key: d, kind: kindObject, id: g.id, dist: d})
 				continue
 			}
 		}
@@ -338,8 +345,9 @@ func (r *aknnRun) run() error {
 		e := h.Pop()
 		switch e.kind {
 		case kindObject:
-			// Exact distance ≤ every remaining lower bound in H and in the
-			// buffer: this is the next true nearest neighbor.
+			// Exact distance ≤ every remaining lower bound in H, and at
+			// most |R| + |G| < k objects can rank before it: it belongs to
+			// the top k, though a buffered entry may still turn out closer.
 			r.results = append(r.results, exactResult(e.id, e.dist))
 			if err := r.enforceInvariant(); err != nil {
 				return err
@@ -359,9 +367,11 @@ func (r *aknnRun) run() error {
 				continue
 			}
 			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.node, e.ent), id: e.id, tree: e.tree})
+			r.st.LazyDeferred++
 			if err := r.enforceInvariant(); err != nil {
 				return err
 			}
+			r.st.LazyBufferPeak = max(r.st.LazyBufferPeak, len(r.buffer))
 		}
 	}
 	// Results were appended in best-first emission order, which already

@@ -18,12 +18,14 @@ type flakyStore struct {
 	failID    uint64
 	failAfter int          // fail every Get once the countdown reaches zero; -1 = off
 	calls     atomic.Int64 // Build probes from GOMAXPROCS workers
+	lastID    atomic.Uint64
 }
 
 var errInjected = errors.New("injected storage failure")
 
 func (f *flakyStore) Get(id uint64) (*fuzzy.Object, error) {
 	calls := int(f.calls.Add(1))
+	f.lastID.Store(id)
 	if f.failID != 0 && id == f.failID {
 		return nil, fmt.Errorf("%w: id %d", errInjected, id)
 	}
@@ -60,19 +62,34 @@ func TestBuildPropagatesStoreErrors(t *testing.T) {
 	}
 }
 
+// TestAKNNPropagatesProbeErrors fails, for each variant, the last object a
+// clean run of the same query reads. The search is deterministic, so the
+// failing run reaches that read, and its error must come back to the
+// caller. k = 10 of 30 leaves room in the lazy buffer G: a lazy variant
+// defers every leaf entry into G and probes only entries it takes back out,
+// so its last read is a deferred entry's probe — the path §3.3 delays.
 func TestAKNNPropagatesProbeErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	objs := makeObjects(rng, 30, 10, 6, 8) // dense: everything is a candidate
 	ix, fs := buildFlaky(t, objs)
 	q := makeQuery(rng, 10, 6, 8)
-	// Fail a specific object that a full-k query must probe.
-	fs.failID = objs[0].ID()
-	fs.calls.Store(0)
+	const k = 10
 	for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-		if _, _, err := ix.AKNN(q, 30, 0.5, algo); !errors.Is(err, errInjected) {
-			t.Fatalf("%v: err = %v, want injected failure", algo, err)
+		fs.failID = 0
+		fs.lastID.Store(0)
+		_, st, err := ix.AKNN(q, k, 0.5, algo)
+		if err != nil || st.ObjectAccesses == 0 {
+			t.Fatalf("%v: clean run read %d objects, err = %v", algo, st.ObjectAccesses, err)
+		}
+		if lazy := algo == LBLP || algo == LBLPUB; lazy && st.LazyBufferPeak < 2 {
+			t.Fatalf("%v: G held at most %d entries; the query defers nothing", algo, st.LazyBufferPeak)
+		}
+		fs.failID = fs.lastID.Load()
+		if _, _, err := ix.AKNN(q, k, 0.5, algo); !errors.Is(err, errInjected) {
+			t.Fatalf("%v: err = %v, want injected failure on object %d", algo, err, fs.failID)
 		}
 	}
+	fs.failID = objs[0].ID()
 	if _, _, err := ix.LinearScanAKNN(q, 5, 0.5); !errors.Is(err, errInjected) {
 		t.Fatalf("linear scan err = %v", err)
 	}

@@ -104,6 +104,12 @@ func (a RKNNAlgorithm) String() string {
 // node is one PageRead, a visit served by the block cache is one
 // PageCacheHit. Cache activity never inflates ObjectAccesses — that remains
 // purely the paper's store-probe metric.
+//
+// The Lazy counters show the lazy-probe variants' work on a single tree:
+// leaf entries deferred into the §3.3 buffer G, results admitted unprobed
+// on their upper bound (§3.3, sharpened by §3.4's sample for LB-LP-UB), and
+// G's high-water mark between steps (at most k). Add sums the first two and
+// keeps the larger peak.
 type Stats struct {
 	ObjectAccesses int           // store probes — the paper's primary metric
 	NodeAccesses   int           // R-tree nodes visited
@@ -115,6 +121,9 @@ type Stats struct {
 	Pieces         int           // RKNN refinement iterations (plateaus)
 	PageReads      int           // index pages fetched from disk (block-cache misses)
 	PageCacheHits  int           // index page visits served by the block cache
+	LazyDeferred   int           // leaf entries that entered the §3.3 buffer G
+	LazyAdmitted   int           // results emitted unprobed on their upper bound
+	LazyBufferPeak int           // G's high-water mark
 	Duration       time.Duration // wall time of the public call
 }
 
@@ -138,6 +147,9 @@ func (s *Stats) Add(o Stats) {
 	s.Pieces += o.Pieces
 	s.PageReads += o.PageReads
 	s.PageCacheHits += o.PageCacheHits
+	s.LazyDeferred += o.LazyDeferred
+	s.LazyAdmitted += o.LazyAdmitted
+	s.LazyBufferPeak = max(s.LazyBufferPeak, o.LazyBufferPeak)
 	s.Duration += o.Duration
 }
 

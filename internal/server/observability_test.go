@@ -83,6 +83,8 @@ func TestServeMetricsExposition(t *testing.T) {
 		"fuzzyknn_engine_overloaded_total 0",
 		"fuzzyknn_engine_checkpoints_total 0",
 		"fuzzyknn_engine_object_accesses_total",
+		"fuzzyknn_engine_lazy_deferred_total",
+		"fuzzyknn_engine_lazy_admitted_total",
 		"fuzzyknn_http_panics_total 0",
 		"fuzzyknn_index_objects 6",
 		`fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1`,

@@ -465,6 +465,9 @@ type StatsJSON struct {
 	DistanceEvals  int    `json:"distance_evals"`
 	PageReads      int    `json:"page_reads,omitempty"`
 	PageCacheHits  int    `json:"page_cache_hits,omitempty"`
+	LazyDeferred   int    `json:"lazy_deferred,omitempty"`
+	LazyAdmitted   int    `json:"lazy_admitted,omitempty"`
+	LazyBufferPeak int    `json:"lazy_buffer_peak,omitempty"`
 	DurationNs     int64  `json:"duration_ns"`
 	Duration       string `json:"duration"`
 }
@@ -1079,6 +1082,9 @@ func toStats(st fuzzyknn.Stats) StatsJSON {
 		DistanceEvals:  st.DistanceEvals,
 		PageReads:      st.PageReads,
 		PageCacheHits:  st.PageCacheHits,
+		LazyDeferred:   st.LazyDeferred,
+		LazyAdmitted:   st.LazyAdmitted,
+		LazyBufferPeak: st.LazyBufferPeak,
 		DurationNs:     st.Duration.Nanoseconds(),
 		Duration:       st.Duration.String(),
 	}

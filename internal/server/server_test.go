@@ -134,32 +134,57 @@ func TestServeAKNNByStoredID(t *testing.T) {
 	}
 }
 
-// TestServeRKNN drives /rknn and compares qualifying ranges with the
-// library.
+// TestServeRKNN drives /rknn and holds every served interval, ends and
+// their openness, to the library's Qualifying.Intervals(). The second query
+// reaches object 5 only through a point of membership 0.5, so object 1 is
+// the nearest neighbour from just above α = 0.5 on, and its interval is
+// open at one end only: a reply that swapped lo_open and hi_open would show.
 func TestServeRKNN(t *testing.T) {
 	ts, ix, _ := newTestServer(t)
-	var got RKNNResponse
-	status := postJSON(t, ts.URL+"/rknn", RKNNRequest{
-		Query: queryJSON(t), K: 2, AlphaStart: 0.3, AlphaEnd: 1.0, Algo: "rss-icr",
-	}, &got)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
-	}
-	want, _, err := ix.RKNN(blob(t, 100, 0, 0), 2, 0.3, 1.0, fuzzyknn.RSSICR)
+	twoPoint := []fuzzyknn.WeightedPoint{{P: fuzzyknn.Point{0, 0}, Mu: 1}, {P: fuzzyknn.Point{-2.5, 1}, Mu: 0.5}}
+	q, err := fuzzyknn.NewObject(100, twoPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Results) != len(want) {
-		t.Fatalf("%d results, want %d", len(got.Results), len(want))
+	qj := &ObjectJSON{ID: 100}
+	for _, wp := range twoPoint {
+		qj.Points = append(qj.Points, PointJSON{P: wp.P, Mu: wp.Mu})
 	}
-	for i, r := range got.Results {
-		if r.ID != want[i].ID || r.Text != want[i].Qualifying.String() {
-			t.Fatalf("result %d: %+v, want %v on %v", i, r, want[i].ID, want[i].Qualifying)
+	oneOpenEnd := false
+	for _, c := range []struct {
+		q  *fuzzyknn.Object
+		qj *ObjectJSON
+		k  int
+	}{{blob(t, 100, 0, 0), queryJSON(t), 2}, {q, qj, 1}} {
+		var got RKNNResponse
+		status := postJSON(t, ts.URL+"/rknn", RKNNRequest{
+			Query: c.qj, K: c.k, AlphaStart: 0.3, AlphaEnd: 1.0, Algo: "rss-icr",
+		}, &got)
+		if status != http.StatusOK {
+			t.Fatalf("status = %d", status)
 		}
-		if len(r.Qualifying) != len(want[i].Qualifying.Intervals()) {
-			t.Fatalf("result %d: %d intervals, want %d",
-				i, len(r.Qualifying), len(want[i].Qualifying.Intervals()))
+		want, _, err := ix.RKNN(c.q, c.k, 0.3, 1.0, fuzzyknn.RSSICR)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(got.Results) != len(want) {
+			t.Fatalf("%d results, want %d", len(got.Results), len(want))
+		}
+		for i, r := range got.Results {
+			ivs := want[i].Qualifying.Intervals()
+			if r.ID != want[i].ID || r.Text != want[i].Qualifying.String() || len(r.Qualifying) != len(ivs) {
+				t.Fatalf("result %d: %+v, want %v on %v", i, r, want[i].ID, want[i].Qualifying)
+			}
+			for j, iv := range ivs {
+				if w := (IntervalJSON{Lo: iv.Lo, Hi: iv.Hi, LoOpen: iv.LoOpen, HiOpen: iv.HiOpen}); r.Qualifying[j] != w {
+					t.Errorf("object %d interval %d: served %+v, library %+v", r.ID, j, r.Qualifying[j], w)
+				}
+				oneOpenEnd = oneOpenEnd || iv.LoOpen != iv.HiOpen
+			}
+		}
+	}
+	if !oneOpenEnd {
+		t.Fatal("no interval is open at exactly one end")
 	}
 }
 

@@ -11,7 +11,9 @@
 # then one line {"server_side": {...}}: per endpoint the handler's mean and
 # count from fuzzyknn_http_request_duration_seconds{endpoint} (POST
 # /objects:batch is the set-up's own figure), and per engine kind the mean
-# queue and service time. Means are histogram sum ÷ count over the last
+# queue and service time, and the AKNN requests with the lazy variants'
+# leaf entries deferred and results admitted unprobed (the exact:false
+# ones). Means are histogram sum ÷ count over the last
 # scrape of every server process the run started (a restarted workload has
 # two; a scrape is at most a second old, so the figures are approximate).
 # --profile FILE also saves a 12 s CPU profile of the first server process
@@ -61,6 +63,9 @@ cat "$work"/scrape.* | awk '
 			order[++n] = metric SUBSEP label
 		}
 	}
+	/^fuzzyknn_requests_total[{]kind="aknn"[}] / { aknn += $NF }
+	/^fuzzyknn_engine_lazy_deferred_total / { deferred += $NF }
+	/^fuzzyknn_engine_lazy_admitted_total / { admitted += $NF }
 	function block(metric, name, withCount,   i, k, m, sep, out) {
 		out = "\"" name "\": {"
 		for (i = 1; i <= n; i++) {
@@ -74,8 +79,9 @@ cat "$work"/scrape.* | awk '
 		return out "}"
 	}
 	END {
-		printf "{\"server_side\": {%s, %s, %s}}\n",
+		printf "{\"server_side\": {%s, %s, %s, \"aknn_lazy\": {\"requests\": %d, \"deferred\": %d, \"admitted\": %d}}}\n",
 			block("fuzzyknn_http_request_duration_seconds", "handler", 1),
 			block("fuzzyknn_request_queue_seconds", "engine_queue_mean_ms", 0),
-			block("fuzzyknn_request_service_seconds", "engine_service_mean_ms", 0)
+			block("fuzzyknn_request_service_seconds", "engine_service_mean_ms", 0),
+			aknn, deferred, admitted
 	}'

@@ -44,6 +44,12 @@ grep -q 'fuzzyknn_http_requests_total{code="200",endpoint="POST /aknn"} 1' "$WOR
 # default), so the points they swept are counted.
 grep -qE '^fuzzyknn_engine_profile_points_total [1-9][0-9]*$' "$WORK/metrics.txt" ||
   { echo 'fuzzyknn_engine_profile_points_total missing or zero' >&2; exit 1; }
+# The /aknn call above ran the default lb-lp-ub on one tree, which defers
+# leaf entries into its §3.3 buffer; its admissions are exported, zero or not.
+grep -qE '^fuzzyknn_engine_lazy_deferred_total [1-9][0-9]*$' "$WORK/metrics.txt" ||
+  { echo 'fuzzyknn_engine_lazy_deferred_total missing or zero' >&2; exit 1; }
+grep -qE '^fuzzyknn_engine_lazy_admitted_total [0-9]+$' "$WORK/metrics.txt" ||
+  { echo 'fuzzyknn_engine_lazy_admitted_total missing' >&2; exit 1; }
 # The runtime memory gauges: present and non-zero (booting the demo index
 # runs the collector, so the live heap is known by the first scrape).
 for g in fuzzyknn_go_heap_live_bytes fuzzyknn_go_heap_goal_bytes fuzzyknn_go_memory_bytes; do
