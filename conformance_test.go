@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +20,7 @@ import (
 	// lives outside the package and names the package's identifiers bare.
 	. "fuzzyknn"
 	"fuzzyknn/internal/fault"
+	"fuzzyknn/internal/oracle"
 	"fuzzyknn/internal/pager"
 	"fuzzyknn/internal/query"
 	"fuzzyknn/internal/server"
@@ -401,7 +401,7 @@ type checker struct {
 	next   uint64            // the next unused id
 	shapes []*shape          // the mutable shapes
 	at     string            // the step being checked, for failure messages
-	clocks []raceClock       // per mutable shape, while readers race the writes
+	window *oracle.Window    // over the mutable shapes, while readers race the writes
 }
 
 // input reads the input's next byte; past its end every byte reads as 0.
@@ -587,14 +587,8 @@ func (c *checker) write(ins []*Object, dels []uint64, single bool, skip *shape) 
 			continue
 		}
 		before := s.ix.TotalObjectAccesses()
-		if c.clocks != nil {
-			c.clocks[i].begun.Add(1)
-			c.must(apply(s.ix, ins, dels, single), s.name)
-			c.clocks[i].done.Add(1)
-		} else {
-			c.must(apply(s.ix, ins, dels, single), s.name)
-		}
-		if got := s.ix.TotalObjectAccesses() - before; c.clocks == nil && got != int64(len(dels)) {
+		c.must(c.window.Commit(i, 1, func() error { return apply(s.ix, ins, dels, single) }), s.name)
+		if got := s.ix.TotalObjectAccesses() - before; c.window == nil && got != int64(len(dels)) {
 			c.t.Fatalf("%s: %s: %d inserts and %d deletes charged %d object accesses, want one per delete", c.at, s.name, len(ins), len(dels), got)
 		}
 		c.framed(s, len(ins)+len(dels) > 0)
@@ -1023,20 +1017,6 @@ func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
 	c.shardwise(s, held, held)
 }
 
-// raceClock counts one shape's writes in a race window: those begun and
-// those done.
-type raceClock struct{ begun, done atomic.Int64 }
-
-// sighting is one read a racing reader ran: lo is the writes its shape had
-// finished when it began, hi those begun when it ended.
-type sighting struct {
-	shape  int
-	fam    string
-	lo, hi int64
-	got    string
-	err    error
-}
-
 // race lands, on every mutable shape, a batch of arg%6 fresh inserts and
 // arg/6%4 deletes, a compacting checkpoint on the log shapes and one to
 // three single inserts or deletes, while readers run every read family, a
@@ -1044,11 +1024,12 @@ type sighting struct {
 // mutable shape through the public Index — each reader at least one pass
 // over every (shape, read) pair, the writes starting once every reader
 // reads. No reopen and no re-issued id falls inside the window. Each
-// answer must be the scan of the population after some number of the
-// window's writes between the writes its shape had finished when the read
-// began and those begun when it ended.
+// answer must be the reference over the population after some number of
+// the window's writes between the writes its shape had finished when the
+// read began and those begun when it ended (oracle.Window).
 func (c *checker) race(rng *rand.Rand, arg byte) {
-	pops := [][]*Object{c.objects()}
+	memo := oracle.Memo{}
+	pops := []*oracle.Population{oracle.New(c.objects(), memo)}
 	p := c.draw(pops[0], rng)
 	pin, err := NewObject(c.next+1<<23, p.q.WeightedPoints())
 	c.must(err, "the static index's object")
@@ -1056,108 +1037,61 @@ func (c *checker) race(rng *rand.Rand, arg byte) {
 	c.must(err, "the static index")
 	defer static.Close()
 	reads := append(slices.Clip(families), "self-join", "static-join")
-	const readers = 3
-	pass := len(c.shapes) * len(reads)
-	seen := make([][]sighting, readers)
-	c.clocks = make([]raceClock, len(c.shapes))
-	var reading, wg sync.WaitGroup
-	var written atomic.Bool
-	reading.Add(readers)
-	wg.Add(readers)
-	for g := range readers {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < pass || !written.Load(); i++ {
-				j := g*pass/readers + i
-				si, fam := j%len(c.shapes), reads[j/len(c.shapes)%len(reads)]
-				ix, clk := c.shapes[si].ix, &c.clocks[si]
-				lo := clk.done.Load()
-				if i == 0 {
-					reading.Done()
-				}
-				var got string
-				var err error
-				switch fam {
-				case "self-join", "static-join":
-					left := ix
-					if fam == "static-join" {
-						left = static
-					}
-					var ps []JoinPair
-					ps, _, err = DistanceJoin(left, ix, p.alpha, p.eps)
-					got = fmt.Sprint(ps)
-				default:
-					var a answer
-					a, err = readFamily(ix, p, fam)
-					got = a.got
-				}
-				seen[g] = append(seen[g], sighting{si, fam, lo, clk.begun.Load(), got, err})
-			}
-		}()
-	}
-	// stop ends the readers, also when a write fails the test.
-	stop := func() {
-		written.Store(true)
-		wg.Wait()
-		c.clocks = nil
-	}
-	defer stop()
-	reading.Wait()
-	c.write(c.fresh(nil, int(arg%6)), c.victims(rng, int(arg/6%4)), false, nil)
-	pops = append(pops, c.objects())
+	var names []string
 	for _, s := range c.shapes {
-		if s.log != "" {
-			_, err := s.ix.Checkpoint(true)
-			c.must(err, s.name+": a compacting checkpoint")
-		}
+		names = append(names, s.name)
 	}
-	for range 1 + rng.IntN(3) {
-		if ins := c.fresh(nil, 1); len(c.live) == 0 || len(ins) > 0 && rng.IntN(2) == 0 {
-			c.write(ins, nil, true, nil)
-		} else {
-			c.write(nil, c.victims(rng, 1), true, nil)
-		}
-		pops = append(pops, c.objects())
+	var rs []oracle.Read
+	for _, fam := range reads {
+		rs = append(rs, oracle.Read{Name: fam})
 	}
-	stop()
-
-	// wantAt is every read's answer over the population after k writes.
-	wants := make([]map[string]string, len(pops))
-	wantAt := func(k int64) map[string]string {
+	// wants[k] is every read's answer over the population after k writes.
+	wants := map[int]map[string]string{}
+	c.window = oracle.NewWindow(names, rs, func(read, k int) string {
 		if wants[k] == nil {
-			o, want := c.want(pops[k], p)
-			want["self-join"] = fmt.Sprint(o.join(p.eps, true))
-			var ps []JoinPair
-			for _, x := range o.toQ {
-				if x.d <= p.eps {
-					ps = append(ps, JoinPair{LeftID: pin.ID(), RightID: x.id, Dist: x.d})
-				}
-			}
-			want["static-join"] = fmt.Sprint(ps)
-			wants[k] = want
+			wants[k] = c.want(pops[k], p)
+			wants[k]["self-join"] = fmt.Sprint(oracle.Within(pops[k].Pairs(p.alpha, true), p.eps))
+			wants[k]["static-join"] = fmt.Sprint(oracle.Within(pops[k].Join([]*Object{pin}, p.alpha), p.eps))
 		}
-		return wants[k]
-	}
-	n, beside := 0, 0
-	for _, ss := range seen {
-		for _, sg := range ss {
-			n++
-			if sg.lo < sg.hi {
-				beside++
+		return wants[k][reads[read]]
+	})
+	defer func() { c.window = nil }()
+	log, err := c.window.Race(3, func(si, ri int) (string, error) {
+		ix := c.shapes[si].ix
+		switch fam := reads[ri]; fam {
+		case "self-join", "static-join":
+			left := ix
+			if fam == "static-join" {
+				left = static
 			}
-			match := false
-			var cands []string
-			for k := sg.lo; k <= sg.hi && sg.err == nil && !match; k++ {
-				match = sg.got == wantAt(k)[sg.fam]
-				cands = append(cands, fmt.Sprintf("  after %d writes: %s", k, wantAt(k)[sg.fam]))
-			}
-			if !match {
-				c.t.Fatalf("%s (%v): %s: %s, read between %d and %d writes, answers\n  %s (%v)\nno population in that window answers that:\n%s",
-					c.at, p, c.shapes[sg.shape].name, sg.fam, sg.lo, sg.hi, sg.got, sg.err, strings.Join(cands, "\n"))
+			ps, _, err := DistanceJoin(left, ix, p.alpha, p.eps)
+			return fmt.Sprint(ps), err
+		default:
+			a, err := readFamily(ix, p, fam)
+			return a.got, err
+		}
+	}, func() {
+		c.write(c.fresh(nil, int(arg%6)), c.victims(rng, int(arg/6%4)), false, nil)
+		pops = append(pops, oracle.New(c.objects(), memo))
+		for _, s := range c.shapes {
+			if s.log != "" {
+				_, err := s.ix.Checkpoint(true)
+				c.must(err, s.name+": a compacting checkpoint")
 			}
 		}
+		for range 1 + rng.IntN(3) {
+			if ins := c.fresh(nil, 1); len(c.live) == 0 || len(ins) > 0 && rng.IntN(2) == 0 {
+				c.write(ins, nil, true, nil)
+			} else {
+				c.write(nil, c.victims(rng, 1), true, nil)
+			}
+			pops = append(pops, oracle.New(c.objects(), memo))
+		}
+	})
+	if err != nil {
+		c.t.Fatalf("%s (%v): %v", c.at, p, err)
 	}
-	c.t.Logf("%s: %d reads, %d of them beside a write, over %d writes", c.at, n, beside, len(pops)-1)
+	c.t.Logf("%s: %s", c.at, log)
 }
 
 // objects lists the model's live objects in the order they were issued.
@@ -1199,15 +1133,16 @@ var (
 )
 
 // expect draws one query step's parameters over objs and computes the
-// oracle's answer to every single-index read family.
-func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle, map[string]string) {
-	p := c.draw(objs, rng)
-	o, want := c.want(objs, p)
-	return p, o, want
+// reference answer to every single-index read family.
+func (c *checker) expect(objs []*Object, rng *rand.Rand) (params, *oracle.Population, map[string]string) {
+	pop := oracle.New(objs, nil)
+	p := c.draw(pop, rng)
+	return p, pop, c.want(pop, p)
 }
 
-// draw draws one query step's parameters over objs.
-func (c *checker) draw(objs []*Object, rng *rand.Rand) params {
+// draw draws one query step's parameters over pop.
+func (c *checker) draw(pop *oracle.Population, rng *rand.Rand) params {
+	objs := pop.Objs
 	p := params{k: 1 + rng.IntN(6), kp: 1 + rng.IntN(8), alpha: c.level(rng), as: c.level(rng), ae: c.level(rng)}
 	if p.as > p.ae {
 		p.as, p.ae = p.ae, p.as
@@ -1220,31 +1155,28 @@ func (c *checker) draw(objs []*Object, rng *rand.Rand) params {
 	p.radius, p.eps = rng.Float64()*8, rng.Float64()*4
 	if c.lat {
 		// At attained distances, so the inclusive boundaries decide.
-		o := newOracle(objs, p.q, p.alpha)
-		if len(o.toQ) > 0 {
-			p.radius = o.toQ[rng.IntN(len(o.toQ))].d
+		if toQ := pop.Ranked(p.q, p.alpha); len(toQ) > 0 {
+			p.radius = toQ[rng.IntN(len(toQ))].Dist
 		}
 		if len(objs) > 1 {
 			i := rng.IntN(len(objs))
-			p.eps = o.pair[i][(i+1+rng.IntN(len(objs)-1))%len(objs)]
+			p.eps = pop.Pair(p.alpha)[i][(i+1+rng.IntN(len(objs)-1))%len(objs)]
 		}
 	}
 	return p
 }
 
-// want is the oracle over objs and its answer to every single-index read
-// family.
-func (c *checker) want(objs []*Object, p params) (*oracle, map[string]string) {
-	o := newOracle(objs, p.q, p.alpha)
-	ref, err := NewIndex(objs, nil)
+// want is the reference answer over pop to every single-index read family.
+func (c *checker) want(pop *oracle.Population, p params) map[string]string {
+	ref, err := NewIndex(pop.Objs, nil)
 	c.must(err, "Naive's reference index")
 	naive, _, err := ref.RKNN(p.q, p.k, p.as, p.ae, Naive)
 	c.must(err, "Naive over the reference index")
 	want := map[string]string{
-		"linear":  fmt.Sprint(o.aknn(p.k)),
-		"range":   fmt.Sprint(o.rangeSearch(p.radius)),
-		"reverse": fmt.Sprint(o.reverse(p.k)),
-		"eknn":    fmt.Sprint(o.eknn(p.k)),
+		"linear":  fmt.Sprint(asResults(pop.KNN(p.q, p.k, p.alpha))),
+		"range":   fmt.Sprint(asResults(pop.Range(p.q, p.alpha, p.radius))),
+		"reverse": fmt.Sprint(asResults(pop.Reverse(p.q, p.k, p.alpha))),
+		"eknn":    fmt.Sprint(asResults(pop.KNN(p.q, p.k, oracle.Expected))),
 	}
 	for _, algo := range aknnAlgos {
 		want["aknn/"+algo.String()] = want["linear"]
@@ -1252,14 +1184,14 @@ func (c *checker) want(objs []*Object, p params) (*oracle, map[string]string) {
 	for _, algo := range rknnAlgos {
 		want["rknn/"+algo.String()] = showRanged(naive)
 	}
-	return o, want
+	return want
 }
 
-// query draws one step's parameters, computes the oracle's answers and
+// query draws one step's parameters, computes the reference answers and
 // checks every shape and every follower against them.
 func (c *checker) query(rng *rand.Rand) {
 	objs := c.objects()
-	p, o, want := c.expect(objs, rng)
+	p, pop, want := c.expect(objs, rng)
 	shapes := c.shapes
 	if len(objs) > 0 {
 		shapes = append(slices.Clip(shapes), c.pagedShapes(objs)...)
@@ -1291,7 +1223,7 @@ func (c *checker) query(rng *rand.Rand) {
 			c.t.Fatalf("%s (%v): %s refines %s's lazy answer to\n %s\nwant\n %s", c.at, p, s.name, shapes[0].name, got, want["linear"])
 		}
 	}
-	c.joins(shapes, o, p)
+	c.joins(shapes, pop, p)
 	for _, s := range c.shapes {
 		if l := s.lead; l != nil {
 			for _, t := range l.tails {
@@ -1567,7 +1499,7 @@ func (c *checker) pagedAgrees(px *shape, pruns map[string]answer, src *shape, sr
 // single, sharded with sharded, paged with in-memory. On shapes of one
 // shard count the same positions pair the two build modes, and a pair
 // past the last shape is skipped.
-func (c *checker) joins(shapes []*shape, o *oracle, p params) {
+func (c *checker) joins(shapes []*shape, pop *oracle.Population, p params) {
 	c.t.Helper()
 	type run struct {
 		got string
@@ -1579,8 +1511,8 @@ func (c *checker) joins(shapes []*shape, o *oracle, p params) {
 		c.must(err, l.name+" ⋈ "+r.name)
 		kp, kst, err := KClosestPairs(l.ix, r.ix, p.kp, p.alpha)
 		c.must(err, l.name+" closest pairs "+r.name)
-		self := l == r
-		want := [2]string{fmt.Sprint(o.join(p.eps, self)), fmt.Sprint(o.closestPairs(p.kp, self))}
+		all := pop.Pairs(p.alpha, l == r)
+		want := [2]string{fmt.Sprint(oracle.Within(all, p.eps)), fmt.Sprint(all[:min(p.kp, len(all))])}
 		out := [2]run{{fmt.Sprint(ps), st}, {fmt.Sprint(kp), kst}}
 		for i, fam := range []string{"DistanceJoin", "KClosestPairs"} {
 			if out[i].got != want[i] {
@@ -1608,117 +1540,14 @@ func (c *checker) joins(shapes []*shape, o *oracle, p params) {
 	}
 }
 
-// oracle answers every family by scanning the model.
-type oracle struct {
-	objs  []*Object
-	q     *Object
-	alpha float64
-	toQ   []scored    // every object's α-distance to q, in (distance, id) order
-	pair  [][]float64 // pair[i][j] = d_α(objs[i], objs[j])
-}
-
-type scored struct {
-	id uint64
-	d  float64
-}
-
-func newOracle(objs []*Object, q *Object, alpha float64) *oracle {
-	o := &oracle{objs: objs, q: q, alpha: alpha, pair: make([][]float64, len(objs))}
-	for i, a := range objs {
-		o.toQ = append(o.toQ, scored{a.ID(), AlphaDistance(a, q, alpha)})
-		o.pair[i] = make([]float64, len(objs))
-		for j := range i {
-			o.pair[i][j] = AlphaDistance(a, objs[j], alpha)
-			o.pair[j][i] = o.pair[i][j]
-		}
+// asResults turns a reference answer into the exact results an index
+// answers.
+func asResults(ss []oracle.Scored) []Result {
+	rs := make([]Result, len(ss))
+	for i, s := range ss {
+		rs[i] = Result{ID: s.ID, Dist: s.Dist, Exact: true, Lower: s.Dist, Upper: s.Dist}
 	}
-	sortScored(o.toQ)
-	return o
-}
-
-func sortScored(s []scored) {
-	slices.SortFunc(s, func(a, b scored) int { return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id)) })
-}
-
-func exact(s []scored) []Result {
-	out := make([]Result, len(s))
-	for i, x := range s {
-		out[i] = Result{ID: x.id, Dist: x.d, Exact: true, Lower: x.d, Upper: x.d}
-	}
-	return out
-}
-
-func (o *oracle) aknn(k int) []Result { return exact(o.toQ[:min(k, len(o.toQ))]) }
-
-func (o *oracle) rangeSearch(r float64) []Result {
-	var in []scored
-	for _, x := range o.toQ {
-		if x.d <= r {
-			in = append(in, x)
-		}
-	}
-	return exact(in)
-}
-
-// reverse keeps every A with fewer than k objects B ≠ A for which
-// (d_α(A, B), id_B) < (d_α(A, q), id_q).
-func (o *oracle) reverse(k int) []Result {
-	var in []scored
-	for i, a := range o.objs {
-		da, closer := AlphaDistance(a, o.q, o.alpha), 0
-		for j, b := range o.objs {
-			if d := o.pair[i][j]; j != i && (d < da || d == da && b.ID() < o.q.ID()) {
-				closer++
-			}
-		}
-		if closer < k {
-			in = append(in, scored{a.ID(), da})
-		}
-	}
-	sortScored(in)
-	return exact(in)
-}
-
-func (o *oracle) eknn(k int) []Result {
-	s := make([]scored, len(o.objs))
-	for i, a := range o.objs {
-		s[i] = scored{a.ID(), ExpectedDistance(a, o.q)}
-	}
-	sortScored(s)
-	return exact(s[:min(k, len(s))])
-}
-
-// pairs lists every pair of a join of the model with itself in (distance,
-// left, right) order: each unordered pair once, left id first, for a
-// self-join; every ordered pair, an object with itself included, for a
-// join of two shapes.
-func (o *oracle) pairs(self bool) []JoinPair {
-	var ps []JoinPair
-	for i, a := range o.objs {
-		for j, b := range o.objs {
-			if !self || a.ID() < b.ID() {
-				ps = append(ps, JoinPair{LeftID: a.ID(), RightID: b.ID(), Dist: o.pair[i][j]})
-			}
-		}
-	}
-	slices.SortFunc(ps, func(x, y JoinPair) int {
-		return cmp.Or(cmp.Compare(x.Dist, y.Dist), cmp.Compare(x.LeftID, y.LeftID), cmp.Compare(x.RightID, y.RightID))
-	})
-	return ps
-}
-
-func (o *oracle) join(eps float64, self bool) []JoinPair {
-	ps := o.pairs(self)
-	n := 0
-	for n < len(ps) && ps[n].Dist <= eps {
-		n++
-	}
-	return ps[:n]
-}
-
-func (o *oracle) closestPairs(k int, self bool) []JoinPair {
-	ps := o.pairs(self)
-	return ps[:min(k, len(ps))]
+	return rs
 }
 
 // showRanged prints RKNN results as ids and qualifying ranges.

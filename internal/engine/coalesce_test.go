@@ -216,6 +216,39 @@ func TestEngineLoneRequestCommitsOnce(t *testing.T) {
 	}
 }
 
+// TestEngineCoalescedStatsPerRequest: a group of inserts followed by
+// deletes, handed to executeWrites as one, books each request the stats of
+// its own item of the group's ApplyBatch: no object access per insert and
+// one, the locate probe, per delete.
+func TestEngineCoalescedStatsPerRequest(t *testing.T) {
+	eng, _, ix := spyEnv(t)
+	objs := genObjects(t, 6, 17)
+	if _, err := ix.ApplyBatch(objs[3:], nil); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []Request
+	for _, o := range objs[:3] {
+		reqs = append(reqs, Request{Kind: Insert, Obj: o})
+	}
+	for _, o := range objs[3:] {
+		reqs = append(reqs, Request{Kind: Delete, ID: o.ID()})
+	}
+	group, resps, done := make([]job, len(reqs)), make([]Response, len(reqs)), make(chan struct{}, len(reqs))
+	for i, r := range reqs {
+		group[i] = job{ctx: context.Background(), req: r, resp: &resps[i], state: new(atomic.Int32), done: done, start: time.Now()}
+	}
+	eng.executeWrites(group)
+	for i, resp := range resps {
+		want := 0
+		if reqs[i].Kind == Delete {
+			want = 1
+		}
+		if resp.Err != nil || resp.Stats.ObjectAccesses != want {
+			t.Errorf("item %d of the group (kind %v): %v, %d object accesses, want %d", i, reqs[i].Kind, resp.Err, resp.Stats.ObjectAccesses, want)
+		}
+	}
+}
+
 // TestEngineFallbackDegradedOnFsyncFailure: a valid insert coalesced with
 // an invalid groupmate is committed alone by the fallback — and that commit
 // must be as durable as any other. With every log fsync failing, the valid

@@ -7,6 +7,7 @@ import (
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
+	"fuzzyknn/internal/oracle"
 )
 
 func TestExpectedDistKNNMatchesBrute(t *testing.T) {
@@ -18,26 +19,12 @@ func TestExpectedDistKNNMatchesBrute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pair struct {
-		id uint64
-		e  float64
-	}
-	var want []pair
-	for _, o := range objs {
-		want = append(want, pair{o.ID(), fuzzy.ExpectedDist(o, q)})
-	}
-	for i := range want {
-		for j := i + 1; j < len(want); j++ {
-			if want[j].e < want[i].e || (want[j].e == want[i].e && want[j].id < want[i].id) {
-				want[i], want[j] = want[j], want[i]
-			}
-		}
-	}
+	want := oracle.New(objs, nil).Ranked(q, oracle.Expected)
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
 	for i := range got {
-		if got[i].ID != want[i].id || math.Abs(got[i].Dist-want[i].e) > 1e-9 {
+		if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
 			t.Fatalf("result %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}

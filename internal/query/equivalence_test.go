@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"fuzzyknn/internal/fuzzy"
+	"fuzzyknn/internal/oracle"
 	"fuzzyknn/internal/store"
 )
 
@@ -19,14 +17,14 @@ import (
 // and a set of layouts — single trees built by STR or by insertion,
 // coordinators of 2 to 7 shards, paged trees behind a tiny block cache —
 // take the same mutations, one ApplyBatch or one call per object, and every
-// read family on every layout is held to a scan of the model: AKNN (lazy
-// answers after Refine, also relayed from the first layout) and the linear
-// scan to the (distance, id) scan, range search to d ≤ r, reverse kNN and
-// expected-distance kNN to brute force, all four RKNN algorithms to Naive
-// over a fresh index of the model, self-joins and joins with a static
-// index to brute force. In a race (modelCheck.race) readers run beside
-// the writer, and each answer must be the scan of some committed prefix
-// of the history. FuzzConformance in the root package
+// read family on every layout is held to internal/oracle's reference over
+// the model: AKNN (lazy answers after Refine, also relayed from the first
+// layout) and the linear scan to the (distance, id) scan, range search to
+// d ≤ r, reverse kNN and expected-distance kNN to brute force, all four
+// RKNN algorithms to Naive over a fresh index of the model, self-joins and
+// joins with a static index to brute force. In a race (modelCheck.race)
+// readers run beside the writer, and each answer must be the reference of
+// some committed prefix of the history. FuzzConformance in the root package
 // holds every public deployment shape to the same answers and to the cost
 // and page-cache contracts; the tests here reach what it does not draw.
 
@@ -45,13 +43,14 @@ type modelCheck struct {
 	model   map[uint64]*fuzzy.Object
 	next    uint64 // the next unused id
 	layouts []layout
-	racing  *window // set while readers run beside the writer
-	dists   map[distKey]float64
+	racing  *oracle.Window       // set while readers run beside the writer
+	pops    []*oracle.Population // the model after each op of the window's history
+	memo    oracle.Memo          // the distances every population of the check shares
 }
 
 // newModelCheck starts a check over layouts that already hold objs.
 func newModelCheck(t *testing.T, seed uint64, objs []*fuzzy.Object, layouts ...layout) *modelCheck {
-	m := &modelCheck{t: t, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b9)), model: make(map[uint64]*fuzzy.Object), next: 1, layouts: layouts, dists: map[distKey]float64{}}
+	m := &modelCheck{t: t, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b9)), model: make(map[uint64]*fuzzy.Object), next: 1, layouts: layouts, memo: oracle.Memo{}}
 	for _, o := range objs {
 		m.model[o.ID()] = o
 		m.next = max(m.next, o.ID()+1)
@@ -70,6 +69,8 @@ func (m *modelCheck) objects() []*fuzzy.Object {
 	return objs
 }
 
+func (m *modelCheck) population() *oracle.Population { return oracle.New(m.objects(), m.memo) }
+
 // fresh draws n objects under unused ids; memberships in eighths force ties.
 func (m *modelCheck) fresh(n int) []*fuzzy.Object {
 	objs := makeObjectsWithBase(m.rng, m.next-1, n, 10, 12, 8)
@@ -78,25 +79,26 @@ func (m *modelCheck) fresh(n int) []*fuzzy.Object {
 }
 
 // apply lands one mutation on every layout — as one ApplyBatch, or as its
-// inserts then its deletes one call at a time — and on the model.
+// inserts then its deletes one call at a time, in a race each call one
+// commit on the layout's clock — and on the model.
 func (m *modelCheck) apply(inserts []*fuzzy.Object, deletes []uint64) {
 	m.t.Helper()
 	for i, l := range m.layouts {
 		if l.perOp {
 			for _, o := range inserts {
-				if err := m.commit(i, 1, func() error { _, err := Insert(l.s, o); return err }); err != nil {
+				if err := m.racing.Commit(i, 1, func() error { _, err := Insert(l.s, o); return err }); err != nil {
 					m.t.Fatalf("%s: insert %d: %v", l.name, o.ID(), err)
 				}
 			}
 			for _, id := range deletes {
-				if err := m.commit(i, 1, func() error { _, err := Delete(l.s, id); return err }); err != nil {
+				if err := m.racing.Commit(i, 1, func() error { _, err := Delete(l.s, id); return err }); err != nil {
 					m.t.Fatalf("%s: delete %d: %v", l.name, id, err)
 				}
 			}
 			continue
 		}
 		var stats []Stats
-		err := m.commit(i, len(inserts)+len(deletes), func() (err error) { stats, err = l.s.ApplyBatch(inserts, deletes); return err })
+		err := m.racing.Commit(i, len(inserts)+len(deletes), func() (err error) { stats, err = l.s.ApplyBatch(inserts, deletes); return err })
 		if err != nil {
 			m.t.Fatalf("%s: batch of %d inserts, %d deletes: %v", l.name, len(inserts), len(deletes), err)
 		}
@@ -123,23 +125,9 @@ func (m *modelCheck) apply(inserts []*fuzzy.Object, deletes []uint64) {
 // landed records, in a race, the population after one more op of the
 // history, in the order a per-op layout lands them.
 func (m *modelCheck) landed() {
-	if r := m.racing; r != nil {
-		r.pops = append(r.pops, m.population())
+	if m.racing != nil {
+		m.pops = append(m.pops, m.population())
 	}
-}
-
-// commit makes one mutation call on layout i that lands ops of the
-// history; in a race it is one commit on the layout's clock.
-func (m *modelCheck) commit(i, ops int, call func() error) error {
-	if m.racing == nil {
-		return call()
-	}
-	c := m.racing.clocks[i]
-	c.begun.Add(1)
-	err := call()
-	c.prefix = append(c.prefix, c.prefix[len(c.prefix)-1]+ops)
-	c.done.Add(1)
-	return err
 }
 
 // checkPopulation asserts every layout holds the model's population in
@@ -206,16 +194,19 @@ func (m *modelCheck) drainTo(n int) {
 
 // check runs every read of queries random queries on every layout, and
 // relays the first layout's lazy AKNN answers through every layout's
-// Refine; each must answer what the scan of the model does.
+// Refine; each must answer what the reference over the model does.
 func (m *modelCheck) check(label string, queries int) {
 	m.t.Helper()
 	m.checkPopulation(label)
 	qs := m.queries(queries)
-	r := m.newWindow(qs)
+	reads := m.reads(qs)
+	w := m.window(reads)
 	for li, l := range m.layouts {
-		for ri, rd := range r.reads {
+		for ri, rd := range reads {
 			got, err := rd.run(l.s)
-			m.sighted(label, r, sighting{li, ri, 0, 0, got, err})
+			if err := w.Match(oracle.Sighting{Layout: li, Read: ri, Got: got, Err: err}); err != nil {
+				m.t.Fatalf("%s: %v", label, err)
+			}
 		}
 	}
 	for qi, q := range qs {
@@ -225,7 +216,7 @@ func (m *modelCheck) check(label string, queries int) {
 				if err != nil {
 					m.t.Fatal(err)
 				}
-				want := fmt.Sprint(scanKNN(r.pops[0].objs, k, func(o *fuzzy.Object) float64 { return fuzzy.AlphaDist(o, q, alpha) }))
+				want := fmt.Sprint(asResults(m.pops[0].KNN(q, k, alpha)))
 				for _, l := range m.layouts {
 					if rs, _, err := l.s.Refine(q, alpha, lazy); err != nil || fmt.Sprint(rs) != want {
 						m.t.Fatalf("%s: %s refines q%d k=%d α=%v's lazy answer of %s to %v, %v\nwant\n %s", label, l.name, qi, k, alpha, m.layouts[0].name, rs, err, want)
@@ -236,188 +227,51 @@ func (m *modelCheck) check(label string, queries int) {
 	}
 }
 
-// window is what a check's or a race's reads are held to: the population
-// after each op of the history written in it (pops[0] when it opened),
-// each layout's commits, the reads and their scans.
-type window struct {
-	pops   []*population
-	clocks []*raceClock // one per layout
-	reads  []read
-	scans  map[scanKey]string // a scan after some ops, memoized
-}
-
-// raceClock counts one layout's mutation calls: begun and done count the
-// calls begun and finished, and prefix[c] is how many ops of the history
-// the first c calls landed. A per-op layout lands one op per call, a batch
-// layout a whole step.
-type raceClock struct {
-	begun, done atomic.Int64
-	prefix      []int
-}
-
-// sighting is one read as it ran: lo is the commits its layout had
-// finished when it began, hi those begun when it ended.
-type sighting struct {
-	layout, read int
-	lo, hi       int64
-	got          string
-	err          error
-}
-
-func (m *modelCheck) newWindow(queries []*fuzzy.Object) *window {
-	r := &window{pops: []*population{m.population()}, reads: m.reads(queries), scans: map[scanKey]string{}}
-	for range m.layouts {
-		r.clocks = append(r.clocks, &raceClock{prefix: []int{0}})
+// window opens a committed-prefix window over the reads on every layout,
+// from the model's population now.
+func (m *modelCheck) window(reads []read) *oracle.Window {
+	m.pops = []*oracle.Population{m.population()}
+	var names []string
+	for _, l := range m.layouts {
+		names = append(names, l.name)
 	}
-	return r
+	var rs []oracle.Read
+	for _, rd := range reads {
+		rs = append(rs, rd.Read)
+	}
+	return oracle.NewWindow(names, rs, func(read, ops int) string { return reads[read].scan(m.pops[ops]) })
 }
 
 // race runs steps — any number of apply calls — while readers goroutines
 // run every read of the queries on every layout, each reader at least one
 // pass over every (layout, read) pair; the writer starts once every reader
-// is reading. Afterwards each answer must equal the model's scan at some
-// prefix in [lo, hi]: a read can neither see a population no commit
-// produced nor miss a commit finished before it began. With no steps the
-// readers also run rawReads.
+// is reading. Afterwards each answer must equal the model's reference at
+// some prefix in [lo, hi] (oracle.Window). With no steps the readers also
+// run rawReads.
 func (m *modelCheck) race(readers int, queries []*fuzzy.Object, steps func()) {
 	m.t.Helper()
-	r := m.newWindow(queries)
+	reads := m.reads(queries)
 	if steps == nil {
-		r.reads = append(r.reads, m.rawReads(queries)...)
+		reads = append(reads, m.rawReads(queries)...)
 		steps = func() {}
 	}
-	pass := len(m.layouts) * len(r.reads)
-	seen := make([][]sighting, readers)
-	var reading, wg sync.WaitGroup
-	var written atomic.Bool
-	reading.Add(readers)
-	wg.Add(readers)
-	for g := range readers {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < pass || !written.Load(); i++ {
-				j := g*pass/readers + i
-				li, ri := j%len(m.layouts), j/len(m.layouts)%len(r.reads)
-				c := r.clocks[li]
-				lo := c.done.Load()
-				if i == 0 {
-					reading.Done()
-				}
-				got, err := r.reads[ri].run(m.layouts[li].s)
-				seen[g] = append(seen[g], sighting{li, ri, lo, c.begun.Load(), got, err})
-			}
-		}()
+	m.racing = m.window(reads)
+	defer func() { m.racing = nil }()
+	log, err := m.racing.Race(readers, func(li, ri int) (string, error) { return reads[ri].run(m.layouts[li].s) }, steps)
+	if err != nil {
+		m.t.Fatalf("race: %v", err)
 	}
-	// stop ends the readers, also when a step fails the test.
-	stop := func() {
-		m.racing = nil
-		written.Store(true)
-		wg.Wait()
-	}
-	defer stop()
-	reading.Wait()
-	m.racing = r
-	steps()
-	stop()
-	reads, beside := 0, 0
-	for _, ss := range seen {
-		for _, s := range ss {
-			m.sighted("race", r, s)
-			reads++
-			if s.lo < s.hi {
-				beside++
-			}
-		}
-	}
-	m.t.Logf("race: %d reads, %d of them beside a commit, over %d ops", reads, beside, len(r.pops)-1)
-}
-
-// sighted holds one sighting to the scans of the prefixes its window
-// admits.
-func (m *modelCheck) sighted(label string, r *window, s sighting) {
-	m.t.Helper()
-	l, rd, c := m.layouts[s.layout], r.reads[s.read], r.clocks[s.layout]
-	if s.err != nil {
-		m.t.Fatalf("%s: %s: %s: %v", label, l.name, rd.name, s.err)
-	}
-	var cands []string
-	for k := s.lo; k <= s.hi; k++ {
-		want := r.scan(c.prefix[k], rd)
-		if s.got == want {
-			return
-		}
-		cands = append(cands, fmt.Sprintf("  after %d commits (%d ops): %s", k, c.prefix[k], want))
-	}
-	m.t.Fatalf("%s: %s: %s, read between %d and %d commits, answers\n  %s\nno prefix in that window answers that:\n%s",
-		label, l.name, rd.name, s.lo, s.hi, s.got, strings.Join(cands, "\n"))
-}
-
-// scanKey names a scan: the ops of the history it follows and its read's
-// key.
-type scanKey struct {
-	ops int
-	key string
-}
-
-// scan is rd's scan of the population after p ops of the history.
-func (r *window) scan(p int, rd read) string {
-	key := scanKey{p, rd.key}
-	if _, ok := r.scans[key]; !ok {
-		r.scans[key] = rd.scan(r.pops[p])
-	}
-	return r.scans[key]
+	m.t.Logf("race: %s", log)
 }
 
 // read is one read of a check or a race: its family and parameters, the
-// call, and the scan that answers it over a population, named by key so
-// that reads of one answer (the linear scan and AKNN's four algorithms,
+// call, and the reference that answers it over a population, named by key
+// so that reads of one answer (the linear scan and AKNN's four algorithms,
 // RKNN's four) share it.
 type read struct {
-	name, key string
-	run       func(s Searcher) (string, error)
-	scan      func(pop *population) string
-}
-
-// population is a population a scan reads, in id order, with its pair
-// distances at each α, memoized. Its α-distances come from dists, a memo
-// its check's populations share: those of a race differ by a few objects.
-type population struct {
-	objs  []*fuzzy.Object
-	pairs map[float64][][]float64
-	dists map[distKey]float64
-}
-
-type distKey struct {
-	a, b  *fuzzy.Object
-	alpha float64 // -1 for the expected distance
-}
-
-func (m *modelCheck) population() *population {
-	return &population{objs: m.objects(), pairs: map[float64][][]float64{}, dists: m.dists}
-}
-
-func (p *population) pair(alpha float64) [][]float64 {
-	if _, ok := p.pairs[alpha]; !ok {
-		p.pairs[alpha] = pairDists(p.objs, p.dist(alpha))
-	}
-	return p.pairs[alpha]
-}
-
-// dist is the memoized α-distance, or with α = -1 the expected distance.
-func (p *population) dist(alpha float64) func(a, b *fuzzy.Object) float64 {
-	return func(a, b *fuzzy.Object) float64 {
-		k := distKey{a, b, alpha}
-		d, ok := p.dists[k]
-		if !ok {
-			if alpha < 0 {
-				d = fuzzy.ExpectedDist(a, b)
-			} else {
-				d = fuzzy.AlphaDist(a, b, alpha)
-			}
-			p.dists[k] = d
-		}
-		return d
-	}
+	oracle.Read
+	run  func(s Searcher) (string, error)
+	scan func(pop *oracle.Population) string
 }
 
 // reads lists the reads of the queries. Per query and k ∈ {1, 4}: the
@@ -429,11 +283,11 @@ func (p *population) dist(alpha float64) func(a, b *fuzzy.Object) float64 {
 // a join with a static index over the queries.
 func (m *modelCheck) reads(queries []*fuzzy.Object) []read {
 	var rs []read
-	add := func(name, key string, run func(s Searcher) ([]Result, error), scan func(pop *population) []Result) {
-		rs = append(rs, read{name, key, func(s Searcher) (string, error) {
+	add := func(name, key string, run func(s Searcher) ([]Result, error), scan func(pop *oracle.Population) []oracle.Scored) {
+		rs = append(rs, read{oracle.Read{Name: name, Key: key}, func(s Searcher) (string, error) {
 			got, err := run(s)
 			return fmt.Sprint(got), err
-		}, func(pop *population) string { return fmt.Sprint(scan(pop)) }})
+		}, func(pop *oracle.Population) string { return fmt.Sprint(asResults(scan(pop))) }})
 	}
 	var static []*fuzzy.Object
 	for qi, q := range queries {
@@ -441,9 +295,7 @@ func (m *modelCheck) reads(queries []*fuzzy.Object) []read {
 		for _, k := range []int{1, 4} {
 			at := fmt.Sprintf("q%d k=%d", qi, k)
 			for _, alpha := range []float64{0.3, 0.75} {
-				nearest := func(pop *population) []Result {
-					return scanKNN(pop.objs, k, func(o *fuzzy.Object) float64 { return pop.dist(alpha)(o, q) })
-				}
+				nearest := func(pop *oracle.Population) []oracle.Scored { return pop.KNN(q, k, alpha) }
 				key := fmt.Sprintf("%s α=%v", at, alpha)
 				add("linear "+key, key, func(s Searcher) ([]Result, error) {
 					rs, _, err := s.LinearScanAKNN(q, k, alpha)
@@ -462,11 +314,11 @@ func (m *modelCheck) reads(queries []*fuzzy.Object) []read {
 			for _, w := range [][2]float64{{0.2, 0.85}, {0.5, 0.5}} {
 				key := fmt.Sprintf("%s rknn%v", at, w)
 				for _, algo := range []RKNNAlgorithm{Naive, BasicRKNN, RSS, RSSICR} {
-					rs = append(rs, read{fmt.Sprintf("rknn/%v %s [%v, %v]", algo, at, w[0], w[1]), key, func(s Searcher) (string, error) {
+					rs = append(rs, read{oracle.Read{Name: fmt.Sprintf("rknn/%v %s [%v, %v]", algo, at, w[0], w[1]), Key: key}, func(s Searcher) (string, error) {
 						rr, _, err := s.RKNN(q, k, w[0], w[1], algo)
 						return showRanged(rr), err
-					}, func(pop *population) string {
-						naive, _, err := buildIndex(m.t, pop.objs, Options{}).RKNN(q, k, w[0], w[1], Naive)
+					}, func(pop *oracle.Population) string {
+						naive, _, err := buildIndex(m.t, pop.Objs, Options{}).RKNN(q, k, w[0], w[1], Naive)
 						if err != nil {
 							m.t.Fatal(err)
 						}
@@ -477,46 +329,32 @@ func (m *modelCheck) reads(queries []*fuzzy.Object) []read {
 			add("reverse "+at+" α=0.6", at+" reverse", func(s Searcher) ([]Result, error) {
 				rs, _, err := s.ReverseKNN(q, k, 0.6)
 				return rs, err
-			}, func(pop *population) []Result { return reverseScan(pop.objs, pop.pair(0.6), q, k, pop.dist(0.6)) })
+			}, func(pop *oracle.Population) []oracle.Scored { return pop.Reverse(q, k, 0.6) })
 			add("eknn "+at, at+" eknn", func(s Searcher) ([]Result, error) {
 				rs, _, err := s.ExpectedDistKNN(q, k)
 				return rs, err
-			}, func(pop *population) []Result {
-				return scanKNN(pop.objs, k, func(o *fuzzy.Object) float64 { return pop.dist(-1)(o, q) })
-			})
+			}, func(pop *oracle.Population) []oracle.Scored { return pop.KNN(q, k, oracle.Expected) })
 		}
 		for _, radius := range []float64{0, 2.5, 8} {
 			key := fmt.Sprintf("range q%d α=0.5 r=%v", qi, radius)
 			add(key, key, func(s Searcher) ([]Result, error) {
 				rs, _, err := s.RangeSearch(q, 0.5, radius)
 				return rs, err
-			}, func(pop *population) []Result {
-				all := scanKNN(pop.objs, len(pop.objs), func(o *fuzzy.Object) float64 { return pop.dist(0.5)(o, q) })
-				return slices.DeleteFunc(all, func(r Result) bool { return r.Dist > radius })
-			})
+			}, func(pop *oracle.Population) []oracle.Scored { return pop.Range(q, 0.5, radius) })
 		}
 	}
-	// within keeps the pairs of ps at most eps apart.
 	const alpha, eps = 0.5, 3
-	within := func(ps []JoinPair) string {
-		return fmt.Sprint(slices.DeleteFunc(ps, func(p JoinPair) bool { return p.Dist > eps }))
-	}
 	probe := buildIndex(m.t, static, Options{})
-	return append(rs, read{fmt.Sprintf("self-join α=%v ε=%v", alpha, eps), "self-join", func(s Searcher) (string, error) {
+	return append(rs, read{oracle.Read{Name: fmt.Sprintf("self-join α=%v ε=%v", alpha, eps), Key: "self-join"}, func(s Searcher) (string, error) {
 		ps, _, err := DistanceJoin(s, s, alpha, eps)
 		return fmt.Sprint(ps), err
-	}, func(pop *population) string { return within(pairsOf(pop.objs, pop.pair(alpha), true)) }}, read{fmt.Sprintf("join with the queries α=%v ε=%v", alpha, eps), "static-join", func(s Searcher) (string, error) {
+	}, func(pop *oracle.Population) string {
+		return fmt.Sprint(oracle.Within(pop.Pairs(alpha, true), eps))
+	}}, read{oracle.Read{Name: fmt.Sprintf("join with the queries α=%v ε=%v", alpha, eps), Key: "static-join"}, func(s Searcher) (string, error) {
 		ps, _, err := DistanceJoin(probe, s, alpha, eps)
 		return fmt.Sprint(ps), err
-	}, func(pop *population) string {
-		var ps []JoinPair
-		for _, a := range static {
-			for _, b := range pop.objs {
-				ps = append(ps, JoinPair{LeftID: a.ID(), RightID: b.ID(), Dist: pop.dist(alpha)(a, b)})
-			}
-		}
-		slices.SortFunc(ps, joinOrder)
-		return within(ps)
+	}, func(pop *oracle.Population) string {
+		return fmt.Sprint(oracle.Within(pop.Join(static, alpha), eps))
 	}})
 }
 
@@ -540,7 +378,7 @@ func (m *modelCheck) rawReads(queries []*fuzzy.Object) []read {
 						m.t.Fatal(err)
 					}
 					name := fmt.Sprintf("aknn/%v q%d k=%d α=%v, raw", algo, qi, k, alpha)
-					rs = append(rs, read{name, name, run, func(*population) string { return want }})
+					rs = append(rs, read{oracle.Read{Name: name}, run, func(*oracle.Population) string { return want }})
 				}
 			}
 		}
@@ -548,69 +386,22 @@ func (m *modelCheck) rawReads(queries []*fuzzy.Object) []read {
 	return rs
 }
 
-// scanKNN ranks objs by dist, then id, and keeps the first k as exact
-// results.
-func scanKNN(objs []*fuzzy.Object, k int, dist func(*fuzzy.Object) float64) []Result {
-	rs := make([]Result, len(objs))
-	for i, o := range objs {
-		d := dist(o)
-		rs[i] = Result{ID: o.ID(), Dist: d, Exact: true, Lower: d, Upper: d}
+// asResults turns a reference answer into the exact results an index answers.
+func asResults(ss []oracle.Scored) []Result {
+	rs := make([]Result, len(ss))
+	for i, s := range ss {
+		rs[i] = Result{ID: s.ID, Dist: s.Dist, Exact: true, Lower: s.Dist, Upper: s.Dist}
 	}
-	slices.SortFunc(rs, func(a, b Result) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID)) })
-	return rs[:min(k, len(rs))]
+	return rs
 }
 
-// pairDists is the matrix of the objects' distances.
-func pairDists(objs []*fuzzy.Object, dist func(a, b *fuzzy.Object) float64) [][]float64 {
-	pair := make([][]float64, len(objs))
-	for i, a := range objs {
-		pair[i] = make([]float64, len(objs))
-		for j := range i {
-			pair[i][j] = dist(a, objs[j])
-			pair[j][i] = pair[i][j]
-		}
+// asJoin turns a reference join into the pairs an index answers.
+func asJoin(ps []oracle.Pair) []JoinPair {
+	out := make([]JoinPair, len(ps))
+	for i, p := range ps {
+		out[i] = JoinPair(p)
 	}
-	return pair
-}
-
-// reverseScan keeps every A with fewer than k objects B ≠ A for which
-// (d_α(A, B), id_B) < (d_α(A, q), id_q), in (distance to q, id) order.
-func reverseScan(objs []*fuzzy.Object, pair [][]float64, q *fuzzy.Object, k int, dist func(a, b *fuzzy.Object) float64) []Result {
-	var in []*fuzzy.Object
-	for i, a := range objs {
-		da, closer := dist(a, q), 0
-		for j, b := range objs {
-			if d := pair[i][j]; j != i && (d < da || d == da && b.ID() < q.ID()) {
-				closer++
-			}
-		}
-		if closer < k {
-			in = append(in, a)
-		}
-	}
-	return scanKNN(in, len(in), func(o *fuzzy.Object) float64 { return dist(o, q) })
-}
-
-// pairsOf lists the pairs a join of the objects with themselves can
-// answer, in (distance, left, right) order: each unordered pair once, left
-// id first, for a self-join; every ordered pair, an object with itself
-// included, for a join of two layouts.
-func pairsOf(objs []*fuzzy.Object, pair [][]float64, self bool) []JoinPair {
-	var ps []JoinPair
-	for i, a := range objs {
-		for j, b := range objs {
-			if !self || a.ID() < b.ID() {
-				ps = append(ps, JoinPair{LeftID: a.ID(), RightID: b.ID(), Dist: pair[i][j]})
-			}
-		}
-	}
-	slices.SortFunc(ps, joinOrder)
-	return ps
-}
-
-// joinOrder orders join pairs by (distance, left, right).
-func joinOrder(x, y JoinPair) int {
-	return cmp.Or(cmp.Compare(x.Dist, y.Dist), cmp.Compare(x.LeftID, y.LeftID), cmp.Compare(x.RightID, y.RightID))
+	return out
 }
 
 // showRanged prints RKNN results as ids and qualifying ranges.
@@ -629,23 +420,18 @@ func (m *modelCheck) joins(label string) {
 	m.t.Helper()
 	const alpha = 0.5
 	pop := m.population()
-	objs, pair := pop.objs, pop.pair(alpha)
 	for _, l := range m.layouts {
 		for _, r := range m.layouts {
-			all := pairsOf(objs, pair, l.s == r.s)
+			all := pop.Pairs(alpha, l.s == r.s)
 			for _, eps := range []float64{0, 0.5, 3} {
-				n := 0
-				for n < len(all) && all[n].Dist <= eps {
-					n++
-				}
 				got, _, err := DistanceJoin(l.s, r.s, alpha, eps)
-				if want := all[:n]; err != nil || !slices.Equal(got, want) {
+				if want := asJoin(oracle.Within(all, eps)); err != nil || !slices.Equal(got, want) {
 					m.t.Fatalf("%s: a join of %s and %s at ε=%v answers %v, %v\nwant\n %v", label, l.name, r.name, eps, got, err, want)
 				}
 			}
 			for _, k := range []int{1, 5, 17} {
 				got, _, err := KClosestPairs(l.s, r.s, k, alpha)
-				if want := all[:min(k, len(all))]; err != nil || !slices.Equal(got, want) {
+				if want := asJoin(all[:min(k, len(all))]); err != nil || !slices.Equal(got, want) {
 					m.t.Fatalf("%s: the %d closest pairs of %s and %s are %v, %v\nwant\n %v", label, k, l.name, r.name, got, err, want)
 				}
 			}

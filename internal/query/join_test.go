@@ -4,36 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 
 	"fuzzyknn/internal/fuzzy"
+	"fuzzyknn/internal/oracle"
 )
-
-// bruteJoin is the reference ε-distance join.
-func bruteJoin(left, right []*fuzzy.Object, alpha, eps float64, selfJoin bool) []JoinPair {
-	var out []JoinPair
-	for _, a := range left {
-		for _, b := range right {
-			if selfJoin && a.ID() >= b.ID() {
-				continue
-			}
-			if d := fuzzy.AlphaDist(a, b, alpha); d <= eps {
-				out = append(out, JoinPair{LeftID: a.ID(), RightID: b.ID(), Dist: d})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		if out[i].LeftID != out[j].LeftID {
-			return out[i].LeftID < out[j].LeftID
-		}
-		return out[i].RightID < out[j].RightID
-	})
-	return out
-}
 
 func makeObjectsWithBase(rng *rand.Rand, base uint64, n, pts int, space float64, quantize int) []*fuzzy.Object {
 	objs := makeObjects(rng, n, pts, space, quantize)
@@ -56,7 +31,7 @@ func TestDistanceJoinMatchesBrute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteJoin(left, right, 0.5, eps, false)
+			want := oracle.Within(oracle.New(right, nil).Join(left, 0.5), eps)
 			if len(got) != len(want) {
 				t.Fatalf("eps %v: %d pairs, want %d", eps, len(got), len(want))
 			}
@@ -81,7 +56,7 @@ func TestSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteJoin(objs, objs, 0.5, 1.0, true)
+	want := oracle.Within(oracle.New(objs, nil).Pairs(0.5, true), 1.0)
 	if len(got) != len(want) {
 		t.Fatalf("self join: %d pairs, want %d", len(got), len(want))
 	}
@@ -146,7 +121,7 @@ func TestKClosestPairsMatchesBrute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all := bruteJoin(left, right, 0.5, math.Inf(1), false)
+			all := oracle.New(right, nil).Join(left, 0.5)
 			want := all
 			if len(want) > k {
 				want = want[:k]
@@ -175,7 +150,7 @@ func TestKClosestPairsSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := bruteJoin(objs, objs, 0.5, math.Inf(1), true)
+	all := oracle.New(objs, nil).Pairs(0.5, true)
 	for i := range got {
 		if got[i].LeftID >= got[i].RightID {
 			t.Fatalf("self pair not ordered: %+v", got[i])

@@ -5,7 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"fuzzyknn/internal/fuzzy"
+	"fuzzyknn/internal/oracle"
 )
 
 func TestPublicRangeSearchMatchesBrute(t *testing.T) {
@@ -19,10 +19,8 @@ func TestPublicRangeSearchMatchesBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := map[uint64]float64{}
-		for _, o := range objs {
-			if d := fuzzy.AlphaDist(o, q, 0.5); d <= radius {
-				want[o.ID()] = d
-			}
+		for _, s := range oracle.New(objs, nil).Range(q, 0.5, radius) {
+			want[s.ID] = s.Dist
 		}
 		if len(res) != len(want) {
 			t.Fatalf("radius %v: %d results, want %d", radius, len(res), len(want))

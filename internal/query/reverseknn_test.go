@@ -5,40 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"fuzzyknn/internal/fuzzy"
+	"fuzzyknn/internal/oracle"
 )
-
-// bruteReverseKNN is the reference: A is a result iff fewer than k stored
-// objects are strictly closer to A than q is (ties broken by id vs q's id).
-func bruteReverseKNN(objs []*fuzzy.Object, q *fuzzy.Object, k int, alpha float64) []Result {
-	var out []Result
-	for _, a := range objs {
-		dq := fuzzy.AlphaDist(a, q, alpha)
-		closer := 0
-		for _, b := range objs {
-			if b.ID() == a.ID() {
-				continue
-			}
-			d := fuzzy.AlphaDist(a, b, alpha)
-			if d < dq || (d == dq && b.ID() < q.ID()) {
-				closer++
-			}
-		}
-		if closer < k {
-			out = append(out, Result{ID: a.ID(), Dist: dq, Exact: true, Lower: dq, Upper: dq})
-		}
-	}
-	// Order by (dist, id) like the implementation.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			if out[j].Dist < out[j-1].Dist ||
-				(out[j].Dist == out[j-1].Dist && out[j].ID < out[j-1].ID) {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-	}
-	return out
-}
 
 func TestReverseKNNMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(301, 1))
@@ -54,7 +22,7 @@ func TestReverseKNNMatchesBrute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteReverseKNN(objs, q, k, alpha)
+				want := asResults(oracle.New(objs, nil).Reverse(q, k, alpha))
 				if len(got) != len(want) {
 					gids := ids(got)
 					wids := ids(want)

@@ -13,8 +13,9 @@
 #
 # TREE (default: this checkout) is the git checkout to mutate: its tracked
 # and untracked, unignored files are copied. The catalogue is always this
-# checkout's, so the same mutants can be run against another commit (a
-# parent cloned elsewhere) to compare kill matrices. MATRIX, when given,
+# checkout's, copied once at the start, so the same mutants can be run
+# against another commit (a parent cloned elsewhere) to compare kill
+# matrices, and an edit to it during a run changes nothing in the run. MATRIX, when given,
 # receives one tab-separated line per mutant: id, verdict, killing tests.
 # Unmutated packages come from the test cache, so a mutant costs one run of
 # the packages that depend on its file plus one rerun of each failing test
@@ -28,7 +29,9 @@ if [ "${1:-}" = --anchors ]; then
 fi
 tree="$(cd "${1:-$here}" && pwd)"
 matrix="${2:-/dev/null}"
-catalogue="$here/scripts/mutants.txt"
+catalogue="$(mktemp)"
+trap 'rm -f "$catalogue"' EXIT
+cp "$here/scripts/mutants.txt" "$catalogue"
 
 # mutate replaces the anchor (\n and \t unescaped) in file, or, with
 # --dry-run, only checks that it occurs exactly once.
@@ -82,7 +85,7 @@ if $anchors_only; then
 fi
 
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+trap 'rm -rf "$work" "$catalogue"' EXIT
 (cd "$tree" && git ls-files -co --exclude-standard -z | tar --null -cf - -T -) | tar -xf - -C "$work"
 : > "$matrix"
 
