@@ -104,12 +104,17 @@ type Request struct {
 
 // Response is the answer to one Request. Results carries AKNN and
 // RangeSearch answers; Ranged carries RKNN answers. Exactly one of the two
-// is set on success; both are nil when Err is non-nil.
+// is set on success; both are nil when Err is non-nil. Queue and Service
+// split an answered request's latency at its claim: the wait before a
+// worker or the writer took it up, and the time after. Both are zero on a
+// request answered without running (shed, abandoned or cancelled).
 type Response struct {
 	Results []query.Result
 	Ranged  []query.RangedResult
 	Stats   query.Stats
 	Err     error
+	Queue   time.Duration
+	Service time.Duration
 }
 
 // Totals aggregates the engine's lifetime activity, by kind and overall.
@@ -316,7 +321,8 @@ func (e *Engine) finish(j job, resp Response) {
 		return
 	}
 	e.record(j.req.Kind, resp.Stats, resp.Err == nil, j.start)
-	e.metrics.observeSplit(j.req.Kind, j.ran.Sub(j.start), time.Since(j.ran))
+	resp.Queue, resp.Service = j.ran.Sub(j.start), time.Since(j.ran)
+	e.metrics.observeSplit(j.req.Kind, resp.Queue, resp.Service)
 	*j.resp = resp
 	j.done <- struct{}{}
 }

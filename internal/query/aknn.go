@@ -286,11 +286,13 @@ func (r *aknnRun) enforceInvariant() error {
 // results already emitted and the entries buffered in G. While
 // |R| + |G| < k that is fewer than k objects, and the popped object belongs
 // to the top k whatever the buffered entries turn out to be. G's minimum
-// is therefore probed before H is popped only when G already fills the
-// remaining k − |R| slots (the popped object could then be pushed out), or
-// when its lower bound ties H's top key. The tie case lets equal keys
-// resolve through the heap's (key, kind, id) order, as in the eager
-// variants; membership alone does not need it.
+// is therefore probed before H is popped in exactly one case: G already
+// fills the remaining k − |R| slots and its lower bound is ≤ H's top key.
+// The popped object could then be pushed out by a buffered entry, and a
+// tie counts: an entry whose lower bound equals the popped distance may
+// turn out at that very distance with a smaller id, and rank first. Probed,
+// it re-enters H and equal keys resolve through the heap's (key, kind, id)
+// order. While G leaves a slot free, a tie is no reason to probe.
 func (r *aknnRun) run() error {
 	h := &r.sc.pq
 	for r.emitted() < r.k && (h.Len() > 0 || len(r.buffer) > 0) {
@@ -328,11 +330,10 @@ func (r *aknnRun) run() error {
 				}
 				continue
 			}
-			// Probe the buffer's best entry ahead of H's top only when it
-			// ties that top, or precedes it with G already filling every
-			// remaining slot; otherwise it stays deferred.
-			if lo := r.buffer[r.bufferMin()].lower; lo == hKey ||
-				(lo < hKey && len(r.buffer) >= r.k-r.emitted()) {
+			// Probe the buffer's best entry ahead of H's top only when G
+			// fills every remaining slot and that entry's lower bound does
+			// not exceed the top; otherwise it stays deferred.
+			if lo := r.buffer[r.bufferMin()].lower; lo <= hKey && len(r.buffer) >= r.k-r.emitted() {
 				if err := r.probeBufferMin(); err != nil {
 					return err
 				}
@@ -345,9 +346,10 @@ func (r *aknnRun) run() error {
 		e := h.Pop()
 		switch e.kind {
 		case kindObject:
-			// Exact distance ≤ every remaining lower bound in H, and at
-			// most |R| + |G| < k objects can rank before it: it belongs to
-			// the top k, though a buffered entry may still turn out closer.
+			// Exact distance ≤ every remaining lower bound in H, and either
+			// at most |R| + |G| < k objects can rank before it or G's lower
+			// bounds all exceed it: it belongs to the top k, though a
+			// buffered entry may still turn out closer.
 			r.results = append(r.results, exactResult(e.id, e.dist))
 			if err := r.enforceInvariant(); err != nil {
 				return err

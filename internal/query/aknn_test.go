@@ -316,3 +316,68 @@ func TestAlgorithmStrings(t *testing.T) {
 		t.Error("unknown algorithms should still print")
 	}
 }
+
+// TestAKNNLazyProbesTieWhenBufferFills holds §3.3's one probe trigger on a
+// tie: once |R| + |G| = k, G's minimum must be probed even when its lower
+// bound only equals H's top key, since it may turn out at that distance
+// with a smaller id. Crisp one-point objects have lower bound = exact
+// distance = upper bound. With k = 3, objects 7 and 10 are admitted
+// unprobed; object 31's lower bound (its low-membership fringe at 0.9) puts
+// it ahead of 18, G = {31} fills the last slot and 31 is probed, landing in
+// H at its exact distance 1. Object 18's entry, at lower bound 1, pops
+// before that object (leaf entries precede objects at equal keys) and fills
+// G. H's top is now object 31 at 1, tied with 18's lower bound: a search
+// that pops 31 without probing 18 answers {7, 10, 31}, where the
+// (distance, id) order asks for {7, 10, 18}.
+func TestAKNNLazyProbesTieWhenBufferFills(t *testing.T) {
+	point := func(id uint64, x, y float64) *fuzzy.Object {
+		return fuzzy.MustNew(id, []fuzzy.WeightedPoint{{P: geom.Point{x, y}, Mu: 1}})
+	}
+	objs := []*fuzzy.Object{
+		point(7, 0.2, 0),
+		point(10, 0, 0.5),
+		point(18, 1, 0),
+		fuzzy.MustNew(31, []fuzzy.WeightedPoint{{P: geom.Point{-1, 0}, Mu: 1}, {P: geom.Point{-0.9, 0}, Mu: 0.2}}),
+	}
+	ix := buildIndex(t, objs, Options{})
+	q := point(100, 0, 0)
+	const k, alpha = 3, 0.5
+	want, _, err := ix.LinearScanAKNN(q, k, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := resultIDs(want); ids != [3]uint64{7, 10, 18} || want[2].Dist != 1 {
+		t.Fatalf("the scan answers %v, want ids 7, 10, 18 with 18 at distance 1", want)
+	}
+	for _, algo := range []AKNNAlgorithm{LBLP, LBLPUB} {
+		got, st, err := ix.AKNN(q, k, alpha, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fixture's shape: 7 and 10 admitted, 31 and 18 probed.
+		if st.LazyAdmitted != 2 || st.ObjectAccesses != 2 {
+			t.Fatalf("%v: %+v, want 2 admitted and 2 probed", algo, st)
+		}
+		if ids := resultIDs(got); ids != [3]uint64{7, 10, 18} {
+			t.Errorf("%v: raw answer %v, want ids 7, 10, 18", algo, got)
+		}
+		refined, _, err := ix.Refine(q, alpha, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids := resultIDs(refined); ids != [3]uint64{7, 10, 18} || refined[2].Dist != 1 {
+			t.Errorf("%v: refined answer %v, want %v", algo, refined, want)
+		}
+	}
+}
+
+// resultIDs returns the ids of a three-result answer, or zeros if it has
+// another length.
+func resultIDs(rs []Result) (ids [3]uint64) {
+	if len(rs) == len(ids) {
+		for i, r := range rs {
+			ids[i] = r.ID
+		}
+	}
+	return ids
+}

@@ -570,3 +570,46 @@ func TestWriteErrorsAlwaysJSON(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// TestServeExplain: ?explain=1 adds the query.Stats counters "stats"
+// leaves out and the engine's queue/service split to /aknn, /rknn and
+// /range replies; without it (or with another value) the reply has no
+// explain member and the same answer.
+func TestServeExplain(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	bodies := map[string]any{
+		"/aknn":  AKNNRequest{Query: queryJSON(t), K: 3, Alpha: 0.5},
+		"/rknn":  RKNNRequest{Query: queryJSON(t), K: 2, AlphaStart: 0.3, AlphaEnd: 1},
+		"/range": RangeRequest{Query: queryJSON(t), Alpha: 0.5, Radius: 3},
+	}
+	type reply struct {
+		Results json.RawMessage `json:"results"`
+		Stats   StatsJSON       `json:"stats"`
+		Explain *ExplainJSON    `json:"explain"`
+	}
+	for path, body := range bodies {
+		var plain, off, ex reply
+		for url, dst := range map[string]*reply{path: &plain, path + "?explain=0": &off, path + "?explain=1": &ex} {
+			if status := postJSON(t, ts.URL+url, body, dst); status != http.StatusOK {
+				t.Fatalf("%s: status %d", url, status)
+			}
+		}
+		if plain.Explain != nil || off.Explain != nil {
+			t.Fatalf("%s: explain member without ?explain=1: %+v, %+v", path, plain.Explain, off.Explain)
+		}
+		if !bytes.Equal(plain.Results, ex.Results) || !bytes.Equal(plain.Results, off.Results) {
+			t.Fatalf("%s: answers differ with explain:\n%s\n%s\n%s", path, plain.Results, off.Results, ex.Results)
+		}
+		e := ex.Explain
+		if e == nil {
+			t.Fatalf("%s?explain=1: no explain member", path)
+		}
+		// The query ran inside its service time, after its queue wait.
+		if d := ex.Stats.DurationNs; e.QueueNs < 0 || d <= 0 || e.ServiceNs < d {
+			t.Errorf("%s: queue %d ns, service %d ns, query %d ns", path, e.QueueNs, e.ServiceNs, d)
+		}
+		if rknn := e.AKNNCalls > 0 && e.Candidates > 0 && e.Pieces > 0 && e.ProfilesBuilt > 0; rknn != (path == "/rknn") {
+			t.Errorf("%s: explain %+v", path, *e)
+		}
+	}
+}

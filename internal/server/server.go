@@ -6,6 +6,7 @@
 //	POST   /aknn          {query|query_id, k, alpha, algo?}                → {results, stats}
 //	POST   /rknn          {query|query_id, k, alpha_start, alpha_end, algo?} → {results, stats}
 //	POST   /range         {query|query_id, alpha, radius}                  → {results, stats}
+//	POST   /aknn?explain=1 (also /rknn, /range)                            → {results, stats, explain}
 //	POST   /objects       {object}                                        → {id, objects}
 //	POST   /objects:batch {objects: [...], delete_ids?: [...]}            → {results, applied, failed, objects}
 //	DELETE /objects/{id}                                                  → {id, objects}
@@ -472,16 +473,32 @@ type StatsJSON struct {
 	Duration       string `json:"duration"`
 }
 
+// ExplainJSON is the "explain" member of a query reply asked for with
+// ?explain=1: the query.Stats counters that "stats" leaves out (so the two
+// members together carry all of them), and the engine's split of the
+// request's latency at its claim into queue wait and service time.
+type ExplainJSON struct {
+	ProfilesBuilt int   `json:"profiles_built"`
+	ProfilePoints int   `json:"profile_points"`
+	AKNNCalls     int   `json:"aknn_calls"`
+	Candidates    int   `json:"candidates"`
+	Pieces        int   `json:"pieces"`
+	QueueNs       int64 `json:"queue_ns"`
+	ServiceNs     int64 `json:"service_ns"`
+}
+
 // QueryResponse is the body of successful /aknn and /range responses.
 type QueryResponse struct {
 	Results []ResultJSON `json:"results"`
 	Stats   StatsJSON    `json:"stats"`
+	Explain *ExplainJSON `json:"explain,omitempty"`
 }
 
 // RKNNResponse is the body of a successful /rknn response.
 type RKNNResponse struct {
 	Results []RangedResultJSON `json:"results"`
 	Stats   StatsJSON          `json:"stats"`
+	Explain *ExplainJSON       `json:"explain,omitempty"`
 }
 
 // CheckpointRequest is the (optional) body of POST /checkpoint. Compact
@@ -606,6 +623,7 @@ func (s *Server) handleAKNN(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueryResponse{
 		Results: toResults(resp.Results),
 		Stats:   toStats(resp.Stats),
+		Explain: explain(r, &resp),
 	})
 }
 
@@ -639,7 +657,7 @@ func (s *Server) handleRKNN(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, resp.Err)
 		return
 	}
-	out := RKNNResponse{Results: make([]RangedResultJSON, len(resp.Ranged)), Stats: toStats(resp.Stats)}
+	out := RKNNResponse{Results: make([]RangedResultJSON, len(resp.Ranged)), Stats: toStats(resp.Stats), Explain: explain(r, &resp)}
 	for i, rr := range resp.Ranged {
 		ivs := rr.Qualifying.Intervals()
 		rj := RangedResultJSON{ID: rr.ID, Qualifying: make([]IntervalJSON, len(ivs)), Text: rr.Qualifying.String()}
@@ -672,6 +690,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueryResponse{
 		Results: toResults(resp.Results),
 		Stats:   toStats(resp.Stats),
+		Explain: explain(r, &resp),
 	})
 }
 
@@ -1073,6 +1092,24 @@ func toResults(rs []fuzzyknn.Result) []ResultJSON {
 		out[i] = ResultJSON{ID: r.ID, Dist: r.Dist, Exact: r.Exact, Lower: r.Lower, Upper: r.Upper}
 	}
 	return out
+}
+
+// explain returns the explain member of resp's reply if the request asked
+// for one with ?explain=1, else nil, which leaves the reply as it is.
+func explain(r *http.Request, resp *fuzzyknn.BatchResponse) *ExplainJSON {
+	if r.URL.RawQuery == "" || r.URL.Query().Get("explain") != "1" {
+		return nil
+	}
+	st := resp.Stats
+	return &ExplainJSON{
+		ProfilesBuilt: st.ProfilesBuilt,
+		ProfilePoints: st.ProfilePoints,
+		AKNNCalls:     st.AKNNCalls,
+		Candidates:    st.Candidates,
+		Pieces:        st.Pieces,
+		QueueNs:       resp.Queue.Nanoseconds(),
+		ServiceNs:     resp.Service.Nanoseconds(),
+	}
 }
 
 func toStats(st fuzzyknn.Stats) StatsJSON {

@@ -14,7 +14,11 @@ start_server /tmp/metrics-smoke.log -demo 500 -addr 127.0.0.1:18080 \
   -request-timeout 5s -slow-query 2s -pprof
 wait_healthz http://127.0.0.1:18080
 
-curl -sf http://127.0.0.1:18080/aknn -d '{"query_id": 7, "k": 5, "alpha": 0.5}' >/dev/null
+# ?explain=1 adds the stats counters "stats" leaves out and the request's
+# queue/service split.
+curl -sf 'http://127.0.0.1:18080/aknn?explain=1' -d '{"query_id": 7, "k": 5, "alpha": 0.5}' > "$WORK/aknn.json"
+grep -qE '"explain":\{"profiles_built":[0-9]+,.*"queue_ns":[0-9]+,"service_ns":[1-9][0-9]*\}' "$WORK/aknn.json" ||
+  { echo "/aknn?explain=1 has no explain member: $(cat "$WORK/aknn.json")" >&2; exit 1; }
 curl -sf http://127.0.0.1:18080/rknn -d '{"query_id": 7, "k": 3, "alpha_start": 0.3, "alpha_end": 0.8}' >/dev/null
 curl -sf http://127.0.0.1:18080/range -d '{"query_id": 7, "alpha": 0.5, "radius": 10}' >/dev/null
 curl -sf http://127.0.0.1:18080/objects -d '{"object": {"id": 9001, "points": [{"p": [1, 2], "mu": 1.0}]}}' >/dev/null

@@ -89,12 +89,23 @@ trap 'rm -rf "$work" "$catalogue"' EXIT
 (cd "$tree" && git ls-files -co --exclude-standard -z | tar --null -cf - -T -) | tar -xf - -C "$work"
 : > "$matrix"
 
+# gotest runs `go test` in the copy with TMPDIR set to a directory under
+# $work, removed afterwards, so that a test binary the timeout kills leaves
+# no t.TempDir directories behind.
+gotest() {
+  local rc=0
+  mkdir -p "$work/.tmp"
+  (cd "$work" && TMPDIR="$work/.tmp" go test "$@" < /dev/null) || rc=$?
+  rm -rf "$work/.tmp"
+  return "$rc"
+}
+
 # killers lists the top-level tests that failed in a `go test -json` log
-# and fail again when rerun alone — so that a timing test flaking beside
-# the other packages counts for nothing — and the packages that failed
-# outside any test (a panic, a timeout). A mutant can make a test spin or
-# block; the timeout (tier-1's slowest package takes a few seconds) turns
-# that into a failure instead of a ten-minute wait.
+# and the packages that failed outside any test (a panic, a timeout), each
+# only if it fails again when rerun alone, so that a test or package
+# flaking beside the other packages counts for nothing. A mutant can make a
+# test spin or block; the timeout (tier-1's slowest package takes a few
+# seconds) turns that into a failure instead of a ten-minute wait.
 killers() {
   jq -rR 'fromjson? | select(.Action == "fail")
     | if .Test then "\(.Package):\(.Test | sub("/.*"; ""))" else .Package end' "$1" |
@@ -102,13 +113,13 @@ killers() {
       END { for (p in pkg) if (!(p in tested)) print p }' | sort -u |
     while IFS= read -r k; do
       case "$k" in
-        *:*) (cd "$work" && go test -count=1 -timeout 60s -run "^${k#*:}\$" "${k%%:*}" > /dev/null 2>&1 < /dev/null) || echo "$k" ;;
-        *) echo "$k" ;;
+        *:*) gotest -count=1 -timeout 60s -run "^${k#*:}\$" "${k%%:*}" > /dev/null 2>&1 || echo "$k" ;;
+        *) gotest -count=1 -timeout 60s "$k" > /dev/null 2>&1 || echo "$k" ;;
       esac
     done
 }
 run_tier1() {
-  (cd "$work" && go test -json -timeout 60s ./... > "$work/.log" 2>&1 < /dev/null) || true
+  gotest -json -timeout 60s ./... > "$work/.log" 2>&1 || true
 }
 
 echo "census of $tree: baseline run"
