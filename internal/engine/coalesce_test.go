@@ -102,67 +102,6 @@ func TestEngineCoalescesWrites(t *testing.T) {
 	t.Logf("%d inserts -> %d group commits (sizes %v)", len(objs), len(batches), batches)
 }
 
-// TestEngineCoalesceFallback: a group holding invalid requests must report
-// each failure individually while every valid groupmate still lands —
-// batching must not change any request's verdict.
-func TestEngineCoalesceFallback(t *testing.T) {
-	eng, _, ix := spyEnv(t)
-	objs := genObjects(t, 40, 5)
-	seed := make([]Request, 20)
-	for i := 0; i < 20; i++ {
-		seed[i] = Request{Kind: Insert, Obj: objs[i]}
-	}
-	for i, resp := range eng.DoBatch(context.Background(), seed) {
-		if resp.Err != nil {
-			t.Fatalf("seed insert %d: %v", i, resp.Err)
-		}
-	}
-
-	// A mixed batch: valid inserts, duplicate inserts, valid deletes,
-	// deletes of unknown ids — all queued together so the writer drains
-	// them as one group.
-	var reqs []Request
-	var wantErr []bool
-	for i := 20; i < 40; i++ {
-		reqs = append(reqs, Request{Kind: Insert, Obj: objs[i]})
-		wantErr = append(wantErr, false)
-		if i%3 == 0 {
-			reqs = append(reqs, Request{Kind: Insert, Obj: objs[i-20]}) // duplicate id
-			wantErr = append(wantErr, true)
-		}
-		if i%4 == 0 {
-			reqs = append(reqs, Request{Kind: Delete, ID: objs[i-20].ID()})
-			wantErr = append(wantErr, false)
-		}
-		if i%5 == 0 {
-			reqs = append(reqs, Request{Kind: Delete, ID: 1 << 40}) // unknown
-			wantErr = append(wantErr, true)
-		}
-	}
-	resps := eng.DoBatch(context.Background(), reqs)
-	for i, resp := range resps {
-		if (resp.Err != nil) != wantErr[i] {
-			t.Fatalf("request %d (%v): err=%v, want failure=%v", i, reqs[i].Kind, resp.Err, wantErr[i])
-		}
-	}
-	for i, resp := range resps {
-		if resp.Err == nil {
-			continue
-		}
-		if !errors.Is(resp.Err, store.ErrDuplicate) && !errors.Is(resp.Err, store.ErrNotFound) {
-			t.Fatalf("request %d failed with %v, want a duplicate/not-found verdict", i, resp.Err)
-		}
-	}
-	// Net population: 20 seed + 20 inserts - 5 deletes (i%4: 20,24,28,32,36).
-	if want := 35; ix.Len() != want {
-		t.Fatalf("index has %d objects, want %d", ix.Len(), want)
-	}
-	totals := eng.Totals()
-	if totals.Failures == 0 {
-		t.Fatal("failed requests not counted")
-	}
-}
-
 // searcherSpy counts the commits the engine asks its index for.
 type searcherSpy struct {
 	query.Searcher
@@ -317,98 +256,5 @@ func TestEngineFallbackDegradedOnFsyncFailure(t *testing.T) {
 				t.Errorf("object %d, committed before the fault, is gone after reopen", dup.ID())
 			}
 		})
-	}
-}
-
-// TestEngineCoalesceAccounting: with deletes flowing through group commits
-// (each charging its locate probe), the store's raw access counter must
-// still equal the engine's summed per-request stats — including rejected
-// groups that fell back to per-op application.
-func TestEngineCoalesceAccounting(t *testing.T) {
-	ms, err := store.NewMemStore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := store.NewCounting(ms)
-	ix, err := query.Build(counting, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting.Reset()
-	eng := New(ix, Options{Parallelism: 3})
-	defer eng.Close()
-
-	objs := genObjects(t, 120, 7)
-	var reqs []Request
-	for _, o := range objs {
-		reqs = append(reqs, Request{Kind: Insert, Obj: o})
-	}
-	for i := 0; i < 40; i++ {
-		reqs = append(reqs, Request{Kind: Delete, ID: objs[i].ID()})
-	}
-	for _, resp := range eng.DoBatch(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Fatalf("mutation failed: %v", resp.Err)
-		}
-	}
-	// Second wave mixes failures in (duplicates and dead ids) so the
-	// fallback path's accounting is exercised too, plus queries.
-	var wave []Request
-	for i := 0; i < 30; i++ {
-		switch i % 3 {
-		case 0:
-			wave = append(wave, Request{Kind: Insert, Obj: objs[i]}) // dup or re-insert
-		case 1:
-			wave = append(wave, Request{Kind: Delete, ID: objs[i].ID()}) // maybe dead
-		default:
-			wave = append(wave, Request{Kind: AKNN, Q: objs[60], K: 3, Alpha: 0.5, AKNNAlgo: query.LBLPUB})
-		}
-	}
-	eng.DoBatch(context.Background(), wave)
-
-	totals := eng.Totals()
-	if got, want := counting.Count(), int64(totals.Stats.ObjectAccesses); got != want {
-		t.Fatalf("store saw %d accesses, engine accounted %d — the invariant must hold under coalescing and fallback", got, want)
-	}
-}
-
-// TestEngineInterleavedReadsAndWrites race-checks the split queues: query
-// workers and the write coalescer run concurrently against one index.
-func TestEngineInterleavedReadsAndWrites(t *testing.T) {
-	eng, _, ix := spyEnv(t)
-	objs := genObjects(t, 200, 9)
-	seed := make([]Request, 50)
-	for i := range seed {
-		seed[i] = Request{Kind: Insert, Obj: objs[i]}
-	}
-	for _, resp := range eng.DoBatch(context.Background(), seed) {
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var reqs []Request
-			for i := 50 + w; i < 200; i += 4 {
-				reqs = append(reqs, Request{Kind: Insert, Obj: objs[i]})
-				reqs = append(reqs, Request{Kind: AKNN, Q: objs[w], K: 2, Alpha: 0.5, AKNNAlgo: query.LBLPUB})
-			}
-			for i, resp := range eng.DoBatch(context.Background(), reqs) {
-				if resp.Err != nil {
-					t.Errorf("worker %d request %d: %v", w, i, resp.Err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if ix.Len() != 200 {
-		t.Fatalf("index has %d objects, want 200", ix.Len())
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -351,103 +351,6 @@ func TestEngineDefaultOptions(t *testing.T) {
 	}
 }
 
-// TestEngineQueriesDuringMutations drives live inserts and deletes through
-// the engine while query batches run concurrently — the dynamic-index
-// counterpart of TestEngineMatchesSerial. Run with -race. Queries must
-// never fail (snapshot isolation), mutations must all succeed exactly once,
-// and the totals must account for every request kind.
-func TestEngineQueriesDuringMutations(t *testing.T) {
-	env := newTestEnv(t, 80, 6)
-	e := New(env.ix, Options{Parallelism: 8})
-	defer e.Close()
-
-	const mutationOps = 250
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Readers: fire mixed query batches until the writer is done.
-	var queryFailures atomic.Int64
-	var queriesRun atomic.Int64
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				reqs := mixedRequests(env, 1)
-				for _, resp := range e.DoBatch(context.Background(), reqs) {
-					queriesRun.Add(1)
-					if resp.Err != nil {
-						queryFailures.Add(1)
-						t.Errorf("query during mutation: %v", resp.Err)
-					}
-				}
-			}
-		}()
-	}
-
-	// Writer: churn through the engine. New objects clone existing payloads
-	// under fresh ids; deletes retire them again, so the base population
-	// survives for the readers.
-	base := env.ix.Len()
-	nextID := uint64(100_000)
-	var inserted []uint64
-	for op := 0; op < mutationOps; op++ {
-		if len(inserted) == 0 || op%2 == 0 {
-			src := env.queries[op%len(env.queries)]
-			obj := fuzzy.MustNew(nextID, src.WeightedPoints())
-			nextID++
-			resp := e.Do(context.Background(), Request{Kind: Insert, Obj: obj})
-			if resp.Err != nil {
-				t.Fatalf("op %d: insert: %v", op, resp.Err)
-			}
-			inserted = append(inserted, obj.ID())
-		} else {
-			id := inserted[len(inserted)-1]
-			inserted = inserted[:len(inserted)-1]
-			resp := e.Do(context.Background(), Request{Kind: Delete, ID: id})
-			if resp.Err != nil {
-				t.Fatalf("op %d: delete %d: %v", op, id, resp.Err)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	if got := env.ix.Len(); got != base+len(inserted) {
-		t.Fatalf("index len = %d, want %d", got, base+len(inserted))
-	}
-	if err := env.ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if queryFailures.Load() != 0 {
-		t.Fatalf("%d query failures", queryFailures.Load())
-	}
-
-	totals := e.Totals()
-	if totals.Failures != 0 {
-		t.Fatalf("totals.Failures = %d", totals.Failures)
-	}
-	muts := totals.Requests[Insert.String()] + totals.Requests[Delete.String()]
-	if muts != mutationOps {
-		t.Fatalf("mutation requests = %d, want %d", muts, mutationOps)
-	}
-	queries := totals.Requests[AKNN.String()] + totals.Requests[RKNN.String()] + totals.Requests[RangeSearch.String()]
-	if queries != queriesRun.Load() {
-		t.Fatalf("query requests = %d, want %d", queries, queriesRun.Load())
-	}
-	// The paper's accounting invariant must survive mixed workloads: the
-	// store's raw access total equals the summed per-request stats (delete
-	// responses carry their locate probe; inserts probe nothing).
-	if got, want := env.counting.Count(), int64(totals.Stats.ObjectAccesses); got != want {
-		t.Fatalf("store total %d != summed per-request accesses %d", got, want)
-	}
-}
-
 // TestEngineMutationErrorTaxonomy checks that mutation failures surface per
 // response and count as failures in the totals, without disturbing other
 // requests in the batch.

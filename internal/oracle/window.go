@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -39,6 +40,10 @@ type clock struct {
 	prefix      []int
 }
 
+// Skip, answered by a Race's run, says that a layout does not take a read:
+// the pair is passed over.
+var Skip = errors.New("oracle: read skipped")
+
 // Sighting is one read as it ran.
 type Sighting struct {
 	Layout, Read int
@@ -74,7 +79,8 @@ func (w *Window) Commit(layout, ops int, call func() error) error {
 }
 
 // Race runs write while readers goroutines run every read on every layout
-// through run, each reader at least one pass over every (layout, read) pair;
+// through run (which may answer Skip), each reader at least one pass over
+// every (layout, read) pair;
 // write starts once every reader is reading. Afterwards every answer is
 // matched, and Race returns a line for the test log: how many reads ran,
 // how many of them beside a commit, over how many ops.
@@ -97,7 +103,9 @@ func (w *Window) Race(readers int, run func(layout, read int) (string, error), w
 					reading.Done()
 				}
 				got, err := run(li, ri)
-				seen[g] = append(seen[g], Sighting{li, ri, lo, c.begun.Load(), got, err})
+				if err != Skip {
+					seen[g] = append(seen[g], Sighting{li, ri, lo, c.begun.Load(), got, err})
+				}
 			}
 		}()
 	}

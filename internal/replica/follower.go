@@ -30,17 +30,19 @@ type Applier interface {
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error
 }
 
+// A running follower asks the leader to hold each /replication/log request
+// open for up to pollWait, and for at most maxPollBytes of frames.
+const (
+	pollWait     = 20 * time.Second
+	maxPollBytes = 4 << 20
+)
+
 // Options tunes a Follower. The zero value (or nil) picks the defaults.
 type Options struct {
 	// Client issues the HTTP requests. The default client has no global
 	// timeout (long-polls outlive any sane one); per-request contexts bound
 	// each call instead.
 	Client *http.Client
-	// PollWait is the long-poll budget the follower asks the leader to hold
-	// a /replication/log request open for (default 20s).
-	PollWait time.Duration
-	// MaxBytes bounds the frame bytes per poll response (default 4 MiB).
-	MaxBytes int
 	// MinBackoff/MaxBackoff bound the reconnect backoff after transport
 	// errors (defaults 100ms and 2s). Retry n of a failure streak sleeps a
 	// full-jitter duration drawn uniformly from [MinBackoff, ceiling],
@@ -63,12 +65,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Client == nil {
 		out.Client = &http.Client{}
-	}
-	if out.PollWait <= 0 {
-		out.PollWait = 20 * time.Second
-	}
-	if out.MaxBytes <= 0 {
-		out.MaxBytes = 4 << 20
 	}
 	if out.MinBackoff <= 0 {
 		out.MinBackoff = 100 * time.Millisecond
@@ -289,7 +285,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 func (f *Follower) pollOnce(ctx context.Context, wait time.Duration, upTo uint64) (int, error) {
 	from := f.applied.Load() + 1
 	u := fmt.Sprintf("%s/replication/log?from=%d&max_bytes=%d&wait_ms=%d",
-		f.leader, from, f.opts.MaxBytes, wait.Milliseconds())
+		f.leader, from, maxPollBytes, wait.Milliseconds())
 	reqCtx := ctx
 	if wait > 0 {
 		var cancel context.CancelFunc
@@ -400,7 +396,7 @@ func (f *Follower) follow(ctx context.Context, run bool, upTo uint64) error {
 	backoff := newJitterBackoff(f.opts.MinBackoff, f.opts.MaxBackoff, f.opts.BackoffSeed)
 	var wait time.Duration
 	if run {
-		wait = f.opts.PollWait
+		wait = pollWait
 	}
 	// retry counts a failed request and sleeps before the next one; it
 	// reports the error that ends the loop, if ctx has ended.

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"fuzzyknn/internal/fuzzy"
 )
@@ -31,8 +30,6 @@ type Log struct {
 	next   uint64   // seq assigned to the next Append; first frame is seq 1
 	bytes  int64    // sum of len(frames[i])
 	notify chan struct{}
-
-	framesAppended atomic.Int64
 }
 
 // NewLog builds a frame log for one leader incarnation. gen must be unique
@@ -80,9 +77,6 @@ func (l *Log) FramesRetained() int {
 	return len(l.frames)
 }
 
-// FramesAppended reports the lifetime appended-frame total.
-func (l *Log) FramesAppended() int64 { return l.framesAppended.Load() }
-
 // Append encodes one committed mutation group as the next frame, wakes
 // blocked readers, trims the window to the retention bounds, and returns
 // the assigned sequence. The caller must already have committed the group
@@ -103,7 +97,6 @@ func (l *Log) Append(inserts []*fuzzy.Object, deletes []uint64) uint64 {
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
-	l.framesAppended.Add(1)
 	return seq
 }
 

@@ -115,15 +115,3 @@ func TestServeCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint request total = %d", stats.Requests["checkpoint"])
 	}
 }
-
-// TestServeCheckpointUnsupported maps an in-memory index onto 501.
-func TestServeCheckpointUnsupported(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	var errResp ErrorResponse
-	if status := postJSON(t, ts.URL+"/checkpoint", struct{}{}, &errResp); status != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", status)
-	}
-	if errResp.Error == "" {
-		t.Fatal("501 carries no error message")
-	}
-}

@@ -7,9 +7,9 @@
 //	POST   /rknn          {query|query_id, k, alpha_start, alpha_end, algo?} → {results, stats}
 //	POST   /range         {query|query_id, alpha, radius}                  → {results, stats}
 //	POST   /aknn?explain=1 (also /rknn, /range)                            → {results, stats, explain}
-//	POST   /objects       {object}                                        → {id, objects}
+//	POST   /objects       {object}                                        → {id, objects, object_accesses}
 //	POST   /objects:batch {objects: [...], delete_ids?: [...]}            → {results, applied, failed, objects}
-//	DELETE /objects/{id}                                                  → {id, objects}
+//	DELETE /objects/{id}                                                  → {id, objects, object_accesses}
 //	POST   /checkpoint    {compact?} (body optional)                      → {shards, compacted}
 //	GET    /stats         index size + engine lifetime totals
 //	GET    /metrics       Prometheus text exposition (engine + HTTP series)
@@ -404,10 +404,12 @@ type InsertRequest struct {
 }
 
 // MutationResponse is the body of successful /objects responses: the id
-// acted on and the live object count afterwards.
+// acted on, the live object count afterwards and the object accesses the
+// write charged (a delete's locate probe; an insert probes nothing).
 type MutationResponse struct {
-	ID      uint64 `json:"id"`
-	Objects int    `json:"objects"`
+	ID             uint64 `json:"id"`
+	Objects        int    `json:"objects"`
+	ObjectAccesses int    `json:"object_accesses,omitempty"`
 }
 
 // BatchMutateRequest is the body of POST /objects:batch: objects to insert
@@ -418,11 +420,13 @@ type BatchMutateRequest struct {
 }
 
 // BatchItemJSON reports one batch item's outcome. Error is empty for items
-// that committed.
+// that committed; ObjectAccesses is what the item charged, as in a
+// MutationResponse.
 type BatchItemJSON struct {
-	Op    string `json:"op"` // "insert" | "delete"
-	ID    uint64 `json:"id"`
-	Error string `json:"error,omitempty"`
+	Op             string `json:"op"` // "insert" | "delete"
+	ID             uint64 `json:"id"`
+	Error          string `json:"error,omitempty"`
+	ObjectAccesses int    `json:"object_accesses,omitempty"`
 }
 
 // BatchMutateResponse is the body of a POST /objects:batch response:
@@ -717,7 +721,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeMutationError(w, resp.Err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, MutationResponse{ID: in.id, Objects: s.ix.Len()})
+	writeJSON(w, http.StatusCreated, MutationResponse{ID: in.id, Objects: s.ix.Len(), ObjectAccesses: resp.Stats.ObjectAccesses})
 }
 
 func (s *Server) handleBatchMutate(w http.ResponseWriter, r *http.Request) {
@@ -761,6 +765,7 @@ func (s *Server) handleBatchMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	var degradedErr error
 	for k, resp := range s.eng.DoBatch(r.Context(), reqs) {
+		out.Results[resultPos[k]].ObjectAccesses = resp.Stats.ObjectAccesses
 		if resp.Err != nil {
 			out.Results[resultPos[k]].Error = resp.Err.Error()
 			if errors.Is(resp.Err, fuzzyknn.ErrDegraded) {
@@ -800,7 +805,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeMutationError(w, resp.Err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MutationResponse{ID: id, Objects: s.ix.Len()})
+	writeJSON(w, http.StatusOK, MutationResponse{ID: id, Objects: s.ix.Len(), ObjectAccesses: resp.Stats.ObjectAccesses})
 }
 
 // handleCheckpoint cuts a durable checkpoint of every shard's store while

@@ -194,7 +194,7 @@ var edgeCases = []edgeCase{
 		true, 400, replyBadMu0},
 	{"batch of good, mu zero and duplicate id", "/objects:batch",
 		`{"objects":[{"id":71,"points":[{"p":[0,0],"mu":1}]},{"id":72,"points":[{"p":[0,0],"mu":0}]},{"id":1,"points":[{"p":[5,5],"mu":1}]}],"delete_ids":[6,777]}`,
-		true, 200, `{"results":[{"op":"insert","id":71},{"op":"insert","id":72,"error":"fuzzy: membership values must lie in (0, 1]: got 0"},{"op":"insert","id":1,"error":"query: insert: store: duplicate object id: 1"},{"op":"delete","id":6},{"op":"delete","id":777,"error":"query: delete: store: object not found: id 777"}],"applied":2,"failed":3,"objects":6}`},
+		true, 200, `{"results":[{"op":"insert","id":71},{"op":"insert","id":72,"error":"fuzzy: membership values must lie in (0, 1]: got 0"},{"op":"insert","id":1,"error":"query: insert: store: duplicate object id: 1"},{"op":"delete","id":6,"object_accesses":2},{"op":"delete","id":777,"error":"query: delete: store: object not found: id 777"}],"applied":2,"failed":3,"objects":6}`},
 
 	// Shapes the scanner leaves to encoding/json.
 	{"empty points", "/aknn", `{"query":{"points":[]},"k":1,"alpha":0.5}`,
@@ -215,6 +215,8 @@ var edgeCases = []edgeCase{
 		false, 200, `[{"id":2,"dist":0,"exact":true,"lower":0,"upper":0}]`},
 	{"duplicate points key", "/aknn", `{"query":{"points":[{"p":[9,9],"mu":1}],"points":[{"p":[0,0],"mu":1}]},"k":1,"alpha":0.5,"algo":"lb"}`,
 		false, 200, replyNearest1},
+	{"duplicate id key", "/objects", `{"object":{"id":70,"id":71,"points":[{"p":[0,0],"mu":1}]}}`,
+		false, 201, `{"id":71,"objects":7}`},
 	{"upper-case keys", "/aknn", `{"QUERY":{"Points":[{"P":[0,0],"MU":1}]},"K":1,"Alpha":0.5,"ALGO":"lb"}`,
 		false, 200, replyNearest1},
 	{"escaped key", "/aknn", `{"query":{"poin\u0074s":[{"p":[0,0],"mu":1}]},"k":1,"alpha":0.5,"algo":"lb"}`,

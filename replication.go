@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fuzzyknn/internal/fuzzy"
@@ -33,8 +34,7 @@ type Replication struct {
 	ix  *Index
 	rec *recordingSearcher
 
-	snapshots int64
-	snapMu    sync.Mutex // guards snapshots only
+	snapshots atomic.Int64
 }
 
 // EnableReplication makes the index a replication leader: every committed
@@ -78,15 +78,8 @@ func (r *Replication) OldestSeq() uint64 { return r.rec.log.OldestSeq() }
 // FramesRetained returns the current retained-window size in frames.
 func (r *Replication) FramesRetained() int { return r.rec.log.FramesRetained() }
 
-// FramesAppended returns the lifetime committed-frame total.
-func (r *Replication) FramesAppended() int64 { return r.rec.log.FramesAppended() }
-
 // Snapshots returns how many bootstrap snapshots have been cut.
-func (r *Replication) Snapshots() int64 {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return r.snapshots
-}
+func (r *Replication) Snapshots() int64 { return r.snapshots.Load() }
 
 // FramesSince returns retained encoded frames with sequence >= from
 // (bounded by maxBytes) and the latest committed sequence, blocking while
@@ -118,9 +111,7 @@ func (r *Replication) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	enc := replica.EncodeSnapshot(r.rec.log.Generation(), r.rec.log.LastSeq(), r.ix.Dims(), objs)
-	r.snapMu.Lock()
-	r.snapshots++
-	r.snapMu.Unlock()
+	r.snapshots.Add(1)
 	return enc, nil
 }
 
@@ -180,13 +171,9 @@ func (ix *Index) liveObjectsUncounted() ([]*fuzzy.Object, error) {
 }
 
 // FollowerConfig tunes a Follower. The zero value (or a nil pointer) picks
-// the defaults.
+// the defaults. A follower long-polls /replication/log for up to 20 s a
+// request, asking for at most 4 MiB of frames each time.
 type FollowerConfig struct {
-	// PollWait is the long-poll budget per /replication/log request
-	// (default 20s).
-	PollWait time.Duration
-	// MaxBytes bounds the frame bytes per poll response (default 4 MiB).
-	MaxBytes int
 	// Client issues the HTTP requests (default: a client with no global
 	// timeout; per-request contexts bound each call).
 	Client *http.Client
@@ -228,10 +215,8 @@ func (ix *Index) NewFollower(leaderURL string, cfg *FollowerConfig) (*Follower, 
 		initial[o.ID()] = replica.ObjectCRC(o)
 	}
 	f, err := replica.NewFollower(leaderURL, searcherApplier{ix.inner}, initial, &replica.Options{
-		Client:   c.Client,
-		PollWait: c.PollWait,
-		MaxBytes: c.MaxBytes,
-		Logf:     c.Logf,
+		Client: c.Client,
+		Logf:   c.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzyknn: %w", err)

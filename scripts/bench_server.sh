@@ -13,9 +13,13 @@
 # /objects:batch is the set-up's own figure), and per engine kind the mean
 # queue and service time, and the AKNN requests with the lazy variants'
 # leaf entries deferred and results admitted unprobed (the exact:false
-# ones). Means are histogram sum ÷ count over the last
-# scrape of every server process the run started (a restarted workload has
-# two; a scrape is at most a second old, so the figures are approximate).
+# ones); then per request what the engine counted — object accesses over
+# all its requests, deferred and admitted entries per AKNN — and the
+# client's aknn_p50_ms less the POST /aknn handler mean, the time outside
+# the handler (approximate: a median less a mean). Means are histogram
+# sum ÷ count over the last scrape of every server process the run started
+# (a restarted workload has two; a scrape is at most a second old, so the
+# figures are approximate).
 # --profile FILE also saves a 12 s CPU profile of the first server process
 # still up 10 s after it started (the workload's own, not a probe's); give
 # the run --seconds 25 or more for the profile to finish.
@@ -47,10 +51,11 @@ exec "$PWD/.bench_build/bin/fuzzyserve" "\$@" -pprof
 EOF
 chmod +x "$work/fuzzyserve"
 
-bash benchmark/run.sh "$@" --fuzzyserve "$work/fuzzyserve"
+bash benchmark/run.sh "$@" --fuzzyserve "$work/fuzzyserve" | tee "$work/run.out"
 sleep 1.5 # let the last scrapers see their server gone
+p50=$(grep -o '"aknn_p50_ms": *{ *"value": *[0-9.eE+-]*' "$work/run.out" | tail -n 1 | sed 's/.*: *//')
 
-cat "$work"/scrape.* | awk '
+cat "$work"/scrape.* | awk -v p50="${p50:-0}" '
 	/^fuzzyknn_(http_request_duration|request_queue|request_service)_seconds_(sum|count)[{]/ {
 		name = substr($0, 1, index($0, "{") - 1)
 		label = substr($0, index($0, "=\"") + 2) # a label value may hold braces: DELETE /objects/{id}
@@ -64,6 +69,8 @@ cat "$work"/scrape.* | awk '
 		}
 	}
 	/^fuzzyknn_requests_total[{]kind="aknn"[}] / { aknn += $NF }
+	/^fuzzyknn_requests_total[{]/ { requests += $NF }
+	/^fuzzyknn_engine_object_accesses_total / { accesses += $NF }
 	/^fuzzyknn_engine_lazy_deferred_total / { deferred += $NF }
 	/^fuzzyknn_engine_lazy_admitted_total / { admitted += $NF }
 	function block(metric, name, withCount,   i, k, m, sep, out) {
@@ -78,10 +85,13 @@ cat "$work"/scrape.* | awk '
 		}
 		return out "}"
 	}
+	function per(x, n) { return n ? x / n : 0 }
 	END {
-		printf "{\"server_side\": {%s, %s, %s, \"aknn_lazy\": {\"requests\": %d, \"deferred\": %d, \"admitted\": %d}}}\n",
+		h = "fuzzyknn_http_request_duration_seconds" SUBSEP "POST /aknn" SUBSEP
+		printf "{\"server_side\": {%s, %s, %s, \"aknn_lazy\": {\"requests\": %d, \"deferred\": %d, \"admitted\": %d}, \"per_request\": {\"object_accesses\": %.4f, \"aknn_lazy_deferred\": %.4f, \"aknn_lazy_admitted\": %.4f}, \"aknn_p50_minus_handler_mean_ms_approx\": %.4f}}\n",
 			block("fuzzyknn_http_request_duration_seconds", "handler", 1),
 			block("fuzzyknn_request_queue_seconds", "engine_queue_mean_ms", 0),
 			block("fuzzyknn_request_service_seconds", "engine_service_mean_ms", 0),
-			aknn, deferred, admitted
+			aknn, deferred, admitted, per(accesses, requests), per(deferred, aknn), per(admitted, aknn),
+			p50 - 1000 * per(acc[h "sum"], acc[h "count"])
 	}'
