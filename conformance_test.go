@@ -246,4 +246,7 @@ var conformanceSeeds = [][]byte{
 	// The served log shape fail-stopped on an fsync and on a torn write,
 	// and refusals sent in batches over HTTP.
 	{13, 18, OpFailStop, 144, OpQuery, 3, OpRefuse, 136, OpFailStop, 152, OpRefuse, 17, OpQuery, 4},
+	// A race whose first write is an empty batch, which HTTP refuses with a
+	// 400 while the readers charge the same index.
+	[]byte("00Y"),
 }

@@ -243,10 +243,11 @@ type Config struct {
 	// answer is checked on both.
 	Incremental bool
 	// Shards, when at least 2, hash-partitions the objects across that many
-	// independent R-trees behind a coordinator that answers exactly — same
-	// results, byte for byte, as a single tree over the same objects (AKNN
-	// answers always come refined). AKNN runs as one best-first search over
-	// all the trees; the other families fan out in parallel and merge.
+	// independent R-trees behind a coordinator that answers as a single tree
+	// over the same objects does: the same results, byte for byte, once a
+	// lazy AKNN answer is refined (LBLP and LBLPUB may admit unprobed
+	// results on any layout). AKNN runs as one best-first search over all
+	// the trees; the other families fan out in parallel and merge.
 	// Mutations route to the owning shard by id hash. With OpenLogIndex
 	// each shard appends to its own log file ("<path>.shard<i>-of-<n>"), so
 	// an index must be reopened with the same shard count it was created
@@ -352,8 +353,8 @@ func assemble(specs []shardSpec, files []io.Closer, c Config, pageCacheBytes int
 		ix.shards[i] = shard{index: trees[i], counting: counting, base: sp.reader}
 	}
 	if n == 1 {
-		// The bare tree, not a coordinator of one: lazy-probe AKNN answers
-		// stay unrefined exactly as the paper's single tree returns them.
+		// The bare tree, not a coordinator of one: a coordinator over one
+		// tree would answer the same and only add a hop.
 		ix.inner, ix.forest = trees[0], trees[0]
 		return ix, nil
 	}

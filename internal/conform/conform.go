@@ -57,7 +57,8 @@
 //     algorithms equal Naive over a from-scratch NewIndex of the model;
 //   - shapes of one build mode cost alike: Basic and LB AKNN, every RKNN
 //     algorithm and range search probe the same objects and evaluate the
-//     same distances, and a sharded lazy AKNN costs what LB does;
+//     same distances, and a lazy AKNN on any shape probes exactly the
+//     entries it deferred and did not admit, and at most what LB does;
 //   - a paged shape answers byte for byte like the tree it was saved from,
 //     bounds included, at the same logical cost down to node visits; it
 //     shows page I/O and counts its evictions, and its resident bytes stay
@@ -1269,9 +1270,16 @@ func logical(st Stats) Stats {
 
 // costsAgree checks the layout-invariant costs: within one build mode,
 // every shape's Basic and LB AKNN probe the same objects and evaluate the
-// same distances as the first shape's (a single in-memory tree), a sharded
-// lazy AKNN costs what LB does there, and every RKNN algorithm and range
-// search costs the same in every counter.
+// same distances as the first shape's (a single in-memory tree), and every
+// RKNN algorithm and range search costs the same in every counter. A lazy
+// AKNN, on any shape, probes exactly the entries it deferred and did not
+// admit, and costs at most what the single tree's LB does: an entry is
+// probed only after it has been popped, and a lazy search pops no leaf
+// entry whose key exceeds the k-th distance — the top k are then all
+// emitted or buffered, G fills the slots left, and its minimum, whose
+// lower bound is below that key, is probed or admitted first. LB pops every
+// entry with a smaller key, and the set is the same however the population
+// is cut into trees.
 func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
 	c.t.Helper()
 	for _, inc := range []bool{false, true} {
@@ -1282,10 +1290,17 @@ func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
 			}
 			if ref == nil {
 				ref = runs[i]
-				continue
 			}
 			for fam, a := range runs[i] {
-				base, all := costBase(fam, s.cfg.Shards)
+				if fam == "aknn/"+LBLP.String() || fam == "aknn/"+LBLPUB.String() {
+					st, lb := a.st, ref["aknn/"+LB.String()].st
+					if st.ObjectAccesses != st.LazyDeferred-st.LazyAdmitted ||
+						st.ObjectAccesses > lb.ObjectAccesses || st.DistanceEvals > lb.DistanceEvals {
+						c.t.Fatalf("%s: %s: %s costs %+v, the single tree's LB %+v", c.at, s.name, fam, st, lb)
+					}
+					continue
+				}
+				base, all := costBase(fam)
 				if base == "" {
 					continue
 				}
@@ -1302,17 +1317,14 @@ func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
 	}
 }
 
-// costBase names the read of the single tree whose cost fam's must equal on
-// a shape of the given shard count ("" when it depends on the layout), and
-// whether every counter must (all) or only object accesses and distance
-// evaluations: Basic and LB AKNN, a sharded lazy AKNN (which runs as LB),
+// costBase names the read of the single tree whose cost fam's must equal
+// ("" when it depends on the layout), and whether every counter must (all)
+// or only object accesses and distance evaluations: Basic and LB AKNN,
 // every RKNN algorithm and range search.
-func costBase(fam string, shards int) (base string, all bool) {
+func costBase(fam string) (base string, all bool) {
 	switch {
 	case fam == "aknn/"+Basic.String(), fam == "aknn/"+LB.String():
 		return fam, false
-	case strings.HasPrefix(fam, "aknn/") && shards > 1:
-		return "aknn/" + LB.String(), false
 	case fam == "range", strings.HasPrefix(fam, "rknn/"):
 		return fam, true
 	}

@@ -122,7 +122,9 @@ type reply struct {
 // books every item that reached the engine (a nil object is refused before
 // it; an empty batch never gets there). A reply that refuses the whole
 // write carries no stats, so it books what the index counted meanwhile:
-// nothing else may touch the index then.
+// nothing else may touch the index then. An empty batch books nothing: its
+// 400 comes before the engine, and a race's readers may be charging the
+// index meanwhile.
 func (c *checker) send(s *shape, ins []*Object, dels []uint64, single bool) reply {
 	f, before := s.web, s.ix.TotalObjectAccesses()
 	var rep reply
@@ -171,7 +173,7 @@ func (c *checker) send(s *shape, ins []*Object, dels []uint64, single bool) repl
 		}
 		f.accesses += int64(it.ObjectAccesses)
 	}
-	if rep.status/100 != 2 {
+	if rep.status/100 != 2 && len(ins)+len(dels) > 0 {
 		f.accesses += s.ix.TotalObjectAccesses() - before
 	}
 	return rep

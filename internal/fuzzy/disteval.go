@@ -83,6 +83,16 @@ func (e *DistEval) Alpha() float64 { return e.alpha }
 // computing a second one.
 func (e *DistEval) QueryMBR() geom.Rect { return e.qmbr }
 
+// NearestWithin returns the distance from p to the nearest point of Q_α
+// when it is below bound, and bound otherwise. For a point p of A_α it is
+// an upper bound of d_α(A, Q): Lemma 1 (§3.4) over the whole cut.
+func (e *DistEval) NearestWithin(p geom.Point, bound float64) float64 {
+	if _, d := e.tree.NearestWithin(p, bound); d < bound {
+		return d
+	}
+	return bound
+}
+
 // Dist returns d_α(o, Q) for the pinned query and α, memoized by o.ID().
 func (e *DistEval) Dist(o *Object) float64 {
 	if d, ok := e.memo[o.ID()]; ok {

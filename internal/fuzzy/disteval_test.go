@@ -105,6 +105,36 @@ func TestDistEvalBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDistEvalNearestWithin holds the §3.4 upper bound to its definition:
+// the distance from a point to the nearest point of Q_α, capped at the
+// bound, and for an object's representative kernel point never below
+// d_α(A, Q).
+func TestDistEvalNearestWithin(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 26))
+	q, objs := sec61Neighbours(rng, 40)
+	var e DistEval
+	for _, alpha := range []float64{0, 0.5, 0.9, 1} {
+		e.Reset(q, alpha)
+		cut := cutOf(q, alpha)
+		for _, o := range objs {
+			rep := o.Rep()
+			want := math.Inf(1)
+			for _, c := range cut {
+				want = min(want, geom.Dist(rep, c))
+			}
+			if got := e.NearestWithin(rep, math.Inf(1)); got != want {
+				t.Fatalf("α = %v, object %d: nearest cut point at %v, brute force %v", alpha, o.ID(), got, want)
+			}
+			if got := e.NearestWithin(rep, want/2); got != want/2 {
+				t.Fatalf("α = %v, object %d: bound %v not kept, got %v", alpha, o.ID(), want/2, got)
+			}
+			if d := e.Dist(o); d > want {
+				t.Fatalf("α = %v, object %d: d_α %v above its representative's %v", alpha, o.ID(), d, want)
+			}
+		}
+	}
+}
+
 // TestDistEvalGateSkips pins the descent count: on the pairs an AKNN
 // actually evaluates, most points of the visited object lie beyond the
 // running minimum from the query's MBR and never enter the tree. The bounds

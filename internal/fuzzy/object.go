@@ -268,57 +268,6 @@ func (o *Object) repIndex() int {
 	return int(x % uint64(o.cutLen(1)))
 }
 
-// SampleCut returns up to n points pseudo-randomly sampled (without
-// replacement) from the α-cut, deterministically from seed. If the cut has
-// at most n points, the whole cut is returned.
-func (o *Object) SampleCut(alpha float64, n int, seed uint64) []geom.Point {
-	out, _ := o.AppendSampleCut(nil, nil, alpha, n, seed)
-	return out
-}
-
-// AppendSampleCut is SampleCut appending the sampled points to dst and
-// reusing idxBuf for the Fisher-Yates index space, so repeated queries
-// sample without allocating. It returns the extended sample slice and the
-// (possibly grown) index buffer.
-func (o *Object) AppendSampleCut(dst []geom.Point, idxBuf []int, alpha float64, n int, seed uint64) ([]geom.Point, []int) {
-	size := o.cutLen(alpha)
-	if size <= n {
-		for i := 0; i < size; i++ {
-			dst = append(dst, o.point(i))
-		}
-		return dst, idxBuf
-	}
-	// Partial Fisher-Yates over the index space, driven by SplitMix64 so
-	// results are stable across runs.
-	if cap(idxBuf) < size {
-		idxBuf = make([]int, size)
-	}
-	idx := idxBuf[:size]
-	for i := range idx {
-		idx[i] = i
-	}
-	state := seed
-	for i := 0; i < n; i++ {
-		j := i + int(splitmix64(&state)%uint64(len(idx)-i))
-		idx[i], idx[j] = idx[j], idx[i]
-		dst = append(dst, o.point(idx[i]))
-	}
-	return dst, idxBuf
-}
-
-// splitmix64 advances state and returns the next SplitMix64 output. It is a
-// plain function rather than a closure so sampling does not allocate.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // String summarizes the object.
 func (o *Object) String() string {
 	return fmt.Sprintf("fuzzy.Object{id=%d, n=%d, dims=%d, levels=%d}",

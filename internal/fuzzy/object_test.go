@@ -526,46 +526,6 @@ func TestRepDeterministicAndInKernel(t *testing.T) {
 	}
 }
 
-func TestSampleCut(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 15))
-	o := randObject(rng, 5, 100, 2, 0)
-	s := o.SampleCut(0.3, 10, 42)
-	if len(s) != 10 {
-		t.Fatalf("sample size = %d, want 10", len(s))
-	}
-	cut := cutOf(o, 0.3)
-	inCut := func(p geom.Point) bool {
-		for _, q := range cut {
-			if p.Equal(q) {
-				return true
-			}
-		}
-		return false
-	}
-	seen := map[string]bool{}
-	for _, p := range s {
-		if !inCut(p) {
-			t.Fatalf("sample point %v not in cut", p)
-		}
-		if seen[p.String()] {
-			t.Fatalf("duplicate sample point %v", p)
-		}
-		seen[p.String()] = true
-	}
-	// Deterministic under the same seed.
-	s2 := o.SampleCut(0.3, 10, 42)
-	for i := range s {
-		if !s[i].Equal(s2[i]) {
-			t.Fatal("SampleCut not deterministic")
-		}
-	}
-	// Whole cut returned when n >= |cut|.
-	all := o.SampleCut(1.0, 1000, 1)
-	if len(all) != o.CutSize(1.0) {
-		t.Fatalf("oversized sample = %d, want %d", len(all), o.CutSize(1.0))
-	}
-}
-
 func TestWeightedPointsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 17))
 	o := randObject(rng, 8, 40, 3, 7)

@@ -80,8 +80,9 @@ func (w *Window) Commit(layout, ops int, call func() error) error {
 
 // Race runs write while readers goroutines run every read on every layout
 // through run (which may answer Skip), each reader at least one pass over
-// every (layout, read) pair;
-// write starts once every reader is reading. Afterwards every answer is
+// every (layout, read) pair. write starts once every reader has finished
+// its first pass, so every pair is read before the first commit, and the
+// readers go on reading until write returns. Afterwards every answer is
 // matched, and Race returns a line for the test log: how many reads ran,
 // how many of them beside a commit, over how many ops.
 func (w *Window) Race(readers int, run func(layout, read int) (string, error), write func()) (string, error) {
@@ -99,12 +100,12 @@ func (w *Window) Race(readers int, run func(layout, read int) (string, error), w
 				li, ri := j%len(w.layouts), j/len(w.layouts)%len(w.reads)
 				c := &w.clocks[li]
 				lo := c.done.Load()
-				if i == 0 {
-					reading.Done()
-				}
 				got, err := run(li, ri)
 				if err != Skip {
 					seen[g] = append(seen[g], Sighting{li, ri, lo, c.begun.Load(), got, err})
+				}
+				if i == pass-1 {
+					reading.Done()
 				}
 			}
 		}()

@@ -104,7 +104,7 @@ type aknnRun struct {
 	mq      geom.Rect
 	tightLB bool // leaf keys from the §3.2 boundary MBR, not the support MBR
 	lazy    bool
-	samples []geom.Point
+	ub      bool // §3.4: upper bounds from the representative point (LB-LP-UB)
 	// probed caches every probed object, keyed by id. For plain AKNN it is
 	// the scratch's own map; RKNN passes its refinement context's cache so
 	// sub-searches share probes.
@@ -161,16 +161,12 @@ func aknnInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Object, k i
 		mq:       sc.dist.QueryMBR(),
 		tightLB:  algo != Basic,
 		lazy:     algo == LBLP || algo == LBLPUB,
+		ub:       algo == LBLPUB,
 		probed:   probed,
 		profiles: profiles,
 		results:  dst,
 		base:     len(dst),
 		buffer:   sc.buffer[:0],
-	}
-	if algo == LBLPUB {
-		// Q'_α: the fixed sample of the query's α-cut for Lemma 1 (§3.4).
-		sc.samples, sc.sampleIdx = q.AppendSampleCut(sc.samples[:0], sc.sampleIdx, alpha, sampleSize, 0)
-		r.samples = sc.samples
 	}
 	sc.pq.reset()
 	for i, v := range views {
@@ -220,17 +216,17 @@ func (r *aknnRun) lookupProfile(obj *fuzzy.Object) (*fuzzy.Profile, bool) {
 	return r.profiles.Lookup(obj, r.q, r.alpha)
 }
 
-// upper evaluates the §3.4 upper bound of leaf n's entry i: MaxDist of the
-// estimated cut MBR, improved by the representative-point distances to the
-// sampled query cut (Lemma 1).
+// upper evaluates the upper bound of leaf n's entry i: MaxDist of the
+// estimated cut MBR, for LB-LP-UB lowered by the distance from the
+// representative point to the nearest point of the query's α-cut (§3.4).
+// The representative is a kernel point, so it lies in every α-cut of its
+// object, and d_α(A, Q) ≤ min over q ∈ Q_α of |rep − q|: Lemma 1 with the
+// whole cut as the sample, read off the evaluator's k-d tree over Q_α.
 func (r *aknnRun) upper(n *rtree.Node, i int) float64 {
 	box, sum := n.EntrySummary(i)
 	u := fuzzy.EstimateMaxDist(box, sum, r.alpha, r.mq)
-	rep := fuzzy.SummaryRep(sum)
-	for _, s := range r.samples {
-		if d := geom.Dist(rep, s); d < u {
-			u = d
-		}
+	if r.ub {
+		u = r.sc.dist.NearestWithin(fuzzy.SummaryRep(sum), u)
 	}
 	return u
 }

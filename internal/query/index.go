@@ -166,13 +166,6 @@ type Options struct {
 	Incremental bool
 }
 
-// sampleSize is n, the number of points sampled (with seed 0) from the
-// query's α-cut for the improved upper bound of §3.4. It is a constant
-// because it is inert: at the paper's density n ∈ {1, …, 128} moves LB-LP-UB
-// by at most 0.1 object accesses per query (docs/ARCHITECTURE.md, "Measured
-// and removed").
-const sampleSize = 16
-
 // leafEntry is o's leaf entry: its id beside what §3 keeps in memory — the
 // support MBR, kernel MBR, L_opt lines and representative point — which
 // the tree copies into a leaf row (see fuzzy.Summarize).

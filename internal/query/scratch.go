@@ -54,10 +54,6 @@ type scratch struct {
 	// The join's held §3.2 estimate (the slab bounds write none).
 	est geom.Rect
 
-	// LBLPUB query-cut sampling.
-	samples   []geom.Point
-	sampleIdx []int
-
 	// Range search.
 	rng  rangeRun
 	hits []rangeHit

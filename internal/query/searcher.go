@@ -12,7 +12,8 @@ import (
 //   - *Index: one R-tree over one object store, the paper's single-tree
 //     design with snapshot-isolated mutations.
 //   - *ShardedIndex: N hash-partitioned *Index shards behind a coordinator
-//     that answers exactly what a single tree over their union would.
+//     that answers what a single tree over their union would (a lazy
+//     AKNN answer once refined).
 //
 // All methods must be safe for concurrent use. Query methods run against a
 // consistent snapshot per shard (see Index for the isolation contract);

@@ -274,13 +274,11 @@ func fanOut[T any](sc *scratch, views []shardView, out *[]T, work func(sub *scra
 }
 
 // AKNN answers the ad-hoc kNN query across all shards: one best-first
-// search over the pinned forest (see aknnInto).
-// Results are always exact, ascending by (distance, id), regardless of the
-// variant: algo only selects the leaf lower bound (support MBR for Basic,
-// the §3.2 boundary MBR otherwise), and the lazy variants run as LB — a
-// sharded answer is documented to be byte-identical to the refined
-// single-tree answer over the same objects, which admitting unprobed
-// results would break.
+// search over the pinned forest (see aknnInto), every variant as named. The
+// §3.3 membership argument does not depend on how the objects are cut into
+// trees, so a lazy variant may admit unprobed results (Exact == false) as
+// on one tree; once refined, a sharded answer is byte-identical to the
+// single tree's refined answer over the same objects.
 func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error) {
 	started := time.Now()
 	sc := getScratch()
@@ -291,9 +289,6 @@ func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlg
 	}
 	if algo < Basic || algo > LBLPUB {
 		return nil, Stats{}, badArgf("query: unknown AKNN algorithm %d", int(algo))
-	}
-	if algo != Basic {
-		algo = LB
 	}
 	sc.stats = Stats{}
 	// The answer is sized once; a k beyond the population must not size it.

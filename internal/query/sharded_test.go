@@ -167,6 +167,9 @@ func TestBuildShardedSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, _, err = sx.Refine(q, 0.5, got); err != nil {
+		t.Fatal(err)
+	}
 	mustEqualResults(t, got, want, "shared-store sharded AKNN")
 
 	if _, err := BuildSharded(ms, 0, Options{}); err == nil {
@@ -188,12 +191,10 @@ func TestTieDeterminismAcrossLayouts(t *testing.T) {
 	for i, o := range base[:10] {
 		objs = append(objs, fuzzy.MustNew(uint64(1000+i), o.WeightedPoints()))
 	}
-	layouts := []*Index{
+	layouts := []Searcher{
 		buildIndex(t, objs, Options{MinEntries: 2, MaxEntries: 4}),
 		buildIndex(t, objs, Options{MinEntries: 4, MaxEntries: 10}),
 		buildIndex(t, objs, Options{MinEntries: 2, MaxEntries: 4, Incremental: true}),
-	}
-	shardLayouts := []*ShardedIndex{
 		buildShardedOver(t, objs, 2, Options{MinEntries: 2, MaxEntries: 4}),
 		buildShardedOver(t, objs, 5, Options{MinEntries: 2, MaxEntries: 4, Incremental: true}),
 	}
@@ -217,18 +218,6 @@ func TestTieDeterminismAcrossLayouts(t *testing.T) {
 					if !reflect.DeepEqual(refined, want) && (len(refined) > 0 || len(want) > 0) {
 						t.Fatalf("layout %d %v k=%d: ids diverge under ties\n got %+v\nwant %+v",
 							li, algo, k, refined, want)
-					}
-				}
-			}
-			for si, sx := range shardLayouts {
-				for _, algo := range []AKNNAlgorithm{Basic, LBLPUB} {
-					got, _, err := sx.AKNN(q, k, 0.5, algo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
-						t.Fatalf("shard layout %d %v k=%d: ids diverge under ties\n got %+v\nwant %+v",
-							si, algo, k, got, want)
 					}
 				}
 			}

@@ -146,11 +146,14 @@ func TestAlphaEdgeBattery(t *testing.T) {
 					}
 				}
 			}
-			// Layout invariance (PR 18): a sharded search serves the lazy
-			// variants as LB.
-			lb := accesses[0][1]
-			if wantSharded := [4]int{accesses[0][0], lb, lb, lb}; accesses[1] != wantSharded {
-				t.Errorf("%s: sharded object accesses %v, single tree %v", label, accesses[1], accesses[0])
+			// Layout invariance: Basic and LB cost the same on every
+			// layout. A lazy search probes only entries it popped and pops
+			// none whose key exceeds the k-th distance, so it never reads
+			// more than LB.
+			for li, a := range accesses {
+				if a[0] != accesses[0][0] || a[1] != accesses[0][1] || a[2] > a[1] || a[3] > a[1] {
+					t.Errorf("%s: object accesses on layout %d %v, single tree %v", label, li, a, accesses[0])
+				}
 			}
 
 			radius := want[len(want)-1].Dist

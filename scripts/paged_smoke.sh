@@ -56,7 +56,10 @@ test "$hits" -gt 0
 # results AND charge the same object accesses: for AKNN ("algo": "lb"
 # answers exact distances on both layouts), for RKNN under each algorithm
 # the server serves, run as named (Naive, which /rknn refuses, is held to
-# the same in process by FuzzConformance), and for range search.
+# the same in process by FuzzConformance), and for range search. The
+# default "lb-lp-ub" searches lazily on both layouts, so its bounds and its
+# costs may differ between them; the three shards' reply must still name
+# the single tree's "lb" neighbours and cost no more object accesses.
 start_server /tmp/paged-smoke.one.log -store /tmp/objects.fzs -addr 127.0.0.1:18082
 start_server /tmp/paged-smoke.three.log -store /tmp/objects.fzs -shards 3 -addr 127.0.0.1:18083
 wait_healthz http://127.0.0.1:18082
@@ -76,9 +79,25 @@ same_on_both() {
     exit 1
   fi
 }
+# ids_and_cost <base-url> <payload> — an AKNN reply's id set and what it cost.
+ids_and_cost() {
+  curl -sf "$1/aknn" -d "$2" | python3 -c 'import json,sys; j=json.load(sys.stdin); print(j["stats"]["object_accesses"], sorted(r["id"] for r in j["results"]))'
+}
+# lazy_within_lb <request fields, no algo>
+lazy_within_lb() {
+  local lb lazy
+  lb="$(ids_and_cost http://127.0.0.1:18082 "{$1, \"algo\": \"lb\"}")"
+  lazy="$(ids_and_cost http://127.0.0.1:18083 "{$1}")"
+  echo "sharded /aknn {$1}: ${lazy%% *} object accesses on three shards, ${lb%% *} for lb on one tree"
+  if [ "${lazy#* }" != "${lb#* }" ] || [ "${lazy%% *}" -gt "${lb%% *}" ]; then
+    echo "/aknn {$1}: -shards 3 lb-lp-ub names other neighbours than lb on one tree, or costs more" >&2
+    exit 1
+  fi
+}
 for id in 7 99 1234; do
   for k in 5 20; do
     same_on_both aknn "{\"query_id\": $id, \"k\": $k, \"alpha\": 0.5, \"algo\": \"lb\"}"
+    lazy_within_lb "\"query_id\": $id, \"k\": $k, \"alpha\": 0.5"
   done
   for algo in basic rss rssicr; do
     same_on_both rknn "{\"query_id\": $id, \"k\": 5, \"alpha_start\": 0.3, \"alpha_end\": 0.8, \"algo\": \"$algo\"}"

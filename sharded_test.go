@@ -39,7 +39,11 @@ func TestPublicShardedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], refined) {
+		shardRefined, _, err := sharded.Refine(q, 0.5, got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shardRefined, refined) {
 			t.Fatalf("batch %d: sharded engine diverges", i)
 		}
 	}
