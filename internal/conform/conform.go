@@ -55,10 +55,11 @@
 //     ExpectedDistKNN, DistanceJoin and KClosestPairs (self-joins, and
 //     joins of two different shapes) equal their scans; all four RKNN
 //     algorithms equal Naive over a from-scratch NewIndex of the model;
-//   - shapes of one build mode cost alike: Basic and LB AKNN, every RKNN
-//     algorithm and range search probe the same objects and evaluate the
-//     same distances, and a lazy AKNN on any shape probes exactly the
-//     entries it deferred and did not admit, and at most what LB does;
+//   - shapes of one build mode answer and cost alike: AKNN under all four
+//     algorithms, every RKNN algorithm and range search give the same raw
+//     answer, bounds and exact flags included, at the same cost in every
+//     counter but node visits, and a lazy AKNN probes exactly the entries
+//     it deferred and did not admit;
 //   - a paged shape answers byte for byte like the tree it was saved from,
 //     bounds included, at the same logical cost down to node visits; it
 //     shows page I/O and counts its evictions, and its resident bytes stay
@@ -1269,17 +1270,11 @@ func logical(st Stats) Stats {
 }
 
 // costsAgree checks the layout-invariant costs: within one build mode,
-// every shape's Basic and LB AKNN probe the same objects and evaluate the
-// same distances as the first shape's (a single in-memory tree), and every
-// RKNN algorithm and range search costs the same in every counter. A lazy
-// AKNN, on any shape, probes exactly the entries it deferred and did not
-// admit, and costs at most what the single tree's LB does: an entry is
-// probed only after it has been popped, and a lazy search pops no leaf
-// entry whose key exceeds the k-th distance — the top k are then all
-// emitted or buffered, G fills the slots left, and its minimum, whose
-// lower bound is below that key, is probed or admitted first. LB pops every
-// entry with a smaller key, and the set is the same however the population
-// is cut into trees.
+// every shape's AKNN under all four algorithms, every RKNN algorithm and
+// range search answer byte for byte what the first shape (a single
+// in-memory tree) answers, bounds and exact flags included, at the same
+// cost in every counter but node visits. A lazy AKNN also probes exactly
+// the entries it deferred and did not admit, and at most what LB probes.
 func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
 	c.t.Helper()
 	for _, inc := range []bool{false, true} {
@@ -1292,43 +1287,32 @@ func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
 				ref = runs[i]
 			}
 			for fam, a := range runs[i] {
+				if !layoutInvariant(fam) {
+					continue
+				}
+				if a.raw != ref[fam].raw {
+					c.t.Fatalf("%s: %s: %s answers\n %s\nthe single tree\n %s", c.at, s.name, fam, a.raw, ref[fam].raw)
+				}
+				if got, want := logical(a.st), logical(ref[fam].st); got != want {
+					c.t.Fatalf("%s: %s: %s costs %+v, the single tree %+v", c.at, s.name, fam, got, want)
+				}
 				if fam == "aknn/"+LBLP.String() || fam == "aknn/"+LBLPUB.String() {
-					st, lb := a.st, ref["aknn/"+LB.String()].st
+					st, lb := a.st, runs[i]["aknn/"+LB.String()].st
 					if st.ObjectAccesses != st.LazyDeferred-st.LazyAdmitted ||
 						st.ObjectAccesses > lb.ObjectAccesses || st.DistanceEvals > lb.DistanceEvals {
-						c.t.Fatalf("%s: %s: %s costs %+v, the single tree's LB %+v", c.at, s.name, fam, st, lb)
+						c.t.Fatalf("%s: %s: %s costs %+v, LB %+v", c.at, s.name, fam, st, lb)
 					}
-					continue
-				}
-				base, all := costBase(fam)
-				if base == "" {
-					continue
-				}
-				got, want := logical(a.st), logical(ref[base].st)
-				if !all {
-					got = Stats{ObjectAccesses: got.ObjectAccesses, DistanceEvals: got.DistanceEvals}
-					want = Stats{ObjectAccesses: want.ObjectAccesses, DistanceEvals: want.DistanceEvals}
-				}
-				if got != want {
-					c.t.Fatalf("%s: %s: %s costs %+v, the single tree's %s %+v", c.at, s.name, fam, got, base, want)
 				}
 			}
 		}
 	}
 }
 
-// costBase names the read of the single tree whose cost fam's must equal
-// ("" when it depends on the layout), and whether every counter must (all)
-// or only object accesses and distance evaluations: Basic and LB AKNN,
-// every RKNN algorithm and range search.
-func costBase(fam string) (base string, all bool) {
-	switch {
-	case fam == "aknn/"+Basic.String(), fam == "aknn/"+LB.String():
-		return fam, false
-	case fam == "range", strings.HasPrefix(fam, "rknn/"):
-		return fam, true
-	}
-	return "", false
+// layoutInvariant reports whether fam's raw answer and cost are the same on
+// every shape of one build mode: AKNN under every algorithm, every RKNN
+// algorithm and range search.
+func layoutInvariant(fam string) bool {
+	return fam == "range" || strings.HasPrefix(fam, "aknn/") || strings.HasPrefix(fam, "rknn/")
 }
 
 // pagedAgrees checks a paged shape against the tree it was saved from:

@@ -37,7 +37,7 @@ func randObj(t *testing.T, rng *rand.Rand, id uint64) *fuzzy.Object {
 // newLogEngine builds an engine over a log-backed index.
 func newLogEngine(t *testing.T, opts Options) (*Engine, *store.LogStore) {
 	t.Helper()
-	ls, err := store.OpenLog(filepath.Join(t.TempDir(), "objects.fzl"), 2)
+	ls, err := store.OpenLogPolicy(filepath.Join(t.TempDir(), "objects.fzl"), 2, store.SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}

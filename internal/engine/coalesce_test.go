@@ -244,7 +244,7 @@ func TestEngineFallbackDegradedOnFsyncFailure(t *testing.T) {
 			if err := ls.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := store.OpenLog(path, 0)
+			r, err := store.OpenLogPolicy(path, 0, store.SyncAlways)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,42 +8,6 @@ import (
 	"fuzzyknn/internal/hull"
 )
 
-// BoundaryApprox is the §3.2 summary of one object as its own value: the
-// support and kernel MBRs plus one optimal conservative line per dimension
-// and side approximating the boundary function
-// δ(α) = |M_A^i±(α) − M_A^i±(1)|. From it, an enclosing approximation
-// M_A(α)* of the α-cut's MBR is derived for any α without touching the
-// object's points (equation 2).
-//
-// The index does not keep this form: R-tree leaves carry the same numbers
-// flat (see AppendSummary). BoundaryApprox is the line fit's output in the
-// shape the paper writes it, and the reference the flat form is tested
-// against.
-type BoundaryApprox struct {
-	Support geom.Rect   // M_A(0)
-	Kernel  geom.Rect   // M_A(1)
-	HiLine  []hull.Line // per dimension: conservative approx of δ for the upper face
-	LoLine  []hull.Line // per dimension: conservative approx of δ for the lower face
-}
-
-// NewBoundaryApprox builds the approximation from an object's exact
-// per-level MBRs. Cost is one walk of the points plus the line fits.
-func NewBoundaryApprox(o *Object) *BoundaryApprox {
-	t := getLevelTable(o)
-	defer levelTables.Put(t)
-	d := o.Dims()
-	b := &BoundaryApprox{
-		Support: t.box(0).Clone(),
-		Kernel:  t.box(len(t.levels) - 1).Clone(),
-		HiLine:  make([]hull.Line, d),
-		LoLine:  make([]hull.Line, d),
-	}
-	for dim := 0; dim < d; dim++ {
-		b.HiLine[dim], b.LoLine[dim] = t.fit(dim)
-	}
-	return b
-}
-
 // levelTable is what the §3.2 line fit reads of one object: the distinct
 // levels and the exact MBR of every level's cut, plus the fit's own working
 // storage. No search reads it, so no object keeps it: a summary builds it in
@@ -135,51 +99,6 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 	return t.fitter.Fit(hiPts), t.fitter.Fit(loPts)
 }
 
-// EstimateMBR returns M_A(α)*, a rectangle guaranteed to enclose the true
-// M_A(α) (equation 2): each face sits at the kernel face pushed outward by
-// the conservative line's estimate of δ(α), clipped to the support MBR.
-func (b *BoundaryApprox) EstimateMBR(alpha float64) geom.Rect {
-	return b.EstimateMBRInto(alpha, geom.Rect{})
-}
-
-// EstimateMBRInto is EstimateMBR writing into dst's corner slices when they
-// have capacity (allocating fresh ones otherwise) and returning the
-// resulting rectangle, append-style. The result is backed by dst or fresh
-// memory, never by b's own storage, and is only valid until the next call
-// with the same dst.
-func (b *BoundaryApprox) EstimateMBRInto(alpha float64, dst geom.Rect) geom.Rect {
-	d := len(b.HiLine)
-	lo, hi := dst.Lo, dst.Hi
-	if cap(lo) < d {
-		lo = make(geom.Point, d)
-	}
-	if cap(hi) < d {
-		hi = make(geom.Point, d)
-	}
-	lo, hi = lo[:d], hi[:d]
-	for dim := 0; dim < d; dim++ {
-		dh := b.HiLine[dim].Eval(alpha)
-		if dh < 0 {
-			dh = 0
-		}
-		dl := b.LoLine[dim].Eval(alpha)
-		if dl < 0 {
-			dl = 0
-		}
-		h := b.Kernel.Hi[dim] + dh
-		if s := b.Support.Hi[dim]; h > s {
-			h = s
-		}
-		l := b.Kernel.Lo[dim] - dl
-		if s := b.Support.Lo[dim]; l < s {
-			l = s
-		}
-		hi[dim] = h
-		lo[dim] = l
-	}
-	return geom.Rect{Lo: lo, Hi: hi}
-}
-
 // The flat summary.
 //
 // An R-tree leaf row is an entry's rectangle followed by its §3.2 summary,
@@ -195,8 +114,8 @@ func (b *BoundaryApprox) EstimateMBRInto(alpha float64, dst geom.Rect) geom.Rect
 // dimensionality d.
 func SummaryLen(d int) int { return 7 * d }
 
-// AppendSummary appends o's flat summary to dst: the kernel MBR, the line
-// fit NewBoundaryApprox makes, and the representative point.
+// AppendSummary appends o's flat summary to dst: the kernel MBR, the §3.2
+// line fit per dimension and side, and the representative point.
 func AppendSummary(dst []float64, o *Object) []float64 {
 	t := getLevelTable(o)
 	defer levelTables.Put(t)
@@ -234,8 +153,9 @@ func (t *levelTable) appendSummary(dst []float64, o *Object) []float64 {
 func SummaryRep(sum []float64) geom.Point { return sum[6*(len(sum)/7):] }
 
 // estimateFace returns dimension dim's faces of M_A(α)* from the support box
-// and flat summary of A: EstimateMBRInto's operations, in its order, so the
-// faces are bitwise the ones it writes.
+// and flat summary of A (equation 2): each face sits at the kernel face
+// pushed outward by the conservative line's estimate of δ(α), clipped to the
+// support MBR, so M_A(α)* encloses the true M_A(α).
 func estimateFace(box, sum []float64, d, dim int, alpha float64) (l, h float64) {
 	up, down := sum[2*d+2*dim:], sum[4*d+2*dim:]
 	dh := hull.Line{M: up[0], T: up[1]}.Eval(alpha)
@@ -259,9 +179,9 @@ func estimateFace(box, sum []float64, d, dim int, alpha float64) (l, h float64) 
 
 // EstimateMinDist returns MinDist(M_A(α)*, r) from A's support box and flat
 // summary without writing the estimate anywhere. It is bitwise
-// geom.MinDist(b.EstimateMBR(α), r) for the BoundaryApprox b of the same
-// object: the same faces, the same per-dimension gaps, summed in the same
-// order. This is the §3.2 lower bound every search keys leaf entries by.
+// geom.MinDist(EstimateInto(box, sum, α, ·), r): the same faces, the same
+// per-dimension gaps, summed in the same order. This is the §3.2 lower
+// bound every search keys leaf entries by.
 func EstimateMinDist(box, sum []float64, alpha float64, r geom.Rect) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
@@ -283,7 +203,7 @@ func EstimateMinDist(box, sum []float64, alpha float64, r geom.Rect) float64 {
 }
 
 // EstimateMaxDist is EstimateMinDist's twin for MaxDist(M_A(α)*, r), the
-// §3.4 upper bound: bitwise geom.MaxDist(b.EstimateMBR(α), r).
+// §3.4 upper bound: bitwise geom.MaxDist(EstimateInto(box, sum, α, ·), r).
 func EstimateMaxDist(box, sum []float64, alpha float64, r geom.Rect) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
@@ -299,9 +219,9 @@ func EstimateMaxDist(box, sum []float64, alpha float64, r geom.Rect) float64 {
 }
 
 // EstimateInto writes M_A(α)* from A's support box and flat summary into
-// dst, as EstimateMBRInto does (dst's corners are reused when they have
-// capacity), for the one caller that must hold an estimate across a loop:
-// the join, which compares two estimates.
+// dst (dst's corners are reused when they have capacity, else allocated)
+// and returns it, for the one caller that must hold an estimate across a
+// loop: the join, which compares two estimates.
 func EstimateInto(box, sum []float64, alpha float64, dst geom.Rect) geom.Rect {
 	d := len(box) / 2
 	if cap(dst.Lo) < d {

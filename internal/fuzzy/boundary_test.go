@@ -10,6 +10,87 @@ import (
 	"fuzzyknn/internal/hull"
 )
 
+// BoundaryApprox is the §3.2 summary of one object as its own value: the
+// support and kernel MBRs plus one optimal conservative line per dimension
+// and side approximating the boundary function
+// δ(α) = |M_A^i±(α) − M_A^i±(1)|. From it, an enclosing approximation
+// M_A(α)* of the α-cut's MBR is derived for any α without touching the
+// object's points (equation 2).
+//
+// The index does not keep this form: R-tree leaves carry the same numbers
+// flat (see AppendSummary). BoundaryApprox is the line fit's output in the
+// shape the paper writes it, and the reference the flat form is tested
+// against; only the tests build it.
+type BoundaryApprox struct {
+	Support geom.Rect   // M_A(0)
+	Kernel  geom.Rect   // M_A(1)
+	HiLine  []hull.Line // per dimension: conservative approx of δ for the upper face
+	LoLine  []hull.Line // per dimension: conservative approx of δ for the lower face
+}
+
+// NewBoundaryApprox builds the approximation from an object's exact
+// per-level MBRs. Cost is one walk of the points plus the line fits.
+func NewBoundaryApprox(o *Object) *BoundaryApprox {
+	t := getLevelTable(o)
+	defer levelTables.Put(t)
+	d := o.Dims()
+	b := &BoundaryApprox{
+		Support: t.box(0).Clone(),
+		Kernel:  t.box(len(t.levels) - 1).Clone(),
+		HiLine:  make([]hull.Line, d),
+		LoLine:  make([]hull.Line, d),
+	}
+	for dim := 0; dim < d; dim++ {
+		b.HiLine[dim], b.LoLine[dim] = t.fit(dim)
+	}
+	return b
+}
+
+// EstimateMBR returns M_A(α)*, a rectangle guaranteed to enclose the true
+// M_A(α) (equation 2): each face sits at the kernel face pushed outward by
+// the conservative line's estimate of δ(α), clipped to the support MBR.
+func (b *BoundaryApprox) EstimateMBR(alpha float64) geom.Rect {
+	return b.EstimateMBRInto(alpha, geom.Rect{})
+}
+
+// EstimateMBRInto is EstimateMBR writing into dst's corner slices when they
+// have capacity (allocating fresh ones otherwise) and returning the
+// resulting rectangle, append-style. The result is backed by dst or fresh
+// memory, never by b's own storage, and is only valid until the next call
+// with the same dst.
+func (b *BoundaryApprox) EstimateMBRInto(alpha float64, dst geom.Rect) geom.Rect {
+	d := len(b.HiLine)
+	lo, hi := dst.Lo, dst.Hi
+	if cap(lo) < d {
+		lo = make(geom.Point, d)
+	}
+	if cap(hi) < d {
+		hi = make(geom.Point, d)
+	}
+	lo, hi = lo[:d], hi[:d]
+	for dim := 0; dim < d; dim++ {
+		dh := b.HiLine[dim].Eval(alpha)
+		if dh < 0 {
+			dh = 0
+		}
+		dl := b.LoLine[dim].Eval(alpha)
+		if dl < 0 {
+			dl = 0
+		}
+		h := b.Kernel.Hi[dim] + dh
+		if s := b.Support.Hi[dim]; h > s {
+			h = s
+		}
+		l := b.Kernel.Lo[dim] - dl
+		if s := b.Support.Lo[dim]; l < s {
+			l = s
+		}
+		hi[dim] = h
+		lo[dim] = l
+	}
+	return geom.Rect{Lo: lo, Hi: hi}
+}
+
 // TestEstimateMBREnclosesExact is the package's central safety property
 // (no-false-dismissal, §3.2): for every α, M_A(α)* must enclose the exact
 // M_A(α) and stay within the support MBR.

@@ -133,10 +133,11 @@ func (r *aknnRun) emitted() int { return len(r.results) - r.base }
 // remembers which tree it came from so its probe reads that tree's store,
 // and everything else — the §3.2 lower-bound keys, the (key, kind, id) pop
 // order that emits exact (distance, id) order, the stop at the k-th object
-// — is untouched. The leaf entries probed are exactly those whose lower
-// bound is ≤ the k-th exact distance, a property of the objects and not of
-// how they are cut into trees, so ObjectAccesses and DistanceEvals of the
-// non-lazy variants are the same for every partition of one population.
+// — is untouched. Every probe, admission and emission is decided at a leaf
+// or object top of H, and that sequence of tops is a property of the
+// objects and not of how they are cut into trees, so the raw answer and
+// every counter but NodeAccesses are the same for every partition of one
+// population, under all four variants.
 //
 // probed, when non-nil, receives every probed object (nil selects the
 // scratch's own cache); profiles, when non-nil, short-circuits distance
@@ -283,12 +284,17 @@ func (r *aknnRun) enforceInvariant() error {
 // |R| + |G| < k that is fewer than k objects, and the popped object belongs
 // to the top k whatever the buffered entries turn out to be. G's minimum
 // is therefore probed before H is popped in exactly one case: G already
-// fills the remaining k − |R| slots and its lower bound is ≤ H's top key.
-// The popped object could then be pushed out by a buffered entry, and a
-// tie counts: an entry whose lower bound equals the popped distance may
-// turn out at that very distance with a smaller id, and rank first. Probed,
-// it re-enters H and equal keys resolve through the heap's (key, kind, id)
-// order. While G leaves a slot free, a tie is no reason to probe.
+// fills the remaining k − |R| slots, its lower bound is ≤ H's top key, and
+// that top is a leaf entry or an object (Algorithm 2 compares G with the
+// next candidate). The popped object could then be pushed out by a
+// buffered entry, and a tie counts: an entry whose lower bound equals the
+// popped distance may turn out at that very distance with a smaller id, and
+// rank first. Probed, it re-enters H and equal keys resolve through the
+// heap's (key, kind, id) order. While G leaves a slot free, a tie is no
+// reason to probe. A node on top decides nothing: its pop changes neither R
+// nor G, and its key lies below every leaf key under it, so every probe is
+// decided at the same leaf or object top however the objects are cut into
+// nodes and trees.
 func (r *aknnRun) run() error {
 	h := &r.sc.pq
 	for r.emitted() < r.k && (h.Len() > 0 || len(r.buffer) > 0) {
@@ -326,10 +332,11 @@ func (r *aknnRun) run() error {
 				}
 				continue
 			}
-			// Probe the buffer's best entry ahead of H's top only when G
-			// fills every remaining slot and that entry's lower bound does
-			// not exceed the top; otherwise it stays deferred.
-			if lo := r.buffer[r.bufferMin()].lower; lo <= hKey && len(r.buffer) >= r.k-r.emitted() {
+			// Probe the buffer's best entry ahead of H's top only when the
+			// top is a leaf entry or an object, G fills every remaining slot
+			// and that entry's lower bound does not exceed the top;
+			// otherwise it stays deferred.
+			if lo := r.buffer[r.bufferMin()].lower; h.PeekKind() != kindNode && lo <= hKey && len(r.buffer) >= r.k-r.emitted() {
 				if err := r.probeBufferMin(); err != nil {
 					return err
 				}

@@ -26,7 +26,7 @@ func degradedFixture(t *testing.T, shards int) (Searcher, []uint64) {
 	var ids []uint64
 	stores := make([]*store.LogStore, shards)
 	for i := range stores {
-		ls, err := store.OpenLog(filepath.Join(dir, string(rune('a'+i))+".log"), 2)
+		ls, err := store.OpenLogPolicy(filepath.Join(dir, string(rune('a'+i))+".log"), 2, store.SyncAlways)
 		if err != nil {
 			t.Fatal(err)
 		}

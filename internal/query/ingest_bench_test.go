@@ -73,7 +73,7 @@ func newMemIndex(b *testing.B) *Index {
 
 func newLogIndex(b *testing.B, path string) *Index {
 	b.Helper()
-	ls, err := store.OpenLog(path, 2)
+	ls, err := store.OpenLogPolicy(path, 2, store.SyncAlways)
 	if err != nil {
 		b.Fatal(err)
 	}

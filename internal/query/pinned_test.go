@@ -9,44 +9,16 @@ import (
 )
 
 // TestObjectAccessesPinned pins the paper's cost metric, not just its
-// answers: the exact number of store probes each AKNN variant spends on a
-// fixed fixture of each §6.1 dataset shape at the paper's density
-// (N / Space² = 5). The equivalence suites accept any search that returns
-// the right neighbours; a pruning regression that stays exact but probes
-// more fails here. The counts were recorded before PR 22 fixed the leaf
-// summary to the §3.2 line and the §3.4 sample to n = 16, seed 0, and did
-// not move. Basic and LB read the same on one tree and on four hash shards.
+// answers: the exact number of store probes each AKNN variant and the two
+// pruned RKNN algorithms spend on a fixed fixture of each §6.1 dataset
+// shape at the paper's density (N / Space² = 5). The equivalence suites
+// accept any search that returns the right neighbours; a pruning
+// regression that stays exact but probes more fails here. Every count is
+// the same on every layout of the population (FuzzConformance holds that),
+// so one tree stands for all of them.
 //
 // A change that moves a number on purpose — a better bound, a different
 // summary — re-records it and says so; the test prints what it measured.
-// The closed-form §3.2 line fit (L_opt itself, where the bisection it
-// replaced often returned a worse conservative line) moved the §3.2-keyed
-// counts, and only downwards. Before it, Basic/LB/LB-LP/LB-LP-UB read:
-// synthetic {349, 183, 183, 179} and {733, 614, 614, 614}; cells
-// {298, 202, 202, 202} and {696, 617, 617, 617}. Basic keys on the support
-// MBR and did not move.
-//
-// Lazy probing that defers (§3.3: G's minimum was probed ahead of H on a
-// tie with H's top or once G filled the remaining slots) moved only
-// LB-LP-UB, and only downwards; before it, G never held an entry past the
-// next step and the LB-LP-UB counts read synthetic 176 and 612, cells 190
-// and 613. Deferring by membership alone (G's minimum is probed ahead of H
-// only when G fills the remaining slots and its lower bound is ≤ H's top)
-// dropped the tie trigger and moved the lazy counts downwards again: before
-// it, LB-LP-UB read synthetic 146 and 540, cells 182 and 556, and LB-LP on
-// synthetic k = 20 read 612. LB-LP defers too, but without the §3.4 sample
-// its upper bound admits almost nothing here, so it reads about what LB
-// reads. Every entry a lazy search defers is either admitted unprobed or
-// probed, which the test also holds per query, on every layout.
-//
-// Two changes moved only LB-LP-UB, and only downwards. §3.4's upper bound
-// takes the representative point's distance to the nearest point of the
-// whole query cut, not of a 16-point sample: before it LB-LP-UB read
-// synthetic 416 at k = 20, cells 171 and 426. A sharded index searches
-// lazily too, where it had served both lazy variants as LB: its row read
-// LB's counts in the two lazy columns before. Basic and LB cost the same on
-// every layout; a lazy search's pops follow the tree shapes, so its
-// counts have a row per layout.
 func TestObjectAccessesPinned(t *testing.T) {
 	const nQueries = 24
 	cells := []struct {
@@ -54,15 +26,14 @@ func TestObjectAccessesPinned(t *testing.T) {
 		alpha float64
 	}{{5, 0.9}, {20, 0.5}}
 	algos := []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB}
-	// want[kind][cell][algo]: ObjectAccesses summed over the queries, on one
-	// tree; wantSharded the same on four hash shards.
-	want := map[dataset.Kind][2][4]int{
-		dataset.Synthetic: {{349, 180, 180, 134}, {733, 612, 611, 413}},
-		dataset.Cells:     {{298, 190, 190, 169}, {696, 613, 613, 420}},
-	}
-	wantSharded := map[dataset.Kind][2][4]int{
-		dataset.Synthetic: {{349, 180, 180, 135}, {733, 612, 611, 413}},
-		dataset.Cells:     {{298, 190, 190, 170}, {696, 613, 613, 420}},
+	rknnAlgos := []RKNNAlgorithm{RSS, RSSICR}
+	const alphaStart, alphaEnd = 0.3, 0.5
+	// want[kind][cell]: ObjectAccesses summed over the queries — AKNN under
+	// Basic/LB/LB-LP/LB-LP-UB at the cell's k and α, then RSS and RSS-ICR
+	// at the cell's k over [alphaStart, alphaEnd].
+	want := map[dataset.Kind][2][6]int{
+		dataset.Synthetic: {{349, 180, 180, 134, 485, 485}, {733, 612, 611, 413, 1366, 1366}},
+		dataset.Cells:     {{298, 190, 190, 168, 555, 555}, {696, 613, 613, 420, 1316, 1316}},
 	}
 	for _, kind := range []dataset.Kind{dataset.Synthetic, dataset.Cells} {
 		p := dataset.Default(kind)
@@ -77,39 +48,35 @@ func TestObjectAccessesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		single := buildIndex(t, objs, Options{})
-		sharded := buildShardedOver(t, objs, 4, Options{})
+		ix := buildIndex(t, objs, Options{})
 		for ci, c := range cells {
-			var got [2][4]int // per layout: one tree, 4 shards
-			for ai, algo := range algos {
-				for _, q := range queries {
-					for li, s := range []Searcher{single, sharded} {
-						_, st, err := s.AKNN(q, c.k, c.alpha, algo)
-						if err != nil {
-							t.Fatal(err)
+			var got [6]int
+			for _, q := range queries {
+				for ai, algo := range algos {
+					_, st, err := ix.AKNN(q, c.k, c.alpha, algo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[ai] += st.ObjectAccesses
+					if algo == LBLP || algo == LBLPUB {
+						if st.LazyDeferred-st.LazyAdmitted != st.ObjectAccesses || st.LazyBufferPeak > c.k {
+							t.Fatalf("%v: %d accesses beside lazy counters %+v", algo, st.ObjectAccesses, st)
 						}
-						got[li][ai] += st.ObjectAccesses
-						if algo == LBLP || algo == LBLPUB {
-							if st.LazyDeferred-st.LazyAdmitted != st.ObjectAccesses || st.LazyBufferPeak > c.k {
-								t.Fatalf("%v on layout %d: %d accesses beside lazy counters %+v", algo, li, st.ObjectAccesses, st)
-							}
-						} else if st.LazyDeferred != 0 || st.LazyAdmitted != 0 || st.LazyBufferPeak != 0 {
-							t.Fatalf("%v on layout %d defers: %+v", algo, li, st)
-						}
+					} else if st.LazyDeferred != 0 || st.LazyAdmitted != 0 || st.LazyBufferPeak != 0 {
+						t.Fatalf("%v defers: %+v", algo, st)
 					}
 				}
+				for ri, algo := range rknnAlgos {
+					_, st, err := ix.RKNN(q, c.k, alphaStart, alphaEnd, algo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[len(algos)+ri] += st.ObjectAccesses
+				}
 			}
-			label := fmt.Sprintf("%s k=%d α=%v", kind, c.k, c.alpha)
-			if got[0] != want[kind][ci] {
-				t.Errorf("%s: object accesses Basic/LB/LB-LP/LB-LP-UB = %v, pinned %v", label, got[0], want[kind][ci])
-			}
-			if got[1] != wantSharded[kind][ci] {
-				t.Errorf("%s on 4 shards: object accesses = %v, pinned %v", label, got[1], wantSharded[kind][ci])
-			}
-			// Layout invariance: Basic and LB cost the same however
-			// the population is cut into trees.
-			if got[0][0] != got[1][0] || got[0][1] != got[1][1] {
-				t.Errorf("%s: Basic/LB object accesses %v on one tree, %v on 4 shards", label, got[0][:2], got[1][:2])
+			label := fmt.Sprintf("%s k=%d α=%v [%v, %v]", kind, c.k, c.alpha, alphaStart, alphaEnd)
+			if got != want[kind][ci] {
+				t.Errorf("%s: object accesses Basic/LB/LB-LP/LB-LP-UB/RSS/RSS-ICR = %v, pinned %v", label, got, want[kind][ci])
 			}
 		}
 	}

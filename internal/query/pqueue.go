@@ -47,3 +47,4 @@ func (a pqItem) lessThan(b pqItem) bool {
 type bestFirstQueue struct{ typedHeap[pqItem] }
 
 func (q *bestFirstQueue) PeekKey() float64 { return q.h[0].key }
+func (q *bestFirstQueue) PeekKind() int8   { return q.h[0].kind }

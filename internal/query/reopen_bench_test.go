@@ -72,7 +72,7 @@ func runReopen(b *testing.B, path string) {
 	b.ResetTimer()
 	replayed := 0
 	for i := 0; i < b.N; i++ {
-		s, err := store.OpenLog(path, 0)
+		s, err := store.OpenLogPolicy(path, 0, store.SyncAlways)
 		if err != nil {
 			b.Fatal(err)
 		}

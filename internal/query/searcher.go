@@ -12,8 +12,8 @@ import (
 //   - *Index: one R-tree over one object store, the paper's single-tree
 //     design with snapshot-isolated mutations.
 //   - *ShardedIndex: N hash-partitioned *Index shards behind a coordinator
-//     that answers what a single tree over their union would (a lazy
-//     AKNN answer once refined).
+//     that answers what a single tree over their union would, byte for
+//     byte.
 //
 // All methods must be safe for concurrent use. Query methods run against a
 // consistent snapshot per shard (see Index for the isolation contract);
@@ -21,8 +21,8 @@ import (
 type Searcher interface {
 	// AKNN answers the ad-hoc kNN query (Definition 4) with the selected
 	// algorithm variant; results ascend by (distance, id). Lazy-probe
-	// variants may return non-exact results on a single tree; a sharded
-	// coordinator always resolves results exactly (see ShardedIndex.AKNN).
+	// variants may return non-exact results, the same ones on every
+	// layout.
 	AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error)
 	// LinearScanAKNN is the exhaustive correctness baseline (§3.1).
 	LinearScanAKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error)

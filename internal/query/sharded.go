@@ -116,27 +116,6 @@ func (sx *ShardedIndex) pin(sc *scratch) []shardView {
 	return sc.views
 }
 
-// BuildSharded partitions the store's objects across n shards by ShardOf
-// and builds each shard as a filtered Index over the same reader. It is
-// the single-store construction path (one file serving several trees);
-// callers wanting per-shard stores build the shards themselves and use
-// NewSharded.
-func BuildSharded(st store.Reader, n int, opts Options) (*ShardedIndex, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("query: shard count must be >= 1, got %d", n)
-	}
-	shards := make([]*Index, n)
-	for i := range shards {
-		i := i
-		ix, err := BuildFiltered(st, opts, func(id uint64) bool { return ShardOf(id, n) == i })
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = ix
-	}
-	return NewSharded(shards)
-}
-
 // NumShards returns the shard count.
 func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
 
@@ -274,11 +253,12 @@ func fanOut[T any](sc *scratch, views []shardView, out *[]T, work func(sub *scra
 }
 
 // AKNN answers the ad-hoc kNN query across all shards: one best-first
-// search over the pinned forest (see aknnInto), every variant as named. The
-// §3.3 membership argument does not depend on how the objects are cut into
-// trees, so a lazy variant may admit unprobed results (Exact == false) as
-// on one tree; once refined, a sharded answer is byte-identical to the
-// single tree's refined answer over the same objects.
+// search over the pinned forest (see aknnInto), every variant as named.
+// Every §3.3 decision is taken at a leaf or object top, which does not
+// depend on how the objects are cut into trees, so a sharded answer —
+// unprobed results (Exact == false) and their bounds included — is
+// byte-identical to the single tree's over the same objects, at the same
+// cost but for node visits.
 func (sx *ShardedIndex) AKNN(q *fuzzy.Object, k int, alpha float64, algo AKNNAlgorithm) ([]Result, Stats, error) {
 	started := time.Now()
 	sc := getScratch()

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -17,6 +18,25 @@ import (
 // routing hash, the shared-store build and tie order across layouts.
 // Readers that see each batch whole are equivalence_test.go's race
 // replays.
+
+// BuildSharded partitions the store's objects across n shards by ShardOf
+// and builds each shard as a filtered Index over the same reader: the
+// single-store layout (one file serving several trees) that OpenIndex
+// builds with BuildFiltered and NewSharded.
+func BuildSharded(st store.Reader, n int, opts Options) (*ShardedIndex, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("query: shard count must be >= 1, got %d", n)
+	}
+	shards := make([]*Index, n)
+	for i := range shards {
+		ix, err := BuildFiltered(st, opts, func(id uint64) bool { return ShardOf(id, n) == i })
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = ix
+	}
+	return NewSharded(shards)
+}
 
 // buildShardedOver partitions objs by ShardOf and builds one Index per
 // shard, each over its own MemStore — the per-shard-store layout the
@@ -180,8 +200,9 @@ func TestBuildShardedSharedStore(t *testing.T) {
 // TestTieDeterminismAcrossLayouts pins the satellite fix: equal-distance
 // ties resolve by object id, so differently built trees (bulk vs
 // incremental, different fanout) and different shard counts all emit the
-// same refined answers byte for byte. Duplicated point sets manufacture
-// hard ties.
+// same answers byte for byte — raw, bounds and exact flags included, at
+// the same cost but for node visits — and refine to the linear scan's.
+// Duplicated point sets manufacture hard ties.
 func TestTieDeterminismAcrossLayouts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(123, 7))
 	base := makeObjects(rng, 20, 8, 6, 4) // tiny space + coarse quantization: many ties
@@ -205,11 +226,18 @@ func TestTieDeterminismAcrossLayouts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var first [4]string // layout 0's raw answer and cost, per algorithm
 			for li, ix := range layouts {
-				for _, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
-					res, _, err := ix.AKNN(q, k, 0.5, algo)
+				for ai, algo := range []AKNNAlgorithm{Basic, LB, LBLP, LBLPUB} {
+					res, st, err := ix.AKNN(q, k, 0.5, algo)
 					if err != nil {
 						t.Fatal(err)
+					}
+					st.NodeAccesses, st.Duration = 0, 0
+					if raw := fmt.Sprint(res, st); li == 0 {
+						first[ai] = raw
+					} else if raw != first[ai] {
+						t.Fatalf("layout %d %v k=%d: answer and cost\n %s\nlayout 0\n %s", li, algo, k, raw, first[ai])
 					}
 					refined, _, err := ix.Refine(q, 0.5, res)
 					if err != nil {

@@ -152,19 +152,13 @@ const (
 	minPutPayloadLen = codec.HeaderSize + codec.CRCSize // a put payload cannot be shorter
 )
 
-// OpenLog opens (or creates) a log store at path with the SyncAlways
-// durability policy. For a new file, dims fixes the store's dimensionality
-// and must be >= 1; for an existing file, dims must be 0 or match the
-// file's header. A trailing partial record — the signature of a crash
-// mid-append — is truncated away; any other inconsistency returns
-// ErrCorrupt.
-func OpenLog(path string, dims int) (*LogStore, error) {
-	return OpenLogPolicy(path, dims, SyncAlways)
-}
-
-// OpenLogPolicy is OpenLog with an explicit fsync policy (see SyncPolicy
-// for the durability tradeoffs; the on-disk format is policy-independent,
-// so a log may be reopened under any policy).
+// OpenLogPolicy opens (or creates) a log store at path under an fsync
+// policy (see SyncPolicy for the durability tradeoffs; the on-disk format
+// is policy-independent, so a log may be reopened under any policy). For a
+// new file, dims fixes the store's dimensionality and must be >= 1; for an
+// existing file, dims must be 0 or match the file's header. A trailing
+// partial record — the signature of a crash mid-append — is truncated
+// away; any other inconsistency returns ErrCorrupt.
 //
 // If a manifest exists next to the log (written by Checkpoint or
 // CompactLog), the open loads the checkpoint it binds and replays only the

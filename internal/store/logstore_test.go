@@ -15,6 +15,11 @@ import (
 	"fuzzyknn/internal/fuzzy"
 )
 
+// OpenLog is OpenLogPolicy under SyncAlways, the policy most tests run.
+func OpenLog(path string, dims int) (*LogStore, error) {
+	return OpenLogPolicy(path, dims, SyncAlways)
+}
+
 func TestLogStoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	path := filepath.Join(t.TempDir(), "objects.fzl")
