@@ -46,14 +46,13 @@
 //	curl -s -X DELETE localhost:8080/objects/900
 //
 // A -log index can checkpoint: POST /checkpoint writes a durable snapshot
-// of the live objects and (by default) compacts the log, so the next start
-// replays only the suffix written since — restart cost tracks live data,
-// not history. -checkpoint-every N does the same automatically after every
+// of the live objects and moves the records written since into a fresh
+// log, so the next start replays only those — restart cost tracks live
+// data, not history. -checkpoint-every N does the same automatically after every
 // N committed write groups:
 //
 //	fuzzyserve -log objects.fzl -dims 2 -checkpoint-every 64
 //	curl -s -X POST localhost:8080/checkpoint
-//	curl -s -X POST localhost:8080/checkpoint -d '{"compact": false}'
 //
 // /stats reports each shard's checkpoint generation, size and age.
 //
@@ -140,7 +139,7 @@ func main() {
 		logPath     = flag.String("log", "", "mutable append-only log store to serve (created if missing)")
 		dims        = flag.Int("dims", 0, "dimensionality when creating a new -log store")
 		fsync       = flag.String("fsync", "always", "log durability policy: always | off (see command docs)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint+compact the log after every N write groups (0 = only on POST /checkpoint)")
+		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint the log after every N write groups (0 = only on POST /checkpoint)")
 		pageFile    = flag.String("pagefile", "", "paged R-tree file (written by fuzzygen -pagefile or Index.SavePaged); serves -store without loading the tree into RAM")
 		cacheMB     = flag.Int("cache-mb", 64, "block cache budget in MiB for -pagefile indexes")
 		cacheSize   = flag.Int("cache", 0, "LRU object cache size (0 = none)")

@@ -38,14 +38,14 @@ func TestPublicShardedMatchesSingle(t *testing.T) {
 	conform(t, []byte{0, 24, OpQuery, 11, OpInsert, 3, OpBatch, 17, OpDelete, 5, OpQuery, 12}, 1, 4)
 }
 
-// TestPublicShardedLogIndex: sharded log shapes, reopened plain, after a
-// checkpoint and after a compacting one, keep answering what the scan does.
+// TestPublicShardedLogIndex: sharded log shapes, reopened plain and after
+// checkpoints, keep answering what the scan does.
 func TestPublicShardedLogIndex(t *testing.T) {
 	conform(t, []byte{2, 20, OpCheckpoint, 0, OpQuery, 3, OpBatch, 11, OpCheckpoint, 1, OpDelete, 2, OpCheckpoint, 2, OpQuery, 4}, 1, 4)
 }
 
 // TestCheckpointQueryEquivalence: at each shard count alone, a log index
-// checkpointed, compacted and reopened between mutations answers every
+// checkpointed and reopened between mutations answers every
 // family like the in-memory index and the scan.
 func TestCheckpointQueryEquivalence(t *testing.T) {
 	for _, n := range []int{1, 4} {
@@ -213,7 +213,7 @@ func TestPublicReverseKNN(t *testing.T) {
 
 // TestReadsBesideWrites: readers of every family, on every mutable shape,
 // see each batch and each single write whole or not at all while a
-// compacting checkpoint runs beside them, before and after a leader
+// checkpoint runs beside them, before and after a leader
 // restart and a fail-stop.
 func TestReadsBesideWrites(t *testing.T) {
 	conform(t, []byte{6, 22, OpRace, 17, OpRestart, 0, OpRace, 21, OpFailStop, 17, OpRace, 4, OpQuery, 8}, 1, 4)

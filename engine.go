@@ -182,11 +182,11 @@ func collectBatch[T any](resps []BatchResponse, pick func(BatchResponse) T) ([]T
 }
 
 // Checkpoint cuts a durable checkpoint of the index's store through the
-// engine (recorded in Totals under the "checkpoint" kind), optionally
-// compacting the log. See Index.Checkpoint for semantics; it is safe to
-// call concurrently with the periodic EngineConfig.CheckpointEvery trigger.
-func (e *Engine) Checkpoint(compact bool) ([]CheckpointInfo, error) {
-	return e.inner.Checkpoint(compact)
+// engine (recorded in Totals under the "checkpoint" kind). See
+// Index.Checkpoint for semantics; it is safe to call concurrently with the
+// periodic EngineConfig.CheckpointEvery trigger.
+func (e *Engine) Checkpoint() ([]CheckpointInfo, error) {
+	return e.inner.Checkpoint()
 }
 
 // Totals returns a snapshot of the engine's aggregate request counts and

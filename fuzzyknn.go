@@ -532,19 +532,19 @@ func (ix *Index) ApplyBatch(inserts []*Object, deletes []uint64) error {
 	return err
 }
 
-// Checkpoint cuts a durable checkpoint of every shard's log store and, when
-// compact is true, also compacts each shard's log down to the records the
-// checkpoint does not cover. After a checkpoint, OpenLogIndex restores the
+// Checkpoint cuts a durable checkpoint of every shard's log store: a
+// snapshot of the live set, plus a fresh log holding only the records
+// written since the cut. After a checkpoint, OpenLogIndex restores the
 // index by loading the snapshot (bulk-rebuilding each shard's R-tree in one
-// STR pass) and replaying only the log suffix written since the cut — so
-// restart cost is proportional to live data, not to total write history.
-// The index stays fully live during the call: queries and mutations proceed
-// concurrently, and mutations landing mid-checkpoint are simply part of the
-// suffix the next open replays. Returns one CheckpointInfo per shard, in
+// STR pass) and replaying only that log — so restart cost is proportional
+// to live data, not to total write history. The index stays fully live
+// during the call: queries and mutations proceed concurrently, and
+// mutations landing mid-checkpoint are simply part of the log the next
+// open replays. Returns one CheckpointInfo per shard, in
 // shard order. Fails with ErrCheckpointUnsupported on in-memory (NewIndex)
 // and immutable (OpenIndex) indexes.
-func (ix *Index) Checkpoint(compact bool) ([]CheckpointInfo, error) {
-	return ix.inner.Checkpoint(compact)
+func (ix *Index) Checkpoint() ([]CheckpointInfo, error) {
+	return ix.inner.Checkpoint()
 }
 
 // Degraded reports the index's sticky degraded state, or nil while it is

@@ -6,7 +6,7 @@
 //
 // Replication frames and snapshots carry bodies (they checksum the enclosing
 // frame) and identify an object by its body checksum; the static store, the
-// log's put records, checkpoints and compacted logs carry records. Nothing
+// log's put records and checkpoints carry records. Nothing
 // outside this package knows the layout: callers size, append, shape-check,
 // verify and decode through it, so a bound fixed here holds for every
 // format at once.

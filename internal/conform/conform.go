@@ -118,7 +118,7 @@ const (
 	OpInsert     = iota // arg%4 + 1 fresh objects, one Insert each
 	OpDelete            // Delete the live object at arg mod population
 	OpBatch             // one ApplyBatch: arg%6 fresh objects, arg/6%4 deletes
-	OpCheckpoint        // close and reopen every log after no checkpoint (arg%3 = 0), a checkpoint (1) or a compacting one (2)
+	OpCheckpoint        // close and reopen every log after no checkpoint (arg%3 = 0) or a checkpoint (arg%3 = 1 or 2, so older seeds keep their meaning)
 	OpQuery             // every read family on every shape and follower, with parameters drawn from arg
 	OpRefuse            // a write drawn to fail (see refuse)
 	OpRestart           // close and reopen the log leader, which replicates anew
@@ -533,8 +533,9 @@ func (c *checker) run() {
 			c.at = fmt.Sprintf("step %d: batch of %d inserts, %d deletes", step, len(objs), len(dels))
 			c.write(objs, dels, false, nil)
 		case OpCheckpoint:
-			c.at = fmt.Sprintf("step %d: reopen after %s", step, [3]string{"no checkpoint", "a checkpoint", "a compacting checkpoint"}[arg%3])
-			c.reopen(arg % 3)
+			cut := arg%3 != 0
+			c.at = fmt.Sprintf("step %d: reopen after %s", step, map[bool]string{false: "no checkpoint", true: "a checkpoint"}[cut])
+			c.reopen(cut)
 		case OpQuery:
 			c.at = fmt.Sprintf("step %d: query %d", step, arg)
 			c.query(rng)
@@ -563,13 +564,12 @@ func (c *checker) run() {
 	}
 }
 
-// reopen closes and reopens every log shape, after no checkpoint (cut 0),
-// a checkpoint (1) or a compacting checkpoint (2); an in-memory shape must
-// refuse to checkpoint.
-func (c *checker) reopen(cut byte) {
+// reopen closes and reopens every log shape, after a checkpoint if cut;
+// an in-memory shape must refuse to checkpoint.
+func (c *checker) reopen(cut bool) {
 	for _, s := range c.shapes {
-		if cut > 0 {
-			n, err := c.checkpoint(s, cut == 2)
+		if cut {
+			n, err := c.checkpoint(s)
 			if s.log == "" {
 				if !errors.Is(err, ErrCheckpointUnsupported) {
 					c.t.Fatalf("%s: %s: Checkpoint = %v, want ErrCheckpointUnsupported", c.at, s.name, err)
@@ -845,7 +845,7 @@ func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
 		errs = append(errs, c.mutate(s, nil, []uint64{id}, true))
 		break
 	}
-	_, err := c.checkpoint(s, false)
+	_, err := c.checkpoint(s)
 	errs = append(errs, c.mutate(s, probes, nil, false), err)
 	for _, err := range errs {
 		if !errors.Is(err, ErrDegraded) {
@@ -866,7 +866,7 @@ func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
 }
 
 // race lands, on every mutable shape, a batch of arg%6 fresh inserts and
-// arg/6%4 deletes, a compacting checkpoint on the log shapes and one to
+// arg/6%4 deletes, a checkpoint on the log shapes and one to
 // three single inserts or deletes, while readers run every read family, a
 // self-join and a join with a static index over the query on every
 // mutable shape through the public Index (on a served shape only /aknn,
@@ -937,8 +937,8 @@ func (c *checker) race(rng *rand.Rand, arg byte) {
 		pops = append(pops, oracle.New(c.objects(), memo))
 		for _, s := range c.shapes {
 			if s.log != "" {
-				_, err := c.checkpoint(s, true)
-				c.must(err, s.name+": a compacting checkpoint")
+				_, err := c.checkpoint(s)
+				c.must(err, s.name+": a checkpoint")
 			}
 		}
 		for range 1 + rng.IntN(3) {

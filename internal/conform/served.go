@@ -300,16 +300,15 @@ func (c *checker) refuseOver(s *shape, ins []*Object, dels []uint64, items []Bat
 	}
 }
 
-// checkpoint cuts a checkpoint of s, compacting its logs or not, and
-// returns how many shards it cut; a served shape's POST /checkpoint maps
+// checkpoint cuts a checkpoint of s and returns how many shards it cut; a served shape's POST /checkpoint maps
 // 501 and 503 back to ErrCheckpointUnsupported and ErrDegraded.
-func (c *checker) checkpoint(s *shape, compact bool) (int, error) {
+func (c *checker) checkpoint(s *shape) (int, error) {
 	if s.web == nil {
-		infos, err := s.ix.Checkpoint(compact)
+		infos, err := s.ix.Checkpoint()
 		return len(infos), err
 	}
 	var out server.CheckpointResponse
-	status, raw, err := s.web.call("POST /checkpoint", "/checkpoint", server.CheckpointRequest{Compact: &compact}, &out)
+	status, raw, err := s.web.call("POST /checkpoint", "/checkpoint", server.CheckpointRequest{}, &out)
 	s.web.mu.Lock()
 	s.web.sent["checkpoint"]++
 	if status != http.StatusOK {
@@ -321,7 +320,7 @@ func (c *checker) checkpoint(s *shape, compact bool) (int, error) {
 		err = ErrCheckpointUnsupported
 	case status == http.StatusServiceUnavailable:
 		err = fmt.Errorf("%w: %s", ErrDegraded, raw)
-	case status != http.StatusOK || out.Compacted != compact:
+	case status != http.StatusOK:
 		err = cmp.Or(err, fmt.Errorf("POST /checkpoint answers %d: %s", status, raw))
 	}
 	return len(out.Shards), err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
 	"fuzzyknn/internal/query"
@@ -67,7 +69,7 @@ func TestEngineCheckpoint(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	infos, err := eng.Checkpoint(true)
+	infos, err := eng.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestEngineCheckpoint(t *testing.T) {
 
 // TestEngineCheckpointEvery exercises the periodic trigger: with
 // CheckpointEvery of 1, every committed write group is followed by a
-// checkpoint+compaction.
+// checkpoint.
 func TestEngineCheckpointEvery(t *testing.T) {
 	eng, ls := newLogEngine(t, Options{Parallelism: 2, CheckpointEvery: 1})
 	rng := rand.New(rand.NewPCG(2, 2))
@@ -121,10 +123,64 @@ func TestEngineCheckpointUnsupported(t *testing.T) {
 	env := newTestEnv(t, 50, 1)
 	eng := New(env.ix, Options{Parallelism: 2})
 	defer eng.Close()
-	if _, err := eng.Checkpoint(true); !errors.Is(err, store.ErrUnsupported) {
+	if _, err := eng.Checkpoint(); !errors.Is(err, store.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
 	if eng.Totals().Failures == 0 {
 		t.Fatal("failed checkpoint not counted")
+	}
+}
+
+// TestEngineCheckpointBesideWrites: the periodic checkpoint runs beside
+// the writer, so a write submitted while it streams its snapshot is
+// answered before the checkpoint ends, and a trigger that finds it still
+// running is skipped.
+func TestEngineCheckpointBesideWrites(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	ls, err := store.OpenLogPolicy(filepath.Join(dir, "objects.fzl"), 2, store.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	ix, err := query.Build(ls, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(ix, Options{Parallelism: 2, CheckpointEvery: 1})
+	defer eng.Close()
+
+	const stall = 3 * time.Second
+	fault.Enable("store.ckpt.write", fault.Spec{Action: fault.ActStall, Nth: 1, Stall: stall})
+	rng := rand.New(rand.NewPCG(3, 3))
+	insert := func(id uint64) {
+		t.Helper()
+		if r := eng.Do(context.Background(), Request{Kind: Insert, Obj: randObj(t, rng, id)}); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	insert(1)
+	// The trigger fired after that group: wait until its snapshot is being
+	// written, which the armed point stalls.
+	tmp := filepath.Join(dir, "objects.fzl.ckpt-1.tmp")
+	for deadline := time.Now().Add(stall / 2); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(tmp); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the periodic checkpoint never started its snapshot")
+		}
+	}
+	start := time.Now()
+	insert(2)
+	if info, _ := ls.CheckpointInfo(); info.Generation != 0 {
+		t.Fatalf("the write waited %v, for the checkpoint to commit", time.Since(start))
+	}
+	eng.Close()
+	if info, _ := ls.CheckpointInfo(); info.Generation != 1 {
+		t.Fatalf("after Close: checkpoint generation %d, want 1 (the second trigger is skipped)", info.Generation)
+	}
+	if got := eng.Totals().Requests["checkpoint"]; got != 1 {
+		t.Fatalf("%d checkpoints ran, want 1", got)
 	}
 }

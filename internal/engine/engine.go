@@ -149,13 +149,15 @@ type Options struct {
 	// raise the latency of the requests at the front of a full group.
 	// Values < 1 select 256.
 	MaxWriteBatch int
-	// CheckpointEvery, when > 0, has the writer goroutine cut a durable
-	// checkpoint (with log compaction) after every N committed write
-	// groups, bounding both restart replay cost and log growth without
-	// any operator intervention. Zero disables the policy; explicit
-	// Checkpoint calls work either way. Only meaningful for indexes whose
-	// store supports checkpoints — the periodic trigger is skipped (and
-	// counted as a failure) otherwise.
+	// CheckpointEvery, when > 0, has the writer goroutine start a durable
+	// checkpoint after every N committed write groups, bounding both
+	// restart replay cost and log growth without any operator
+	// intervention. The checkpoint runs on a goroutine of its own, so
+	// writes keep committing beside it, and a trigger that finds the
+	// previous one still running is skipped. Zero disables the policy;
+	// explicit Checkpoint calls work either way. Only meaningful for
+	// indexes whose store supports checkpoints — the periodic trigger is
+	// skipped (and counted as a failure) otherwise.
 	CheckpointEvery int
 	// AdmissionWait bounds how long a submission may wait for queue space
 	// before the engine sheds it with ErrOverloaded. Zero selects
@@ -226,6 +228,7 @@ type Engine struct {
 	parallelism     int
 	maxWriteBatch   int
 	checkpointEvery int           // cut a checkpoint every N write groups (0 = never)
+	checkpointing   atomic.Bool   // a periodic checkpoint is running
 	admissionWait   time.Duration // queue-full budget before ErrOverloaded (<0 = unbounded)
 	metrics         *engineMetrics
 
@@ -364,11 +367,17 @@ func (e *Engine) writer() {
 		groups++
 		if e.checkpointEvery > 0 && groups >= e.checkpointEvery {
 			groups = 0
-			// The periodic cut runs on the writer goroutine after the
-			// group's requests were already answered: it adds no latency
-			// to them, and the store's checkpoint protocol keeps later
-			// groups (queued meanwhile) from blocking on the big write.
-			e.Checkpoint(true)
+			// The periodic cut runs beside the writer, so the groups
+			// queued meanwhile commit while it streams its snapshot;
+			// Shutdown waits for it like for a worker.
+			if e.checkpointing.CompareAndSwap(false, true) {
+				e.workers.Add(1)
+				go func() {
+					defer e.workers.Done()
+					defer e.checkpointing.Store(false)
+					e.Checkpoint()
+				}()
+			}
 		}
 	}
 	for j := range e.writes {
@@ -390,13 +399,13 @@ func (e *Engine) writer() {
 	}
 }
 
-// Checkpoint cuts a durable checkpoint of the index's store (optionally
-// compacting its log) and records the outcome in the engine totals under
-// the "checkpoint" kind. It may be called concurrently with the writer's
-// periodic trigger — the store serializes checkpoints internally.
-func (e *Engine) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
+// Checkpoint cuts a durable checkpoint of the index's store and records
+// the outcome in the engine totals under the "checkpoint" kind. It may be
+// called concurrently with the writer's periodic trigger — the store
+// serializes checkpoints internally.
+func (e *Engine) Checkpoint() ([]store.CheckpointInfo, error) {
 	start := time.Now()
-	infos, err := e.ix.Checkpoint(compact)
+	infos, err := e.ix.Checkpoint()
 	e.metrics.checkpoints.Inc()
 	e.metrics.checkpointDur.ObserveDuration(time.Since(start))
 	if err != nil {

@@ -132,8 +132,8 @@ var fpDirSync = P("store.dirsync")
 // Temp is a file being written at path+".tmp", to be published by rename:
 // after a crash the destination holds either its old content or the new,
 // never a prefix. It is the one implementation of the temp → fsync → rename
-// → directory-fsync sequence behind every manifest, checkpoint, compacted
-// log and page-file generation.
+// → directory-fsync sequence behind every manifest, checkpoint, log
+// generation and page-file generation.
 type Temp struct {
 	File // the temp file, behind role's read/write/sync failpoints
 	name string

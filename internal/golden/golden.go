@@ -8,7 +8,8 @@
 // they prove the consolidation changed no format. Regenerate them only in a
 // commit whose point is a format change, or one that changes what a format
 // carries without changing the format (internal/query's page file after the
-// closed-form §3.2 line fit); such a commit keeps the older bytes as a
+// closed-form §3.2 line fit, internal/store's log directory once a
+// checkpoint became one commit); such a commit keeps the older bytes as a
 // compatibility fixture that the running code must still read.
 package golden
 

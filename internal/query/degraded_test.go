@@ -96,7 +96,7 @@ func TestDegradedModeStickyAfterFsyncFailure(t *testing.T) {
 			if _, err := ix.ApplyBatch(nil, ids[:1]); !errors.Is(err, store.ErrFailed) {
 				t.Fatalf("batch on degraded index: %v", err)
 			}
-			if _, err := ix.Checkpoint(false); !errors.Is(err, store.ErrFailed) {
+			if _, err := ix.Checkpoint(); !errors.Is(err, store.ErrFailed) {
 				t.Fatalf("checkpoint on degraded index: %v", err)
 			}
 			if n := ix.StorageFaults(); n < 3 {

@@ -346,11 +346,11 @@ func (ix *Index) Stats() IndexStats {
 }
 
 // Checkpoint implements Searcher: it forwards to the store's checkpoint
-// side (store.ErrUnsupported when there is none), optionally compacting
-// the log afterwards. The index write lock is NOT held — the store's own
+// side (store.ErrUnsupported when there is none). The index write lock is
+// NOT held — the store's own
 // three-phase protocol keeps the snapshot consistent while the writer
 // stays live, which is the whole point of checkpointing online.
-func (ix *Index) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
+func (ix *Index) Checkpoint() ([]store.CheckpointInfo, error) {
 	cp, ok := store.As[store.Checkpointer](ix.store)
 	if !ok {
 		return nil, fmt.Errorf("query: checkpoint: %w: store %T cannot checkpoint", store.ErrUnsupported, ix.store)
@@ -358,11 +358,6 @@ func (ix *Index) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
 	info, err := cp.Checkpoint()
 	if err != nil {
 		return nil, fmt.Errorf("query: checkpoint: %w", ix.noteStoreErr(err))
-	}
-	if compact {
-		if info, err = cp.CompactLog(); err != nil {
-			return nil, fmt.Errorf("query: compact log: %w", ix.noteStoreErr(err))
-		}
 	}
 	return []store.CheckpointInfo{info}, nil
 }

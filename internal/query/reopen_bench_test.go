@@ -12,7 +12,7 @@ import (
 // BenchmarkReopen measures restart cost: opening a log store and rebuilding
 // the in-memory index over it. The live set is fixed; what varies is how
 // much history the log carries (churn rounds of delete-all + reinsert-all)
-// and whether a checkpoint+compaction ran before the "crash". Without a
+// and whether a checkpoint ran before the "crash". Without a
 // checkpoint, reopen replays the whole history — ns/op grows with churn.
 // With one, reopen loads the snapshot and replays only the (empty) suffix,
 // so ns/op stays at the 1x-history floor no matter how much history burned:
@@ -26,7 +26,7 @@ const (
 )
 
 // prepareReopenLog writes a log with the given churn, optionally
-// checkpointed+compacted, and returns its path.
+// checkpointed, and returns its path.
 func prepareReopenLog(b *testing.B, churnRounds int, checkpoint bool) string {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "objects.fzl")
@@ -55,9 +55,6 @@ func prepareReopenLog(b *testing.B, churnRounds int, checkpoint bool) string {
 	}
 	if checkpoint {
 		if _, err := s.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.CompactLog(); err != nil {
 			b.Fatal(err)
 		}
 	}

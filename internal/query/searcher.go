@@ -48,13 +48,12 @@ type Searcher interface {
 	// all-or-nothing on validation failure (*BatchError). The stats slice
 	// has one entry per item, inserts first.
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats, error)
-	// Checkpoint cuts a durable checkpoint of every shard's store —
-	// optionally compacting each shard's log afterwards — and returns
-	// per-shard results in shard order. The writer stays live throughout
+	// Checkpoint cuts a durable checkpoint of every shard's store and
+	// returns per-shard results in shard order. The writer stays live throughout
 	// (the store's three-phase protocol, not the index write lock, provides
 	// consistency). Indexes over stores without a durable log fail with
 	// store.ErrUnsupported.
-	Checkpoint(compact bool) ([]store.CheckpointInfo, error)
+	Checkpoint() ([]store.CheckpointInfo, error)
 	// Degraded reports the sticky degraded state entered when the backing
 	// store fail-stops after a storage fault (nil = healthy). A degraded
 	// index keeps answering every query from the last published snapshot;

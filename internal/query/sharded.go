@@ -152,19 +152,19 @@ func (sx *ShardedIndex) Stats() IndexStats {
 	return out
 }
 
-// Checkpoint implements Searcher: every shard's store checkpoints (and
-// optionally compacts) in turn, sequentially — checkpoints are disk-bound,
+// Checkpoint implements Searcher: every shard's store checkpoints in turn,
+// sequentially — checkpoints are disk-bound,
 // so staggering them bounds peak I/O while each shard's writer stays live.
 // The first failing shard aborts the sweep; shards already checkpointed
 // keep their new checkpoints, which is harmless (each shard's manifest is
 // self-consistent on its own).
-func (sx *ShardedIndex) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
+func (sx *ShardedIndex) Checkpoint() ([]store.CheckpointInfo, error) {
 	if err := sx.refuseIfDegraded(); err != nil {
 		return nil, fmt.Errorf("query: checkpoint: %w", err)
 	}
 	infos := make([]store.CheckpointInfo, 0, len(sx.shards))
 	for i, sh := range sx.shards {
-		sub, err := sh.Checkpoint(compact)
+		sub, err := sh.Checkpoint()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

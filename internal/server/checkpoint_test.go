@@ -45,12 +45,12 @@ func newLogTestServer(t *testing.T, shards int) (*httptest.Server, *fuzzyknn.Ind
 func TestServeCheckpoint(t *testing.T) {
 	ts, _ := newLogTestServer(t, 2)
 
-	// Default body: compact.
+	// An empty object checkpoints.
 	var got CheckpointResponse
-	if status := postJSON(t, ts.URL+"/checkpoint", struct{}{}, &got); status != http.StatusOK {
+	if status := postJSON(t, ts.URL+"/checkpoint", CheckpointRequest{}, &got); status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	if len(got.Shards) != 2 || !got.Compacted {
+	if len(got.Shards) != 2 {
 		t.Fatalf("response = %+v", got)
 	}
 	objects := 0
@@ -67,16 +67,7 @@ func TestServeCheckpoint(t *testing.T) {
 		t.Fatalf("checkpointed %d objects, want 6", objects)
 	}
 
-	// compact: false still cuts a new generation.
-	f := false
-	if status := postJSON(t, ts.URL+"/checkpoint", CheckpointRequest{Compact: &f}, &got); status != http.StatusOK {
-		t.Fatalf("status = %d", status)
-	}
-	if got.Compacted || got.Shards[0].Generation != 2 {
-		t.Fatalf("response = %+v", got)
-	}
-
-	// Empty body works (defaults apply).
+	// So does an empty body.
 	resp, err := http.Post(ts.URL+"/checkpoint", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +77,18 @@ func TestServeCheckpoint(t *testing.T) {
 		t.Fatalf("empty body status = %d", resp.StatusCode)
 	}
 
-	// Garbage body is the client's fault.
-	var errResp ErrorResponse
-	if status := postJSON(t, ts.URL+"/checkpoint", map[string]any{"compact": "yes"}, &errResp); status != http.StatusBadRequest {
-		t.Fatalf("bad body status = %d", status)
+	// The request has no fields: a body that names one, the retired
+	// "compact" included, is the client's fault and cuts nothing.
+	for _, body := range []map[string]any{{"compact": false}, {"compact": "yes"}} {
+		var errResp ErrorResponse
+		if status := postJSON(t, ts.URL+"/checkpoint", body, &errResp); status != http.StatusBadRequest {
+			t.Fatalf("body %v: status = %d", body, status)
+		}
+	}
+
+	// A third checkpoint, to show the refused bodies cut none.
+	if status := postJSON(t, ts.URL+"/checkpoint", CheckpointRequest{}, &got); status != http.StatusOK {
+		t.Fatalf("status = %d", status)
 	}
 
 	// /stats surfaces per-shard checkpoint state.

@@ -10,7 +10,7 @@
 //	POST   /objects       {object}                                        → {id, objects, object_accesses}
 //	POST   /objects:batch {objects: [...], delete_ids?: [...]}            → {results, applied, failed, objects}
 //	DELETE /objects/{id}                                                  → {id, objects, object_accesses}
-//	POST   /checkpoint    {compact?} (body optional)                      → {shards, compacted}
+//	POST   /checkpoint    {} (body optional)                              → {shards}
 //	GET    /stats         index size + engine lifetime totals
 //	GET    /metrics       Prometheus text exposition (engine + HTTP series)
 //	GET    /healthz       liveness probe; reports degraded mode (always 200)
@@ -63,13 +63,13 @@
 // request itself only 400s when the body is malformed or the batch is
 // empty.
 //
-// POST /checkpoint cuts a durable checkpoint of every shard's log store —
-// and, by default, compacts each log — while the server keeps answering
-// queries and mutations; pass {"compact": false} to skip compaction. The
-// next process start then loads the snapshots and replays only the log
-// suffix, restarting in time proportional to live data. On an index whose
-// store cannot checkpoint (in-memory or read-only) it answers 501. GET
-// /stats reports each shard's checkpoint generation, size and age.
+// POST /checkpoint cuts a durable checkpoint of every shard's log store
+// while the server keeps answering queries and mutations: a snapshot of
+// the live set, plus a fresh log holding only the records written since
+// the cut. The next process start then loads the snapshots and replays
+// only those logs, restarting in time proportional to live data. On an
+// index whose store cannot checkpoint (in-memory or read-only) it answers
+// 501. GET /stats reports each shard's checkpoint generation, size and age.
 //
 // The query object is given inline ({"points": [{"p": [x, y], "mu": 0.8},
 // ...]}) or as a stored id ({"query_id": 7}; resolving it counts as one
@@ -505,12 +505,9 @@ type RKNNResponse struct {
 	Explain *ExplainJSON       `json:"explain,omitempty"`
 }
 
-// CheckpointRequest is the (optional) body of POST /checkpoint. Compact
-// defaults to true: checkpoint, then drop the log records the snapshot
-// covers.
-type CheckpointRequest struct {
-	Compact *bool `json:"compact,omitempty"`
-}
+// CheckpointRequest is the (optional) body of POST /checkpoint. It has no
+// fields: a body that names one is refused with 400.
+type CheckpointRequest struct{}
 
 // CheckpointShardJSON is one shard's checkpoint state, in POST /checkpoint
 // responses and (when the store supports checkpoints) in GET /stats shards.
@@ -525,8 +522,7 @@ type CheckpointShardJSON struct {
 
 // CheckpointResponse is the body of a successful POST /checkpoint.
 type CheckpointResponse struct {
-	Shards    []CheckpointShardJSON `json:"shards"`
-	Compacted bool                  `json:"compacted"`
+	Shards []CheckpointShardJSON `json:"shards"`
 }
 
 // ShardJSON is one shard's physical state in GET /stats. Checkpoint is nil
@@ -809,13 +805,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint cuts a durable checkpoint of every shard's store while
-// the server keeps serving, compacting the logs unless the (optional) body
-// says {"compact": false}. Indexes whose store cannot checkpoint answer 501.
+// the server keeps serving. Indexes whose store cannot checkpoint answer 501.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnFollower(w) {
 		return
 	}
-	compact := true
 	sc, ok := readBody(w, r)
 	if !ok {
 		return
@@ -823,17 +817,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var req CheckpointRequest
 	err := unmarshalStrict(sc.body.Bytes(), &req)
 	sc.release()
-	switch {
-	case err == nil:
-		if req.Compact != nil {
-			compact = *req.Compact
-		}
-	case errors.Is(err, io.EOF): // empty body: defaults
-	default:
+	if err != nil && !errors.Is(err, io.EOF) { // an empty body is fine
 		writeDecodeError(w, err)
 		return
 	}
-	infos, err := s.eng.Checkpoint(compact)
+	infos, err := s.eng.Checkpoint()
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -845,7 +833,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	out := CheckpointResponse{Shards: make([]CheckpointShardJSON, len(infos)), Compacted: compact}
+	out := CheckpointResponse{Shards: make([]CheckpointShardJSON, len(infos))}
 	for i := range infos {
 		out.Shards[i] = toCheckpointJSON(&infos[i])
 	}

@@ -344,7 +344,7 @@ func TestTrailingBytesRefused(t *testing.T) {
 		{"/aknn", `{"query_id":1,"k":1,"alpha":0.5} garbage`, `invalid request body: invalid character 'g' after top-level value`},
 		{"/aknn", `{"QUERY_ID":1,"k":1,"alpha":0.5}]`, `invalid request body: invalid character ']' after top-level value`},
 		{"/objects:batch", `{"delete_ids":[6]}{"delete_ids":[5]}`, `invalid request body: invalid character '{' after top-level value`},
-		{"/checkpoint", `{"compact":false}x`, `invalid request body: invalid character 'x' after top-level value`},
+		{"/checkpoint", `{}x`, `invalid request body: invalid character 'x' after top-level value`},
 	} {
 		status, reply := post(t, ts.URL+tc.path, tc.body)
 		if want := mustMarshal(t, ErrorResponse{Error: tc.want}); status != http.StatusBadRequest || reply != string(want) {

@@ -34,16 +34,13 @@ type CheckpointInfo struct {
 }
 
 // Checkpointer is implemented by stores that can cut durable checkpoints of
-// their live set and compact their log so reopen cost is proportional to
-// live data, not total history.
+// their live set, so reopen cost is proportional to live data, not total
+// history.
 type Checkpointer interface {
-	// Checkpoint atomically writes a snapshot of all live objects and
-	// commits a manifest binding it to the current log position. The
-	// writer stays live throughout.
+	// Checkpoint atomically writes a snapshot of all live objects, moves
+	// the log records written since into a fresh log and commits a
+	// manifest binding the two. The writer stays live throughout.
 	Checkpoint() (CheckpointInfo, error)
-	// CompactLog rewrites the log suffix not covered by the checkpoint,
-	// dropping tombstoned and overwritten records, and swaps it in.
-	CompactLog() (CheckpointInfo, error)
 	// CheckpointInfo reports the current checkpoint state. The bool is
 	// false when the underlying store cannot checkpoint at all.
 	CheckpointInfo() (CheckpointInfo, bool)
@@ -62,7 +59,7 @@ type Checkpointer interface {
 // artifact and is refused as ErrCorrupt, the manifest's analogue of the
 // log's refuse-to-truncate rule. logSize records how much of the log was
 // fsync'd at commit time: recovering less than that means durable records
-// were lost (a torn compacted log, a rolled-back file system), which is
+// were lost (a torn log, a rolled-back file system), which is
 // likewise refused rather than silently truncated.
 const (
 	manifestMagic   = "FZKNNMF1"
@@ -86,7 +83,7 @@ func ckptPath(path string, gen uint64) string {
 	return fmt.Sprintf("%s.ckpt-%d", path, gen)
 }
 
-// logPathFor names the active log file: compaction never rewrites a log in
+// logPathFor names the active log file: a checkpoint never rewrites a log in
 // place, it publishes a new generation under the next sequence number and
 // lets the manifest name the winner (two files cannot be swapped in one
 // atomic step, but one rename of the manifest commits both).
@@ -186,7 +183,7 @@ type ckptSource struct {
 // read fetches the source's record into buf (grown when too small) and
 // checks its embedded CRC before it lands in a new artifact, so a read that
 // silently returned corrupt bytes (bit rot, a lying disk) cannot be
-// laundered into a freshly checksummed checkpoint or compacted log.
+// laundered into a freshly checksummed checkpoint.
 func (src ckptSource) read(buf []byte) ([]byte, error) {
 	if uint64(cap(buf)) < src.e.length {
 		buf = make([]byte, src.e.length)
@@ -201,7 +198,7 @@ func (src ckptSource) read(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// publishArtifact streams a checkpoint or compacted log to path through a
+// publishArtifact streams a checkpoint or a log generation to path through a
 // 1 MiB buffer and publishes it atomically (see fault.Temp). Neither is
 // referenced until a manifest names it, so a rename whose directory fsync
 // failed is dropped again — the clean abort.
@@ -350,11 +347,10 @@ func (s *LogStore) loadCheckpoint(path string, man *logManifest) error {
 		return fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt)
 	}
 
-	s.ckptIDs = make(map[uint64]struct{}, len(entries))
 	for id, e := range entries {
 		s.live[id] = e
-		s.ckptIDs[id] = struct{}{}
 	}
+	s.ckptObjects = len(entries)
 	s.ckptF = f
 	s.ckptBytes = size
 	ok = true
@@ -362,7 +358,7 @@ func (s *LogStore) loadCheckpoint(path string, man *logManifest) error {
 }
 
 // commitManifestLocked publishes man as the store's manifest — the commit
-// point of Checkpoint and CompactLog. A false committed is a clean abort:
+// point of Checkpoint. A false committed is a clean abort:
 // the previous manifest is intact and the caller drops the artifact it just
 // built. True with an error means the manifest renamed but its durability is
 // unknowable: the manifest on disk names the new artifacts while memory
@@ -383,7 +379,7 @@ func (s *LogStore) commitManifestLocked(man *logManifest) (committed bool, err e
 }
 
 // cleanupLogDebris removes files a crash mid-swap can leave next to the
-// store: torn temp files, checkpoints and compacted logs that were fully
+// store: torn temp files, checkpoints and log generations that were fully
 // written but never manifest-committed, and a superseded log the crash
 // struck before unlinking. Anything the manifest (or, without one, the
 // base log) does not reference is unreachable and safe to drop.
@@ -415,7 +411,7 @@ func cleanupLogDebris(path string, man *logManifest) {
 		case strings.HasPrefix(name, base+".log-"):
 			doomed = name != keepLog
 		case name == base:
-			doomed = man != nil && man.logSeq > 0 // superseded by a compacted log
+			doomed = man != nil && man.logSeq > 0 // superseded by a later generation
 		}
 		if doomed {
 			os.Remove(filepath.Join(dir, name))
@@ -424,256 +420,190 @@ func cleanupLogDebris(path string, man *logManifest) {
 }
 
 // Checkpoint implements Checkpointer: it cuts a durable snapshot of all
-// live objects and commits a manifest binding {generation, log tail}, so
-// the next open loads the snapshot and replays only records appended after
-// the cut. The writer stays live throughout: only the cut (phase 1) and
-// the commit (phase 3) take the store lock; the big snapshot write
-// (phase 2) runs lock-free, and anything written concurrently lands after
-// the recorded tail and replays on top of the snapshot.
+// live objects, moves the log records written since the cut into the next
+// log generation and commits one manifest binding the two, so the next open
+// loads the snapshot and replays only those records. The writer stays live
+// throughout: only the cut (phase 1) and the commit (phase 3) take the store
+// lock; the big snapshot write (phase 2) runs lock-free, and anything
+// written concurrently lands after the cut and moves with the suffix.
 func (s *LogStore) Checkpoint() (CheckpointInfo, error) {
 	if s.path == "" {
 		return CheckpointInfo{}, fmt.Errorf("%w: anonymous log store cannot checkpoint", ErrUnsupported)
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	p, err := s.snapshot()
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	return s.commitCheckpoint(p)
+}
 
-	// Phase 1 — cut: capture the live directory, the log position the
-	// snapshot covers, and each entry's backing file (payloads may live
-	// in the log or in the previous checkpoint).
+// pendingCheckpoint is a published snapshot no manifest names yet.
+type pendingCheckpoint struct {
+	gen     uint64
+	cut     int64        // the log offset the snapshot covers
+	srcs    []ckptSource // the live set at the cut, sorted by id
+	offsets []int64      // each source's payload offset in the snapshot
+	size    int64
+	f       fault.File // the snapshot, open for reads
+}
+
+// snapshot runs the checkpoint's first two phases. Phase 1, the cut,
+// captures under the read lock the live directory, the log offset it covers
+// and each entry's backing file (payloads may live in the log or in the
+// previous checkpoint). Phase 2 streams the snapshot with no lock held.
+func (s *LogStore) snapshot() (*pendingCheckpoint, error) {
 	s.mu.RLock()
 	if err := s.failed; err != nil {
 		s.mu.RUnlock()
-		return CheckpointInfo{}, err
+		return nil, err
 	}
-	gen := s.ckptGen + 1
-	tail := s.offset
-	srcs := make([]ckptSource, 0, len(s.live))
+	p := &pendingCheckpoint{gen: s.ckptGen + 1, cut: s.offset, srcs: make([]ckptSource, 0, len(s.live))}
 	for _, e := range s.live {
-		srcs = append(srcs, ckptSource{e: e, f: s.fileFor(e)})
+		p.srcs = append(p.srcs, ckptSource{e: e, f: s.fileFor(e)})
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(srcs, func(a, b ckptSource) int { return cmp.Compare(a.e.id, b.e.id) })
+	slices.SortFunc(p.srcs, func(a, b ckptSource) int { return cmp.Compare(a.e.id, b.e.id) })
 
-	// Phase 2 — stream: write the snapshot with no lock held.
-	cpath := ckptPath(s.path, gen)
-	offsets, size, err := writeCheckpoint(cpath, s.dims, gen, srcs)
-	if err != nil {
-		return CheckpointInfo{}, err
+	path := ckptPath(s.path, p.gen)
+	var err error
+	if p.offsets, p.size, err = writeCheckpoint(path, s.dims, p.gen, p.srcs); err != nil {
+		return nil, err
 	}
-	newOSF, err := os.Open(cpath)
+	osf, err := os.Open(path)
 	if err != nil {
-		os.Remove(cpath)
-		return CheckpointInfo{}, err
+		os.Remove(path)
+		return nil, err
 	}
-	newF := fault.WrapFile(newOSF, "store.ckpt")
+	p.f = fault.WrapFile(osf, "store.ckpt")
+	return p, nil
+}
 
-	// Phase 3 — commit: force the log down to at least the recorded tail
-	// (under SyncOff the manifest must never bind bytes that are
-	// not yet durable), publish the manifest, and rebind untouched
-	// directory entries to the snapshot so the covered log prefix is no
-	// longer needed for reads.
+// commitCheckpoint is phase 3, under the store lock: it forces the log down,
+// copies the records written since the cut into the next log generation,
+// publishes the manifest binding {snapshot, that log} and swaps both in.
+// Every failure before the manifest rename is a clean abort that drops both
+// new files and leaves the previous generation in charge.
+func (s *LogStore) commitCheckpoint(p *pendingCheckpoint) (CheckpointInfo, error) {
 	s.mu.Lock()
-	if err := s.failed; err != nil {
-		s.mu.Unlock()
-		newF.Close()
+	defer s.mu.Unlock()
+	cpath, lpath := ckptPath(s.path, p.gen), logPathFor(s.path, s.logSeq+1)
+	abort := func(err error) (CheckpointInfo, error) {
+		p.f.Close()
 		os.Remove(cpath)
 		return CheckpointInfo{}, err
+	}
+	if s.failed != nil {
+		return abort(s.failed)
 	}
 	if err := s.f.Sync(); err != nil {
-		// The log fsync that would have made the manifest's bound bytes
-		// durable failed: fsyncgate territory — poison, never acknowledge.
-		err = s.failLocked("checkpoint log fsync", err)
-		s.mu.Unlock()
-		newF.Close()
-		os.Remove(cpath)
-		return CheckpointInfo{}, err
+		// The log the suffix is copied from failed its fsync: fsyncgate
+		// territory — poison, never acknowledge.
+		return abort(s.failLocked("checkpoint log fsync", err))
 	}
+	if err := publishArtifact(lpath, "store.compact", fpCompactRename, func(w *bufio.Writer) error {
+		return s.copySuffix(w, p.cut)
+	}); err != nil {
+		return abort(err)
+	}
+	osf, err := os.OpenFile(lpath, os.O_RDWR, 0o644)
+	if err != nil {
+		os.Remove(lpath)
+		return abort(err)
+	}
+	newLog := fault.WrapFile(osf, "store.log")
+	shift := uint64(p.cut - logHeaderSize)
 	now := time.Now().UnixNano()
 	man := &logManifest{
 		dims:    s.dims,
-		gen:     gen,
-		objects: uint64(len(srcs)),
-		logSeq:  s.logSeq,
-		tail:    tail,
-		size:    s.offset,
+		gen:     p.gen,
+		objects: uint64(len(p.srcs)),
+		logSeq:  s.logSeq + 1,
+		tail:    logHeaderSize,
+		size:    s.offset - int64(shift),
 		created: now,
 	}
 	if committed, err := s.commitManifestLocked(man); err != nil {
-		s.mu.Unlock()
-		newF.Close()
-		if !committed {
-			os.Remove(cpath)
+		newLog.Close()
+		if committed {
+			p.f.Close()
+			return CheckpointInfo{}, err
 		}
-		return CheckpointInfo{}, err
+		os.Remove(lpath)
+		return abort(err)
 	}
-	oldF, oldPath := s.ckptF, ""
-	if s.ckptGen > 0 {
-		oldPath = ckptPath(s.path, s.ckptGen)
-	}
-	ids := make(map[uint64]struct{}, len(srcs))
-	for i, src := range srcs {
-		ids[src.e.id] = struct{}{}
-		ne := dirEntry{id: src.e.id, offset: uint64(offsets[i]), length: src.e.length, src: newF}
+	for i, src := range p.srcs {
 		// Rebind only entries the concurrent writer has not touched since
 		// the cut; a reinserted id already points at its newer log record.
 		if cur, ok := s.live[src.e.id]; ok && cur == src.e {
-			s.live[src.e.id] = ne
-		} else if cur, ok := s.dead[src.e.id]; ok && cur == src.e {
-			s.dead[src.e.id] = ne
+			s.live[src.e.id] = dirEntry{id: src.e.id, offset: uint64(p.offsets[i]), length: src.e.length, src: p.f}
 		}
 	}
-	if oldF != nil {
-		s.retired = append(s.retired, oldF)
-	}
-	s.ckptF = newF
-	s.ckptGen = gen
-	s.ckptIDs = ids
-	s.ckptBytes = size
-	s.ckptAt = now
-	s.tail = tail
-	info := s.checkpointInfoLocked()
-	s.mu.Unlock()
-
-	if oldPath != "" {
-		// Superseded snapshot: unlink the path; in-flight readers keep
-		// the retired handle until Close.
-		os.Remove(oldPath)
-	}
-	return info, nil
-}
-
-// CompactLog implements Checkpointer: it rewrites the log suffix the
-// checkpoint does not cover — dropping tombstoned and overwritten records —
-// publishes it under the next log sequence number, and swaps it in under
-// the write lock. After a checkpoint the suffix is small, so the pause is
-// short; without one this compacts the entire history down to the live set.
-func (s *LogStore) CompactLog() (CheckpointInfo, error) {
-	if s.path == "" {
-		return CheckpointInfo{}, fmt.Errorf("%w: anonymous log store cannot compact", ErrUnsupported)
-	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return CheckpointInfo{}, s.failed
-	}
-
-	// Survivors: a tombstone for every checkpointed id no longer live as
-	// its checkpoint copy (deleted, or deleted and reinserted), then a put
-	// for every live object the checkpoint does not cover. Tombstones must
-	// precede puts — replay would otherwise see a put for an id the
-	// checkpoint holds live and refuse it as a duplicate.
-	inCkpt := func(e dirEntry) bool { return s.ckptF != nil && e.src == s.ckptF }
-	var tombs []uint64
-	for id := range s.ckptIDs {
-		if e, ok := s.live[id]; !ok || !inCkpt(e) {
-			tombs = append(tombs, id)
+	// What the live set still holds in the log was written after the cut
+	// and moved down by a constant; dead payloads stay readable through the
+	// retiring log's handle.
+	for id, e := range s.live {
+		if e.src == nil {
+			e.offset -= shift
+			s.live[id] = e
 		}
 	}
-	slices.Sort(tombs)
-	puts := make([]ckptSource, 0, len(s.live))
-	for _, e := range s.live {
-		if !inCkpt(e) {
-			puts = append(puts, ckptSource{e: e, f: s.fileFor(e)})
-		}
-	}
-	slices.SortFunc(puts, func(a, b ckptSource) int { return cmp.Compare(a.e.id, b.e.id) })
-
-	newSeq := s.logSeq + 1
-	npath := logPathFor(s.path, newSeq)
-	offsets, size, err := writeCompactedLog(npath, s.dims, tombs, puts)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	newOSF, err := os.OpenFile(npath, os.O_RDWR, 0o644)
-	if err != nil {
-		os.Remove(npath)
-		return CheckpointInfo{}, err
-	}
-	newF := fault.WrapFile(newOSF, "store.log")
-	man := &logManifest{
-		dims:    s.dims,
-		gen:     s.ckptGen,
-		objects: uint64(len(s.ckptIDs)),
-		logSeq:  newSeq,
-		tail:    logHeaderSize,
-		size:    size,
-		created: s.ckptAt,
-	}
-	if committed, err := s.commitManifestLocked(man); err != nil {
-		newF.Close()
-		if !committed {
-			os.Remove(npath)
-		}
-		return CheckpointInfo{}, err
-	}
-	oldF, oldPath := s.f, logPathFor(s.path, s.logSeq)
-	for i, src := range puts {
-		s.live[src.e.id] = dirEntry{id: src.e.id, offset: uint64(offsets[i]), length: src.e.length}
-	}
-	// Dead payloads in the retiring log stay readable through its handle.
 	for id, e := range s.dead {
 		if e.src == nil {
-			e.src = oldF
+			e.src = s.f
 			s.dead[id] = e
 		}
 	}
-	s.retired = append(s.retired, oldF)
-	s.f = newF
-	s.offset = size
-	s.logSeq = newSeq
-	s.tail = logHeaderSize
-	os.Remove(oldPath)
+	// Superseded files: unlink the paths; in-flight readers keep the
+	// retired handles until Close.
+	os.Remove(logPathFor(s.path, s.logSeq))
+	s.retired = append(s.retired, s.f)
+	if s.ckptF != nil {
+		os.Remove(ckptPath(s.path, s.ckptGen))
+		s.retired = append(s.retired, s.ckptF)
+	}
+	s.f, s.offset, s.logSeq, s.tail = newLog, man.size, man.logSeq, man.tail
+	s.ckptF, s.ckptGen, s.ckptObjects, s.ckptBytes, s.ckptAt = p.f, p.gen, len(p.srcs), p.size, now
 	return s.checkpointInfoLocked(), nil
 }
 
-// writeCompactedLog publishes a fresh log holding only the survivor records
-// at path, returning each put's payload offset and the final size.
-func writeCompactedLog(path string, dims int, tombs []uint64, puts []ckptSource) (offsets []int64, size int64, err error) {
-	offsets = make([]int64, len(puts))
-	pos := int64(logHeaderSize)
-	err = publishArtifact(path, "store.compact", fpCompactRename, func(w *bufio.Writer) error {
-		if _, err := w.Write(logHeader(dims)); err != nil {
-			return err
-		}
-		var rec []byte
-		writeRec := func(kind byte, payload []byte) error {
-			rec = appendFrame(rec[:0], kind, payload)
-			_, err := w.Write(rec)
-			pos += int64(len(rec))
-			return err
-		}
-		var idBuf [8]byte
-		for _, id := range tombs {
-			binary.LittleEndian.PutUint64(idBuf[:], id)
-			if err := writeRec(recTombstone, idBuf[:]); err != nil {
-				return err
-			}
-		}
-		var payload []byte
-		for i, src := range puts {
-			var err error
-			if payload, err = src.read(payload); err != nil {
-				return err
-			}
-			offsets[i] = pos + logFrameSize
-			if err := writeRec(recPut, payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+// copySuffix writes a log header, then the log records in [from, s.offset)
+// byte for byte, each checked against its frame CRC first: a bad read
+// aborts the checkpoint instead of landing in the only copy of the record
+// that survives it. Callers hold s.mu.
+func (s *LogStore) copySuffix(w io.Writer, from int64) error {
+	if _, err := w.Write(logHeader(s.dims)); err != nil {
+		return err
 	}
-	return offsets, pos, nil
+	var frame [logFrameSize]byte
+	var rec []byte
+	for pos := from; pos < s.offset; pos += int64(len(rec)) {
+		if _, err := s.f.ReadAt(frame[:], pos); err != nil {
+			return fmt.Errorf("store: copy of the log record at offset %d: %w", pos, err)
+		}
+		n := logFrameSize + int64(binary.LittleEndian.Uint32(frame[1:])) + 4
+		if n > s.offset-pos {
+			return fmt.Errorf("%w: the log record at offset %d overruns the log during copy", ErrCorrupt, pos)
+		}
+		rec = slices.Grow(rec[:0], int(n))[:n]
+		if _, err := s.f.ReadAt(rec, pos); err != nil {
+			return fmt.Errorf("store: copy of the log record at offset %d: %w", pos, err)
+		}
+		if crc32.ChecksumIEEE(rec[:n-4]) != binary.LittleEndian.Uint32(rec[n-4:]) {
+			return fmt.Errorf("%w: the log record at offset %d failed its checksum during copy", ErrCorrupt, pos)
+		}
+		if _, err := w.Write(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *LogStore) checkpointInfoLocked() CheckpointInfo {
 	info := CheckpointInfo{
 		Generation: s.ckptGen,
-		Objects:    len(s.ckptIDs),
+		Objects:    s.ckptObjects,
 		Bytes:      s.ckptBytes,
 		LogSeq:     s.logSeq,
 		LogBytes:   s.offset,

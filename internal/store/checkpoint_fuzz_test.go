@@ -47,7 +47,7 @@ func validCheckpointImage(t testingTB, dir string, seed uint64) (man, ckpt, logD
 		}
 		return data
 	}
-	return read(manifestPath(path)), read(ckptPath(path, 1)), read(path)
+	return read(manifestPath(path)), read(ckptPath(path, 1)), read(logPathFor(path, 1))
 }
 
 // writeImage lays the three store files out in dir under the standard
@@ -56,9 +56,9 @@ func writeImage(t *testing.T, dir string, man, ckpt, logData []byte) string {
 	t.Helper()
 	path := filepath.Join(dir, "fuzz.fzl")
 	for p, data := range map[string][]byte{
-		path:               logData,
-		manifestPath(path): man,
-		ckptPath(path, 1):  ckpt,
+		logPathFor(path, 1): logData,
+		manifestPath(path):  man,
+		ckptPath(path, 1):   ckpt,
 	} {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -2,12 +2,16 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
 )
 
@@ -162,16 +166,15 @@ func TestCheckpointBasic(t *testing.T) {
 	if info.Generation != 1 || info.Objects != len(want) || info.Bytes <= 0 {
 		t.Fatalf("checkpoint info = %+v", info)
 	}
-	if info.TailBytes != 0 {
-		t.Fatalf("quiescent checkpoint leaves tail %d", info.TailBytes)
+	if info.TailBytes != 0 || info.LogSeq != 1 || info.LogBytes != logHeaderSize {
+		t.Fatalf("quiescent checkpoint leaves log %d, %d bytes, tail %d", info.LogSeq, info.LogBytes, info.TailBytes)
 	}
 	if info.CreatedAt.IsZero() {
 		t.Fatal("checkpoint has no creation time")
 	}
-	for _, p := range []string{ckptTestBase + ".manifest", ckptTestBase + ".ckpt-1"} {
-		if _, err := os.Stat(filepath.Join(dir, p)); err != nil {
-			t.Fatalf("missing %s after checkpoint: %v", p, err)
-		}
+	// The whole history collapsed into the snapshot and an empty log.
+	if got, want := dirNames(t, dir), []string{ckptTestBase + ".ckpt-1", ckptTestBase + ".log-1", ckptTestBase + ".manifest"}; !slices.Equal(got, want) {
+		t.Fatalf("files after checkpoint: %v, want %v", got, want)
 	}
 	// Reads keep working against the rebound (checkpoint-backed) entries.
 	checkState(t, s, want, "after checkpoint")
@@ -218,52 +221,77 @@ func TestCheckpointBasic(t *testing.T) {
 	}
 }
 
-func TestCompactLogBasic(t *testing.T) {
+// checkpointWith runs a checkpoint that write joins between the snapshot
+// and the commit, as a concurrent writer would: what write lands falls past
+// the cut, so the commit has a suffix to move into the next log generation.
+// An error from write drops the snapshot and aborts the checkpoint.
+func checkpointWith(s *LogStore, write func() error) (CheckpointInfo, error) {
+	p, err := s.snapshot()
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	if err := write(); err != nil {
+		p.f.Close()
+		os.Remove(ckptPath(s.path, p.gen))
+		return CheckpointInfo{}, err
+	}
+	return s.commitCheckpoint(p)
+}
+
+// TestCheckpointMovesSuffix races a checkpoint with writes of every kind —
+// new ids, a checkpointed id deleted, another deleted and reinserted — and
+// checks the commit moves exactly those records into the next log
+// generation: live entries keep their payloads at the shifted offsets,
+// rebinding skips what the writer touched, and a tombstoned version stays
+// readable through the retired log.
+func TestCheckpointMovesSuffix(t *testing.T) {
 	dir := t.TempDir()
 	want := churnedBase(t, dir)
 	s := mustOpenDir(t, dir, "initial")
 	defer s.Close()
-	if _, err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Post-checkpoint churn: new inserts, a checkpointed id deleted, another
-	// deleted and reinserted. Compaction must keep exactly this state.
-	rng := rand.New(rand.NewPCG(5, 5))
-	for _, id := range []uint64{30, 31} {
-		o := randObject(rng, id, 3, 2)
-		if err := insertOne(s, o); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = o
-	}
-	if err := deleteOne(s, 1); err != nil {
-		t.Fatal(err)
-	}
-	delete(want, 1)
-	if err := deleteOne(s, 4); err != nil {
-		t.Fatal(err)
-	}
-	re := randObject(rng, 4, 4, 2)
-	if err := insertOne(s, re); err != nil {
-		t.Fatal(err)
-	}
-	want[4] = re
-
-	info, err := s.CompactLog()
+	gone, err := s.Get(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.LogSeq != 1 {
-		t.Fatalf("compacted log sequence = %d, want 1", info.LogSeq)
+
+	rng := rand.New(rand.NewPCG(5, 5))
+	info, err := checkpointWith(s, func() error {
+		for _, id := range []uint64{30, 31} {
+			o := randObject(rng, id, 3, 2)
+			if err := insertOne(s, o); err != nil {
+				return err
+			}
+			want[id] = o
+		}
+		if err := deleteOne(s, 1); err != nil {
+			return err
+		}
+		delete(want, 1)
+		if err := deleteOne(s, 4); err != nil {
+			return err
+		}
+		re := randObject(rng, 4, 4, 2)
+		if err := insertOne(s, re); err != nil {
+			return err
+		}
+		want[4] = re
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Generation != 1 || info.LogSeq != 1 || info.TailBytes <= 0 {
+		t.Fatalf("checkpoint info = %+v", info)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptTestBase)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("superseded base log still present after compaction")
+		t.Fatal("superseded base log still present after the checkpoint")
 	}
-	if _, err := os.Stat(filepath.Join(dir, ckptTestBase+".log-1")); err != nil {
-		t.Fatalf("compacted log missing: %v", err)
+	checkState(t, s, want, "after the checkpoint")
+	if got, err := s.Get(1); err != nil {
+		t.Fatalf("tombstoned version of id 1 unreadable after the checkpoint: %v", err)
+	} else {
+		sameObject(t, gone, got)
 	}
-	checkState(t, s, want, "after compaction")
 
 	// The store stays writable on the new log.
 	o := randObject(rng, 40, 3, 2)
@@ -275,51 +303,74 @@ func TestCompactLogBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpenDir(t, dir, "after compaction")
-	checkState(t, s2, want, "after compaction reopen")
-	// Suffix was 2 tombstones (1, 4) + 3 puts (4, 30, 31) + 1 post-compaction
-	// put: far below the full history.
+	s2 := mustOpenDir(t, dir, "after the checkpoint")
+	checkState(t, s2, want, "after the checkpoint, reopened")
+	// The moved suffix is the race's 5 records; one more was appended.
 	if got := s2.ReplayedRecords(); got != 6 {
 		t.Fatalf("replayed %d records, want 6", got)
 	}
-	// Compacting again rolls the sequence forward and drops log-1.
-	if info, err = s2.CompactLog(); err != nil {
+	// The next checkpoint rolls the sequence forward and drops log-1.
+	if info, err = s2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if info.LogSeq != 2 {
-		t.Fatalf("second compaction sequence = %d", info.LogSeq)
+	if info.LogSeq != 2 || info.TailBytes != 0 {
+		t.Fatalf("second checkpoint info = %+v", info)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptTestBase+".log-1")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("superseded log-1 still present")
 	}
-	checkState(t, s2, want, "after second compaction")
+	checkState(t, s2, want, "after the second checkpoint")
 	s2.Close()
 
 	s3 := mustOpenDir(t, dir, "final")
 	defer s3.Close()
 	checkState(t, s3, want, "final reopen")
+	if got := s3.ReplayedRecords(); got != 0 {
+		t.Fatalf("replayed %d records after a quiescent checkpoint, want 0", got)
+	}
 }
 
-// TestCompactLogWithoutCheckpoint compacts a store that never checkpointed:
-// the whole history collapses into the live set.
-func TestCompactLogWithoutCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	want := churnedBase(t, dir)
-	s := mustOpenDir(t, dir, "initial")
-	history := s.ReplayedRecords()
-	if info, err := s.CompactLog(); err != nil {
-		t.Fatal(err)
-	} else if info.Generation != 0 || info.LogSeq != 1 {
-		t.Fatalf("info = %+v", info)
-	}
-	checkState(t, s, want, "compacted, no checkpoint")
-	s.Close()
+// TestCheckpointTornSuffixReadAborts: a suffix record that reads back
+// corrupt during the copy — its frame (the first read) or the whole record
+// (the second) — aborts the checkpoint with ErrCorrupt before anything is
+// committed; the prior generation stays in charge, live and on reopen.
+func TestCheckpointTornSuffixReadAborts(t *testing.T) {
+	defer fault.Reset()
+	for _, nth := range []uint64{1, 2} {
+		dir := t.TempDir()
+		want := churnedBase(t, dir)
+		s := mustOpenDir(t, dir, "initial")
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		o := randObject(rand.New(rand.NewPCG(6, 6)), 30, 3, 2)
+		_, err := checkpointWith(s, func() error {
+			if err := insertOne(s, o); err != nil {
+				return err
+			}
+			want[30] = o
+			fault.Enable("store.log.read", fault.Spec{Action: fault.ActTorn, Nth: nth})
+			return nil
+		})
+		fault.Reset()
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFailed) {
+			t.Fatalf("read %d torn: checkpoint = %v, want a clean ErrCorrupt", nth, err)
+		}
+		if gen := mustGen(t, s); gen != 1 {
+			t.Fatalf("read %d torn: generation %d after the aborted checkpoint, want 1", nth, gen)
+		}
+		checkState(t, s, want, "after the aborted checkpoint")
+		s.Close()
 
-	s2 := mustOpenDir(t, dir, "reopen")
-	defer s2.Close()
-	checkState(t, s2, want, "reopen")
-	if got := s2.ReplayedRecords(); got != len(want) || got >= history {
-		t.Fatalf("replayed %d records, want %d (history was %d)", got, len(want), history)
+		r := mustOpenDir(t, dir, "after the aborted checkpoint")
+		checkState(t, r, want, "reopen")
+		if gen := mustGen(t, r); gen != 1 {
+			t.Fatalf("read %d torn: reopened generation %d, want 1", nth, gen)
+		}
+		r.Close()
+		if got, want := dirNames(t, dir), []string{ckptTestBase + ".ckpt-1", ckptTestBase + ".log-1", ckptTestBase + ".manifest"}; !slices.Equal(got, want) {
+			t.Fatalf("read %d torn: files after the aborted checkpoint: %v, want %v", nth, got, want)
+		}
 	}
 }
 
@@ -353,10 +404,7 @@ func TestWrapperCheckpointForwarding(t *testing.T) {
 	if info.Generation != 1 || info.Objects != len(want) {
 		t.Fatalf("wrapped checkpoint info = %+v", info)
 	}
-	if _, err := cp.CompactLog(); err != nil {
-		t.Fatal(err)
-	}
-	if got, can := cp.CheckpointInfo(); !can || got.Generation != 1 {
+	if got, can := cp.CheckpointInfo(); !can || got.Generation != 1 || got.LogSeq != 1 {
 		t.Fatalf("wrapped CheckpointInfo: can=%v %+v", can, got)
 	}
 	// Cached reads stay correct across the swap.
@@ -371,126 +419,138 @@ func TestWrapperCheckpointForwarding(t *testing.T) {
 
 // --- crash windows: kill sweeps ---
 
-// TestCheckpointCrashWindows simulates a kill at every byte of the two
-// checkpoint publication steps (snapshot temp file, manifest temp file) and
-// at the two committed states in between. Every crash state must reopen to
-// exactly the pre-checkpoint live set — the log alone is authoritative
-// until the manifest rename — and leave no debris behind.
-func TestCheckpointCrashWindows(t *testing.T) {
-	base := t.TempDir()
-	want := churnedBase(t, base)
+// checkpointCrashWindows kills a checkpoint of the store in base at every
+// byte of each file it publishes — the snapshot, the suffix log and the
+// manifest, each as a torn temp file and then complete but not named by a
+// manifest — and after the manifest rename, with and without the files it
+// supersedes still on disk. The checkpoint races one insert, so the suffix
+// log holds a record. A checkpoint never changes the live set, so every
+// state must reopen to want plus that insert, and leave only the files of
+// the generation in charge: the pre-checkpoint ones before the rename, the
+// new ones after it. It returns the new files' bytes.
+func checkpointCrashWindows(t *testing.T, base string, want map[uint64]*fuzzy.Object) map[string][]byte {
+	t.Helper()
+	before := dirNames(t, base)
 
-	// Learn the exact bytes a real checkpoint produces.
+	// Learn the exact bytes a real checkpoint produces, and the files as
+	// they stood just before its commit.
 	scratch := t.TempDir()
 	copyDirFiles(t, base, scratch)
 	s := mustOpenDir(t, scratch, "scratch")
-	if _, err := s.Checkpoint(); err != nil {
+	pre := map[string][]byte{}
+	o := randObject(rand.New(rand.NewPCG(77, 77)), 60, 4, 2)
+	info, err := checkpointWith(s, func() error {
+		if err := insertOne(s, o); err != nil {
+			return err
+		}
+		for _, name := range before {
+			pre[name] = readFileT(t, filepath.Join(scratch, name))
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	ckptBytes := readFileT(t, filepath.Join(scratch, ckptTestBase+".ckpt-1"))
-	manBytes := readFileT(t, filepath.Join(scratch, ckptTestBase+".manifest"))
+	want[o.ID()] = o
+	ckptName := fmt.Sprintf("%s.ckpt-%d", ckptTestBase, info.Generation)
+	logName := fmt.Sprintf("%s.log-%d", ckptTestBase, info.LogSeq)
+	manName := ckptTestBase + ".manifest"
+	post := map[string][]byte{}
+	for _, name := range []string{ckptName, logName, manName} {
+		post[name] = readFileT(t, filepath.Join(scratch, name))
+	}
+	after := dirNames(t, scratch)
 
 	crash := t.TempDir()
-	reopen := func(ctx string, files map[string][]byte) *LogStore {
+	reopen := func(ctx string, keep []string, files ...map[string][]byte) {
 		t.Helper()
 		resetDir(t, crash)
-		copyDirFiles(t, base, crash)
+		for _, set := range files {
+			for name, data := range set {
+				if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s := mustOpenDir(t, crash, ctx)
+		checkState(t, s, want, ctx)
+		s.Close()
+		if got := dirNames(t, crash); !slices.Equal(got, keep) {
+			t.Fatalf("%s: debris not cleaned, dir holds %v, want %v", ctx, got, keep)
+		}
+	}
+	only := func(name string, data []byte) map[string][]byte { return map[string][]byte{name: data} }
+
+	// Before the manifest rename the pre-checkpoint generation governs and
+	// everything the checkpoint wrote is debris.
+	for cut := 0; cut <= len(post[ckptName]); cut++ {
+		reopen("torn snapshot tmp", before, pre, only(ckptName+".tmp", post[ckptName][:cut]))
+	}
+	reopen("snapshot without manifest", before, pre, only(ckptName, post[ckptName]))
+	for cut := 0; cut <= len(post[logName]); cut++ {
+		reopen("torn suffix log tmp", before, pre, only(ckptName, post[ckptName]), only(logName+".tmp", post[logName][:cut]))
+	}
+	reopen("suffix log without manifest", before, pre, only(ckptName, post[ckptName]), only(logName, post[logName]))
+	for cut := 0; cut <= len(post[manName]); cut++ {
+		reopen("torn manifest tmp", before, pre, only(ckptName, post[ckptName]), only(logName, post[logName]),
+			only(manName+".tmp", post[manName][:cut]))
+	}
+	// After it the new generation governs: the superseded files are debris
+	// whether or not the crash struck before their unlink.
+	reopen("committed, superseded files lingering", after, pre, post)
+	reopen("committed", after, post)
+	return post
+}
+
+// TestCheckpointCrashWindows runs the crash windows of a store's first
+// checkpoint, then damages the committed files under the manifest — states
+// no crash can produce, only file-system damage — which reopen must refuse
+// loudly rather than serve a partial live set.
+func TestCheckpointCrashWindows(t *testing.T) {
+	base := t.TempDir()
+	want := churnedBase(t, base)
+	post := checkpointCrashWindows(t, base, want)
+
+	crash := t.TempDir()
+	refuse := func(ctx string, files map[string][]byte) {
+		t.Helper()
+		resetDir(t, crash)
 		for name, data := range files {
 			if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := mustOpenDir(t, crash, ctx)
-		checkState(t, s, want, ctx)
-		return s
-	}
-	checkDebris := func(ctx string, keep ...string) {
-		t.Helper()
-		got := dirNames(t, crash)
-		if len(got) != len(keep) {
-			t.Fatalf("%s: debris not cleaned, dir holds %v, want %v", ctx, got, keep)
-		}
-	}
-
-	// Window 1 — killed while streaming the snapshot: a torn .ckpt-1.tmp at
-	// every byte. No manifest exists, so the log is authoritative.
-	for cut := 0; cut <= len(ckptBytes); cut++ {
-		s := reopen("torn ckpt tmp", map[string][]byte{ckptTestBase + ".ckpt-1.tmp": ckptBytes[:cut]})
-		s.Close()
-	}
-	checkDebris("torn ckpt tmp", ckptTestBase)
-
-	// Window 2 — snapshot renamed, manifest never written: the complete but
-	// uncommitted checkpoint is unreachable debris.
-	s2 := reopen("ckpt without manifest", map[string][]byte{ckptTestBase + ".ckpt-1": ckptBytes})
-	s2.Close()
-	checkDebris("ckpt without manifest", ckptTestBase)
-
-	// Window 3 — killed while writing the manifest temp file, at every byte.
-	for cut := 0; cut <= len(manBytes); cut++ {
-		s := reopen("torn manifest tmp", map[string][]byte{
-			ckptTestBase + ".ckpt-1":       ckptBytes,
-			ckptTestBase + ".manifest.tmp": manBytes[:cut],
-		})
-		s.Close()
-	}
-	checkDebris("torn manifest tmp", ckptTestBase)
-
-	// Window 4 — manifest renamed: the checkpoint is committed; reopen loads
-	// it and replays nothing.
-	s4 := reopen("manifest committed", map[string][]byte{
-		ckptTestBase + ".ckpt-1":   ckptBytes,
-		ckptTestBase + ".manifest": manBytes,
-	})
-	if got := s4.ReplayedRecords(); got != 0 {
-		t.Fatalf("committed checkpoint: replayed %d records, want 0", got)
-	}
-	s4.Close()
-	checkDebris("manifest committed", ckptTestBase, ckptTestBase+".ckpt-1", ckptTestBase+".manifest")
-
-	// Adversarial — the manifest names a checkpoint that is torn (a state no
-	// crash can produce, only file-system damage): reopen must refuse loudly
-	// at every truncation point rather than serve a partial live set.
-	for cut := 0; cut < len(ckptBytes); cut++ {
-		resetDir(t, crash)
-		copyDirFiles(t, base, crash)
-		for name, data := range map[string][]byte{
-			ckptTestBase + ".ckpt-1":   ckptBytes[:cut],
-			ckptTestBase + ".manifest": manBytes,
-		} {
-			if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if _, err := OpenLog(filepath.Join(crash, ckptTestBase), 0); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("checkpoint torn at %d/%d: err = %v, want ErrCorrupt", cut, len(ckptBytes), err)
+			t.Fatalf("%s: err = %v, want ErrCorrupt", ctx, err)
 		}
 	}
-	// ... and a manifest pointing at a missing checkpoint likewise.
-	resetDir(t, crash)
-	copyDirFiles(t, base, crash)
-	if err := os.WriteFile(filepath.Join(crash, ckptTestBase+".manifest"), manBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLog(filepath.Join(crash, ckptTestBase), 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing checkpoint: err = %v, want ErrCorrupt", err)
+	for _, name := range []string{ckptTestBase + ".ckpt-1", ckptTestBase + ".log-1"} {
+		// The suffix log's bytes were fsync'd before the rename, so a log
+		// shorter than the manifest's size lost durable records.
+		for cut := 0; cut < len(post[name]); cut++ {
+			damaged := maps.Clone(post)
+			damaged[name] = post[name][:cut]
+			refuse(fmt.Sprintf("%s torn at %d/%d", name, cut, len(post[name])), damaged)
+		}
+		missing := maps.Clone(post)
+		delete(missing, name)
+		refuse(name+" missing", missing)
 	}
 }
 
-// TestCompactionCrashWindows simulates a kill at every byte of the
-// compacted-log swap. Compaction never changes the logical state, so every
-// crash state — torn new log, uncommitted new log, committed manifest with
-// the old log lingering, fully cleaned — must reopen to the same live set.
+// TestCompactionCrashWindows runs the crash windows of a checkpoint that
+// supersedes an earlier generation with a suffix of its own: before the
+// rename, generation 1's snapshot and log must keep governing; after it,
+// they are debris.
 func TestCompactionCrashWindows(t *testing.T) {
 	base := t.TempDir()
 	want := churnedBase(t, base)
-	// Give compaction real work: checkpoint, then churn a suffix.
 	s := mustOpenDir(t, base, "base")
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(77, 77))
+	rng := rand.New(rand.NewPCG(78, 78))
 	for _, id := range []uint64{30, 31} {
 		o := randObject(rng, id, 3, 2)
 		if err := insertOne(s, o); err != nil {
@@ -502,105 +562,8 @@ func TestCompactionCrashWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(want, 1)
-	if err := deleteOne(s, 4); err != nil {
-		t.Fatal(err)
-	}
-	re := randObject(rng, 4, 5, 2)
-	if err := insertOne(s, re); err != nil {
-		t.Fatal(err)
-	}
-	want[4] = re
 	s.Close()
-
-	// Learn the artifacts a real compaction produces.
-	scratch := t.TempDir()
-	copyDirFiles(t, base, scratch)
-	s2 := mustOpenDir(t, scratch, "scratch")
-	if _, err := s2.CompactLog(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	logBytes := readFileT(t, filepath.Join(scratch, ckptTestBase+".log-1"))
-	manBytes := readFileT(t, filepath.Join(scratch, ckptTestBase+".manifest"))
-	ckptBytes := readFileT(t, filepath.Join(scratch, ckptTestBase+".ckpt-1"))
-
-	crash := t.TempDir()
-	build := func(files map[string][]byte, withBase bool) {
-		t.Helper()
-		resetDir(t, crash)
-		if withBase {
-			copyDirFiles(t, base, crash)
-		} else {
-			// Post-unlink state: only what the new manifest references.
-			for name, data := range map[string][]byte{
-				ckptTestBase + ".ckpt-1": ckptBytes,
-			} {
-				if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	reopen := func(ctx string) {
-		t.Helper()
-		s := mustOpenDir(t, crash, ctx)
-		checkState(t, s, want, ctx)
-		s.Close()
-	}
-
-	// Window 1 — killed while streaming the new log: torn .log-1.tmp at
-	// every byte; the old manifest still names the old log.
-	for cut := 0; cut <= len(logBytes); cut++ {
-		build(map[string][]byte{ckptTestBase + ".log-1.tmp": logBytes[:cut]}, true)
-		reopen("torn compacted log tmp")
-	}
-	if got := dirNames(t, crash); len(got) != 3 { // log, manifest, ckpt-1
-		t.Fatalf("debris after torn-tmp sweep: %v", got)
-	}
-
-	// Window 2 — new log renamed but manifest not yet swapped: the old
-	// manifest wins and the orphaned log-1 is debris.
-	build(map[string][]byte{ckptTestBase + ".log-1": logBytes}, true)
-	reopen("uncommitted compacted log")
-	if _, err := os.Stat(filepath.Join(crash, ckptTestBase+".log-1")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("uncommitted compacted log not cleaned up")
-	}
-
-	// Window 3 — manifest swapped, old log still on disk: the new log wins
-	// and the superseded base log is debris.
-	build(map[string][]byte{
-		ckptTestBase + ".log-1":    logBytes,
-		ckptTestBase + ".manifest": manBytes,
-	}, true)
-	reopen("committed, old log lingering")
-	if _, err := os.Stat(filepath.Join(crash, ckptTestBase)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("superseded base log not cleaned up")
-	}
-
-	// Window 4 — fully cleaned final state.
-	build(map[string][]byte{
-		ckptTestBase + ".log-1":    logBytes,
-		ckptTestBase + ".manifest": manBytes,
-	}, false)
-	reopen("final state")
-
-	// Adversarial — manifest committed but the compacted log truncated under
-	// it: those bytes were fsync'd before the rename, so losing them is
-	// corruption, not a crash tail. Refuse at every byte.
-	for cut := 0; cut < len(logBytes); cut++ {
-		build(map[string][]byte{
-			ckptTestBase + ".log-1":    logBytes[:cut],
-			ckptTestBase + ".manifest": manBytes,
-		}, false)
-		if _, err := OpenLog(filepath.Join(crash, ckptTestBase), 0); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("compacted log truncated at %d/%d: err = %v, want ErrCorrupt", cut, len(logBytes), err)
-		}
-	}
+	checkpointCrashWindows(t, base, want)
 }
 
 // TestLogSuffixKillSweepAfterCheckpoint kills the writer at every byte of
@@ -611,22 +574,26 @@ func TestLogSuffixKillSweepAfterCheckpoint(t *testing.T) {
 	base := t.TempDir()
 	want := churnedBase(t, base)
 	s := mustOpenDir(t, base, "base")
-	if _, err := s.Checkpoint(); err != nil {
+	// The checkpoint races one insert, so the manifest's fsync'd size
+	// covers a moved record.
+	o := randObject(rand.New(rand.NewPCG(7, 7)), 49, 3, 2)
+	if _, err := checkpointWith(s, func() error { return insertOne(s, o) }); err != nil {
 		t.Fatal(err)
 	}
+	want[o.ID()] = o
 	s.Close()
-	logPath := filepath.Join(base, ckptTestBase)
+	logPath := filepath.Join(base, ckptTestBase+".log-1")
 	st, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manSize := st.Size() // quiescent checkpoint: manifest size == file size
+	manSize := st.Size() // the checkpoint's commit: manifest size == file size
+	if manSize == logHeaderSize {
+		t.Fatal("the suffix log is empty")
+	}
 
 	// Append a suffix one record at a time, recording each frame boundary.
-	s, err = OpenLogPolicy(logPath, 0, SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s = mustOpenDir(t, base, "suffix")
 	rng := rand.New(rand.NewPCG(8, 8))
 	type step struct {
 		id  uint64
@@ -654,7 +621,7 @@ func TestLogSuffixKillSweepAfterCheckpoint(t *testing.T) {
 	for cut := int64(logHeaderSize); cut <= int64(len(full)); cut++ {
 		resetDir(t, crash)
 		for name, data := range map[string][]byte{
-			ckptTestBase:               full[:cut],
+			ckptTestBase + ".log-1":    full[:cut],
 			ckptTestBase + ".manifest": manBytes,
 			ckptTestBase + ".ckpt-1":   ckptBytes,
 		} {
@@ -683,8 +650,8 @@ func TestLogSuffixKillSweepAfterCheckpoint(t *testing.T) {
 		if s.Len() != wantLen {
 			t.Fatalf("cut %d: len = %d, want %d", cut, s.Len(), wantLen)
 		}
-		if got := s.ReplayedRecords(); got != replay {
-			t.Fatalf("cut %d: replayed %d, want %d", cut, got, replay)
+		if got := s.ReplayedRecords(); got != replay+1 {
+			t.Fatalf("cut %d: replayed %d, want %d", cut, got, replay+1)
 		}
 		for _, sp := range steps {
 			_, err := s.Get(sp.id)
@@ -699,7 +666,7 @@ func TestLogSuffixKillSweepAfterCheckpoint(t *testing.T) {
 // --- liveness under concurrency ---
 
 // TestCheckpointConcurrentWrites churns the store from a writer goroutine
-// while checkpoints and compactions run, then verifies the final durable
+// while checkpoints run, then verifies the final durable
 // state reopens exactly.
 func TestCheckpointConcurrentWrites(t *testing.T) {
 	dir := t.TempDir()
@@ -751,11 +718,8 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 		}
 	}()
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		if _, err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.CompactLog(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -786,7 +750,7 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 // --- reopen cost ---
 
 // TestReopenCostProportionalToLive is the structural O(live) claim: after
-// checkpoint + compaction, reopen replays zero records no matter how much
+// a checkpoint, reopen replays zero records no matter how much
 // history the store has burned through.
 func TestReopenCostProportionalToLive(t *testing.T) {
 	dir := t.TempDir()
@@ -820,9 +784,6 @@ func TestReopenCostProportionalToLive(t *testing.T) {
 		t.Fatalf("churn produced only %d records", history)
 	}
 	if _, err := s2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.CompactLog(); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -148,10 +149,11 @@ func TestManifestDirSyncFailurePoisons(t *testing.T) {
 	s, want := failStore(t, dir)
 	defer s.Close()
 
-	// The first dirsync during Checkpoint publishes the snapshot file (a
-	// clean abort if it fails); the second makes the manifest rename
-	// durable — that one is ambiguous and must poison.
-	fault.Enable("store.dirsync", fault.Spec{Action: fault.ActError, Nth: 2})
+	// The first two dirsyncs during Checkpoint publish the snapshot and the
+	// suffix log (clean aborts, see TestCheckpointTempFailureIsRetryable);
+	// the third makes the manifest rename durable — that one is ambiguous
+	// and must poison.
+	fault.Enable("store.dirsync", fault.Spec{Action: fault.ActError, Nth: 3})
 	_, err := s.Checkpoint()
 	assertPoisoned(t, s, err)
 
@@ -168,24 +170,41 @@ func TestManifestDirSyncFailurePoisons(t *testing.T) {
 }
 
 func TestCheckpointTempFailureIsRetryable(t *testing.T) {
-	for _, point := range []string{"store.ckpt.write", "store.ckpt.sync", "store.ckpt.rename", "store.dirsync"} {
-		t.Run(point, func(t *testing.T) {
+	cases := []struct {
+		name, point string
+		nth         uint64
+	}{
+		{"store.ckpt.write", "store.ckpt.write", 1},
+		{"store.ckpt.sync", "store.ckpt.sync", 1},
+		{"store.ckpt.rename", "store.ckpt.rename", 1},
+		{"store.dirsync", "store.dirsync", 1},
+		{"store.compact.write", "store.compact.write", 1},
+		{"store.compact.sync", "store.compact.sync", 1},
+		{"store.compact.rename", "store.compact.rename", 1},
+		{"suffix-log-dirsync", "store.dirsync", 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			dir := t.TempDir()
 			s, want := failStore(t, dir)
 			defer s.Close()
 
-			fault.Enable(point, fault.Spec{Action: fault.ActError, Nth: 1, Err: syscall.ENOSPC})
+			fault.Enable(tc.point, fault.Spec{Action: fault.ActError, Nth: tc.nth, Err: syscall.ENOSPC})
 			if _, err := s.Checkpoint(); err == nil {
-				t.Fatalf("%s did not fail the checkpoint", point)
+				t.Fatalf("%s did not fail the checkpoint", tc.name)
 			} else if errors.Is(err, ErrFailed) {
-				t.Fatalf("%s poisoned the store — a temp-artifact failure must stay retryable", point)
+				t.Fatalf("%s poisoned the store — a temp-artifact failure must stay retryable", tc.name)
 			}
-			// The artifact fail-stopped; the store did not. A retry cuts a
-			// fresh generation and succeeds.
+			// The artifact fail-stopped; the store did not, and the files
+			// are the pre-checkpoint ones. A retry cuts a fresh generation
+			// and succeeds.
 			fault.Reset()
+			if got := dirNames(t, dir); !slices.Equal(got, []string{"fail.log"}) {
+				t.Fatalf("%s left files %v behind", tc.name, got)
+			}
 			if _, err := s.Checkpoint(); err != nil {
-				t.Fatalf("retry after %s: %v", point, err)
+				t.Fatalf("retry after %s: %v", tc.name, err)
 			}
 			checkFailState(t, s, want, "after retry")
 		})
@@ -193,20 +212,20 @@ func TestCheckpointTempFailureIsRetryable(t *testing.T) {
 }
 
 // TestENOSPCMidCheckpointAndCompaction injects disk-full and I/O errors
-// into the middle of checkpoint and compaction writes: the prior
-// generation must stay intact and queryable, temp debris must be swept on
-// the next reopen, and the manifest must never name a torn artifact.
+// into the middle of a checkpoint's snapshot and suffix-log writes: the
+// prior generation must stay intact and queryable, temp debris must be
+// swept on the next reopen, and the manifest must never name a torn
+// artifact.
 func TestENOSPCMidCheckpointAndCompaction(t *testing.T) {
 	cases := []struct {
 		name  string
 		point string
 		errno error
-		op    func(*LogStore) error
 	}{
-		{"enospc-mid-checkpoint", "store.ckpt.write", syscall.ENOSPC, func(s *LogStore) error { _, err := s.Checkpoint(); return err }},
-		{"eio-mid-checkpoint", "store.ckpt.write", syscall.EIO, func(s *LogStore) error { _, err := s.Checkpoint(); return err }},
-		{"enospc-mid-compaction", "store.compact.write", syscall.ENOSPC, func(s *LogStore) error { _, err := s.CompactLog(); return err }},
-		{"eio-mid-compaction", "store.compact.write", syscall.EIO, func(s *LogStore) error { _, err := s.CompactLog(); return err }},
+		{"enospc-mid-checkpoint", "store.ckpt.write", syscall.ENOSPC},
+		{"eio-mid-checkpoint", "store.ckpt.write", syscall.EIO},
+		{"enospc-mid-compaction", "store.compact.write", syscall.ENOSPC},
+		{"eio-mid-compaction", "store.compact.write", syscall.EIO},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,9 +244,9 @@ func TestENOSPCMidCheckpointAndCompaction(t *testing.T) {
 			// writer buffers, so this is the flush that would have landed
 			// the records).
 			fault.Enable(tc.point, fault.Spec{Action: fault.ActError, Nth: 1, Err: tc.errno})
-			err := tc.op(s)
+			_, err := s.Checkpoint()
 			if err == nil {
-				t.Fatal("op did not fail")
+				t.Fatal("checkpoint did not fail")
 			}
 			if !errors.Is(err, tc.errno) {
 				t.Fatalf("error %v does not expose the injected errno", err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -12,60 +13,64 @@ import (
 	"fuzzyknn/internal/golden"
 )
 
-// buildGolden writes one artifact per store format into dir from fixed
-// seeds — a static store, a log directory cut by a checkpoint with put,
-// tombstone and batch records on both sides of the cut, and the same
-// history after a log compaction — and returns the live set each must
-// serve, keyed by its path relative to dir.
-func buildGolden(t *testing.T, dir string) map[string]map[uint64]*fuzzy.Object {
-	t.Helper()
+// goldenObjects are the fixed-seed objects the golden and compatibility
+// directories are built from, indexed by id (index 0 is unused).
+func goldenObjects() []*fuzzy.Object {
 	rng := rand.New(rand.NewPCG(2010, 12))
 	objs := make([]*fuzzy.Object, 13)
 	for i := 1; i < len(objs); i++ {
 		objs[i] = randObject(rng, uint64(i), 3+rng.IntN(6), 2)
 	}
+	return objs
+}
+
+// liveSet maps the given ids to their golden objects.
+func liveSet(objs []*fuzzy.Object, ids ...int) map[uint64]*fuzzy.Object {
+	m := map[uint64]*fuzzy.Object{}
+	for _, i := range ids {
+		m[uint64(i)] = objs[i]
+	}
+	return m
+}
+
+// buildGolden writes one artifact per store format into dir from fixed
+// seeds — a static store, and a log directory whose checkpoint raced a put
+// and a tombstone into the log it publishes, with put, tombstone and batch
+// records on both sides of the cut — and returns the live set each must
+// serve, keyed by its path relative to dir.
+func buildGolden(t *testing.T, dir string) map[string]map[uint64]*fuzzy.Object {
+	t.Helper()
+	objs := goldenObjects()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	models := map[string]map[uint64]*fuzzy.Object{}
-
 	must(WriteAll(filepath.Join(dir, "static.fzs"), 2, objs[1:7]))
-	models["static.fzs"] = map[uint64]*fuzzy.Object{}
-	for _, o := range objs[1:7] {
-		models["static.fzs"][o.ID()] = o
-	}
 
-	for _, name := range []string{"ckpt", "compacted"} {
-		must(os.Mkdir(filepath.Join(dir, name), 0o755))
-		s, err := OpenLog(filepath.Join(dir, name, "objects.fzl"), 2)
-		must(err)
-		for _, o := range objs[1:5] {
-			must(insertOne(s, o))
-		}
-		must(deleteOne(s, 2))
-		must(s.ApplyBatch(objs[5:7], []uint64{3}))
-		_, err = s.Checkpoint()
-		must(err)
-		must(insertOne(s, objs[7]))
-		must(deleteOne(s, 1))
-		must(s.ApplyBatch(objs[8:10], []uint64{4}))
-		live := []int{5, 6, 7, 8, 9}
-		if name == "compacted" {
-			_, err = s.CompactLog()
-			must(err)
-			must(insertOne(s, objs[10]))
-			live = append(live, 10)
-		}
-		must(s.Close())
-		models[name] = map[uint64]*fuzzy.Object{}
-		for _, i := range live {
-			models[name][uint64(i)] = objs[i]
-		}
+	must(os.Mkdir(filepath.Join(dir, "ckpt"), 0o755))
+	s, err := OpenLog(filepath.Join(dir, "ckpt", "objects.fzl"), 2)
+	must(err)
+	for _, o := range objs[1:5] {
+		must(insertOne(s, o))
 	}
-	return models
+	must(deleteOne(s, 2))
+	must(s.ApplyBatch(objs[5:7], []uint64{3}))
+	_, err = checkpointWith(s, func() error {
+		if err := insertOne(s, objs[7]); err != nil {
+			return err
+		}
+		return deleteOne(s, 1)
+	})
+	must(err)
+	must(s.ApplyBatch(objs[8:10], []uint64{4}))
+	must(insertOne(s, objs[10]))
+	must(s.Close())
+	return map[string]map[uint64]*fuzzy.Object{
+		"static.fzs": liveSet(objs, 1, 2, 3, 4, 5, 6),
+		"ckpt":       liveSet(objs, 5, 6, 7, 8, 9, 10),
+	}
 }
 
 // TestGoldenFormats pins FZKNNST1, FZKNNLG1, FZKNNCK1 and FZKNNMF1 (see
@@ -124,14 +129,50 @@ func TestGoldenFormats(t *testing.T) {
 	}
 	defer ds.Close()
 	check("static.fzs", ds)
-	for _, name := range []string{"ckpt", "compacted"} {
-		s, err := OpenLog(filepath.Join(work, name, "objects.fzl"), 0)
+	s, err := OpenLog(filepath.Join(work, "ckpt", "objects.fzl"), 0)
+	if err != nil {
+		t.Fatalf("ckpt: reference directory does not reopen: %v", err)
+	}
+	check("ckpt", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompatLogDirectories: testdata/compat holds the log directories the
+// golden set carried while a checkpoint committed twice — "ckpt" binds the
+// base log with a replay tail past its header, "compacted" a log-1 that
+// holds only the records the snapshot does not cover. Their formats are
+// today's, so the running code must reopen each to its exact live set and,
+// after one more Checkpoint, to the same set with the older logs gone.
+func TestCompatLogDirectories(t *testing.T) {
+	objs := goldenObjects()
+	for name, want := range map[string]map[uint64]*fuzzy.Object{
+		"ckpt":      liveSet(objs, 5, 6, 7, 8, 9),
+		"compacted": liveSet(objs, 5, 6, 7, 8, 9, 10),
+	} {
+		dir := t.TempDir()
+		copyDirFiles(t, filepath.Join("testdata", "compat", name), dir)
+		s := mustOpenDir(t, dir, name)
+		checkState(t, s, want, name)
+		info, err := s.Checkpoint()
 		if err != nil {
-			t.Fatalf("%s: reference directory does not reopen: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		check(name, s)
+		checkState(t, s, want, name+" after a checkpoint")
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+		r := mustOpenDir(t, dir, name+" after a checkpoint")
+		checkState(t, r, want, name+" after a checkpoint, reopened")
+		r.Close()
+		files := []string{
+			fmt.Sprintf("%s.ckpt-%d", ckptTestBase, info.Generation),
+			fmt.Sprintf("%s.log-%d", ckptTestBase, info.LogSeq),
+			ckptTestBase + ".manifest",
+		}
+		if got := dirNames(t, dir); !slices.Equal(got, files) {
+			t.Fatalf("%s: files after a checkpoint %v, want %v", name, got, files)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 //
 //	store.log      — the active append log (any generation)
 //	store.ckpt     — checkpoint files (temp during write, final for reads)
-//	store.compact  — a compacted log being written
+//	store.compact  — the next log generation a checkpoint writes
 //	store.manifest — the manifest temp file
 //
 // The commit-step points below cover the renames that publish an artifact;
@@ -97,8 +97,8 @@ func (p SyncPolicy) String() string {
 // Deletes are logical: the payload bytes stay in the file and Get keeps
 // serving the most recent tombstoned version of an id, so index snapshots
 // taken before a delete still resolve their probes. Checkpoint snapshots
-// the live set and CompactLog rewrites the log without dead records (see
-// Checkpointer); files they retire stay open until Close so those in-flight
+// the live set and moves the records written since into a fresh log (see
+// Checkpointer); files it retires stay open until Close so those in-flight
 // reads keep resolving.
 //
 // All methods are safe for concurrent use; appends are serialized, reads use
@@ -106,7 +106,7 @@ func (p SyncPolicy) String() string {
 type LogStore struct {
 	mu     sync.RWMutex
 	f      fault.File
-	path   string // base path; manifest/checkpoint/compacted logs are named after it ("" = anonymous, no checkpoints)
+	path   string // base path; manifest, checkpoints and log generations are named after it ("" = anonymous, no checkpoints)
 	dims   int
 	policy SyncPolicy
 	live   map[uint64]dirEntry
@@ -114,16 +114,16 @@ type LogStore struct {
 	offset int64               // append position
 	failed error               // sticky fail-stop poison (wraps ErrFailed); see failLocked
 
-	ckptMu    sync.Mutex // serializes Checkpoint and CompactLog
-	ckptF     fault.File // current checkpoint file (nil when ckptGen == 0)
-	ckptGen   uint64
-	ckptIDs   map[uint64]struct{} // ids the current checkpoint holds
-	ckptBytes int64
-	ckptAt    int64        // checkpoint cut time, unix nanos
-	logSeq    uint64       // active log sequence (0 = the original path)
-	tail      int64        // manifest-bound replay start; earlier bytes are covered by the checkpoint
-	retired   []fault.File // superseded files kept open for in-flight readers until Close
-	replayed  int          // records replayed at open (reopen-cost diagnostics)
+	ckptMu      sync.Mutex // serializes Checkpoint
+	ckptF       fault.File // current checkpoint file (nil when ckptGen == 0)
+	ckptGen     uint64
+	ckptObjects int // objects the current checkpoint holds
+	ckptBytes   int64
+	ckptAt      int64        // checkpoint cut time, unix nanos
+	logSeq      uint64       // active log sequence (0 = the original path)
+	tail        int64        // manifest-bound replay start; earlier bytes are covered by the checkpoint
+	retired     []fault.File // superseded files kept open for in-flight readers until Close
+	replayed    int          // records replayed at open (reopen-cost diagnostics)
 }
 
 const (
@@ -160,11 +160,11 @@ const (
 // partial record — the signature of a crash mid-append — is truncated
 // away; any other inconsistency returns ErrCorrupt.
 //
-// If a manifest exists next to the log (written by Checkpoint or
-// CompactLog), the open loads the checkpoint it binds and replays only the
-// log suffix past the checkpoint cut, making reopen cost proportional to
-// live data plus writes since the last checkpoint instead of total
-// history. Without a manifest the whole log is replayed as before.
+// If a manifest exists next to the log (written by Checkpoint), the open
+// loads the checkpoint it binds and replays only the log it names, from the
+// manifest's tail on, making reopen cost proportional to live data plus
+// writes since the last checkpoint instead of total history. Without a
+// manifest the whole log is replayed as before.
 func OpenLogPolicy(path string, dims int, policy SyncPolicy) (*LogStore, error) {
 	man, err := readManifest(manifestPath(path))
 	if err != nil {
@@ -602,16 +602,6 @@ func (s *LogStore) truncateTail(pos int64) error {
 	return nil
 }
 
-// appendFrame appends one log record — kind | length | payload | crc — to
-// buf.
-func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	start := len(buf)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-}
-
 // writeRecord lands one framed record at the append position, fsyncing it
 // unless the policy is SyncOff — without the fsync a power loss could
 // silently drop an acknowledged commit (reopen would truncate it as a crash
@@ -668,7 +658,7 @@ func (s *LogStore) fileFor(e dirEntry) fault.File {
 
 // Get implements Reader. The most recent version of a tombstoned id remains
 // readable (see the type comment). The entry and its backing file are
-// captured together under the lock: a concurrent Checkpoint or CompactLog
+// captured together under the lock: a concurrent Checkpoint
 // may swap the active files, but the captured handle stays open (retired,
 // not closed) until Close, so the positioned read below stays valid.
 func (s *LogStore) Get(id uint64) (*fuzzy.Object, error) {
@@ -720,7 +710,7 @@ func (s *LogStore) Live(id uint64) (bool, bool) {
 // A group of several items is a batch record. A group of one is the plain
 // put or tombstone record — a sub-record closed by its own CRC instead of
 // the batch's — which replay must decode anyway (older files, every
-// compacted log), so a lone insert or delete costs no batch header.
+// log a checkpoint publishes), so a lone insert or delete costs no batch header.
 func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	n := len(inserts) + len(deletes)
 	if n == 0 {

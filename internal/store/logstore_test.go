@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fuzzyknn/internal/codec"
@@ -18,6 +19,16 @@ import (
 // OpenLog is OpenLogPolicy under SyncAlways, the policy most tests run.
 func OpenLog(path string, dims int) (*LogStore, error) {
 	return OpenLogPolicy(path, dims, SyncAlways)
+}
+
+// appendFrame appends one log record — kind | length | payload | crc — to
+// buf, for tests that craft log images by hand.
+func appendFrame(buf []byte, kind byte, payload []byte) []byte {
+	start := len(buf)
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 func TestLogStoreRoundTrip(t *testing.T) {
@@ -262,6 +273,55 @@ func TestLogStoreCorruptionRejected(t *testing.T) {
 	}
 	if _, err := OpenLog(path, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLogStoreTailRefusals crafts, for each check that tells a corrupt
+// length field from a crash tail, a last record cut short whose surviving
+// bytes contradict its frame: a tombstone claiming a length other than 8,
+// a put whose own header sizes it differently from its frame, and a batch
+// whose count cannot fit its length. Each must be refused as ErrCorrupt,
+// while the honest frame over the same bytes truncates as a crash tail.
+func TestLogStoreTailRefusals(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 19))
+	base := appendFrame(logHeader(2), recPut, codec.AppendRecord(nil, randObject(rng, 1, 3, 2)))
+	frame := func(kind byte, length int, payload ...[]byte) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(length))
+		for _, p := range payload {
+			b = append(b, p...)
+		}
+		return b
+	}
+	id := binary.LittleEndian.AppendUint64(nil, 1)
+	put := codec.AppendRecord(nil, randObject(rng, 2, 3, 2))
+	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	sub := frame(recTombstone, 8, id)
+	for _, tc := range []struct {
+		name          string
+		honest, lying []byte
+	}{
+		{"tombstone length", frame(recTombstone, 8, id[:4]), frame(recTombstone, 16, id[:4])},
+		{"put shape", frame(recPut, len(put), put[:codec.HeaderSize+4]), frame(recPut, len(put)+8, put[:codec.HeaderSize+4])},
+		{"batch count", frame(recBatch, batchCountSize+2*len(sub), count(2), sub), frame(recBatch, batchCountSize+2*len(sub), count(1000), sub)},
+	} {
+		path := filepath.Join(t.TempDir(), "tail.fzl")
+		open := func(tail []byte) (*LogStore, error) {
+			if err := os.WriteFile(path, append(slices.Clip(base), tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return OpenLog(path, 0)
+		}
+		s, err := open(tc.honest)
+		if err != nil {
+			t.Fatalf("%s: honest crash tail: %v", tc.name, err)
+		}
+		if s.Len() != 1 {
+			t.Fatalf("%s: honest crash tail left %d objects, want 1", tc.name, s.Len())
+		}
+		s.Close()
+		if _, err := open(tc.lying); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: contradicted tail: err = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

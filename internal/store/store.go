@@ -302,7 +302,7 @@ type dirEntry struct {
 	id, offset, length uint64
 	// src is the payload's backing file when it is not the owner's active
 	// data file: LogStore points entries at its checkpoint or at a retired
-	// log after compaction. nil (the only value Writer/DiskStore use)
+	// log after a checkpoint. nil (the only value Writer/DiskStore use)
 	// means the active file.
 	src fault.File
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // tortureOps are the mutating operations the sweep drives. Each returns
-// the store's expected live set if (and only if) the op acknowledged
-// success; on error the expected set is the pre-op state.
+// the live set the store must hold afterwards — everything it
+// acknowledged, the pre-op state when it acknowledged nothing — and its
+// error.
 var tortureOps = []struct {
 	name string
 	run  func(t *testing.T, s *LogStore, want map[uint64]*fuzzy.Object) (map[uint64]*fuzzy.Object, error)
@@ -23,7 +24,7 @@ var tortureOps = []struct {
 		rng := rand.New(rand.NewPCG(101, 101))
 		o := randObject(rng, 500, 3, 2)
 		if err := insertOne(s, o); err != nil {
-			return nil, err
+			return want, err
 		}
 		post := cloneSet(want)
 		post[o.ID()] = o
@@ -34,7 +35,7 @@ var tortureOps = []struct {
 		ins := []*fuzzy.Object{randObject(rng, 501, 4, 2), randObject(rng, 502, 3, 2)}
 		del := []uint64{1}
 		if err := s.ApplyBatch(ins, del); err != nil {
-			return nil, err
+			return want, err
 		}
 		post := cloneSet(want)
 		for _, o := range ins {
@@ -46,16 +47,25 @@ var tortureOps = []struct {
 		return post, nil
 	}},
 	{"checkpoint", func(t *testing.T, s *LogStore, want map[uint64]*fuzzy.Object) (map[uint64]*fuzzy.Object, error) {
-		if _, err := s.Checkpoint(); err != nil {
-			return nil, err
-		}
-		return cloneSet(want), nil
+		_, err := s.Checkpoint()
+		return want, err
 	}},
+	// A checkpoint that compacts a log with a suffix: a batch joins it
+	// between the snapshot and the commit, so the commit moves a put and a
+	// tombstone into the next log generation.
 	{"compactlog", func(t *testing.T, s *LogStore, want map[uint64]*fuzzy.Object) (map[uint64]*fuzzy.Object, error) {
-		if _, err := s.CompactLog(); err != nil {
-			return nil, err
-		}
-		return cloneSet(want), nil
+		o := randObject(rand.New(rand.NewPCG(103, 103)), 503, 3, 2)
+		post := want
+		_, err := checkpointWith(s, func() error {
+			if err := s.ApplyBatch([]*fuzzy.Object{o}, []uint64{3}); err != nil {
+				return err
+			}
+			post = cloneSet(want)
+			post[o.ID()] = o
+			delete(post, 3)
+			return nil
+		})
+		return post, err
 	}},
 }
 
@@ -68,7 +78,7 @@ func cloneSet(m map[uint64]*fuzzy.Object) map[uint64]*fuzzy.Object {
 }
 
 // tortureBase builds a store with history spanning every artifact kind —
-// a checkpoint generation, a compacted log, and post-compaction appends —
+// a checkpoint generation, a later generation's log, and appends to it —
 // so an armed failpoint on any file role actually sits on the op's path.
 func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object) {
 	t.Helper()
@@ -93,7 +103,7 @@ func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object)
 		t.Fatal(err)
 	}
 	delete(want, 2)
-	if _, err := s.CompactLog(); err != nil {
+	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 10; i <= 12; i++ {
@@ -107,7 +117,7 @@ func tortureBase(t *testing.T, dir string) (*LogStore, map[uint64]*fuzzy.Object)
 }
 
 // storagePoints returns every registered store.* failpoint. A warmup
-// store exercises all open/checkpoint/compact paths first so lazily
+// store exercises all open/checkpoint paths first so lazily
 // registered points are all present.
 func storagePoints(t *testing.T) []string {
 	t.Helper()
@@ -126,13 +136,12 @@ func storagePoints(t *testing.T) []string {
 }
 
 // TestTortureSweep is the acceptance battery: for every registered
-// storage failpoint × {append, ApplyBatch, Checkpoint, CompactLog} ×
-// {error, short, torn}, arm the point to fire on its first evaluation,
-// run the op, then reopen from disk and assert the recovered store is
-// exactly the pre-op state (op failed) or exactly the post-op state (op
-// acknowledged) — never between, never divergent from what was
-// acknowledged, and never unopenable. Fail-stop stickiness is asserted
-// whenever the failure poisoned the store.
+// storage failpoint × {append, ApplyBatch, Checkpoint, a Checkpoint with a
+// suffix} × {error, short, torn}, arm the point to fire on its first
+// evaluation, run the op, then reopen from disk and assert the recovered
+// store is exactly what the op acknowledged — never between, never
+// divergent from what was acknowledged, and never unopenable. Fail-stop
+// stickiness is asserted whenever the failure poisoned the store.
 func TestTortureSweep(t *testing.T) {
 	points := storagePoints(t)
 	actions := []fault.Action{fault.ActError, fault.ActShort, fault.ActTorn}
@@ -149,7 +158,6 @@ func TestTortureSweep(t *testing.T) {
 					expect, opErr := op.run(t, s, pre)
 					fault.Reset()
 					if opErr != nil {
-						expect = pre
 						if errors.Is(opErr, ErrFailed) {
 							if s.Failed() == nil {
 								t.Fatal("op wrapped ErrFailed but Failed() is nil")
