@@ -41,7 +41,11 @@
 //     reads answer the scan of what it published, a degraded leader
 //     bootstraps no follower while its followers hold the population before
 //     the failed write, and after a reopen each shard holds its part of the
-//     population before the write or of the one after it.
+//     population before the write or of the one after it;
+//   - a checkpoint that commits race — a batch, then the re-insert of an id
+//     it deleted, both landing between a log shape's cut and its commit —
+//     leaves every shape reading the model's objects, and each deleted id's
+//     last version, before its reopen, and holding the model after it.
 //
 // After every mutation each shard's tree passes the invariant check, every
 // id sits in the shard that owns it, and every shape holds exactly the
@@ -100,6 +104,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,7 +123,7 @@ const (
 	OpInsert     = iota // arg%4 + 1 fresh objects, one Insert each
 	OpDelete            // Delete the live object at arg mod population
 	OpBatch             // one ApplyBatch: arg%6 fresh objects, arg/6%4 deletes
-	OpCheckpoint        // close and reopen every log after no checkpoint (arg%3 = 0) or a checkpoint (arg%3 = 1 or 2, so older seeds keep their meaning)
+	OpCheckpoint        // close and reopen every log after no checkpoint (arg%3 = 0), a checkpoint (1), or a checkpoint writes race (2; see raced)
 	OpQuery             // every read family on every shape and follower, with parameters drawn from arg
 	OpRefuse            // a write drawn to fail (see refuse)
 	OpRestart           // close and reopen the log leader, which replicates anew
@@ -417,18 +422,23 @@ func (c *checker) fresh(rng *rand.Rand, n int) []*Object {
 func (c *checker) write(ins []*Object, dels []uint64, single bool, skip *shape) {
 	c.t.Helper()
 	for i, s := range c.shapes {
-		if s == skip {
-			continue
+		if s != skip {
+			c.writeTo(i, s, ins, dels, single)
 		}
-		before, replied := s.ix.TotalObjectAccesses(), s.web.charged()
-		c.must(c.window.Commit(i, 1, func() error { return c.post(s, ins, dels, single) }), s.name)
-		got := s.ix.TotalObjectAccesses() - before
-		if c.window == nil && (got != int64(len(dels)) || s.web != nil && s.web.charged()-replied != got) {
-			c.t.Fatalf("%s: %s: %d inserts and %d deletes charged %d object accesses, replied %d, want one per delete", c.at, s.name, len(ins), len(dels), got, s.web.charged()-replied)
-		}
-		c.framed(s, len(ins)+len(dels) > 0)
 	}
 	c.admit(ins, dels)
+}
+
+// writeTo lands one committed mutation on the i-th mutable shape, s.
+func (c *checker) writeTo(i int, s *shape, ins []*Object, dels []uint64, single bool) {
+	c.t.Helper()
+	before, replied := s.ix.TotalObjectAccesses(), s.web.charged()
+	c.must(c.window.Commit(i, 1, func() error { return c.post(s, ins, dels, single) }), s.name)
+	got := s.ix.TotalObjectAccesses() - before
+	if c.window == nil && (got != int64(len(dels)) || s.web != nil && s.web.charged()-replied != got) {
+		c.t.Fatalf("%s: %s: %d inserts and %d deletes charged %d object accesses, replied %d, want one per delete", c.at, s.name, len(ins), len(dels), got, s.web.charged()-replied)
+	}
+	c.framed(s, len(ins)+len(dels) > 0)
 }
 
 // framed checks a leader's frame log after one call on s: one more frame
@@ -450,6 +460,15 @@ func (c *checker) framed(s *shape, committed bool) {
 // admit applies a mutation to the model and checks every shape holds it.
 func (c *checker) admit(inserts []*Object, deletes []uint64) {
 	c.t.Helper()
+	c.apply(inserts, deletes)
+	for _, s := range c.shapes {
+		c.checkPopulation(s)
+	}
+}
+
+// apply applies a mutation to the model, and records the population at
+// each sequence the default-window leader has no population for yet.
+func (c *checker) apply(inserts []*Object, deletes []uint64) {
 	for _, o := range inserts {
 		c.model[o.ID()] = o
 		c.live = append(c.live, o.ID())
@@ -460,10 +479,9 @@ func (c *checker) admit(inserts []*Object, deletes []uint64) {
 		c.dead = append(c.dead, id)
 	}
 	for _, s := range c.shapes {
-		if l := s.lead; l != nil && l.pops != nil && uint64(len(l.pops)) == l.seq {
+		if l := s.lead; l != nil && l.pops != nil && uint64(len(l.pops)) <= l.seq {
 			l.pops = append(l.pops, maps.Clone(c.model))
 		}
-		c.checkPopulation(s)
 	}
 }
 
@@ -533,9 +551,12 @@ func (c *checker) run() {
 			c.at = fmt.Sprintf("step %d: batch of %d inserts, %d deletes", step, len(objs), len(dels))
 			c.write(objs, dels, false, nil)
 		case OpCheckpoint:
-			cut := arg%3 != 0
-			c.at = fmt.Sprintf("step %d: reopen after %s", step, map[bool]string{false: "no checkpoint", true: "a checkpoint"}[cut])
-			c.reopen(cut)
+			c.at = fmt.Sprintf("step %d: reopen after %s", step, []string{"no checkpoint", "a checkpoint", "a checkpoint writes race"}[arg%3])
+			if arg%3 == 2 {
+				c.raced(rng, arg)
+			} else {
+				c.reopen(arg%3 == 1)
+			}
 		case OpQuery:
 			c.at = fmt.Sprintf("step %d: query %d", step, arg)
 			c.query(rng)
@@ -570,22 +591,114 @@ func (c *checker) reopen(cut bool) {
 	for _, s := range c.shapes {
 		if cut {
 			n, err := c.checkpoint(s)
-			if s.log == "" {
-				if !errors.Is(err, ErrCheckpointUnsupported) {
-					c.t.Fatalf("%s: %s: Checkpoint = %v, want ErrCheckpointUnsupported", c.at, s.name, err)
-				}
-				continue
-			}
-			c.must(err, s.name)
-			if n != s.ix.NumShards() {
-				c.t.Fatalf("%s: %s: %d checkpoint infos for %d shards", c.at, s.name, n, s.ix.NumShards())
-			}
+			c.checkpointed(s, n, err)
 		}
 		if s.log != "" {
 			c.reopenShape(s)
 			c.checkPopulation(s)
 		}
 	}
+}
+
+// checkpointed checks s's answer to a checkpoint, n infos and err: a log
+// shape cuts one checkpoint per shard, an in-memory shape refuses.
+func (c *checker) checkpointed(s *shape, n int, err error) {
+	c.t.Helper()
+	switch {
+	case s.log == "" && !errors.Is(err, ErrCheckpointUnsupported):
+		c.t.Fatalf("%s: %s: Checkpoint = %v, want ErrCheckpointUnsupported", c.at, s.name, err)
+	case s.log != "" && err != nil:
+		c.t.Fatalf("%s: %s: %v", c.at, s.name, err)
+	case s.log != "" && n != s.ix.NumShards():
+		c.t.Fatalf("%s: %s: %d checkpoint infos for %d shards", c.at, s.name, n, s.ix.NumShards())
+	}
+}
+
+// raced checkpoints every shape while two commits land between a log
+// shape's cut and its commit: a batch of arg/3%4 fresh inserts and
+// 2+arg/12%2 deletes, then the re-insert, under a new object, of the first
+// id it deleted. The checkpoint's snapshot write (store.ckpt.write, after
+// the cut) stalls until both have committed, so the suffix that moves
+// into the new log generation holds puts, tombstones and an id that was
+// live at the cut and changed since. Every shape must then read the
+// model's objects, and each deleted id's last version, before its reopen,
+// and hold the model after it.
+func (c *checker) raced(rng *rand.Rand, arg byte) {
+	ins, dels := c.fresh(rng, int(arg/3%4)), c.victims(rng, 2+int(arg/12%2))
+	groups := []group{{ins, dels}}
+	gone := map[uint64]*Object{}
+	if len(dels) > 0 {
+		for _, id := range dels[1:] {
+			gone[id] = c.model[id]
+		}
+		c.issued[dels[0]]++
+		groups = append(groups, group{ins: []*Object{c.object(dels[0])}})
+	}
+	for i, s := range c.shapes {
+		c.checkpointBeside(i, s, groups)
+	}
+	for _, g := range groups {
+		c.apply(g.ins, g.dels)
+	}
+	if len(dels) > 0 {
+		c.dead = slices.DeleteFunc(c.dead, func(id uint64) bool { return id == dels[0] })
+	}
+	for _, s := range c.shapes {
+		c.checkPopulation(s)
+		c.holds(s, c.model, "after a checkpoint writes raced")
+		for id, o := range gone {
+			if got, err := s.ix.Object(id); err != nil || fmt.Sprint(got.WeightedPoints()) != fmt.Sprint(o.WeightedPoints()) {
+				c.t.Fatalf("%s: %s reads deleted id %d as %v (%v), want its last version %v", c.at, s.name, id, got, err, o.WeightedPoints())
+			}
+		}
+		if s.log != "" {
+			c.reopenShape(s)
+			c.checkPopulation(s)
+			c.holds(s, c.model, "after its reopen")
+		}
+	}
+}
+
+// group is one commit's inserts and deletes.
+type group struct {
+	ins  []*Object
+	dels []uint64
+}
+
+// checkpointBeside checkpoints s and lands the groups' commits on it while
+// a log shape's checkpoint is held between its cut and its commit: its
+// snapshot write stalls (fault.Spec.Until) until the commits are in. An
+// in-memory shape refuses the checkpoint and takes the commits after.
+func (c *checker) checkpointBeside(i int, s *shape, groups []group) {
+	c.t.Helper()
+	cut, wrote, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer fault.Enable("store.ckpt.write", fault.Spec{Action: fault.ActStall, Nth: 1, Until: func() {
+		close(cut)
+		<-wrote
+	}})()
+	var n int
+	var err error
+	go func() {
+		defer close(done)
+		n, err = c.checkpoint(s)
+	}()
+	finish := sync.OnceFunc(func() {
+		close(wrote)
+		<-done
+	})
+	defer finish() // also when a check below fails the test
+	select {
+	case <-cut:
+	case <-done:
+		if s.log != "" {
+			c.t.Fatalf("%s: %s: the checkpoint returned (%v) without writing a snapshot", c.at, s.name, err)
+		}
+	}
+	for _, g := range groups {
+		c.writeTo(i, s, g.ins, g.dels, false)
+	}
+	finish()
+	c.checkpointed(s, n, err)
 }
 
 // reopenShape closes and reopens a log shape. A leader restarts: it

@@ -87,6 +87,10 @@ type Spec struct {
 	Err error
 	// Stall is how long ActStall sleeps. Defaults to 10ms.
 	Stall time.Duration
+	// Until, when set, replaces ActStall's sleep: the stalled operation
+	// waits for Until to return, on the goroutine that fired the point — a
+	// handshake with whatever must happen while the operation is held.
+	Until func()
 }
 
 func (s Spec) err() error {
@@ -101,8 +105,17 @@ func (s Spec) err() error {
 // instead of going through WrapFile or Point.Err.
 func (s Spec) InjectedErr() error { return s.err() }
 
-// StallFor returns how long an ActStall spec sleeps (default 10ms).
-func (s Spec) StallFor() time.Duration { return s.stall() }
+// Pause realizes ActStall: it runs Until when set, else sleeps Stall.
+func (s Spec) Pause() {
+	switch {
+	case s.Until != nil:
+		s.Until()
+	case s.Stall > 0:
+		time.Sleep(s.Stall)
+	default:
+		time.Sleep(10 * time.Millisecond)
+	}
+}
 
 // armed is the hot-swapped per-point state. The calls counter lives here,
 // not on the Point, so re-arming restarts the schedule from call one.
@@ -154,17 +167,10 @@ func (p *Point) Err() error {
 		return nil
 	}
 	if s.Action == ActStall {
-		time.Sleep(s.stall())
+		s.Pause()
 		return nil
 	}
 	return s.err()
-}
-
-func (s Spec) stall() time.Duration {
-	if s.Stall > 0 {
-		return s.Stall
-	}
-	return 10 * time.Millisecond
 }
 
 // nextFloat draws the next [0,1) variate from the seeded stream.

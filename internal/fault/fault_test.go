@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,6 +106,25 @@ func TestStallProceeds(t *testing.T) {
 	}
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("stall did not sleep")
+	}
+}
+
+// TestStallUntil: a stall with Until holds the operation until Until
+// returns, on the goroutine that fired the point, and then lets it proceed
+// — a write that sees what Until did before it.
+func TestStallUntil(t *testing.T) {
+	f := WrapFile(openTemp(t), "test.until")
+	var held []string
+	defer Enable("test.until.write", Spec{Action: ActStall, Nth: 1, Stall: time.Hour, Until: func() { held = append(held, "until") }})()
+	if n, err := f.Write([]byte("ab")); err != nil || n != 2 {
+		t.Fatalf("stalled Write = (%d, %v), want (2, nil)", n, err)
+	}
+	held = append(held, "wrote")
+	if _, err := f.Write([]byte("cd")); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(held) != "[until wrote]" {
+		t.Fatalf("Until ran %v, want once, before the first write returned", held)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // File is the seam the storage layer performs I/O through instead of a
@@ -50,7 +49,7 @@ func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if s, fire := f.read.Eval(); fire {
 		switch s.Action {
 		case ActStall:
-			time.Sleep(s.stall())
+			s.Pause()
 		case ActTorn:
 			// A torn read returns success with corrupt bytes — the CRC
 			// layer above must catch it.
@@ -91,7 +90,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 func (f *faultFile) failWrite(s Spec, p []byte, do func([]byte) (int, error)) (int, error) {
 	switch s.Action {
 	case ActStall:
-		time.Sleep(s.stall())
+		s.Pause()
 		return do(p)
 	case ActShort:
 		n, err := do(p[:len(p)/2])
@@ -116,7 +115,7 @@ func (f *faultFile) failWrite(s Spec, p []byte, do func([]byte) (int, error)) (i
 func (f *faultFile) Sync() error {
 	if s, fire := f.sync.Eval(); fire {
 		if s.Action == ActStall {
-			time.Sleep(s.stall())
+			s.Pause()
 		} else {
 			return s.err()
 		}

@@ -91,7 +91,7 @@ func assertConverged(t *testing.T, tl *testLeader, target *fakeApplier, f *Follo
 	sort.Slice(leaderIDs, func(i, j int) bool { return leaderIDs[i] < leaderIDs[j] })
 	leaderCRC := make(map[uint64]uint32, len(leaderIDs))
 	for id, o := range tl.objs {
-		leaderCRC[id] = ObjectCRC(o)
+		leaderCRC[id] = objectCRC(o)
 	}
 	lastSeq := tl.log.LastSeq()
 	tl.mu.Unlock()
@@ -106,7 +106,7 @@ func assertConverged(t *testing.T, tl *testLeader, target *fakeApplier, f *Follo
 		if !ok {
 			t.Fatalf("follower missing object %d", id)
 		}
-		if got, want := ObjectCRC(o), leaderCRC[id]; got != want {
+		if got, want := objectCRC(o), leaderCRC[id]; got != want {
 			t.Fatalf("object %d diverged: follower crc %08x, leader %08x", id, got, want)
 		}
 	}
@@ -136,7 +136,7 @@ func TestFollowerChaosConvergence(t *testing.T) {
 	defer srv.Close()
 
 	target := newFakeApplier()
-	f, err := NewFollower(srv.URL, target, nil, &Options{
+	f, err := NewFollower(srv.URL, target, &Options{
 		MinBackoff:  time.Millisecond,
 		MaxBackoff:  8 * time.Millisecond,
 		BackoffSeed: 99,

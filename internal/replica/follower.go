@@ -25,9 +25,11 @@ var fpFetch = fault.P("replica.fetch")
 
 // Applier is the follower's view of its local index: frames and snapshot
 // diffs are applied through the same group-commit path the leader used, so
-// each call is one snapshot publish per shard.
+// each call is one snapshot publish per shard. Len counts the live
+// objects: a follower starts only on an empty index.
 type Applier interface {
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error
+	Len() int
 }
 
 // A running follower asks the leader to hold each /replication/log request
@@ -95,14 +97,17 @@ type Stats struct {
 }
 
 // Follower tails a leader's replication feed and applies it to a local
-// index. Lifecycle: bootstrap from GET /replication/checkpoint (applied as
-// a minimal diff against the tracked local state), then tail GET
-// /replication/log long-poll style, one ApplyBatch per frame. Any
-// truncation (410), generation change or apply failure triggers a fresh
-// bootstrap; any transport error a backoff and retry. Run drives that loop
-// until its context ends; Sync performs one converge-and-return pass for
-// tests and startup gating. Run/Sync/SyncTo must not be called
-// concurrently with each other; Stats is safe from any goroutine.
+// index, which starts empty. Lifecycle: bootstrap from GET
+// /replication/checkpoint, then tail GET /replication/log long-poll style,
+// one ApplyBatch — one snapshot publish per shard — per committed leader
+// frame, so follower reads are snapshot-isolated and byte-identical to the
+// leader at the same applied sequence. Any truncation (410), generation
+// change or apply failure triggers a fresh bootstrap, applied as the
+// difference between the tracked local state and the new snapshot; any
+// transport error a backoff and retry. Run drives that loop until its
+// context ends; Sync performs one converge-and-return pass for tests and
+// startup gating. Run/Sync/SyncTo must not be called concurrently with
+// each other; Stats is safe from any goroutine.
 type Follower struct {
 	leader string
 	target Applier
@@ -124,30 +129,30 @@ type Follower struct {
 	bytesStreamed atomic.Int64
 }
 
-// NewFollower builds a follower feeding target from the leader's base URL.
-// initial describes the objects already live in target (id -> ObjectCRC),
-// so a warm local index bootstraps as a diff; pass nil for an empty index.
-func NewFollower(leaderURL string, target Applier, initial map[uint64]uint32, opts *Options) (*Follower, error) {
+// NewFollower builds a follower feeding target, which must be empty, from
+// the leader's base URL. Nothing else should mutate target while the
+// follower runs: the leader's frame sequence is the only write source a
+// replica can stay byte-identical under.
+func NewFollower(leaderURL string, target Applier, opts *Options) (*Follower, error) {
 	u, err := url.Parse(leaderURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("replica: invalid leader URL %q", leaderURL)
 	}
-	state := make(map[uint64]uint32, len(initial))
-	for id, crc := range initial {
-		state[id] = crc
+	if n := target.Len(); n != 0 {
+		return nil, fmt.Errorf("replica: a follower starts on an empty index, this one holds %d objects", n)
 	}
 	return &Follower{
 		leader: u.Scheme + "://" + u.Host,
 		target: target,
 		opts:   opts.withDefaults(),
-		state:  state,
+		state:  make(map[uint64]uint32),
 	}, nil
 }
 
 // Leader returns the leader base URL.
 func (f *Follower) Leader() string { return f.leader }
 
-// Stats implements the monitoring view.
+// Stats reports the follower's replication position and lifetime counters.
 func (f *Follower) Stats() Stats {
 	st := Stats{
 		Generation:    f.gen.Load(),
@@ -179,7 +184,7 @@ func (f *Follower) fetch(ctx context.Context, url string) ([]byte, int, error) {
 		case fault.ActError:
 			return nil, 0, fmt.Errorf("replica: injected connection drop: %w", spec.InjectedErr())
 		case fault.ActStall:
-			time.Sleep(spec.StallFor())
+			spec.Pause()
 		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)

@@ -2,20 +2,28 @@ package replica
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
 	"fuzzyknn/internal/golden"
 )
 
-// TestGoldenFormats pins the frame, FZKNRL01 stream and FZKNRS01 snapshot
-// encodings (see package golden for where the reference bytes come from):
-// the running code must write the reference bytes again, and decoding the
-// reference then re-encoding what came out must reproduce it.
+// TestGoldenFormats pins the frame and FZKNRL01 stream encodings (see
+// package golden for where the reference bytes come from): the running code
+// must write the reference bytes again, and decoding the reference then
+// re-encoding what came out must reproduce it. A snapshot is a stream, so
+// the stream's reference pins its grammar too.
 func TestGoldenFormats(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2010, 12))
 	objs := make([]*fuzzy.Object, 6)
@@ -34,9 +42,8 @@ func TestGoldenFormats(t *testing.T) {
 	}
 	fresh := t.TempDir()
 	for name, b := range map[string][]byte{
-		"frame.bin":    frames[2],
-		"stream.bin":   EncodeStream(0xfeed, 9, frames),
-		"snapshot.bin": EncodeSnapshot(0xfeed, 9, 2, objs),
+		"frame.bin":  frames[2],
+		"stream.bin": EncodeStream(0xfeed, 9, frames),
 	} {
 		if err := os.WriteFile(filepath.Join(fresh, name), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -55,8 +62,8 @@ func TestGoldenFormats(t *testing.T) {
 		t.Error("frame does not re-encode byte-identically")
 	}
 	for i, o := range f.Inserts {
-		if f.InsertCRCs[i] != ObjectCRC(o) || ObjectCRC(o) != ObjectCRC(objs[2+i]) {
-			t.Errorf("frame insert %d: wire CRC and ObjectCRC disagree", i)
+		if f.InsertCRCs[i] != objectCRC(o) || objectCRC(o) != objectCRC(objs[2+i]) {
+			t.Errorf("frame insert %d: wire CRC and objectCRC disagree", i)
 		}
 	}
 
@@ -72,18 +79,40 @@ func TestGoldenFormats(t *testing.T) {
 	if !bytes.Equal(EncodeStream(gen, latest, again), ref) {
 		t.Error("stream does not re-encode byte-identically")
 	}
+}
 
-	ref = golden.Read(t, filepath.Join(golden.Dir, "snapshot.bin"))
-	s, err := DecodeSnapshot(ref)
-	if err != nil {
-		t.Fatalf("reference snapshot: %v", err)
+// TestRetiredSnapshotFormatIsCorrupt: testdata/compat holds a bootstrap
+// snapshot in the retired FZKNRS01 grammar (magic, generation, sequence,
+// dimensionality, count, objects, one CRC over the body), as the golden set
+// pinned it before snapshots became streams. A follower that meets one — a
+// leader on the older release — must refuse it as ErrCorrupt and apply
+// nothing.
+func TestRetiredSnapshotFormatIsCorrupt(t *testing.T) {
+	old := golden.Read(t, filepath.Join("testdata", "compat", "snapshot-fzknrs01.bin"))
+	if !bytes.HasPrefix(old, []byte("FZKNRS01")) {
+		t.Fatalf("compat fixture starts %q, want the FZKNRS01 magic", old[:8])
 	}
-	if !bytes.Equal(EncodeSnapshot(s.Gen, s.Seq, s.Dims, s.Objects), ref) {
-		t.Error("snapshot does not re-encode byte-identically")
+	if s, err := DecodeSnapshot(old); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("retired snapshot decodes to %+v, %v; want ErrCorrupt", s, err)
 	}
-	for i, o := range s.Objects {
-		if s.CRCs[i] != ObjectCRC(o) {
-			t.Errorf("snapshot object %d: wire CRC and ObjectCRC disagree", i)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(old) }))
+	defer srv.Close()
+	target := newFakeApplier()
+	var refusals int
+	f, err := NewFollower(srv.URL, target, &Options{MinBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), ErrCorrupt.Error()) {
+			refusals++
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := f.Sync(ctx); err == nil {
+		t.Fatal("Sync against a leader serving the retired snapshot converged")
+	}
+	if st := f.Stats(); len(target.ids()) != 0 || st.Bootstraps != 0 || refusals == 0 {
+		t.Fatalf("follower applied %v, stats %+v, %d ErrCorrupt refusals; want nothing applied and the bootstrap refused and retried", target.ids(), st, refusals)
 	}
 }

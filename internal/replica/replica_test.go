@@ -2,10 +2,8 @@ package replica
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,9 +12,16 @@ import (
 	"testing"
 	"time"
 
+	"fuzzyknn/internal/codec"
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/geom"
 )
+
+// objectCRC is the checksum of o's wire form: the identity a follower
+// tracks per live object.
+func objectCRC(o *fuzzy.Object) uint32 {
+	return codec.Checksum(codec.Append(nil, o))
+}
 
 func obj(id uint64, x, y float64) *fuzzy.Object {
 	return fuzzy.MustNew(id, []fuzzy.WeightedPoint{
@@ -56,7 +61,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for i := range ins {
 		sameObject(t, ins[i], f.Inserts[i])
-		if f.InsertCRCs[i] != ObjectCRC(ins[i]) {
+		if f.InsertCRCs[i] != objectCRC(ins[i]) {
 			t.Fatalf("insert %d CRC mismatch", i)
 		}
 	}
@@ -88,28 +93,130 @@ func TestFrameCorruption(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	objs := []*fuzzy.Object{obj(1, 0, 0), obj(2, 5, 5), obj(9, -1, 2)}
-	enc := EncodeSnapshot(77, 123, 2, objs)
+	enc := EncodeSnapshot(77, 123, objs)
 	s, err := DecodeSnapshot(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Gen != 77 || s.Seq != 123 || s.Dims != 2 || len(s.Objects) != 3 {
+	if s.Gen != 77 || s.Seq != 123 || len(s.Objects) != 3 {
 		t.Fatalf("bad snapshot: %+v", s)
 	}
 	for i := range objs {
 		sameObject(t, objs[i], s.Objects[i])
-		if s.CRCs[i] != ObjectCRC(objs[i]) {
+		if s.CRCs[i] != objectCRC(objs[i]) {
 			t.Fatalf("object %d CRC mismatch", i)
 		}
 	}
-	// A byte past the objects is refused, even under a checksum that holds.
-	padded := append(enc[:len(enc)-crcSize:len(enc)-crcSize], 0)
-	if _, err := DecodeSnapshot(binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded))); !errors.Is(err, ErrCorrupt) {
+	// An empty live set is a stream of no frames.
+	if s, err := DecodeSnapshot(EncodeSnapshot(5, 0, nil)); err != nil || s.Gen != 5 || len(s.Objects) != 0 {
+		t.Fatalf("empty snapshot: %+v, %v", s, err)
+	}
+	if _, err := DecodeSnapshot(append(enc, 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for a trailing byte, got %v", err)
 	}
 	enc[len(enc)-7] ^= 1
 	if _, err := DecodeSnapshot(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt after bitflip, got %v", err)
+	}
+}
+
+// TestSnapshotRules: a snapshot is a stream whose frames all sit at its
+// latest sequence and only insert. A well-formed stream that breaks either
+// rule is refused as ErrCorrupt.
+func TestSnapshotRules(t *testing.T) {
+	ins := []*fuzzy.Object{obj(1, 0, 0), obj(2, 5, 5)}
+	for name, body := range map[string][]byte{
+		"a frame before latest": EncodeStream(9, 5, [][]byte{EncodeFrame(5, ins[:1], nil), EncodeFrame(4, ins[1:], nil)}),
+		"a frame past latest":   EncodeStream(9, 5, [][]byte{EncodeFrame(6, ins, nil)}),
+		"a frame with deletes":  EncodeStream(9, 5, [][]byte{EncodeFrame(5, ins, []uint64{3})}),
+		"a pure delete frame":   EncodeStream(9, 5, [][]byte{EncodeFrame(5, ins, nil), EncodeFrame(5, nil, []uint64{1})}),
+	} {
+		if _, _, _, err := DecodeStream(body); err != nil {
+			t.Fatalf("%s: the stream itself does not decode: %v", name, err)
+		}
+		if s, err := DecodeSnapshot(body); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeSnapshot = %+v, %v; want ErrCorrupt", name, s, err)
+		}
+	}
+}
+
+// bigObject is an object of n points, about 24n bytes on the wire.
+func bigObject(id uint64, n int) *fuzzy.Object {
+	wps := make([]fuzzy.WeightedPoint, n)
+	for i := range wps {
+		wps[i] = fuzzy.WeightedPoint{P: geom.Point{float64(id), float64(i)}, Mu: 1 / float64(1+i%8)}
+	}
+	return fuzzy.MustNew(id, wps)
+}
+
+// TestSnapshotChunks: a live set larger than one snapshotChunk travels in
+// several frames, each payload within the chunk but for an object larger
+// than the chunk, which travels alone; the snapshot round-trips and a
+// follower bootstraps from it.
+func TestSnapshotChunks(t *testing.T) {
+	tl := newTestLeader(3, 0)
+	var objs []*fuzzy.Object
+	for id := uint64(1); id <= 5; id++ {
+		objs = append(objs, bigObject(id, 50_000)) // 1.2 MB each: three fit a chunk, four do not
+	}
+	objs = append(objs, bigObject(6, 200_000)) // 4.8 MB: a frame of its own
+	tl.apply(objs, nil)
+	enc := EncodeSnapshot(3, 1, objs)
+	_, _, frames, err := DecodeStream(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for _, fr := range frames {
+		sizes = append(sizes, len(fr.Inserts))
+		if payload := objectsSize(fr.Inserts); len(fr.Inserts) > 1 && payload > snapshotChunk {
+			t.Errorf("a frame of %d objects carries %d payload bytes, over the %d chunk", len(fr.Inserts), payload, snapshotChunk)
+		}
+	}
+	if !reflect.DeepEqual(sizes, []int{3, 2, 1}) {
+		t.Fatalf("frames hold %v objects, want [3 2 1]", sizes)
+	}
+	s, err := DecodeSnapshot(enc)
+	if err != nil || len(s.Objects) != len(objs) {
+		t.Fatalf("decoded %d objects, err %v", len(s.Objects), err)
+	}
+	for i := range objs {
+		if s.CRCs[i] != objectCRC(objs[i]) {
+			t.Fatalf("object %d does not round-trip", objs[i].ID())
+		}
+	}
+
+	srv := httptest.NewServer(tl.handler())
+	defer srv.Close()
+	target := newFakeApplier()
+	f, err := NewFollower(srv.URL, target, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := f.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := target.ids(); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("follower holds %v", got)
+	}
+	for _, o := range objs {
+		if objectCRC(target.objs[o.ID()]) != objectCRC(o) {
+			t.Fatalf("follower's object %d differs from the leader's", o.ID())
+		}
+	}
+}
+
+// TestNewFollowerRefusesNonEmptyIndex: a follower starts on an empty index;
+// one that already holds objects is refused before anything is fetched.
+func TestNewFollowerRefusesNonEmptyIndex(t *testing.T) {
+	target := newFakeApplier()
+	if err := target.ApplyBatch([]*fuzzy.Object{obj(1, 0, 0)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := NewFollower("http://127.0.0.1:1", target, nil); err == nil {
+		t.Fatalf("NewFollower on a non-empty index = %v, want an error", f)
 	}
 }
 
@@ -209,6 +316,12 @@ type fakeApplier struct {
 
 func newFakeApplier() *fakeApplier { return &fakeApplier{objs: map[uint64]*fuzzy.Object{}} }
 
+func (a *fakeApplier) Len() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.objs)
+}
+
 func (a *fakeApplier) ApplyBatch(ins []*fuzzy.Object, dels []uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -281,7 +394,7 @@ func (tl *testLeader) handler() http.Handler {
 		for i, id := range ids {
 			objs[i] = tl.objs[id]
 		}
-		w.Write(EncodeSnapshot(tl.gen, tl.log.LastSeq(), 2, objs))
+		w.Write(EncodeSnapshot(tl.gen, tl.log.LastSeq(), objs))
 	})
 	mux.HandleFunc("GET /replication/log", func(w http.ResponseWriter, r *http.Request) {
 		var from uint64
@@ -306,7 +419,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	defer srv.Close()
 
 	target := newFakeApplier()
-	f, err := NewFollower(srv.URL, target, nil, &Options{Logf: t.Logf})
+	f, err := NewFollower(srv.URL, target, &Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +451,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 
 	// SyncTo parks mid-history even when more frames are retained.
 	target2 := newFakeApplier()
-	f2, err := NewFollower(srv.URL, target2, nil, nil)
+	f2, err := NewFollower(srv.URL, target2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +486,7 @@ func TestFollowerRebootstrapOnTruncation(t *testing.T) {
 	defer srv.Close()
 
 	target := newFakeApplier()
-	f, err := NewFollower(srv.URL, target, nil, &Options{Logf: t.Logf})
+	f, err := NewFollower(srv.URL, target, &Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +529,7 @@ func TestFollowerRebootstrapOnGenerationChange(t *testing.T) {
 	defer srv.Close()
 
 	target := newFakeApplier()
-	f, err := NewFollower(srv.URL, target, nil, &Options{Logf: t.Logf})
+	f, err := NewFollower(srv.URL, target, &Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

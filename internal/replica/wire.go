@@ -18,18 +18,20 @@
 //	frame   := seq u64 | nIns u32 | nDel u32 | payloadLen u32 | payload | crc u32
 //	payload := nIns × (objLen u32 | object) ++ nDel × (id u64)
 //	stream  := "FZKNRL01" | gen u64 | latest u64 | count u32 | count × frame
-//	snapshot:= "FZKNRS01" | gen u64 | seq u64 | dims u32 | count u32 |
-//	           count × (objLen u32 | object) | crc u32
 //
 // The object encoding is the store's record payload minus its trailing CRC
-// (frames and snapshots carry their own), so a frame is self-describing and
-// survives process boundaries unchanged.
+// (frames carry their own), so a frame is self-describing and survives
+// process boundaries unchanged.
 //
-// A stream and a snapshot both carry the leader's generation token — drawn
-// fresh at every leader start — and the sequence they are valid at. A
-// follower that observes a different generation than the one it
-// bootstrapped from must re-bootstrap: its applied sequence numbers a
-// different history.
+// /replication/log answers a stream of the frames a follower asked for.
+// /replication/checkpoint answers a snapshot in the same grammar: a stream
+// whose frames all carry its latest sequence and only insert, together
+// holding the live set in frames of at most snapshotChunk payload bytes.
+//
+// A stream carries the leader's generation token — drawn fresh at every
+// leader start — and the sequence it is valid at. A follower that observes
+// a different generation than the one it bootstrapped from must
+// re-bootstrap: its applied sequence numbers a different history.
 package replica
 
 import (
@@ -42,13 +44,11 @@ import (
 	"fuzzyknn/internal/fuzzy"
 )
 
-var (
-	streamMagic   = []byte("FZKNRL01")
-	snapshotMagic = []byte("FZKNRS01")
-)
+var streamMagic = []byte("FZKNRL01")
 
 // ErrCorrupt reports a frame, stream or snapshot that does not decode:
-// truncated, bad magic, CRC mismatch, or an object that fails validation.
+// truncated, bad magic, CRC mismatch, an object that fails validation, or
+// a snapshot frame off the snapshot's sequence or carrying deletes.
 var ErrCorrupt = errors.New("replica: corrupt replication data")
 
 // ErrTruncated reports a requested sequence that the leader no longer
@@ -62,19 +62,16 @@ var ErrTruncated = errors.New("replica: requested sequence not retained")
 var ErrDiverged = errors.New("replica: leader generation changed")
 
 const (
-	frameHeaderSize = 8 + 4 + 4 + 4
-	crcSize         = 4
+	frameHeaderSize  = 8 + 4 + 4 + 4
+	streamHeaderSize = 8 + 8 + 8 + 4
+	crcSize          = 4
 	// maxFramePayload bounds a single decoded frame payload; a frame is one
 	// commit group, which the write path keeps far smaller than this.
 	maxFramePayload = 1 << 30
+	// snapshotChunk bounds a snapshot frame's payload, but for an object
+	// larger than it, which travels in a frame of its own.
+	snapshotChunk = 4 << 20
 )
-
-// ObjectCRC returns the checksum of o's wire form — the identity a
-// follower tracks per live object so a re-bootstrap can be applied as a
-// minimal diff.
-func ObjectCRC(o *fuzzy.Object) uint32 {
-	return codec.Checksum(codec.Append(nil, o))
-}
 
 // objectsSize returns the encoded size of an object section: each object
 // behind its u32 length.
@@ -123,21 +120,27 @@ func decodeObjects(b []byte, pos, end, count int) (objs []*fuzzy.Object, crcs []
 
 // EncodeFrame renders one committed mutation group as a wire frame.
 func EncodeFrame(seq uint64, inserts []*fuzzy.Object, deletes []uint64) []byte {
-	payloadLen := objectsSize(inserts) + 8*len(deletes)
-	buf := make([]byte, 0, frameHeaderSize+payloadLen+crcSize)
+	size := frameHeaderSize + objectsSize(inserts) + 8*len(deletes) + crcSize
+	return appendFrame(make([]byte, 0, size), seq, inserts, deletes)
+}
+
+// appendFrame appends one frame to buf.
+func appendFrame(buf []byte, seq uint64, inserts []*fuzzy.Object, deletes []uint64) []byte {
+	start := len(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(inserts)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deletes)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(objectsSize(inserts)+8*len(deletes)))
 	buf = appendObjects(buf, inserts)
 	for _, id := range deletes {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // Frame is one decoded mutation group. InsertCRCs[i] is the wire checksum
-// of Inserts[i] (see ObjectCRC).
+// of Inserts[i], the identity a follower tracks per live object so that a
+// re-bootstrap applies only what changed.
 type Frame struct {
 	Seq        uint64
 	Inserts    []*fuzzy.Object
@@ -185,34 +188,39 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // EncodeStream renders a /replication/log response: the leader generation,
 // its latest committed sequence, and the encoded frames.
 func EncodeStream(gen, latest uint64, frames [][]byte) []byte {
-	size := len(streamMagic) + 8 + 8 + 4
+	size := streamHeaderSize
 	for _, f := range frames {
 		size += len(f)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, streamMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint64(buf, latest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frames)))
+	buf := appendStreamHeader(make([]byte, 0, size), gen, latest, len(frames))
 	for _, f := range frames {
 		buf = append(buf, f...)
 	}
 	return buf
 }
 
-// DecodeStream decodes a full /replication/log response body.
+// appendStreamHeader appends a stream's magic, generation, latest sequence
+// and frame count to buf.
+func appendStreamHeader(buf []byte, gen, latest uint64, count int) []byte {
+	buf = append(buf, streamMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint64(buf, latest)
+	return binary.LittleEndian.AppendUint32(buf, uint32(count))
+}
+
+// DecodeStream decodes a full /replication/log response body (and the
+// stream a snapshot is; see DecodeSnapshot).
 func DecodeStream(b []byte) (gen, latest uint64, frames []Frame, err error) {
-	if len(b) < len(streamMagic)+8+8+4 {
+	if len(b) < streamHeaderSize {
 		return 0, 0, nil, fmt.Errorf("%w: stream header truncated", ErrCorrupt)
 	}
 	if string(b[:len(streamMagic)]) != string(streamMagic) {
 		return 0, 0, nil, fmt.Errorf("%w: bad stream magic", ErrCorrupt)
 	}
-	pos := len(streamMagic)
-	gen = binary.LittleEndian.Uint64(b[pos:])
-	latest = binary.LittleEndian.Uint64(b[pos+8:])
-	count := int(binary.LittleEndian.Uint32(b[pos+16:]))
-	pos += 20
+	gen = binary.LittleEndian.Uint64(b[8:])
+	latest = binary.LittleEndian.Uint64(b[16:])
+	count := int(binary.LittleEndian.Uint32(b[24:]))
+	pos := streamHeaderSize
 	for i := 0; i < count; i++ {
 		f, n, err := DecodeFrame(b[pos:])
 		if err != nil {
@@ -227,18 +235,27 @@ func DecodeStream(b []byte) (gen, latest uint64, frames []Frame, err error) {
 	return gen, latest, frames, nil
 }
 
-// EncodeSnapshot renders a full-state snapshot at (gen, seq): every live
-// object, sorted by id by the caller for determinism.
-func EncodeSnapshot(gen, seq uint64, dims int, objs []*fuzzy.Object) []byte {
-	size := len(snapshotMagic) + 8 + 8 + 4 + 4 + objectsSize(objs)
-	buf := make([]byte, 0, size+crcSize)
-	buf = append(buf, snapshotMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dims))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(objs)))
-	buf = appendObjects(buf, objs)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+// EncodeSnapshot renders a full-state snapshot at (gen, seq) as a stream:
+// every live object, sorted by id by the caller for determinism, in
+// insert-only frames that all carry seq. Each frame's payload stays within
+// snapshotChunk, so no live set outgrows a frame's u32 length; an object
+// larger than that travels in a frame of its own.
+func EncodeSnapshot(gen, seq uint64, objs []*fuzzy.Object) []byte {
+	var chunks [][]*fuzzy.Object
+	for lo := 0; lo < len(objs); {
+		hi, payload := lo+1, 4+codec.Size(objs[lo])
+		for ; hi < len(objs) && payload+4+codec.Size(objs[hi]) <= snapshotChunk; hi++ {
+			payload += 4 + codec.Size(objs[hi])
+		}
+		chunks = append(chunks, objs[lo:hi])
+		lo = hi
+	}
+	size := streamHeaderSize + objectsSize(objs) + len(chunks)*(frameHeaderSize+crcSize)
+	buf := appendStreamHeader(make([]byte, 0, size), gen, seq, len(chunks))
+	for _, c := range chunks {
+		buf = appendFrame(buf, seq, c, nil)
+	}
+	return buf
 }
 
 // Snapshot is a decoded full-state snapshot. CRCs[i] is the wire checksum
@@ -246,39 +263,28 @@ func EncodeSnapshot(gen, seq uint64, dims int, objs []*fuzzy.Object) []byte {
 type Snapshot struct {
 	Gen     uint64
 	Seq     uint64
-	Dims    int
 	Objects []*fuzzy.Object
 	CRCs    []uint32
 }
 
-// DecodeSnapshot decodes a full /replication/checkpoint response body.
+// DecodeSnapshot decodes a full /replication/checkpoint response body: a
+// stream whose every frame sits at the stream's latest sequence and only
+// inserts.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	header := len(snapshotMagic) + 8 + 8 + 4 + 4
-	if len(b) < header+crcSize {
-		return nil, fmt.Errorf("%w: snapshot header truncated", ErrCorrupt)
-	}
-	if string(b[:len(snapshotMagic)]) != string(snapshotMagic) {
-		return nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	want := binary.LittleEndian.Uint32(b[len(b)-crcSize:])
-	if crc32.ChecksumIEEE(b[:len(b)-crcSize]) != want {
-		return nil, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorrupt)
-	}
-	pos := len(snapshotMagic)
-	s := &Snapshot{
-		Gen:  binary.LittleEndian.Uint64(b[pos:]),
-		Seq:  binary.LittleEndian.Uint64(b[pos+8:]),
-		Dims: int(binary.LittleEndian.Uint32(b[pos+16:])),
-	}
-	count := int(binary.LittleEndian.Uint32(b[pos+20:]))
-	end := len(b) - crcSize
-	objs, crcs, pos, err := decodeObjects(b, pos+24, end, count)
+	gen, latest, frames, err := DecodeStream(b)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	s.Objects, s.CRCs = objs, crcs
-	if pos != end {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", ErrCorrupt, end-pos)
+	s := &Snapshot{Gen: gen, Seq: latest}
+	for i, fr := range frames {
+		switch {
+		case fr.Seq != latest:
+			return nil, fmt.Errorf("%w: snapshot frame %d at seq %d, the snapshot's is %d", ErrCorrupt, i, fr.Seq, latest)
+		case len(fr.Deletes) > 0:
+			return nil, fmt.Errorf("%w: snapshot frame %d carries %d deletes", ErrCorrupt, i, len(fr.Deletes))
+		}
+		s.Objects = append(s.Objects, fr.Inserts...)
+		s.CRCs = append(s.CRCs, fr.InsertCRCs...)
 	}
 	return s, nil
 }

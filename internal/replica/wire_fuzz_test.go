@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
@@ -38,15 +39,6 @@ func craftedFrame() []byte {
 	return withCRC(append(b, obj...))
 }
 
-func craftedSnapshot() []byte {
-	b := append([]byte(nil), snapshotMagic...)
-	b = binary.LittleEndian.AppendUint64(b, 9)          // gen
-	b = binary.LittleEndian.AppendUint64(b, 1)          // seq
-	b = binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF) // dims
-	b = binary.LittleEndian.AppendUint32(b, 1)          // count
-	return withCRC(append(b, craftedObject()...))
-}
-
 // TestCraftedShapeIsCorruptNotOOM feeds the wrapping header through every
 // replication decoder: each must answer ErrCorrupt having allocated next to
 // nothing, instead of sizing memory by the header.
@@ -58,7 +50,7 @@ func TestCraftedShapeIsCorruptNotOOM(t *testing.T) {
 	for name, decode := range map[string]func() error{
 		"frame":    func() error { _, _, err := DecodeFrame(frame); return err },
 		"stream":   func() error { _, _, _, err := DecodeStream(EncodeStream(9, 1, [][]byte{frame})); return err },
-		"snapshot": func() error { _, err := DecodeSnapshot(craftedSnapshot()); return err },
+		"snapshot": func() error { _, err := DecodeSnapshot(EncodeStream(9, 1, [][]byte{frame})); return err },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -171,12 +163,20 @@ func FuzzDecodeStream(f *testing.F) {
 }
 
 // FuzzDecodeSnapshot is the same contract over a /replication/checkpoint
-// body.
+// body: every refusal is ErrCorrupt, and an accepted snapshot re-encodes,
+// after one round (which re-cuts its frames), to a fixed point.
 func FuzzDecodeSnapshot(f *testing.F) {
-	addMutations(f, EncodeSnapshot(77, 123, 2, []*fuzzy.Object{obj(1, 0, 0), obj(2, 5, 5), obj(9, -1, 2)}))
-	f.Add(craftedSnapshot())
-	f.Add(EncodeSnapshot(1, 0, 2, nil))
-	f.Add([]byte("FZKNRS01"))
+	objs := []*fuzzy.Object{obj(1, 0, 0), obj(2, 5, 5), obj(9, -1, 2)}
+	addMutations(f, EncodeSnapshot(77, 123, objs))
+	f.Add(EncodeStream(77, 123, [][]byte{EncodeFrame(123, objs[:1], nil), EncodeFrame(123, objs[1:], nil)}))
+	f.Add(EncodeStream(77, 123, [][]byte{EncodeFrame(122, objs, nil)}))
+	f.Add(EncodeStream(77, 123, [][]byte{EncodeFrame(123, objs, []uint64{4})}))
+	f.Add(EncodeStream(9, 1, [][]byte{craftedFrame()}))
+	f.Add(EncodeSnapshot(1, 0, nil))
+	f.Add([]byte("FZKNRL01"))
+	if old, err := os.ReadFile("testdata/compat/snapshot-fzknrs01.bin"); err == nil {
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {
@@ -185,12 +185,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		again := EncodeSnapshot(s.Gen, s.Seq, s.Dims, s.Objects)
-		if len(again) != len(data) {
-			t.Fatalf("snapshot of %d bytes re-encodes to %d", len(data), len(again))
-		}
+		again := EncodeSnapshot(s.Gen, s.Seq, s.Objects)
 		s2, err := DecodeSnapshot(again)
-		if err != nil || !bytes.Equal(EncodeSnapshot(s2.Gen, s2.Seq, s2.Dims, s2.Objects), again) {
+		if err != nil || s2.Gen != s.Gen || s2.Seq != s.Seq || !bytes.Equal(EncodeSnapshot(s2.Gen, s2.Seq, s2.Objects), again) {
 			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
 		}
 	})

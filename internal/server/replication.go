@@ -18,7 +18,9 @@ import (
 //
 //	GET /replication/checkpoint
 //	    Binary bootstrap snapshot: every live object at one consistent
-//	    (generation, sequence) point. Content-Type application/octet-stream.
+//	    (generation, sequence) point, as a stream in /replication/log's
+//	    grammar whose frames all carry that sequence and only insert.
+//	    Content-Type application/octet-stream.
 //	    503 while the leader is degraded: no frame names what it holds.
 //	GET /replication/log?from=<seq>&wait_ms=<ms>&max_bytes=<n>
 //	    Binary stream of committed frames with sequence >= from. When the

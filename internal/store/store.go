@@ -48,8 +48,9 @@ type Reader interface {
 // groups of mutations. There is one write — ApplyBatch — and a single insert
 // or delete is a group of one. Implementations must be safe for concurrent
 // use and must retain deleted payloads for Get (deletes are logical —
-// tombstones — so snapshot readers keep working; reclaim space with a
-// store-specific Compact once no snapshot can reference the dead objects).
+// tombstones — so snapshot readers keep working). Each id's most recent
+// tombstoned payload is kept for the store's lifetime: nothing reclaims it
+// before Close.
 //
 // Caveat of the versionless Get contract: re-inserting a previously
 // deleted id makes the new payload the one Get serves. A query whose
@@ -139,7 +140,7 @@ const (
 
 // MemStore is an in-memory Mutator, used by tests and small workloads.
 // Deletes are logical: the payload stays readable through Get (for index
-// snapshots still referencing it) until Compact reclaims it.
+// snapshots still referencing it) for the store's lifetime.
 type MemStore struct {
 	mu   sync.RWMutex
 	objs map[uint64]*fuzzy.Object // live and tombstoned payloads
@@ -269,18 +270,6 @@ func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live fun
 		seen[id] = true
 	}
 	return dims, nil
-}
-
-// Compact drops tombstoned payloads. Call it only when no query snapshot
-// taken before the corresponding deletes is still running.
-func (m *MemStore) Compact() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for id := range m.objs {
-		if _, isLive := m.live[id]; !isLive {
-			delete(m.objs, id)
-		}
-	}
 }
 
 // Writer streams objects into a store file. Create one with Create, Append

@@ -91,8 +91,8 @@ func (r *Replication) FramesSince(ctx context.Context, from uint64, maxBytes int
 }
 
 // Snapshot cuts a consistent bootstrap snapshot: every live object (sorted
-// by id) encoded together with the generation and the frame sequence the
-// snapshot is valid at. The cut holds the replication write lock, so
+// by id) as a stream of insert frames, all at the frame sequence the
+// snapshot is valid at, under the generation. The cut holds the replication write lock, so
 // mutations stall for its duration — acceptable for bootstrap-sized
 // indexes; larger deployments bootstrap rarely and tail cheaply. Snapshot
 // reads bypass the access counters and the object cache: cutting a snapshot
@@ -110,7 +110,7 @@ func (r *Replication) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc := replica.EncodeSnapshot(r.rec.log.Generation(), r.rec.log.LastSeq(), r.ix.Dims(), objs)
+	enc := replica.EncodeSnapshot(r.rec.log.Generation(), r.rec.log.LastSeq(), objs)
 	r.snapshots.Add(1)
 	return enc, nil
 }
@@ -184,67 +184,27 @@ type FollowerConfig struct {
 // ReplicaStats is a point-in-time view of a follower's replication state.
 type ReplicaStats = replica.Stats
 
-// Follower tails a leader's replication feed into this index: bootstrap
-// from the leader snapshot, then one ApplyBatch — one snapshot publish per
-// shard — per committed leader frame, so follower reads are
-// snapshot-isolated and byte-identical to the leader at the same applied
-// sequence. Drive it with Run (retries and re-bootstraps forever) or Sync
-// (one converge-and-return pass). See Index.NewFollower.
-type Follower struct {
-	f *replica.Follower
-}
+// Follower tails a leader's replication feed into an index (see
+// Index.NewFollower): drive it with Run (retries and re-bootstraps forever)
+// or Sync (one converge-and-return pass).
+type Follower = replica.Follower
 
 // NewFollower builds a follower that feeds this index from the leader's
-// base URL. The index is typically freshly created and empty
-// (NewIndex(nil, ...)); a warm index is also fine — the bootstrap applies
-// only the difference between its live set and the leader snapshot. The
-// index must be mutable, and nothing else should mutate it while the
-// follower runs: the leader's frame sequence is the only write source a
-// replica can stay byte-identical under.
+// base URL. The index must be empty — freshly created with NewIndex(nil,
+// ...) — and mutable, and nothing else should mutate it while the follower
+// runs: the leader's frame sequence is the only write source a replica can
+// stay byte-identical under. A non-empty index is refused with an error.
 func (ix *Index) NewFollower(leaderURL string, cfg *FollowerConfig) (*Follower, error) {
 	var c FollowerConfig
 	if cfg != nil {
 		c = *cfg
 	}
-	objs, err := ix.liveObjectsUncounted()
-	if err != nil {
-		return nil, err
-	}
-	initial := make(map[uint64]uint32, len(objs))
-	for _, o := range objs {
-		initial[o.ID()] = replica.ObjectCRC(o)
-	}
-	f, err := replica.NewFollower(leaderURL, searcherApplier{ix.inner}, initial, &replica.Options{
+	f, err := replica.NewFollower(leaderURL, ix, &replica.Options{
 		Client: c.Client,
 		Logf:   c.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzyknn: %w", err)
 	}
-	return &Follower{f: f}, nil
+	return f, nil
 }
-
-// searcherApplier adapts a query.Searcher to the replica apply contract.
-type searcherApplier struct{ s query.Searcher }
-
-func (a searcherApplier) ApplyBatch(ins []*fuzzy.Object, dels []uint64) error {
-	_, err := a.s.ApplyBatch(ins, dels)
-	return err
-}
-
-// Run drives the follower until ctx ends: bootstrap (with retry/backoff),
-// long-poll tail, re-bootstrap on truncation or leader generation change.
-func (f *Follower) Run(ctx context.Context) error { return f.f.Run(ctx) }
-
-// Sync bootstraps if necessary and applies frames until the follower has
-// caught up with the leader's committed sequence, then returns.
-func (f *Follower) Sync(ctx context.Context) error { return f.f.Sync(ctx) }
-
-// SyncTo is Sync but stops once the applied sequence reaches seq.
-func (f *Follower) SyncTo(ctx context.Context, seq uint64) error { return f.f.SyncTo(ctx, seq) }
-
-// Stats reports the follower's replication position and lifetime counters.
-func (f *Follower) Stats() ReplicaStats { return f.f.Stats() }
-
-// Leader returns the leader base URL.
-func (f *Follower) Leader() string { return f.f.Leader() }

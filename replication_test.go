@@ -125,3 +125,18 @@ func TestSnapshotReadsBeneathObjectCache(t *testing.T) {
 		t.Fatalf("hot set no longer cached after a snapshot: hits %d→%d, misses %d→%d", hits, h, misses, m)
 	}
 }
+
+// TestNewFollowerRefusesNonEmptyIndex: a follower starts on an empty index
+// (NewIndex(nil, ...)); one that already holds objects is refused with an
+// error before it fetches anything.
+func TestNewFollowerRefusesNonEmptyIndex(t *testing.T) {
+	objs, _ := replDataset(t, 4, 5)
+	ix, err := fuzzyknn.NewIndex(objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if f, err := ix.NewFollower("http://127.0.0.1:1", nil); err == nil || !strings.Contains(err.Error(), "empty index") {
+		t.Fatalf("NewFollower on a 4-object index = %v, %v; want an empty-index error", f, err)
+	}
+}
