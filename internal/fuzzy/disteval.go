@@ -35,10 +35,12 @@ type DistEval struct {
 	tree  kdtree.Tree
 	qmbr  geom.Rect // M_Q(α), the box of the tree's points, backed by qbox
 	qbox  []float64 // qmbr's corners: lo, then hi
+	abox  []float64 // CutKey's M_A(α)*: lo, then hi
 	gaps  []float64 // ClosestSq's per-point scratch
 	memo  map[uint64]float64
 
-	descents int // k-d tree descents dist ran (read by tests)
+	// k-d tree descents run by dist and by NearestWithin (read by tests)
+	descents, nearDescents int
 }
 
 // Reset points the evaluator at a new (query, α) pair, rebuilding the
@@ -87,11 +89,38 @@ func (e *DistEval) QueryMBR() geom.Rect { return e.qmbr }
 // when it is below bound, and bound otherwise. For a point p of A_α it is
 // an upper bound of d_α(A, Q): Lemma 1 (§3.4) over the whole cut.
 func (e *DistEval) NearestWithin(p geom.Point, bound float64) float64 {
+	e.nearDescents++
 	if _, d := e.tree.NearestWithin(p, bound); d < bound {
 		return d
 	}
 	return bound
 }
+
+// CutKey returns the §3.2 lower bound of d_α(A, Q) read against the whole
+// α-cut of Q rather than its box: max(coarse, √g), where g is the smallest
+// squared gap from a point of Q_α to M_A(α)*, the estimated cut box of A
+// from its support box and flat summary (box and sum, as EstimateMinDist
+// takes them). coarse is that bound already known, EstimateMinDist against
+// QueryMBR, and the k-d tree query stops as soon as g cannot exceed it. A_α
+// lies in M_A(α)*, so every pair distance Dist takes is at least some query
+// point's gap, bit for bit (kdtree.Tree.BoxGapSq): the key never exceeds
+// Dist.
+func (e *DistEval) CutKey(box, sum []float64, coarse float64) float64 {
+	d := len(box) / 2
+	if cap(e.abox) < 2*d {
+		e.abox = make([]float64, 2*d)
+	}
+	lo, hi := e.abox[:d], e.abox[d:2*d]
+	for dim := 0; dim < d; dim++ {
+		lo[dim], hi[dim] = estimateFace(box, sum, d, dim, e.alpha)
+	}
+	return max(coarse, math.Sqrt(e.tree.BoxGapSq(lo, hi, coarse*coarse)))
+}
+
+// Descents returns how many k-d tree descents the evaluator has run since it
+// was made: those of Dist's evaluations, and NearestWithin's calls. Tests
+// read them to show work a search did not do.
+func (e *DistEval) Descents() (dist, nearest int) { return e.descents, e.nearDescents }
 
 // Dist returns d_α(o, Q) for the pinned query and α, memoized by o.ID().
 func (e *DistEval) Dist(o *Object) float64 {

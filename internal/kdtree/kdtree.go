@@ -251,6 +251,64 @@ func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *floa
 	}
 }
 
+// BoxGapSq returns max(floorSq, g), where g is the smallest squared gap
+// gapSq(p, box) from any of the tree's points p to the box with corners lo
+// and hi (+Inf on an empty tree). The search stops once some point's gap is
+// at most floorSq, which then decides the result; a floorSq of 0 asks for g
+// itself.
+//
+// A subtree is skipped when its splitting plane lies outside the box on the
+// split axis and the squared distance from the plane to the box's face is at
+// least the smallest gap so far. That skip is exact in floating point for
+// the reason ClosestSq's gate is: every point beyond the plane is at least
+// as far from the face on that axis, rounding is monotone, and a gap is a
+// sum of non-negative squares. So the result is the brute-force minimum of
+// the same gapSq values, bit for bit.
+func (t *Tree) BoxGapSq(lo, hi []float64, floorSq float64) float64 {
+	if len(t.idx) == 0 {
+		return math.Inf(1)
+	}
+	if len(lo) != t.dims || len(hi) != t.dims {
+		panic(fmt.Sprintf("kdtree: box of %d/%d dims vs %d", len(lo), len(hi), t.dims))
+	}
+	best := math.Inf(1)
+	t.boxGap(lo, hi, 0, len(t.idx), 0, floorSq, &best)
+	return max(best, floorSq)
+}
+
+func (t *Tree) boxGap(lo, hi []float64, l, h, axis int, floorSq float64, best *float64) {
+	if h <= l || *best <= floorSq {
+		return
+	}
+	mid := (l + h) / 2
+	p := t.coords[mid*len(lo):][:len(lo)]
+	if g := gapSq(p, lo, hi); g < *best {
+		*best = g
+	}
+	s := p[axis]
+	next := axis + 1
+	if next == len(lo) {
+		next = 0
+	}
+	// Points left of mid lie at or below s on axis, points right of it at
+	// or above.
+	switch {
+	case s < lo[axis]:
+		t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
+		if g := lo[axis] - s; g*g < *best {
+			t.boxGap(lo, hi, l, mid, next, floorSq, best)
+		}
+	case s > hi[axis]:
+		t.boxGap(lo, hi, l, mid, next, floorSq, best)
+		if g := s - hi[axis]; g*g < *best {
+			t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
+		}
+	default:
+		t.boxGap(lo, hi, l, mid, next, floorSq, best)
+		t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
+	}
+}
+
 // ForEachWithin invokes fn(idx, dist) for every point whose distance to q
 // is at most radius, in tree order, stopping early if fn returns false.
 // idx is the point's index in the Build input.

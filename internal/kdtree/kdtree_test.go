@@ -229,3 +229,50 @@ func BenchmarkClosestPair1000x1000(b *testing.B) {
 		ClosestPair(pa, pb, 2)
 	}
 }
+
+// TestBoxGapSqMatchesBruteForce holds the box query to its definition, bit
+// for bit: max(floorSq, the smallest geom.MinDistPointSq from a point to the
+// box) — on empty trees, in one to three dimensions, for boxes that contain
+// points, touch them, sit on a splitting plane or shrink to a point, and on
+// grid points whose coordinates tie on every axis.
+func TestBoxGapSqMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23001, 23002))
+	bits := math.Float64bits
+	for dims := 1; dims <= 3; dims++ {
+		for iter := 0; iter < 300; iter++ {
+			pts := randPoints(rng, rng.IntN(80), dims)
+			if iter%3 == 1 { // ties: integer grid points
+				for _, p := range pts {
+					for j := range p {
+						p[j] = math.Round(p[j] / 10)
+					}
+				}
+			}
+			tree := Build(flat(pts), dims)
+			box := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+			for j := 0; j < dims; j++ {
+				c, w := rng.Float64()*120-60, rng.Float64()*20
+				switch {
+				case iter%5 == 0: // a point
+					w = 0
+				case iter%5 == 1 && len(pts) > 0: // a face on a point's coordinate
+					c = pts[rng.IntN(len(pts))][j] + w/2
+				}
+				if iter%3 == 1 {
+					c, w = math.Round(c/10), math.Round(w/10)
+				}
+				box.Lo[j], box.Hi[j] = c-w/2, c+w/2
+			}
+			brute := math.Inf(1)
+			for _, p := range pts {
+				brute = min(brute, geom.MinDistPointSq(p, box))
+			}
+			for _, floor := range []float64{0, brute / 2, brute, 2 * brute, rng.Float64() * 400} {
+				if got, want := tree.BoxGapSq(box.Lo, box.Hi, floor), max(brute, floor); bits(got) != bits(want) {
+					t.Fatalf("dims %d iter %d (%d points), box %v, floor %v: got %v, brute force %v",
+						dims, iter, len(pts), box, floor, got, want)
+				}
+			}
+		}
+	}
+}

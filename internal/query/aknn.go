@@ -81,11 +81,16 @@ func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64,
 }
 
 // gEntry is one element of the lazy-probe buffer G (§3.3): an unprobed leaf
-// entry with its distance bounds.
+// entry with its distance bounds. upper starts as the cheap EstimateMaxDist.
+// For LB-LP-UB, rep is the entry's representative point while the §3.4
+// descent from it may still lower upper (see upper), and reach is the least
+// that descent can return; rep is nil once it has run, or if it cannot
+// lower upper at all.
 type gEntry struct {
-	lower, upper float64
-	id           uint64
-	tree         int32 // as pqItem.tree
+	lower, upper, reach float64
+	id                  uint64
+	tree                int32 // as pqItem.tree
+	rep                 geom.Point
 }
 
 // aknnRun is the state of one AKNN execution against the pinned snapshots
@@ -102,7 +107,7 @@ type aknnRun struct {
 	st      *Stats
 	sc      *scratch
 	mq      geom.Rect
-	tightLB bool // leaf keys from the §3.2 boundary MBR, not the support MBR
+	tightLB bool // leaf keys from the §3.2 estimated cut box, not the support MBR
 	lazy    bool
 	ub      bool // §3.4: upper bounds from the representative point (LB-LP-UB)
 	// probed caches every probed object, keyed by id. For plain AKNN it is
@@ -217,19 +222,44 @@ func (r *aknnRun) lookupProfile(obj *fuzzy.Object) (*fuzzy.Profile, bool) {
 	return r.profiles.Lookup(obj, r.q, r.alpha)
 }
 
-// upper evaluates the upper bound of leaf n's entry i: MaxDist of the
-// estimated cut MBR, for LB-LP-UB lowered by the distance from the
-// representative point to the nearest point of the query's α-cut (§3.4).
-// The representative is a kernel point, so it lies in every α-cut of its
-// object, and d_α(A, Q) ≤ min over q ∈ Q_α of |rep − q|: Lemma 1 with the
-// whole cut as the sample, read off the evaluator's k-d tree over Q_α.
-func (r *aknnRun) upper(n *rtree.Node, i int) float64 {
-	box, sum := n.EntrySummary(i)
-	u := fuzzy.EstimateMaxDist(box, sum, r.alpha, r.mq)
-	if r.ub {
-		u = r.sc.dist.NearestWithin(fuzzy.SummaryRep(sum), u)
+// upper returns buffered entry g's upper bound for an admission test against
+// H's top key hKey: MaxDist of the estimated cut MBR, stored at deferral, for
+// LB-LP-UB lowered once by the distance from the representative point to the
+// nearest point of the query's α-cut (§3.4). The representative is a kernel
+// point, so it lies in every α-cut of its object, and d_α(A, Q) ≤ min over
+// q ∈ Q_α of |rep − q|: Lemma 1 with the whole cut as the sample, read off
+// the evaluator's k-d tree over Q_α.
+//
+// The descent runs only when it can admit. Every point of Q_α lies in
+// M_Q(α), so no point is nearer to rep than that box is, bit for bit (the
+// gap argument of kdtree.Tree.ClosestSq): the descent returns at least
+// reach, rep's distance to M_Q(α), which buffered keeps below the cheap
+// bound. While reach is at least hKey the test fails either way and the
+// descent waits. An admitted entry has always had it, or had no use for it,
+// so the Upper it reports is the one a descent at deferral would give.
+func (r *aknnRun) upper(g *gEntry, hKey float64) float64 {
+	if g.rep == nil || g.reach >= hKey {
+		return g.upper
 	}
-	return u
+	g.upper = r.sc.dist.NearestWithin(g.rep, g.upper)
+	g.rep = nil
+	return g.upper
+}
+
+// buffered makes popped leaf entry e a buffered entry: its lower bound is its
+// key, its upper bound the cheap EstimateMaxDist, and for LB-LP-UB it keeps
+// its representative point for upper's descent when that descent can return
+// less than the cheap bound.
+func (r *aknnRun) buffered(e pqItem) gEntry {
+	box, sum := e.node.EntrySummary(e.ent)
+	g := gEntry{lower: e.key, upper: fuzzy.EstimateMaxDist(box, sum, r.alpha, r.mq), id: e.id, tree: e.tree}
+	if r.ub {
+		rep := fuzzy.SummaryRep(sum)
+		if g.reach = math.Sqrt(geom.MinDistPointSq(rep, r.mq)); g.reach < g.upper {
+			g.rep = rep
+		}
+	}
+	return g
 }
 
 // bufferMin returns the index of the buffered entry with the smallest
@@ -295,9 +325,20 @@ func (r *aknnRun) enforceInvariant() error {
 // nor G, and its key lies below every leaf key under it, so every probe is
 // decided at the same leaf or object top however the objects are cut into
 // nodes and trees.
+//
+// A leaf entry of the LB variants waits in H under its cheap key and is
+// refined (refineTop) when it reaches the top, before anything is decided
+// there. Its refined key is a function of the object and the query alone,
+// and at least its cheap key, so every entry's place in the (key, kind, id)
+// order only moves back when it is refined: once the top is refined, no
+// cheap entry below it can refine to a place before it, and the decisions
+// see the tops they would see had every entry been refined when pushed.
 func (r *aknnRun) run() error {
 	h := &r.sc.pq
 	for r.emitted() < r.k && (h.Len() > 0 || len(r.buffer) > 0) {
+		for h.Len() > 0 && h.PeekCheap() {
+			r.refineTop()
+		}
 		hKey := math.Inf(1)
 		if h.Len() > 0 {
 			hKey = h.PeekKey()
@@ -309,7 +350,7 @@ func (r *aknnRun) run() error {
 			// results without ever probing it.
 			progressed := false
 			for i := 0; i < len(r.buffer) && r.emitted() < r.k; {
-				if r.buffer[i].upper < hKey {
+				if r.upper(&r.buffer[i], hKey) < hKey {
 					g := r.buffer[i]
 					r.results = append(r.results, Result{
 						ID: g.id, Dist: g.lower, Exact: false, Lower: g.lower, Upper: g.upper,
@@ -371,7 +412,7 @@ func (r *aknnRun) run() error {
 				h.Push(pqItem{key: d, kind: kindObject, id: e.id, dist: d})
 				continue
 			}
-			r.buffer = append(r.buffer, gEntry{lower: e.key, upper: r.upper(e.node, e.ent), id: e.id, tree: e.tree})
+			r.buffer = append(r.buffer, r.buffered(e))
 			r.st.LazyDeferred++
 			if err := r.enforceInvariant(); err != nil {
 				return err
@@ -386,10 +427,25 @@ func (r *aknnRun) run() error {
 	return nil
 }
 
+// refineTop re-keys H's top, a cheap leaf entry, by the §3.2 bound read
+// against the query's whole α-cut (DistEval.CutKey), and sifts it down if
+// the key rose; an entry whose key did not rise stays the top.
+func (r *aknnRun) refineTop() {
+	top := &r.sc.pq.h[0]
+	top.cheap = false
+	box, sum := top.node.EntrySummary(top.ent)
+	if key := r.sc.dist.CutKey(box, sum, top.key); key > top.key {
+		top.key = key
+		r.sc.pq.siftDown(0)
+	}
+}
+
 // expand pushes a node's children, tagged with the tree they belong to,
 // scanning lower bounds off the node's flattened layouts (one contiguous
 // pass, no per-entry pointer chasing). Leaf entries of the LB variants take
-// the tighter §3.2 bound, computed from the summaries in the same slab.
+// the tighter §3.2 bound, computed from the summaries in the same slab; they
+// enter cheap, under MinDist(M_A(α)*, M_Q(α)), and run refines the few that
+// reach the top, so the k-d tree query runs for those alone.
 func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 	if n.Leaf() {
 		for i := 0; i < n.Len(); i++ {
@@ -400,7 +456,7 @@ func (r *aknnRun) expand(n *rtree.Node, tree int32) {
 			} else {
 				key = n.EntryMinDist(i, r.mq)
 			}
-			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, tree: tree, id: n.ID(i), node: n, ent: i})
+			r.sc.pq.Push(pqItem{key: key, kind: kindLeaf, cheap: r.tightLB, tree: tree, id: n.ID(i), node: n, ent: i})
 		}
 		return
 	}
@@ -564,7 +620,7 @@ func rangeSearchInto(sc *scratch, dst []Result, views []shardView, q *fuzzy.Obje
 		return dst, Stats{}, badArgf("query: radius must be non-negative, got %v", radius)
 	}
 	sc.stats = Stats{}
-	hits, err := rangeHits(sc, views, q, alpha, radius)
+	hits, err := rangeHits(sc, views, q, alpha, radius, nil)
 	if err != nil {
 		return dst, sc.stats, err
 	}
@@ -585,21 +641,24 @@ type rangeHit struct {
 }
 
 // rangeHits collects every object of the forest with d_α(A, q) ≤ radius,
-// in no particular order, probing only leaf entries whose §3.2 lower bound
-// passes the radius test (Lemma 3) — a set fixed by the objects and the
-// radius, so ObjectAccesses and DistanceEvals are the same however the
-// population is cut into trees. The radius is known before any tree is
-// touched, so the trees of a forest are searched concurrently (fanOut); one
-// tree is searched on the caller's goroutine, allocating nothing. The hits
-// are owned by sc — valid until it is released or searched again — and the
-// work is charged to sc.stats.
-func rangeHits(sc *scratch, views []shardView, q *fuzzy.Object, alpha, radius float64) ([]rangeHit, error) {
+// in no particular order, evaluating only leaf entries whose §3.2 lower
+// bound passes the radius test (Lemma 3) — a set fixed by the objects and
+// the radius. An entry whose object probed (keyed by id) already holds is
+// evaluated from that payload without an access, so the objects read are
+// that set less probed's, and ObjectAccesses and DistanceEvals are the same
+// however the population is cut into trees. probed may be nil, and is only
+// read: the trees of a forest are searched concurrently (fanOut), the radius
+// being known before any tree is touched; one tree is searched on the
+// caller's goroutine, allocating nothing. The hits are owned by sc — valid
+// until it is released or searched again — and the work is charged to
+// sc.stats.
+func rangeHits(sc *scratch, views []shardView, q *fuzzy.Object, alpha, radius float64, probed map[uint64]*fuzzy.Object) ([]rangeHit, error) {
 	if len(views) == 1 {
-		return rangeTree(sc, views[0], q, alpha, radius)
+		return rangeTree(sc, views[0], q, alpha, radius, probed)
 	}
 	sc.hits = sc.hits[:0]
 	err := fanOut(sc, views, &sc.hits, func(sub *scratch, tree int) ([]rangeHit, error) {
-		return rangeTree(sub, views[tree], q, alpha, radius)
+		return rangeTree(sub, views[tree], q, alpha, radius, probed)
 	})
 	return sc.hits, err
 }
@@ -612,17 +671,18 @@ type rangeRun struct {
 	radius float64
 	mq     geom.Rect
 	sc     *scratch
+	probed map[uint64]*fuzzy.Object // as rangeHits'
 }
 
 // rangeTree is rangeHits on one tree, into sc.hits.
-func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64) ([]rangeHit, error) {
+func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64, probed map[uint64]*fuzzy.Object) ([]rangeHit, error) {
 	if math.IsInf(radius, 1) {
 		radius = math.MaxFloat64
 	}
 	sc.hits = sc.hits[:0]
 	sc.dist.Reset(q, alpha)
 	r := &sc.rng
-	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: sc.dist.QueryMBR(), sc: sc}
+	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: sc.dist.QueryMBR(), sc: sc, probed: probed}
 	if root := v.s.tree.Root(); root.Len() > 0 {
 		if err := r.visit(root); err != nil {
 			return nil, err
@@ -639,9 +699,12 @@ func (r *rangeRun) visit(n *rtree.Node) error {
 			if box, sum := n.EntrySummary(i); fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq) > r.radius {
 				continue
 			}
-			obj, err := r.ix.getObject(n.ID(i), st)
-			if err != nil {
-				return err
+			obj, ok := r.probed[n.ID(i)]
+			if !ok {
+				var err error
+				if obj, err = r.ix.getObject(n.ID(i), st); err != nil {
+					return err
+				}
 			}
 			st.DistanceEvals++
 			if d := r.sc.dist.Dist(obj); d <= r.radius {

@@ -282,7 +282,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	for _, radius := range []float64{0.5, 2, 5, 100} {
 		sc := getScratch()
 		sc.stats = Stats{}
-		hits, err := rangeHits(sc, sc.pin(ix), q, 0.5, radius)
+		hits, err := rangeHits(sc, sc.pin(ix), q, 0.5, radius, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,17 +18,20 @@ const (
 
 // pqItem is one priority-queue element: an R-tree node keyed by MinDist, an
 // unresolved leaf entry keyed by its lower bound, or a probed object keyed
-// by its exact α-distance. tree is the index of the tree the element came
-// from in the searched forest (always 0 on a single tree); it sits in the
-// padding after kind, so the element stays 48 bytes.
+// by its exact α-distance. A cheap leaf entry's key is a lower bound of the
+// one the search gives it when it reaches the top (aknnRun.refineTop).
+// tree is the index of the tree the element came from in the searched
+// forest (always 0 on a single tree); it and cheap sit in the padding after
+// kind, so the element stays 48 bytes.
 type pqItem struct {
-	key  float64
-	kind int8
-	tree int32
-	id   uint64      // object id for leaf/object entries; 0 for nodes
-	node *rtree.Node // the node to expand, or the leaf holding the entry
-	ent  int         // the entry's index in node, for kindLeaf
-	dist float64     // exact α-distance for kindObject
+	key   float64
+	kind  int8
+	cheap bool
+	tree  int32
+	id    uint64      // object id for leaf/object entries; 0 for nodes
+	node  *rtree.Node // the node to expand, or the leaf holding the entry
+	ent   int         // the entry's index in node, for kindLeaf
+	dist  float64     // exact α-distance for kindObject
 }
 
 // lessThan is the queue's strict weak order: (key, kind, id) ascending.
@@ -48,3 +51,4 @@ type bestFirstQueue struct{ typedHeap[pqItem] }
 
 func (q *bestFirstQueue) PeekKey() float64 { return q.h[0].key }
 func (q *bestFirstQueue) PeekKind() int8   { return q.h[0].kind }
+func (q *bestFirstQueue) PeekCheap() bool  { return q.h[0].cheap }

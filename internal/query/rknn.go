@@ -307,8 +307,9 @@ func dedupeInWindow(sorted []float64, lo, hi float64) []float64 {
 }
 
 // rss implements Algorithms 4 and 5: one AKNN at αe yields the pruning
-// radius (Lemma 3); one range search at αs yields the candidate set; the
-// candidates are refined in memory — by critical-probability hopping (RSS)
+// radius (Lemma 3); one range search at αs yields the candidate set,
+// reading only the objects that AKNN did not (each of those passes the
+// radius, as d_αs ≤ d_αe); the candidates are refined in memory — by critical-probability hopping (RSS)
 // or with Lemma 4 safe ranges (RSS-ICR).
 func (c *rknnCtx) rss(improvedRefinement bool) error {
 	resE, err := c.subAKNN(c.ae)
@@ -322,7 +323,7 @@ func (c *rknnCtx) rss(improvedRefinement bool) error {
 	if len(resE) >= c.k {
 		radius = resE[len(resE)-1].Dist
 	}
-	hits, err := rangeHits(c.sc, c.views, c.q, c.as, radius)
+	hits, err := rangeHits(c.sc, c.views, c.q, c.as, radius, c.probed)
 	if err != nil {
 		return err
 	}

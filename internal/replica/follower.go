@@ -396,33 +396,45 @@ func (f *Follower) Run(ctx context.Context) error {
 // follow is the one bootstrap, poll and backoff loop. Run (run) long-polls
 // until ctx ends and then answers ctx.Err(); a sync polls without waiting,
 // stops once the applied sequence reaches upTo (0: the leader's sequence
-// seen in the pass) and answers the error of a request cut short by ctx.
+// seen in the pass) and, if ctx ends first, answers the error of the request
+// ctx cut short (else ctx.Err()) wrapping the last bootstrap or poll failure
+// before it, so a sync that never converged says why.
 func (f *Follower) follow(ctx context.Context, run bool, upTo uint64) error {
 	backoff := newJitterBackoff(f.opts.MinBackoff, f.opts.MaxBackoff, f.opts.BackoffSeed)
 	var wait time.Duration
 	if run {
 		wait = pollWait
 	}
+	var last error // the last failed bootstrap or poll
+	// ended returns the error that ends the loop once ctx has: err is the
+	// request ctx cut short, or ctx.Err().
+	ended := func(err error) error {
+		if run {
+			return ctx.Err()
+		}
+		if last == nil {
+			return err
+		}
+		return fmt.Errorf("%w (last failure: %w)", err, last)
+	}
 	// retry counts a failed request and sleeps before the next one; it
 	// reports the error that ends the loop, if ctx has ended.
 	retry := func(what string, err error) error {
 		if ctx.Err() != nil {
-			if run {
-				return ctx.Err()
-			}
-			return err
+			return ended(err)
 		}
+		last = fmt.Errorf("%s %s failed: %w", what, f.leader, err)
 		f.reconnects.Add(1)
-		f.logf("replica: %s %s failed: %v (retrying)", what, f.leader, err)
+		f.logf("replica: %v (retrying)", last)
 		if !sleepCtx(ctx, backoff.next()) {
-			return ctx.Err()
+			return ended(ctx.Err())
 		}
 		return nil
 	}
 	reached := func() bool { return upTo != 0 && f.applied.Load() >= upTo }
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return ended(err)
 		}
 		if f.needsBootstrap() {
 			if err := f.bootstrap(ctx); err != nil {
@@ -444,6 +456,7 @@ func (f *Follower) follow(ctx context.Context, run bool, upTo uint64) error {
 			}
 			backoff.reset()
 		case needsRebootstrap(err):
+			last = err
 			f.logf("replica: %v; re-bootstrapping", err)
 			f.markUnbootstrapped()
 		default:

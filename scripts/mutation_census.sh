@@ -5,11 +5,13 @@
 # survives, when a mutant marked "equivalent" is killed, or when an anchor
 # no longer occurs exactly once. Runnable from the repo root:
 #
-#   scripts/mutation_census.sh [TREE [MATRIX]]
-#   scripts/mutation_census.sh --anchors [TREE]
+#   scripts/mutation_census.sh [--only ID[,ID...]] [TREE [MATRIX]]
+#   scripts/mutation_census.sh --anchors [--only ID[,ID...]] [TREE]
 #
 # --anchors only checks that every anchor occurs exactly once in TREE's
 # file and runs no tests: a refactor that orphans a mutant fails at once.
+# --only takes the named mutants of the catalogue and skips the rest (an id
+# the catalogue lacks is an error), to check the few a change touches.
 #
 # TREE (default: this checkout) is the git checkout to mutate: its tracked
 # and untracked, unignored files are copied. The catalogue is always this
@@ -23,15 +25,29 @@
 set -euo pipefail
 here="$(cd "$(dirname "$0")/.." && pwd)"
 anchors_only=false
-if [ "${1:-}" = --anchors ]; then
-  anchors_only=true
-  shift
-fi
+only=''
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --anchors) anchors_only=true; shift ;;
+    --only) only=",${2:?--only takes a comma-separated list of mutant ids},"; shift 2 ;;
+    --only=*) only=",${1#--only=},"; shift ;;
+    *) break ;;
+  esac
+done
 tree="$(cd "${1:-$here}" && pwd)"
 matrix="${2:-/dev/null}"
 catalogue="$(mktemp)"
 trap 'rm -f "$catalogue"' EXIT
 cp "$here/scripts/mutants.txt" "$catalogue"
+if [ -n "$only" ]; then
+  IFS=, read -ra wanted <<< "${only:1:${#only}-2}"
+  for id in "${wanted[@]}"; do
+    if ! grep -qxF "id: $id" "$catalogue"; then
+      echo "--only: the catalogue has no mutant $id" >&2
+      exit 2
+    fi
+  done
+fi
 
 # mutate replaces the anchor (\n and \t unescaped) in file, or, with
 # --dry-run, only checks that it occurs exactly once.
@@ -55,7 +71,8 @@ PY
 }
 
 # each calls the function named by $1 with every catalogue entry's id,
-# file, anchor, replacement and expected verdict.
+# file, anchor, replacement and expected verdict (with --only, of the
+# entries named there).
 each() {
   local id='' file='' anchor='' replace='' line
   while IFS= read -r line; do
@@ -64,7 +81,10 @@ each() {
       'file: '*) file="${line#file: }" ;;
       'anchor: '*) anchor="${line#anchor: }" ;;
       'replace: '*) replace="${line#replace: }" ;;
-      'expect: '*) "$1" "$id" "$file" "$anchor" "$replace" "${line#expect: }" ;;
+      'expect: '*)
+        if [ -z "$only" ] || [[ "$only" == *",$id,"* ]]; then
+          "$1" "$id" "$file" "$anchor" "$replace" "${line#expect: }"
+        fi ;;
     esac
   done < "$catalogue"
 }
