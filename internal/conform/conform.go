@@ -64,6 +64,9 @@
 //     answer, bounds and exact flags included, at the same cost in every
 //     counter but node visits, and a lazy AKNN probes exactly the entries
 //     it deferred and did not admit;
+//   - Basic and LB AKNN, range search, RSS and RSS-ICR read exactly as many
+//     objects as the oracle's cost model says they read (oracle.Reads,
+//     RangeReads, RSSReads) on every shape;
 //   - a paged shape answers byte for byte like the tree it was saved from,
 //     bounds included, at the same logical cost down to node visits; it
 //     shows page I/O and counts its evictions, and its resident bytes stay
@@ -1186,7 +1189,7 @@ func (c *checker) query(rng *rand.Rand) {
 		runs[i] = c.answers(s, p, want)
 		c.fetchAll(s, p, pop, want, runs[i])
 	}
-	c.costsAgree(shapes, runs)
+	c.costsAgree(shapes, runs, pop, p)
 	for i := len(c.shapes); i < len(shapes); i++ {
 		if shapes[i].paged {
 			c.pagedAgrees(shapes[i], runs[i], shapes[i-1], runs[i-1])
@@ -1388,8 +1391,25 @@ func logical(st Stats) Stats {
 // in-memory tree) answers, bounds and exact flags included, at the same
 // cost in every counter but node visits. A lazy AKNN also probes exactly
 // the entries it deferred and did not admit, and at most what LB probes.
-func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer) {
+// Basic, LB, range search, RSS and RSS-ICR read exactly as many objects as
+// the oracle's cost model over pop says they read.
+func (c *checker) costsAgree(shapes []*shape, runs []map[string]answer, pop *oracle.Population, p params) {
 	c.t.Helper()
+	rss := len(pop.RSSReads(p.q, p.k, p.as, p.ae))
+	model := map[string]int{
+		"aknn/" + Basic.String():  len(pop.Reads(p.q, p.k, p.alpha, false)),
+		"aknn/" + LB.String():     len(pop.Reads(p.q, p.k, p.alpha, true)),
+		"range":                   len(pop.RangeReads(p.q, p.alpha, p.radius)),
+		"rknn/" + RSS.String():    rss,
+		"rknn/" + RSSICR.String(): rss,
+	}
+	for i, s := range shapes {
+		for fam, n := range model {
+			if got := runs[i][fam].st.ObjectAccesses; got != n {
+				c.t.Fatalf("%s (%v): %s: %s reads %d objects, the cost model %d", c.at, p, s.name, fam, got, n)
+			}
+		}
+	}
 	for _, inc := range []bool{false, true} {
 		var ref map[string]answer
 		for i, s := range shapes {

@@ -101,10 +101,13 @@ func (e *DistEval) NearestWithin(p geom.Point, bound float64) float64 {
 // squared gap from a point of Q_α to M_A(α)*, the estimated cut box of A
 // from its support box and flat summary (box and sum, as EstimateMinDist
 // takes them). coarse is that bound already known, EstimateMinDist against
-// QueryMBR, and the k-d tree query stops as soon as g cannot exceed it. A_α
-// lies in M_A(α)*, so every pair distance Dist takes is at least some query
-// point's gap, bit for bit (kdtree.Tree.BoxGapSq): the key never exceeds
-// Dist.
+// QueryMBR, and the k-d tree query stops as soon as g cannot exceed it. A
+// caller that only compares the key with some r ≥ coarse may pass r itself
+// (the range search does): the query then stops at the first point within
+// r, and the result exceeds r exactly when the key would, wherever √(r²)
+// rounds back to r. A_α lies in M_A(α)*, so every pair distance Dist takes
+// is at least some query point's gap, bit for bit (kdtree.Tree.BoxGapSq):
+// the key never exceeds Dist.
 func (e *DistEval) CutKey(box, sum []float64, coarse float64) float64 {
 	d := len(box) / 2
 	if cap(e.abox) < 2*d {

@@ -3,7 +3,9 @@
 // writes to them. Each reference exists once, here: kNN in (distance, id)
 // order, range search d ≤ r, reverse kNN with ties broken by id against the
 // query's, expected-distance kNN, and the pair lists that ε-joins and
-// k-closest pairs cut.
+// k-closest pairs cut. It also holds the cost model (cost.go): the set of
+// objects Basic, LB, range search and RSS read, computed from the leaf
+// rows without a tree.
 //
 // The package is test-only: only _test.go files import it, and it imports
 // nothing that imports internal/query, so that package's own tests can use
@@ -64,6 +66,7 @@ type Population struct {
 	Objs  []*fuzzy.Object
 	memo  Memo
 	pairs map[float64][][]float64
+	rows  map[*fuzzy.Object]row
 }
 
 // New is the population of objs; a nil memo gives it one of its own.
@@ -71,7 +74,7 @@ func New(objs []*fuzzy.Object, memo Memo) *Population {
 	if memo == nil {
 		memo = Memo{}
 	}
-	return &Population{Objs: objs, memo: memo, pairs: map[float64][][]float64{}}
+	return &Population{Objs: objs, memo: memo, pairs: map[float64][][]float64{}, rows: map[*fuzzy.Object]row{}}
 }
 
 // Pair is the matrix of the objects' α-distances, memoized:

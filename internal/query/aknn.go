@@ -641,17 +641,18 @@ type rangeHit struct {
 }
 
 // rangeHits collects every object of the forest with d_α(A, q) ≤ radius,
-// in no particular order, evaluating only leaf entries whose §3.2 lower
-// bound passes the radius test (Lemma 3) — a set fixed by the objects and
-// the radius. An entry whose object probed (keyed by id) already holds is
-// evaluated from that payload without an access, so the objects read are
-// that set less probed's, and ObjectAccesses and DistanceEvals are the same
-// however the population is cut into trees. probed may be nil, and is only
-// read: the trees of a forest are searched concurrently (fanOut), the radius
-// being known before any tree is touched; one tree is searched on the
-// caller's goroutine, allocating nothing. The hits are owned by sc — valid
-// until it is released or searched again — and the work is charged to
-// sc.stats.
+// in no particular order, evaluating only leaf entries whose key passes the
+// radius test (Lemma 3) — a set fixed by the objects and the radius. The key
+// is the LB AKNN's: the §3.2 lower bound, and for an entry that passes it
+// the cut key (DistEval.CutKey). An entry whose object probed (keyed by id)
+// already holds is evaluated from that payload without an access, so the
+// objects read are that set less probed's, and ObjectAccesses and
+// DistanceEvals are the same however the population is cut into trees.
+// probed may be nil, and is only read: the trees of a forest are searched
+// concurrently (fanOut), the radius being known before any tree is touched;
+// one tree is searched on the caller's goroutine, allocating nothing. The
+// hits are owned by sc — valid until it is released or searched again — and
+// the work is charged to sc.stats.
 func rangeHits(sc *scratch, views []shardView, q *fuzzy.Object, alpha, radius float64, probed map[uint64]*fuzzy.Object) ([]rangeHit, error) {
 	if len(views) == 1 {
 		return rangeTree(sc, views[0], q, alpha, radius, probed)
@@ -672,6 +673,12 @@ type rangeRun struct {
 	mq     geom.Rect
 	sc     *scratch
 	probed map[uint64]*fuzzy.Object // as rangeHits'
+	// floor is the least floor CutKey is passed: the radius wherever
+	// √(radius²) rounds back to it, so that the k-d tree query stops at the
+	// first point of Q_α within the radius of the estimated cut box and
+	// still passes exactly the entries whose full cut key is ≤ the radius;
+	// 0 past 1e154 or below 1e-154, where the entry's own bound is passed.
+	floor float64
 }
 
 // rangeTree is rangeHits on one tree, into sc.hits.
@@ -683,6 +690,9 @@ func rangeTree(sc *scratch, v shardView, q *fuzzy.Object, alpha, radius float64,
 	sc.dist.Reset(q, alpha)
 	r := &sc.rng
 	*r = rangeRun{ix: v.ix, alpha: alpha, radius: radius, mq: sc.dist.QueryMBR(), sc: sc, probed: probed}
+	if math.Sqrt(radius*radius) == radius {
+		r.floor = radius
+	}
 	if root := v.s.tree.Root(); root.Len() > 0 {
 		if err := r.visit(root); err != nil {
 			return nil, err
@@ -696,7 +706,8 @@ func (r *rangeRun) visit(n *rtree.Node) error {
 	st.NodeAccesses++
 	for i := 0; i < n.Len(); i++ {
 		if n.Leaf() {
-			if box, sum := n.EntrySummary(i); fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq) > r.radius {
+			box, sum := n.EntrySummary(i)
+			if est := fuzzy.EstimateMinDist(box, sum, r.alpha, r.mq); est > r.radius || r.sc.dist.CutKey(box, sum, max(est, r.floor)) > r.radius {
 				continue
 			}
 			obj, ok := r.probed[n.ID(i)]

@@ -156,34 +156,6 @@ func TestAKNNLazyBoundsSandwichTruth(t *testing.T) {
 	}
 }
 
-func TestAKNNOptimizationsReduceAccesses(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 4))
-	objs := makeObjects(rng, 300, 20, 25, 0)
-	ix := buildIndex(t, objs, Options{})
-	var basicAcc, lbAcc, lbubAcc int
-	for trial := 0; trial < 20; trial++ {
-		q := makeQuery(rng, 20, 25, 0)
-		_, st, err := ix.AKNN(q, 10, 0.7, Basic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		basicAcc += st.ObjectAccesses
-		_, st, _ = ix.AKNN(q, 10, 0.7, LB)
-		lbAcc += st.ObjectAccesses
-		_, st, _ = ix.AKNN(q, 10, 0.7, LBLPUB)
-		lbubAcc += st.ObjectAccesses
-	}
-	if lbAcc > basicAcc {
-		t.Errorf("LB accesses (%d) exceed Basic (%d)", lbAcc, basicAcc)
-	}
-	if lbubAcc > lbAcc {
-		t.Errorf("LB-LP-UB accesses (%d) exceed LB (%d)", lbubAcc, lbAcc)
-	}
-	if basicAcc == 0 {
-		t.Error("Basic made no accesses at all")
-	}
-}
-
 func TestAKNNStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 5))
 	objs := makeObjects(rng, 40, 15, 10, 8)

@@ -418,9 +418,11 @@ func (f *Follower) follow(ctx context.Context, run bool, upTo uint64) error {
 		return fmt.Errorf("%w (last failure: %w)", err, last)
 	}
 	// retry counts a failed request and sleeps before the next one; it
-	// reports the error that ends the loop, if ctx has ended.
+	// reports the error that ends the loop, if ctx has ended. A request
+	// that failed on its own as ctx ended is the last failure, not the one
+	// ctx cut short.
 	retry := func(what string, err error) error {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			return ended(err)
 		}
 		last = fmt.Errorf("%s %s failed: %w", what, f.leader, err)
