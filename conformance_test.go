@@ -249,4 +249,9 @@ var conformanceSeeds = [][]byte{
 	// A race whose first write is an empty batch, which HTTP refuses with a
 	// 400 while the readers charge the same index.
 	[]byte("00Y"),
+	// A fuzzing find: a query whose α lies above the witness group's level
+	// of objects near it, where a §3.4 descent from one of their witnesses
+	// (outside A_α there) would admit a false Upper and drop true
+	// neighbours.
+	[]byte("88X010081"),
 }

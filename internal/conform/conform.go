@@ -55,6 +55,8 @@
 //   - AKNN (all four algorithms, lazy answers after Refine) and
 //     LinearScanAKNN equal a scan with AlphaDistance ranked by (distance,
 //     id), and one tree's lazy answer refines to it through every shape;
+//     before the Refine, every exact result of a lazy answer sits at the
+//     scan's distance and every other one's [Lower, Upper] encloses it;
 //     range search equals the scan with d ≤ r; ReverseKNN,
 //     ExpectedDistKNN, DistanceJoin and KClosestPairs (self-joins, and
 //     joins of two different shapes) equal their scans; all four RKNN
@@ -974,7 +976,7 @@ func (c *checker) degraded(s *shape, held map[uint64]*Object, rng *rand.Rand) {
 		objs = append(objs, held[id])
 	}
 	p, pop, want := c.expect(objs, rng)
-	c.fetchAll(s, p, pop, want, c.answers(s, p, want))
+	c.fetchAll(s, p, want, scanOf(pop, p), c.answers(s, p, want))
 	c.shardwise(s, held, held)
 	if s.web != nil {
 		c.counters(s, len(held))
@@ -1107,7 +1109,8 @@ func (p params) String() string {
 type answer struct {
 	got, raw string
 	st       Stats
-	refineOA int // object accesses of the Refine that resolved a lazy answer
+	refineOA int      // object accesses of the Refine that resolved a lazy answer
+	lazy     []Result // a lazy AKNN's raw answer, before the Refine
 }
 
 var (
@@ -1184,10 +1187,14 @@ func (c *checker) query(rng *rand.Rand) {
 			}
 		}()
 	}
+	scan := scanOf(pop, p)
 	runs := make([]map[string]answer, len(shapes))
 	for i, s := range shapes {
 		runs[i] = c.answers(s, p, want)
-		c.fetchAll(s, p, pop, want, runs[i])
+		for _, fam := range slices.Sorted(maps.Keys(runs[i])) {
+			c.enclosed(s, p, fam, runs[i][fam].lazy, scan)
+		}
+		c.fetchAll(s, p, want, scan, runs[i])
 	}
 	c.costsAgree(shapes, runs, pop, p)
 	for i := len(c.shapes); i < len(shapes); i++ {
@@ -1214,6 +1221,31 @@ func (c *checker) query(rng *rand.Rand) {
 				c.follow(l, t, p, want)
 			}
 			l.restarted = false
+		}
+	}
+}
+
+// scanOf returns every object's α-distance to p's query, by id.
+func scanOf(pop *oracle.Population, p params) map[uint64]float64 {
+	scan := map[uint64]float64{}
+	for _, sc := range pop.Ranked(p.q, p.alpha) {
+		scan[sc.ID] = sc.Dist
+	}
+	return scan
+}
+
+// enclosed holds every result of a raw AKNN answer to the scan's distances
+// (scan, by id): an exact result sits at its object's distance, and a
+// non-exact one reports its lower bound as its distance, with its object's
+// distance within [Lower, Upper]. Refine replaces a non-exact result by the
+// exact one, so a false bound on an object that belongs to the answer shows
+// only here.
+func (c *checker) enclosed(s *shape, p params, fam string, rs []Result, scan map[uint64]float64) {
+	c.t.Helper()
+	for _, r := range rs {
+		d, ok := scan[r.ID]
+		if r.Exact && (!ok || r.Dist != d) || !r.Exact && (!ok || r.Dist != r.Lower || d < r.Lower || d > r.Upper) {
+			c.t.Fatalf("%s (%v): %s: %s answers %+v, the scan's distance is %v", c.at, p, s.name, fam, r, d)
 		}
 	}
 }
@@ -1370,7 +1402,7 @@ func readFamily(ix *Index, p params, fam string) (answer, error) {
 			rs, st, err = ix.AKNN(p.q, p.k, p.alpha, algo)
 			if err == nil && (algo == LBLP || algo == LBLPUB) {
 				refined, rst, err := ix.Refine(p.q, p.alpha, rs)
-				return answer{got: fmt.Sprint(refined), raw: fmt.Sprint(rs), st: st, refineOA: rst.ObjectAccesses}, err
+				return answer{got: fmt.Sprint(refined), raw: fmt.Sprint(rs), st: st, refineOA: rst.ObjectAccesses, lazy: rs}, err
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	. "fuzzyknn"
-	"fuzzyknn/internal/oracle"
 	"fuzzyknn/internal/server"
 )
 
@@ -426,19 +425,15 @@ func (c *checker) fetch(s *shape, p params, fam string, byID bool) (answer, []Re
 // fetchAll reads every served family of p from a served shape over HTTP —
 // by query_id when the query is the model's object of its id, else inline
 // — and holds each reply to want and, bit for bit, counters included, to
-// the library's answer on the same index (runs); every exact result must
-// sit at the scan's distance. The replies and the refines must charge what
+// the library's answer on the same index (runs); every result must sit at
+// the scan's distance, or enclose it in its bounds (enclosed). The replies and the refines must charge what
 // the index counted.
-func (c *checker) fetchAll(s *shape, p params, pop *oracle.Population, want map[string]string, runs map[string]answer) {
+func (c *checker) fetchAll(s *shape, p params, want map[string]string, scan map[uint64]float64, runs map[string]answer) {
 	c.t.Helper()
 	if s.web == nil {
 		return
 	}
 	byID := c.model[p.q.ID()] == p.q
-	scan := map[uint64]float64{}
-	for _, sc := range pop.Ranked(p.q, p.alpha) {
-		scan[sc.ID] = sc.Dist
-	}
 	before, replied := s.ix.TotalObjectAccesses(), s.web.charged()
 	for _, fam := range slices.Sorted(maps.Keys(wire)) {
 		a, rs, err := c.fetch(s, p, fam, byID)
@@ -448,11 +443,7 @@ func (c *checker) fetchAll(s *shape, p params, pop *oracle.Population, want map[
 		if a.got != want[fam] || a.raw != lib.raw || a.st != lib.st {
 			c.t.Fatalf("%s (%v): %s: %s (by id %v) answers\n %s\n %s\n %+v\nwant\n %s\n %s\n %+v", c.at, p, s.name, fam, byID, a.got, a.raw, a.st, want[fam], lib.raw, lib.st)
 		}
-		for _, r := range rs {
-			if r.Exact && r.Dist != scan[r.ID] {
-				c.t.Fatalf("%s (%v): %s: %s answers %+v as exact, the scan's distance is %v", c.at, p, s.name, fam, r, scan[r.ID])
-			}
-		}
+		c.enclosed(s, p, fam, rs, scan)
 	}
 	if got, charged := s.ix.TotalObjectAccesses()-before, s.web.charged()-replied; got != charged {
 		c.t.Fatalf("%s: %s: the replies, query_id resolutions and refines charged %d object accesses, the index counted %d", c.at, s.name, charged, got)

@@ -108,14 +108,32 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 // SummaryLen(d) floats in the order a page file's leaf record stores them
 // after the support:
 //
-//	kernel lo (d) | kernel hi (d) | upper lines (m, t per dim) | lower lines (m, t per dim) | representative point (d)
+//	kernel lo (d) | kernel hi (d) | upper lines (m, t per dim) | lower lines (m, t per dim) | representative point (d) | witness group
+//
+// The witness group describes the first max(1, n/4) of the object's points
+// in descending membership:
+//
+//	level μ_L (1) | per dim: the prefix's lowest point along it (d), then its highest (d)
+//
+// μ_L is the membership of the prefix's last point, so every point of the
+// prefix lies in A_α for each α ≤ μ_L, and each witness is then a valid
+// sample of Lemma 1 (§3.4): d_α(A, Q) ≤ |a − q| for a in A_α, q in Q_α. The
+// representative kernel point lies in every cut but at the object's core;
+// the witnesses sit on the sides of a cut, where a query lies.
+
+// RepSummaryLen returns the number of floats of a summary that ends at the
+// representative point, with no witness group: the row a page file of
+// manifest version 2 stores. Every function here reads such a row, and
+// SummaryDescent finds no witness in it.
+func RepSummaryLen(d int) int { return 7 * d }
 
 // SummaryLen returns the number of floats of one flat summary at
 // dimensionality d.
-func SummaryLen(d int) int { return 7 * d }
+func SummaryLen(d int) int { return RepSummaryLen(d) + 1 + 2*d*d }
 
 // AppendSummary appends o's flat summary to dst: the kernel MBR, the §3.2
-// line fit per dimension and side, and the representative point.
+// line fit per dimension and side, the representative point and the
+// witness group.
 func AppendSummary(dst []float64, o *Object) []float64 {
 	t := getLevelTable(o)
 	defer levelTables.Put(t)
@@ -146,11 +164,54 @@ func (t *levelTable) appendSummary(dst []float64, o *Object) []float64 {
 		dst[lines+2*dim], dst[lines+2*dim+1] = hi.M, hi.T
 		dst[lines+2*(o.dims+dim)], dst[lines+2*(o.dims+dim)+1] = lo.M, lo.T
 	}
-	return append(dst, o.point(o.repIndex())...)
+	dst = append(dst, o.point(o.repIndex())...)
+	return o.appendWitnesses(dst, max(1, len(o.mus)/4))
 }
 
-// SummaryRep returns the representative kernel point of a flat summary.
-func SummaryRep(sum []float64) geom.Point { return sum[6*(len(sum)/7):] }
+// appendWitnesses appends the witness group of o's first m points: the
+// membership of the m-th, then per dimension the first of them lowest
+// along it and the first highest.
+func (o *Object) appendWitnesses(dst []float64, m int) []float64 {
+	d := o.dims
+	dst = append(dst, o.mus[m-1])
+	for dim := 0; dim < d; dim++ {
+		lo, hi := 0, 0
+		for i := 1; i < m; i++ {
+			if c := o.coords[i*d+dim]; c < o.coords[lo*d+dim] {
+				lo = i
+			} else if c > o.coords[hi*d+dim] {
+				hi = i
+			}
+		}
+		dst = append(dst, o.point(lo)...)
+		dst = append(dst, o.point(hi)...)
+	}
+	return dst
+}
+
+// SummaryRep returns the representative kernel point of a flat summary at
+// dimensionality d.
+func SummaryRep(sum []float64, d int) geom.Point { return sum[6*d : 7*d : 7*d] }
+
+// SummaryDescent returns the point a §3.4 descent toward M_Q(α) = r starts
+// from, and its distance to r: of the representative point and, when the
+// witness group's level is at least α, every witness, the one nearest r (the
+// smallest squared gap, the first in row order on a tie). Every candidate is
+// a point of A_α, so the distance from it to the nearest point of Q_α is an
+// upper bound of d_α(A, Q), and no point of Q_α is nearer to it than r is.
+// A summary of RepSummaryLen(d) floats answers its representative.
+func SummaryDescent(sum []float64, d int, alpha float64, r geom.Rect) (p geom.Point, reach float64) {
+	p = SummaryRep(sum, d)
+	best := geom.MinDistPointSq(p, r)
+	if g := RepSummaryLen(d); len(sum) > g && sum[g] >= alpha {
+		for w := g + 1; w < len(sum); w += d {
+			if gap := geom.MinDistPointSq(sum[w:w+d:w+d], r); gap < best {
+				p, best = sum[w:w+d:w+d], gap
+			}
+		}
+	}
+	return p, math.Sqrt(best)
+}
 
 // estimateFace returns dimension dim's faces of M_A(α)* from the support box
 // and flat summary of A (equation 2): each face sits at the kernel face

@@ -186,11 +186,12 @@ func TestFlatSummaryMatchesBoundaryApprox(t *testing.T) {
 			}
 		}
 		want = append(want, o.Rep()...)
+		want = appendWitnessGroup(want, o, max(1, o.Len()/4))
 		if len(sum) != SummaryLen(dims) || !slices.Equal(sum, want) {
 			t.Fatalf("iter %d: flat summary %v, want %v", iter, sum, want)
 		}
-		if !SummaryRep(sum).Equal(o.Rep()) {
-			t.Fatalf("iter %d: SummaryRep %v, want %v", iter, SummaryRep(sum), o.Rep())
+		if !SummaryRep(sum, dims).Equal(o.Rep()) {
+			t.Fatalf("iter %d: SummaryRep %v, want %v", iter, SummaryRep(sum, dims), o.Rep())
 		}
 
 		levels := o.Levels()
@@ -219,6 +220,138 @@ func TestFlatSummaryMatchesBoundaryApprox(t *testing.T) {
 				if got, ref := EstimateMaxDist(box, sum, alpha, r), geom.MaxDist(ref, r); bits(got) != bits(ref) {
 					t.Fatalf("iter %d α %v: EstimateMaxDist %v, want %v", iter, alpha, got, ref)
 				}
+			}
+		}
+	}
+}
+
+// appendWitnessGroup is the reference of a witness group: the membership of
+// o's m-th point, then per dimension the first of its first m points with
+// the least coordinate and the first with the greatest.
+func appendWitnessGroup(dst []float64, o *Object, m int) []float64 {
+	dst = append(dst, o.Memberships()[m-1])
+	for dim := 0; dim < o.Dims(); dim++ {
+		lo, hi := 0, 0
+		for i := 0; i < m; i++ {
+			p, _ := o.At(i)
+			if pl, _ := o.At(lo); p[dim] < pl[dim] {
+				lo = i
+			}
+			if ph, _ := o.At(hi); p[dim] > ph[dim] {
+				hi = i
+			}
+		}
+		pl, _ := o.At(lo)
+		ph, _ := o.At(hi)
+		dst = append(append(dst, pl...), ph...)
+	}
+	return dst
+}
+
+// witnessObjects are the objects the witness property runs over: random
+// ones with continuous and quantized memberships, the tie lattice
+// (coordinates on half units, memberships in quarters, so coincident points
+// and equal levels are the rule) and objects of one to three points, whose
+// group is a single point.
+func witnessObjects(rng *rand.Rand) []*Object {
+	var objs []*Object
+	for i := 0; i < 40; i++ {
+		objs = append(objs, randObject(rng, uint64(len(objs)), 1+rng.IntN(60), 1+rng.IntN(3), 8*(i%2)))
+	}
+	for i := 0; i < 40; i++ {
+		dims, n := 1+rng.IntN(3), 1+rng.IntN(16)
+		pts := make([]WeightedPoint, n)
+		for j := range pts {
+			p := make(geom.Point, dims)
+			for k := range p {
+				p[k] = float64(rng.IntN(6)) / 2
+			}
+			pts[j] = WeightedPoint{P: p, Mu: float64(1+rng.IntN(4)) / 4}
+		}
+		pts[0].Mu = 1
+		objs = append(objs, MustNew(uint64(len(objs)), pts))
+	}
+	for n := 1; n < 4; n++ {
+		for i := 0; i < 10; i++ {
+			objs = append(objs, randObject(rng, uint64(len(objs)), n, 1+rng.IntN(3), 4*(i%2)))
+		}
+	}
+	return objs
+}
+
+// TestWitnessesLieInTheCut: at every level of an object and one ulp either
+// side, every witness, when the group's level is at least α, is a point of
+// A_α, bit for bit, and so is the point SummaryDescent picks; the descent
+// from any of them, and from the representative, is at least the exact
+// α-distance to a query of the same dimensionality, bit for bit, and at
+// least the reach SummaryDescent reports for its pick.
+func TestWitnessesLieInTheCut(t *testing.T) {
+	rng := rand.New(rand.NewPCG(52, 4))
+	objs := witnessObjects(rng)
+	var e DistEval
+	for oi, o := range objs {
+		d := o.Dims()
+		sum := AppendSummary(nil, o)
+		if len(sum) != SummaryLen(d) {
+			t.Fatalf("object %d: summary of %d floats, want %d", oi, len(sum), SummaryLen(d))
+		}
+		q := objs[(oi*7+3)%len(objs)]
+		if q.Dims() != d {
+			q = randObject(rng, 1<<20, 1+rng.IntN(20), d, 4)
+		}
+		var alphas []float64
+		for _, u := range o.Levels() {
+			alphas = append(alphas, math.Nextafter(u, 0), u, math.Nextafter(u, 2))
+		}
+		for _, alpha := range alphas {
+			if alpha > 1 || q.CutSize(alpha) == 0 {
+				continue
+			}
+			inCut := func(p []float64) bool {
+				for i := 0; i < o.CutSize(alpha); i++ {
+					if c, _ := o.At(i); slices.Equal(c, p) {
+						return true
+					}
+				}
+				return false
+			}
+			e.Reset(q, alpha)
+			exact := AlphaDist(o, q, alpha)
+			valid := []geom.Point{SummaryRep(sum, d)}
+			if g := RepSummaryLen(d); sum[g] >= alpha {
+				for w := g + 1; w < len(sum); w += d {
+					valid = append(valid, sum[w:w+d])
+				}
+			}
+			from, reach := SummaryDescent(sum, d, alpha, e.QueryMBR())
+			for _, p := range append(valid, from) {
+				if !inCut(p) {
+					t.Fatalf("object %d α %v: witness %v is not a point of the cut", oi, alpha, p)
+				}
+				if up := e.NearestWithin(p, math.Inf(1)); up < exact {
+					t.Fatalf("object %d α %v: the descent from %v gives %v below d_α %v", oi, alpha, p, up, exact)
+				}
+			}
+			if up := e.NearestWithin(from, math.Inf(1)); up < reach {
+				t.Fatalf("object %d α %v: the descent from %v gives %v below its reach %v", oi, alpha, from, up, reach)
+			}
+		}
+	}
+}
+
+// TestSummaryDescentFallsBackToTheRep: a summary that ends at the
+// representative point, as a version-2 page file stores it, answers the
+// representative at every α.
+func TestSummaryDescentFallsBackToTheRep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(52, 5))
+	for _, o := range witnessObjects(rng) {
+		d := o.Dims()
+		sum := AppendSummary(nil, o)[:RepSummaryLen(d)]
+		r := geom.RectFromPoint(make(geom.Point, d))
+		for _, alpha := range []float64{o.MinLevel(), 0.5, 1} {
+			from, reach := SummaryDescent(sum, d, alpha, r)
+			if !from.Equal(o.Rep()) || reach != math.Sqrt(geom.MinDistPointSq(o.Rep(), r)) {
+				t.Fatalf("object %d α %v: descent from %v at %v, want the representative %v", o.ID(), alpha, from, reach, o.Rep())
 			}
 		}
 	}

@@ -32,10 +32,15 @@ import (
 // Page-file format constants.
 const (
 	manifestMagic = "FZPGMAN1"
-	// version 2 moved page data from <path> to the generation-numbered
-	// <path>.g<G>, closing the crash window between data rename and
-	// manifest publish that version 1 had.
-	version = 2
+	// Version is the manifest version Commit writes. Version 2 moved page
+	// data from <path> to the generation-numbered <path>.g<G>, closing the
+	// crash window between data rename and manifest publish that version 1
+	// had. Version 3 widened the R-tree leaf record in the payload; the page
+	// frame and the manifest are unchanged, so versions 2 and 3 read alike
+	// here and Manifest.Version tells the payload's reader which it holds.
+	Version = 3
+	// MinVersion is the oldest version Open reads.
+	MinVersion = 2
 
 	// PageHeaderSize is the per-page overhead: crc32 (4) + flags (2) +
 	// entry count (2).
@@ -60,6 +65,7 @@ var ErrCorrupt = errors.New("pager: corrupt page file")
 
 // Manifest describes one committed page-file generation.
 type Manifest struct {
+	Version    uint32 // format version; Commit writes Version when it is 0
 	Generation uint64 // increments on every rewrite of the same path
 	PageSize   uint32
 	PageCount  uint32
@@ -84,7 +90,7 @@ func encodeManifest(m Manifest) []byte {
 	buf := make([]byte, manifestSize)
 	copy(buf, manifestMagic)
 	off := len(manifestMagic)
-	for _, v := range []uint32{version, m.PageSize, m.PageCount, m.RootPage, m.Dims, m.Height, m.MinEntries, m.MaxEntries} {
+	for _, v := range []uint32{m.Version, m.PageSize, m.PageCount, m.RootPage, m.Dims, m.Height, m.MinEntries, m.MaxEntries} {
 		binary.LittleEndian.PutUint32(buf[off:], v)
 		off += 4
 	}
@@ -109,9 +115,7 @@ func decodeManifest(buf []byte) (Manifest, error) {
 	}
 	off := len(manifestMagic)
 	u32 := func() uint32 { v := binary.LittleEndian.Uint32(buf[off:]); off += 4; return v }
-	if v := u32(); v != version {
-		return m, fmt.Errorf("%w: unsupported manifest version %d", ErrCorrupt, v)
-	}
+	m.Version = u32()
 	m.PageSize = u32()
 	m.PageCount = u32()
 	m.RootPage = u32()
@@ -130,6 +134,8 @@ func decodeManifest(buf []byte) (Manifest, error) {
 // validate rejects manifests whose fields cannot describe a real page file.
 func (m Manifest) validate() error {
 	switch {
+	case m.Version < MinVersion || m.Version > Version:
+		return fmt.Errorf("%w: unsupported manifest version %d", ErrCorrupt, m.Version)
 	case m.PageSize < PageHeaderSize || m.PageSize > maxPageSize:
 		return fmt.Errorf("%w: implausible page size %d", ErrCorrupt, m.PageSize)
 	case m.PageCount == 0:
@@ -232,6 +238,9 @@ func (w *Writer) Commit(m Manifest) error {
 	if w.err != nil {
 		w.Abort()
 		return w.err
+	}
+	if m.Version == 0 {
+		m.Version = Version
 	}
 	m.PageSize = w.pageSize
 	m.PageCount = w.pages

@@ -124,12 +124,15 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	}
 	// So are a padded manifest and fields that cannot describe a page
 	// file, under checksums that hold.
-	good := Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 2, Dims: 2, Height: 2, MinEntries: 2, MaxEntries: 6}
+	good := Manifest{Version: Version, PageSize: PageAlign, PageCount: 3, RootPage: 2, Dims: 2, Height: 2, MinEntries: 2, MaxEntries: 6}
 	padded := append(encodeManifest(good)[:manifestSize-4], 0)
+	with := func(edit func(*Manifest)) []byte { m := good; edit(&m); return encodeManifest(m) }
 	for name, buf := range map[string][]byte{
-		"padded":                  binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded)),
-		"root past the last page": encodeManifest(Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 3, Dims: 2, Height: 2, MinEntries: 2, MaxEntries: 6}),
-		"min entries above max":   encodeManifest(Manifest{PageSize: PageAlign, PageCount: 3, RootPage: 2, Dims: 2, Height: 2, MinEntries: 7, MaxEntries: 6}),
+		"padded":                   binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded)),
+		"root past the last page":  with(func(m *Manifest) { m.RootPage = 3 }),
+		"min entries above max":    with(func(m *Manifest) { m.MinEntries = 7 }),
+		"version below the oldest": with(func(m *Manifest) { m.Version = MinVersion - 1 }),
+		"version past the current": with(func(m *Manifest) { m.Version = Version + 1 }),
 	} {
 		if _, err := decodeManifest(buf); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", name, err)

@@ -82,15 +82,15 @@ func (ix *Index) AKNNAppend(dst []Result, q *fuzzy.Object, k int, alpha float64,
 
 // gEntry is one element of the lazy-probe buffer G (§3.3): an unprobed leaf
 // entry with its distance bounds. upper starts as the cheap EstimateMaxDist.
-// For LB-LP-UB, rep is the entry's representative point while the §3.4
-// descent from it may still lower upper (see upper), and reach is the least
-// that descent can return; rep is nil once it has run, or if it cannot
+// For LB-LP-UB, from is the point of the entry's row the §3.4 descent starts
+// from while that descent may still lower upper (see upper), and reach is
+// the least it can return; from is nil once it has run, or if it cannot
 // lower upper at all.
 type gEntry struct {
 	lower, upper, reach float64
 	id                  uint64
 	tree                int32 // as pqItem.tree
-	rep                 geom.Point
+	from                geom.Point
 }
 
 // aknnRun is the state of one AKNN execution against the pinned snapshots
@@ -109,7 +109,7 @@ type aknnRun struct {
 	mq      geom.Rect
 	tightLB bool // leaf keys from the §3.2 estimated cut box, not the support MBR
 	lazy    bool
-	ub      bool // §3.4: upper bounds from the representative point (LB-LP-UB)
+	ub      bool // §3.4: upper bounds from a point of the cut (LB-LP-UB)
 	// probed caches every probed object, keyed by id. For plain AKNN it is
 	// the scratch's own map; RKNN passes its refinement context's cache so
 	// sub-searches share probes.
@@ -224,39 +224,41 @@ func (r *aknnRun) lookupProfile(obj *fuzzy.Object) (*fuzzy.Profile, bool) {
 
 // upper returns buffered entry g's upper bound for an admission test against
 // H's top key hKey: MaxDist of the estimated cut MBR, stored at deferral, for
-// LB-LP-UB lowered once by the distance from the representative point to the
-// nearest point of the query's α-cut (§3.4). The representative is a kernel
-// point, so it lies in every α-cut of its object, and d_α(A, Q) ≤ min over
-// q ∈ Q_α of |rep − q|: Lemma 1 with the whole cut as the sample, read off
-// the evaluator's k-d tree over Q_α.
+// LB-LP-UB lowered once by the distance from g.from to the nearest point of
+// the query's α-cut (§3.4). g.from is a point of A_α — the representative
+// kernel point or a witness whose group lies in the cut
+// (fuzzy.SummaryDescent) — so d_α(A, Q) ≤ min over q ∈ Q_α of |from − q|:
+// Lemma 1 with the whole cut as the sample, read off the evaluator's k-d
+// tree over Q_α.
 //
 // The descent runs only when it can admit. Every point of Q_α lies in
-// M_Q(α), so no point is nearer to rep than that box is, bit for bit (the
+// M_Q(α), so no point is nearer to from than that box is, bit for bit (the
 // gap argument of kdtree.Tree.ClosestSq): the descent returns at least
-// reach, rep's distance to M_Q(α), which buffered keeps below the cheap
+// reach, from's distance to M_Q(α), which buffered keeps below the cheap
 // bound. While reach is at least hKey the test fails either way and the
 // descent waits. An admitted entry has always had it, or had no use for it,
 // so the Upper it reports is the one a descent at deferral would give.
 func (r *aknnRun) upper(g *gEntry, hKey float64) float64 {
-	if g.rep == nil || g.reach >= hKey {
+	if g.from == nil || g.reach >= hKey {
 		return g.upper
 	}
-	g.upper = r.sc.dist.NearestWithin(g.rep, g.upper)
-	g.rep = nil
+	g.upper = r.sc.dist.NearestWithin(g.from, g.upper)
+	g.from = nil
 	return g.upper
 }
 
 // buffered makes popped leaf entry e a buffered entry: its lower bound is its
 // key, its upper bound the cheap EstimateMaxDist, and for LB-LP-UB it keeps
-// its representative point for upper's descent when that descent can return
-// less than the cheap bound.
+// the point of its row nearest M_Q(α) among those in A_α for upper's
+// descent, when that descent can return less than the cheap bound. One
+// point, so an entry still runs at most one descent.
 func (r *aknnRun) buffered(e pqItem) gEntry {
 	box, sum := e.node.EntrySummary(e.ent)
 	g := gEntry{lower: e.key, upper: fuzzy.EstimateMaxDist(box, sum, r.alpha, r.mq), id: e.id, tree: e.tree}
 	if r.ub {
-		rep := fuzzy.SummaryRep(sum)
-		if g.reach = math.Sqrt(geom.MinDistPointSq(rep, r.mq)); g.reach < g.upper {
-			g.rep = rep
+		from, reach := fuzzy.SummaryDescent(sum, len(box)/2, r.alpha, r.mq)
+		if g.reach = reach; reach < g.upper {
+			g.from = from
 		}
 	}
 	return g

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/golden"
+	"fuzzyknn/internal/pager"
 	"fuzzyknn/internal/store"
 )
 
@@ -75,9 +77,10 @@ func incrementalHistory(t *testing.T) *Index {
 // incrementalHistory, so a change to how the tree inserts, splits, deletes
 // or condenses shows as different bytes.
 //
-// The reference was last rewritten when the §3.2 line fit became the
-// closed form: the leaf records' line coefficients changed, the format did
-// not. TestCompatPageFileAnswers keeps the bytes written before that.
+// The reference was last rewritten when the leaf record gained its
+// witness group (manifest version 3). TestCompatPageFileAnswers keeps the
+// bytes written before that, and those written before the §3.2 line fit
+// became the closed form.
 func TestGoldenFormats(t *testing.T) {
 	rng, ms, opts, ix := goldenFixture(t)
 	fresh := t.TempDir()
@@ -112,16 +115,39 @@ func TestGoldenFormats(t *testing.T) {
 	}
 }
 
-// TestCompatPageFileAnswers: testdata/compat is the golden page file as the
-// bisection line fit wrote it, before the closed form replaced it. Its §3.2
-// lines differ from today's but are still conservative, so no format
-// version separates the two: it must reopen under the running code and give
-// AKNN, range and RKNN answers identical to the in-memory tree built now.
-// Only probe counts may differ, since a different line is a different key.
+// TestCompatPageFileAnswers: testdata/compat holds the golden page file as
+// two older versions of the code wrote it. bisection/ is from the
+// bisection line fit, before the closed form replaced it: its §3.2 lines
+// differ from today's but are still conservative, so no format version
+// separates the two. rep-only/ is manifest version 2, whose leaf summaries
+// end at the representative point: it is served at that width, and its
+// §3.4 descents start at the representative. Each must reopen under the
+// running code and give AKNN (LB, and LB-LP-UB once refined), range and
+// RKNN answers identical to the in-memory tree built now. Only probe
+// counts and the lazy answer's bounds may differ, since a different line
+// is a different key and a different row a different upper bound.
 func TestCompatPageFileAnswers(t *testing.T) {
+	for _, name := range []string{"bisection", "rep-only"} {
+		t.Run(name, func(t *testing.T) { compatAnswers(t, filepath.Join("testdata/compat", name)) })
+	}
+}
+
+// readManifest returns the manifest of the page file at path.
+func readManifest(t *testing.T, path string) pager.Manifest {
+	t.Helper()
+	m, err := pager.ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// compatAnswers holds the page file index.fzp under src to the in-memory
+// golden fixture.
+func compatAnswers(t *testing.T, src string) {
 	rng, ms, opts, ix := goldenFixture(t)
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("testdata/compat")); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
 	px, err := OpenPagedIndex(ms, filepath.Join(dir, "index.fzp"), 1<<20, -1, opts)
@@ -129,6 +155,18 @@ func TestCompatPageFileAnswers(t *testing.T) {
 		t.Fatalf("compat page file does not reopen: %v", err)
 	}
 	defer px.Close()
+	// Saved again, the file keeps its version and its bytes: rows are
+	// written as the tree holds them.
+	orig, resaved := filepath.Join(dir, "index.fzp"), filepath.Join(dir, "resaved.fzp")
+	if err := px.SavePaged(resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(golden.Read(t, pager.PageFilePath(resaved, 1)), golden.Read(t, pager.PageFilePath(orig, 1))) {
+		t.Fatal("the compat page file saves to different page bytes")
+	}
+	if m0, m1 := readManifest(t, orig), readManifest(t, resaved); m1.Version != m0.Version {
+		t.Fatalf("the compat page file of version %d saves as version %d", m0.Version, m1.Version)
+	}
 	answered := 0
 	same := func(label string, want, got any, wantErr, gotErr error) {
 		t.Helper()
@@ -146,6 +184,12 @@ func TestCompatPageFileAnswers(t *testing.T) {
 			want, _, wantErr := ix.AKNN(q, 3, alpha, LB)
 			got, _, gotErr := px.AKNN(q, 3, alpha, LB)
 			same("aknn", want, got, wantErr, gotErr)
+			if lazy, _, err := px.AKNN(q, 3, alpha, LBLPUB); err != nil {
+				gotErr = err
+			} else {
+				got, _, gotErr = px.Refine(q, alpha, lazy)
+			}
+			same("aknn lb-lp-ub", want, got, wantErr, gotErr)
 			want, _, wantErr = ix.RangeSearch(q, alpha, 3)
 			got, _, gotErr = px.RangeSearch(q, alpha, 3)
 			same("range", want, got, wantErr, gotErr)

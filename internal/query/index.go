@@ -167,8 +167,8 @@ type Options struct {
 }
 
 // leafEntry is o's leaf entry: its id beside what §3 keeps in memory — the
-// support MBR, kernel MBR, L_opt lines and representative point — which
-// the tree copies into a leaf row (see fuzzy.Summarize).
+// support MBR, kernel MBR, L_opt lines, representative point and witness
+// groups — which the tree copies into a leaf row (see fuzzy.Summarize).
 func leafEntry(o *fuzzy.Object) rtree.BulkItem {
 	support, sum := fuzzy.Summarize(o)
 	return rtree.BulkItem{Rect: support, Data: o.ID(), Summary: sum}

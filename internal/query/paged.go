@@ -19,10 +19,13 @@ import (
 // interior entries hold stub nodes that traversals resolve on visit, so
 // best-first search faults in exactly the pages its priority order reaches.
 //
-// A leaf record is the per-object summary a leaf entry carries (id,
-// support/kernel MBRs, boundary lines, representative point — bitwise
-// identical floats), and interior records are the exact entry MBR plus the
-// child's page id. Because the serialized tree preserves the in-memory tree
+// A leaf record is the id and the row a leaf entry carries (support MBR and
+// flat summary: kernel MBR, boundary lines, representative point, witness
+// groups — bitwise identical floats), and interior records are the exact
+// entry MBR plus the child's page id. A manifest of version 2 marks a file
+// whose leaf summaries end at the representative point; it is served as
+// written, and a §3.4 descent from one of its rows starts at the
+// representative. Because the serialized tree preserves the in-memory tree
 // shape node for node, a paged index returns byte-identical answers and
 // identical NodeAccesses counts; only the new PageReads/PageCacheHits stats
 // differ from zero.
@@ -31,27 +34,29 @@ import (
 // store (different dimensionality or object count).
 var ErrPagedMismatch = errors.New("query: page file does not match store")
 
-// leafRecordSize is the fixed per-object record size of leaf pages at
-// dimensionality d.
-func leafRecordSize(d int) int {
-	return 8 + // id
-		2*2*d*8 + // support + kernel rects (lo, hi per dim)
-		2*2*d*8 + // hi + lo lines (m, t per dim)
-		d*8 // rep point
+// summaryLen returns the floats of a leaf summary at dimensionality d in a
+// page file of manifest version v: a file older than pager.Version has rows
+// that end at the representative point (fuzzy.RepSummaryLen), the current
+// version's carry fuzzy.SummaryLen floats.
+func summaryLen(d int, v uint32) int {
+	if v < pager.Version {
+		return fuzzy.RepSummaryLen(d)
+	}
+	return fuzzy.SummaryLen(d)
 }
+
+// leafRecordSize is the fixed per-object record size of leaf pages whose
+// summaries are sumLen floats at dimensionality d: the id, then the row.
+func leafRecordSize(d, sumLen int) int { return 8 + (2*d+sumLen)*8 }
 
 // interiorRecordSize is the fixed per-entry record size of interior pages:
 // the entry MBR plus the child page id.
 func interiorRecordSize(d int) int { return 2*d*8 + 4 }
 
 // pagePayloadSize returns the payload capacity one node needs at the given
-// dimensionality and fan-out.
-func pagePayloadSize(d, maxEntries int) int {
-	rec := leafRecordSize(d)
-	if ir := interiorRecordSize(d); ir > rec {
-		rec = ir
-	}
-	return rec * maxEntries
+// dimensionality, leaf summary length and fan-out.
+func pagePayloadSize(d, sumLen, maxEntries int) int {
+	return max(leafRecordSize(d, sumLen), interiorRecordSize(d)) * maxEntries
 }
 
 // SavePaged serializes the current snapshot's R-tree to a page file at path
@@ -84,6 +89,17 @@ func (ix *Index) SavePaged(path string) error {
 		return id
 	}
 	visit(tree.Root().Resolve())
+	// The rows are written as the tree holds them: a tree opened from a
+	// version-2 file saves as one.
+	version, sumLen := uint32(pager.Version), fuzzy.SummaryLen(d)
+	for _, sn := range nodes {
+		if sn.n.Leaf() && sn.n.Len() > 0 {
+			if _, sum := sn.n.EntrySummary(0); len(sum) == fuzzy.RepSummaryLen(d) {
+				version, sumLen = pager.MinVersion, len(sum)
+			}
+			break
+		}
+	}
 
 	min, max := ix.opts.MinEntries, tree.MaxEntries()
 	if min == 0 {
@@ -92,11 +108,11 @@ func (ix *Index) SavePaged(path string) error {
 	if min > max {
 		min = max
 	}
-	w, err := pager.NewWriter(path, uint32(pager.PageHeaderSize+pagePayloadSize(d, max)))
+	w, err := pager.NewWriter(path, uint32(pager.PageHeaderSize+pagePayloadSize(d, sumLen, max)))
 	if err != nil {
 		return err
 	}
-	payload := make([]byte, 0, pagePayloadSize(d, max))
+	payload := make([]byte, 0, pagePayloadSize(d, sumLen, max))
 	// A record is the entry's row — its rectangle and, in a leaf, its flat
 	// summary — after a leaf's id or before an interior entry's child page.
 	appendFloats := func(vs []float64) {
@@ -127,6 +143,7 @@ func (ix *Index) SavePaged(path string) error {
 		}
 	}
 	return w.Commit(pager.Manifest{
+		Version:    version,
 		RootPage:   0,
 		Dims:       uint32(d),
 		Height:     uint32(tree.Height()),
@@ -140,11 +157,11 @@ func (ix *Index) SavePaged(path string) error {
 // must point strictly forward (pre-order ids), which makes cycles — and
 // therefore unbounded traversals over a corrupt file — structurally
 // impossible.
-func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flags uint16, count uint16, payload []byte) (*rtree.Node, error) {
+func decodePage(src rtree.NodeSource, d, sumLen int, pageCount uint32, page uint32, flags uint16, count uint16, payload []byte) (*rtree.Node, error) {
 	leaf := flags&pager.LeafPage != 0
 	rec := interiorRecordSize(d)
 	if leaf {
-		rec = leafRecordSize(d)
+		rec = leafRecordSize(d, sumLen)
 	}
 	if int(count)*rec > len(payload) {
 		return nil, fmt.Errorf("%w: page %d holds %d records of %d bytes beyond its payload", pager.ErrCorrupt, page, count, rec)
@@ -154,7 +171,7 @@ func decodePage(src rtree.NodeSource, d int, pageCount uint32, page uint32, flag
 	// the slab the frame adopts: decoding allocates per page, not per entry.
 	stride := 2 * d
 	if leaf {
-		stride += fuzzy.SummaryLen(d)
+		stride += sumLen
 	}
 	packed := make([]float64, int(count)*stride)
 	pos := 0
@@ -225,10 +242,10 @@ func OpenPagedIndex(st store.Reader, path string, cacheBytes int64, expectObject
 	}
 	opts.MinEntries, opts.MaxEntries = int(m.MinEntries), int(m.MaxEntries)
 
-	d := int(m.Dims)
+	d, sumLen := int(m.Dims), summaryLen(int(m.Dims), m.Version)
 	var cache *pager.Cache
 	decode := func(page uint32, flags uint16, count uint16, payload []byte) (*rtree.Node, error) {
-		return decodePage(cache, d, m.PageCount, page, flags, count, payload)
+		return decodePage(cache, d, sumLen, m.PageCount, page, flags, count, payload)
 	}
 	cache = pager.NewCache(f, cacheBytes, decode)
 	cache.Pin(m.RootPage) // the root stays resident for the index lifetime

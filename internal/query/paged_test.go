@@ -343,7 +343,7 @@ func TestPagedCorruptionFailsLoudly(t *testing.T) {
 	// corrupt page cannot make a cycle.
 	payload := binary.LittleEndian.AppendUint32(make([]byte, interiorRecordSize(2)-4), 3) // one 2-D row, child page 3
 	for _, page := range []uint32{3, 4} {
-		if _, err := decodePage(nil, 2, 10, page, 0, 1, payload); !errors.Is(err, pager.ErrCorrupt) {
+		if _, err := decodePage(nil, 2, fuzzy.SummaryLen(2), 10, page, 0, 1, payload); !errors.Is(err, pager.ErrCorrupt) {
 			t.Errorf("page %d with child page 3: %v, want ErrCorrupt", page, err)
 		}
 	}
@@ -537,7 +537,7 @@ func TestDecodePageAllocs(t *testing.T) {
 	}
 	m, page, flags, count, payload := leafPageOf(t, ix)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := decodePage(nil, int(m.Dims), m.PageCount, page, flags, count, payload); err != nil {
+		if _, err := decodePage(nil, int(m.Dims), summaryLen(int(m.Dims), m.Version), m.PageCount, page, flags, count, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -562,7 +562,7 @@ func BenchmarkDecodePage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodePage(nil, int(m.Dims), m.PageCount, page, flags, count, payload); err != nil {
+		if _, err := decodePage(nil, int(m.Dims), summaryLen(int(m.Dims), m.Version), m.PageCount, page, flags, count, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -171,7 +171,7 @@ func (sc *scratch) collectLeaves(n *rtree.Node, alpha float64, mq geom.Rect) {
 		}
 		box, sum := n.EntrySummary(i)
 		sc.revEntries = append(sc.revEntries, revEntry{id: n.ID(i), lb: fuzzy.EstimateMinDist(box, sum, alpha, mq)})
-		sc.repCoords = append(sc.repCoords, fuzzy.SummaryRep(sum)...)
+		sc.repCoords = append(sc.repCoords, fuzzy.SummaryRep(sum, len(box)/2)...)
 	}
 }
 
