@@ -18,7 +18,9 @@ type levelTable struct {
 	dims   int
 	levels []float64   // distinct membership values U_A, ascending (last is 1)
 	boxes  []float64   // level i: lo corner at [2*i*dims:], hi corner dims later
-	pts    []hull.Pt   // the line fit's samples of one dimension, both faces
+	pts    []hull.Pt   // the line fit's samples: one dimension's, both faces, or R's
+	fitPts []hull.Pt   // the radial fit's subsample of R's samples
+	centre []float64   // the support box's centre, R's origin
 	fitter hull.Fitter // the line fit's hull
 }
 
@@ -89,14 +91,94 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 	// α = 0 anchors the boundary function at the support (the cut is
 	// constant below the smallest level, so δ(0) = δ(minLevel)); it comes
 	// first, so the samples ascend in α as the fit requires.
-	hiPts[0] = hull.Pt{X: 0, Y: t.boxes[d+dim] - kHi}
-	loPts[0] = hull.Pt{X: 0, Y: kLo - t.boxes[dim]}
+	hiPts[0] = hull.Pt{X: 0, Y: reach(kHi, t.boxes[d+dim])}
+	loPts[0] = hull.Pt{X: 0, Y: reach(-kLo, -t.boxes[dim])}
 	for i, u := range t.levels {
 		box := t.boxes[2*i*d : 2*(i+1)*d]
-		hiPts[i+1] = hull.Pt{X: u, Y: box[d+dim] - kHi}
-		loPts[i+1] = hull.Pt{X: u, Y: kLo - box[dim]}
+		hiPts[i+1] = hull.Pt{X: u, Y: reach(kHi, box[d+dim])}
+		loPts[i+1] = hull.Pt{X: u, Y: reach(-kLo, -box[dim])}
 	}
 	return t.fitter.Fit(hiPts), t.fitter.Fit(loPts)
+}
+
+// reach returns δ = f − k, raised an ulp at a time while k + δ rounds below
+// f: a face estimated as kernel face + δ̂ with δ̂ ≥ δ then reaches the cut's
+// face in floating point, not only in the reals. The lower face is the
+// upper one of the negated coordinates.
+func reach(k, f float64) float64 {
+	if delta := f - k; k+delta >= f {
+		return delta
+	}
+	return reachUp(k, f)
+}
+
+// reachUp is reach's rare path, out of line so reach inlines.
+func reachUp(k, f float64) float64 {
+	delta := f - k
+	for k+delta < f {
+		delta = math.Nextafter(delta, math.Inf(1))
+	}
+	return delta
+}
+
+// radialSamples is how many of R's level samples, besides the α = 0
+// anchor, the radial line is fitted to at most.
+const radialSamples = 16
+
+// radial returns the radial line: a conservative line over R(α), the
+// largest distance from the support box's centre to a point of A_α. R is
+// sampled in one walk of o's points in descending membership, at every
+// level, where the walk's running maximum closes, and at the α = 0 anchor,
+// where it is the whole support's. The walk keeps the maximum squared,
+// summed as geom.DistSq sums it, and takes a root only when it grew: the
+// root is monotone, so that is the largest of the points' rounded
+// distances. The line is L_opt of the anchor, every ⌈levels/16⌉-th level
+// and the top one, lifted over every sample: a summary already fits 2·d
+// face lines over every level, and one more full fit made it about a
+// quarter dearer. An object of at most 16 levels gets L_opt of all of them.
+func (t *levelTable) radial(o *Object) hull.Line {
+	d, n := t.dims, len(t.levels)
+	c := supportCentre(resize(t.centre, d), t.boxes[:d], t.boxes[d:2*d])
+	t.centre = c
+	pts := resize(t.pts, n+1)
+	t.pts = pts
+	var r, rSq float64
+	k, grew := n, true
+	for i, mu := range o.mus {
+		var s float64
+		for j, x := range o.coords[i*d : (i+1)*d] {
+			g := x - c[j]
+			s += float64(g * g)
+		}
+		if s > rSq {
+			rSq, grew = s, true
+		}
+		if i+1 == len(o.mus) || o.mus[i+1] != mu {
+			if grew {
+				r, grew = math.Sqrt(rSq), false
+			}
+			pts[k] = hull.Pt{X: mu, Y: r}
+			k--
+		}
+	}
+	pts[0] = hull.Pt{X: 0, Y: r}
+	step := (n + radialSamples - 1) / radialSamples
+	sub := append(t.fitPts[:0], pts[0])
+	for i := step; i < n; i += step {
+		sub = append(sub, pts[i])
+	}
+	t.fitPts = append(sub, pts[n])
+	return hull.Lift(t.fitter.Fit(t.fitPts), pts)
+}
+
+// supportCentre writes the centre of the box with corners lo and hi into
+// dst and returns it. Halving each corner first keeps the sum finite for
+// any finite box.
+func supportCentre(dst, lo, hi []float64) []float64 {
+	for k := range dst {
+		dst[k] = float64(lo[k]*0.5) + float64(hi[k]*0.5)
+	}
+	return dst
 }
 
 // The flat summary.
@@ -108,7 +190,7 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 // SummaryLen(d) floats in the order a page file's leaf record stores them
 // after the support:
 //
-//	kernel lo (d) | kernel hi (d) | upper lines (m, t per dim) | lower lines (m, t per dim) | representative point (d) | witness group
+//	kernel lo (d) | kernel hi (d) | upper lines (m, t per dim) | lower lines (m, t per dim) | representative point (d) | witness group | radial line (m, t)
 //
 // The witness group describes the first max(1, n/4) of the object's points
 // in descending membership:
@@ -120,6 +202,16 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 // sample of Lemma 1 (§3.4): d_α(A, Q) ≤ |a − q| for a in A_α, q in Q_α. The
 // representative kernel point lies in every cut but at the object's core;
 // the witnesses sit on the sides of a cut, where a query lies.
+//
+// The radial line R̂(α) = m·α + t is a conservative line over R(α), the
+// largest distance from the support box's centre c to a point of A_α,
+// fitted like the face lines to a subsample of the levels and lifted to
+// lie on or above every sample exactly (levelTable.radial). R is a step
+// function, constant between levels, and the rounded line is monotone in
+// α, so R̂(α) is at least the rounded |a − c| of every a in A_α for every α
+// in (0, 1], not only at the levels: A_α lies in the disk of radius R̂(α)
+// about c, which the row does not store because the support box fixes it.
+// The cut key reads the disk beside M_A(α)* (DistEval.CutKey).
 
 // RepSummaryLen returns the number of floats of a summary that ends at the
 // representative point, with no witness group: the row a page file of
@@ -127,13 +219,18 @@ func (t *levelTable) fit(dim int) (hi, lo hull.Line) {
 // SummaryDescent finds no witness in it.
 func RepSummaryLen(d int) int { return 7 * d }
 
+// WitnessSummaryLen returns the number of floats of a summary that ends at
+// the witness group, with no radial line: the row a page file of manifest
+// version 3 stores. The cut key reads such a row by its box alone.
+func WitnessSummaryLen(d int) int { return RepSummaryLen(d) + 1 + 2*d*d }
+
 // SummaryLen returns the number of floats of one flat summary at
 // dimensionality d.
-func SummaryLen(d int) int { return RepSummaryLen(d) + 1 + 2*d*d }
+func SummaryLen(d int) int { return WitnessSummaryLen(d) + 2 }
 
 // AppendSummary appends o's flat summary to dst: the kernel MBR, the §3.2
-// line fit per dimension and side, the representative point and the
-// witness group.
+// line fit per dimension and side, the representative point, the witness
+// group and the radial line.
 func AppendSummary(dst []float64, o *Object) []float64 {
 	t := getLevelTable(o)
 	defer levelTables.Put(t)
@@ -165,7 +262,9 @@ func (t *levelTable) appendSummary(dst []float64, o *Object) []float64 {
 		dst[lines+2*(o.dims+dim)], dst[lines+2*(o.dims+dim)+1] = lo.M, lo.T
 	}
 	dst = append(dst, o.point(o.repIndex())...)
-	return o.appendWitnesses(dst, max(1, len(o.mus)/4))
+	dst = o.appendWitnesses(dst, max(1, len(o.mus)/4))
+	r := t.radial(o)
+	return append(dst, r.M, r.T)
 }
 
 // appendWitnesses appends the witness group of o's first m points: the
@@ -193,6 +292,16 @@ func (o *Object) appendWitnesses(dst []float64, m int) []float64 {
 // dimensionality d.
 func SummaryRep(sum []float64, d int) geom.Point { return sum[6*d : 7*d : 7*d] }
 
+// SummaryRadius returns R̂(α) of a flat summary at dimensionality d: every
+// point of A_α lies within it of the support box's centre. ok is false for
+// a summary with no radial line (a page file of manifest version 2 or 3).
+func SummaryRadius(sum []float64, d int, alpha float64) (r float64, ok bool) {
+	if w := WitnessSummaryLen(d); len(sum) >= w+2 {
+		return hull.Line{M: sum[w], T: sum[w+1]}.Eval(alpha), true
+	}
+	return 0, false
+}
+
 // SummaryDescent returns the point a §3.4 descent toward M_Q(α) = r starts
 // from, and its distance to r: of the representative point and, when the
 // witness group's level is at least α, every witness, the one nearest r (the
@@ -204,7 +313,7 @@ func SummaryDescent(sum []float64, d int, alpha float64, r geom.Rect) (p geom.Po
 	p = SummaryRep(sum, d)
 	best := geom.MinDistPointSq(p, r)
 	if g := RepSummaryLen(d); len(sum) > g && sum[g] >= alpha {
-		for w := g + 1; w < len(sum); w += d {
+		for w := g + 1; w < WitnessSummaryLen(d); w += d {
 			if gap := geom.MinDistPointSq(sum[w:w+d:w+d], r); gap < best {
 				p, best = sum[w:w+d:w+d], gap
 			}

@@ -187,6 +187,8 @@ func TestFlatSummaryMatchesBoundaryApprox(t *testing.T) {
 		}
 		want = append(want, o.Rep()...)
 		want = appendWitnessGroup(want, o, max(1, o.Len()/4))
+		r := radialLine(o)
+		want = append(want, r.M, r.T)
 		if len(sum) != SummaryLen(dims) || !slices.Equal(sum, want) {
 			t.Fatalf("iter %d: flat summary %v, want %v", iter, sum, want)
 		}
@@ -246,6 +248,38 @@ func appendWitnessGroup(dst []float64, o *Object, m int) []float64 {
 		dst = append(append(dst, pl...), ph...)
 	}
 	return dst
+}
+
+// radialLine is the reference of the radial line: R(α), the largest
+// distance from the support box's centre to a point of A_α, sampled at
+// α = 0 and at every level; L_opt of the anchor, every ⌈levels/16⌉-th level
+// and the top one, lifted over every sample.
+func radialLine(o *Object) hull.Line {
+	support := o.SupportMBR()
+	c := make(geom.Point, o.Dims())
+	for k := range c {
+		c[k] = float64(support.Lo[k]*0.5) + float64(support.Hi[k]*0.5)
+	}
+	r := func(alpha float64) float64 {
+		var m float64
+		for i := 0; i < o.CutSize(alpha); i++ {
+			p, _ := o.At(i)
+			m = max(m, math.Sqrt(geom.DistSq(p, c)))
+		}
+		return m
+	}
+	pts := []hull.Pt{{X: 0, Y: r(0)}}
+	for _, u := range o.Levels() {
+		pts = append(pts, hull.Pt{X: u, Y: r(u)})
+	}
+	n := len(pts) - 1
+	step := (n + 15) / 16
+	sub := []hull.Pt{pts[0]}
+	for i := step; i < n; i += step {
+		sub = append(sub, pts[i])
+	}
+	sub = append(sub, pts[n])
+	return hull.Lift(hull.OptimalConservativeLine(sub), pts)
 }
 
 // witnessObjects are the objects the witness property runs over: random
@@ -319,7 +353,7 @@ func TestWitnessesLieInTheCut(t *testing.T) {
 			exact := AlphaDist(o, q, alpha)
 			valid := []geom.Point{SummaryRep(sum, d)}
 			if g := RepSummaryLen(d); sum[g] >= alpha {
-				for w := g + 1; w < len(sum); w += d {
+				for w := g + 1; w < WitnessSummaryLen(d); w += d {
 					valid = append(valid, sum[w:w+d])
 				}
 			}

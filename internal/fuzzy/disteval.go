@@ -35,7 +35,7 @@ type DistEval struct {
 	tree  kdtree.Tree
 	qmbr  geom.Rect // M_Q(α), the box of the tree's points, backed by qbox
 	qbox  []float64 // qmbr's corners: lo, then hi
-	abox  []float64 // CutKey's M_A(α)*: lo, then hi
+	abox  []float64 // CutKey's M_A(α)*, lo then hi, and the disk's centre
 	gaps  []float64 // ClosestSq's per-point scratch
 	memo  map[uint64]float64
 
@@ -98,26 +98,46 @@ func (e *DistEval) NearestWithin(p geom.Point, bound float64) float64 {
 
 // CutKey returns the §3.2 lower bound of d_α(A, Q) read against the whole
 // α-cut of Q rather than its box: max(coarse, √g), where g is the smallest
-// squared gap from a point of Q_α to M_A(α)*, the estimated cut box of A
-// from its support box and flat summary (box and sum, as EstimateMinDist
-// takes them). coarse is that bound already known, EstimateMinDist against
-// QueryMBR, and the k-d tree query stops as soon as g cannot exceed it. A
-// caller that only compares the key with some r ≥ coarse may pass r itself
-// (the range search does): the query then stops at the first point within
-// r, and the result exceeds r exactly when the key would, wherever √(r²)
-// rounds back to r. A_α lies in M_A(α)*, so every pair distance Dist takes
-// is at least some query point's gap, bit for bit (kdtree.Tree.BoxGapSq):
-// the key never exceeds Dist.
+// over the points q of Q_α of the larger of two squared gaps. One is q's
+// gap to M_A(α)*, the estimated cut box of A from its support box and flat
+// summary (box and sum, as EstimateMinDist takes them). The other is q's
+// gap to the disk about the support box's centre c of radius R̂(α)
+// (SummaryRadius): (√|q − c|² · s − (R̂(α) + 2⁻⁵⁰⁰))₊ with s = 1 − (d +
+// 16)·2⁻⁵², where d is the dimensionality; a row with no radial line (a
+// page file of manifest version 2 or 3) keys by the box alone. Both are
+// read in one k-d tree walk (kdtree.Tree.CutGapSq). coarse is the bound
+// already known, EstimateMinDist against QueryMBR, and the walk stops as
+// soon as g cannot exceed it. A caller that only compares the key with
+// some r ≥ coarse may pass r itself (the range search does): the walk then
+// stops at the first point within r, and the result exceeds r exactly when
+// the key would, wherever √(r²) rounds back to r.
+//
+// The key never exceeds Dist, bit for bit. A_α lies in M_A(α)*, so every
+// pair distance Dist takes is at least some query point's box gap, exactly
+// (kdtree.Tree.BoxGapSq). For the disk, |q − a| ≥ |q − c| − |a − c| for a
+// in A_α, and R̂(α) is at least |a − c| as rounded by the fit (the lift
+// makes the line dominate every sample exactly, and the rounded line is
+// monotone between levels). What is left is rounding: |q − c| and |q − a|
+// are each within (d/2 + 2)·2⁻⁵³ of their exact values relatively, the
+// scaling, the subtraction, the square and Dist's root add four roundings,
+// and s takes away twice all of that. Squares that fall to subnormals lose
+// their relative accuracy, but at most √d·2⁻⁵³⁷ absolutely, which the 2⁻⁵⁰⁰
+// covers; a |q − c|² that overflows is read as math.MaxFloat64, and a line
+// that is not finite gives no gap.
 func (e *DistEval) CutKey(box, sum []float64, coarse float64) float64 {
 	d := len(box) / 2
-	if cap(e.abox) < 2*d {
-		e.abox = make([]float64, 2*d)
+	if cap(e.abox) < 3*d {
+		e.abox = make([]float64, 3*d)
 	}
 	lo, hi := e.abox[:d], e.abox[d:2*d]
 	for dim := 0; dim < d; dim++ {
 		lo[dim], hi[dim] = estimateFace(box, sum, d, dim, e.alpha)
 	}
-	return max(coarse, math.Sqrt(e.tree.BoxGapSq(lo, hi, coarse*coarse)))
+	var disk kdtree.Disk
+	if r, ok := SummaryRadius(sum, d, e.alpha); ok {
+		disk = kdtree.Disk{C: supportCentre(e.abox[2*d:3*d], box[:d], box[d:]), Scale: 1 - float64(d+16)*0x1p-52, R: r + 0x1p-500}
+	}
+	return max(coarse, math.Sqrt(e.tree.CutGapSq(lo, hi, disk, coarse*coarse)))
 }
 
 // Descents returns how many k-d tree descents the evaluator has run since it

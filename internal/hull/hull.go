@@ -149,6 +149,11 @@ func bestCandidate(h, pts []Pt) Line {
 // slope returns the slope of the line through a and b.
 func slope(a, b Pt) float64 { return (b.Y - a.Y) / (b.X - a.X) }
 
+// Lift returns l with its intercept raised, if need be, until the line lies
+// on or above every point of pts exactly: a line fitted to some samples of
+// a function, lifted over all of them.
+func Lift(l Line, pts []Pt) Line { return lift(l, pts) }
+
 // lift raises the line's intercept until it dominates every point exactly:
 // first by the largest violation, then an ulp at a time for what the
 // rounding of that addition left.

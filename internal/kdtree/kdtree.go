@@ -251,61 +251,122 @@ func (t *Tree) search(q geom.Point, lo, hi, axis int, bestIdx *int, bestSq *floa
 	}
 }
 
+// Disk is a ball a cut gap can be read against beside a box: centre C,
+// radius R, and a point p's gap to it (√|p − C|² · Scale − R)₊, where
+// |p − C|² is summed as distSq sums it and capped at math.MaxFloat64 (an
+// overflowed square reads as that cap rather than +Inf). Scale < 1 is the
+// caller's margin for the rounding of the root and of the caller's own
+// radius; the walk treats the gap as given. The zero value, with C nil, is
+// no disk.
+type Disk struct {
+	C        []float64
+	Scale, R float64
+}
+
+// gapSq returns the squared gap of a point whose squared distance to d.C is
+// rhoSq, 0 when the point lies within the disk. It never decreases as rhoSq
+// grows: every step is a monotone rounding.
+func (d *Disk) gapSq(rhoSq float64) float64 {
+	if g := float64(math.Sqrt(min(rhoSq, math.MaxFloat64))*d.Scale) - d.R; g > 0 {
+		return g * g
+	}
+	return 0
+}
+
 // BoxGapSq returns max(floorSq, g), where g is the smallest squared gap
 // gapSq(p, box) from any of the tree's points p to the box with corners lo
-// and hi (+Inf on an empty tree). The search stops once some point's gap is
-// at most floorSq, which then decides the result; a floorSq of 0 asks for g
-// itself.
-//
-// A subtree is skipped when its splitting plane lies outside the box on the
-// split axis and the squared distance from the plane to the box's face is at
-// least the smallest gap so far. That skip is exact in floating point for
-// the reason ClosestSq's gate is: every point beyond the plane is at least
-// as far from the face on that axis, rounding is monotone, and a gap is a
-// sum of non-negative squares. So the result is the brute-force minimum of
-// the same gapSq values, bit for bit.
+// and hi (+Inf on an empty tree). It is CutGapSq with no disk.
 func (t *Tree) BoxGapSq(lo, hi []float64, floorSq float64) float64 {
+	return t.CutGapSq(lo, hi, Disk{}, floorSq)
+}
+
+// CutGapSq returns max(floorSq, g), where g is the smallest over the tree's
+// points p of max(gapSq(p, box), disk's squared gap of p): the box has
+// corners lo and hi, and a disk with C nil adds nothing (+Inf on an empty
+// tree). The search stops once some point's value is at most floorSq,
+// which then decides the result; a floorSq of 0 asks for g itself.
+//
+// A subtree is skipped when the larger of two bounds at its splitting plane
+// is at least the smallest value so far: the plane's squared distance to
+// the box's face when the plane lies outside the box on the split axis,
+// and the disk's squared gap at the plane's distance from C on that axis
+// when the subtree lies on the far side of the plane from C. Both skips are
+// exact in floating point: every point beyond the plane is at least as far
+// on that axis, rounding is monotone, a sum of non-negative squares is at
+// least each of its terms, and the disk's gap never decreases with the
+// distance it is read from. So the result is the brute-force minimum of the
+// same per-point values, bit for bit.
+func (t *Tree) CutGapSq(lo, hi []float64, disk Disk, floorSq float64) float64 {
 	if len(t.idx) == 0 {
 		return math.Inf(1)
 	}
-	if len(lo) != t.dims || len(hi) != t.dims {
-		panic(fmt.Sprintf("kdtree: box of %d/%d dims vs %d", len(lo), len(hi), t.dims))
+	if len(lo) != t.dims || len(hi) != t.dims || disk.C != nil && len(disk.C) != t.dims {
+		panic(fmt.Sprintf("kdtree: box of %d/%d dims, disk of %d, vs %d", len(lo), len(hi), len(disk.C), t.dims))
 	}
-	best := math.Inf(1)
-	t.boxGap(lo, hi, 0, len(t.idx), 0, floorSq, &best)
-	return max(best, floorSq)
+	w := cutWalk{lo: lo, hi: hi, disk: disk, floorSq: floorSq, best: math.Inf(1)}
+	t.cutGap(&w, 0, len(t.idx), 0)
+	return max(w.best, floorSq)
 }
 
-func (t *Tree) boxGap(lo, hi []float64, l, h, axis int, floorSq float64, best *float64) {
-	if h <= l || *best <= floorSq {
+// cutWalk is CutGapSq's state: the box, the disk, the floor and the
+// smallest value so far.
+type cutWalk struct {
+	lo, hi        []float64
+	disk          Disk
+	floorSq, best float64
+}
+
+func (t *Tree) cutGap(w *cutWalk, l, h, axis int) {
+	if h <= l || w.best <= w.floorSq {
 		return
 	}
 	mid := (l + h) / 2
-	p := t.coords[mid*len(lo):][:len(lo)]
-	if g := gapSq(p, lo, hi); g < *best {
-		*best = g
+	p := t.coords[mid*len(w.lo):][:len(w.lo)]
+	if g := gapSq(p, w.lo, w.hi); g < w.best {
+		if w.disk.C != nil {
+			g = max(g, w.disk.gapSq(distSq(p, w.disk.C)))
+		}
+		w.best = min(w.best, g)
 	}
 	s := p[axis]
 	next := axis + 1
-	if next == len(lo) {
+	if next == len(w.lo) {
 		next = 0
 	}
 	// Points left of mid lie at or below s on axis, points right of it at
-	// or above.
+	// or above; left and right bound every value on their side.
+	var left, right float64
 	switch {
-	case s < lo[axis]:
-		t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
-		if g := lo[axis] - s; g*g < *best {
-			t.boxGap(lo, hi, l, mid, next, floorSq, best)
+	case s < w.lo[axis]:
+		g := w.lo[axis] - s
+		left = g * g
+	case s > w.hi[axis]:
+		g := s - w.hi[axis]
+		right = g * g
+	}
+	if c := w.disk.C; c != nil {
+		g := s - c[axis]
+		switch {
+		case s < c[axis] && left < w.best:
+			left = max(left, w.disk.gapSq(g*g))
+		case s > c[axis] && right < w.best:
+			right = max(right, w.disk.gapSq(g*g))
 		}
-	case s > hi[axis]:
-		t.boxGap(lo, hi, l, mid, next, floorSq, best)
-		if g := s - hi[axis]; g*g < *best {
-			t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
+	}
+	if right < left {
+		if right < w.best {
+			t.cutGap(w, mid+1, h, next)
 		}
-	default:
-		t.boxGap(lo, hi, l, mid, next, floorSq, best)
-		t.boxGap(lo, hi, mid+1, h, next, floorSq, best)
+		if left < w.best {
+			t.cutGap(w, l, mid, next)
+		}
+		return
+	}
+	if left < w.best {
+		t.cutGap(w, l, mid, next)
+	}
+	if right < w.best {
+		t.cutGap(w, mid+1, h, next)
 	}
 }
 

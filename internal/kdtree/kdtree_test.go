@@ -230,11 +230,15 @@ func BenchmarkClosestPair1000x1000(b *testing.B) {
 	}
 }
 
-// TestBoxGapSqMatchesBruteForce holds the box query to its definition, bit
-// for bit: max(floorSq, the smallest geom.MinDistPointSq from a point to the
-// box) — on empty trees, in one to three dimensions, for boxes that contain
-// points, touch them, sit on a splitting plane or shrink to a point, and on
-// grid points whose coordinates tie on every axis.
+// TestBoxGapSqMatchesBruteForce holds the box query, and the box-and-disk
+// query, to their definitions bit for bit: max(floorSq, the smallest over
+// the points of geom.MinDistPointSq to the box, raised to the point's
+// squared disk gap when there is a disk) — on empty trees, in one to three
+// dimensions, for boxes that contain points, touch them, sit on a splitting
+// plane or shrink to a point, on grid points whose coordinates tie on every
+// axis, and for disks centred anywhere, on a point or on the grid, with
+// radii from zero past the points' spread, a margin scale below one, and
+// coordinates whose squares overflow.
 func TestBoxGapSqMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23001, 23002))
 	bits := math.Float64bits
@@ -271,6 +275,41 @@ func TestBoxGapSqMatchesBruteForce(t *testing.T) {
 				if got, want := tree.BoxGapSq(box.Lo, box.Hi, floor), max(brute, floor); bits(got) != bits(want) {
 					t.Fatalf("dims %d iter %d (%d points), box %v, floor %v: got %v, brute force %v",
 						dims, iter, len(pts), box, floor, got, want)
+				}
+			}
+			for trial := 0; trial < 4; trial++ {
+				disk := Disk{C: make([]float64, dims), Scale: 1 - float64(trial%2)*0x1p-40, R: rng.Float64() * 40}
+				for j := range disk.C {
+					disk.C[j] = rng.Float64()*120 - 60
+				}
+				switch {
+				case trial == 1 && len(pts) > 0: // centred on a point
+					copy(disk.C, pts[rng.IntN(len(pts))])
+				case trial == 2: // on the grid, radius zero
+					for j := range disk.C {
+						disk.C[j] = math.Round(disk.C[j] / 10)
+					}
+					disk.R = 0
+				case trial == 3 && iter%7 == 0: // squares overflow
+					for j := range disk.C {
+						disk.C[j] = 1e300
+					}
+					disk.R = 1e153
+				}
+				brute := math.Inf(1)
+				for _, p := range pts {
+					g := geom.MinDistPointSq(p, box)
+					rho := math.Sqrt(min(geom.DistSq(p, disk.C), math.MaxFloat64))
+					if dg := float64(rho*disk.Scale) - disk.R; dg > 0 {
+						g = max(g, dg*dg)
+					}
+					brute = min(brute, g)
+				}
+				for _, floor := range []float64{0, brute / 2, brute, 2 * brute} {
+					if got, want := tree.CutGapSq(box.Lo, box.Hi, disk, floor), max(brute, floor); bits(got) != bits(want) {
+						t.Fatalf("dims %d iter %d (%d points), box %v, disk %+v, floor %v: got %v, brute force %v",
+							dims, iter, len(pts), box, disk, floor, got, want)
+					}
 				}
 			}
 		}

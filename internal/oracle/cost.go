@@ -40,29 +40,54 @@ func (p *Population) row(o *fuzzy.Object) row {
 // key is the key a best-first search gives o's leaf entry against q at α,
 // from o's leaf row alone. With cut false it is Basic's, the support box's
 // MinDist to M_Q(α). With cut true it is the key of LB, LB-LP, LB-LP-UB and
-// the range search: the §3.2 bound EstimateMinDist, raised to the estimated
-// cut box's gap to the nearest point of Q_α (DistEval.CutKey). mq is
-// M_Q(α), and eval is pinned to (q, α) when cut is true.
-func (p *Population) key(o *fuzzy.Object, mq geom.Rect, alpha float64, cut bool, eval *fuzzy.DistEval) float64 {
+// the range search: the §3.2 bound EstimateMinDist, raised to CutKey's. mq
+// is M_Q(α).
+func (p *Population) key(o, q *fuzzy.Object, mq geom.Rect, alpha float64, cut bool) float64 {
 	r := p.row(o)
 	if !cut {
 		return geom.MinDist(r.support, mq)
 	}
-	est := fuzzy.EstimateMinDist(r.box, r.sum, alpha, mq)
-	return max(est, eval.CutKey(r.box, r.sum, est))
+	return CutKey(q, alpha, r.box, r.sum, fuzzy.EstimateMinDist(r.box, r.sum, alpha, mq))
+}
+
+// CutKey is fuzzy.DistEval.CutKey from its definition, by brute force over
+// the points of Q_α and not by its k-d tree walk: max(coarse, √g), where g
+// is the least over q in Q_α of the larger of q's squared gap to M_A(α)*
+// and its squared gap to the disk of radius R̂(α) about the centre c of
+// A's support box, (√|q − c|² · (1 − (d + 16)·2⁻⁵²) − (R̂(α) + 2⁻⁵⁰⁰))₊,
+// with |q − c|² capped at math.MaxFloat64. A row with no radial line has
+// no disk. box and sum are A's leaf row, as EstimateMinDist takes them.
+func CutKey(q *fuzzy.Object, alpha float64, box, sum []float64, coarse float64) float64 {
+	d := len(box) / 2
+	est := fuzzy.EstimateInto(box, sum, alpha, geom.Rect{})
+	c := make(geom.Point, d)
+	for k := range c {
+		c[k] = float64(box[k]*0.5) + float64(box[d+k]*0.5)
+	}
+	rhat, disk := fuzzy.SummaryRadius(sum, d, alpha)
+	scale := 1 - float64(d+16)*0x1p-52
+	g := math.Inf(1)
+	for i := 0; i < q.CutSize(alpha); i++ {
+		pt, _ := q.At(i)
+		v := geom.MinDistPointSq(pt, est)
+		if disk {
+			rho := math.Sqrt(min(geom.DistSq(pt, c), math.MaxFloat64))
+			if dg := float64(rho*scale) - (rhat + 0x1p-500); dg > 0 {
+				v = max(v, dg*dg)
+			}
+		}
+		g = min(g, v)
+	}
+	return max(coarse, math.Sqrt(g))
 }
 
 // within returns the ids of the objects whose key against q at α is at most
 // r, in ascending order.
 func (p *Population) within(q *fuzzy.Object, alpha, r float64, cut bool) []uint64 {
 	mq := q.MBR(alpha)
-	var eval fuzzy.DistEval
-	if cut {
-		eval.Reset(q, alpha)
-	}
 	var ids []uint64
 	for _, o := range p.Objs {
-		if p.key(o, mq, alpha, cut, &eval) <= r {
+		if p.key(o, q, mq, alpha, cut) <= r {
 			ids = append(ids, o.ID())
 		}
 	}

@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,34 +19,38 @@ func goldenPayload(i int) []byte {
 	return p
 }
 
-// TestCompatManifest: testdata/compat is the reference generation as
-// version 2 wrote it, before the R-tree leaf record widened. The page frame
-// is the same, so it must decode as version 2, re-encode byte-identically
-// and serve its pages.
+// TestCompatManifest: testdata/compat holds the reference generation as
+// the two older versions wrote it: v2/ before the R-tree leaf record
+// widened, v3/ before it widened again. The page frame is the same, so
+// each must decode as its version, re-encode byte-identically and serve
+// its pages.
 func TestCompatManifest(t *testing.T) {
-	ref := golden.Read(t, ManifestPath(filepath.Join("testdata/compat", "pages.fzp")))
-	m, err := decodeManifest(ref)
-	if err != nil {
-		t.Fatalf("version-2 manifest does not decode: %v", err)
-	}
-	if m.Version != 2 || !bytes.Equal(encodeManifest(m), ref) {
-		t.Fatalf("version-2 manifest decodes as version %d or does not re-encode byte-identically", m.Version)
-	}
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("testdata/compat")); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Open(filepath.Join(dir, "pages.fzp"))
-	if err != nil {
-		t.Fatalf("version-2 generation does not reopen: %v", err)
-	}
-	defer f.Close()
-	buf := make([]byte, m.PageSize)
-	for i := 0; i < int(m.PageCount); i++ {
-		_, count, payload, err := f.ReadPage(uint32(i), buf)
-		if want := goldenPayload(i); err != nil || int(count) != i+1 || !bytes.Equal(payload[:len(want)], want) {
-			t.Fatalf("page %d: %v, or different content than was written", i, err)
+	for _, version := range []uint32{2, 3} {
+		src := filepath.Join("testdata/compat", fmt.Sprintf("v%d", version))
+		ref := golden.Read(t, ManifestPath(filepath.Join(src, "pages.fzp")))
+		m, err := decodeManifest(ref)
+		if err != nil {
+			t.Fatalf("version-%d manifest does not decode: %v", version, err)
 		}
+		if m.Version != version || !bytes.Equal(encodeManifest(m), ref) {
+			t.Fatalf("version-%d manifest decodes as version %d or does not re-encode byte-identically", version, m.Version)
+		}
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Open(filepath.Join(dir, "pages.fzp"))
+		if err != nil {
+			t.Fatalf("version-%d generation does not reopen: %v", version, err)
+		}
+		buf := make([]byte, m.PageSize)
+		for i := 0; i < int(m.PageCount); i++ {
+			_, count, payload, err := f.ReadPage(uint32(i), buf)
+			if want := goldenPayload(i); err != nil || int(count) != i+1 || !bytes.Equal(payload[:len(want)], want) {
+				t.Fatalf("version %d, page %d: %v, or different content than was written", version, i, err)
+			}
+		}
+		f.Close()
 	}
 }
 

@@ -35,10 +35,11 @@ const (
 	// Version is the manifest version Commit writes. Version 2 moved page
 	// data from <path> to the generation-numbered <path>.g<G>, closing the
 	// crash window between data rename and manifest publish that version 1
-	// had. Version 3 widened the R-tree leaf record in the payload; the page
-	// frame and the manifest are unchanged, so versions 2 and 3 read alike
-	// here and Manifest.Version tells the payload's reader which it holds.
-	Version = 3
+	// had. Versions 3 and 4 each widened the R-tree leaf record in the
+	// payload (the witness group, then the radial line); the page frame and
+	// the manifest are unchanged, so versions 2 to 4 read alike here and
+	// Manifest.Version tells the payload's reader which it holds.
+	Version = 4
 	// MinVersion is the oldest version Open reads.
 	MinVersion = 2
 

@@ -27,16 +27,17 @@ const (
 
 // The per-leg budgets bound the heap an indexed object holds beyond its
 // payload at what one copy of its leaf entry costs, plus 15%: its leaf row
-// and id are 224 B (152 B before the row carried its witness group), and
-// each store adds its own bookkeeping. Measured on linux/amd64 at 309, 357
-// and 533 B; a second copy of every box and summary beside the rows
-// measured 589, 624 and 818 B, and a retained per-level table (the distinct
-// levels and every level's cut box, ≈5 KB at 128 distinct levels) breaks
-// them by an order of magnitude.
+// and id are 240 B (224 B before the row carried its radial line, 152 B
+// before the witness group), and each store adds its own bookkeeping.
+// Measured on linux/amd64 at 342, 389 and 561 B (309, 357 and 533 B with
+// the 224 B row); a second copy of every box and summary beside the 224 B
+// rows measured 589, 624 and 818 B, and a retained per-level table (the
+// distinct levels and every level's cut box, ≈5 KB at 128 distinct levels)
+// breaks them by an order of magnitude.
 const (
-	footprintBudgetMem = 356
-	footprintBudgetLog = 411
-	footprintBudgetLRU = 613
+	footprintBudgetMem = 394
+	footprintBudgetLog = 448
+	footprintBudgetLRU = 646
 )
 
 // liveHeap returns the bytes of heap in use after two collections (the

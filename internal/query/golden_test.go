@@ -77,9 +77,10 @@ func incrementalHistory(t *testing.T) *Index {
 // incrementalHistory, so a change to how the tree inserts, splits, deletes
 // or condenses shows as different bytes.
 //
-// The reference was last rewritten when the leaf record gained its
-// witness group (manifest version 3). TestCompatPageFileAnswers keeps the
-// bytes written before that, and those written before the §3.2 line fit
+// The reference was last rewritten when the leaf record gained its radial
+// line (manifest version 4), and the face lines' samples their rounding
+// guard. TestCompatPageFileAnswers keeps the bytes written before that,
+// before the witness group (version 2), and before the §3.2 line fit
 // became the closed form.
 func TestGoldenFormats(t *testing.T) {
 	rng, ms, opts, ix := goldenFixture(t)
@@ -116,18 +117,21 @@ func TestGoldenFormats(t *testing.T) {
 }
 
 // TestCompatPageFileAnswers: testdata/compat holds the golden page file as
-// two older versions of the code wrote it. bisection/ is from the
+// three older versions of the code wrote it. bisection/ is from the
 // bisection line fit, before the closed form replaced it: its §3.2 lines
 // differ from today's but are still conservative, so no format version
 // separates the two. rep-only/ is manifest version 2, whose leaf summaries
 // end at the representative point: it is served at that width, and its
-// §3.4 descents start at the representative. Each must reopen under the
+// §3.4 descents start at the representative. witness/ is manifest version
+// 3, whose summaries end at the witness group: its cut keys read the box
+// alone. All three generations of the format are held: the two compat ones
+// here, the current one by TestGoldenFormats. Each must reopen under the
 // running code and give AKNN (LB, and LB-LP-UB once refined), range and
 // RKNN answers identical to the in-memory tree built now. Only probe
 // counts and the lazy answer's bounds may differ, since a different line
 // is a different key and a different row a different upper bound.
 func TestCompatPageFileAnswers(t *testing.T) {
-	for _, name := range []string{"bisection", "rep-only"} {
+	for _, name := range []string{"bisection", "rep-only", "witness"} {
 		t.Run(name, func(t *testing.T) { compatAnswers(t, filepath.Join("testdata/compat", name)) })
 	}
 }

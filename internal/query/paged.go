@@ -21,11 +21,13 @@ import (
 //
 // A leaf record is the id and the row a leaf entry carries (support MBR and
 // flat summary: kernel MBR, boundary lines, representative point, witness
-// groups — bitwise identical floats), and interior records are the exact
-// entry MBR plus the child's page id. A manifest of version 2 marks a file
-// whose leaf summaries end at the representative point; it is served as
-// written, and a §3.4 descent from one of its rows starts at the
-// representative. Because the serialized tree preserves the in-memory tree
+// group, radial line — bitwise identical floats), and interior records are
+// the exact entry MBR plus the child's page id. A manifest of version 2
+// marks a file whose leaf summaries end at the representative point, one of
+// version 3 a file whose summaries end at the witness group. Each is served
+// as written: a §3.4 descent from a version-2 row starts at the
+// representative, and the cut key of a row of either keys by the box
+// alone. Because the serialized tree preserves the in-memory tree
 // shape node for node, a paged index returns byte-identical answers and
 // identical NodeAccesses counts; only the new PageReads/PageCacheHits stats
 // differ from zero.
@@ -35,12 +37,15 @@ import (
 var ErrPagedMismatch = errors.New("query: page file does not match store")
 
 // summaryLen returns the floats of a leaf summary at dimensionality d in a
-// page file of manifest version v: a file older than pager.Version has rows
-// that end at the representative point (fuzzy.RepSummaryLen), the current
-// version's carry fuzzy.SummaryLen floats.
+// page file of manifest version v: rows that end at the representative
+// point in version 2 (fuzzy.RepSummaryLen), at the witness group in version
+// 3 (fuzzy.WitnessSummaryLen), and the current version's fuzzy.SummaryLen.
 func summaryLen(d int, v uint32) int {
-	if v < pager.Version {
+	switch v {
+	case 2:
 		return fuzzy.RepSummaryLen(d)
+	case 3:
+		return fuzzy.WitnessSummaryLen(d)
 	}
 	return fuzzy.SummaryLen(d)
 }
@@ -89,13 +94,16 @@ func (ix *Index) SavePaged(path string) error {
 		return id
 	}
 	visit(tree.Root().Resolve())
-	// The rows are written as the tree holds them: a tree opened from a
-	// version-2 file saves as one.
+	// The rows are written as the tree holds them: a tree opened from an
+	// older file saves as the version whose rows it holds.
 	version, sumLen := uint32(pager.Version), fuzzy.SummaryLen(d)
 	for _, sn := range nodes {
 		if sn.n.Leaf() && sn.n.Len() > 0 {
-			if _, sum := sn.n.EntrySummary(0); len(sum) == fuzzy.RepSummaryLen(d) {
-				version, sumLen = pager.MinVersion, len(sum)
+			_, sum := sn.n.EntrySummary(0)
+			for v := uint32(pager.MinVersion); v < pager.Version; v++ {
+				if len(sum) == summaryLen(d, v) {
+					version, sumLen = v, len(sum)
+				}
 			}
 			break
 		}

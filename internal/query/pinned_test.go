@@ -138,14 +138,19 @@ func subset(a, b []uint64) bool {
 // LB-LP-UB's went from 363, 150 and 363 to 261, 125 and 247 when its §3.4
 // descent started from the row's point nearest M_Q(α) among the
 // representative and the witnesses in the cut, instead of from the
-// representative alone (synthetic k = 5 at α = 0.9 stayed at 120).
+// representative alone (synthetic k = 5 at α = 0.9 stayed at 120). Both
+// went down again when the cut key read the disk of radius R̂(α) about the
+// support box's centre beside M_A(α)*: a tighter key defers fewer entries
+// and brings H's top key closer to d_k, so fewer deferred entries are read.
+// LB-LP and LB-LP-UB went from 172/120 to 161/108 and 581/261 to 540/212
+// (synthetic), and 178/125 to 173/117 and 581/247 to 569/230 (cells).
 func TestObjectAccessesPinned(t *testing.T) {
 	algos := []AKNNAlgorithm{LBLP, LBLPUB}
 	// want[kind][cell]: ObjectAccesses summed over the queries under
 	// LB-LP and LB-LP-UB at the cell's k and α.
 	want := map[dataset.Kind][2][2]int{
-		dataset.Synthetic: {{172, 120}, {581, 261}},
-		dataset.Cells:     {{178, 125}, {581, 247}},
+		dataset.Synthetic: {{161, 108}, {540, 212}},
+		dataset.Cells:     {{173, 117}, {569, 230}},
 	}
 	for _, kind := range []dataset.Kind{dataset.Synthetic, dataset.Cells} {
 		objs, queries := pinnedFixture(t, kind)
@@ -176,13 +181,18 @@ func TestObjectAccessesPinned(t *testing.T) {
 // than deferrals, and at least one per admitted entry (its reported Upper
 // is the descent's). Starting from the witness nearest M_Q(α) rather than
 // the representative brings more entries within reach, so the descents
-// rose with the admissions (252, 46 and 259 before).
+// rose with the admissions (252, 46 and 259 before). The cut key's disk
+// defers fewer entries, but those it defers lie nearer the query, so more
+// of them reach an admission test and pass it: the descents went from 54,
+// 396, 95 and 399 to 60, 414, 98 and 409, the admissions from 52, 322, 53
+// and 334 to 53, 331, 56 and 339, and the deferrals fell with LB-LP's reads
+// (TestObjectAccessesPinned).
 func TestUpperDescentsOnlyWhenTheyCanAdmit(t *testing.T) {
 	// want[kind][cell]: descents, deferrals, admissions summed over the
 	// queries.
 	want := map[dataset.Kind][2][3]int{
-		dataset.Synthetic: {{54, 172, 52}, {396, 583, 322}},
-		dataset.Cells:     {{95, 178, 53}, {399, 581, 334}},
+		dataset.Synthetic: {{60, 161, 53}, {414, 543, 331}},
+		dataset.Cells:     {{98, 173, 56}, {409, 569, 339}},
 	}
 	for _, kind := range []dataset.Kind{dataset.Synthetic, dataset.Cells} {
 		objs, queries := pinnedFixture(t, kind)
